@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import database, generator, optimizer, qasm
-from .circuit import effective_depth
+from .circuit import circuit_unitary, effective_depth
 from .gates import (
     BUILTIN_GATES,
     CX,
@@ -212,8 +212,6 @@ def cmd_verify(args) -> int:
     if grids[0].n != grids[1].n:
         _note(f"error: qubit counts differ ({grids[0].n} vs {grids[1].n})")
         return EXIT_CONFIG
-    from .circuit import circuit_unitary
-
     residual = max_abs_diff(circuit_unitary(grids[0]), circuit_unitary(grids[1]))
     _out("residual", f"{residual:.3e}")
     _out("equal", "true" if residual <= args.tolerance else "false")

@@ -77,29 +77,6 @@ def encode_circuit(c: CircuitGrid) -> str:
     return "|".join(",".join(encode_cell(cell) for cell in layer) for layer in c.layers)
 
 
-def encoding_effective_depth(enc: str, identity_name: str) -> int:
-    """Effective depth straight off the encoding text (no decode)."""
-    if not enc:
-        return 0
-    return sum(
-        1
-        for layer in enc.split("|")
-        if any(tok != identity_name for tok in layer.split(","))
-    )
-
-
-def encoding_gate_cells(enc: str, identity_name: str) -> int:
-    """Number of non-Identity cells in an encoding."""
-    if not enc:
-        return 0
-    return sum(
-        1
-        for layer in enc.split("|")
-        for tok in layer.split(",")
-        if tok != identity_name
-    )
-
-
 def decode_circuit(enc: str, gate_set: GateSet) -> CircuitGrid:
     """Inverse of encode_circuit over the given gate set.
 
@@ -207,19 +184,23 @@ def _parse_gate_line(line: str, dp: int) -> GateDef:
     fields = line.split(" ")
     if len(fields) != 4 or fields[0] != "gate":
         raise DatabaseFormatError(f"malformed gate line: {line!r}")
-    name, arity, canon = fields[1], int(fields[2]), fields[3]
+    name, canon = fields[1], fields[3]
+    arity = _int(fields[2], f"gate {name} arity")
     toks = canon.split(";")
-    dim = int(toks[0])
+    dim = _int(toks[0], f"gate {name} matrix size")
     if len(toks) != dim * dim + 1:
         raise DatabaseFormatError(f"gate {name}: bad matrix payload")
-    entries = []
-    for tok in toks[1:]:
-        re_s, im_s = tok.split(",")
-        entries.append(complex(float(re_s), float(im_s)))
-    rows = [entries[r * dim : (r + 1) * dim] for r in range(dim)]
     # dp-rounded matrices cannot meet the registration tolerance; scale it.
     tol = max(1e-10, 4.0 * dim * 10.0**-dp)
-    gate = make_gate(name, rows, arity=arity, tol=tol)
+    try:
+        entries = []
+        for tok in toks[1:]:
+            re_s, im_s = tok.split(",")
+            entries.append(complex(float(re_s), float(im_s)))
+        rows = [entries[r * dim : (r + 1) * dim] for r in range(dim)]
+        gate = make_gate(name, rows, arity=arity, tol=tol)
+    except ValueError as e:
+        raise DatabaseFormatError(f"gate {name}: {e}") from None
     return _attach_qasm_rendering(gate, dp)
 
 
@@ -277,7 +258,21 @@ def _header_value(lines: list[str], idx: int, key: str) -> str:
     return parts[1]
 
 
+def _int(text: str, what: str, lo: int = 0, hi: int | None = None) -> int:
+    """`text` as an integer in [lo, hi] (no upper bound when hi is None)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise DatabaseFormatError(f"{what}: {text!r} is not an integer") from None
+    if value < lo or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise DatabaseFormatError(f"{what}: {value} is not {bound}")
+    return value
+
+
 def loads(text: str) -> IdentityDatabase:
+    """Parse a QIDB/1 file; raises DatabaseFormatError (or a subclass) for
+    any header, gate line, bucket or footer it cannot interpret."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -293,11 +288,15 @@ def loads(text: str) -> IdentityDatabase:
             f"digest algorithm {digest!r}, expected {DIGEST_ALGORITHM}"
         )
     convention = _header_value(lines, 2, "convention")
-    n = int(_header_value(lines, 3, "n"))
-    d = int(_header_value(lines, 4, "d"))
-    dp = int(_header_value(lines, 5, "dp"))
-    neighbors = _header_value(lines, 6, "neighbors_only") == "true"
-    gate_count = int(_header_value(lines, 7, "gates"))
+    if convention != CONVENTION:
+        raise DatabaseFormatError(f"convention {convention!r}, expected {CONVENTION}")
+    n = _int(_header_value(lines, 3, "n"), "n", 1)
+    d = _int(_header_value(lines, 4, "d"), "d", 1)
+    dp = _int(_header_value(lines, 5, "dp"), "dp", 1, 15)
+    neighbors = _header_value(lines, 6, "neighbors_only")
+    if neighbors not in ("true", "false"):
+        raise DatabaseFormatError(f"neighbors_only {neighbors!r}, expected true or false")
+    gate_count = _int(_header_value(lines, 7, "gates"), "gates")
 
     pos = 8
     if pos + gate_count > len(lines):
@@ -305,7 +304,11 @@ def loads(text: str) -> IdentityDatabase:
     gates = [_parse_gate_line(lines[pos + k], dp) for k in range(gate_count)]
     pos += gate_count
 
-    meta = DatabaseMeta(n, d, dp, neighbors, GateSet(gates), convention=convention)
+    try:
+        gate_set = GateSet(gates)
+    except ValueError as e:
+        raise DatabaseFormatError(f"gate table: {e}") from None
+    meta = DatabaseMeta(n, d, dp, neighbors == "true", gate_set)
     db = IdentityDatabase(meta)
 
     body_lines: list[str] = []
@@ -313,8 +316,11 @@ def loads(text: str) -> IdentityDatabase:
         fields = lines[pos].split(" ")
         if len(fields) != 3:
             raise DatabaseFormatError(f"malformed bucket header {lines[pos]!r}")
-        fp = Fingerprint.from_hex(fields[1])
-        count = int(fields[2])
+        try:
+            fp = Fingerprint.from_hex(fields[1])
+        except ValueError:
+            raise DatabaseFormatError(f"bad fingerprint {fields[1]!r}") from None
+        count = _int(fields[2], "bucket size")
         body_lines.append(lines[pos])
         pos += 1
         if pos + count > len(lines):
@@ -331,7 +337,7 @@ def loads(text: str) -> IdentityDatabase:
     fields = lines[pos].split(" ")
     if len(fields) != 3:
         raise DatabaseFormatError(f"malformed END line {lines[pos]!r}")
-    total, checksum = int(fields[1]), fields[2]
+    total, checksum = _int(fields[1], "END circuit count"), fields[2]
     body = "".join(line + "\n" for line in body_lines)
     actual = hashlib.md5(body.encode("utf-8")).hexdigest()
     if actual != checksum:

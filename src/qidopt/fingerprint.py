@@ -10,6 +10,7 @@ is frozen into the database format version.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -61,21 +62,15 @@ def _rounded_components(m: ComplexMatrix, dp: int) -> np.ndarray:
     return np.where(comps < 0, -mags, mags).astype(np.int64)
 
 
-# matrix entries cluster on few distinct values, so rendered components
-# are cached by their scaled-integer form
-_COMPONENT_CACHE: dict[tuple[int, int], str] = {}
-
-
+# matrix entries cluster on few distinct values (a build over builtin gates
+# renders about ten), so rendered components are cached by their
+# scaled-integer form
+@functools.lru_cache(maxsize=1024)
 def _component_str(v: int, dp: int) -> str:
-    key = (v, dp)
-    s = _COMPONENT_CACHE.get(key)
-    if s is None:
-        sign = "-" if v < 0 else ""
-        a = abs(v)
-        scale = 10**dp
-        s = f"{sign}{a // scale}.{a % scale:0{dp}d}"
-        _COMPONENT_CACHE[key] = s
-    return s
+    sign = "-" if v < 0 else ""
+    a = abs(v)
+    scale = 10**dp
+    return f"{sign}{a // scale}.{a % scale:0{dp}d}"
 
 
 def canonicalize(m: ComplexMatrix, dp: int) -> str:

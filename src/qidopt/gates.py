@@ -1,5 +1,5 @@
-"""Gate definitions, gate sets, and fixed-angle instantiation of
-parameterized gates.
+"""Gate definitions, gate sets, the angle grammar ('pi/2', '-3*pi/4'), and
+fixed-angle instantiation of parameterized gates.
 
 Conventions:
   1-qubit gates are 2×2, 2-qubit gates are 4×4 complex128 matrices.
@@ -67,6 +67,59 @@ class AngleExpr:
         if abs(float(frac) * math.pi - x) <= 1e-12:
             return cls(pi_coeff=frac)
         return cls(const=Fraction(repr(x)))
+
+
+_NUM_RE = r"(?:\d+(?:\.\d+)?|\.\d+)"
+_TERM_PI = re.compile(rf"^(?:({_NUM_RE})\*)?pi(?:/({_NUM_RE}))?$")
+_TERM_NUM = re.compile(rf"^({_NUM_RE})(?:/({_NUM_RE}))?$")
+
+
+def _fraction(tok: str) -> Fraction:
+    return Fraction(tok)  # exact for integer and decimal literals
+
+
+def parse_angle(text: str) -> AngleExpr:
+    """Parse literals like 'pi/2', '-3*pi/4', '0', '0.5', '1/2'."""
+    s = text.replace(" ", "")
+    if not s:
+        raise ValueError("empty angle expression")
+    # split into signed terms
+    terms: list[tuple[int, str]] = []
+    sign, start = 1, 0
+    if s[0] in "+-":
+        sign = -1 if s[0] == "-" else 1
+        start = 1
+    buf = ""
+    for ch in s[start:]:
+        if ch in "+-":
+            terms.append((sign, buf))
+            sign = -1 if ch == "-" else 1
+            buf = ""
+        else:
+            buf += ch
+    terms.append((sign, buf))
+
+    pi_coeff = Fraction(0)
+    const = Fraction(0)
+    for sgn, term in terms:
+        m = _TERM_PI.match(term)
+        if m:
+            num = _fraction(m.group(1)) if m.group(1) else Fraction(1)
+            den = _fraction(m.group(2)) if m.group(2) else Fraction(1)
+            if den == 0:
+                raise ValueError(f"zero denominator in angle {text!r}")
+            pi_coeff += sgn * num / den
+            continue
+        m = _TERM_NUM.match(term)
+        if m:
+            num = _fraction(m.group(1))
+            den = _fraction(m.group(2)) if m.group(2) else Fraction(1)
+            if den == 0:
+                raise ValueError(f"zero denominator in angle {text!r}")
+            const += sgn * num / den
+            continue
+        raise ValueError(f"cannot parse angle term {term!r} in {text!r}")
+    return AngleExpr(pi_coeff, const)
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,8 +345,6 @@ def gate_from_name(name: str) -> GateDef:
         return BUILTIN_GATES[name]
     m = _PARAM_NAME_RE.match(name)
     if m:
-        from .qasm import parse_angle  # angle grammar lives with QASM I/O
-
         tmpl = TEMPLATES[m.group(1)]
         angles = [parse_angle(tok) for tok in m.group(2).split(";")]
         return instantiate_param_gate(tmpl, angles)

@@ -11,6 +11,7 @@ byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -121,16 +122,8 @@ def enumerate_circuits(cfg: GeneratorConfig) -> Iterator[CircuitGrid]:
     layers = enumerate_layers(cfg.n, cfg.gate_set, cfg.neighbors_only)
     _check_budget(cfg, len(layers))
 
-    def rec(level: int, chosen: list[Layer]) -> Iterator[CircuitGrid]:
-        if level == cfg.d:
-            yield CircuitGrid(cfg.n, tuple(chosen))
-            return
-        for layer in layers:
-            chosen.append(layer)
-            yield from rec(level + 1, chosen)
-            chosen.pop()
-
-    yield from rec(0, [])
+    for chosen in itertools.product(layers, repeat=cfg.d):
+        yield CircuitGrid(cfg.n, chosen)
 
 
 def _check_budget(cfg: GeneratorConfig, layer_count: int) -> None:

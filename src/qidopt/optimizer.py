@@ -1,8 +1,10 @@
 """Tile extraction, identity lookup, and cost-based substitution.
 
-The optimizer slides an i×j window over the circuit grid, replaces each
+The optimizer slides an i×j window over the circuit grid and replaces each
 window's contents with the cheapest equivalent circuit found in the
-database, and repeats the whole sweep a fixed number of times. A two-qubit
+database. A substitution is kept only when it strictly lowers the whole
+circuit's potential (effective depth, non-Identity cells, encoding), so
+repeated sweeps reach a fixpoint; `iters` caps their number. A two-qubit
 gate reaching across the window's qubit boundary makes the window unusable
 unless the cut half sits in the window's first or last layer, in which
 case the half is temporarily replaced by Identity for the lookup and
@@ -24,12 +26,7 @@ from .circuit import (
     single,
     validate,
 )
-from .database import (
-    IdentityDatabase,
-    encode_circuit,
-    encoding_effective_depth,
-    encoding_gate_cells,
-)
+from .database import IdentityDatabase, encode_circuit
 from .fingerprint import fingerprint
 from .gates import I as IDENTITY_GATE
 from .gates import GateDef
@@ -79,6 +76,18 @@ class Tile:
         return out
 
 
+def _window(c: CircuitGrid, qs: int, ls: int, i: int, j: int) -> Tile:
+    """The i×j window at qubit offset qs and layer offset ls."""
+    layers = tuple(
+        tuple(
+            cell if cell.is_single else Cell(cell.gate, cell.role, cell.partner - qs)
+            for cell in layer[qs : qs + i]
+        )
+        for layer in c.layers[ls : ls + j]
+    )
+    return Tile(qs, ls, CircuitGrid(i, layers))
+
+
 def extract_tiles(c: CircuitGrid, spec: TileSpec) -> list[Tile]:
     """All contiguous i×j windows, ordered by (layer_offset, qubit_offset).
 
@@ -88,20 +97,11 @@ def extract_tiles(c: CircuitGrid, spec: TileSpec) -> list[Tile]:
         raise ValueError(
             f"tile {spec.i}x{spec.j} does not fit circuit {c.n}x{c.m}"
         )
-    tiles = []
-    for ls in range(c.m - spec.j + 1):
-        for qs in range(c.n - spec.i + 1):
-            layers = []
-            for layer in c.layers[ls : ls + spec.j]:
-                row = []
-                for cell in layer[qs : qs + spec.i]:
-                    if cell.is_single:
-                        row.append(cell)
-                    else:
-                        row.append(Cell(cell.gate, cell.role, cell.partner - qs))
-                layers.append(tuple(row))
-            tiles.append(Tile(qs, ls, CircuitGrid(spec.i, tuple(layers))))
-    return tiles
+    return [
+        _window(c, qs, ls, spec.i, spec.j)
+        for ls in range(c.m - spec.j + 1)
+        for qs in range(c.n - spec.i + 1)
+    ]
 
 
 def classify_tile(t: Tile) -> TileClass:
@@ -154,11 +154,6 @@ def lookup(t: Tile, db: IdentityDatabase) -> list[str]:
     return [cand for cand in db.bucket(fp) if cand != enc]
 
 
-def cost(enc: str, db: IdentityDatabase) -> int:
-    """Depth of the decoded circuit, ignoring Identity gates."""
-    return effective_depth(db.decode(enc))
-
-
 def _candidate_order(
     t: Tile,
     candidates: list[str],
@@ -170,7 +165,8 @@ def _candidate_order(
     A candidate must hold Identity at every cut slot (so restoration cannot
     collide), satisfy the neighbouring constraint when asked, and beat the
     tile's own cost strictly. Ties break on fewer non-Identity cells, then
-    lexicographic encoding.
+    lexicographic encoding. Everything is read off the encoding's tokens;
+    the cost is the effective depth.
     """
     ident = db.meta.gate_set.identity.name
     tile_cost = effective_depth(t.sub)
@@ -181,34 +177,23 @@ def _candidate_order(
 
     ranked = []
     for enc in candidates:
-        c = encoding_effective_depth(enc, ident)
-        if c >= tile_cost:
+        rows = [layer.split(",") for layer in enc.split("|")]
+        depth = sum(1 for row in rows if any(tok != ident for tok in row))
+        if depth >= tile_cost:
             continue
-        ranked.append((c, encoding_gate_cells(enc, ident), enc))
+        if any(rows[li][q] != ident for li, q, _ in t.cut_positions):
+            continue
+        if neighbors_only and any(
+            abs(int(tok.rsplit(":", 1)[1]) - q) > 1
+            for row in rows
+            for q, tok in enumerate(row)
+            if ":" in tok
+        ):
+            continue
+        cells = sum(1 for row in rows for tok in row if tok != ident)
+        ranked.append((depth, cells, enc))
     ranked.sort()
-
-    out = []
-    for c, _, enc in ranked:
-        if t.cut_positions:
-            grid = db.decode(enc)
-            if not all(
-                cell_is_identity(grid.layers[li][q]) for li, q, _ in t.cut_positions
-            ):
-                continue
-        if neighbors_only and not _encoding_neighbors_ok(enc):
-            continue
-        out.append((c, enc))
-    return out
-
-
-def _encoding_neighbors_ok(enc: str) -> bool:
-    for layer in enc.split("|"):
-        for q, tok in enumerate(layer.split(",")):
-            if ":" in tok:
-                partner = int(tok.rsplit(":", 1)[1])
-                if abs(partner - q) > 1:
-                    return False
-    return True
+    return [(depth, enc) for depth, _, enc in ranked]
 
 
 def select_substitution(
@@ -226,11 +211,13 @@ def apply_substitution(
     c: CircuitGrid, t: Tile, chosen: str, db: IdentityDatabase
 ) -> CircuitGrid:
     """Splice the chosen encoding into the window, restore cut halves, and
-    drop all-Identity layers. The result must validate; a failure here is
-    an internal error."""
+    drop all-Identity layers. Rows outside the window hold Identity in the
+    layers a taller candidate adds. The result must validate; a failure
+    here is an internal error."""
     sub = db.decode(chosen)
     qs, ls = t.qubit_offset, t.layer_offset
     window_m = t.sub.m
+    ident = single(db.exact_gates.identity)
 
     def rebased(cell: Cell) -> Cell:
         if cell.is_single:
@@ -238,21 +225,17 @@ def apply_substitution(
         return Cell(cell.gate, cell.role, cell.partner + qs)
 
     new_window = [[rebased(cell) for cell in layer] for layer in sub.layers]
+    new_window += [[ident] * sub.n for _ in range(window_m - sub.m)]
     for li, q, original in t.cut_positions:
         # cut halves in the window's last layer stay in the spliced last layer
         target = li if li == 0 else len(new_window) - 1 + (li - (window_m - 1))
         new_window[target][q] = rebased(original)
 
     layers: list = list(c.layers[:ls])
-    if sub.n == c.n:
-        layers.extend(tuple(row) for row in new_window)
-    else:
-        if sub.m != window_m:
-            raise ValueError("partial-height substitution must match window depth")
-        for off, row in enumerate(new_window):
-            old = list(c.layers[ls + off])
-            old[qs : qs + sub.n] = row
-            layers.append(tuple(old))
+    for off, row in enumerate(new_window):
+        old = list(c.layers[ls + off]) if off < window_m else [ident] * c.n
+        old[qs : qs + sub.n] = row
+        layers.append(tuple(old))
     layers.extend(c.layers[ls + window_m :])
 
     compact = tuple(layer for layer in layers if not layer_is_identity(layer))
@@ -292,7 +275,7 @@ def optimize(
     """Sweep tiles and substitute until no sweep changes anything or the
     iteration budget runs out. The output always computes the same unitary
     as the input (verified; residual reported) and never has larger
-    effective depth.
+    effective depth or more non-Identity cells.
     """
     if spec is None:
         spec = TileSpec(db.meta.n, db.meta.d)
@@ -328,27 +311,26 @@ def _sweep(
     guard: float,
     report: OptimizeReport,
 ) -> tuple[CircuitGrid, bool]:
-    """One pass over the tile positions, re-extracting after every applied
-    substitution and continuing forward."""
-    i_eff = min(spec.i, c.n)
+    """One pass over the window positions in (layer, qubit) order. Each
+    window is cut from the current circuit, so the pass continues forward
+    over the circuit as the last substitution left it."""
+    i = min(spec.i, c.n)
+    level = _potential(c)
     changed = False
     idx = 0
     while True:
-        j_eff = min(spec.j, c.m)
-        if c.m == 0 or j_eff == 0:
+        j = min(spec.j, c.m)
+        ls, qs = divmod(idx, c.n - i + 1)
+        if j == 0 or ls > c.m - j:
             break
-        tiles = extract_tiles(c, TileSpec(i_eff, j_eff))
-        if idx >= len(tiles):
-            break
-        tile = tiles[idx]
         idx += 1
+        tile = _window(c, qs, ls, i, j)
         if classify_tile(tile) is TileClass.INVALID:
             continue
         norm = normalize_cut_tile(tile, db.exact_gates.identity)
         candidates = lookup(norm, db)
         if not candidates:
             continue
-        depth_before = effective_depth(c)
         tile_unitary = circuit_unitary(norm.sub)
         for cand_cost, enc in _candidate_order(norm, candidates, db, neighbors_only):
             cand_grid = db.decode(enc)
@@ -358,8 +340,10 @@ def _sweep(
                 continue
             trial = apply_substitution(c, norm, enc, db)
             # a cheaper tile may still not help the whole circuit when other
-            # rows keep its old layers alive; keep depth monotone
-            if effective_depth(trial) > depth_before:
+            # rows keep its old layers alive; a strict drop in the potential
+            # keeps depth monotone and rules out cycles between sweeps
+            trial_level = _potential(trial)
+            if trial_level >= level:
                 continue
             report.substitutions.append(
                 AppliedSubstitution(
@@ -370,7 +354,13 @@ def _sweep(
                     cand_cost,
                 )
             )
-            c = trial
+            c, level = trial, trial_level
             changed = True
             break
     return c, changed
+
+
+def _potential(c: CircuitGrid) -> tuple[int, int, str]:
+    """(effective depth, non-Identity cells, encoding): what a sweep lowers."""
+    cells = sum(1 for layer in c.layers for cell in layer if not cell_is_identity(cell))
+    return effective_depth(c), cells, encode_circuit(c)

@@ -14,9 +14,9 @@ earliest layer where all its operands are free.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .circuit import FIRST, SECOND, CircuitGrid, half, single, validate
 from .gates import (
@@ -24,7 +24,9 @@ from .gates import (
     AngleExpr,
     GateDef,
     TEMPLATES_BY_QASM,
+    I,
     instantiate_param_gate,
+    parse_angle,
 )
 
 ISWAP_DEFINITION = "gate iswap a,b { s a; s b; h a; cx a,b; cx b,a; h b; }"
@@ -51,61 +53,6 @@ class QasmProgram:
     register: str
     size: int
     applications: tuple[GateApplication, ...]
-
-
-# ── angle expressions ───────────────────────────────────────────────
-
-_NUM_RE = r"(?:\d+(?:\.\d+)?|\.\d+)"
-_TERM_PI = re.compile(rf"^(?:({_NUM_RE})\*)?pi(?:/({_NUM_RE}))?$")
-_TERM_NUM = re.compile(rf"^({_NUM_RE})(?:/({_NUM_RE}))?$")
-
-
-def _fraction(tok: str) -> Fraction:
-    return Fraction(tok)  # exact for integer and decimal literals
-
-
-def parse_angle(text: str) -> AngleExpr:
-    """Parse literals like 'pi/2', '-3*pi/4', '0', '0.5', '1/2'."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty angle expression")
-    # split into signed terms
-    terms: list[tuple[int, str]] = []
-    sign, start = 1, 0
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        start = 1
-    buf = ""
-    for ch in s[start:]:
-        if ch in "+-":
-            terms.append((sign, buf))
-            sign = -1 if ch == "-" else 1
-            buf = ""
-        else:
-            buf += ch
-    terms.append((sign, buf))
-
-    pi_coeff = Fraction(0)
-    const = Fraction(0)
-    for sgn, term in terms:
-        m = _TERM_PI.match(term)
-        if m:
-            num = _fraction(m.group(1)) if m.group(1) else Fraction(1)
-            den = _fraction(m.group(2)) if m.group(2) else Fraction(1)
-            if den == 0:
-                raise ValueError(f"zero denominator in angle {text!r}")
-            pi_coeff += sgn * num / den
-            continue
-        m = _TERM_NUM.match(term)
-        if m:
-            num = _fraction(m.group(1))
-            den = _fraction(m.group(2)) if m.group(2) else Fraction(1)
-            if den == 0:
-                raise ValueError(f"zero denominator in angle {text!r}")
-            const += sgn * num / den
-            continue
-        raise ValueError(f"cannot parse angle term {term!r} in {text!r}")
-    return AngleExpr(pi_coeff, const)
 
 
 # ── parsing ─────────────────────────────────────────────────────────
@@ -168,15 +115,10 @@ def _statements(text: str):
         raise QasmError(f"statement missing ';': {rest[:40]!r}", start_line, start_col)
 
 
-# instantiated parameterized gates are shared so equal angles give one name
-_PARAM_CACHE: dict[tuple[str, tuple[AngleExpr, ...]], GateDef] = {}
-
-
+# instantiated parameterized gates are shared so equal angles give one gate
+@functools.lru_cache(maxsize=1024)
 def _param_gate(token: str, angles: tuple[AngleExpr, ...]) -> GateDef:
-    key = (token, angles)
-    if key not in _PARAM_CACHE:
-        _PARAM_CACHE[key] = instantiate_param_gate(TEMPLATES_BY_QASM[token], angles)
-    return _PARAM_CACHE[key]
+    return instantiate_param_gate(TEMPLATES_BY_QASM[token], angles)
 
 
 def parse_program(text: str) -> QasmProgram:
@@ -296,10 +238,8 @@ def parse(text: str) -> CircuitGrid:
         for q in app.qubits:
             frontier[q] = layer_idx + 1
 
-    from .gates import I as IDENT
-
     layers = tuple(
-        tuple(layer.get(q, single(IDENT)) for q in range(n)) for layer in placed
+        tuple(layer.get(q, single(I)) for q in range(n)) for layer in placed
     )
     grid = CircuitGrid(n, layers)
     problems = validate(grid)

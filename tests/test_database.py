@@ -1,23 +1,26 @@
 """Encodings and the QIDB/1 file format: round trips, determinism, errors."""
 
+import hashlib
 import math
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gate, gate_set, grid
 
 from qidopt.circuit import circuit_unitary
 from qidopt.database import (
     ChecksumMismatchError,
+    DatabaseFormatError,
     DigestMismatchError,
     TruncatedFileError,
     VersionMismatchError,
     decode_circuit,
     dumps,
     encode_circuit,
-    encoding_effective_depth,
-    encoding_gate_cells,
     load,
     loads,
     save,
@@ -48,15 +51,6 @@ class TestEncoding:
             decode_circuit("Q", gs)
         with pytest.raises(ValueError, match="ragged"):
             decode_circuit("I,I|I", gs)
-
-    def test_text_helpers_match_decode(self):
-        gs = gate_set("I", "H", "CX")
-        for enc in ("I,I|H,I", "CX:C:1,CX:T:0|I,I", "I,I|I,I"):
-            c = decode_circuit(enc, gs)
-            from qidopt.circuit import effective_depth
-
-            assert encoding_effective_depth(enc, "I") == effective_depth(c)
-        assert encoding_gate_cells("I,H|H,I", "I") == 2
 
 
 @pytest.fixture()
@@ -178,12 +172,68 @@ class TestLoadErrors:
         body_start = text.index("FP ")
         body_end = text.index("END ")
         body = text[body_start:body_end]
-        import hashlib
-
         checksum = hashlib.md5(body.encode()).hexdigest()
         bad = text[:body_end] + f"END 99 {checksum}\n"
         with pytest.raises(Exception, match="99"):
             loads(bad)
+
+    @pytest.mark.parametrize(
+        "pattern, replacement, error",
+        [
+            pytest.param(r"convention \S+", "convention temporal-left", "convention",
+                         id="convention"),
+            pytest.param(r"neighbors_only \S+", "neighbors_only maybe", "neighbors_only",
+                         id="neighbors-only"),
+            pytest.param(r"\nn \d+", "\nn 0", "n: 0", id="n-zero"),
+            pytest.param(r"\nd \d+", "\nd 0", "d: 0", id="d-zero"),
+            pytest.param(r"\ndp \d+", "\ndp 0", "dp: 0", id="dp-zero"),
+            pytest.param(r"\ndp \d+", "\ndp 99", "dp: 99", id="dp-99"),
+            pytest.param(r"\nn \d+", "\nn two", "n: 'two'", id="n-text"),
+            pytest.param(r"\ngates \d+", "\ngates -1", "gates: -1", id="gates-negative"),
+            pytest.param(r"gate H \d", "gate H x", "arity: 'x'", id="gate-arity-text"),
+            pytest.param(r"gate H 1 2;[^;]*", "gate H 1 2;1.0,zero", "gate H",
+                         id="gate-entry-text"),
+            pytest.param(r"(FP \S+) \d+", r"\1 many", "bucket size: 'many'",
+                         id="bucket-size-text"),
+            # a negative size used to step back onto the same header forever
+            pytest.param(r"(FP \S+) \d+", r"\1 -1", "bucket size: -1",
+                         id="bucket-size-negative"),
+            pytest.param(r"FP \S+", "FP " + "zz" * 16, "fingerprint", id="fingerprint-hex"),
+            pytest.param(r"END \d+", "END four", "END circuit count: 'four'",
+                         id="footer-count-text"),
+        ],
+    )
+    def test_bad_field_rejected(self, small_db, pattern, replacement, error):
+        text = re.sub(pattern, replacement, dumps(small_db), count=1)
+        # re-sign the body so only the edited field can be at fault
+        head, end = text.rsplit("END ", 1)
+        body = head[head.index("FP "):]
+        count = end.split(" ")[0]
+        text = f"{head}END {count} {hashlib.md5(body.encode()).hexdigest()}\n"
+        with pytest.raises(DatabaseFormatError, match=re.escape(error)):
+            loads(text)
+
+
+_EDITABLE = dumps(
+    build_database(GeneratorConfig(n=2, d=1, gate_set=gate_set("I", "H", "CX")))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start=st.integers(0, len(_EDITABLE)),
+    removed=st.integers(0, 3),
+    inserted=st.text(alphabet="0123456789-+ .,;:|eHIXC\n", max_size=4),
+    truncate=st.booleans(),
+)
+def test_edited_file_loads_or_raises_format_error(start, removed, inserted, truncate):
+    # the loader raises DatabaseFormatError for anything it cannot read;
+    # no other exception escapes it
+    end = len(_EDITABLE) if truncate else start + removed
+    try:
+        loads(_EDITABLE[:start] + inserted + _EDITABLE[end:])
+    except DatabaseFormatError:
+        pass
 
 
 class TestQasmRenderingSurvivesLoad:

@@ -11,11 +11,12 @@ from qidopt.fingerprint import Fingerprint, fingerprint
 from qidopt.generator import GeneratorConfig, build_database, enumerate_layers
 from qidopt.matrices import max_abs_diff
 from qidopt.optimizer import (
+    Tile,
     TileClass,
     TileSpec,
+    _candidate_order,
     apply_substitution,
     classify_tile,
-    cost,
     extract_tiles,
     lookup,
     normalize_cut_tile,
@@ -158,15 +159,19 @@ class TestLookup:
         assert "I|I" in cands
 
 
-class TestCost:
-    def test_costs_from_encodings(self, db_ihxzcx):
-        assert cost("I,I|I,I|I,I", db_ihxzcx) == 0
-        assert cost("I,X|I,I|I,I", db_ihxzcx) == 1
-        assert cost("I,X|H,I|I,X", db_ihxzcx) == 3
-
-    def test_undecodable(self, db_ihxzcx):
-        with pytest.raises(ValueError):
-            cost("Q,Q|I,I|I,I", db_ihxzcx)
+class TestCandidateCost:
+    def test_cost_is_decoded_effective_depth(self, db_ihxzcx):
+        # a 2x4 tile of cost 4 outranks every 3-layer member, so no member
+        # is filtered and each cost read off the tokens is checked
+        tile = Tile(0, 0, grid("H,H", "H,H", "H,H", "H,H"))
+        checked = 0
+        for encs in db_ihxzcx.by_fingerprint.values():
+            ordered = _candidate_order(tile, encs, db_ihxzcx, False)
+            assert len(ordered) == len(encs)
+            for c, enc in ordered:
+                assert c == effective_depth(db_ihxzcx.decode(enc))
+            checked += len(ordered)
+        assert checked == 5832
 
 
 @pytest.fixture(scope="module")
@@ -315,6 +320,33 @@ class TestOptimize:
                 if not cell.is_single:
                     assert abs(cell.partner - q) == 1
         assert report.residual <= 1e-6
+
+    def test_sweeps_reach_fixpoint(self, db_ihxzcx):
+        # 4 of these 10 circuits used to cycle until the iteration cap
+        rng = np.random.default_rng(7)
+        layers = enumerate_layers(4, gate_set("I", "H", "X", "Z", "CX"))
+        for _ in range(10):
+            picks = rng.integers(0, len(layers), size=40)
+            c = CircuitGrid(4, tuple(layers[i] for i in picks))
+            out, report = optimize(c, db_ihxzcx)
+            assert report.iterations < 10
+            _, again = optimize(out, db_ihxzcx)
+            assert again.substitutions == []
+
+    @pytest.mark.parametrize(
+        "rows, spec",
+        [
+            (("H,I,I", "H,I,X"), None),
+            (("H,I,I", "H,I,X", "I,X,I", "Z,I,I"), TileSpec(2, 2)),
+        ],
+        ids=["default-tile", "tile-2x2"],
+    )
+    def test_candidate_taller_than_window(self, db_ihxzcx, rows, spec):
+        # a window shorter than the database depth takes a 3-layer candidate
+        # while the rows outside it stay
+        _, report = optimize(grid(*rows), db_ihxzcx, spec)
+        assert report.final_depth == 1
+        assert report.residual <= 1e-12
 
     def test_iters_bound_respected(self, db_ihxzcx):
         c = grid("H,H", "H,H", "H,H", "H,H")
