@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from fractions import Fraction
 
 from . import database, generator, optimizer, qasm
@@ -105,11 +106,13 @@ def cmd_gen_db(args) -> int:
     except ValueError as e:
         _note(f"error: {e}")
         return EXIT_CONFIG
+    start = time.perf_counter()
     try:
         db = generator.build_database(cfg)
     except generator.ResourceGuardError as e:
         _note(f"error: {e}")
         return EXIT_RESOURCE
+    build_s = time.perf_counter() - start
     database.save(db, args.out)
     _out("circuits", db.total_circuits)
     _out("fingerprints", len(db.by_fingerprint))
@@ -119,6 +122,8 @@ def cmd_gen_db(args) -> int:
     for size in sorted(hist):
         _out(f"buckets_of_size_{size}", hist[size])
     _out("out", args.out)
+    _out("build_s", f"{build_s:.6f}")
+    _out("circuits_per_s", f"{db.total_circuits / build_s:.1f}")
     return EXIT_OK
 
 

@@ -153,8 +153,15 @@ class IdentityDatabase:
 
     def decode(self, enc: str) -> CircuitGrid:
         """The circuit over `exact_gates`: exact matrices for builtin and
-        template gates, the stored dp-rounded matrices for any other gate."""
-        return decode_circuit(enc, self.exact_gates)
+        template gates, the stored dp-rounded matrices for any other gate.
+
+        `loads` does not check members against the gate table, so a member
+        that does not decode (an unknown gate, a malformed or unpaired
+        cell) raises DatabaseFormatError here, naming the encoding."""
+        try:
+            return decode_circuit(enc, self.exact_gates)
+        except ValueError as e:
+            raise DatabaseFormatError(f"cannot decode member {enc!r}: {e}") from None
 
 
 def _exact_gate(gate: GateDef, dp: int) -> GateDef | None:

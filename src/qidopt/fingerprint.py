@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -44,15 +45,18 @@ class Fingerprint:
 def _rounded_components(m: ComplexMatrix, dp: int) -> np.ndarray:
     """Interleaved (re, im) components scaled to integers at dp decimals.
 
-    Rounding is half-away-from-zero; exact binary midpoints (dyadic values
-    like 0.125 at dp=2) round deterministically away from zero.
+    `m` is one (D, D) matrix or a stack (..., D, D); the result has one
+    int64 row of 2·D² components per matrix, in row-major entry order, so a
+    single matrix gives a flat row and row k of a stack's result equals the
+    row of matrix k. Rounding is half-away-from-zero; exact binary
+    midpoints (dyadic values like 0.125 at dp=2) round deterministically
+    away from zero.
     """
     if not (1 <= dp <= 15):
         raise ValueError(f"dp must be in [1, 15], got {dp}")
-    flat = np.asarray(m, dtype=np.complex128).reshape(-1)
-    comps = np.empty(2 * flat.size, dtype=np.float64)
-    comps[0::2] = flat.real
-    comps[1::2] = flat.imag
+    a = np.ascontiguousarray(m, dtype=np.complex128)
+    # a contiguous complex array viewed as float64 interleaves (re, im)
+    comps = a.view(np.float64).reshape(a.shape[:-2] + (-1,))
     if not np.all(np.isfinite(comps)):
         raise ValueError("cannot canonicalize a matrix with non-finite entries")
     scale = 10.0**dp
@@ -75,14 +79,8 @@ def _component_str(v: int, dp: int) -> str:
 
 def canonicalize(m: ComplexMatrix, dp: int) -> str:
     """Byte-deterministic fixed-point rendering of m at dp decimals."""
-    dim = m.shape[0]
-    scaled = _rounded_components(m, dp).tolist()
-    parts = [str(dim)]
-    for i in range(0, len(scaled), 2):
-        parts.append(
-            _component_str(scaled[i], dp) + "," + _component_str(scaled[i + 1], dp)
-        )
-    return ";".join(parts)
+    s = list(map(_component_str, _rounded_components(m, dp).tolist(), repeat(dp)))
+    return f"{m.shape[0]};" + ";".join(map(",".join, zip(s[0::2], s[1::2])))
 
 
 def rounded_matrix(m: ComplexMatrix, dp: int) -> ComplexMatrix:

@@ -7,18 +7,30 @@ for each anchor qubit, partner ascending, first-operand orientation before
 second), and circuits are the depth-fold Cartesian product of layers with
 the first layer's index slowest. Database files are therefore reproducible
 byte for byte.
+
+`build_database` makes the products one block per (d−1)-layer prefix: the
+prefix product, then one batched product with all L layer matrices, so a
+block holds L·4ⁿ complex entries (L·4ⁿ·16 bytes). Each block is rounded
+in one call, and most circuits repeat a rounded unitary already seen, so
+the canonical text and MD5 are made once per distinct rounded form. The
+form table is keyed on the 16-byte MD5 of the rounded int64 row, not on
+the row itself (4 KB per key at n=4); that key carries the same collision
+risk as the database's own MD5 fingerprint.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .circuit import CircuitGrid, Layer, half, layer_is_identity, layer_unitary, single
 from .database import DatabaseMeta, IdentityDatabase, encode_cell
-from .fingerprint import fingerprint, rounded_matrix
+from .fingerprint import _rounded_components, fingerprint, rounded_matrix
 from .gates import GateDef, GateSet
 from .matrices import identity, is_unitary
 
@@ -153,7 +165,7 @@ def build_database(cfg: GeneratorConfig) -> IdentityDatabase:
     layers = enumerate_layers(cfg.n, cfg.gate_set, cfg.neighbors_only)
     _check_budget(cfg, len(layers))
 
-    mats = [layer_unitary(layer, cfg.n) for layer in layers]
+    mats = np.stack([layer_unitary(layer, cfg.n) for layer in layers])
     encs = [",".join(encode_cell(c) for c in layer) for layer in layers]
     eff = [0 if layer_is_identity(layer) else 1 for layer in layers]
 
@@ -162,24 +174,25 @@ def build_database(cfg: GeneratorConfig) -> IdentityDatabase:
     )
     db = IdentityDatabase(meta)
     buckets: dict = {}
+    forms: dict = {}  # MD5 of a rounded row -> its fingerprint
     dp = cfg.dp
-    indices = range(len(layers))
+    start = identity(1 << cfg.n)
 
-    def rec(level: int, prefix, enc_parts: list[str], cost: int) -> None:
-        last = level == cfg.d - 1
-        for i in indices:
-            u = mats[i] @ prefix
-            enc_parts.append(encs[i])
-            if last:
-                enc = "|".join(enc_parts)
-                fp = fingerprint(u, dp)
-                db.by_circuit[enc] = fp
-                buckets.setdefault(fp, []).append((cost + eff[i], enc))
-            else:
-                rec(level + 1, u, enc_parts, cost + eff[i])
-            enc_parts.pop()
-
-    rec(0, identity(1 << cfg.n), [], 0)
+    for prefix in itertools.product(range(len(layers)), repeat=cfg.d - 1):
+        u = start
+        for i in prefix:
+            u = mats[i] @ u
+        block = np.matmul(mats, u)  # block[k] = mats[k] @ u: the circuit prefix + (k,)
+        head = "".join(encs[i] + "|" for i in prefix)
+        cost = sum(eff[i] for i in prefix)
+        for k, row in enumerate(_rounded_components(block, dp)):
+            key = hashlib.md5(row).digest()
+            fp = forms.get(key)
+            if fp is None:
+                fp = forms[key] = fingerprint(block[k], dp)
+            enc = head + encs[k]
+            db.by_circuit[enc] = fp
+            buckets.setdefault(fp, []).append((cost + eff[k], enc))
 
     for fp, members in buckets.items():
         members.sort()

@@ -83,6 +83,15 @@ class TestGenDb:
         assert vals["circuits"] == "1"
         assert vals["fingerprints"] == "1"
 
+    def test_reports_build_speed(self, tmp_path, capsys):
+        out = tmp_path / "ih.qidb"
+        assert main(["gen-db", "--gates", "I,H,CX", "--qubits", "2", "--depth", "2",
+                     "--out", str(out)]) == EXIT_OK
+        vals = keyvals(capsys)
+        assert list(vals)[-2:] == ["build_s", "circuits_per_s"]
+        assert float(vals["build_s"]) > 0
+        assert float(vals["circuits_per_s"]) > 0
+
     def test_unknown_gate(self, tmp_path):
         rc = main(["gen-db", "--gates", "I,NOPE", "--qubits", "1", "--depth", "1",
                    "--out", str(tmp_path / "x.qidb")])

@@ -29,6 +29,7 @@ from qidopt.fingerprint import canonicalize
 from qidopt.gates import U1, AngleExpr, GateSet, instantiate_param_gate, make_gate
 from qidopt.generator import GeneratorConfig, build_database
 from qidopt.matrices import max_abs_diff
+from qidopt.optimizer import optimize
 
 
 class TestEncoding:
@@ -212,6 +213,17 @@ class TestLoadErrors:
         text = f"{head}END {count} {hashlib.md5(body.encode()).hexdigest()}\n"
         with pytest.raises(DatabaseFormatError, match=re.escape(error)):
             loads(text)
+
+    def test_unknown_gate_member_raises_format_error_on_use(self, small_db):
+        # loads does not check members against the gate table; decoding one
+        # that names an unknown gate must still report a format error
+        text = dumps(small_db).replace("\nI|I\n", "\nQ|I\n", 1)
+        head, end = text.rsplit("END ", 1)
+        body = head[head.index("FP "):]
+        text = f"{head}END {end.split(' ')[0]} {hashlib.md5(body.encode()).hexdigest()}\n"
+        db = loads(text)
+        with pytest.raises(DatabaseFormatError, match=re.escape("'Q|I'")):
+            optimize(grid("H", "H"), db)
 
 
 _EDITABLE = dumps(

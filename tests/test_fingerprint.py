@@ -1,6 +1,7 @@
 """Canonical forms and fingerprints: rounding, negative zero, determinism."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ from hypothesis import strategies as st
 from conftest import gate, grid
 
 from qidopt.circuit import circuit_unitary
-from qidopt.fingerprint import Fingerprint, canonicalize, fingerprint, rounded_matrix
+from qidopt.fingerprint import (
+    Fingerprint,
+    _rounded_components,
+    canonicalize,
+    fingerprint,
+    rounded_matrix,
+)
 from qidopt.matrices import identity
 
 I2 = identity(2)
@@ -73,6 +80,61 @@ class TestCanonicalize:
         bumped = base.copy()
         bumped[idx // 2, idx % 2] += jump * 1e-8
         assert canonicalize(bumped, 8) != canonicalize(base, 8)
+
+
+_SPECIAL = np.array([0.0, -0.0, 0.125, -0.125, 0.5, -1.0])
+
+
+@st.composite
+def _stacks(draw, max_count=1):
+    """A (count, dim, dim) complex stack, dim in [1, 8]: seeded uniform
+    entries in [-2, 2], about a third of the components replaced by
+    negative zero, the dp=2 midpoints and other dyadic values."""
+    dim = draw(st.integers(1, 8))
+    count = draw(st.integers(1, max_count))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    comps = rng.uniform(-2.0, 2.0, (count, dim, dim, 2))
+    special = rng.random(comps.shape) < 1 / 3
+    comps[special] = rng.choice(_SPECIAL, special.sum())
+    return comps.view(np.complex128)[..., 0]  # keeps each sign of zero
+
+
+def _reference_canonical(m, dp):
+    """The canonical form rendered one (re, im) pair at a time."""
+    parts = [str(m.shape[0])]
+    for z in m.reshape(-1):
+        pair = []
+        for x in (float(z.real), float(z.imag)):
+            mag = math.floor(abs(x) * 10.0**dp + 0.5)
+            sign = "-" if x < 0 and mag > 0 else ""
+            pair.append(f"{sign}{mag // 10**dp}.{mag % 10**dp:0{dp}d}")
+        parts.append(",".join(pair))
+    return ";".join(parts)
+
+
+class TestRoundingAndRenderProperties:
+    @given(_stacks(max_count=4), st.integers(1, 15))
+    @settings(max_examples=150, deadline=None)
+    def test_stack_rows_equal_single_matrix_rows(self, stack, dp):
+        rows = _rounded_components(stack, dp)
+        assert rows.shape == (stack.shape[0], 2 * stack.shape[1] ** 2)
+        for k in range(stack.shape[0]):
+            assert np.array_equal(rows[k], _rounded_components(stack[k], dp))
+
+    @given(_stacks(), st.integers(1, 15))
+    @settings(max_examples=150, deadline=None)
+    def test_canonicalize_matches_per_pair_renderer(self, stack, dp):
+        assert canonicalize(stack[0], dp) == _reference_canonical(stack[0], dp)
+
+    @pytest.mark.parametrize("dp", range(1, 16))
+    def test_negative_zero_and_midpoints_match_per_pair_renderer(self, dp):
+        m = np.array(
+            [
+                [complex(-0.0, 0.125), complex(-0.125, -0.0)],
+                [complex(0.125, -0.125), complex(-1e-300, -0.0)],
+            ]
+        )
+        assert canonicalize(m, dp) == _reference_canonical(m, dp)
 
 
 class TestRoundedMatrix:

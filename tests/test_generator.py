@@ -1,11 +1,13 @@
 """Enumeration, the circuit-count formula, and database construction."""
 
+import hashlib
+
 import pytest
 
 from conftest import gate, gate_set, grid
 
 from qidopt.circuit import circuit_unitary, effective_depth
-from qidopt.database import encode_circuit
+from qidopt.database import dumps, encode_circuit
 from qidopt.fingerprint import fingerprint
 from qidopt.generator import (
     GeneratorConfig,
@@ -196,3 +198,40 @@ class TestBuildDatabase:
     def test_meta_matrices_are_rounded(self, db_ihxzcx):
         h = db_ihxzcx.meta.gate_set.by_name("H")
         assert h.matrix[0, 0].real == pytest.approx(0.70710678, abs=1e-12)
+
+
+class TestBuildAgainstReference:
+    """The batched, deduplicated build against fixed bytes and against a
+    one-circuit-at-a-time recomputation."""
+
+    # MD5 of the QIDB/1 bytes of the {I,H,X,Z,CX} databases at n=2, d=3 and d=4
+    @pytest.mark.parametrize(
+        "d, md5",
+        [(3, "4fd219db11bac81d5d6e4d35694d7014"), (4, "31ad0cbf15d0705b06f86b3f5270827f")],
+        ids=["n2d3", "n2d4"],
+    )
+    def test_qidb_bytes_pinned(self, d, md5):
+        cfg = GeneratorConfig(n=2, d=d, gate_set=gate_set("I", "H", "X", "Z", "CX"))
+        assert hashlib.md5(dumps(build_database(cfg)).encode()).hexdigest() == md5
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            GeneratorConfig(n=2, d=3, gate_set=gate_set("I", "H", "X", "Z", "CX")),
+            GeneratorConfig(n=3, d=1, gate_set=gate_set("I", "H", "S", "CX")),
+            GeneratorConfig(
+                n=3, d=2, gate_set=gate_set("I", "H", "CX"), dp=3, neighbors_only=True
+            ),
+        ],
+        ids=["n2d3", "d1", "neighbors-only-dp3"],
+    )
+    def test_every_circuit_keyed_by_its_own_fingerprint(self, cfg):
+        db = build_database(cfg)
+        seen = 0
+        for c in enumerate_circuits(cfg):
+            assert db.by_circuit[encode_circuit(c)] == fingerprint(circuit_unitary(c), cfg.dp)
+            seen += 1
+        assert seen == db.total_circuits
+        for encs in db.by_fingerprint.values():
+            keys = [(effective_depth(db.decode(e)), e) for e in encs]
+            assert keys == sorted(keys)
