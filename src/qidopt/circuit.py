@@ -10,6 +10,11 @@ Conventions fixed here and relied on everywhere else:
   * qubit 0 is the most-significant tensor factor;
   * the circuit unitary is U = L_m ··· L_1 with the first layer applied
     first (rightmost in the product).
+
+Unitaries are evaluated gate by gate: each gate multiplies the axes of
+its qubits in a reshaped view of the 2^n × 2^n operator, cells whose
+matrix is exactly the 2×2 identity are skipped, and a circuit costs
+O(gates·4^n) rather than the O(layers·8^n) of dense layer products.
 """
 
 from __future__ import annotations
@@ -123,45 +128,26 @@ def validate(c: CircuitGrid) -> list[str]:
     return problems
 
 
-def _embed_two_qubit(
-    gate4: ComplexMatrix, first: int, second: int, n: int
-) -> ComplexMatrix:
-    """Embed a 4×4 gate acting on the (first, second) qubit pair into 2^n dims.
-
-    Works for any qubit pair, adjacent or not: each basis state's (first,
-    second) bit pair selects a column of the 4×4 block, and amplitudes
-    scatter back to the states with those bits rewritten.
-    """
-    dim = 1 << n
-    sa, sb = n - 1 - first, n - 1 - second  # bit shifts; qubit 0 most significant
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for col in range(dim):
-        xa = (col >> sa) & 1
-        xb = (col >> sb) & 1
-        base = col & ~(1 << sa) & ~(1 << sb)
-        cin = 2 * xa + xb
-        for ya in (0, 1):
-            for yb in (0, 1):
-                amp = gate4[2 * ya + yb, cin]
-                if amp != 0:
-                    out[base | (ya << sa) | (yb << sb), col] = amp
-    return out
+_I2 = identity(2)
+_SWAP_OPERANDS = [0, 2, 1, 3]  # |ab> <-> |ba> in the 4x4 basis
 
 
-def layer_unitary(layer: Layer, n: int) -> ComplexMatrix:
-    """2^n × 2^n unitary of one layer.
+def _apply_layer(u: ComplexMatrix, layer: Layer, n: int) -> ComplexMatrix:
+    """L·u for the layer's unitary L, gate by gate on a reshaped u.
 
-    Single-qubit cells combine by Kronecker product in qubit order;
-    two-qubit gates are applied through basis-index embedding. Raises
+    A gate on qubit q multiplies axis q of u viewed as 2^q × 2 × rest
+    (qubit 0 most significant); an adjacent pair multiplies one 4-axis,
+    any other pair is contracted over its two axes of a (2,)*n view.
+    Cells whose matrix is exactly the 2×2 identity are skipped. Raises
     StructuralError on an unpaired half.
     """
-    factors: list[ComplexMatrix] = []
-    pairs: list[tuple[int, int, ComplexMatrix]] = []
+    dim = 1 << n
     for q, cell in enumerate(layer):
+        g = cell.gate.matrix
         if cell.is_single:
-            factors.append(cell.gate.matrix)
+            if not np.array_equal(g, _I2):
+                u = np.matmul(g, u.reshape(1 << q, 2, -1))
             continue
-        factors.append(identity(2))
         p = cell.partner
         if (
             p is None
@@ -170,21 +156,35 @@ def layer_unitary(layer: Layer, n: int) -> ComplexMatrix:
             or layer[p].partner != q
         ):
             raise StructuralError(f"unpaired two-qubit half on qubit {q}")
-        if cell.role == FIRST:
-            pairs.append((q, p, cell.gate.matrix))
-    u = factors[0]
-    for f in factors[1:]:
-        u = np.kron(u, f)
-    for first, second, mat in pairs:
-        u = _embed_two_qubit(mat, first, second, n) @ u
-    return u
+        if cell.role != FIRST:
+            continue
+        if abs(p - q) == 1:
+            if p < q:
+                g = g[np.ix_(_SWAP_OPERANDS, _SWAP_OPERANDS)]
+            u = np.matmul(g, u.reshape(1 << min(p, q), 4, -1))
+        else:
+            t = u.reshape((2,) * n + (dim,))
+            t = np.tensordot(g.reshape(2, 2, 2, 2), t, axes=([2, 3], [q, p]))
+            u = np.moveaxis(t, (0, 1), (q, p))
+    return u.reshape(dim, dim)
+
+
+def layer_unitary(layer: Layer, n: int) -> ComplexMatrix:
+    """2^n × 2^n unitary of one layer: its gates applied to the identity.
+
+    Each gate multiplies its qubits' axes of the reshaped operator once,
+    in O(4^n) work, and cells that are exactly the 2×2 identity are
+    skipped, so a layer costs O(gates·4^n), not the O(8^n) of a dense
+    product. Raises StructuralError on an unpaired half.
+    """
+    return _apply_layer(identity(1 << n), layer, n)
 
 
 def circuit_unitary(c: CircuitGrid) -> ComplexMatrix:
     """Temporal product of layer unitaries: U = L_m ··· L_1."""
     u = identity(1 << c.n)
     for layer in c.layers:
-        u = layer_unitary(layer, c.n) @ u
+        u = _apply_layer(u, layer, c.n)
     return u
 
 

@@ -196,6 +196,7 @@ def cmd_optimize(args) -> int:
     _out("iterations", report.iterations)
     _out("collisions_skipped", report.collisions_skipped)
     _out("residual", f"{report.residual:.3e}")
+    _out("check_s", f"{report.check_s:.6f}")
     if report.residual > args.tolerance:
         _note(
             f"warning: residual {report.residual:.3e} exceeds tolerance "

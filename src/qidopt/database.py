@@ -113,6 +113,14 @@ def decode_circuit(enc: str, gate_set: GateSet) -> CircuitGrid:
 
 @dataclass(frozen=True)
 class DatabaseMeta:
+    """The header of a database.
+
+    `gate_set` is the stored table: each gate's matrix is dp-rounded, as
+    the file holds it. Build circuits to optimize or evaluate from
+    `IdentityDatabase.exact_gates` (or the original gate set), not from
+    this table, or their unitaries carry the rounding error.
+    """
+
     n: int
     d: int
     dp: int

@@ -14,6 +14,7 @@ restored after the substitution.
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass, field
 
 from .circuit import (
@@ -263,6 +264,7 @@ class OptimizeReport:
     iterations: int = 0
     residual: float = 0.0
     collisions_skipped: int = 0
+    check_s: float = 0.0  # the two whole-circuit unitaries and their comparison
 
 
 def optimize(
@@ -288,7 +290,9 @@ def optimize(
         raise ValueError("iters must be at least 1")
 
     report = OptimizeReport(initial_depth=effective_depth(c), final_depth=0)
+    start = time.perf_counter()
     u_in = circuit_unitary(c)
+    report.check_s = time.perf_counter() - start
     guard = 2.0 * 10.0 ** -db.meta.dp * (1 << db.meta.n)
 
     cur = c
@@ -299,7 +303,9 @@ def optimize(
             break
 
     report.final_depth = effective_depth(cur)
+    start = time.perf_counter()
     report.residual = max_abs_diff(u_in, circuit_unitary(cur))
+    report.check_s += time.perf_counter() - start
     return cur, report
 
 

@@ -2,18 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gate, gate_set, grid
 
 from qidopt.circuit import (
+    FIRST,
+    SECOND,
     CircuitGrid,
     StructuralError,
     circuit_unitary,
     effective_depth,
+    half,
     layer_unitary,
     single,
     validate,
 )
+from qidopt.gates import make_gate
 from qidopt.generator import GeneratorConfig, enumerate_circuits
 from qidopt.matrices import identity, is_unitary, kron, max_abs_diff
 
@@ -31,6 +37,95 @@ def basis_oracle_unitary(n, apply_fn):
                 row = (row << 1) | b
             u[row, col] += amp
     return u
+
+
+def gate_oracle(mat, qubits, n):
+    """A gate on `qubits` (first operand most significant) as a 2^n matrix,
+    scattered one basis state at a time by basis_oracle_unitary."""
+    k = len(qubits)
+
+    def apply(bits):
+        cin = int("".join(str(bits[q]) for q in qubits), 2)
+        out = []
+        for cout in range(1 << k):
+            new = list(bits)
+            for i, q in enumerate(qubits):
+                new[q] = (cout >> (k - 1 - i)) & 1
+            out.append((new, mat[cout, cin]))
+        return out
+
+    return basis_oracle_unitary(n, apply)
+
+
+def scatter_unitary(c):
+    """Reference evaluator: every gate embedded densely, one at a time."""
+    u = identity(1 << c.n)
+    for layer in c.layers:
+        for q, cell in enumerate(layer):
+            if cell.is_single:
+                u = gate_oracle(cell.gate.matrix, (q,), c.n) @ u
+            elif cell.role == FIRST:
+                u = gate_oracle(cell.gate.matrix, (q, cell.partner), c.n) @ u
+    return u
+
+
+def _random_unitary(dim, seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+SINGLES = [gate(g) for g in ("I", "H", "X", "S", "T")] + [
+    make_gate("R2", _random_unitary(2, 1))
+]
+# neither is symmetric in its operands, so a swapped orientation shows
+PAIRS = [gate("CX"), make_gate("R4", _random_unitary(4, 2))]
+
+
+@st.composite
+def grids(draw):
+    """Grids of 1-5 qubits; two-qubit gates on any pair, either orientation."""
+    n = draw(st.integers(1, 5))
+    layers = []
+    for _ in range(draw(st.integers(0, 4))):
+        cells = [None] * n
+        for q in range(n):
+            if cells[q] is not None:
+                continue
+            free = [p for p in range(q + 1, n) if cells[p] is None]
+            if free and draw(st.booleans()):
+                p = draw(st.sampled_from(free))
+                g = draw(st.sampled_from(PAIRS))
+                a, b = (q, p) if draw(st.booleans()) else (p, q)
+                cells[a], cells[b] = half(g, FIRST, b), half(g, SECOND, a)
+            else:
+                cells[q] = single(draw(st.sampled_from(SINGLES)))
+        layers.append(tuple(cells))
+    return CircuitGrid(n, tuple(layers))
+
+
+class TestAgainstScatterReference:
+    @given(grids())
+    @settings(max_examples=200, deadline=None)
+    def test_circuit_unitary_matches_reference(self, c):
+        assert max_abs_diff(circuit_unitary(c), scatter_unitary(c)) <= 1e-12
+        for layer in c.layers:
+            want = scatter_unitary(CircuitGrid(c.n, (layer,)))
+            assert max_abs_diff(layer_unitary(layer, c.n), want) <= 1e-12
+
+    def test_near_identity_gate_is_applied(self):
+        # is_identity is a 1e-9 test; only an exact identity may be skipped
+        p = make_gate("P", np.diag([1, np.exp(1e-10j)]))
+        assert p.is_identity
+        assert np.array_equal(circuit_unitary(CircuitGrid(1, ((single(p),),))), p.matrix)
+        i = single(gate("I"))
+        c = CircuitGrid(3, ((i, single(p), i),))
+        assert np.array_equal(circuit_unitary(c), kron(kron(identity(2), p.matrix), identity(2)))
+
+    def test_circuit_unitary_raises_on_unpaired_half(self):
+        bad = (grid("CX:C:1,CX:T:0").layers[0][0], single(gate("I")))
+        with pytest.raises(StructuralError, match="unpaired"):
+            circuit_unitary(CircuitGrid(2, (grid("H,H").layers[0], bad)))
 
 
 class TestLayerUnitary:

@@ -129,6 +129,19 @@ class TestOptimize:
         assert vals["final_depth"] == "1"
         assert "x q[1];" in out.read_text()
 
+    def test_reports_check_time_last(self, db_path, tmp_path, capsys):
+        src = tmp_path / "in.qasm"
+        src.write_text(HEADLINE)
+        rc = main(["optimize", str(src), "--db", str(db_path),
+                   "--out", str(tmp_path / "o.qasm")])
+        assert rc == EXIT_OK
+        vals = keyvals(capsys)
+        assert list(vals) == [
+            "out", "initial_depth", "final_depth", "substitutions",
+            "iterations", "collisions_skipped", "residual", "check_s",
+        ]
+        assert float(vals["check_s"]) > 0
+
     def test_input_left_untouched(self, db_path, tmp_path):
         src = tmp_path / "in.qasm"
         src.write_text(HEADLINE)
@@ -173,6 +186,18 @@ class TestVerify:
         b.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nx q[1];\n')
         assert main(["verify", str(a), str(b), "--tolerance", "1e-6"]) == EXIT_OK
         assert keyvals(capsys)["equal"] == "true"
+
+    @pytest.mark.parametrize("middle, equal", [("x q[4];", "true"), ("z q[4];", "false")])
+    def test_ten_qubits_wrapping_cx(self, tmp_path, capsys, middle, equal):
+        head = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[10];\n'
+        a = tmp_path / "a.qasm"
+        b = tmp_path / "b.qasm"
+        # H on both qubits reverses a CX
+        a.write_text(head + "x q[4];\nh q[0];\nh q[9];\ncx q[9],q[0];\nh q[0];\nh q[9];\n")
+        b.write_text(head + middle + "\ncx q[0],q[9];\n")
+        rc = main(["verify", str(a), str(b)])
+        assert keyvals(capsys)["equal"] == equal
+        assert rc == (EXIT_OK if equal == "true" else EXIT_VERIFY_FAILED)
 
     def test_different_files(self, tmp_path):
         a = tmp_path / "a.qasm"

@@ -277,14 +277,14 @@ class TestOptimize:
         assert report.final_depth == 1
 
     def test_depth_never_increases(self, db_ihxzcx, rng):
-        layers = enumerate_layers(2, db_ihxzcx.meta.gate_set)
+        layers = enumerate_layers(2, db_ihxzcx.exact_gates)
         for _ in range(60):
             m = int(rng.integers(1, 7))
             picks = rng.integers(0, len(layers), size=m)
             c = CircuitGrid(2, tuple(layers[i] for i in picks))
             out, report = optimize(c, db_ihxzcx)
             assert report.final_depth <= report.initial_depth
-            assert report.residual <= 1e-6
+            assert report.residual <= 1e-12
             assert validate(out) == []
 
     def test_builtin_database_splices_exact_gates(self, db_ihxzcx):
