@@ -199,3 +199,21 @@ def layer_is_identity(layer: Layer) -> bool:
 def effective_depth(c: CircuitGrid) -> int:
     """Number of layers containing at least one non-Identity cell."""
     return sum(1 for layer in c.layers if not layer_is_identity(layer))
+
+
+def asap_depth(c: CircuitGrid) -> int:
+    """Depth once every non-Identity gate is moved to the earliest layer
+    where its qubits are free: the effective depth of `qasm.parse(qasm.emit(c))`.
+    Never more than effective_depth(c)."""
+    frontier = [0] * c.n
+    for layer in c.layers:
+        for q, cell in enumerate(layer):
+            if cell_is_identity(cell):
+                continue
+            qubits = (q,) if cell.is_single else (q, cell.partner)
+            if max(qubits) != q:
+                continue  # a pair is placed once, at its higher qubit
+            level = 1 + max(frontier[x] for x in qubits)
+            for x in qubits:
+                frontier[x] = level
+    return max(frontier, default=0)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .circuit import (
     FIRST,
@@ -109,6 +110,57 @@ def decode_circuit(enc: str, gate_set: GateSet) -> CircuitGrid:
     return grid
 
 
+class RankRow(NamedTuple):
+    """One member as the optimizer ranks it. Rows sort by (depth, cells,
+    enc); `occupied` has bit li·n + q set for each non-Identity cell."""
+
+    depth: int
+    cells: int
+    enc: str
+    occupied: int
+    neighbors_ok: bool  # every two-qubit half's partner is an adjacent qubit
+
+
+def rank_rows(encs, identity: str, max_depth: int | None = None) -> list[RankRow]:
+    """Rows of the encodings with effective depth at most max_depth (all
+    when None), sorted. Depth compares each layer with the all-Identity
+    layer text, so only kept members are split into cells."""
+    rows = []
+    idle: dict[int, str] = {}  # all-Identity layer text by cells per layer
+    for enc in encs:
+        layers = enc.split("|")
+        width = layers[0].count(",") + 1
+        blank = idle.get(width)
+        if blank is None:
+            blank = idle[width] = ",".join([identity] * width)
+        depth = sum(1 for layer in layers if layer != blank)
+        if max_depth is not None and depth > max_depth:
+            continue
+        cells = occupied = 0
+        neighbors_ok = True
+        bit = 1
+        for layer in layers:
+            for q, tok in enumerate(layer.split(",")):
+                if tok != identity:
+                    cells += 1
+                    occupied |= bit
+                    if ":" in tok and abs(_partner(tok, enc) - q) > 1:
+                        neighbors_ok = False
+                bit <<= 1
+        rows.append(RankRow(depth, cells, enc, occupied, neighbors_ok))
+    rows.sort()
+    return rows
+
+
+def _partner(tok: str, enc: str) -> int:
+    """The partner index of a two-qubit half. `loads` does not check
+    members, so a malformed one raises DatabaseFormatError, as in decode."""
+    try:
+        return int(tok.rsplit(":", 1)[1])
+    except ValueError:
+        raise DatabaseFormatError(f"cannot rank member {enc!r}: bad cell {tok!r}") from None
+
+
 # ── the database ────────────────────────────────────────────────────
 
 @dataclass(frozen=True)
@@ -139,12 +191,21 @@ class IdentityDatabase:
     `exact_gates` is the evaluation table built from `meta.gate_set`: the
     exact gate for each stored gate that resolves by name, the stored
     (rounded) gate otherwise.
+
+    Buckets are ranked lazily: `rank_table` builds a bucket's rows on its
+    first call and keeps them, at most one table per bucket, for as long
+    as the bucket equals the members they were built from. A bucket edited
+    in place is re-ranked on its next call.
     """
 
     meta: DatabaseMeta
     by_circuit: dict[str, Fingerprint] = field(default_factory=dict)
     by_fingerprint: dict[Fingerprint, list[str]] = field(default_factory=dict)
     exact_gates: GateSet = field(init=False, repr=False, compare=False)
+    # fingerprint -> (the bucket's members when ranked, their rows)
+    _rank_tables: dict[Fingerprint, tuple[list[str], list[RankRow]]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         dp = self.meta.dp
@@ -158,6 +219,21 @@ class IdentityDatabase:
 
     def bucket(self, fp: Fingerprint) -> list[str]:
         return self.by_fingerprint.get(fp, [])
+
+    def rank_table(self, fp: Fingerprint) -> list[RankRow]:
+        """Rows of the bucket's members shallower than d, sorted by (depth,
+        cells, encoding). A tile is at most d layers deep, so a member of
+        depth d never ranks below it. The table is reused only while the
+        bucket still equals the snapshot it was built from; comparing the
+        two lists costs one identity check per member."""
+        members = self.bucket(fp)
+        cached = self._rank_tables.get(fp)
+        if cached is not None and cached[0] == members:
+            return cached[1]
+        rows = rank_rows(members, self.meta.gate_set.identity.name, self.meta.d - 1)
+        if members:
+            self._rank_tables[fp] = (list(members), rows)
+        return rows
 
     def decode(self, enc: str) -> CircuitGrid:
         """The circuit over `exact_gates`: exact matrices for builtin and

@@ -9,17 +9,36 @@ gate reaching across the window's qubit boundary makes the window unusable
 unless the cut half sits in the window's first or last layer, in which
 case the half is temporarily replaced by Identity for the lookup and
 restored after the substitution.
+
+Candidates are ranked from the database's rank table of the tile's
+bucket (`IdentityDatabase.rank_table`): each member's depth, non-Identity
+cells, encoding, occupied cells and neighbour flag, sorted by (depth,
+cells, encoding). A table holds only members shallower than the database
+depth d, since a tile is at most d layers deep and a candidate must be
+strictly shallower; a sweep scans only the rows shallower than the tile.
+A table is built on a bucket's first hit and reused while the bucket
+equals the snapshot it was built from, so an edited bucket is re-ranked.
+Tables live on the database: one `qidopt optimize` run reuses them
+across its windows and sweeps, and a caller that optimizes many circuits
+against one loaded database reuses them across circuits too.
+
+The reported final depth is the depth of the emitted circuit, which
+packs each gate into the earliest free layer (`asap_depth`); the
+returned grid keeps the layers the splices left.
 """
 
 from __future__ import annotations
 
 import enum
 import time
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .circuit import (
     Cell,
     CircuitGrid,
+    asap_depth,
     cell_is_identity,
     circuit_unitary,
     effective_depth,
@@ -27,8 +46,8 @@ from .circuit import (
     single,
     validate,
 )
-from .database import IdentityDatabase, encode_circuit
-from .fingerprint import fingerprint
+from .database import IdentityDatabase, RankRow, encode_circuit, rank_rows
+from .fingerprint import Fingerprint, fingerprint
 from .gates import I as IDENTITY_GATE
 from .gates import GateDef
 from .matrices import max_abs_diff
@@ -140,61 +159,62 @@ def normalize_cut_tile(t: Tile, identity: GateDef = IDENTITY_GATE) -> Tile:
     return Tile(t.qubit_offset, t.layer_offset, CircuitGrid(t.sub.n, tuple(layers)), cuts)
 
 
-def lookup(t: Tile, db: IdentityDatabase) -> list[str]:
-    """Equivalent encodings for a normalized tile, the tile itself excluded.
-
-    Uses the encoding table when the tile has the database's exact shape;
-    otherwise computes the tile's unitary and fingerprints it directly.
-    """
-    enc = encode_circuit(t.sub)
+def _tile_fingerprint(t: Tile, db: IdentityDatabase) -> Fingerprint:
+    """The tile's bucket key: read from the encoding table when the tile has
+    the database's exact shape and is a member, else computed from its
+    unitary."""
     meta = db.meta
-    if t.sub.n == meta.n and t.sub.m == meta.d and enc in db.by_circuit:
-        fp = db.by_circuit[enc]
-    else:
-        fp = fingerprint(circuit_unitary(t.sub), meta.dp)
-    return [cand for cand in db.bucket(fp) if cand != enc]
+    if (t.sub.n, t.sub.m) == (meta.n, meta.d):
+        fp = db.by_circuit.get(encode_circuit(t.sub))
+        if fp is not None:
+            return fp
+    return fingerprint(circuit_unitary(t.sub), meta.dp)
+
+
+def lookup(t: Tile, db: IdentityDatabase) -> list[str]:
+    """Equivalent encodings for a normalized tile, the tile itself excluded."""
+    enc = encode_circuit(t.sub)
+    return [cand for cand in db.bucket(_tile_fingerprint(t, db)) if cand != enc]
+
+
+def _shallower_rows(t: Tile, db: IdentityDatabase) -> list[RankRow]:
+    """The rows of the tile's rank table that are shallower than the tile:
+    the only ones that can rank below it."""
+    table = db.rank_table(_tile_fingerprint(t, db))
+    return table[: bisect_left(table, (effective_depth(t.sub),))]
 
 
 def _candidate_order(
     t: Tile,
-    candidates: list[str],
+    candidates: Sequence[str] | Sequence[RankRow],
     db: IdentityDatabase,
     neighbors_only: bool,
 ) -> list[tuple[int, str]]:
     """Admissible candidates as (cost, encoding), cheapest first.
 
-    A candidate must hold Identity at every cut slot (so restoration cannot
-    collide), satisfy the neighbouring constraint when asked, and beat the
-    tile's own cost strictly. Ties break on fewer non-Identity cells, then
-    lexicographic encoding. Everything is read off the encoding's tokens;
-    the cost is the effective depth.
+    `candidates` are encodings, ranked here with every row kept, or rows
+    of a rank table, already sorted. A candidate must hold Identity at
+    every cut slot (so restoration cannot collide), satisfy the
+    neighbouring constraint when asked, and beat the tile's own cost
+    strictly. Ties break on fewer non-Identity cells, then lexicographic
+    encoding. The cost is the effective depth.
     """
-    ident = db.meta.gate_set.identity.name
     tile_cost = effective_depth(t.sub)
     db_shape = (db.meta.n, db.meta.d)
     same_shape = (t.sub.n, t.sub.m) == db_shape
     if not same_shape and (t.cut_positions or t.sub.n != db.meta.n):
         return []
-
-    ranked = []
-    for enc in candidates:
-        rows = [layer.split(",") for layer in enc.split("|")]
-        depth = sum(1 for row in rows if any(tok != ident for tok in row))
-        if depth >= tile_cost:
-            continue
-        if any(rows[li][q] != ident for li, q, _ in t.cut_positions):
-            continue
-        if neighbors_only and any(
-            abs(int(tok.rsplit(":", 1)[1]) - q) > 1
-            for row in rows
-            for q, tok in enumerate(row)
-            if ":" in tok
-        ):
-            continue
-        cells = sum(1 for row in rows for tok in row if tok != ident)
-        ranked.append((depth, cells, enc))
-    ranked.sort()
-    return [(depth, enc) for depth, _, enc in ranked]
+    rows = candidates
+    if rows and isinstance(rows[0], str):
+        rows = rank_rows(rows, db.meta.gate_set.identity.name)
+    cut = sum(1 << (li * t.sub.n + q) for li, q, _ in t.cut_positions)
+    return [
+        (row.depth, row.enc)
+        for row in rows
+        if row.depth < tile_cost
+        and not row.occupied & cut
+        and (row.neighbors_ok or not neighbors_only)
+    ]
 
 
 def select_substitution(
@@ -259,7 +279,7 @@ class AppliedSubstitution:
 @dataclass
 class OptimizeReport:
     initial_depth: int
-    final_depth: int
+    final_depth: int  # asap_depth of the output: the depth its QASM parses back to
     substitutions: list[AppliedSubstitution] = field(default_factory=list)
     iterations: int = 0
     residual: float = 0.0
@@ -302,7 +322,7 @@ def optimize(
         if not changed:
             break
 
-    report.final_depth = effective_depth(cur)
+    report.final_depth = asap_depth(cur)
     start = time.perf_counter()
     report.residual = max_abs_diff(u_in, circuit_unitary(cur))
     report.check_s += time.perf_counter() - start
@@ -334,11 +354,11 @@ def _sweep(
         if classify_tile(tile) is TileClass.INVALID:
             continue
         norm = normalize_cut_tile(tile, db.exact_gates.identity)
-        candidates = lookup(norm, db)
-        if not candidates:
+        shallower = _shallower_rows(norm, db)
+        if not shallower:
             continue
         tile_unitary = circuit_unitary(norm.sub)
-        for cand_cost, enc in _candidate_order(norm, candidates, db, neighbors_only):
+        for cand_cost, enc in _candidate_order(norm, shallower, db, neighbors_only):
             cand_grid = db.decode(enc)
             # fingerprint-collision guard: candidates must really be equal
             if max_abs_diff(tile_unitary, circuit_unitary(cand_grid)) > guard:

@@ -12,6 +12,7 @@ from qidopt.circuit import (
     SECOND,
     CircuitGrid,
     StructuralError,
+    asap_depth,
     circuit_unitary,
     effective_depth,
     half,
@@ -20,8 +21,9 @@ from qidopt.circuit import (
     validate,
 )
 from qidopt.gates import make_gate
-from qidopt.generator import GeneratorConfig, enumerate_circuits
+from qidopt.generator import GeneratorConfig, enumerate_circuits, enumerate_layers
 from qidopt.matrices import identity, is_unitary, kron, max_abs_diff
+from qidopt.qasm import emit, parse
 
 
 def basis_oracle_unitary(n, apply_fn):
@@ -201,6 +203,31 @@ class TestEffectiveDepth:
 
     def test_halves_always_count(self):
         assert effective_depth(grid("CX:C:1,CX:T:0")) == 1
+
+
+EMITTABLE_LAYERS = enumerate_layers(4, gate_set("I", "H", "X", "S", "CX"))
+
+
+class TestAsapDepth:
+    def test_gates_move_to_earliest_free_layer(self):
+        assert asap_depth(grid("H,I", "I,H")) == 1
+        assert effective_depth(grid("H,I", "I,H")) == 2
+
+    def test_pair_waits_for_both_qubits(self):
+        # h q[0]; h q[0]; cx q[1],q[0]; h q[2] -> cx sits in layer 3
+        c = grid("H,I,I", "H,I,I", "CX:T:1,CX:C:0,H")
+        assert asap_depth(c) == 3
+
+    def test_identity_only(self):
+        assert asap_depth(grid("I,I", "I,I")) == 0
+        assert asap_depth(CircuitGrid(2, ())) == 0
+
+    @given(st.lists(st.integers(0, len(EMITTABLE_LAYERS) - 1), max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_depth_of_emitted_circuit(self, picks):
+        c = CircuitGrid(4, tuple(EMITTABLE_LAYERS[i] for i in picks))
+        assert asap_depth(c) == effective_depth(parse(emit(c)))
+        assert asap_depth(c) <= effective_depth(c)
 
 
 class TestValidate:

@@ -226,6 +226,18 @@ class TestLoadErrors:
             optimize(grid("H", "H"), db)
 
 
+    def test_malformed_partner_raises_format_error_on_use(self):
+        # ranking reads every shallow member's partner indices, so a bad one
+        # is reported as a format error naming the member
+        db = build_database(GeneratorConfig(n=2, d=2, gate_set=gate_set("I", "H", "CX")))
+        text = dumps(db).replace("\nCX:C:1,CX:T:0|I,I\n", "\nCX:C:x,CX:T:0|I,I\n", 1)
+        head, end = text.rsplit("END ", 1)
+        body = head[head.index("FP "):]
+        text = f"{head}END {end.split(' ')[0]} {hashlib.md5(body.encode()).hexdigest()}\n"
+        with pytest.raises(DatabaseFormatError, match=re.escape("'CX:C:x,CX:T:0|I,I'")):
+            optimize(grid("CX:C:1,CX:T:0", "I,I"), loads(text))
+
+
 _EDITABLE = dumps(
     build_database(GeneratorConfig(n=2, d=1, gate_set=gate_set("I", "H", "CX")))
 )

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gate, gate_set, grid
 
-from qidopt.circuit import CircuitGrid, circuit_unitary, effective_depth, validate
+from qidopt.circuit import CircuitGrid, circuit_unitary, effective_depth, single, validate
 from qidopt.database import encode_circuit
 from qidopt.fingerprint import Fingerprint, fingerprint
 from qidopt.generator import GeneratorConfig, build_database, enumerate_layers
@@ -15,6 +17,7 @@ from qidopt.optimizer import (
     TileClass,
     TileSpec,
     _candidate_order,
+    _shallower_rows,
     apply_substitution,
     classify_tile,
     extract_tiles,
@@ -23,6 +26,7 @@ from qidopt.optimizer import (
     optimize,
     select_substitution,
 )
+from qidopt.qasm import emit, parse
 
 # the 3-qubit circuits around the boundary-cut figures
 FIG11 = grid(
@@ -172,6 +176,112 @@ class TestCandidateCost:
                 assert c == effective_depth(db_ihxzcx.decode(enc))
             checked += len(ordered)
         assert checked == 5832
+
+
+IHXZCX = ("I", "H", "X", "Z", "CX")
+
+
+@pytest.fixture(scope="module")
+def rank_dbs(db_ihxzcx):
+    # n3d2 holds pairs on qubits 0 and 2, so the neighbour rule filters
+    return {
+        "n2d3": db_ihxzcx,
+        "n2d4": build_database(GeneratorConfig(n=2, d=4, gate_set=gate_set(*IHXZCX))),
+        "n3d2": build_database(GeneratorConfig(n=3, d=2, gate_set=gate_set(*IHXZCX))),
+    }
+
+
+# layers of circuits one qubit wider than each database
+WIDER_LAYERS = {n: enumerate_layers(n + 1, gate_set(*IHXZCX)) for n in (2, 3)}
+
+
+def crosses(layer, qs, n):
+    """A pair in the layer has one half inside qubits qs..qs+n-1."""
+    inside = range(qs, qs + n)
+    return any(
+        not cell.is_single and (q in inside) != (cell.partner in inside)
+        for q, cell in enumerate(layer)
+    )
+
+
+def reference_order(t, db, neighbors_only):
+    """The ranking done on every lookup: split every member of the bucket,
+    filter, then sort on (depth, cells, encoding)."""
+    if (t.sub.n, t.sub.m) != (db.meta.n, db.meta.d) and (
+        t.cut_positions or t.sub.n != db.meta.n
+    ):
+        return []
+    ident = db.meta.gate_set.identity.name
+    tile_cost = effective_depth(t.sub)
+    ranked = []
+    for enc in lookup(t, db):
+        rows = [layer.split(",") for layer in enc.split("|")]
+        depth = sum(1 for row in rows if any(tok != ident for tok in row))
+        if depth >= tile_cost:
+            continue
+        if any(rows[li][q] != ident for li, q, _ in t.cut_positions):
+            continue
+        if neighbors_only and any(
+            abs(int(tok.rsplit(":", 1)[1]) - q) > 1
+            for row in rows
+            for q, tok in enumerate(row)
+            if ":" in tok
+        ):
+            continue
+        cells = sum(1 for row in rows for tok in row if tok != ident)
+        ranked.append((depth, cells, enc))
+    return [(depth, enc) for depth, _, enc in sorted(ranked)]
+
+
+class TestRankTable:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_table_ranking_matches_reference(self, rank_dbs, data):
+        db = rank_dbs[data.draw(st.sampled_from(sorted(rank_dbs)), label="db")]
+        n, d = db.meta.n, db.meta.d
+        qs = data.draw(st.sampled_from([0, 1]), label="qubit offset")
+        j = data.draw(st.integers(1, d), label="window depth")
+        pool = WIDER_LAYERS[n]
+        cut = [l for l in pool if crosses(l, qs, n)]
+        whole = [l for l in pool if not crosses(l, qs, n)]
+        # a pair may reach out of the window in its first and last layer only
+        ends = {0: data.draw(st.booleans(), label="cut first"),
+                j - 1: data.draw(st.booleans(), label="cut last")}
+        layers = [
+            data.draw(st.sampled_from(cut if ends.get(li) else whole))
+            for li in range(j)
+        ]
+        if j > 1 and data.draw(st.booleans(), label="echo"):
+            # undo some single gates of the first layer (all are self-inverse),
+            # so a one-layer member, pairs kept, equals the tile
+            undo = data.draw(st.lists(st.booleans(), min_size=n + 1, max_size=n + 1))
+            layers[1] = tuple(
+                cell if cell.is_single and u else single(gate("I"))
+                for cell, u in zip(layers[0], undo)
+            )
+        tile = _window_tile(CircuitGrid(n + 1, tuple(layers)), qs, n, j)
+        norm = normalize_cut_tile(tile)
+        neighbors_only = data.draw(st.booleans(), label="neighbors_only")
+        want = reference_order(norm, db, neighbors_only)
+        assert _candidate_order(norm, _shallower_rows(norm, db), db, neighbors_only) == want
+        assert _candidate_order(norm, lookup(norm, db), db, neighbors_only) == want
+
+
+    def test_neighbour_rule_filters_table_rows(self, rank_dbs):
+        # CX on qubits 0 and 2 has two one-layer equals in n3d2, and both
+        # break the neighbour rule
+        db = rank_dbs["n3d2"]
+        norm = normalize_cut_tile(Tile(0, 0, grid("CX:C:2,X,CX:T:0", "I,X,I")))
+        for neighbors_only in (False, True):
+            got = _candidate_order(norm, _shallower_rows(norm, db), db, neighbors_only)
+            assert got == reference_order(norm, db, neighbors_only)
+        assert len(reference_order(norm, db, False)) == 2
+        assert reference_order(norm, db, True) == []
+
+
+def _window_tile(c, qs, i, j):
+    (t,) = [t for t in extract_tiles(c, TileSpec(i, j)) if t.qubit_offset == qs]
+    return t
 
 
 @pytest.fixture(scope="module")
@@ -366,6 +476,35 @@ class TestOptimize:
         assert report.collisions_skipped >= 1
         assert max_abs_diff(circuit_unitary(c), circuit_unitary(out)) <= 1e-6
         assert report.final_depth == 1
+
+    def test_edited_bucket_is_re_ranked(self):
+        # a database of its own: its rank tables exist only once this test
+        # has optimized against it, whatever ran before
+        db = build_database(GeneratorConfig(n=2, d=3, gate_set=gate_set(*IHXZCX)))
+        c = grid("H,H", "H,H", "X,X")
+        _, first = optimize(c, db)
+        assert first.collisions_skipped == 0
+        # the same poison as above, written into a bucket already ranked
+        db.by_fingerprint[db.by_circuit["X,X|I,I|I,I"]].insert(0, "I,I|I,I|I,Z")
+        _, report = optimize(c, db)
+        assert report.collisions_skipped >= 1
+        assert report.residual <= 1e-12
+        assert report.final_depth == 1
+
+    def test_final_depth_is_depth_of_emitted_circuit(self, db_ihxzcx):
+        # the returned grid keeps the layers the splices left; the report
+        # counts the depth its QASM parses back to
+        rng = np.random.default_rng(31)
+        layers = enumerate_layers(4, gate_set(*IHXZCX))
+        packed = 0
+        for _ in range(10):
+            picks = rng.integers(0, len(layers), size=12)
+            c = CircuitGrid(4, tuple(layers[i] for i in picks))
+            out, report = optimize(c, db_ihxzcx)
+            assert report.final_depth == effective_depth(parse(emit(out)))
+            assert report.final_depth <= report.initial_depth == effective_depth(c)
+            packed += report.final_depth < effective_depth(out)
+        assert packed > 0
 
     def test_spec_larger_than_db_rejected(self, db_ihxzcx):
         c = grid("H,H")
