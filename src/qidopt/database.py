@@ -13,14 +13,13 @@ dp-rounded matrix), a body of buckets in fingerprint-hex order, and an
 END footer carrying the circuit count and an MD5 checksum of the body.
 Same database -> same bytes.
 
-The file, and `DatabaseMeta.gate_set`, hold the dp-rounded matrices, but
-buckets were fingerprinted from products of exact gates. Evaluation
-therefore uses exact gates: a stored gate whose name resolves to a builtin
-or an instantiated template ('U1[pi/2]') with the same arity and the same
-dp-rounded matrix is evaluated with the exact matrix of that gate. Any
-other gate (a custom gate, or a name that clashes with a builtin but holds
-another unitary) has no exact source and is evaluated with its rounded
-matrix, so its buckets may split when recomputed.
+`DatabaseMeta.gate_set` is the one gate table, and `decode` evaluates it.
+A build keeps the gates it was given. A load resolves each stored gate
+once: a gate line whose name, arity, Identity flag and dp-rounded matrix
+agree with a builtin or an instantiated template ('U1[pi/2]') becomes that
+exact gate; any other gate (a custom gate, or a name that clashes with a
+builtin but holds another unitary) keeps its stored rounded matrix, so its
+buckets may split when recomputed after a load.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .circuit import (
 )
 from .fingerprint import DIGEST_ALGORITHM, Fingerprint, canonicalize
 from .gates import GateDef, GateSet, gate_from_name, make_gate
-from .matrices import max_abs_diff
 
 FORMAT_VERSION = "QIDB/1"
 CONVENTION = "temporal-right"  # first layer rightmost in the matrix product
@@ -121,10 +119,10 @@ class RankRow(NamedTuple):
     neighbors_ok: bool  # every two-qubit half's partner is an adjacent qubit
 
 
-def rank_rows(encs, identity: str, max_depth: int | None = None) -> list[RankRow]:
-    """Rows of the encodings with effective depth at most max_depth (all
-    when None), sorted. Depth compares each layer with the all-Identity
-    layer text, so only kept members are split into cells."""
+def rank_rows(encs, identity: str, max_depth: int) -> list[RankRow]:
+    """Rows of the encodings with effective depth at most max_depth,
+    sorted. Depth compares each layer with the all-Identity layer text,
+    so only kept members are split into cells."""
     rows = []
     idle: dict[int, str] = {}  # all-Identity layer text by cells per layer
     for enc in encs:
@@ -134,7 +132,7 @@ def rank_rows(encs, identity: str, max_depth: int | None = None) -> list[RankRow
         if blank is None:
             blank = idle[width] = ",".join([identity] * width)
         depth = sum(1 for layer in layers if layer != blank)
-        if max_depth is not None and depth > max_depth:
+        if depth > max_depth:
             continue
         cells = occupied = 0
         neighbors_ok = True
@@ -167,10 +165,9 @@ def _partner(tok: str, enc: str) -> int:
 class DatabaseMeta:
     """The header of a database.
 
-    `gate_set` is the stored table: each gate's matrix is dp-rounded, as
-    the file holds it. Build circuits to optimize or evaluate from
-    `IdentityDatabase.exact_gates` (or the original gate set), not from
-    this table, or their unitaries carry the rounding error.
+    `gate_set` is the gate table that `IdentityDatabase.decode` evaluates:
+    the gates a build was given, or the gates a load resolved from the
+    file's gate lines (exact where a line resolves, rounded otherwise).
     """
 
     n: int
@@ -186,11 +183,8 @@ class DatabaseMeta:
 @dataclass
 class IdentityDatabase:
     """Two hash tables over one enumeration: encoding -> fingerprint, and
-    fingerprint -> cost-sorted equivalent encodings.
-
-    `exact_gates` is the evaluation table built from `meta.gate_set`: the
-    exact gate for each stored gate that resolves by name, the stored
-    (rounded) gate otherwise.
+    fingerprint -> cost-sorted equivalent encodings. Members are decoded
+    over `meta.gate_set`.
 
     Buckets are ranked lazily: `rank_table` builds a bucket's rows on its
     first call and keeps them, at most one table per bucket, for as long
@@ -201,17 +195,10 @@ class IdentityDatabase:
     meta: DatabaseMeta
     by_circuit: dict[str, Fingerprint] = field(default_factory=dict)
     by_fingerprint: dict[Fingerprint, list[str]] = field(default_factory=dict)
-    exact_gates: GateSet = field(init=False, repr=False, compare=False)
     # fingerprint -> (the bucket's members when ranked, their rows)
     _rank_tables: dict[Fingerprint, tuple[list[str], list[RankRow]]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-
-    def __post_init__(self):
-        dp = self.meta.dp
-        self.exact_gates = GateSet(
-            [_exact_gate(g, dp) or g for g in self.meta.gate_set.gates]
-        )
 
     @property
     def total_circuits(self) -> int:
@@ -236,28 +223,29 @@ class IdentityDatabase:
         return rows
 
     def decode(self, enc: str) -> CircuitGrid:
-        """The circuit over `exact_gates`: exact matrices for builtin and
-        template gates, the stored dp-rounded matrices for any other gate.
+        """The circuit over `meta.gate_set`. After a load, a gate the file
+        stores without an exact source is evaluated with its rounded matrix.
 
         `loads` does not check members against the gate table, so a member
         that does not decode (an unknown gate, a malformed or unpaired
         cell) raises DatabaseFormatError here, naming the encoding."""
         try:
-            return decode_circuit(enc, self.exact_gates)
+            return decode_circuit(enc, self.meta.gate_set)
         except ValueError as e:
             raise DatabaseFormatError(f"cannot decode member {enc!r}: {e}") from None
 
 
 def _exact_gate(gate: GateDef, dp: int) -> GateDef | None:
-    """The builtin or template gate that `gate`'s name resolves to, if it
-    agrees with `gate`: same arity, same dp-rounded matrix, same Identity
-    flag. None when the name does not resolve or the gates disagree."""
+    """The builtin or template gate named `gate.name`, if it agrees with
+    `gate`: same name, same arity, same Identity flag, same dp-rounded
+    matrix. None when the name does not resolve or the gates disagree."""
     try:
         exact = gate_from_name(gate.name)
     except ValueError:
         return None
     if (
-        exact.arity != gate.arity
+        exact.name != gate.name
+        or exact.arity != gate.arity
         or exact.is_identity != gate.is_identity
         or canonicalize(exact.matrix, dp) != canonicalize(gate.matrix, dp)
     ):
@@ -272,6 +260,9 @@ def _gate_line(gate: GateDef, dp: int) -> str:
 
 
 def _parse_gate_line(line: str, dp: int) -> GateDef:
+    """The gate a gate line stores: the exact gate its name resolves to
+    when the two agree (see `_exact_gate`), else a gate with the stored
+    dp-rounded matrix and no QASM token or template."""
     fields = line.split(" ")
     if len(fields) != 4 or fields[0] != "gate":
         raise DatabaseFormatError(f"malformed gate line: {line!r}")
@@ -292,21 +283,22 @@ def _parse_gate_line(line: str, dp: int) -> GateDef:
         gate = make_gate(name, rows, arity=arity, tol=tol)
     except ValueError as e:
         raise DatabaseFormatError(f"gate {name}: {e}") from None
-    return _attach_qasm_rendering(gate, dp)
+    return _exact_gate(gate, dp) or gate
 
 
-def _attach_qasm_rendering(gate: GateDef, dp: int) -> GateDef:
-    """Re-derive QASM emission info lost by the (name, arity, matrix) format.
+def _gate_table(lines: list[str], dp: int) -> GateSet:
+    gates = [_parse_gate_line(line, dp) for line in lines]
+    try:
+        return GateSet(gates)
+    except ValueError as e:
+        raise DatabaseFormatError(f"gate table: {e}") from None
 
-    Only a gate that agrees with the gate its name resolves to takes that
-    gate's QASM token or template; a clashing name keeps none.
-    """
-    exact = _exact_gate(gate, dp)
-    if exact is None:
-        return gate
-    return GateDef(
-        gate.name, gate.arity, gate.matrix, exact.qasm_name, exact.template, exact.angles
-    )
+
+def check_gate_table(gate_set: GateSet, dp: int) -> None:
+    """Raise DatabaseFormatError, a ValueError, unless the gate lines that
+    a file of this gate set writes at dp load back: every dp-rounded
+    matrix must stay unitary, and only the Identity may round to it."""
+    _gate_table([_gate_line(g, dp) for g in gate_set.gates], dp)
 
 
 def dumps(db: IdentityDatabase) -> str:
@@ -392,13 +384,8 @@ def loads(text: str) -> IdentityDatabase:
     pos = 8
     if pos + gate_count > len(lines):
         raise TruncatedFileError("gate table cut short")
-    gates = [_parse_gate_line(lines[pos + k], dp) for k in range(gate_count)]
+    gate_set = _gate_table(lines[pos : pos + gate_count], dp)
     pos += gate_count
-
-    try:
-        gate_set = GateSet(gates)
-    except ValueError as e:
-        raise DatabaseFormatError(f"gate table: {e}") from None
     meta = DatabaseMeta(n, d, dp, neighbors == "true", gate_set)
     db = IdentityDatabase(meta)
 

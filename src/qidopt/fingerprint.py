@@ -83,14 +83,6 @@ def canonicalize(m: ComplexMatrix, dp: int) -> str:
     return f"{m.shape[0]};" + ";".join(map(",".join, zip(s[0::2], s[1::2])))
 
 
-def rounded_matrix(m: ComplexMatrix, dp: int) -> ComplexMatrix:
-    """The matrix whose entries are m's rounded to dp decimals."""
-    dim = m.shape[0]
-    scaled = _rounded_components(m, dp).astype(np.float64) / 10**dp
-    out = scaled[0::2] + 1j * scaled[1::2]
-    return out.reshape(dim, dim)
-
-
 def fingerprint(m: ComplexMatrix, dp: int) -> Fingerprint:
     """128-bit digest of the canonical form; the database key."""
     return Fingerprint(hashlib.md5(canonicalize(m, dp).encode("ascii")).digest())

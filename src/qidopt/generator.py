@@ -29,10 +29,10 @@ from typing import Iterator
 import numpy as np
 
 from .circuit import CircuitGrid, Layer, half, layer_is_identity, layer_unitary, single
-from .database import DatabaseMeta, IdentityDatabase, encode_cell
-from .fingerprint import _rounded_components, fingerprint, rounded_matrix
-from .gates import GateDef, GateSet
-from .matrices import identity, is_unitary
+from .database import DatabaseMeta, IdentityDatabase, check_gate_table, encode_cell
+from .fingerprint import _rounded_components, fingerprint
+from .gates import GateSet
+from .matrices import identity
 
 DEFAULT_MAX_CIRCUITS = 10**7
 MAX_QUBITS = 4
@@ -144,35 +144,22 @@ def _check_budget(cfg: GeneratorConfig, layer_count: int) -> None:
         raise ResourceGuardError(total, cfg.max_circuits)
 
 
-def _rounded_gate_set(gs: GateSet, dp: int) -> GateSet:
-    """Copies of the gates with dp-rounded matrices (what the file stores)."""
-    rounded = []
-    for g in gs.gates:
-        m = rounded_matrix(g.matrix, dp)
-        tol = max(1e-10, 4.0 * m.shape[0] * 10.0**-dp)
-        if not is_unitary(m, tol):
-            raise ValueError(f"gate {g.name} not unitary after dp rounding")
-        rounded.append(GateDef(g.name, g.arity, m, g.qasm_name, g.template, g.angles))
-    return GateSet(rounded)
-
-
 def build_database(cfg: GeneratorConfig) -> IdentityDatabase:
     """Enumerate, fingerprint, and index every circuit of the config.
 
     Bucket lists come out sorted by (effective depth, encoding) so the
-    cheapest identity is first.
+    cheapest identity is first. Raises ValueError when the gate table
+    would not load back from the file (see `check_gate_table`).
     """
     layers = enumerate_layers(cfg.n, cfg.gate_set, cfg.neighbors_only)
     _check_budget(cfg, len(layers))
+    check_gate_table(cfg.gate_set, cfg.dp)
 
     mats = np.stack([layer_unitary(layer, cfg.n) for layer in layers])
     encs = [",".join(encode_cell(c) for c in layer) for layer in layers]
     eff = [0 if layer_is_identity(layer) else 1 for layer in layers]
 
-    meta = DatabaseMeta(
-        cfg.n, cfg.d, cfg.dp, cfg.neighbors_only, _rounded_gate_set(cfg.gate_set, cfg.dp)
-    )
-    db = IdentityDatabase(meta)
+    db = IdentityDatabase(DatabaseMeta(cfg.n, cfg.d, cfg.dp, cfg.neighbors_only, cfg.gate_set))
     buckets: dict = {}
     forms: dict = {}  # MD5 of a rounded row -> its fingerprint
     dp = cfg.dp

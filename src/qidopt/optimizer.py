@@ -15,7 +15,7 @@ bucket (`IdentityDatabase.rank_table`): each member's depth, non-Identity
 cells, encoding, occupied cells and neighbour flag, sorted by (depth,
 cells, encoding). A table holds only members shallower than the database
 depth d, since a tile is at most d layers deep and a candidate must be
-strictly shallower; a sweep scans only the rows shallower than the tile.
+strictly shallower; `lookup` returns only the rows shallower than the tile.
 A table is built on a bucket's first hit and reused while the bucket
 equals the snapshot it was built from, so an edited bucket is re-ranked.
 Tables live on the database: one `qidopt optimize` run reuses them
@@ -46,7 +46,7 @@ from .circuit import (
     single,
     validate,
 )
-from .database import IdentityDatabase, RankRow, encode_circuit, rank_rows
+from .database import IdentityDatabase, RankRow, encode_circuit
 from .fingerprint import Fingerprint, fingerprint
 from .gates import I as IDENTITY_GATE
 from .gates import GateDef
@@ -171,42 +171,29 @@ def _tile_fingerprint(t: Tile, db: IdentityDatabase) -> Fingerprint:
     return fingerprint(circuit_unitary(t.sub), meta.dp)
 
 
-def lookup(t: Tile, db: IdentityDatabase) -> list[str]:
-    """Equivalent encodings for a normalized tile, the tile itself excluded."""
-    enc = encode_circuit(t.sub)
-    return [cand for cand in db.bucket(_tile_fingerprint(t, db)) if cand != enc]
-
-
-def _shallower_rows(t: Tile, db: IdentityDatabase) -> list[RankRow]:
-    """The rows of the tile's rank table that are shallower than the tile:
-    the only ones that can rank below it."""
+def lookup(t: Tile, db: IdentityDatabase) -> list[RankRow]:
+    """The rows of a normalized tile's rank table that are shallower than
+    the tile: the only members that can rank below it. The tile itself is
+    never among them."""
     table = db.rank_table(_tile_fingerprint(t, db))
     return table[: bisect_left(table, (effective_depth(t.sub),))]
 
 
 def _candidate_order(
-    t: Tile,
-    candidates: Sequence[str] | Sequence[RankRow],
-    db: IdentityDatabase,
-    neighbors_only: bool,
+    t: Tile, rows: Sequence[RankRow], db: IdentityDatabase, neighbors_only: bool
 ) -> list[tuple[int, str]]:
     """Admissible candidates as (cost, encoding), cheapest first.
 
-    `candidates` are encodings, ranked here with every row kept, or rows
-    of a rank table, already sorted. A candidate must hold Identity at
-    every cut slot (so restoration cannot collide), satisfy the
-    neighbouring constraint when asked, and beat the tile's own cost
-    strictly. Ties break on fewer non-Identity cells, then lexicographic
-    encoding. The cost is the effective depth.
+    `rows` are rank rows (see `rank_rows`), already sorted. A candidate
+    must hold Identity at every cut slot (so restoration cannot collide),
+    satisfy the neighbouring constraint when asked, and beat the tile's
+    own cost strictly. Ties break on fewer non-Identity cells, then
+    lexicographic encoding. The cost is the effective depth.
     """
     tile_cost = effective_depth(t.sub)
-    db_shape = (db.meta.n, db.meta.d)
-    same_shape = (t.sub.n, t.sub.m) == db_shape
+    same_shape = (t.sub.n, t.sub.m) == (db.meta.n, db.meta.d)
     if not same_shape and (t.cut_positions or t.sub.n != db.meta.n):
         return []
-    rows = candidates
-    if rows and isinstance(rows[0], str):
-        rows = rank_rows(rows, db.meta.gate_set.identity.name)
     cut = sum(1 << (li * t.sub.n + q) for li, q, _ in t.cut_positions)
     return [
         (row.depth, row.enc)
@@ -219,12 +206,12 @@ def _candidate_order(
 
 def select_substitution(
     t: Tile,
-    candidates: list[str],
+    rows: Sequence[RankRow],
     db: IdentityDatabase,
     neighbors_only: bool = False,
 ) -> str | None:
     """Minimum-cost admissible candidate, or None when nothing qualifies."""
-    ordered = _candidate_order(t, candidates, db, neighbors_only)
+    ordered = _candidate_order(t, rows, db, neighbors_only)
     return ordered[0][1] if ordered else None
 
 
@@ -238,7 +225,7 @@ def apply_substitution(
     sub = db.decode(chosen)
     qs, ls = t.qubit_offset, t.layer_offset
     window_m = t.sub.m
-    ident = single(db.exact_gates.identity)
+    ident = single(db.meta.gate_set.identity)
 
     def rebased(cell: Cell) -> Cell:
         if cell.is_single:
@@ -353,12 +340,12 @@ def _sweep(
         tile = _window(c, qs, ls, i, j)
         if classify_tile(tile) is TileClass.INVALID:
             continue
-        norm = normalize_cut_tile(tile, db.exact_gates.identity)
-        shallower = _shallower_rows(norm, db)
-        if not shallower:
+        norm = normalize_cut_tile(tile, db.meta.gate_set.identity)
+        rows = lookup(norm, db)
+        if not rows:
             continue
         tile_unitary = circuit_unitary(norm.sub)
-        for cand_cost, enc in _candidate_order(norm, shallower, db, neighbors_only):
+        for cand_cost, enc in _candidate_order(norm, rows, db, neighbors_only):
             cand_grid = db.decode(enc)
             # fingerprint-collision guard: candidates must really be equal
             if max_abs_diff(tile_unitary, circuit_unitary(cand_grid)) > guard:

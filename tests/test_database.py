@@ -5,8 +5,9 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import gate, gate_set, grid
@@ -18,6 +19,8 @@ from qidopt.database import (
     DigestMismatchError,
     TruncatedFileError,
     VersionMismatchError,
+    _gate_line,
+    _parse_gate_line,
     decode_circuit,
     dumps,
     encode_circuit,
@@ -26,7 +29,16 @@ from qidopt.database import (
     save,
 )
 from qidopt.fingerprint import canonicalize
-from qidopt.gates import U1, AngleExpr, GateSet, instantiate_param_gate, make_gate
+from qidopt.gates import (
+    BUILTIN_GATES,
+    U1,
+    U2,
+    U3,
+    AngleExpr,
+    GateSet,
+    instantiate_param_gate,
+    make_gate,
+)
 from qidopt.generator import GeneratorConfig, build_database
 from qidopt.matrices import max_abs_diff
 from qidopt.optimizer import optimize
@@ -103,7 +115,8 @@ class TestPersistence:
 
 
 class TestExactEvaluation:
-    """The file stores dp-rounded matrices; decode evaluates exact gates."""
+    """The file stores dp-rounded matrices; decode evaluates the gate table,
+    which a load fills with the exact gates the stored lines resolve to."""
 
     def test_buckets_sound_after_round_trip(self, db_ihxzcx):
         loaded = loads(dumps(db_ihxzcx))
@@ -131,10 +144,95 @@ class TestExactEvaluation:
     def test_template_gate_exact_after_load(self):
         u1 = instantiate_param_gate(U1, [AngleExpr(pi_coeff=Fraction(1, 4))])
         db = build_database(GeneratorConfig(n=1, d=1, gate_set=GateSet([gate("I"), u1])))
-        loaded = loads(dumps(db))
-        stored = loaded.meta.gate_set.by_name("U1[pi/4]").matrix
-        assert max_abs_diff(stored, u1.matrix) > 1e-12  # the file holds e^{i pi/4} rounded
+        text = dumps(db)
+        # the file holds e^{i pi/4} rounded
+        assert "gate U1[pi/4] 1 2;1.00000000,0.00000000;0.00000000,0.00000000;" \
+            "0.00000000,0.00000000;0.70710678,0.70710678\n" in text
+        loaded = loads(text)
         assert max_abs_diff(circuit_unitary(loaded.decode("U1[pi/4]")), u1.matrix) <= 1e-15
+
+    def test_custom_gate_buckets_sound_as_built(self):
+        # R has no exact source in a file; as built, decode evaluates the
+        # gate R was given as, so every bucket recomputes to one form
+        c, s = math.cos(math.pi / 8), math.sin(math.pi / 8)
+        r = make_gate("R", [[c, -s], [s, c]])
+        db = build_database(
+            GeneratorConfig(n=1, d=6, gate_set=GateSet([gate("I"), r, gate("X")]))
+        )
+        forms = [
+            {canonicalize(circuit_unitary(db.decode(e)), db.meta.dp) for e in encs}
+            for encs in db.by_fingerprint.values()
+        ]
+        assert len(forms) == 22
+        assert sum(len(f) > 1 for f in forms) == 0
+
+    def test_unresolved_template_spelling_keeps_its_name(self):
+        # 'U1[2*pi/4]' parses to the angle of 'U1[pi/2]', but only a gate of
+        # the same name may stand in for it
+        u1 = instantiate_param_gate(U1, [AngleExpr(pi_coeff=Fraction(1, 2))])
+        spelled = make_gate("U1[2*pi/4]", u1.matrix)
+        db = build_database(
+            GeneratorConfig(n=1, d=2, gate_set=GateSet([gate("I"), spelled]))
+        )
+        text = dumps(db)
+        loaded = loads(text)
+        assert dumps(loaded) == text
+        for d in (db, loaded):
+            u = circuit_unitary(d.decode("U1[2*pi/4]|U1[2*pi/4]"))
+            assert max_abs_diff(u, gate("Z").matrix) <= 1e-8
+            assert d.meta.gate_set.by_name("U1[2*pi/4]").template is None
+
+
+def _haar_unitary(dim, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
+
+
+_ANGLE = st.builds(
+    lambda p, q: AngleExpr(pi_coeff=Fraction(p, q)), st.integers(-96, 96), st.integers(1, 48)
+)
+_TEMPLATE_GATE = st.one_of(
+    *(
+        st.lists(_ANGLE, min_size=t.angle_count, max_size=t.angle_count).map(
+            lambda angles, t=t: instantiate_param_gate(t, angles)
+        )
+        for t in (U1, U2, U3)
+    )
+)
+
+
+class TestGateLineRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(dim=st.sampled_from([2, 4]), seed=st.integers(0, 2**32 - 1), dp=st.integers(1, 15))
+    def test_random_unitary_line_round_trips(self, dim, seed, dp):
+        line = _gate_line(make_gate("R", _haar_unitary(dim, seed)), dp)
+        loaded = _parse_gate_line(line, dp)
+        assert _gate_line(loaded, dp) == line
+        assert (loaded.qasm_name, loaded.template) == (None, None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        g=st.one_of(_TEMPLATE_GATE, st.sampled_from(sorted(BUILTIN_GATES.values(), key=str))),
+        dp=st.integers(1, 15),
+    )
+    # rounds to the Identity, which the exact gate is not
+    @example(g=instantiate_param_gate(U3, [AngleExpr(Fraction(1, 48))] + [AngleExpr()] * 2), dp=1)
+    def test_resolved_gate_loads_exact(self, g, dp):
+        line = _gate_line(g, dp)
+        loaded = _parse_gate_line(line, dp)
+        assert _gate_line(loaded, dp) == line
+        # the one disagreement a resolvable name can have with its line: a
+        # small rotation whose rounded matrix is the Identity
+        rounds_to_identity = line.split(" ")[3] == _gate_line(gate("I"), dp).split(" ")[3]
+        if g.is_identity or not rounds_to_identity:
+            assert loaded.name == g.name
+            assert (loaded.qasm_name, loaded.template, loaded.angles) == (
+                g.qasm_name, g.template, g.angles
+            )
+            assert np.array_equal(loaded.matrix, g.matrix)
+        else:
+            assert loaded.is_identity and loaded.template is None
 
 
 class TestLoadErrors:

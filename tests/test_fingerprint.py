@@ -16,7 +16,6 @@ from qidopt.fingerprint import (
     _rounded_components,
     canonicalize,
     fingerprint,
-    rounded_matrix,
 )
 from qidopt.matrices import identity
 
@@ -135,15 +134,6 @@ class TestRoundingAndRenderProperties:
             ]
         )
         assert canonicalize(m, dp) == _reference_canonical(m, dp)
-
-
-class TestRoundedMatrix:
-    def test_matches_canonical_values(self):
-        h = gate("H").matrix
-        r = rounded_matrix(h, 8)
-        assert abs(r[0, 0].real - 0.70710678) < 1e-12
-        # rounding an already-rounded matrix is a fixed point
-        assert canonicalize(r, 8) == canonicalize(h, 8)
 
 
 class TestFingerprint:

@@ -1,6 +1,7 @@
 """Enumeration, the circuit-count formula, and database construction."""
 
 import hashlib
+import math
 
 import pytest
 
@@ -9,6 +10,7 @@ from conftest import gate, gate_set, grid
 from qidopt.circuit import circuit_unitary, effective_depth
 from qidopt.database import dumps, encode_circuit
 from qidopt.fingerprint import fingerprint
+from qidopt.gates import GateSet, make_gate
 from qidopt.generator import (
     GeneratorConfig,
     ResourceGuardError,
@@ -195,9 +197,22 @@ class TestBuildDatabase:
                 if ":" in tok:
                     assert abs(int(tok.rsplit(":", 1)[1]) - q) == 1
 
-    def test_meta_matrices_are_rounded(self, db_ihxzcx):
-        h = db_ihxzcx.meta.gate_set.by_name("H")
-        assert h.matrix[0, 0].real == pytest.approx(0.70710678, abs=1e-12)
+    def test_file_stores_rounded_gate_lines(self):
+        cfg = GeneratorConfig(n=1, d=1, gate_set=gate_set("I", "H"))
+        db = build_database(cfg)
+        assert db.meta.gate_set is cfg.gate_set  # a build keeps its gates
+        lines = dumps(db).split("\n")
+        assert "gate H 1 2;0.70710678,0.00000000;0.70710678,0.00000000;" \
+            "0.70710678,0.00000000;-0.70710678,0.00000000" in lines
+
+    def test_gate_table_must_load_back(self):
+        # a 3e-9 rad rotation rounds to the Identity at dp=8, so the file's
+        # gate table would hold two Identity gates
+        eps = 3e-9
+        tiny = make_gate("R", [[math.cos(eps), -math.sin(eps)], [math.sin(eps), math.cos(eps)]])
+        cfg = GeneratorConfig(n=1, d=1, gate_set=GateSet([gate("I"), tiny]))
+        with pytest.raises(ValueError, match="exactly one Identity"):
+            build_database(cfg)
 
 
 class TestBuildAgainstReference:

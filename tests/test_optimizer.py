@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import gate, gate_set, grid
 
 from qidopt.circuit import CircuitGrid, circuit_unitary, effective_depth, single, validate
-from qidopt.database import encode_circuit
+from qidopt.database import encode_circuit, rank_rows
 from qidopt.fingerprint import Fingerprint, fingerprint
 from qidopt.generator import GeneratorConfig, build_database, enumerate_layers
 from qidopt.matrices import max_abs_diff
@@ -17,7 +17,6 @@ from qidopt.optimizer import (
     TileClass,
     TileSpec,
     _candidate_order,
-    _shallower_rows,
     apply_substitution,
     classify_tile,
     extract_tiles,
@@ -133,11 +132,20 @@ class TestNormalizeCutTile:
             normalize_cut_tile(t)
 
 
+def encs(rows):
+    return [row.enc for row in rows]
+
+
+def rows_of(*candidates):
+    """Rank rows of the candidates, none dropped for depth."""
+    return rank_rows(candidates, "I", max_depth=len(candidates[0].split("|")))
+
+
 class TestLookup:
     def test_hh_tile_finds_identity(self, db_ih_1q):
         c = grid("H", "H")
         (t,) = extract_tiles(c, TileSpec(1, 2))
-        cands = lookup(normalize_cut_tile(t), db_ih_1q)
+        cands = encs(lookup(normalize_cut_tile(t), db_ih_1q))
         assert "I|I" in cands
         assert "H|H" not in cands  # the tile itself is excluded
 
@@ -151,15 +159,18 @@ class TestLookup:
         gs = gate_set("I", "X", "Y", "H")
         db = build_database(GeneratorConfig(n=2, d=3, gate_set=gs))
         t = normalize_cut_tile(window(FIG13, TileSpec(2, 3), 1, 1))
-        cands = lookup(t, db)
-        for want in ("I,Y|I,H|I,H", "I,Y|X,I|X,I", "I,Y|I,I|I,I"):
-            assert want in cands
+        cands = encs(lookup(t, db))
+        assert "I,Y|I,I|I,I" in cands
+        # members as deep as the tile cannot rank below it
+        bucket = db.bucket(db.by_circuit["I,Y|I,H|I,H"])
+        assert "I,Y|X,I|X,I" in bucket and "I,Y|X,I|X,I" not in cands
+        assert all(effective_depth(db.decode(enc)) < 3 for enc in cands)
 
     def test_fingerprint_fallback_for_foreign_gates(self, db_ih_1q):
         # S is not in the database gate set; lookup goes through the unitary
         c = grid("S", "SDG")
         (t,) = extract_tiles(c, TileSpec(1, 2))
-        cands = lookup(normalize_cut_tile(t), db_ih_1q)
+        cands = encs(lookup(normalize_cut_tile(t), db_ih_1q))
         assert "I|I" in cands
 
 
@@ -169,9 +180,9 @@ class TestCandidateCost:
         # is filtered and each cost read off the tokens is checked
         tile = Tile(0, 0, grid("H,H", "H,H", "H,H", "H,H"))
         checked = 0
-        for encs in db_ihxzcx.by_fingerprint.values():
-            ordered = _candidate_order(tile, encs, db_ihxzcx, False)
-            assert len(ordered) == len(encs)
+        for bucket in db_ihxzcx.by_fingerprint.values():
+            ordered = _candidate_order(tile, rows_of(*bucket), db_ihxzcx, False)
+            assert len(ordered) == len(bucket)
             for c, enc in ordered:
                 assert c == effective_depth(db_ihxzcx.decode(enc))
             checked += len(ordered)
@@ -205,8 +216,8 @@ def crosses(layer, qs, n):
 
 
 def reference_order(t, db, neighbors_only):
-    """The ranking done on every lookup: split every member of the bucket,
-    filter, then sort on (depth, cells, encoding)."""
+    """The ranking done on every lookup: split every member of the tile's
+    whole bucket, filter, then sort on (depth, cells, encoding)."""
     if (t.sub.n, t.sub.m) != (db.meta.n, db.meta.d) and (
         t.cut_positions or t.sub.n != db.meta.n
     ):
@@ -214,7 +225,7 @@ def reference_order(t, db, neighbors_only):
     ident = db.meta.gate_set.identity.name
     tile_cost = effective_depth(t.sub)
     ranked = []
-    for enc in lookup(t, db):
+    for enc in db.bucket(fingerprint(circuit_unitary(t.sub), db.meta.dp)):
         rows = [layer.split(",") for layer in enc.split("|")]
         depth = sum(1 for row in rows if any(tok != ident for tok in row))
         if depth >= tile_cost:
@@ -263,7 +274,6 @@ class TestRankTable:
         norm = normalize_cut_tile(tile)
         neighbors_only = data.draw(st.booleans(), label="neighbors_only")
         want = reference_order(norm, db, neighbors_only)
-        assert _candidate_order(norm, _shallower_rows(norm, db), db, neighbors_only) == want
         assert _candidate_order(norm, lookup(norm, db), db, neighbors_only) == want
 
 
@@ -273,7 +283,7 @@ class TestRankTable:
         db = rank_dbs["n3d2"]
         norm = normalize_cut_tile(Tile(0, 0, grid("CX:C:2,X,CX:T:0", "I,X,I")))
         for neighbors_only in (False, True):
-            got = _candidate_order(norm, _shallower_rows(norm, db), db, neighbors_only)
+            got = _candidate_order(norm, lookup(norm, db), db, neighbors_only)
             assert got == reference_order(norm, db, neighbors_only)
         assert len(reference_order(norm, db, False)) == 2
         assert reference_order(norm, db, True) == []
@@ -296,19 +306,19 @@ class TestSelectSubstitution:
     def test_picks_cheapest_of_three(self, db_ixyh):
         t = normalize_cut_tile(window(FIG13, TileSpec(2, 3), 1, 1))
         candidates = ["I,Y|I,H|I,H", "I,Y|X,I|X,I", "I,Y|I,I|I,I"]
-        assert select_substitution(t, candidates, db_ixyh) == "I,Y|I,I|I,I"
+        assert select_substitution(t, rows_of(*candidates), db_ixyh) == "I,Y|I,I|I,I"
 
     def test_no_strict_improvement_means_none(self, db_ihxzcx):
         c = grid("I,X", "I,I", "I,I")
         (t,) = extract_tiles(c, TileSpec(2, 3))
         norm = normalize_cut_tile(t)
         # another cost-1 circuit with the same unitary is not an improvement
-        assert select_substitution(norm, ["I,I|I,X|I,I"], db_ihxzcx) is None
+        assert select_substitution(norm, rows_of("I,I|I,X|I,I"), db_ihxzcx) is None
 
     def test_cut_slot_must_hold_identity(self, db_ixyh):
         t = normalize_cut_tile(window(FIG13, TileSpec(2, 3), 1, 1))
         # Y,Y in the first layer is equal to the tile but occupies the cut slot
-        blocked = select_substitution(t, ["Y,Y|Y,I|I,I"], db_ixyh)
+        blocked = select_substitution(t, rows_of("Y,Y|Y,I|I,I"), db_ixyh)
         assert blocked is None
 
     def test_neighbors_only_filters(self):
@@ -329,7 +339,7 @@ class TestSelectSubstitution:
         (t,) = extract_tiles(c, TileSpec(2, 3))
         norm = normalize_cut_tile(t)
         # both candidates cost 1; the single-cell one wins despite later lex
-        chosen = select_substitution(norm, ["X,X|I,I|I,I"], db_ihxzcx)
+        chosen = select_substitution(norm, rows_of("X,X|I,I|I,I"), db_ihxzcx)
         assert chosen == "X,X|I,I|I,I"
 
 
@@ -387,7 +397,7 @@ class TestOptimize:
         assert report.final_depth == 1
 
     def test_depth_never_increases(self, db_ihxzcx, rng):
-        layers = enumerate_layers(2, db_ihxzcx.exact_gates)
+        layers = enumerate_layers(2, db_ihxzcx.meta.gate_set)
         for _ in range(60):
             m = int(rng.integers(1, 7))
             picks = rng.integers(0, len(layers), size=m)
