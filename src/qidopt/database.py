@@ -38,7 +38,7 @@ from .circuit import (
     validate,
 )
 from .fingerprint import DIGEST_ALGORITHM, Fingerprint, canonicalize
-from .gates import GateDef, GateSet, gate_from_name, make_gate
+from .gates import AngleRangeError, GateDef, GateSet, gate_from_name, make_gate
 
 FORMAT_VERSION = "QIDB/1"
 CONVENTION = "temporal-right"  # first layer rightmost in the matrix product
@@ -238,9 +238,13 @@ class IdentityDatabase:
 def _exact_gate(gate: GateDef, dp: int) -> GateDef | None:
     """The builtin or template gate named `gate.name`, if it agrees with
     `gate`: same name, same arity, same Identity flag, same dp-rounded
-    matrix. None when the name does not resolve or the gates disagree."""
+    matrix. None when the name does not resolve or the gates disagree;
+    DatabaseFormatError when it names a template gate whose angle does not
+    fit a float."""
     try:
         exact = gate_from_name(gate.name)
+    except AngleRangeError as e:
+        raise DatabaseFormatError(f"gate {gate.name}: {e}") from None
     except ValueError:
         return None
     if (

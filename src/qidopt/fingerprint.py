@@ -6,20 +6,33 @@ with exactly dp fractional digits, rounded half-away-from-zero, negative
 zero normalized, in "dim;re,im;re,im;..." row-major order. The fingerprint
 is the 128-bit MD5 digest of those bytes; the algorithm identifier below
 is frozen into the database format version.
+
+One renderer makes the text of a whole stack of matrices at once, and
+`canonicalize` and `fingerprint` both go through it. It rounds a slice of
+the stack, renders each distinct rounded component of the slice once, and
+gathers the rendered components into a fixed-width byte array with one
+row per matrix, real parts suffixed with ',' and imaginary parts with
+';'. A row's bytes, with the NUL padding removed and the last ';'
+dropped, follow the "dim;" prefix of its matrix's text. A slice holds
+`_SLICE` matrices, so the rounded rows and the byte array stay a bounded
+multiple of one slice, whatever the length of the stack.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .matrices import ComplexMatrix
 
 DIGEST_ALGORITHM = "md5-128"
+
+# matrices rounded and rendered together
+_SLICE = 64
+# the column of `_render`'s table for each component of a (re, im) pair
+_RE_IM = np.array([0, 1])
 
 
 @dataclass(frozen=True)
@@ -57,32 +70,60 @@ def _rounded_components(m: ComplexMatrix, dp: int) -> np.ndarray:
     a = np.ascontiguousarray(m, dtype=np.complex128)
     # a contiguous complex array viewed as float64 interleaves (re, im)
     comps = a.view(np.float64).reshape(a.shape[:-2] + (-1,))
-    if not np.all(np.isfinite(comps)):
-        raise ValueError("cannot canonicalize a matrix with non-finite entries")
-    scale = 10.0**dp
-    mags = np.floor(np.abs(comps) * scale + 0.5)
-    if np.any(mags >= 2.0**62):
+    mags = np.floor(np.abs(comps) * 10.0**dp + 0.5)
+    # NaN and inf fail the comparison as well as oversized magnitudes
+    if not mags.max() < 2.0**62:
+        if not np.all(np.isfinite(comps)):
+            raise ValueError("cannot canonicalize a matrix with non-finite entries")
         raise ValueError("matrix entries too large to canonicalize")
-    return np.where(comps < 0, -mags, mags).astype(np.int64)
+    # a negative component that rounds to zero gives -0.0, which is 0
+    return np.copysign(mags, comps).astype(np.int64)
 
 
-# matrix entries cluster on few distinct values (a build over builtin gates
-# renders about ten), so rendered components are cached by their
-# scaled-integer form
-@functools.lru_cache(maxsize=1024)
-def _component_str(v: int, dp: int) -> str:
-    sign = "-" if v < 0 else ""
-    a = abs(v)
+def _render(rows: np.ndarray, dim: int, dp: int) -> list[bytes]:
+    """Canonical text of each rounded row of an (N, 2·dim²) stack, N > 0."""
+    # the distinct components, sorted. np.unique is slower on the one-matrix
+    # stacks the optimizer renders (it argsorts for its inverse), and its
+    # values-only path imports numpy.ma (about 1.7 MB of peak RSS)
+    flat = np.sort(rows, axis=None)
+    values = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
     scale = 10**dp
-    return f"{sign}{a // scale}.{a % scale:0{dp}d}"
+    text = [
+        f"{'-' if v < 0 else ''}{abs(v) // scale}.{abs(v) % scale:0{dp}d}"
+        for v in values.tolist()
+    ]
+    # column 0 ends a real part, column 1 an imaginary part
+    width = max(map(len, text)) + 1
+    table = np.array([(t + ",", t + ";") for t in text], dtype=f"S{width}")
+    pairs = np.searchsorted(values, rows).reshape(len(rows), dim * dim, 2)
+    body = table[pairs, _RE_IM].reshape(len(rows), -1)
+    head = f"{dim};".encode("ascii")
+    # the row's last ';' is not part of the text
+    return [head + row.tobytes().replace(b"\0", b"")[:-1] for row in body]
+
+
+def _canonical_texts(stack: np.ndarray, dp: int) -> list[bytes]:
+    """Canonical text of each matrix of an (N, D, D) stack, a slice at a time."""
+    texts: list[bytes] = []
+    for s in range(0, len(stack), _SLICE):
+        part = stack[s : s + _SLICE]
+        texts += _render(_rounded_components(part, dp), part.shape[-1], dp)
+    return texts
 
 
 def canonicalize(m: ComplexMatrix, dp: int) -> str:
     """Byte-deterministic fixed-point rendering of m at dp decimals."""
-    s = list(map(_component_str, _rounded_components(m, dp).tolist(), repeat(dp)))
-    return f"{m.shape[0]};" + ";".join(map(",".join, zip(s[0::2], s[1::2])))
+    return _canonical_texts(np.asarray(m)[None], dp)[0].decode("ascii")
 
 
-def fingerprint(m: ComplexMatrix, dp: int) -> Fingerprint:
-    """128-bit digest of the canonical form; the database key."""
-    return Fingerprint(hashlib.md5(canonicalize(m, dp).encode("ascii")).digest())
+def fingerprint(m: ComplexMatrix, dp: int) -> Fingerprint | list[Fingerprint]:
+    """128-bit digest of the canonical form; the database key.
+
+    `m` is one (D, D) matrix, which gives one Fingerprint, or an (N, D, D)
+    stack, which gives a list of N fingerprints in stack order."""
+    a = np.asarray(m)
+    fps = [
+        Fingerprint(hashlib.md5(t).digest())
+        for t in _canonical_texts(a.reshape((-1,) + a.shape[-2:]), dp)
+    ]
+    return fps[0] if a.ndim == 2 else fps

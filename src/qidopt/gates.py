@@ -26,6 +26,10 @@ UNITARY_TOL = 1e-10
 _NAME_RE = re.compile(r"^[A-Za-z0-9_+\-*/;.\[\]()]+$")
 
 
+class AngleRangeError(ValueError):
+    """An angle whose value does not fit a finite float."""
+
+
 @dataclass(frozen=True)
 class AngleExpr:
     """Exact angle of the form (pi_coeff)·π + const, both rational."""
@@ -34,7 +38,14 @@ class AngleExpr:
     const: Fraction = Fraction(0)
 
     def value(self) -> float:
-        return float(self.pi_coeff) * math.pi + float(self.const)
+        """The angle in radians; AngleRangeError when it is not a finite float."""
+        try:
+            v = float(self.pi_coeff) * math.pi + float(self.const)
+        except OverflowError:  # a Fraction beyond the float range
+            v = math.inf
+        if not math.isfinite(v):
+            raise AngleRangeError("angle is too large to evaluate as a float")
+        return v
 
     def render(self) -> str:
         """Deterministic text form, e.g. 'pi/2', '-3*pi/4', '0', '1/2'."""

@@ -12,10 +12,13 @@ byte for byte.
 prefix product, then one batched product with all L layer matrices, so a
 block holds L·4ⁿ complex entries (L·4ⁿ·16 bytes). Each block is rounded
 in one call, and most circuits repeat a rounded unitary already seen, so
-the canonical text and MD5 are made once per distinct rounded form. The
-form table is keyed on the 16-byte MD5 of the rounded int64 row, not on
-the row itself (4 KB per key at n=4); that key carries the same collision
-risk as the database's own MD5 fingerprint.
+the canonical text and MD5 are made once per distinct rounded form: the
+block's circuits whose rounded form is new are fingerprinted together,
+in one `fingerprint` call per block, which renders them a slice at a
+time (see `fingerprint`). The form table is keyed on the 16-byte MD5 of
+the rounded int64 row, not on the row itself (4 KB per key at n=4); that
+key carries the same collision risk as the database's own MD5
+fingerprint.
 """
 
 from __future__ import annotations
@@ -172,11 +175,13 @@ def build_database(cfg: GeneratorConfig) -> IdentityDatabase:
         block = np.matmul(mats, u)  # block[k] = mats[k] @ u: the circuit prefix + (k,)
         head = "".join(encs[i] + "|" for i in prefix)
         cost = sum(eff[i] for i in prefix)
-        for k, row in enumerate(_rounded_components(block, dp)):
-            key = hashlib.md5(row).digest()
-            fp = forms.get(key)
-            if fp is None:
-                fp = forms[key] = fingerprint(block[k], dp)
+        keys = [hashlib.md5(row).digest() for row in _rounded_components(block, dp)]
+        # each new form once, at one of the block rows that has it
+        new = {key: k for k, key in enumerate(keys) if key not in forms}
+        if new:
+            forms.update(zip(new, fingerprint(block[list(new.values())], dp)))
+        for k, key in enumerate(keys):
+            fp = forms[key]
             enc = head + encs[k]
             db.by_circuit[enc] = fp
             buckets.setdefault(fp, []).append((cost + eff[k], enc))

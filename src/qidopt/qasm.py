@@ -170,6 +170,8 @@ def parse_program(text: str) -> QasmProgram:
         if arg_text is not None:
             try:
                 angles = tuple(parse_angle(a) for a in arg_text.split(","))
+                for a in angles:
+                    a.value()  # raises when the angle does not fit a float
             except ValueError as e:
                 raise QasmError(str(e), ln, col) from None
 

@@ -164,6 +164,12 @@ class TestOptimize:
         src.write_text("OPENQASM 2.0;\nqreg q[1];\nwat q[0];\n")
         assert main(["optimize", str(src), "--db", str(db_path)]) == EXIT_CONFIG
 
+    def test_angle_beyond_float_range_exit(self, db_path, tmp_path, capsys):
+        src = tmp_path / "huge.qasm"
+        src.write_text(f"OPENQASM 2.0;\nqreg q[1];\nu1({'9' * 400}) q[0];\n")
+        assert main(["optimize", str(src), "--db", str(db_path)]) == EXIT_CONFIG
+        assert "too large" in capsys.readouterr().err
+
     def test_auto_detect_gate_set(self, tmp_path, capsys):
         src = tmp_path / "in.qasm"
         # output gate (Z) is among the input's own gates, so auto-detection

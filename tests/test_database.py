@@ -312,6 +312,13 @@ class TestLoadErrors:
         with pytest.raises(DatabaseFormatError, match=re.escape(error)):
             loads(text)
 
+    def test_template_angle_beyond_float_range_rejected(self):
+        u1 = instantiate_param_gate(U1, [AngleExpr(pi_coeff=Fraction(1, 2))])
+        db = build_database(GeneratorConfig(n=1, d=1, gate_set=GateSet([gate("I"), u1])))
+        text = dumps(db).replace("gate U1[pi/2] ", f"gate U1[{'9' * 400}] ", 1)
+        with pytest.raises(DatabaseFormatError, match="too large"):
+            loads(text)
+
     def test_unknown_gate_member_raises_format_error_on_use(self, small_db):
         # loads does not check members against the gate table; decoding one
         # that names an unknown gate must still report a format error

@@ -12,7 +12,9 @@ from conftest import gate, grid
 
 from qidopt.circuit import circuit_unitary
 from qidopt.fingerprint import (
+    _SLICE,
     Fingerprint,
+    _canonical_texts,
     _rounded_components,
     canonicalize,
     fingerprint,
@@ -85,12 +87,12 @@ _SPECIAL = np.array([0.0, -0.0, 0.125, -0.125, 0.5, -1.0])
 
 
 @st.composite
-def _stacks(draw, max_count=1):
+def _stacks(draw, min_count=1, max_count=1):
     """A (count, dim, dim) complex stack, dim in [1, 8]: seeded uniform
     entries in [-2, 2], about a third of the components replaced by
     negative zero, the dp=2 midpoints and other dyadic values."""
     dim = draw(st.integers(1, 8))
-    count = draw(st.integers(1, max_count))
+    count = draw(st.integers(min_count, max_count))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     comps = rng.uniform(-2.0, 2.0, (count, dim, dim, 2))
     special = rng.random(comps.shape) < 1 / 3
@@ -124,6 +126,42 @@ class TestRoundingAndRenderProperties:
     @settings(max_examples=150, deadline=None)
     def test_canonicalize_matches_per_pair_renderer(self, stack, dp):
         assert canonicalize(stack[0], dp) == _reference_canonical(stack[0], dp)
+
+    @given(_stacks(min_count=_SLICE + 1, max_count=2 * _SLICE + 3), st.integers(1, 15))
+    @settings(max_examples=40, deadline=None)
+    def test_stack_texts_match_per_pair_renderer(self, stack, dp):
+        # rendered a slice at a time, each slice sharing one table of
+        # distinct components
+        texts = _canonical_texts(stack, dp)
+        assert [t.decode("ascii") for t in texts] == [
+            _reference_canonical(m, dp) for m in stack
+        ]
+
+    @given(_stacks(min_count=_SLICE + 1, max_count=2 * _SLICE + 3), st.integers(1, 15))
+    @settings(max_examples=40, deadline=None)
+    def test_stack_fingerprints_equal_per_matrix_list(self, stack, dp):
+        assert fingerprint(stack, dp) == [fingerprint(m, dp) for m in stack]
+
+    @given(
+        _stacks(max_count=2 * _SLICE + 3),
+        st.integers(1, 15),
+        st.data(),
+        st.sampled_from([math.nan, math.inf, -math.inf, 1e19, -1e19]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_stack_with_one_bad_matrix_raises_its_error(self, stack, dp, data, bad):
+        stack = stack.copy()
+        k = data.draw(st.integers(0, len(stack) - 1))
+        i, j = data.draw(st.tuples(*[st.integers(0, stack.shape[1] - 1)] * 2))
+        stack[k, i, j] = complex(0.0, bad) if data.draw(st.booleans()) else complex(bad, 0.0)
+        with pytest.raises(ValueError) as alone:
+            fingerprint(stack[k], dp)
+        with pytest.raises(ValueError) as whole:
+            fingerprint(stack, dp)
+        assert str(whole.value) == str(alone.value)
+
+    def test_empty_stack_gives_no_fingerprints(self):
+        assert fingerprint(np.zeros((0, 2, 2), dtype=complex), 8) == []
 
     @pytest.mark.parametrize("dp", range(1, 16))
     def test_negative_zero_and_midpoints_match_per_pair_renderer(self, dp):

@@ -140,6 +140,18 @@ class TestAngleExpr:
     def test_value(self):
         assert pi_over(1, 2).value() == pytest.approx(math.pi / 2)
 
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            AngleExpr(const=Fraction(10**400)),  # float() overflows
+            pi_over(10**308),  # finite coefficient, infinite product
+        ],
+        ids=["const-overflow", "pi-overflow"],
+    )
+    def test_value_out_of_float_range_is_value_error(self, expr):
+        with pytest.raises(ValueError, match="too large"):
+            expr.value()
+
 
 class TestGateFromName:
     def test_builtin(self):

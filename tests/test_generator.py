@@ -221,12 +221,17 @@ class TestBuildAgainstReference:
 
     # MD5 of the QIDB/1 bytes of the {I,H,X,Z,CX} databases at n=2, d=3 and d=4
     @pytest.mark.parametrize(
-        "d, md5",
-        [(3, "4fd219db11bac81d5d6e4d35694d7014"), (4, "31ad0cbf15d0705b06f86b3f5270827f")],
-        ids=["n2d3", "n2d4"],
+        "n, d, gates, md5",
+        [
+            (2, 3, "I H X Z CX", "4fd219db11bac81d5d6e4d35694d7014"),
+            (2, 4, "I H X Z CX", "31ad0cbf15d0705b06f86b3f5270827f"),
+            # the most forms, and T phases that are not dyadic
+            (3, 2, "I H X Z S T CX", "9e581ec3992b5c26eb87184fdd1dffeb"),
+        ],
+        ids=["n2d3", "n2d4", "n3d2-t"],
     )
-    def test_qidb_bytes_pinned(self, d, md5):
-        cfg = GeneratorConfig(n=2, d=d, gate_set=gate_set("I", "H", "X", "Z", "CX"))
+    def test_qidb_bytes_pinned(self, n, d, gates, md5):
+        cfg = GeneratorConfig(n=n, d=d, gate_set=gate_set(*gates.split()))
         assert hashlib.md5(dumps(build_database(cfg)).encode()).hexdigest() == md5
 
     @pytest.mark.parametrize(

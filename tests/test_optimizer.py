@@ -335,12 +335,15 @@ class TestSelectSubstitution:
                     assert abs(int(tok.rsplit(":", 1)[1]) - (q % 3)) == 1
 
     def test_tie_break_prefers_fewer_cells(self, db_ihxzcx):
-        c = grid("I,X", "X,I", "I,I")
+        c = grid("X,I", "I,X", "X,X")  # depth 3, equal to the identity
         (t,) = extract_tiles(c, TileSpec(2, 3))
         norm = normalize_cut_tile(t)
-        # both candidates cost 1; the single-cell one wins despite later lex
-        chosen = select_substitution(norm, rows_of("X,X|I,I|I,I"), db_ihxzcx)
-        assert chosen == "X,X|I,I|I,I"
+        # both candidates are depth-2 identities; the four-cell one sorts
+        # first by encoding, but the two-cell one wins
+        many, few = "H,H|H,H|I,I", "H,I|H,I|I,I"
+        assert many < few
+        chosen = select_substitution(norm, rows_of(many, few), db_ihxzcx)
+        assert chosen == few
 
 
 class TestApplySubstitution:

@@ -153,6 +153,11 @@ class TestParseDiagnostics:
         with pytest.raises(QasmError, match="angle"):
             parse(qasm(1, "u2(pi) q[0];"))
 
+    def test_angle_beyond_float_range_rejected(self):
+        with pytest.raises(QasmError, match="too large") as info:
+            parse(qasm(1, "x q[0];", f"u1({'9' * 400}) q[0];"))
+        assert info.value.line == 5
+
     def test_statement_missing_semicolon(self):
         with pytest.raises(QasmError, match="missing ';'"):
             parse(HEADER + "qreg q[1];\nx q[0]\n")
