@@ -15,14 +15,20 @@ Unitaries are evaluated gate by gate: each gate multiplies the axes of
 its qubits in a reshaped view of the 2^n × 2^n operator, cells whose
 matrix is exactly the 2×2 identity are skipped, and a circuit costs
 O(gates·4^n) rather than the O(layers·8^n) of dense layer products.
+
+Two circuits are compared on their unshared span (`unshared`): the gates
+both begin or both end with are removed first, and the dense check runs
+on the k qubits the rest touches, at O(gates·4^k).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from .gates import I as IDENTITY_GATE
 from .gates import GateDef
 from .matrices import ComplexMatrix, identity
 
@@ -132,6 +138,15 @@ _I2 = identity(2)
 _SWAP_OPERANDS = [0, 2, 1, 3]  # |ab> <-> |ba> in the 4x4 basis
 
 
+def _partner(layer: Layer, q: int, n: int) -> int:
+    """The partner qubit of the two-qubit half on qubit q; StructuralError
+    when the half is unpaired."""
+    p = layer[q].partner
+    if p is None or not (0 <= p < n) or layer[p].is_single or layer[p].partner != q:
+        raise StructuralError(f"unpaired two-qubit half on qubit {q}")
+    return p
+
+
 def _apply_layer(u: ComplexMatrix, layer: Layer, n: int) -> ComplexMatrix:
     """L·u for the layer's unitary L, gate by gate on a reshaped u.
 
@@ -148,14 +163,7 @@ def _apply_layer(u: ComplexMatrix, layer: Layer, n: int) -> ComplexMatrix:
             if not np.array_equal(g, _I2):
                 u = np.matmul(g, u.reshape(1 << q, 2, -1))
             continue
-        p = cell.partner
-        if (
-            p is None
-            or not (0 <= p < n)
-            or layer[p].is_single
-            or layer[p].partner != q
-        ):
-            raise StructuralError(f"unpaired two-qubit half on qubit {q}")
+        p = _partner(layer, q, n)
         if cell.role != FIRST:
             continue
         if abs(p - q) == 1:
@@ -186,6 +194,114 @@ def circuit_unitary(c: CircuitGrid) -> ComplexMatrix:
     for layer in c.layers:
         u = _apply_layer(u, layer, c.n)
     return u
+
+
+_Gate = tuple[tuple[int, ...], GateDef]  # (qubits in operand order, gate)
+
+
+def _gate_list(c: CircuitGrid, skip: dict[GateDef, bool]) -> list[_Gate]:
+    """The gates of c in layer order, a pair once at its first operand.
+    Single cells whose matrix is exactly the 2×2 identity are left out, as
+    `_apply_layer` leaves them out; `skip` holds that verdict per GateDef.
+    Raises StructuralError on an unpaired half."""
+    gates: list[_Gate] = []
+    for layer in c.layers:
+        for q, cell in enumerate(layer):
+            g = cell.gate
+            if cell.is_single:
+                exact = skip.get(g)
+                if exact is None:
+                    exact = skip[g] = np.array_equal(g.matrix, _I2)
+                if not exact:
+                    gates.append(((q,), g))
+                continue
+            p = _partner(layer, q, c.n)
+            if cell.role == FIRST:
+                gates.append(((q, p), g))
+    return gates
+
+
+def _trim_front(a: list[_Gate], b: list[_Gate], n: int) -> tuple[list[_Gate], list[_Gate]]:
+    """Remove, while one exists, a gate that is first on each of its qubits
+    in both lists, on the same qubits in the same order, with an exactly
+    equal matrix. Each such gate commutes exactly with every gate listed
+    before it, so both lists lose the same right factor."""
+    heads = []
+    for gates in (a, b):
+        on = [deque() for _ in range(n)]
+        for i, (qs, _) in enumerate(gates):
+            for x in qs:
+                on[x].append(i)
+        heads.append(on)
+    on_a, on_b = heads
+    keep_a, keep_b = [True] * len(a), [True] * len(b)
+    todo = list(range(n))
+    while todo:
+        q = todo.pop()
+        if not on_a[q] or not on_b[q]:
+            continue
+        i, j = on_a[q][0], on_b[q][0]
+        (qs, g), (qs_b, h) = a[i], b[j]
+        if qs != qs_b or not (g is h or np.array_equal(g.matrix, h.matrix)):
+            continue
+        if any(on_a[x][0] != i or on_b[x][0] != j for x in qs):
+            continue
+        for x in qs:
+            on_a[x].popleft()
+            on_b[x].popleft()
+        todo.extend(qs)
+        keep_a[i] = keep_b[j] = False
+    return (
+        [gate for gate, kept in zip(a, keep_a) if kept],
+        [gate for gate, kept in zip(b, keep_b) if kept],
+    )
+
+
+def _packed(gates: list[_Gate], index: dict[int, int], k: int) -> CircuitGrid:
+    """The gates on k qubits renumbered by `index`, each in the earliest
+    layer where its qubits are free; empty cells hold the exact Identity."""
+    ident = single(IDENTITY_GATE)
+    layers: list[list[Cell]] = []
+    frontier = [0] * k
+    for qs, g in gates:
+        qs = tuple(index[x] for x in qs)
+        level = max(frontier[x] for x in qs)
+        if level == len(layers):
+            layers.append([ident] * k)
+        if len(qs) == 1:
+            layers[level][qs[0]] = Cell(g)
+        else:
+            x, y = qs
+            layers[level][x] = Cell(g, FIRST, y)
+            layers[level][y] = Cell(g, SECOND, x)
+        for x in qs:
+            frontier[x] = level + 1
+    return CircuitGrid.from_lists(k, layers)
+
+
+def unshared(a: CircuitGrid, b: CircuitGrid) -> tuple[CircuitGrid, CircuitGrid]:
+    """The parts of a and b that remain once the gates both begin with and
+    the gates both end with are removed, as grids over the k qubits the
+    remainders touch (renumbered in order; k = 0 when nothing remains).
+
+    Gates on disjoint qubits commute exactly, so with A and B the
+    remainders' k-qubit unitaries, U(a) − U(b) = S·((A − B) ⊗ I)·P for
+    unitary S and P (qubits reordered): U(a) = U(b) iff A = B, and
+    max|U(a) − U(b)| ≤ ‖A − B‖₂ ≤ ‖A − B‖_F. A gate is removed only with a
+    gate of exactly equal matrix; one that is merely close to its partner
+    or to the identity stays. Raises ValueError when the qubit counts
+    differ and StructuralError on an unpaired half.
+    """
+    if a.n != b.n:
+        raise ValueError(f"qubit counts differ ({a.n} vs {b.n})")
+    skip: dict[GateDef, bool] = {}
+    ga, gb = _trim_front(_gate_list(a, skip), _gate_list(b, skip), a.n)
+    ga, gb = _trim_front(ga[::-1], gb[::-1], a.n)
+    ga.reverse()
+    gb.reverse()
+    touched = sorted({x for qs, _ in ga + gb for x in qs})
+    index = {x: i for i, x in enumerate(touched)}
+    return _packed(ga, index, len(touched)), _packed(gb, index, len(touched))
 
 
 def cell_is_identity(cell: Cell) -> bool:

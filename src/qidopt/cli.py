@@ -4,6 +4,9 @@ counting, and database inspection.
 stdout carries machine-parsable `key: value` lines; human-oriented notes go
 to stderr. Exit codes: 0 success, 1 verify mismatch, 2 bad configuration or
 input, 3 resource guard, 4 post-optimization residual over tolerance.
+`optimize` and `verify` share one residual (`optimizer.check_residual`):
+the Frobenius norm of the difference of the two circuits' unitaries on
+the gates they do not share, an upper bound on their max-abs difference.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import time
 from fractions import Fraction
 
 from . import database, generator, optimizer, qasm
-from .circuit import circuit_unitary, effective_depth
 from .gates import (
     BUILTIN_GATES,
     CX,
@@ -28,7 +30,6 @@ from .gates import (
 from .gates import U1 as U1_TMPL
 from .gates import U2 as U2_TMPL
 from .gates import U3 as U3_TMPL
-from .matrices import max_abs_diff
 
 MAX_CIRCUITS_ENV = "QUANTO_MAX_CIRCUITS"
 
@@ -218,7 +219,7 @@ def cmd_verify(args) -> int:
     if grids[0].n != grids[1].n:
         _note(f"error: qubit counts differ ({grids[0].n} vs {grids[1].n})")
         return EXIT_CONFIG
-    residual = max_abs_diff(circuit_unitary(grids[0]), circuit_unitary(grids[1]))
+    residual, _ = optimizer.check_residual(grids[0], grids[1])
     _out("residual", f"{residual:.3e}")
     _out("equal", "true" if residual <= args.tolerance else "false")
     return EXIT_OK if residual <= args.tolerance else EXIT_VERIFY_FAILED

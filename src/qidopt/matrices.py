@@ -53,3 +53,10 @@ def max_abs_diff(a: ComplexMatrix, b: ComplexMatrix) -> float:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch in max_abs_diff: {a.shape} vs {b.shape}")
     return float(np.max(np.abs(a - b)))
+
+
+def frobenius_diff(a: ComplexMatrix, b: ComplexMatrix) -> float:
+    """‖a − b‖_F: the root of the summed squared moduli of the entries."""
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch in frobenius_diff: {a.shape} vs {b.shape}")
+    return float(np.linalg.norm(a - b))

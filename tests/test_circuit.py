@@ -1,5 +1,7 @@
 """Grid model: validation, layer/circuit unitaries, effective depth."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,11 +20,14 @@ from qidopt.circuit import (
     half,
     layer_unitary,
     single,
+    unshared,
     validate,
 )
-from qidopt.gates import make_gate
+from qidopt.database import encode_circuit
+from qidopt.gates import U1, AngleExpr, instantiate_param_gate, make_gate
 from qidopt.generator import GeneratorConfig, enumerate_circuits, enumerate_layers
-from qidopt.matrices import identity, is_unitary, kron, max_abs_diff
+from qidopt.matrices import frobenius_diff, identity, is_unitary, kron, max_abs_diff
+from qidopt.optimizer import check_residual, optimize
 from qidopt.qasm import emit, parse
 
 
@@ -77,19 +82,23 @@ def _random_unitary(dim, seed):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+# within 1e-9 of the identity (so `is_identity`), but not exactly it
+NEAR_I = instantiate_param_gate(U1, [AngleExpr(const=Fraction(1, 10**12))])
 SINGLES = [gate(g) for g in ("I", "H", "X", "S", "T")] + [
-    make_gate("R2", _random_unitary(2, 1))
+    make_gate("R2", _random_unitary(2, 1)),
+    NEAR_I,
 ]
 # neither is symmetric in its operands, so a swapped orientation shows
 PAIRS = [gate("CX"), make_gate("R4", _random_unitary(4, 2))]
 
 
 @st.composite
-def grids(draw):
-    """Grids of 1-5 qubits; two-qubit gates on any pair, either orientation."""
-    n = draw(st.integers(1, 5))
+def grids(draw, max_n=5, max_m=4):
+    """Grids of 1-max_n qubits and up to max_m layers; two-qubit gates on
+    any pair, either orientation."""
+    n = draw(st.integers(1, max_n))
     layers = []
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, max_m))):
         cells = [None] * n
         for q in range(n):
             if cells[q] is not None:
@@ -282,3 +291,129 @@ class TestModelProperties:
 
         assert max_abs_diff(rev, basis_oracle_unitary(2, reversed_cx)) == 0.0
         assert max_abs_diff(fwd, rev) > 0.5  # genuinely different
+
+
+@st.composite
+def one_gate_edits(draw):
+    """(c, c′): a grid of 1-6 qubits and a copy with one single cell
+    replaced (by Identity too) or one gate inserted in a layer of its own."""
+    c = draw(grids(max_n=6, max_m=8))
+    layers = [list(layer) for layer in c.layers]
+    singles = [
+        (li, q)
+        for li, layer in enumerate(layers)
+        for q, cell in enumerate(layer)
+        if cell.is_single
+    ]
+    if singles and draw(st.booleans()):
+        li, q = draw(st.sampled_from(singles))
+        layers[li][q] = single(draw(st.sampled_from(SINGLES)))
+    else:
+        cells = [single(gate("I"))] * c.n
+        q = draw(st.integers(0, c.n - 1))
+        if c.n > 1 and draw(st.booleans()):
+            p = draw(st.sampled_from([x for x in range(c.n) if x != q]))
+            g = draw(st.sampled_from(PAIRS))
+            cells[q], cells[p] = half(g, FIRST, p), half(g, SECOND, q)
+        else:
+            cells[q] = single(draw(st.sampled_from(SINGLES)))
+        layers.insert(draw(st.integers(0, len(layers))), cells)
+    return c, CircuitGrid.from_lists(c.n, layers)
+
+
+def assert_check_bounds(a, b):
+    """The residual lies between the max-abs and the Frobenius difference of
+    the whole unitaries; both remainders validate and share one k."""
+    ra, rb = unshared(a, b)
+    assert ra.n == rb.n <= a.n
+    if ra.n:
+        assert validate(ra) == [] and validate(rb) == []
+    else:
+        assert ra.m == rb.m == 0
+    residual, k = check_residual(a, b)
+    assert k == ra.n
+    ua, ub = circuit_unitary(a), circuit_unitary(b)
+    assert max_abs_diff(ua, ub) - 1e-12 <= residual <= frobenius_diff(ua, ub) + 1e-12
+    assert check_residual(a, a) == (0.0, 0)
+    return residual, k
+
+
+OPT_LAYERS = {n: enumerate_layers(n, gate_set("I", "H", "X", "Z", "CX")) for n in (2, 3, 4)}
+
+
+class TestUnshared:
+    def test_circuit_against_itself_leaves_nothing(self):
+        c = grid("H,CX:C:2,CX:T:1", "T,X,I")
+        for ra, rb in (unshared(c, c), unshared(c, parse(emit(c)))):
+            assert (ra.n, ra.m, rb.n, rb.m) == (0, 0, 0, 0)
+
+    def test_trims_front_and_back_around_one_edit(self):
+        a = grid("H,I,X", "CX:C:1,CX:T:0,I", "Z,I,I", "I,H,H")
+        b = grid("H,I,X", "CX:C:1,CX:T:0,I", "S,I,I", "I,H,H")
+        ra, rb = unshared(a, b)
+        assert (ra.n, encode_circuit(ra), encode_circuit(rb)) == (1, "Z", "S")
+
+    def test_gate_behind_a_difference_on_its_qubit_stays(self):
+        # in a, CX is neither first nor last on qubit 0, so it cannot move
+        # past X or Z; H on qubit 2 goes either way
+        a = grid("X,I,I", "CX:C:1,CX:T:0,H", "Z,I,I")
+        b = grid("CX:C:1,CX:T:0,H")
+        ra, rb = unshared(a, b)
+        assert encode_circuit(ra) == "X,I|CX:C:1,CX:T:0|Z,I"
+        assert encode_circuit(rb) == "CX:C:1,CX:T:0"
+
+    def test_pair_in_other_operand_order_stays(self):
+        a, b = grid("CX:C:1,CX:T:0"), grid("CX:T:1,CX:C:0")
+        assert unshared(a, b)[0].n == 2
+        assert check_residual(a, b)[0] > 1
+
+    def test_remainder_qubits_renumbered_in_order(self):
+        a = grid("CX:C:3,H,I,CX:T:0", "I,I,X,I")
+        b = grid("CX:C:3,H,I,CX:T:0", "I,I,Z,I", "T,I,I,I")
+        ra, rb = unshared(a, b)
+        # qubits 0 and 2 remain, as 0 and 1
+        assert (encode_circuit(ra), encode_circuit(rb)) == ("I,X", "T,Z")
+
+    def test_exact_identity_skipped_whatever_its_name(self):
+        u1_0 = instantiate_param_gate(U1, [AngleExpr()])
+        a = CircuitGrid(2, ((single(u1_0), single(gate("X"))),))
+        assert unshared(a, grid("I,X"))[0].n == 0
+        assert check_residual(a, grid("I,X")) == (0.0, 0)
+
+    def test_near_identity_gate_is_never_skipped_or_trimmed(self):
+        assert NEAR_I.is_identity and not np.array_equal(NEAR_I.matrix, identity(2))
+        near = single(NEAR_I)
+        a = CircuitGrid(2, grid("H,X").layers + ((near, single(gate("I"))),) + grid("H,X").layers)
+        b = grid("H,X", "H,X")
+        ra, rb = unshared(a, b)
+        assert ra.n == 1 and ra.layers[0][0].gate is NEAR_I and rb.m == 0
+        residual, k = check_residual(a, b)
+        assert k == 1 and residual > 0
+        # nor is it trimmed against a gate merely close to it
+        other = single(instantiate_param_gate(U1, [AngleExpr(const=Fraction(2, 10**12))]))
+        c = CircuitGrid(1, ((other,),))
+        assert check_residual(CircuitGrid(1, ((near,),)), c)[0] > 0
+
+    def test_qubit_counts_must_agree(self):
+        with pytest.raises(ValueError, match="qubit counts differ"):
+            unshared(grid("H"), grid("H,H"))
+
+    def test_unpaired_half_raises(self):
+        bad = CircuitGrid(2, ((grid("CX:C:1,CX:T:0").layers[0][0], single(gate("I"))),))
+        with pytest.raises(StructuralError, match="unpaired"):
+            unshared(bad, grid("I,I"))
+
+    @given(one_gate_edits())
+    @settings(max_examples=300, deadline=None)
+    def test_residual_bounds_one_gate_edit(self, pair):
+        assert_check_bounds(*pair)
+
+    @given(st.integers(2, 4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_residual_bounds_optimize_output(self, db_ihxzcx, n, data):
+        picks = data.draw(st.lists(st.sampled_from(range(len(OPT_LAYERS[n]))), max_size=8))
+        c = CircuitGrid(n, tuple(OPT_LAYERS[n][i] for i in picks))
+        out, report = optimize(c, db_ihxzcx)
+        residual, k = assert_check_bounds(c, out)
+        assert (report.residual, report.check_qubits) == (residual, k)
+        assert residual <= 1e-12

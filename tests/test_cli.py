@@ -205,6 +205,17 @@ class TestVerify:
         assert keyvals(capsys)["equal"] == equal
         assert rc == (EXIT_OK if equal == "true" else EXIT_VERIFY_FAILED)
 
+    def test_ten_qubits_one_gate_apart_mid_circuit(self, tmp_path, capsys):
+        head = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[10];\n'
+        before = "".join(f"h q[{q}];\ncx q[{q}],q[{(q + 3) % 10}];\n" for q in range(10))
+        after = "".join(f"t q[{q}];\ncx q[{(q + 7) % 10}],q[{q}];\n" for q in range(10))
+        a = tmp_path / "a.qasm"
+        b = tmp_path / "b.qasm"
+        a.write_text(head + before + "s q[6];\n" + after)
+        b.write_text(head + before + "sdg q[6];\n" + after)
+        assert main(["verify", str(a), str(b)]) == EXIT_VERIFY_FAILED
+        assert keyvals(capsys)["equal"] == "false"
+
     def test_different_files(self, tmp_path):
         a = tmp_path / "a.qasm"
         b = tmp_path / "b.qasm"

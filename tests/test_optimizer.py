@@ -399,6 +399,23 @@ class TestOptimize:
         assert encode_circuit(out) == "I,X"
         assert report.final_depth == 1
 
+    def test_no_substitution_checks_no_qubit(self, db_ihxzcx):
+        _, report = optimize(grid("H,X", "CX:C:1,CX:T:0"), db_ihxzcx)
+        assert report.substitutions == []
+        assert (report.check_qubits, report.residual) == (0, 0.0)
+
+    def test_check_runs_on_unshared_qubits(self, db_ihxzcx):
+        # H·H on qubit 0 cancels; the gates on the other 8 qubits are shared
+        c = CircuitGrid.from_lists(9, [
+            grid("H,X,Z,H,X,Z,H,X,Z").layers[0],
+            grid("H,I,I,I,CX:C:5,CX:T:4,I,I,I").layers[0],
+            grid("I,Z,X,H,I,I,Z,H,X").layers[0],
+        ])
+        out, report = optimize(c, db_ihxzcx)
+        assert report.substitutions
+        assert 0 < report.check_qubits < 9
+        assert report.residual <= 1e-12
+
     def test_depth_never_increases(self, db_ihxzcx, rng):
         layers = enumerate_layers(2, db_ihxzcx.meta.gate_set)
         for _ in range(60):
