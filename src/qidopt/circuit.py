@@ -134,7 +134,6 @@ def validate(c: CircuitGrid) -> list[str]:
     return problems
 
 
-_I2 = identity(2)
 _SWAP_OPERANDS = [0, 2, 1, 3]  # |ab> <-> |ba> in the 4x4 basis
 
 
@@ -160,7 +159,7 @@ def _apply_layer(u: ComplexMatrix, layer: Layer, n: int) -> ComplexMatrix:
     for q, cell in enumerate(layer):
         g = cell.gate.matrix
         if cell.is_single:
-            if not np.array_equal(g, _I2):
+            if not cell.gate.exact_identity:
                 u = np.matmul(g, u.reshape(1 << q, 2, -1))
             continue
         p = _partner(layer, q, n)
@@ -199,20 +198,17 @@ def circuit_unitary(c: CircuitGrid) -> ComplexMatrix:
 _Gate = tuple[tuple[int, ...], GateDef]  # (qubits in operand order, gate)
 
 
-def _gate_list(c: CircuitGrid, skip: dict[GateDef, bool]) -> list[_Gate]:
+def _gate_list(c: CircuitGrid) -> list[_Gate]:
     """The gates of c in layer order, a pair once at its first operand.
     Single cells whose matrix is exactly the 2×2 identity are left out, as
-    `_apply_layer` leaves them out; `skip` holds that verdict per GateDef.
-    Raises StructuralError on an unpaired half."""
+    `_apply_layer` leaves them out. Raises StructuralError on an unpaired
+    half."""
     gates: list[_Gate] = []
     for layer in c.layers:
         for q, cell in enumerate(layer):
             g = cell.gate
             if cell.is_single:
-                exact = skip.get(g)
-                if exact is None:
-                    exact = skip[g] = np.array_equal(g.matrix, _I2)
-                if not exact:
+                if not g.exact_identity:
                     gates.append(((q,), g))
                 continue
             p = _partner(layer, q, c.n)
@@ -294,8 +290,7 @@ def unshared(a: CircuitGrid, b: CircuitGrid) -> tuple[CircuitGrid, CircuitGrid]:
     """
     if a.n != b.n:
         raise ValueError(f"qubit counts differ ({a.n} vs {b.n})")
-    skip: dict[GateDef, bool] = {}
-    ga, gb = _trim_front(_gate_list(a, skip), _gate_list(b, skip), a.n)
+    ga, gb = _trim_front(_gate_list(a), _gate_list(b), a.n)
     ga, gb = _trim_front(ga[::-1], gb[::-1], a.n)
     ga.reverse()
     gb.reverse()

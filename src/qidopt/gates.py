@@ -71,11 +71,13 @@ class AngleExpr:
 
     @classmethod
     def from_float(cls, x: float) -> "AngleExpr":
-        """Recover p/q·π for small q, else an exact decimal constant."""
+        """Recover p/q·π (q ≤ 48) when x is that multiple up to float
+        rounding (4 ulps of x), else an exact decimal constant: a distinct
+        angle, however close, is never snapped."""
         if not math.isfinite(x):
             raise ValueError("angle must be finite")
         frac = Fraction(x / math.pi).limit_denominator(48)
-        if abs(float(frac) * math.pi - x) <= 1e-12:
+        if abs(float(frac) * math.pi - x) <= 4 * math.ulp(x):
             return cls(pi_coeff=frac)
         return cls(const=Fraction(repr(x)))
 
@@ -148,12 +150,17 @@ class GateDef:
     qasm_name: str | None = None
     template: str | None = None
     angles: tuple[AngleExpr, ...] | None = None
+    # within 1e-9 of the 2×2 identity: what the optimizer's costs ignore
     is_identity: bool = field(init=False, default=False)
+    # exactly the 2×2 identity: what unitary evaluation may skip
+    exact_identity: bool = field(init=False, default=False)
 
     def __post_init__(self):
         dim = self.matrix.shape[0]
         ident = dim == 2 and max_abs_diff(self.matrix, identity(2)) <= 1e-9
         object.__setattr__(self, "is_identity", ident)
+        exact = dim == 2 and np.array_equal(self.matrix, identity(2))
+        object.__setattr__(self, "exact_identity", exact)
 
     def __repr__(self):  # matrices are noisy; show the name
         return f"GateDef({self.name!r}, arity={self.arity})"

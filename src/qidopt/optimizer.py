@@ -10,6 +10,20 @@ unless the cut half sits in the window's first or last layer, in which
 case the half is temporarily replaced by Identity for the lookup and
 restored after the substitution.
 
+A sweep costs what changed, not the circuit's length:
+  * `optimize` drops the input's all-Identity layers once, up front, so no
+    circuit a sweep sees has one;
+  * a splice rewrites only the window's layer span: it drops that span's
+    all-Identity layers and validates that span alone;
+  * the change in potential is read off the span (`_lowers`): the layers
+    before it are shared, so the span lengths, then its non-Identity
+    cells, then its text decide;
+  * a window that yields no substitution is remembered, for one `optimize`
+    call, by its qubit offset, its span of whole layers and whether it
+    ends the circuit; a later window with the same key, in the same sweep
+    or a later one, reaches the same verdict and is skipped
+    (`OptimizeReport.windows_reused`), its collisions counted again.
+
 Candidates are ranked from the database's rank table of the tile's
 bucket (`IdentityDatabase.rank_table`): each member's depth, non-Identity
 cells, encoding, occupied cells and neighbour flag, sorted by (depth,
@@ -42,6 +56,7 @@ from dataclasses import dataclass, field
 from .circuit import (
     Cell,
     CircuitGrid,
+    Layer,
     asap_depth,
     cell_is_identity,
     circuit_unitary,
@@ -129,16 +144,22 @@ def extract_tiles(c: CircuitGrid, spec: TileSpec) -> list[Tile]:
     ]
 
 
+def _cut_halves(t: Tile) -> list[tuple[int, int, Cell]] | None:
+    """The tile's boundary-cut halves, found in one scan, or None when one
+    sits in an interior layer (an Invalid tile)."""
+    cuts = t.boundary_cells()
+    last = t.sub.m - 1
+    if any(li != 0 and li != last for li, _, _ in cuts):
+        return None
+    return cuts
+
+
 def classify_tile(t: Tile) -> TileClass:
     """Invalid iff a boundary-cut half sits in an interior layer."""
-    boundary = t.boundary_cells()
-    if not boundary:
-        return TileClass.VALID
-    last = t.sub.m - 1
-    for li, _, _ in boundary:
-        if li != 0 and li != last:
-            return TileClass.INVALID
-    return TileClass.VALID_WITH_CUT
+    cuts = _cut_halves(t)
+    if cuts is None:
+        return TileClass.INVALID
+    return TileClass.VALID_WITH_CUT if cuts else TileClass.VALID
 
 
 def normalize_cut_tile(t: Tile, identity: GateDef = IDENTITY_GATE) -> Tile:
@@ -146,12 +167,17 @@ def normalize_cut_tile(t: Tile, identity: GateDef = IDENTITY_GATE) -> Tile:
 
     Raises ValueError for an Invalid tile.
     """
-    cls = classify_tile(t)
-    if cls is TileClass.INVALID:
+    cuts = _cut_halves(t)
+    if cuts is None:
         raise ValueError("cannot normalize an invalid tile")
-    if cls is TileClass.VALID:
+    return _normalized(t, cuts, identity)
+
+
+def _normalized(t: Tile, cuts: list[tuple[int, int, Cell]], identity: GateDef) -> Tile:
+    """t with its cut halves `cuts` (from `_cut_halves`) replaced by
+    Identity and recorded."""
+    if not cuts:
         return Tile(t.qubit_offset, t.layer_offset, t.sub, [])
-    cuts = t.boundary_cells()
     cut_at = {(li, q) for li, q, _ in cuts}
     layers = []
     for li, layer in enumerate(t.sub.layers):
@@ -223,10 +249,15 @@ def select_substitution(
 def apply_substitution(
     c: CircuitGrid, t: Tile, chosen: str, db: IdentityDatabase
 ) -> CircuitGrid:
-    """Splice the chosen encoding into the window, restore cut halves, and
-    drop all-Identity layers. Rows outside the window hold Identity in the
-    layers a taller candidate adds. The result must validate; a failure
-    here is an internal error."""
+    """Splice the chosen encoding into the window and restore cut halves.
+    Rows outside the window hold Identity in the layers a taller candidate
+    adds.
+
+    Only the window's layer span changes: the spliced layers that are all
+    Identity are dropped, and the rest are validated. Every layer before
+    and after the span is c's own, unchanged. A span that does not
+    validate is an internal error (AssertionError).
+    """
     sub = db.decode(chosen)
     qs, ls = t.qubit_offset, t.layer_offset
     window_m = t.sub.m
@@ -244,19 +275,20 @@ def apply_substitution(
         target = li if li == 0 else len(new_window) - 1 + (li - (window_m - 1))
         new_window[target][q] = rebased(original)
 
-    layers: list = list(c.layers[:ls])
+    span = []
     for off, row in enumerate(new_window):
         old = list(c.layers[ls + off]) if off < window_m else [ident] * c.n
         old[qs : qs + sub.n] = row
-        layers.append(tuple(old))
-    layers.extend(c.layers[ls + window_m :])
-
-    compact = tuple(layer for layer in layers if not layer_is_identity(layer))
-    result = CircuitGrid(c.n, compact)
-    problems = validate(result)
+        layer = tuple(old)
+        if not layer_is_identity(layer):
+            span.append(layer)
+    span = tuple(span)
+    problems = validate(CircuitGrid(c.n, span))
     if problems:
-        raise AssertionError(f"substitution produced an invalid circuit: {problems}")
-    return result
+        raise AssertionError(
+            f"substitution at layer {ls} produced an invalid span: {problems}"
+        )
+    return CircuitGrid(c.n, c.layers[:ls] + span + c.layers[ls + window_m :])
 
 
 @dataclass
@@ -278,9 +310,14 @@ class OptimizeReport:
     # bound on max|U(input) − U(output)|, and 0.0 when the span is empty
     residual: float = 0.0
     collisions_skipped: int = 0
+    # windows not tried again because an equal window had already failed
+    windows_reused: int = 0
     # trimming the shared gates, then the span's two unitaries and their norm
     check_s: float = 0.0
     check_qubits: int = 0  # k, the qubits of the unshared span
+
+
+_WindowKey = tuple[int, tuple[Layer, ...], bool]  # (qubit offset, span, ends)
 
 
 def optimize(
@@ -294,6 +331,12 @@ def optimize(
     iteration budget runs out. The output always computes the same unitary
     as the input and never has larger effective depth or more non-Identity
     cells.
+
+    The input's all-Identity layers are dropped before the first sweep;
+    they never count towards the effective depth, and `emit` leaves them
+    out. Each trial is judged on the window's span alone (`_lowers`), and
+    the windows that yielded nothing are remembered for this call only,
+    so a sweep retries only windows whose layers changed.
 
     The check runs once, after the sweeps: `check_residual` removes the
     gates input and output both begin or end with and compares the dense
@@ -314,10 +357,13 @@ def optimize(
     report = OptimizeReport(initial_depth=effective_depth(c), final_depth=0)
     guard = 2.0 * 10.0 ** -db.meta.dp * (1 << db.meta.n)
 
-    cur = c
+    # no sweep sees an all-Identity layer: the span rule of `_lowers` and
+    # the splice, which compacts only its span, rely on that
+    cur = CircuitGrid(c.n, tuple(l for l in c.layers if not layer_is_identity(l)))
+    failed: dict[_WindowKey, int] = {}
     for it in range(iters):
         report.iterations = it + 1
-        cur, changed = _sweep(cur, db, spec, neighbors_only, guard, report)
+        cur, changed = _sweep(cur, db, spec, neighbors_only, guard, report, failed)
         if not changed:
             break
 
@@ -346,12 +392,20 @@ def _sweep(
     neighbors_only: bool,
     guard: float,
     report: OptimizeReport,
+    failed: dict[_WindowKey, int],
 ) -> tuple[CircuitGrid, bool]:
     """One pass over the window positions in (layer, qubit) order. Each
     window is cut from the current circuit, so the pass continues forward
-    over the circuit as the last substitution left it."""
+    over the circuit as the last substitution left it.
+
+    `failed` maps each window that yielded no substitution, keyed by its
+    qubit offset, its span of whole layers (cells compared by identity)
+    and whether the span ends the circuit, to the collisions it skipped. A
+    window with an equal key reaches the same verdict, so it is skipped
+    and its collisions are counted again.
+    """
     i = min(spec.i, c.n)
-    level = _potential(c)
+    identity = db.meta.gate_set.identity
     changed = False
     idx = 0
     while True:
@@ -360,43 +414,82 @@ def _sweep(
         if j == 0 or ls > c.m - j:
             break
         idx += 1
+        key = (qs, c.layers[ls : ls + j], ls + j == c.m)
+        skipped = failed.get(key)
+        if skipped is not None:
+            report.collisions_skipped += skipped
+            report.windows_reused += 1
+            continue
+        before = report.collisions_skipped
         tile = _window(c, qs, ls, i, j)
-        if classify_tile(tile) is TileClass.INVALID:
+        cuts = _cut_halves(tile)
+        trial = None
+        if cuts is not None:
+            norm = _normalized(tile, cuts, identity)
+            rows = lookup(norm, db)
+            if rows:
+                trial = _substitute(c, norm, rows, db, neighbors_only, guard, report)
+        if trial is None:
+            failed[key] = report.collisions_skipped - before
             continue
-        norm = normalize_cut_tile(tile, db.meta.gate_set.identity)
-        rows = lookup(norm, db)
-        if not rows:
-            continue
-        tile_unitary = circuit_unitary(norm.sub)
-        for cand_cost, enc in _candidate_order(norm, rows, db, neighbors_only):
-            cand_grid = db.decode(enc)
-            # fingerprint-collision guard: candidates must really be equal
-            if max_abs_diff(tile_unitary, circuit_unitary(cand_grid)) > guard:
-                report.collisions_skipped += 1
-                continue
-            trial = apply_substitution(c, norm, enc, db)
-            # a cheaper tile may still not help the whole circuit when other
-            # rows keep its old layers alive; a strict drop in the potential
-            # keeps depth monotone and rules out cycles between sweeps
-            trial_level = _potential(trial)
-            if trial_level >= level:
-                continue
-            report.substitutions.append(
-                AppliedSubstitution(
-                    norm.layer_offset,
-                    norm.qubit_offset,
-                    enc,
-                    effective_depth(norm.sub),
-                    cand_cost,
-                )
-            )
-            c, level = trial, trial_level
-            changed = True
-            break
+        c = trial
+        changed = True
     return c, changed
 
 
-def _potential(c: CircuitGrid) -> tuple[int, int, str]:
-    """(effective depth, non-Identity cells, encoding): what a sweep lowers."""
-    cells = sum(1 for layer in c.layers for cell in layer if not cell_is_identity(cell))
-    return effective_depth(c), cells, encode_circuit(c)
+def _substitute(
+    c: CircuitGrid,
+    norm: Tile,
+    rows: Sequence[RankRow],
+    db: IdentityDatabase,
+    neighbors_only: bool,
+    guard: float,
+    report: OptimizeReport,
+) -> CircuitGrid | None:
+    """c with the cheapest candidate that passes the collision guard and
+    lowers the potential spliced into the window, or None."""
+    tile_unitary = circuit_unitary(norm.sub)
+    ls, j = norm.layer_offset, norm.sub.m
+    old = c.layers[ls : ls + j]
+    for cand_cost, enc in _candidate_order(norm, rows, db, neighbors_only):
+        cand_grid = db.decode(enc)
+        # fingerprint-collision guard: candidates must really be equal
+        if max_abs_diff(tile_unitary, circuit_unitary(cand_grid)) > guard:
+            report.collisions_skipped += 1
+            continue
+        trial = apply_substitution(c, norm, enc, db)
+        # a cheaper tile may still not help the whole circuit when other
+        # rows keep its old layers alive; a strict drop in the potential
+        # keeps depth monotone and rules out cycles between sweeps
+        new = trial.layers[ls : ls + trial.m - c.m + j]
+        if not _lowers(c.n, old, new, ls + j == c.m):
+            continue
+        report.substitutions.append(
+            AppliedSubstitution(ls, norm.qubit_offset, enc, effective_depth(norm.sub), cand_cost)
+        )
+        return trial
+    return None
+
+
+def _lowers(n: int, old: tuple[Layer, ...], new: tuple[Layer, ...], ends: bool) -> bool:
+    """Whether replacing the span `old` of a circuit by `new` strictly
+    lowers its potential (effective depth, non-Identity cells, encoding).
+
+    Neither the circuit nor `new` may hold an all-Identity layer, so the
+    depths differ by the span lengths, and the cells by the spans' cells.
+    When both tie, the encodings share everything before the span and
+    everything from the '|' that ends it (none when the span ends the
+    circuit), and span texts with equal layer counts first differ before
+    that '|', so the span texts decide.
+    """
+    if len(new) != len(old):
+        return len(new) < len(old)
+    cells_new, cells_old = _cells(new), _cells(old)
+    if cells_new != cells_old:
+        return cells_new < cells_old
+    tail = "" if ends else "|"
+    return encode_circuit(CircuitGrid(n, new)) + tail < encode_circuit(CircuitGrid(n, old)) + tail
+
+
+def _cells(layers: tuple[Layer, ...]) -> int:
+    return sum(1 for layer in layers for cell in layer if not cell_is_identity(cell))

@@ -40,6 +40,13 @@ class TestBuiltins:
         assert I.is_identity
         assert not X.is_identity
 
+    def test_exact_identity_flag(self):
+        assert I.exact_identity and not X.exact_identity
+        assert not BUILTIN_GATES["CZ"].exact_identity
+        # within 1e-9 of the identity, but not exactly it
+        near = instantiate_param_gate(TEMPLATES["U1"], [AngleExpr(const=Fraction(1, 10**12))])
+        assert near.is_identity and not near.exact_identity
+
     def test_cx_matrix(self):
         want = np.array(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -116,6 +123,13 @@ class TestTemplates:
         g = instantiate_param_gate(TEMPLATES["U1"], [math.pi / 2])
         assert g.name == "U1[pi/2]"
 
+    def test_float_angle_near_a_pi_fraction_is_kept(self):
+        g = instantiate_param_gate(TEMPLATES["U1"], [1e-12])
+        assert g.name != "U1[0]"
+        assert not g.exact_identity
+        assert AngleExpr.from_float(1e-12).value() == 1e-12
+        assert AngleExpr.from_float(math.pi / 2 + 1e-13).pi_coeff == 0
+
     def test_instantiated_gates_are_unitary(self):
         for angles in ([pi_over(1, 3)], [pi_over(-3, 4)], [pi_over(2, 5)]):
             g = instantiate_param_gate(TEMPLATES["U1"], angles)
@@ -139,6 +153,14 @@ class TestAngleExpr:
 
     def test_value(self):
         assert pi_over(1, 2).value() == pytest.approx(math.pi / 2)
+
+    def test_from_float_snaps_every_written_pi_fraction(self):
+        # each way of writing p/q·π in Python rounds differently; all snap
+        for q in range(1, 49):
+            for p in range(-2 * q, 2 * q + 1):
+                want = AngleExpr(pi_coeff=Fraction(p, q))
+                for x in (p * math.pi / q, math.pi * p / q, p / q * math.pi):
+                    assert AngleExpr.from_float(x) == want, (p, q, x)
 
     @pytest.mark.parametrize(
         "expr",

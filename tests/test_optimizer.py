@@ -1,5 +1,8 @@
 """Tile extraction, classification, lookup, selection, and optimization."""
 
+import hashlib
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,16 +10,29 @@ from hypothesis import strategies as st
 
 from conftest import gate, gate_set, grid
 
-from qidopt.circuit import CircuitGrid, circuit_unitary, effective_depth, single, validate
+from qidopt import optimizer as optimizer_module
+from qidopt.circuit import (
+    CircuitGrid,
+    cell_is_identity,
+    circuit_unitary,
+    effective_depth,
+    half,
+    layer_is_identity,
+    single,
+    validate,
+)
 from qidopt.database import encode_circuit, rank_rows
 from qidopt.fingerprint import Fingerprint, fingerprint
 from qidopt.generator import GeneratorConfig, build_database, enumerate_layers
 from qidopt.matrices import max_abs_diff
 from qidopt.optimizer import (
+    AppliedSubstitution,
     Tile,
     TileClass,
     TileSpec,
     _candidate_order,
+    _lowers,
+    _window,
     apply_substitution,
     classify_tile,
     extract_tiles,
@@ -364,6 +380,21 @@ class TestApplySubstitution:
         new = apply_substitution(c, norm, "I,I|I,I|I,I", db_ihxzcx)
         assert new.m == 0
 
+    def test_corrupt_splice_raises(self, db_ihxzcx):
+        # a recorded cut half whose partner slot the splice fills with Identity
+        c = grid("H,H", "H,H")
+        t = normalize_cut_tile(window(c, TileSpec(2, 2), 0, 0))
+        t.cut_positions = [(0, 0, half(gate("CX"), "C", 1))]
+        with pytest.raises(AssertionError, match="invalid span"):
+            apply_substitution(c, t, "I,I|I,I|I,I", db_ihxzcx)
+
+    def test_splice_keeps_layers_outside_its_span(self, db_ihxzcx):
+        c = grid("H,X", "I,Z", "I,Z", "X,H")
+        t = normalize_cut_tile(window(c, TileSpec(2, 2), 0, 1))
+        new = apply_substitution(c, t, "I,I|I,I|I,I", db_ihxzcx)
+        assert new.m == 2
+        assert new.layers[0] is c.layers[0] and new.layers[1] is c.layers[3]
+
     def test_partial_height_substitution(self):
         gs = gate_set("I", "H")
         db = build_database(GeneratorConfig(n=1, d=2, gate_set=gs))
@@ -540,3 +571,232 @@ class TestOptimize:
         c = grid("H,H")
         with pytest.raises(ValueError, match="exceeds database"):
             optimize(c, db_ihxzcx, TileSpec(2, 4))
+
+
+def pin_corpus(count=60):
+    """Seeded QASM circuits on 4 and 9 qubits: h, x, z, cx (on any pair or
+    on neighbours only) and `t`, a gate the IHXZCX database lacks."""
+    rng = random.Random("optimize-pin")
+    texts = []
+    for k in range(count):
+        n = 4 if k % 3 else 9
+        neighbours = k % 2 == 0
+        lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{n}];"]
+        for _ in range(rng.randrange(20, 41)):
+            r = rng.random()
+            if r < 0.3:
+                a = rng.randrange(n - 1)
+                b = a + 1 if neighbours else rng.choice([x for x in range(n) if x != a])
+                a, b = (a, b) if rng.random() < 0.5 else (b, a)
+                lines.append(f"cx q[{a}],q[{b}];")
+            else:
+                token = "t" if r < 0.4 else rng.choice("hxz")
+                lines.append(f"{token} q[{rng.randrange(n)}];")
+        texts.append("\n".join(lines) + "\n")
+    return texts
+
+
+def test_optimize_output_pinned(db_ihxzcx):
+    # what every optimize of this corpus returns and reports, pinned the
+    # way QIDB bytes are: a faster sweep must leave all of it unchanged
+    digest = hashlib.md5()
+    for text in pin_corpus():
+        out, report = optimize(parse(text), db_ihxzcx)
+        subs = [
+            (s.layer_offset, s.qubit_offset, s.encoding, s.cost_before, s.cost_after)
+            for s in report.substitutions
+        ]
+        facts = (report.iterations, subs, report.collisions_skipped, report.final_depth)
+        digest.update(emit(out).encode())
+        digest.update(repr(facts).encode())
+    assert digest.hexdigest() == "8c1be4844aa49b8738971108d846a83f"
+
+
+# ── incremental sweeps: the span accept rule and the failed-window memo ──
+
+
+def full_potential(c):
+    """(effective depth, non-Identity cells, encoding) of the whole circuit."""
+    cells = sum(1 for layer in c.layers for cell in layer if not cell_is_identity(cell))
+    return effective_depth(c), cells, encode_circuit(c)
+
+
+def reference_sweep(c, db, spec, neighbors_only, guard, report, failed):
+    """The full-recompute sweep, kept as an oracle: every window is tried
+    on every sweep (`failed` is ignored), and each trial is validated and
+    judged on the whole circuit's potential."""
+    i = min(spec.i, c.n)
+    level = full_potential(c)
+    changed = False
+    idx = 0
+    while True:
+        j = min(spec.j, c.m)
+        ls, qs = divmod(idx, c.n - i + 1)
+        if j == 0 or ls > c.m - j:
+            break
+        idx += 1
+        tile = _window(c, qs, ls, i, j)
+        if classify_tile(tile) is TileClass.INVALID:
+            continue
+        norm = normalize_cut_tile(tile, db.meta.gate_set.identity)
+        rows = lookup(norm, db)
+        if not rows:
+            continue
+        tile_unitary = circuit_unitary(norm.sub)
+        for cand_cost, enc in _candidate_order(norm, rows, db, neighbors_only):
+            if max_abs_diff(tile_unitary, circuit_unitary(db.decode(enc))) > guard:
+                report.collisions_skipped += 1
+                continue
+            trial = apply_substitution(c, norm, enc, db)
+            assert validate(trial) == []
+            trial_level = full_potential(trial)
+            if trial_level >= level:
+                continue
+            report.substitutions.append(
+                AppliedSubstitution(ls, qs, enc, effective_depth(norm.sub), cand_cost)
+            )
+            c, level = trial, trial_level
+            changed = True
+            break
+    return c, changed
+
+
+def assert_same_as_reference(monkeypatch, c, db, **kwargs):
+    out, report = optimize(c, db, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(optimizer_module, "_sweep", reference_sweep)
+        ref_out, ref = optimize(c, db, **kwargs)
+    assert emit(out) == emit(ref_out)
+    assert encode_circuit(out) == encode_circuit(ref_out)
+    for name in (
+        "initial_depth",
+        "final_depth",
+        "substitutions",
+        "iterations",
+        "residual",
+        "collisions_skipped",
+        "check_qubits",
+    ):
+        assert getattr(report, name) == getattr(ref, name), name
+    assert ref.windows_reused == 0
+    return report
+
+
+# layers without an all-Identity one, holding `t`, which IHXZCX lacks
+SPAN_LAYERS = {
+    n: [l for l in enumerate_layers(n, gate_set(*IHXZCX, "T")) if not layer_is_identity(l)]
+    for n in (2, 3, 4)
+}
+
+
+class TestIncrementalSweep:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_span_rule_matches_full_potential(self, db_ihxzcx, data):
+        db = db_ihxzcx
+        n = data.draw(st.integers(2, 4), label="qubits")
+        layers = []
+        for _ in range(data.draw(st.integers(1, 6), label="layers")):
+            if layers and data.draw(st.booleans(), label="echo"):
+                # keep some single gates of the previous layer, so cells
+                # cancel (h, x, z) or not (t) across the two
+                keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+                echo = tuple(
+                    cell if cell.is_single and k else single(gate("I"))
+                    for cell, k in zip(layers[-1], keep)
+                )
+                if not layer_is_identity(echo):
+                    layers.append(echo)
+                    continue
+            layers.append(data.draw(st.sampled_from(SPAN_LAYERS[n])))
+        c = CircuitGrid(n, tuple(layers))
+        j = data.draw(st.integers(1, min(db.meta.d, c.m)), label="window depth")
+        ls = data.draw(st.integers(0, c.m - j), label="layer offset")
+        qs = data.draw(st.integers(0, n - db.meta.n), label="qubit offset")
+        tile = _window(c, qs, ls, db.meta.n, j)
+        if classify_tile(tile) is TileClass.INVALID:
+            return
+        norm = normalize_cut_tile(tile)
+        neighbors_only = data.draw(st.booleans(), label="neighbors_only")
+        old = c.layers[ls : ls + j]
+        for _, enc in _candidate_order(norm, lookup(norm, db), db, neighbors_only):
+            trial = apply_substitution(c, norm, enc, db)
+            k = trial.m - c.m + j
+            # the splice leaves every layer outside its span as it was
+            assert all(a is b for a, b in zip(trial.layers[:ls], c.layers))
+            assert all(a is b for a, b in zip(trial.layers[ls + k :], c.layers[ls + j :]))
+            assert validate(trial) == []
+            new = trial.layers[ls : ls + k]
+            want = full_potential(trial) < full_potential(c)
+            assert _lowers(n, old, new, ls + j == c.m) == want
+
+    def test_pinned_corpus_matches_reference_sweep(self, db_ihxzcx, monkeypatch):
+        reused = 0
+        for text in pin_corpus()[::2]:
+            reused += assert_same_as_reference(monkeypatch, parse(text), db_ihxzcx).windows_reused
+        assert reused > 0
+
+    def test_neighbors_only_matches_reference_sweep(self, monkeypatch):
+        db = build_database(GeneratorConfig(n=3, d=2, gate_set=gate_set(*IHXZCX)))
+        rng = np.random.default_rng(12)
+        for _ in range(6):
+            picks = rng.integers(0, len(SPAN_LAYERS[4]), size=8)
+            c = CircuitGrid(4, tuple(SPAN_LAYERS[4][i] for i in picks))
+            assert_same_as_reference(monkeypatch, c, db, neighbors_only=True)
+
+    def test_memo_counts_collisions_again(self, db_ihxzcx, monkeypatch):
+        import copy
+
+        db = copy.deepcopy(db_ihxzcx)
+        # the poison of test_collision_guard_skips_poisoned_bucket
+        db.by_fingerprint[db.by_circuit["X,X|I,I|I,I"]].insert(0, "I,I|I,I|I,Z")
+        # the window on qubits 1-2 of the first three layers is X⊗X behind a
+        # cut half: the poison is skipped as a collision, and both honest
+        # candidates raise the encoding, so the window fails; the H·H on
+        # qubit 3 is cancelled after it, so a second sweep meets it again
+        c = grid(
+            "H,I,I,H",
+            "Z,X,I,Z",
+            "CX:C:1,CX:T:0,X,X",
+            "T,T,T,T",
+            "H,Z,X,H",
+            "I,I,I,H",
+            "I,I,I,H",
+        )
+        report = assert_same_as_reference(monkeypatch, c, db)
+        assert report.iterations == 2
+        assert report.collisions_skipped == 2
+        assert report.windows_reused > 0
+        rng = np.random.default_rng(5)
+        layers = enumerate_layers(4, gate_set(*IHXZCX))
+        for _ in range(10):
+            picks = rng.integers(0, len(layers), size=6)
+            assert_same_as_reference(monkeypatch, CircuitGrid(4, tuple(layers[i] for i in picks)), db)
+
+    def test_idle_layers_are_dropped_up_front(self, db_ihxzcx):
+        idle = tuple(single(gate("I")) for _ in range(4))
+        for text in pin_corpus()[:12]:
+            c = parse(text)
+            if c.n != 4:
+                continue
+            padded = CircuitGrid(4, (idle,) + sum(((l, idle) for l in c.layers), ()))
+            out, report = optimize(c, db_ihxzcx)
+            out_p, report_p = optimize(padded, db_ihxzcx)
+            assert encode_circuit(out_p) == encode_circuit(out)
+            assert report_p.substitutions == report.substitutions
+            assert (report_p.initial_depth, report_p.final_depth, report_p.iterations) == (
+                report.initial_depth,
+                report.final_depth,
+                report.iterations,
+            )
+            assert (report_p.residual, report_p.check_qubits) == (
+                report.residual,
+                report.check_qubits,
+            )
+
+    def test_windows_reused_counts_memo_hits(self, db_ihxzcx):
+        _, one = optimize(grid("H,X", "CX:C:1,CX:T:0"), db_ihxzcx)
+        assert one.iterations == 1 and one.windows_reused == 0
+        c = grid("H,I,I,H", "Z,X,I,Z", "X,T,X,X", "T,T,T,T", "H,Z,X,H", "I,I,I,H", "I,I,I,H")
+        _, many = optimize(c, db_ihxzcx)
+        assert many.iterations > 1 and many.windows_reused > 0
