@@ -41,7 +41,7 @@ from .generator import (
     enumerate_layers,
     scaling_count,
 )
-from .matrices import is_unitary, kron, matmul, max_abs_diff
+from .matrices import is_unitary, max_abs_diff
 from .optimizer import (
     OptimizeReport,
     Tile,
@@ -92,12 +92,10 @@ __all__ = [
     "half",
     "instantiate_param_gate",
     "is_unitary",
-    "kron",
     "layer_unitary",
     "load",
     "lookup",
     "make_gate",
-    "matmul",
     "max_abs_diff",
     "normalize_cut_tile",
     "optimize",

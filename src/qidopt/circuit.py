@@ -16,6 +16,13 @@ its qubits in a reshaped view of the 2^n × 2^n operator, cells whose
 matrix is exactly the 2×2 identity are skipped, and a circuit costs
 O(gates·4^n) rather than the O(layers·8^n) of dense layer products.
 
+The gate-list form, [(qubits in operand order, gate)] in layer order, is
+owned here: `gate_list` is the one walk from a grid to its gates, and
+`pack` the one ASAP packer back to a grid (each gate in the earliest
+layer where its qubits are free). `qasm.parse` packs the gates it reads,
+`qasm.emit` writes the gate list, and `asap_depth` and `unshared` fold
+over it.
+
 Two circuits are compared on their unshared span (`unshared`): the gates
 both begin or both end with are removed first, and the dense check runs
 on the k qubits the rest touches, at O(gates·4^k).
@@ -195,29 +202,50 @@ def circuit_unitary(c: CircuitGrid) -> ComplexMatrix:
     return u
 
 
-_Gate = tuple[tuple[int, ...], GateDef]  # (qubits in operand order, gate)
+Gate = tuple[tuple[int, ...], GateDef]  # (qubits in operand order, gate)
 
 
-def _gate_list(c: CircuitGrid) -> list[_Gate]:
-    """The gates of c in layer order, a pair once at its first operand.
-    Single cells whose matrix is exactly the 2×2 identity are left out, as
-    `_apply_layer` leaves them out. Raises StructuralError on an unpaired
-    half."""
-    gates: list[_Gate] = []
+def gate_list(c: CircuitGrid) -> list[Gate]:
+    """The gates of c in layer order, qubits ascending within a layer; a
+    pair is listed once, at its lower-indexed half. Single cells whose
+    matrix is exactly the 2×2 identity are left out, as `_apply_layer`
+    leaves them out. Raises StructuralError on an unpaired half."""
+    gates: list[Gate] = []
     for layer in c.layers:
         for q, cell in enumerate(layer):
-            g = cell.gate
             if cell.is_single:
-                if not g.exact_identity:
-                    gates.append(((q,), g))
+                if not cell.gate.exact_identity:
+                    gates.append(((q,), cell.gate))
                 continue
             p = _partner(layer, q, c.n)
-            if cell.role == FIRST:
-                gates.append(((q, p), g))
+            if q < p:
+                qs = (q, p) if cell.role == FIRST else (p, q)
+                gates.append((qs, layer[qs[0]].gate))
     return gates
 
 
-def _trim_front(a: list[_Gate], b: list[_Gate], n: int) -> tuple[list[_Gate], list[_Gate]]:
+def pack(gates: list[Gate], n: int) -> CircuitGrid:
+    """The gates as a grid over n qubits, each in the earliest layer where
+    its qubits are free; empty cells hold the exact Identity."""
+    ident = single(IDENTITY_GATE)
+    layers: list[list[Cell]] = []
+    frontier = [0] * n
+    for qs, g in gates:
+        level = max(frontier[x] for x in qs)
+        if level == len(layers):
+            layers.append([ident] * n)
+        if len(qs) == 1:
+            layers[level][qs[0]] = Cell(g)
+        else:
+            x, y = qs
+            layers[level][x] = Cell(g, FIRST, y)
+            layers[level][y] = Cell(g, SECOND, x)
+        for x in qs:
+            frontier[x] = level + 1
+    return CircuitGrid.from_lists(n, layers)
+
+
+def _trim_front(a: list[Gate], b: list[Gate], n: int) -> tuple[list[Gate], list[Gate]]:
     """Remove, while one exists, a gate that is first on each of its qubits
     in both lists, on the same qubits in the same order, with an exactly
     equal matrix. Each such gate commutes exactly with every gate listed
@@ -253,28 +281,6 @@ def _trim_front(a: list[_Gate], b: list[_Gate], n: int) -> tuple[list[_Gate], li
     )
 
 
-def _packed(gates: list[_Gate], index: dict[int, int], k: int) -> CircuitGrid:
-    """The gates on k qubits renumbered by `index`, each in the earliest
-    layer where its qubits are free; empty cells hold the exact Identity."""
-    ident = single(IDENTITY_GATE)
-    layers: list[list[Cell]] = []
-    frontier = [0] * k
-    for qs, g in gates:
-        qs = tuple(index[x] for x in qs)
-        level = max(frontier[x] for x in qs)
-        if level == len(layers):
-            layers.append([ident] * k)
-        if len(qs) == 1:
-            layers[level][qs[0]] = Cell(g)
-        else:
-            x, y = qs
-            layers[level][x] = Cell(g, FIRST, y)
-            layers[level][y] = Cell(g, SECOND, x)
-        for x in qs:
-            frontier[x] = level + 1
-    return CircuitGrid.from_lists(k, layers)
-
-
 def unshared(a: CircuitGrid, b: CircuitGrid) -> tuple[CircuitGrid, CircuitGrid]:
     """The parts of a and b that remain once the gates both begin with and
     the gates both end with are removed, as grids over the k qubits the
@@ -290,13 +296,14 @@ def unshared(a: CircuitGrid, b: CircuitGrid) -> tuple[CircuitGrid, CircuitGrid]:
     """
     if a.n != b.n:
         raise ValueError(f"qubit counts differ ({a.n} vs {b.n})")
-    ga, gb = _trim_front(_gate_list(a), _gate_list(b), a.n)
+    ga, gb = _trim_front(gate_list(a), gate_list(b), a.n)
     ga, gb = _trim_front(ga[::-1], gb[::-1], a.n)
-    ga.reverse()
-    gb.reverse()
     touched = sorted({x for qs, _ in ga + gb for x in qs})
     index = {x: i for i, x in enumerate(touched)}
-    return _packed(ga, index, len(touched)), _packed(gb, index, len(touched))
+    return tuple(
+        pack([(tuple(index[x] for x in qs), g) for qs, g in reversed(gs)], len(touched))
+        for gs in (ga, gb)
+    )
 
 
 def cell_is_identity(cell: Cell) -> bool:
@@ -316,15 +323,4 @@ def asap_depth(c: CircuitGrid) -> int:
     """Depth once every non-Identity gate is moved to the earliest layer
     where its qubits are free: the effective depth of `qasm.parse(qasm.emit(c))`.
     Never more than effective_depth(c)."""
-    frontier = [0] * c.n
-    for layer in c.layers:
-        for q, cell in enumerate(layer):
-            if cell_is_identity(cell):
-                continue
-            qubits = (q,) if cell.is_single else (q, cell.partner)
-            if max(qubits) != q:
-                continue  # a pair is placed once, at its higher qubit
-            level = 1 + max(frontier[x] for x in qubits)
-            for x in qubits:
-                frontier[x] = level
-    return max(frontier, default=0)
+    return pack([(qs, g) for qs, g in gate_list(c) if not g.is_identity], c.n).m

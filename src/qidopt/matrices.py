@@ -28,18 +28,6 @@ def identity(dim: int) -> ComplexMatrix:
     return np.eye(dim, dtype=np.complex128)
 
 
-def matmul(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    """Matrix product a·b. Dimensions must agree (caller bug otherwise)."""
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch in matmul: {a.shape} vs {b.shape}")
-    return a @ b
-
-
-def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    """Kronecker product with a as the more-significant factor."""
-    return np.kron(a, b)
-
-
 def is_unitary(m: ComplexMatrix, tol: float) -> bool:
     """True iff max-abs entry of m·m† − I is within tol."""
     if tol <= 0:

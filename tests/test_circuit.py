@@ -17,8 +17,10 @@ from qidopt.circuit import (
     asap_depth,
     circuit_unitary,
     effective_depth,
+    gate_list,
     half,
     layer_unitary,
+    pack,
     single,
     unshared,
     validate,
@@ -26,7 +28,7 @@ from qidopt.circuit import (
 from qidopt.database import encode_circuit
 from qidopt.gates import U1, AngleExpr, instantiate_param_gate, make_gate
 from qidopt.generator import GeneratorConfig, enumerate_circuits, enumerate_layers
-from qidopt.matrices import frobenius_diff, identity, is_unitary, kron, max_abs_diff
+from qidopt.matrices import frobenius_diff, identity, is_unitary, max_abs_diff
 from qidopt.optimizer import check_residual, optimize
 from qidopt.qasm import emit, parse
 
@@ -131,7 +133,7 @@ class TestAgainstScatterReference:
         assert np.array_equal(circuit_unitary(CircuitGrid(1, ((single(p),),))), p.matrix)
         i = single(gate("I"))
         c = CircuitGrid(3, ((i, single(p), i),))
-        assert np.array_equal(circuit_unitary(c), kron(kron(identity(2), p.matrix), identity(2)))
+        assert np.array_equal(circuit_unitary(c), np.kron(np.kron(identity(2), p.matrix), identity(2)))
 
     def test_circuit_unitary_raises_on_unpaired_half(self):
         bad = (grid("CX:C:1,CX:T:0").layers[0][0], single(gate("I")))
@@ -143,7 +145,7 @@ class TestLayerUnitary:
     def test_pure_tensor(self):
         layer = grid("I,X").layers[0]
         got = layer_unitary(layer, 2)
-        assert max_abs_diff(got, kron(identity(2), gate("X").matrix)) == 0.0
+        assert max_abs_diff(got, np.kron(identity(2), gate("X").matrix)) == 0.0
 
     def test_cx_layer_matches_gate_matrix(self):
         layer = grid("CX:C:1,CX:T:0").layers[0]
@@ -178,7 +180,7 @@ class TestLayerUnitary:
 class TestCircuitUnitary:
     def test_single_layer(self):
         c = grid("H,H")
-        assert max_abs_diff(circuit_unitary(c), kron(gate("H").matrix, gate("H").matrix)) == 0.0
+        assert max_abs_diff(circuit_unitary(c), np.kron(gate("H").matrix, gate("H").matrix)) == 0.0
 
     def test_headline_five_layer_circuit_equals_x_on_q1(self):
         c = grid("I,H", "CX:C:1,CX:T:0", "Z,Z", "CX:C:1,CX:T:0", "I,H")
@@ -239,6 +241,32 @@ class TestAsapDepth:
         assert asap_depth(c) <= effective_depth(c)
 
 
+class TestGateList:
+    def test_pair_listed_once_at_its_lower_half_in_operand_order(self):
+        c = grid("H,CX:T:2,CX:C:1", "CX:C:2,I,CX:T:0")
+        got = [(qs, g.name) for qs, g in gate_list(c)]
+        assert got == [((0,), "H"), ((2, 1), "CX"), ((0, 2), "CX")]
+
+    def test_exact_identities_left_out(self):
+        assert [(qs, g.name) for qs, g in gate_list(grid("I,X", "I,I"))] == [((1,), "X")]
+        near = CircuitGrid(1, ((single(NEAR_I),),))
+        assert gate_list(near) == [((0,), NEAR_I)]
+
+    def test_unpaired_half_raises(self):
+        bad = CircuitGrid(2, ((grid("CX:C:1,CX:T:0").layers[0][0], single(gate("I"))),))
+        with pytest.raises(StructuralError, match="unpaired"):
+            gate_list(bad)
+
+    def test_pack_places_each_gate_in_earliest_free_layer(self):
+        gates = [((0,), gate("H")), ((1, 0), gate("CX")), ((2,), gate("X")), ((0,), gate("Z"))]
+        assert encode_circuit(pack(gates, 3)) == "H,I,X|CX:T:1,CX:C:0,I|Z,I,I"
+        assert pack([], 2).m == 0
+
+    def test_pack_inverts_gate_list(self):
+        c = grid("I,H,I", "CX:T:2,I,CX:C:0", "T,I,I")
+        assert encode_circuit(pack(gate_list(c), c.n)) == "CX:T:2,H,CX:C:0|T,I,I"
+
+
 class TestValidate:
     def test_valid_pair(self):
         assert validate(grid("CX:C:1,CX:T:0")) == []
@@ -278,7 +306,7 @@ class TestModelProperties:
         for _ in range(20):
             picks = [names[i] for i in rng.integers(0, len(names), size=3)]
             layer = grid(",".join(picks)).layers[0]
-            want = kron(kron(gate(picks[0]).matrix, gate(picks[1]).matrix), gate(picks[2]).matrix)
+            want = np.kron(np.kron(gate(picks[0]).matrix, gate(picks[1]).matrix), gate(picks[2]).matrix)
             assert max_abs_diff(layer_unitary(layer, 3), want) == 0.0
 
     def test_swapping_cx_roles_reverses_it(self):

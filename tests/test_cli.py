@@ -159,6 +159,16 @@ class TestOptimize:
         assert vals["substitutions"] == "0"
         assert vals["initial_depth"] == vals["final_depth"] == "1"
 
+    def test_id_application_claims_no_depth(self, db_path, tmp_path, capsys):
+        src = tmp_path / "id.qasm"
+        src.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nx q[1]; id q[0]; h q[0];\n')
+        rc = main(["optimize", str(src), "--db", str(db_path),
+                   "--out", str(tmp_path / "o.qasm")])
+        assert rc == EXIT_OK
+        vals = keyvals(capsys)
+        assert vals["substitutions"] == "0"
+        assert vals["initial_depth"] == vals["final_depth"] == "1"
+
     def test_bad_input_exit(self, db_path, tmp_path):
         src = tmp_path / "bad.qasm"
         src.write_text("OPENQASM 2.0;\nqreg q[1];\nwat q[0];\n")

@@ -1,11 +1,11 @@
-"""Matrix arithmetic: products, Kronecker, unitarity, comparison."""
+"""Matrix helpers: construction, unitarity, comparison."""
 
 import math
 
 import numpy as np
 import pytest
 
-from qidopt.matrices import as_matrix, identity, is_unitary, kron, matmul, max_abs_diff
+from qidopt.matrices import as_matrix, identity, is_unitary, max_abs_diff
 
 S2 = 1.0 / math.sqrt(2.0)
 I2 = identity(2)
@@ -13,51 +13,6 @@ X = as_matrix([[0, 1], [1, 0]])
 Z = as_matrix([[1, 0], [0, -1]])
 H = as_matrix([[S2, S2], [S2, -S2]])
 CX = as_matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
-
-
-class TestMatmul:
-    def test_identity_case(self):
-        np.testing.assert_array_equal(matmul(I2, H), H)
-
-    def test_h_self_inverse(self):
-        assert max_abs_diff(matmul(H, H), I2) <= 1e-15
-
-    def test_tensor_layer_product(self):
-        # (H⊗X)·(X⊗X) expands to a known 4×4
-        got = matmul(kron(H, X), kron(X, X))
-        want = S2 * np.array(
-            [[1, 0, 1, 0], [0, 1, 0, 1], [-1, 0, 1, 0], [0, -1, 0, 1]],
-            dtype=complex,
-        )
-        assert max_abs_diff(got, want) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            matmul(I2, CX)
-
-
-class TestKron:
-    def test_identity_case(self):
-        np.testing.assert_array_equal(kron(I2, I2), identity(4))
-
-    def test_h_x_by_hand(self):
-        want = S2 * np.array(
-            [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, -1], [1, 0, -1, 0]],
-            dtype=complex,
-        )
-        assert max_abs_diff(kron(H, X), want) <= 1e-12
-
-    def test_x_x_by_hand(self):
-        want = np.array(
-            [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
-            dtype=complex,
-        )
-        np.testing.assert_array_equal(kron(X, X), want)
-
-    def test_left_factor_is_more_significant(self):
-        # Z⊗I has the sign on the high-order block
-        got = kron(Z, I2)
-        np.testing.assert_array_equal(np.diag(got), [1, 1, -1, -1])
 
 
 class TestIsUnitary:
@@ -80,7 +35,7 @@ class TestMaxAbsDiff:
         assert max_abs_diff(I2, I2) == 0.0
 
     def test_roundoff_only(self):
-        assert max_abs_diff(matmul(H, H), I2) <= 1e-15
+        assert max_abs_diff(H @ H, I2) <= 1e-15
 
     def test_x_vs_z(self):
         assert max_abs_diff(X, Z) == pytest.approx(1.0)
@@ -101,24 +56,8 @@ class TestAsMatrix:
 
 
 class TestAlgebraicProperties:
-    def test_kron_associative(self):
-        mats = [H, X, Z]
-        left = kron(kron(H, X), Z)
-        right = kron(H, kron(X, Z))
-        assert left.shape == right.shape == (8, 8)
-        assert max_abs_diff(left, right) <= 1e-12
-
-    def test_matmul_associative_random(self, rng):
-        for dim in (2, 4, 8, 16):
-            for _ in range(5):
-                a, b, c = (
-                    (rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))) / dim
-                    for _ in range(3)
-                )
-                assert max_abs_diff(matmul(matmul(a, b), c), matmul(a, matmul(b, c))) <= 1e-10
-
     def test_unitary_closure(self):
-        for a, b in [(H, X), (Z, H), (CX, kron(H, H))]:
+        for a, b in [(H, X), (Z, H), (CX, np.kron(H, H))]:
             if a.shape == b.shape:
-                assert is_unitary(matmul(a, b), 1e-10)
-            assert is_unitary(kron(a, b), 1e-10)
+                assert is_unitary(a @ b, 1e-10)
+            assert is_unitary(np.kron(a, b), 1e-10)

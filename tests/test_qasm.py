@@ -1,14 +1,25 @@
 """QASM subset: parsing, ASAP layering, emission, round trips, diagnostics."""
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gate, gate_set, grid
 
-from qidopt.circuit import CircuitGrid, circuit_unitary, effective_depth
+from qidopt.circuit import (
+    CircuitGrid,
+    asap_depth,
+    circuit_unitary,
+    effective_depth,
+    gate_list,
+    pack,
+    single,
+)
 from qidopt.database import encode_circuit
-from qidopt.gates import AngleExpr
+from qidopt.gates import BUILTIN_GATES, U1, U2, U3, AngleExpr, GateSet, instantiate_param_gate
 from qidopt.generator import enumerate_layers
 from qidopt.matrices import max_abs_diff
 from qidopt.qasm import QasmError, emit, parse, parse_angle
@@ -102,6 +113,20 @@ class TestParse:
         c = parse(HEADER + "// a comment\n\nqreg q[1];\nx q[0]; // trailing\n")
         assert encode_circuit(c) == "X"
 
+    def test_identity_application_takes_no_layer(self):
+        for stmt in ("id q[0];", "u1(0) q[0];"):
+            c = parse(qasm(2, "x q[1];", stmt, "h q[0];"))
+            assert encode_circuit(c) == "H,X"
+            assert effective_depth(c) == asap_depth(c) == 1
+
+    def test_identity_application_operands_still_checked(self):
+        with pytest.raises(QasmError, match="out of range"):
+            parse(qasm(1, "id q[1];"))
+
+    def test_equal_angles_share_one_gate(self):
+        c = parse(qasm(2, "u1(pi/4) q[0];", "u1(pi/4) q[1];"))
+        assert c.layers[0][0].gate is c.layers[0][1].gate
+
     def test_iswap_definition_block_skipped(self):
         text = (
             HEADER
@@ -158,9 +183,128 @@ class TestParseDiagnostics:
             parse(qasm(1, "x q[0];", f"u1({'9' * 400}) q[0];"))
         assert info.value.line == 5
 
+    def test_empty_statement_rejected(self):
+        with pytest.raises(QasmError) as info:
+            parse(qasm(1, "x q[0];;"))
+        assert (str(info.value), info.value.line, info.value.column) == (
+            "line 4, column 8: empty statement",
+            4,
+            8,
+        )
+
     def test_statement_missing_semicolon(self):
         with pytest.raises(QasmError, match="missing ';'"):
             parse(HEADER + "qreg q[1];\nx q[0]\n")
+
+
+# Every diagnostic as (message, line, column): the exact text and position
+# of each QasmError the parser raises for these inputs.
+DIAGNOSTICS = [
+    ("creg", HEADER + "qreg q[1];\ncreg c[1];\n", "classical registers are not supported", 4, 1),
+    ("measure", qasm(1, "measure q[0] -> c[0];"), "measurement is not supported", 4, 1),
+    ("reset", qasm(1, "reset q[0];"), "reset is not supported", 4, 1),
+    ("barrier", qasm(2, "h q[0];", "barrier q[0],q[1];"), "barriers are not supported", 5, 1),
+    ("if", qasm(1, "if(c==1) x q[0];"), "classical control is not supported", 4, 1),
+    ("opaque", HEADER + "opaque g a;\nqreg q[1];\n", "opaque gates are not supported", 3, 1),
+    ("bad_operand", qasm(2, "cx q[0], q1;"), "cannot parse operand 'q1'", 4, 1),
+    ("unknown_register", qasm(1, "x r[0];"), "unknown register 'r'", 4, 1),
+    ("out_of_range", qasm(1, "x q[3];"), "operand q[3] out of range (size 1)", 4, 1),
+    ("bad_angle", qasm(1, "u1(pie) q[0];"), "cannot parse angle term 'pie' in 'pie'", 4, 1),
+    (
+        "angle_too_large",
+        qasm(1, "x q[0];", f"u1({'9' * 400}) q[0];"),
+        "angle is too large to evaluate as a float",
+        5,
+        1,
+    ),
+    ("angle_count", qasm(1, "u2(pi) q[0];"), "u2 takes 2 angle(s), got 1", 4, 1),
+    ("angles_on_builtin", qasm(1, "h(pi) q[0];"), "h takes no angles", 4, 1),
+    ("unsupported_gate", qasm(3, "ccx q[0],q[1],q[2];"), "unsupported gate 'ccx'", 4, 1),
+    ("operand_count", qasm(2, "cx q[0];"), "cx takes 2 operand(s), got 1", 4, 1),
+    ("same_operands", qasm(2, "cx q[1],q[1];"), "two-qubit gate operands must differ", 4, 1),
+    ("cannot_parse", qasm(1, "x;"), "cannot parse statement 'x'", 4, 1),
+    ("mid_line", qasm(2, "h q[0]; bogus q[1];"), "unsupported gate 'bogus'", 4, 9),
+    (
+        "mid_line_third",
+        qasm(2, "h q[0];  x q[1];   cz q[0],q[0];"),
+        "two-qubit gate operands must differ",
+        4,
+        20,
+    ),
+    (
+        "after_trailing_comment",
+        qasm(1, "x q[0]; // trailing ; comment", "   bogus q[0];"),
+        "unsupported gate 'bogus'",
+        5,
+        4,
+    ),
+    ("after_comment_line", qasm(1, "// only a comment", "bogus q[0];"), "unsupported gate 'bogus'", 5, 1),
+    (
+        "after_iswap_block_over_lines",
+        HEADER
+        + "gate iswap a,b\n{\n  s a; s b; h a;\n  cx a,b; cx b,a; h b;\n}\nqreg q[2];  iswap q[0],q[2];\n",
+        "operand q[2] out of range (size 2)",
+        8,
+        13,
+    ),
+    (
+        "gate_block_over_lines",
+        HEADER + "qreg q[1];\n  gate foo a\n  {\n    x a;\n  }\n",
+        "gate definitions are not supported (foo)",
+        4,
+        3,
+    ),
+    ("statement_over_lines", qasm(2, "cx q[0],", "   q[5];"), "operand q[5] out of range (size 2)", 4, 1),
+    ("semicolons_before_header", ";;" + HEADER, "file must start with 'OPENQASM 2.0;'", 1, 1),
+    ("missing_semicolon_at_eof", HEADER + "qreg q[1];\nx q[0];\n  x q[0]", "statement missing ';': 'x q[0]'", 5, 3),
+    (
+        "missing_semicolon_long",
+        HEADER + "qreg q[1];\nx q[0]\n" + "h q[0]\n" * 10,
+        "statement missing ';': 'x q[0]\\nh q[0]\\nh q[0]\\nh q[0]\\nh q[0]\\nh q[0'",
+        4,
+        1,
+    ),
+    (
+        "unclosed_brace",
+        HEADER + "gate iswap a,b { s a;\nqreg q[2];\n",
+        "statement missing ';': 'gate iswap a,b { s a;\\nqreg q[2];'",
+        3,
+        1,
+    ),
+    ("braced_statement", qasm(1, "{ x q[0]; }"), "cannot parse statement '{ x q[0]; }'", 4, 1),
+    (
+        "stray_close_brace",
+        qasm(1, "x q[0] }", "; y q[0];"),
+        "statement missing ';': 'x q[0] }\\n; y q[0];'",
+        4,
+        1,
+    ),
+    ("missing_header", "qreg q[1];\nx q[0];\n", "file must start with 'OPENQASM 2.0;'", 1, 1),
+    ("header_after_comment", "// c\n  qreg q[1];\n", "file must start with 'OPENQASM 2.0;'", 2, 3),
+    ("empty_file", "", "file must start with 'OPENQASM 2.0;'", 1, 1),
+    ("openqasm3", "OPENQASM 3.0;\nqubit[2] q;\n", "OpenQASM 3 is not supported; use 2.0", 1, 1),
+    ("bad_version", "OPENQASM 2.1;\n", "unsupported OPENQASM version '2.1'", 1, 1),
+    ("gate_before_qreg", HEADER + "x q[0];\nqreg q[1];\n", "gate before qreg declaration", 3, 1),
+    ("two_qregs", HEADER + "qreg q[1];\nqreg r[1];\n", "exactly one quantum register is supported", 4, 1),
+    ("empty_qreg", HEADER + "qreg q[0];\n", "quantum register must have at least one qubit", 3, 1),
+    ("missing_qreg", HEADER, "missing qreg declaration", 1, 1),
+    ("tab_indent", qasm(1, "\tbogus q[0];"), "unsupported gate 'bogus'", 4, 2),
+]
+
+
+class TestDiagnosticTable:
+    @pytest.mark.parametrize(
+        "text,message,line,column", [case[1:] for case in DIAGNOSTICS], ids=[case[0] for case in DIAGNOSTICS]
+    )
+    def test_message_and_position(self, text, message, line, column):
+        with pytest.raises(QasmError) as info:
+            parse(text)
+        assert type(info.value) is QasmError
+        assert (str(info.value), info.value.line, info.value.column) == (
+            f"line {line}, column {column}: {message}",
+            line,
+            column,
+        )
 
 
 class TestEmit:
@@ -170,6 +314,10 @@ class TestEmit:
 
     def test_identity_cells_omitted(self):
         assert "id" not in emit(grid("I,X", "I,I"))
+        # a gate within 1e-9 of the identity is omitted too
+        near = instantiate_param_gate(U1, [AngleExpr(const=Fraction(1, 10**12))])
+        c = CircuitGrid(2, ((single(near), single(gate("X"))),))
+        assert emit(c) == HEADER + "qreg q[2];\nx q[1];\n"
 
     def test_deterministic(self):
         c = grid("H,H", "CX:C:1,CX:T:0")
@@ -219,3 +367,43 @@ class TestRoundTrip:
             c = CircuitGrid(3, tuple(layers[i] for i in picks))
             c2 = parse(emit(c))
             assert max_abs_diff(circuit_unitary(c), circuit_unitary(c2)) <= 1e-12
+
+
+# every builtin gate plus one instance of each template
+ROUND_TRIP_GATES = GateSet(
+    list(BUILTIN_GATES.values())
+    + [
+        instantiate_param_gate(U1, [AngleExpr(Fraction(1, 8))]),
+        instantiate_param_gate(U2, [AngleExpr(Fraction(1, 3)), AngleExpr(Fraction(-1, 2))]),
+        instantiate_param_gate(
+            U3, [AngleExpr(Fraction(1, 5)), AngleExpr(Fraction(2, 3)), AngleExpr(Fraction(-1, 7))]
+        ),
+    ]
+)
+ROUND_TRIP_LAYERS = {n: enumerate_layers(n, ROUND_TRIP_GATES) for n in (1, 2, 3)}
+
+
+@st.composite
+def round_trip_grids(draw):
+    n = draw(st.integers(1, 3))
+    pool = ROUND_TRIP_LAYERS[n]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=6))
+    return CircuitGrid(n, tuple(pool[i] for i in picks))
+
+
+class TestRoundTripProperties:
+    @given(round_trip_grids())
+    @settings(max_examples=200, deadline=None)
+    def test_emit_parse_round_trip(self, c):
+        text = emit(c)
+        back = parse(text)
+        assert max_abs_diff(circuit_unitary(back), circuit_unitary(c)) <= 1e-12
+        assert effective_depth(back) == asap_depth(c)
+        again = emit(back)
+        assert emit(parse(again)) == again
+
+    @given(round_trip_grids())
+    @settings(max_examples=200, deadline=None)
+    def test_pack_gate_list_keeps_unitary(self, c):
+        packed = pack(gate_list(c), c.n)
+        assert max_abs_diff(circuit_unitary(packed), circuit_unitary(c)) <= 1e-12
