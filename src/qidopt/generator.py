@@ -8,17 +8,31 @@ second), and circuits are the depth-fold Cartesian product of layers with
 the first layer's index slowest. Database files are therefore reproducible
 byte for byte.
 
-`build_database` makes the products one block per (d−1)-layer prefix: the
-prefix product, then one batched product with all L layer matrices, so a
-block holds L·4ⁿ complex entries (L·4ⁿ·16 bytes). Each block is rounded
-in one call, and most circuits repeat a rounded unitary already seen, so
-the canonical text and MD5 are made once per distinct rounded form: the
-block's circuits whose rounded form is new are fingerprinted together,
-in one `fingerprint` call per block, which renders them a slice at a
-time (see `fingerprint`). The form table is keyed on the 16-byte MD5 of
-the rounded int64 row, not on the row itself (4 KB per key at n=4); that
-key carries the same collision risk as the database's own MD5
-fingerprint.
+`build_database` works a chunk at a time. A chunk holds the products of a
+run of consecutive (d−1)-layer prefixes with all L layers: at most
+`_CHUNK` rows, or one prefix's L rows when L is larger, so its scratch
+memory is bounded by max(`_CHUNK`, L)·4ⁿ·16 bytes however many circuits
+there are. The prefix products come a bounded batch at a time as well
+(`_prefix_products`). Every product is left-multiplied by its next layer,
+starting from the identity, so the floats equal those of a product made
+one circuit at a time.
+
+A chunk is rounded in one call, and one `np.unique` over its rounded rows
+(each row viewed as one void value) finds its distinct rows. Most circuits
+repeat a rounded unitary already seen, so only the distinct rows are keyed
+into the form table, by the 16-byte MD5 of the rounded int64 row rather
+than the row itself (4 KB per key at n=4); that key carries the same
+collision risk as the database's own MD5 fingerprint. The chunk's new
+forms are fingerprinted together in one `fingerprint` call and numbered in
+order of first appearance, and every circuit gets its form's integer id.
+
+Members are then grouped with no per-circuit Python work but making each
+member's text. A member's effective depth and the rank of its text come
+from broadcasting per-layer tables, one `np.lexsort` on (form id, depth,
+text rank) orders all members, and each bucket is a slice of the sorted
+texts. Buckets are inserted in form-id order, the order in which their
+forms first appear; within a bucket, members sort by (effective depth,
+encoding text).
 """
 
 from __future__ import annotations
@@ -33,13 +47,16 @@ import numpy as np
 
 from .circuit import CircuitGrid, Layer, half, layer_is_identity, layer_unitary, single
 from .database import DatabaseMeta, IdentityDatabase, check_gate_table, encode_cell
-from .fingerprint import _rounded_components, fingerprint
+from .fingerprint import Fingerprint, _rounded_components, fingerprint
 from .gates import GateSet
 from .matrices import identity
 
 DEFAULT_MAX_CIRCUITS = 10**7
 MAX_QUBITS = 4
 MAX_DEPTH = 6
+
+# products rounded and deduplicated together (one prefix's L, if larger)
+_CHUNK = 512
 
 
 class ResourceGuardError(RuntimeError):
@@ -147,46 +164,80 @@ def _check_budget(cfg: GeneratorConfig, layer_count: int) -> None:
         raise ResourceGuardError(total, cfg.max_circuits)
 
 
+def _prefix_products(mats: np.ndarray, k: int, size: int) -> Iterator[np.ndarray]:
+    """The products of every k-layer prefix, in enumeration order, at most
+    `size` (or L, if larger) at a time. A prefix is left-multiplied by each
+    next layer, starting from the identity, as a circuit's product is."""
+    dim = mats.shape[-1]
+    if k == 0:
+        yield identity(dim)[None]
+        return
+    for parents in _prefix_products(mats, k - 1, size):
+        products = np.matmul(mats[None], parents[:, None]).reshape(-1, dim, dim)
+        for s in range(0, len(products), size):
+            yield products[s : s + size]
+
+
 def build_database(cfg: GeneratorConfig) -> IdentityDatabase:
     """Enumerate, fingerprint, and index every circuit of the config.
 
     Bucket lists come out sorted by (effective depth, encoding) so the
-    cheapest identity is first. Raises ValueError when the gate table
-    would not load back from the file (see `check_gate_table`).
+    cheapest identity is first, and buckets in the order their forms first
+    appear. Raises ValueError when the gate table would not load back from
+    the file (see `check_gate_table`).
     """
     layers = enumerate_layers(cfg.n, cfg.gate_set, cfg.neighbors_only)
     _check_budget(cfg, len(layers))
     check_gate_table(cfg.gate_set, cfg.dp)
 
+    count, d, dp = len(layers), cfg.d, cfg.dp
     mats = np.stack([layer_unitary(layer, cfg.n) for layer in layers])
+    dim = mats.shape[-1]
     encs = [",".join(encode_cell(c) for c in layer) for layer in layers]
-    eff = [0 if layer_is_identity(layer) else 1 for layer in layers]
+
+    forms: dict[bytes, int] = {}  # MD5 of a rounded row -> its form id
+    fps: list[Fingerprint] = []  # form id -> fingerprint
+    form = np.empty(count**d, dtype=np.intp)  # circuit -> form id
+    row = np.dtype((np.void, 16 * dim * dim))  # a rounded row as one value
+    done = 0
+    for prefixes in _prefix_products(mats, d - 1, max(1, _CHUNK // count)):
+        # chunk[p·L + k] = mats[k] @ prefixes[p]: the circuit prefix p + (k,)
+        chunk = np.matmul(mats[None], prefixes[:, None]).reshape(-1, dim, dim)
+        rows = _rounded_components(chunk, dp)
+        distinct, first, inverse = np.unique(
+            rows.view(row).ravel(), return_index=True, return_inverse=True
+        )
+        keys = [hashlib.md5(r).digest() for r in distinct.tolist()]
+        ids = np.array([forms.get(key, -1) for key in keys], dtype=np.intp)
+        new = np.flatnonzero(ids < 0)
+        if len(new):
+            new = new[np.argsort(first[new])]  # ids in order of first appearance
+            ids[new] = np.arange(len(fps), len(fps) + len(new))
+            forms.update(zip([keys[i] for i in new.tolist()], ids[new].tolist()))
+            fps.extend(fingerprint(chunk[first[new]], dp))
+        form[done : done + len(rows)] = ids[inverse.ravel()]
+        done += len(rows)
+
+    # per circuit, in enumeration order: its text, its effective depth and
+    # the rank of its text. A text is the layer texts joined by '|', and no
+    # layer text holds a '|', so texts compare as the tuples of their pieces
+    # (a layer's text, with a '|' after all but the last)
+    texts = [""]
+    depth = np.zeros(1, dtype=np.intp)
+    rank = np.zeros(1, dtype=np.int64)
+    busy = np.array([not layer_is_identity(layer) for layer in layers], dtype=np.intp)
+    for j in range(d):
+        pieces = [e + "|" for e in encs] if j < d - 1 else encs
+        place = np.empty(count, dtype=np.int64)
+        place[np.argsort(np.array(pieces))] = np.arange(count)
+        texts = [t + p for t in texts for p in pieces]
+        depth = (depth[:, None] + busy).ravel()
+        rank = (rank[:, None] * count + place).ravel()
 
     db = IdentityDatabase(DatabaseMeta(cfg.n, cfg.d, cfg.dp, cfg.neighbors_only, cfg.gate_set))
-    buckets: dict = {}
-    forms: dict = {}  # MD5 of a rounded row -> its fingerprint
-    dp = cfg.dp
-    start = identity(1 << cfg.n)
-
-    for prefix in itertools.product(range(len(layers)), repeat=cfg.d - 1):
-        u = start
-        for i in prefix:
-            u = mats[i] @ u
-        block = np.matmul(mats, u)  # block[k] = mats[k] @ u: the circuit prefix + (k,)
-        head = "".join(encs[i] + "|" for i in prefix)
-        cost = sum(eff[i] for i in prefix)
-        keys = [hashlib.md5(row).digest() for row in _rounded_components(block, dp)]
-        # each new form once, at one of the block rows that has it
-        new = {key: k for k, key in enumerate(keys) if key not in forms}
-        if new:
-            forms.update(zip(new, fingerprint(block[list(new.values())], dp)))
-        for k, key in enumerate(keys):
-            fp = forms[key]
-            enc = head + encs[k]
-            db.by_circuit[enc] = fp
-            buckets.setdefault(fp, []).append((cost + eff[k], enc))
-
-    for fp, members in buckets.items():
-        members.sort()
-        db.by_fingerprint[fp] = [enc for _, enc in members]
+    members = np.array(texts, dtype=object)[np.lexsort((rank, depth, form))].tolist()
+    ends = np.cumsum(np.bincount(form, minlength=len(fps))).tolist()
+    for fp, start, end in zip(fps, [0] + ends, ends):
+        db.by_fingerprint[fp] = members[start:end]
+    db.by_circuit.update(zip(texts, np.array(fps, dtype=object)[form].tolist()))
     return db

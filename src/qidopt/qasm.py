@@ -61,11 +61,18 @@ _REJECTED = {
 }
 
 
+def _error(src: str, message: str, at: int) -> QasmError:
+    """A QasmError positioned at offset `at` of `src`."""
+    line = src.count("\n", 0, at) + 1
+    return QasmError(message, line, at - src.rfind("\n", 0, at))
+
+
 def _statements(src: str):
     """Yield (statement, offset of its first character), the statement
     stripped: the text up to a ';' outside braces, or through the '}' that
-    closes its braces, so a `gate ... { ... }` block is one statement. An
-    unterminated rest of the text is yielded as (None, offset)."""
+    closes its braces, so a `gate ... { ... }` block is one statement.
+    Raises QasmError at a '}' that closes no '{', and at an unterminated
+    rest of the text."""
     depth = 0
     start = _NON_SPACE.search(src)
     for d in _DELIMITER.finditer(src):
@@ -73,13 +80,16 @@ def _statements(src: str):
             depth += 1
             continue
         if d[0] == "}":
+            if depth == 0:
+                raise _error(src, "unmatched '}'", d.start())
             depth -= 1
         if depth == 0:
             end = d.end() if d[0] == "}" else d.start()
             yield src[start.start() : end].rstrip(), start.start()
             start = _NON_SPACE.search(src, d.end())
     if start is not None:
-        yield None, start.start()
+        at = start.start()
+        raise _error(src, f"statement missing ';': {src[at:].rstrip()[:40]!r}", at)
 
 
 def parse(text: str) -> CircuitGrid:
@@ -87,8 +97,7 @@ def parse(text: str) -> CircuitGrid:
     src = _COMMENT.sub("", text)  # cuts line ends only: positions hold
 
     def error(message: str, at: int) -> QasmError:
-        line = src.count("\n", 0, at) + 1
-        return QasmError(message, line, at - src.rfind("\n", 0, at))
+        return _error(src, message, at)
 
     register: str | None = None
     size = 0
@@ -98,8 +107,6 @@ def parse(text: str) -> CircuitGrid:
     instances: dict[tuple[str, tuple[AngleExpr, ...]], GateDef] = {}
 
     for stmt, at in _statements(src):
-        if stmt is None:
-            raise error(f"statement missing ';': {src[at:].rstrip()[:40]!r}", at)
         if not saw_header:
             if not stmt.startswith("OPENQASM"):
                 raise error("file must start with 'OPENQASM 2.0;'", at)

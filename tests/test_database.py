@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import gate, gate_set, grid
 
-from qidopt.circuit import circuit_unitary
+from qidopt.circuit import CircuitGrid, circuit_unitary
 from qidopt.database import (
     ChecksumMismatchError,
     DatabaseFormatError,
@@ -39,7 +39,7 @@ from qidopt.gates import (
     instantiate_param_gate,
     make_gate,
 )
-from qidopt.generator import GeneratorConfig, build_database
+from qidopt.generator import GeneratorConfig, build_database, enumerate_layers
 from qidopt.matrices import max_abs_diff
 from qidopt.optimizer import optimize
 
@@ -64,6 +64,58 @@ class TestEncoding:
             decode_circuit("Q", gs)
         with pytest.raises(ValueError, match="ragged"):
             decode_circuit("I,I|I", gs)
+
+
+_ALL_BUILTINS = GateSet(list(BUILTIN_GATES.values()))
+_LAYERS = {n: enumerate_layers(n, _ALL_BUILTINS) for n in (1, 2, 3)}
+
+
+def _cells(c: CircuitGrid):
+    """A grid's structure: per layer, each cell's (gate, role, partner)."""
+    return [[(cell.gate, cell.role, cell.partner) for cell in layer] for layer in c.layers]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(_LAYERS)).flatmap(
+        lambda n: st.lists(st.sampled_from(_LAYERS[n]), min_size=1, max_size=5).map(
+            lambda layers: CircuitGrid(n, tuple(layers))
+        )
+    )
+)
+def test_encoding_round_trips_every_builtin(c):
+    back = decode_circuit(encode_circuit(c), _ALL_BUILTINS)
+    assert (back.n, _cells(back)) == (c.n, _cells(c))
+
+
+_OTHER_BUILTINS = sorted(set(BUILTIN_GATES) - {"I"})
+
+
+@st.composite
+def _small_configs(draw):
+    """Configs of at most a few thousand circuits: n in {1, 2}, d in {1, 2,
+    3}, a random builtin gate set that holds I, and dp in {3, 8}."""
+    n = draw(st.integers(1, 2))
+    d = draw(st.integers(1, 3))
+    most = 3 if (n, d) == (2, 3) else 6
+    names = draw(st.lists(st.sampled_from(_OTHER_BUILTINS), unique=True, max_size=most))
+    return GeneratorConfig(
+        n=n,
+        d=d,
+        gate_set=gate_set("I", *names),
+        dp=draw(st.sampled_from([3, 8])),
+        neighbors_only=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_configs())
+def test_qidb_round_trips_random_configs(cfg):
+    db = build_database(cfg)
+    text = dumps(db)
+    loaded = loads(text)
+    assert dumps(loaded) == text
+    assert loaded.by_fingerprint == db.by_fingerprint
 
 
 @pytest.fixture()

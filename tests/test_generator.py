@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import pytest
 
@@ -227,8 +228,12 @@ class TestBuildAgainstReference:
             (2, 4, "I H X Z CX", "31ad0cbf15d0705b06f86b3f5270827f"),
             # the most forms, and T phases that are not dyadic
             (3, 2, "I H X Z S T CX", "9e581ec3992b5c26eb87184fdd1dffeb"),
+            # gate names that are prefixes of each other: members sort by
+            # their text, in which "S|" follows "SDG|" but "S," precedes "SDG,"
+            (2, 2, "I S SDG T TDG CX", "f6e0f983fbabffe2bcc22cf52acf94ce"),
+            (1, 4, "I S SDG T TDG H", "9d765f9a2cd43de64f8d8e5fceb295a8"),
         ],
-        ids=["n2d3", "n2d4", "n3d2-t"],
+        ids=["n2d3", "n2d4", "n3d2-t", "n2d2-prefix-names", "n1d4-prefix-names"],
     )
     def test_qidb_bytes_pinned(self, n, d, gates, md5):
         cfg = GeneratorConfig(n=n, d=d, gate_set=gate_set(*gates.split()))
@@ -242,16 +247,33 @@ class TestBuildAgainstReference:
             GeneratorConfig(
                 n=3, d=2, gate_set=gate_set("I", "H", "CX"), dp=3, neighbors_only=True
             ),
+            GeneratorConfig(n=2, d=2, gate_set=gate_set("I", "S", "SDG", "T", "TDG", "CX")),
         ],
-        ids=["n2d3", "d1", "neighbors-only-dp3"],
+        ids=["n2d3", "d1", "neighbors-only-dp3", "n2d2-prefix-names"],
     )
     def test_every_circuit_keyed_by_its_own_fingerprint(self, cfg):
         db = build_database(cfg)
         seen = 0
+        first_seen = {}  # fingerprints in order of first appearance
         for c in enumerate_circuits(cfg):
-            assert db.by_circuit[encode_circuit(c)] == fingerprint(circuit_unitary(c), cfg.dp)
+            fp = fingerprint(circuit_unitary(c), cfg.dp)
+            assert db.by_circuit[encode_circuit(c)] == fp
+            first_seen.setdefault(fp, None)
             seen += 1
         assert seen == db.total_circuits
+        assert list(db.by_fingerprint) == list(first_seen)
         for encs in db.by_fingerprint.values():
             keys = [(effective_depth(db.decode(e)), e) for e in encs]
             assert keys == sorted(keys)
+
+    def test_build_peak_memory_bounded(self):
+        # the gen-3q database (252 layers, 63,504 circuits): chunks of products
+        # stay bounded, rather than growing with the square of the layer count
+        cfg = GeneratorConfig(n=3, d=2, gate_set=gate_set("I", "H", "X", "Z", "S", "T", "CX"))
+        tracemalloc.start()
+        try:
+            build_database(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25 * 10**6

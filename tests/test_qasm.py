@@ -272,12 +272,13 @@ DIAGNOSTICS = [
         1,
     ),
     ("braced_statement", qasm(1, "{ x q[0]; }"), "cannot parse statement '{ x q[0]; }'", 4, 1),
+    ("stray_close_brace", qasm(1, "x q[0] }", "; y q[0];"), "unmatched '}'", 4, 8),
     (
-        "stray_close_brace",
-        qasm(1, "x q[0] }", "; y q[0];"),
-        "statement missing ';': 'x q[0] }\\n; y q[0];'",
-        4,
-        1,
+        "stray_close_brace_in_include",
+        'OPENQASM 2.0;\ninclude "qe}lib1.inc";\nqreg q[1];\nx q[0];\n',
+        "unmatched '}'",
+        2,
+        12,
     ),
     ("missing_header", "qreg q[1];\nx q[0];\n", "file must start with 'OPENQASM 2.0;'", 1, 1),
     ("header_after_comment", "// c\n  qreg q[1];\n", "file must start with 'OPENQASM 2.0;'", 2, 3),
