@@ -20,6 +20,14 @@ agree with a builtin or an instantiated template ('U1[pi/2]') becomes that
 exact gate; any other gate (a custom gate, or a name that clashes with a
 builtin but holds another unitary) keeps its stored rounded matrix, so its
 buckets may split when recomputed after a load.
+
+Members are read through a layer table: `decode_circuit` parses each
+distinct layer text once, on its first read, and the table keeps the
+layer with its occupied-cell mask and neighbour flag. `decode` and the
+rank rows are assembled from the entries, so the table holds at most L
+entries for the L enumerated layers. `loads` does not check members; a
+layer that does not decode, or is not n cells wide, raises
+DatabaseFormatError naming its member when the member is first read.
 """
 
 from __future__ import annotations
@@ -33,6 +41,8 @@ from .circuit import (
     SECOND,
     Cell,
     CircuitGrid,
+    Layer,
+    cell_is_identity,
     half,
     single,
     validate,
@@ -119,44 +129,12 @@ class RankRow(NamedTuple):
     neighbors_ok: bool  # every two-qubit half's partner is an adjacent qubit
 
 
-def rank_rows(encs, identity: str, max_depth: int) -> list[RankRow]:
-    """Rows of the encodings with effective depth at most max_depth,
-    sorted. Depth compares each layer with the all-Identity layer text,
-    so only kept members are split into cells."""
-    rows = []
-    idle: dict[int, str] = {}  # all-Identity layer text by cells per layer
-    for enc in encs:
-        layers = enc.split("|")
-        width = layers[0].count(",") + 1
-        blank = idle.get(width)
-        if blank is None:
-            blank = idle[width] = ",".join([identity] * width)
-        depth = sum(1 for layer in layers if layer != blank)
-        if depth > max_depth:
-            continue
-        cells = occupied = 0
-        neighbors_ok = True
-        bit = 1
-        for layer in layers:
-            for q, tok in enumerate(layer.split(",")):
-                if tok != identity:
-                    cells += 1
-                    occupied |= bit
-                    if ":" in tok and abs(_partner(tok, enc) - q) > 1:
-                        neighbors_ok = False
-                bit <<= 1
-        rows.append(RankRow(depth, cells, enc, occupied, neighbors_ok))
-    rows.sort()
-    return rows
+class _LayerEntry(NamedTuple):
+    """One distinct layer text of a database's members, decoded."""
 
-
-def _partner(tok: str, enc: str) -> int:
-    """The partner index of a two-qubit half. `loads` does not check
-    members, so a malformed one raises DatabaseFormatError, as in decode."""
-    try:
-        return int(tok.rsplit(":", 1)[1])
-    except ValueError:
-        raise DatabaseFormatError(f"cannot rank member {enc!r}: bad cell {tok!r}") from None
+    layer: Layer
+    mask: int  # bit q set for each non-Identity cell
+    neighbors_ok: bool  # every two-qubit half's partner is an adjacent qubit
 
 
 # ── the database ────────────────────────────────────────────────────
@@ -184,7 +162,8 @@ class DatabaseMeta:
 class IdentityDatabase:
     """Two hash tables over one enumeration: encoding -> fingerprint, and
     fingerprint -> cost-sorted equivalent encodings. Members are decoded
-    over `meta.gate_set`.
+    over `meta.gate_set`, a layer at a time through the layer table (see
+    the module docstring).
 
     Buckets are ranked lazily: `rank_table` builds a bucket's rows on its
     first call and keeps them, at most one table per bucket, for as long
@@ -197,6 +176,10 @@ class IdentityDatabase:
     by_fingerprint: dict[Fingerprint, list[str]] = field(default_factory=dict)
     # fingerprint -> (the bucket's members when ranked, their rows)
     _rank_tables: dict[Fingerprint, tuple[list[str], list[RankRow]]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    # layer text -> its decoded entry
+    _layer_table: dict[str, _LayerEntry] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -217,22 +200,55 @@ class IdentityDatabase:
         cached = self._rank_tables.get(fp)
         if cached is not None and cached[0] == members:
             return cached[1]
-        rows = rank_rows(members, self.meta.gate_set.identity.name, self.meta.d - 1)
+        rows = self.rank(members, self.meta.d - 1)
         if members:
             self._rank_tables[fp] = (list(members), rows)
+        return rows
+
+    def rank(self, encs, max_depth: int) -> list[RankRow]:
+        """Rows of the encodings with effective depth at most max_depth,
+        sorted. Every encoding is read, so a member that does not decode
+        raises DatabaseFormatError whatever its depth."""
+        n = self.meta.n
+        rows = []
+        for enc in encs:
+            entries = self._entries(enc)
+            depth = sum(1 for e in entries if e.mask)
+            if depth <= max_depth:
+                cells = sum(e.mask.bit_count() for e in entries)
+                # the shifted masks share no bit, so their sum is their OR
+                occupied = sum(e.mask << (li * n) for li, e in enumerate(entries))
+                neighbors_ok = all(e.neighbors_ok for e in entries)
+                rows.append(RankRow(depth, cells, enc, occupied, neighbors_ok))
+        rows.sort()
         return rows
 
     def decode(self, enc: str) -> CircuitGrid:
         """The circuit over `meta.gate_set`. After a load, a gate the file
         stores without an exact source is evaluated with its rounded matrix.
+        A member that does not decode (an unknown gate, a malformed or
+        unpaired cell, a layer not `meta.n` cells wide) raises
+        DatabaseFormatError naming it."""
+        return CircuitGrid(self.meta.n, tuple(e.layer for e in self._entries(enc)))
 
-        `loads` does not check members against the gate table, so a member
-        that does not decode (an unknown gate, a malformed or unpaired
-        cell) raises DatabaseFormatError here, naming the encoding."""
+    def _entries(self, enc: str) -> list[_LayerEntry]:
+        """The layer-table entries of a member's layers."""
+        table = self._layer_table
+        return [table.get(text) or self._read_layer(text, enc) for text in enc.split("|")]
+
+    def _read_layer(self, text: str, enc: str) -> _LayerEntry:
+        """The entry of a layer text on its first read, added to the table."""
         try:
-            return decode_circuit(enc, self.meta.gate_set)
+            (layer,) = decode_circuit(text, self.meta.gate_set).layers
+            if len(layer) != self.meta.n:
+                raise ValueError(f"layer {text!r} is not {self.meta.n} cells wide")
         except ValueError as e:
             raise DatabaseFormatError(f"cannot decode member {enc!r}: {e}") from None
+        indexed = list(enumerate(layer))
+        mask = sum(1 << q for q, cell in indexed if not cell_is_identity(cell))
+        neighbors_ok = all(cell.is_single or abs(cell.partner - q) <= 1 for q, cell in indexed)
+        entry = self._layer_table[text] = _LayerEntry(layer, mask, neighbors_ok)
+        return entry
 
 
 def _exact_gate(gate: GateDef, dp: int) -> GateDef | None:
@@ -393,7 +409,7 @@ def loads(text: str) -> IdentityDatabase:
     meta = DatabaseMeta(n, d, dp, neighbors == "true", gate_set)
     db = IdentityDatabase(meta)
 
-    body_lines: list[str] = []
+    body_start = pos
     while pos < len(lines) and lines[pos].startswith("FP "):
         fields = lines[pos].split(" ")
         if len(fields) != 3:
@@ -403,16 +419,13 @@ def loads(text: str) -> IdentityDatabase:
         except ValueError:
             raise DatabaseFormatError(f"bad fingerprint {fields[1]!r}") from None
         count = _int(fields[2], "bucket size")
-        body_lines.append(lines[pos])
         pos += 1
         if pos + count > len(lines):
             raise TruncatedFileError("bucket cut short")
         encs = lines[pos : pos + count]
-        body_lines.extend(encs)
         pos += count
-        db.by_fingerprint[fp] = list(encs)
-        for enc in encs:
-            db.by_circuit[enc] = fp
+        db.by_fingerprint[fp] = encs
+        db.by_circuit.update(dict.fromkeys(encs, fp))
 
     if pos >= len(lines) or not lines[pos].startswith("END "):
         raise TruncatedFileError("missing END footer")
@@ -420,8 +433,11 @@ def loads(text: str) -> IdentityDatabase:
     if len(fields) != 3:
         raise DatabaseFormatError(f"malformed END line {lines[pos]!r}")
     total, checksum = _int(fields[1], "END circuit count"), fields[2]
-    body = "".join(line + "\n" for line in body_lines)
-    actual = hashlib.md5(body.encode("utf-8")).hexdigest()
+    # the body runs from the first bucket header to the END line: sliced
+    # from `text` at offsets summed over the few lines outside it
+    start = sum(len(line) + 1 for line in lines[:body_start])
+    end = len(text) - sum(len(line) + 1 for line in lines[pos:]) + (not text.endswith("\n"))
+    actual = hashlib.md5(text[start:end].encode("utf-8")).hexdigest()
     if actual != checksum:
         raise ChecksumMismatchError("body checksum mismatch")
     if total != db.total_circuits:

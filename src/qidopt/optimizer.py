@@ -26,15 +26,14 @@ A sweep costs what changed, not the circuit's length:
 
 Candidates are ranked from the database's rank table of the tile's
 bucket (`IdentityDatabase.rank_table`): each member's depth, non-Identity
-cells, encoding, occupied cells and neighbour flag, sorted by (depth,
-cells, encoding). A table holds only members shallower than the database
-depth d, since a tile is at most d layers deep and a candidate must be
-strictly shallower; `lookup` returns only the rows shallower than the tile.
-A table is built on a bucket's first hit and reused while the bucket
-equals the snapshot it was built from, so an edited bucket is re-ranked.
-Tables live on the database: one `qidopt optimize` run reuses them
-across its windows and sweeps, and a caller that optimizes many circuits
-against one loaded database reuses them across circuits too.
+cells, encoding, occupied cells and neighbour flag, folded from the
+database's layer table and sorted by (depth, cells, encoding). A table
+holds only members shallower than the database depth d, since a tile is
+at most d layers deep and a candidate must be strictly shallower;
+`lookup` returns only the rows shallower than the tile. A table is built
+on a bucket's first hit and reused while the bucket equals its snapshot,
+so an edited bucket is re-ranked. Rank tables and layer entries live on
+the database, so they are reused across windows, sweeps and circuits.
 
 The reported final depth is the depth of the emitted circuit, which
 packs each gate into the earliest free layer (`asap_depth`); the
@@ -106,15 +105,6 @@ class Tile:
     sub: CircuitGrid
     cut_positions: list[tuple[int, int, Cell]] = field(default_factory=list)
 
-    def boundary_cells(self) -> list[tuple[int, int, Cell]]:
-        """Halves whose partner lies outside the window's qubit range."""
-        out = []
-        for li, layer in enumerate(self.sub.layers):
-            for q, cell in enumerate(layer):
-                if not cell.is_single and not (0 <= cell.partner < self.sub.n):
-                    out.append((li, q, cell))
-        return out
-
 
 def _window(c: CircuitGrid, qs: int, ls: int, i: int, j: int) -> Tile:
     """The i×j window at qubit offset qs and layer offset ls."""
@@ -144,22 +134,12 @@ def extract_tiles(c: CircuitGrid, spec: TileSpec) -> list[Tile]:
     ]
 
 
-def _cut_halves(t: Tile) -> list[tuple[int, int, Cell]] | None:
-    """The tile's boundary-cut halves, found in one scan, or None when one
-    sits in an interior layer (an Invalid tile)."""
-    cuts = t.boundary_cells()
-    last = t.sub.m - 1
-    if any(li != 0 and li != last for li, _, _ in cuts):
-        return None
-    return cuts
-
-
 def classify_tile(t: Tile) -> TileClass:
     """Invalid iff a boundary-cut half sits in an interior layer."""
-    cuts = _cut_halves(t)
-    if cuts is None:
+    norm = _normalized(t, IDENTITY_GATE)
+    if norm is None:
         return TileClass.INVALID
-    return TileClass.VALID_WITH_CUT if cuts else TileClass.VALID
+    return TileClass.VALID_WITH_CUT if norm.cut_positions else TileClass.VALID
 
 
 def normalize_cut_tile(t: Tile, identity: GateDef = IDENTITY_GATE) -> Tile:
@@ -167,27 +147,31 @@ def normalize_cut_tile(t: Tile, identity: GateDef = IDENTITY_GATE) -> Tile:
 
     Raises ValueError for an Invalid tile.
     """
-    cuts = _cut_halves(t)
-    if cuts is None:
+    norm = _normalized(t, identity)
+    if norm is None:
         raise ValueError("cannot normalize an invalid tile")
-    return _normalized(t, cuts, identity)
+    return norm
 
 
-def _normalized(t: Tile, cuts: list[tuple[int, int, Cell]], identity: GateDef) -> Tile:
-    """t with its cut halves `cuts` (from `_cut_halves`) replaced by
-    Identity and recorded."""
-    if not cuts:
-        return Tile(t.qubit_offset, t.layer_offset, t.sub, [])
-    cut_at = {(li, q) for li, q, _ in cuts}
+def _normalized(t: Tile, identity: GateDef) -> Tile | None:
+    """t with each half whose partner is outside the window replaced by
+    Identity and recorded in `cut_positions`, in one scan; None when such
+    a half sits in an interior layer (an Invalid tile)."""
+    n, last = t.sub.n, t.sub.m - 1
+    cuts: list[tuple[int, int, Cell]] = []
     layers = []
     for li, layer in enumerate(t.sub.layers):
-        layers.append(
-            tuple(
-                single(identity) if (li, q) in cut_at else cell
-                for q, cell in enumerate(layer)
-            )
-        )
-    return Tile(t.qubit_offset, t.layer_offset, CircuitGrid(t.sub.n, tuple(layers)), cuts)
+        cut = [
+            q for q, cell in enumerate(layer) if not cell.is_single and not 0 <= cell.partner < n
+        ]
+        if cut:
+            if 0 < li < last:
+                return None
+            cuts += [(li, q, layer[q]) for q in cut]
+            layer = tuple(single(identity) if q in cut else cell for q, cell in enumerate(layer))
+        layers.append(layer)
+    sub = CircuitGrid(n, tuple(layers)) if cuts else t.sub
+    return Tile(t.qubit_offset, t.layer_offset, sub, cuts)
 
 
 def _tile_fingerprint(t: Tile, db: IdentityDatabase) -> Fingerprint:
@@ -215,11 +199,11 @@ def _candidate_order(
 ) -> list[tuple[int, str]]:
     """Admissible candidates as (cost, encoding), cheapest first.
 
-    `rows` are rank rows (see `rank_rows`), already sorted. A candidate
-    must hold Identity at every cut slot (so restoration cannot collide),
-    satisfy the neighbouring constraint when asked, and beat the tile's
-    own cost strictly. Ties break on fewer non-Identity cells, then
-    lexicographic encoding. The cost is the effective depth.
+    `rows` are rank rows (see `IdentityDatabase.rank`), already sorted.
+    A candidate must hold Identity at every cut slot (so restoration
+    cannot collide), satisfy the neighbouring constraint when asked, and
+    beat the tile's own cost strictly. Ties break on fewer non-Identity
+    cells, then lexicographic encoding. The cost is the effective depth.
     """
     tile_cost = effective_depth(t.sub)
     same_shape = (t.sub.n, t.sub.m) == (db.meta.n, db.meta.d)
@@ -421,11 +405,9 @@ def _sweep(
             report.windows_reused += 1
             continue
         before = report.collisions_skipped
-        tile = _window(c, qs, ls, i, j)
-        cuts = _cut_halves(tile)
+        norm = _normalized(_window(c, qs, ls, i, j), identity)
         trial = None
-        if cuts is not None:
-            norm = _normalized(tile, cuts, identity)
+        if norm is not None:
             rows = lookup(norm, db)
             if rows:
                 trial = _substitute(c, norm, rows, db, neighbors_only, guard, report)

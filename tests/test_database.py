@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import gate, gate_set, grid
 
-from qidopt.circuit import CircuitGrid, circuit_unitary
+from qidopt.circuit import CircuitGrid, circuit_unitary, validate
 from qidopt.database import (
     ChecksumMismatchError,
     DatabaseFormatError,
@@ -116,6 +116,28 @@ def test_qidb_round_trips_random_configs(cfg):
     loaded = loads(text)
     assert dumps(loaded) == text
     assert loaded.by_fingerprint == db.by_fingerprint
+
+
+@pytest.fixture(scope="module")
+def member_dbs(db_ihxzcx):
+    built = {
+        "n2d3": db_ihxzcx,
+        "n3d2": build_database(
+            GeneratorConfig(n=3, d=2, gate_set=gate_set("I", "H", "X", "Z", "CX"))
+        ),
+        "n1d6": build_database(GeneratorConfig(n=1, d=6, gate_set=gate_set("I", "H", "S", "T"))),
+    }
+    built["n3d2-loaded"] = loads(dumps(built["n3d2"]))
+    return built
+
+
+@pytest.mark.parametrize("name", ["n2d3", "n3d2", "n1d6", "n3d2-loaded"])
+def test_every_member_decodes_to_itself(member_dbs, name):
+    db = member_dbs[name]
+    for enc in db.by_circuit:
+        c = db.decode(enc)
+        assert encode_circuit(c) == enc
+        assert validate(c) == []
 
 
 @pytest.fixture()
@@ -371,28 +393,29 @@ class TestLoadErrors:
         with pytest.raises(DatabaseFormatError, match="too large"):
             loads(text)
 
-    def test_unknown_gate_member_raises_format_error_on_use(self, small_db):
-        # loads does not check members against the gate table; decoding one
-        # that names an unknown gate must still report a format error
-        text = dumps(small_db).replace("\nI|I\n", "\nQ|I\n", 1)
+    @pytest.mark.parametrize(
+        "gates, member, edited, circuit",
+        [
+            pytest.param(("I", "H"), "I|I", "Q|I", ("H", "H"), id="unknown-gate"),
+            pytest.param(("I", "H", "CX"), "CX:C:1,CX:T:0|I,I", "CX:C:x,CX:T:0|I,I",
+                         ("CX:C:1,CX:T:0", "I,I"), id="partner"),
+            # every layer three cells wide in an n=2 database
+            pytest.param(("I", "H", "X"), "I,I|I,I", "I,I,I|I,I,I", ("H,I", "H,I"),
+                         id="width"),
+        ],
+    )
+    def test_malformed_member_raises_format_error_on_use(self, gates, member, edited, circuit):
+        # loads does not check members against the gate table; ranking or
+        # decoding one that does not decode must still report a format
+        # error naming the member
+        n = len(circuit[0].split(","))
+        db = build_database(GeneratorConfig(n=n, d=2, gate_set=gate_set(*gates)))
+        text = dumps(db).replace(f"\n{member}\n", f"\n{edited}\n", 1)
         head, end = text.rsplit("END ", 1)
         body = head[head.index("FP "):]
         text = f"{head}END {end.split(' ')[0]} {hashlib.md5(body.encode()).hexdigest()}\n"
-        db = loads(text)
-        with pytest.raises(DatabaseFormatError, match=re.escape("'Q|I'")):
-            optimize(grid("H", "H"), db)
-
-
-    def test_malformed_partner_raises_format_error_on_use(self):
-        # ranking reads every shallow member's partner indices, so a bad one
-        # is reported as a format error naming the member
-        db = build_database(GeneratorConfig(n=2, d=2, gate_set=gate_set("I", "H", "CX")))
-        text = dumps(db).replace("\nCX:C:1,CX:T:0|I,I\n", "\nCX:C:x,CX:T:0|I,I\n", 1)
-        head, end = text.rsplit("END ", 1)
-        body = head[head.index("FP "):]
-        text = f"{head}END {end.split(' ')[0]} {hashlib.md5(body.encode()).hexdigest()}\n"
-        with pytest.raises(DatabaseFormatError, match=re.escape("'CX:C:x,CX:T:0|I,I'")):
-            optimize(grid("CX:C:1,CX:T:0", "I,I"), loads(text))
+        with pytest.raises(DatabaseFormatError, match=re.escape(repr(edited))):
+            optimize(grid(*circuit), loads(text))
 
 
 _EDITABLE = dumps(

@@ -21,7 +21,7 @@ from qidopt.circuit import (
     single,
     validate,
 )
-from qidopt.database import encode_circuit, rank_rows
+from qidopt.database import encode_circuit
 from qidopt.fingerprint import Fingerprint, fingerprint
 from qidopt.generator import GeneratorConfig, build_database, enumerate_layers
 from qidopt.matrices import max_abs_diff
@@ -152,9 +152,9 @@ def encs(rows):
     return [row.enc for row in rows]
 
 
-def rows_of(*candidates):
-    """Rank rows of the candidates, none dropped for depth."""
-    return rank_rows(candidates, "I", max_depth=len(candidates[0].split("|")))
+def rows_of(db, *candidates):
+    """The database's rank rows of the candidates, none dropped for depth."""
+    return db.rank(candidates, max_depth=len(candidates[0].split("|")))
 
 
 class TestLookup:
@@ -197,7 +197,7 @@ class TestCandidateCost:
         tile = Tile(0, 0, grid("H,H", "H,H", "H,H", "H,H"))
         checked = 0
         for bucket in db_ihxzcx.by_fingerprint.values():
-            ordered = _candidate_order(tile, rows_of(*bucket), db_ihxzcx, False)
+            ordered = _candidate_order(tile, rows_of(db_ihxzcx, *bucket), db_ihxzcx, False)
             assert len(ordered) == len(bucket)
             for c, enc in ordered:
                 assert c == effective_depth(db_ihxzcx.decode(enc))
@@ -322,19 +322,19 @@ class TestSelectSubstitution:
     def test_picks_cheapest_of_three(self, db_ixyh):
         t = normalize_cut_tile(window(FIG13, TileSpec(2, 3), 1, 1))
         candidates = ["I,Y|I,H|I,H", "I,Y|X,I|X,I", "I,Y|I,I|I,I"]
-        assert select_substitution(t, rows_of(*candidates), db_ixyh) == "I,Y|I,I|I,I"
+        assert select_substitution(t, rows_of(db_ixyh, *candidates), db_ixyh) == "I,Y|I,I|I,I"
 
     def test_no_strict_improvement_means_none(self, db_ihxzcx):
         c = grid("I,X", "I,I", "I,I")
         (t,) = extract_tiles(c, TileSpec(2, 3))
         norm = normalize_cut_tile(t)
         # another cost-1 circuit with the same unitary is not an improvement
-        assert select_substitution(norm, rows_of("I,I|I,X|I,I"), db_ihxzcx) is None
+        assert select_substitution(norm, rows_of(db_ihxzcx, "I,I|I,X|I,I"), db_ihxzcx) is None
 
     def test_cut_slot_must_hold_identity(self, db_ixyh):
         t = normalize_cut_tile(window(FIG13, TileSpec(2, 3), 1, 1))
         # Y,Y in the first layer is equal to the tile but occupies the cut slot
-        blocked = select_substitution(t, rows_of("Y,Y|Y,I|I,I"), db_ixyh)
+        blocked = select_substitution(t, rows_of(db_ixyh, "Y,Y|Y,I|I,I"), db_ixyh)
         assert blocked is None
 
     def test_neighbors_only_filters(self):
@@ -358,7 +358,7 @@ class TestSelectSubstitution:
         # first by encoding, but the two-cell one wins
         many, few = "H,H|H,H|I,I", "H,I|H,I|I,I"
         assert many < few
-        chosen = select_substitution(norm, rows_of(many, few), db_ihxzcx)
+        chosen = select_substitution(norm, rows_of(db_ihxzcx, many, few), db_ihxzcx)
         assert chosen == few
 
 
