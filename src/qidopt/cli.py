@@ -299,8 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=3,
                    help="identity depth for on-the-fly generation (default 3)")
     p.add_argument("--dp", type=int, default=8)
-    p.add_argument("--tile-qubits", type=int, help="tile height (default: db n)")
-    p.add_argument("--tile-depth", type=int, help="tile width (default: db d)")
+    p.add_argument("--tile-qubits", type=int, help="tile height, at most db n (default: db n)")
+    p.add_argument("--tile-depth", type=int, help="tile width, at most db d (default: db d); "
+                   "a smaller tile is matched padded with Identity to the db's n x d shape")
     p.add_argument("--iterations", type=int, default=10)
     p.add_argument("--neighbors-only", action="store_true")
     p.add_argument("--tolerance", type=float, default=1e-6)

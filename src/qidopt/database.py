@@ -10,8 +10,8 @@ qubit index. Example (3 layers, 2 qubits):
 QIDB/1 files are UTF-8 text: a header block (format tag, digest algorithm,
 product-convention tag, n/d/dp/neighbors_only, one line per gate with its
 dp-rounded matrix), a body of buckets in fingerprint-hex order, and an
-END footer carrying the circuit count and an MD5 checksum of the body.
-Same database -> same bytes.
+END footer carrying the circuit count and an MD5 checksum of the body;
+nothing follows the footer. Same database -> same bytes.
 
 `DatabaseMeta.gate_set` is the one gate table, and `decode` evaluates it.
 A build keeps the gates it was given. A load resolves each stored gate
@@ -26,14 +26,16 @@ distinct layer text once, on its first read, and the table keeps the
 layer with its occupied-cell mask and neighbour flag. `decode` and the
 rank rows are assembled from the entries, so the table holds at most L
 entries for the L enumerated layers. `loads` does not check members; a
-layer that does not decode, or is not n cells wide, raises
-DatabaseFormatError naming its member when the member is first read.
+layer that does not decode, is not n cells wide, or is not spelled as
+`encode_circuit` spells it, raises DatabaseFormatError naming its member
+when the member is first read.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .circuit import (
@@ -83,7 +85,7 @@ def encode_cell(cell: Cell) -> str:
 
 
 def encode_circuit(c: CircuitGrid) -> str:
-    return "|".join(",".join(encode_cell(cell) for cell in layer) for layer in c.layers)
+    return "|".join([",".join(map(encode_cell, layer)) for layer in c.layers])
 
 
 def decode_circuit(enc: str, gate_set: GateSet) -> CircuitGrid:
@@ -157,6 +159,12 @@ class DatabaseMeta:
     digest_algorithm: str = DIGEST_ALGORITHM
     convention: str = CONVENTION
 
+    @cached_property
+    def identity_cell(self) -> Cell:
+        """The gate table's Identity as a cell, made once: every window the
+        optimizer looks up is padded with it."""
+        return single(self.gate_set.identity)
+
 
 @dataclass
 class IdentityDatabase:
@@ -227,8 +235,8 @@ class IdentityDatabase:
         """The circuit over `meta.gate_set`. After a load, a gate the file
         stores without an exact source is evaluated with its rounded matrix.
         A member that does not decode (an unknown gate, a malformed or
-        unpaired cell, a layer not `meta.n` cells wide) raises
-        DatabaseFormatError naming it."""
+        unpaired cell, a layer not `meta.n` cells wide or not in the
+        spelling of `encode_circuit`) raises DatabaseFormatError naming it."""
         return CircuitGrid(self.meta.n, tuple(e.layer for e in self._entries(enc)))
 
     def _entries(self, enc: str) -> list[_LayerEntry]:
@@ -242,6 +250,9 @@ class IdentityDatabase:
             (layer,) = decode_circuit(text, self.meta.gate_set).layers
             if len(layer) != self.meta.n:
                 raise ValueError(f"layer {text!r} is not {self.meta.n} cells wide")
+            canonical = ",".join(map(encode_cell, layer))
+            if canonical != text:
+                raise ValueError(f"layer {text!r} is not in canonical form {canonical!r}")
         except ValueError as e:
             raise DatabaseFormatError(f"cannot decode member {enc!r}: {e}") from None
         indexed = list(enumerate(layer))
@@ -429,14 +440,16 @@ def loads(text: str) -> IdentityDatabase:
 
     if pos >= len(lines) or not lines[pos].startswith("END "):
         raise TruncatedFileError("missing END footer")
+    if pos + 1 < len(lines):
+        raise DatabaseFormatError(f"content after the END line: {lines[pos + 1][:40]!r}")
     fields = lines[pos].split(" ")
     if len(fields) != 3:
         raise DatabaseFormatError(f"malformed END line {lines[pos]!r}")
     total, checksum = _int(fields[1], "END circuit count"), fields[2]
-    # the body runs from the first bucket header to the END line: sliced
-    # from `text` at offsets summed over the few lines outside it
+    # the body runs from the first bucket header to the END line, the last
+    # line: sliced from `text` at offsets summed over the lines outside it
     start = sum(len(line) + 1 for line in lines[:body_start])
-    end = len(text) - sum(len(line) + 1 for line in lines[pos:]) + (not text.endswith("\n"))
+    end = len(text) - len(lines[pos]) - text.endswith("\n")
     actual = hashlib.md5(text[start:end].encode("utf-8")).hexdigest()
     if actual != checksum:
         raise ChecksumMismatchError("body checksum mismatch")

@@ -1,14 +1,17 @@
 """Tile extraction, identity lookup, and cost-based substitution.
 
-The optimizer slides an i×j window over the circuit grid and replaces each
-window's contents with the cheapest equivalent circuit found in the
-database. A substitution is kept only when it strictly lowers the whole
-circuit's potential (effective depth, non-Identity cells, encoding), so
-repeated sweeps reach a fixpoint; `iters` caps their number. A two-qubit
-gate reaching across the window's qubit boundary makes the window unusable
-unless the cut half sits in the window's first or last layer, in which
-case the half is temporarily replaced by Identity for the lookup and
-restored after the substitution.
+The optimizer slides an i×j window (i ≤ n, j ≤ d) over the circuit grid
+and replaces each window's contents with the cheapest equivalent circuit
+in the database of n-qubit, depth-d circuits. A substitution is kept only
+when it strictly lowers the whole circuit's potential (effective depth,
+non-Identity cells, encoding), so repeated sweeps reach a fixpoint;
+`iters` caps their number. A two-qubit gate reaching across the window's
+qubit boundary makes the window unusable unless the cut half sits in the
+window's first or last layer; the half is then replaced by Identity for
+the lookup and restored after the substitution. Every window is matched
+in the database's n×d shape: padded with Identity for the lookup and the
+collision guard (`_padded`), it admits only candidates with Identity on
+every slot past it and every cut slot (`_blocked`): splices stay inside it.
 
 A sweep costs what changed, not the circuit's length:
   * `optimize` drops the input's all-Identity layers once, up front, so no
@@ -66,7 +69,7 @@ from .circuit import (
     validate,
 )
 from .database import IdentityDatabase, RankRow, encode_circuit
-from .fingerprint import Fingerprint, fingerprint
+from .fingerprint import fingerprint
 from .gates import I as IDENTITY_GATE
 from .gates import GateDef
 from .matrices import frobenius_diff, max_abs_diff
@@ -174,23 +177,32 @@ def _normalized(t: Tile, identity: GateDef) -> Tile | None:
     return Tile(t.qubit_offset, t.layer_offset, sub, cuts)
 
 
-def _tile_fingerprint(t: Tile, db: IdentityDatabase) -> Fingerprint:
-    """The tile's bucket key: read from the encoding table when the tile has
-    the database's exact shape and is a member, else computed from its
-    unitary."""
-    meta = db.meta
-    if (t.sub.n, t.sub.m) == (meta.n, meta.d):
-        fp = db.by_circuit.get(encode_circuit(t.sub))
-        if fp is not None:
-            return fp
-    return fingerprint(circuit_unitary(t.sub), meta.dp)
+def _padded(t: Tile, db: IdentityDatabase) -> CircuitGrid:
+    """The tile's window in the database's n×d shape: Identity on the rows
+    and layers past it. Raises ValueError for a tile larger than n×d."""
+    n, ident = db.meta.n, db.meta.identity_cell
+    if t.sub.n > n or t.sub.m > db.meta.d:
+        raise ValueError(f"tile {t.sub.n}x{t.sub.m} exceeds database bounds {n}x{db.meta.d}")
+    pad = (ident,) * (n - t.sub.n)
+    rows = tuple([layer + pad for layer in t.sub.layers])
+    return CircuitGrid(n, rows + ((ident,) * n,) * (db.meta.d - t.sub.m))
+
+
+def _blocked(t: Tile, n: int) -> int:
+    """The slots a candidate must leave Identity, as `RankRow.occupied`
+    bits li·n + q: every slot past the window, which the splice does not
+    write, and every cut slot, where the restored half must not collide."""
+    window = sum(((1 << t.sub.n) - 1) << (li * n) for li in range(t.sub.m))
+    return ~window | sum(1 << (li * n + q) for li, q, _ in t.cut_positions)
 
 
 def lookup(t: Tile, db: IdentityDatabase) -> list[RankRow]:
-    """The rows of a normalized tile's rank table that are shallower than
-    the tile: the only members that can rank below it. The tile itself is
-    never among them."""
-    table = db.rank_table(_tile_fingerprint(t, db))
+    """The rows of the padded tile's rank table that are shallower than the
+    tile: the only members that can rank below it, never the tile itself.
+    The bucket is read from the encoding table, else from the unitary."""
+    padded = _padded(t, db)
+    fp = db.by_circuit.get(encode_circuit(padded))
+    table = db.rank_table(fp or fingerprint(circuit_unitary(padded), db.meta.dp))
     return table[: bisect_left(table, (effective_depth(t.sub),))]
 
 
@@ -199,22 +211,19 @@ def _candidate_order(
 ) -> list[tuple[int, str]]:
     """Admissible candidates as (cost, encoding), cheapest first.
 
-    `rows` are rank rows (see `IdentityDatabase.rank`), already sorted.
-    A candidate must hold Identity at every cut slot (so restoration
-    cannot collide), satisfy the neighbouring constraint when asked, and
-    beat the tile's own cost strictly. Ties break on fewer non-Identity
-    cells, then lexicographic encoding. The cost is the effective depth.
+    `rows` are rank rows (see `IdentityDatabase.rank`), already sorted. A
+    candidate must hold Identity on every slot `_blocked` marks, satisfy
+    the neighbouring constraint when asked, and beat the tile's own cost
+    (effective depth) strictly. Ties break on fewer non-Identity cells,
+    then lexicographic encoding.
     """
     tile_cost = effective_depth(t.sub)
-    same_shape = (t.sub.n, t.sub.m) == (db.meta.n, db.meta.d)
-    if not same_shape and (t.cut_positions or t.sub.n != db.meta.n):
-        return []
-    cut = sum(1 << (li * t.sub.n + q) for li, q, _ in t.cut_positions)
+    blocked = _blocked(t, db.meta.n)
     return [
         (row.depth, row.enc)
         for row in rows
         if row.depth < tile_cost
-        and not row.occupied & cut
+        and not row.occupied & blocked
         and (row.neighbors_ok or not neighbors_only)
     ]
 
@@ -233,46 +242,37 @@ def select_substitution(
 def apply_substitution(
     c: CircuitGrid, t: Tile, chosen: str, db: IdentityDatabase
 ) -> CircuitGrid:
-    """Splice the chosen encoding into the window and restore cut halves.
-    Rows outside the window hold Identity in the layers a taller candidate
-    adds.
+    """Splice the chosen encoding's first i rows and j layers into the i×j
+    window and restore each cut half at its own (layer, qubit).
 
     Only the window's layer span changes: the spliced layers that are all
     Identity are dropped, and the rest are validated. Every layer before
-    and after the span is c's own, unchanged. A span that does not
-    validate is an internal error (AssertionError).
+    and after the span is c's own, unchanged. A tile larger than n×d, or a
+    candidate with a gate on a slot `_blocked` marks (`_candidate_order`
+    admits none), raises ValueError; a span that does not validate is an
+    internal error (AssertionError).
     """
-    sub = db.decode(chosen)
     qs, ls = t.qubit_offset, t.layer_offset
-    window_m = t.sub.m
-    ident = single(db.meta.gate_set.identity)
+    i, j = t.sub.n, t.sub.m
+    (row,) = db.rank([chosen], max_depth=chosen.count("|") + 1)
+    if i > db.meta.n or j > db.meta.d or row.occupied & _blocked(t, db.meta.n):
+        raise ValueError(f"{chosen!r} does not fit the {i}x{j} window at layer {ls}, qubit {qs}")
 
     def rebased(cell: Cell) -> Cell:
-        if cell.is_single:
-            return cell
-        return Cell(cell.gate, cell.role, cell.partner + qs)
+        return cell if cell.is_single else Cell(cell.gate, cell.role, cell.partner + qs)
 
-    new_window = [[rebased(cell) for cell in layer] for layer in sub.layers]
-    new_window += [[ident] * sub.n for _ in range(window_m - sub.m)]
+    layers = [list(layer) for layer in c.layers[ls : ls + j]]
+    for li, layer in enumerate(db.decode(chosen).layers[:j]):
+        layers[li][qs : qs + i] = map(rebased, layer[:i])
     for li, q, original in t.cut_positions:
-        # cut halves in the window's last layer stay in the spliced last layer
-        target = li if li == 0 else len(new_window) - 1 + (li - (window_m - 1))
-        new_window[target][q] = rebased(original)
-
-    span = []
-    for off, row in enumerate(new_window):
-        old = list(c.layers[ls + off]) if off < window_m else [ident] * c.n
-        old[qs : qs + sub.n] = row
-        layer = tuple(old)
-        if not layer_is_identity(layer):
-            span.append(layer)
-    span = tuple(span)
+        layers[li][qs + q] = rebased(original)
+    span = tuple(layer for layer in map(tuple, layers) if not layer_is_identity(layer))
     problems = validate(CircuitGrid(c.n, span))
     if problems:
         raise AssertionError(
             f"substitution at layer {ls} produced an invalid span: {problems}"
         )
-    return CircuitGrid(c.n, c.layers[:ls] + span + c.layers[ls + window_m :])
+    return CircuitGrid(c.n, c.layers[:ls] + span + c.layers[ls + j :])
 
 
 @dataclass
@@ -430,7 +430,7 @@ def _substitute(
 ) -> CircuitGrid | None:
     """c with the cheapest candidate that passes the collision guard and
     lowers the potential spliced into the window, or None."""
-    tile_unitary = circuit_unitary(norm.sub)
+    tile_unitary = circuit_unitary(_padded(norm, db))
     ls, j = norm.layer_offset, norm.sub.m
     old = c.layers[ls : ls + j]
     for cand_cost, enc in _candidate_order(norm, rows, db, neighbors_only):

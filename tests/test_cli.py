@@ -169,6 +169,18 @@ class TestOptimize:
         assert vals["substitutions"] == "0"
         assert vals["initial_depth"] == vals["final_depth"] == "1"
 
+    def test_tile_narrower_than_database(self, db_path, tmp_path, capsys):
+        # 1×3 windows are matched padded to the database's 2×3 shape
+        src = tmp_path / "narrow.qasm"
+        src.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+                       "h q[0];\nh q[0];\nx q[1];\nx q[1];\n")
+        rc = main(["optimize", str(src), "--db", str(db_path), "--tile-qubits", "1",
+                   "--out", str(tmp_path / "o.qasm")])
+        assert rc == EXIT_OK
+        vals = keyvals(capsys)
+        assert (vals["initial_depth"], vals["final_depth"]) == ("2", "0")
+        assert float(vals["residual"]) <= 1e-12
+
     def test_bad_input_exit(self, db_path, tmp_path):
         src = tmp_path / "bad.qasm"
         src.write_text("OPENQASM 2.0;\nqreg q[1];\nwat q[0];\n")

@@ -326,6 +326,15 @@ class TestLoadErrors:
         with pytest.raises(TruncatedFileError):
             loads(cut + "\n")
 
+    @pytest.mark.parametrize("appended", ["text", "second-file", "blank-line"])
+    def test_content_after_end_rejected(self, appended):
+        gs = gate_set("I", "H", "CX")
+        text = dumps(build_database(GeneratorConfig(n=2, d=1, gate_set=gs)))
+        assert loads(text).total_circuits == 6
+        tail = {"text": "anything at all\n", "second-file": text, "blank-line": "\n"}[appended]
+        with pytest.raises(DatabaseFormatError, match="after the END line"):
+            loads(text + tail)
+
     def test_checksum_mismatch(self, small_db):
         # editing a bucket member changes body bytes but not the counts
         lines = dumps(small_db).split("\n")
@@ -402,6 +411,9 @@ class TestLoadErrors:
             # every layer three cells wide in an n=2 database
             pytest.param(("I", "H", "X"), "I,I|I,I", "I,I,I|I,I,I", ("H,I", "H,I"),
                          id="width"),
+            # partners that int() reads but encode_cell never writes
+            pytest.param(("I", "H", "CX"), "CX:C:1,CX:T:0|I,I", "CX:C:+1,CX:T:0_0|I,I",
+                         ("CX:C:1,CX:T:0", "I,I"), id="non-canonical"),
         ],
     )
     def test_malformed_member_raises_format_error_on_use(self, gates, member, edited, circuit):

@@ -182,6 +182,12 @@ class TestLookup:
         assert "I,Y|X,I|X,I" in bucket and "I,Y|X,I|X,I" not in cands
         assert all(effective_depth(db.decode(enc)) < 3 for enc in cands)
 
+    @pytest.mark.parametrize("spec", [TileSpec(3, 2), TileSpec(2, 4)], ids=["wide", "deep"])
+    def test_tile_larger_than_database_rejected(self, db_ihxzcx, spec):
+        t = normalize_cut_tile(window(grid(*["H,H,X"] * 4), spec, 0, 0))
+        with pytest.raises(ValueError, match="exceeds database bounds"):
+            lookup(t, db_ihxzcx)
+
     def test_fingerprint_fallback_for_foreign_gates(self, db_ih_1q):
         # S is not in the database gate set; lookup goes through the unitary
         c = grid("S", "SDG")
@@ -231,22 +237,33 @@ def crosses(layer, qs, n):
     )
 
 
+def padded(t, db):
+    """The tile's window with Identity rows and layers up to n×d."""
+    n, d = db.meta.n, db.meta.d
+    ident = single(db.meta.gate_set.identity)
+    layers = [layer + (ident,) * (n - t.sub.n) for layer in t.sub.layers]
+    return CircuitGrid(n, tuple(layers + [(ident,) * n] * (d - t.sub.m)))
+
+
 def reference_order(t, db, neighbors_only):
-    """The ranking done on every lookup: split every member of the tile's
-    whole bucket, filter, then sort on (depth, cells, encoding)."""
-    if (t.sub.n, t.sub.m) != (db.meta.n, db.meta.d) and (
-        t.cut_positions or t.sub.n != db.meta.n
-    ):
-        return []
+    """The ranking done on every lookup: split every member of the padded
+    tile's whole bucket, filter, then sort on (depth, cells, encoding)."""
     ident = db.meta.gate_set.identity.name
     tile_cost = effective_depth(t.sub)
+    # every slot past the window and every cut slot must hold Identity
+    window = {(li, q) for li in range(t.sub.m) for q in range(t.sub.n)}
+    free = window.difference((li, q) for li, q, _ in t.cut_positions)
     ranked = []
-    for enc in db.bucket(fingerprint(circuit_unitary(t.sub), db.meta.dp)):
+    for enc in db.bucket(fingerprint(circuit_unitary(padded(t, db)), db.meta.dp)):
         rows = [layer.split(",") for layer in enc.split("|")]
         depth = sum(1 for row in rows if any(tok != ident for tok in row))
         if depth >= tile_cost:
             continue
-        if any(rows[li][q] != ident for li, q, _ in t.cut_positions):
+        if any(
+            tok != ident and (li, q) not in free
+            for li, row in enumerate(rows)
+            for q, tok in enumerate(row)
+        ):
             continue
         if neighbors_only and any(
             abs(int(tok.rsplit(":", 1)[1]) - q) > 1
@@ -395,6 +412,22 @@ class TestApplySubstitution:
         assert new.m == 2
         assert new.layers[0] is c.layers[0] and new.layers[1] is c.layers[3]
 
+    @pytest.mark.parametrize(
+        "rows, spec, chosen",
+        [
+            (("H,H", "H,H"), TileSpec(2, 2), "I,I|I,I|H,H"),  # a gate past the window's layers
+            (("H,X", "H,X"), TileSpec(1, 2), "I,X|I,X|I,I"),  # a gate past its rows
+            (("H,H,X", "H,H,X"), TileSpec(3, 2), "I,I|I,I|I,I"),  # a window wider than n
+            (("H,H",) * 4, TileSpec(2, 4), "I,I|I,I|I,I"),  # a window deeper than d
+        ],
+        ids=["layers", "rows", "wide-window", "deep-window"],
+    )
+    def test_candidate_outside_window_raises(self, db_ihxzcx, rows, spec, chosen):
+        c = grid(*rows)
+        t = normalize_cut_tile(window(c, spec, 0, 0))
+        with pytest.raises(ValueError, match="does not fit the"):
+            apply_substitution(c, t, chosen, db_ihxzcx)
+
     def test_partial_height_substitution(self):
         gs = gate_set("I", "H")
         db = build_database(GeneratorConfig(n=1, d=2, gate_set=gs))
@@ -513,8 +546,9 @@ class TestOptimize:
         ids=["default-tile", "tile-2x2"],
     )
     def test_candidate_taller_than_window(self, db_ihxzcx, rows, spec):
-        # a window shorter than the database depth takes a 3-layer candidate
-        # while the rows outside it stay
+        # a window shorter than the database depth is matched padded to its
+        # 3 layers and takes a candidate whose gates lie in the window's own
+        # layers, while the rows outside it stay
         _, report = optimize(grid(*rows), db_ihxzcx, spec)
         assert report.final_depth == 1
         assert report.residual <= 1e-12
@@ -800,3 +834,58 @@ class TestIncrementalSweep:
         c = grid("H,I,I,H", "Z,X,I,Z", "X,T,X,X", "T,T,T,T", "H,Z,X,H", "I,I,I,H", "I,I,I,H")
         _, many = optimize(c, db_ihxzcx)
         assert many.iterations > 1 and many.windows_reused > 0
+
+
+# ── windows matched in the database's n×d shape ──
+
+# every layer of 1 to 4 qubits, with `t`, which IHXZCX lacks
+SHAPE_LAYERS = {n: enumerate_layers(n, gate_set(*IHXZCX, "T")) for n in (1, 2, 3, 4)}
+
+
+class TestDatabaseShape:
+    def test_one_qubit_circuit_against_two_qubit_database(self, db_ihxzcx):
+        # the 1×3 window is matched as H,I|Z,I|H,I: the bucket of X on qubit 0
+        c = grid("H", "Z", "H")
+        out, report = optimize(c, db_ihxzcx)
+        assert encode_circuit(out) == "X"
+        assert emit(out).endswith("qreg q[1];\nx q[0];\n")
+        assert report.residual <= 1e-12
+
+    def test_short_window_with_cut_in_last_layer(self, db_ihxzcx):
+        # the 2×2 window on qubits 0-1 is X·X behind the half of a CX whose
+        # other half is on qubit 2, in the window's last layer
+        c = grid("X,I,I", "X,CX:C:2,CX:T:1")
+        norm = normalize_cut_tile(window(c, TileSpec(2, 2), 0, 0))
+        assert [(li, q) for li, q, _ in norm.cut_positions] == [(1, 1)]
+        ordered = _candidate_order(norm, lookup(norm, db_ihxzcx), db_ihxzcx, False)
+        assert ordered and ordered == reference_order(norm, db_ihxzcx, False)
+        out, report = optimize(c, db_ihxzcx)
+        assert report.substitutions[0].layer_offset == report.substitutions[0].qubit_offset == 0
+        assert encode_circuit(out) == "I,CX:C:2,CX:T:1"
+        assert report.residual <= 1e-12
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_tile_shape_stays_exact(self, db_ihxzcx, data):
+        db = db_ihxzcx
+        n = data.draw(st.integers(1, 4), label="qubits")
+        m = data.draw(st.integers(1, 6), label="layers")
+        layers = []
+        for _ in range(m):
+            if layers and data.draw(st.booleans(), label="echo"):
+                # repeat the previous layer's single gates, most of which cancel
+                layers.append(tuple(
+                    cell if cell.is_single else single(gate("I")) for cell in layers[-1]
+                ))
+            else:
+                layers.append(data.draw(st.sampled_from(SHAPE_LAYERS[n])))
+        c = CircuitGrid(n, tuple(layers))
+        spec = TileSpec(
+            data.draw(st.integers(1, db.meta.n), label="tile qubits"),
+            data.draw(st.integers(1, db.meta.d), label="tile depth"),
+        )
+        neighbors_only = data.draw(st.booleans(), label="neighbors_only")
+        out, report = optimize(c, db, spec, neighbors_only=neighbors_only)
+        assert report.residual <= 1e-12
+        assert validate(out) == []
+        assert full_potential(out)[:2] <= full_potential(c)[:2]  # (depth, cells)
