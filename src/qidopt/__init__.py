@@ -12,6 +12,7 @@ from .circuit import (
     StructuralError,
     circuit_unitary,
     effective_depth,
+    enumerate_layers,
     half,
     layer_unitary,
     single,
@@ -19,7 +20,6 @@ from .circuit import (
 )
 from .database import (
     IdentityDatabase,
-    decode_circuit,
     encode_circuit,
     load,
     save,
@@ -38,7 +38,6 @@ from .generator import (
     GeneratorConfig,
     build_database,
     enumerate_circuits,
-    enumerate_layers,
     scaling_count,
 )
 from .matrices import is_unitary, max_abs_diff
@@ -81,7 +80,6 @@ __all__ = [
     "canonicalize",
     "circuit_unitary",
     "classify_tile",
-    "decode_circuit",
     "effective_depth",
     "emit",
     "encode_circuit",

@@ -26,6 +26,12 @@ over it.
 Two circuits are compared on their unshared span (`unshared`): the gates
 both begin or both end with are removed first, and the dense check runs
 on the k qubits the rest touches, at O(gates·4^k).
+
+The layers over a gate set are enumerated here (`enumerate_layers`), in
+lexicographic order: qubit index major, gate declaration order, and per
+anchor qubit its pairs after its singles, partner ascending, first-operand
+orientation first. A database build and a database load both take their
+layer table (`database.layer_table`) from this one list.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import I as IDENTITY_GATE
-from .gates import GateDef
+from .gates import GateDef, GateSet
 from .matrices import ComplexMatrix, identity
 
 FIRST = "C"
@@ -139,6 +145,48 @@ def validate(c: CircuitGrid) -> list[str]:
             if other.role == cell.role:
                 problems.append(f"layer {li}, qubit {q}: duplicate role {cell.role}")
     return problems
+
+
+def enumerate_layers(n: int, gate_set: GateSet, neighbors_only: bool = False) -> list[Layer]:
+    """All distinct single layers over the gate set.
+
+    Every assignment of arity-1 gates, plus every placement of each
+    arity-2 gate on an ordered qubit pair (both orientations), including
+    multiple disjoint two-qubit gates per layer. With neighbors_only,
+    pairs are restricted to |a-b| = 1.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    singles, twos = gate_set.singles, gate_set.twos
+    layers: list[Layer] = []
+    cells: list = [None] * n
+
+    def fill(q: int) -> None:
+        if q == n:
+            layers.append(tuple(cells))
+            return
+        if cells[q] is not None:  # already claimed by a pair
+            fill(q + 1)
+            return
+        for gate in singles:
+            cells[q] = single(gate)
+            fill(q + 1)
+        cells[q] = None
+        for p in range(q + 1, n):
+            if cells[p] is not None:
+                continue
+            if neighbors_only and p - q != 1:
+                continue
+            for gate in twos:
+                for a, b in ((q, p), (p, q)):  # orientation: a is first operand
+                    cells[a] = half(gate, FIRST, b)
+                    cells[b] = half(gate, SECOND, a)
+                    fill(q + 1)
+            cells[q] = None
+            cells[p] = None
+
+    fill(0)
+    return layers
 
 
 _SWAP_OPERANDS = [0, 2, 1, 3]  # |ab> <-> |ba> in the 4x4 basis

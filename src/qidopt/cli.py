@@ -87,9 +87,12 @@ def _max_circuits() -> int:
     if raw is None:
         return generator.DEFAULT_MAX_CIRCUITS
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
-        raise ValueError(f"{MAX_CIRCUITS_ENV} must be an integer, got {raw!r}")
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"{MAX_CIRCUITS_ENV} must be a positive integer, got {raw!r}")
+    return limit
 
 
 def cmd_gen_db(args) -> int:
@@ -337,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ValueError as e:
+    except (OSError, ValueError) as e:  # an unwritable --out path, for one
         _note(f"error: {e}")
         return EXIT_CONFIG
 

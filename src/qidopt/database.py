@@ -21,34 +21,26 @@ exact gate; any other gate (a custom gate, or a name that clashes with a
 builtin but holds another unitary) keeps its stored rounded matrix, so its
 buckets may split when recomputed after a load.
 
-Members are read through a layer table: `decode_circuit` parses each
-distinct layer text once, on its first read, and the table keeps the
-layer with its occupied-cell mask and neighbour flag. `decode` and the
-rank rows are assembled from the entries, so the table holds at most L
-entries for the L enumerated layers. `loads` does not check members; a
-layer that does not decode, is not n cells wide, or is not spelled as
-`encode_circuit` spells it, raises DatabaseFormatError naming its member
-when the member is first read.
+Members are read through a layer table (`layer_table`) of the L layers
+of `circuit.enumerate_layers(n, gate_set, neighbors_only)`: a build passes
+the layers it enumerated, and `loads` enumerates them from the header and
+gate table. A member is split on '|' and each piece looked up; `decode`
+and the rank rows are assembled from the entries. A piece that is not an
+enumerated layer's text (an unknown gate, an unpaired cell, a wrong width,
+a spelling `encode_circuit` never writes, a non-neighbour pair in a
+`neighbors_only` file) raises DatabaseFormatError naming its member when
+the member is first read. `loads` rejects a member or bucket listed twice.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .circuit import (
-    FIRST,
-    SECOND,
-    Cell,
-    CircuitGrid,
-    Layer,
-    cell_is_identity,
-    half,
-    single,
-    validate,
-)
+from .circuit import Cell, CircuitGrid, Layer, cell_is_identity, enumerate_layers, single
 from .fingerprint import DIGEST_ALGORITHM, Fingerprint, canonicalize
 from .gates import AngleRangeError, GateDef, GateSet, gate_from_name, make_gate
 
@@ -88,38 +80,6 @@ def encode_circuit(c: CircuitGrid) -> str:
     return "|".join([",".join(map(encode_cell, layer)) for layer in c.layers])
 
 
-def decode_circuit(enc: str, gate_set: GateSet) -> CircuitGrid:
-    """Inverse of encode_circuit over the given gate set.
-
-    Raises ValueError on unknown gates or malformed/unpaired grids.
-    """
-    if not enc:
-        raise ValueError("empty circuit encoding")
-    layers = []
-    n = None
-    for layer_text in enc.split("|"):
-        cells = []
-        for tok in layer_text.split(","):
-            if ":" in tok:
-                fields = tok.split(":")
-                if len(fields) != 3 or fields[1] not in (FIRST, SECOND):
-                    raise ValueError(f"malformed cell token {tok!r}")
-                name, role, partner = fields
-                cells.append(half(gate_set.by_name(name), role, int(partner)))
-            else:
-                cells.append(single(gate_set.by_name(tok)))
-        if n is None:
-            n = len(cells)
-        elif len(cells) != n:
-            raise ValueError("ragged circuit encoding")
-        layers.append(tuple(cells))
-    grid = CircuitGrid(n, tuple(layers))
-    problems = validate(grid)
-    if problems:
-        raise ValueError(f"invalid circuit encoding: {problems[0]}")
-    return grid
-
-
 class RankRow(NamedTuple):
     """One member as the optimizer ranks it. Rows sort by (depth, cells,
     enc); `occupied` has bit li·n + q set for each non-Identity cell."""
@@ -131,12 +91,24 @@ class RankRow(NamedTuple):
     neighbors_ok: bool  # every two-qubit half's partner is an adjacent qubit
 
 
-class _LayerEntry(NamedTuple):
-    """One distinct layer text of a database's members, decoded."""
+class LayerEntry(NamedTuple):
+    """One enumerated layer of a database, as its members are read."""
 
     layer: Layer
     mask: int  # bit q set for each non-Identity cell
     neighbors_ok: bool  # every two-qubit half's partner is an adjacent qubit
+
+
+def layer_table(layers: list[Layer]) -> dict[str, LayerEntry]:
+    """Each layer's text (as `encode_circuit` spells it) -> its entry, in
+    the order of `layers`: a database's enumeration, `enumerate_layers`."""
+    table = {}
+    for layer in layers:
+        indexed = list(enumerate(layer))
+        mask = sum(1 << q for q, cell in indexed if not cell_is_identity(cell))
+        neighbors_ok = all(cell.is_single or abs(cell.partner - q) <= 1 for q, cell in indexed)
+        table[",".join(map(encode_cell, layer))] = LayerEntry(layer, mask, neighbors_ok)
+    return table
 
 
 # ── the database ────────────────────────────────────────────────────
@@ -169,9 +141,10 @@ class DatabaseMeta:
 @dataclass
 class IdentityDatabase:
     """Two hash tables over one enumeration: encoding -> fingerprint, and
-    fingerprint -> cost-sorted equivalent encodings. Members are decoded
-    over `meta.gate_set`, a layer at a time through the layer table (see
-    the module docstring).
+    fingerprint -> cost-sorted equivalent encodings. `layers` is the layer
+    table of that enumeration (`layer_table`), and members are read only
+    through it: each '|'-separated piece must be the text of an enumerated
+    layer over `meta.gate_set`, or the member raises DatabaseFormatError.
 
     Buckets are ranked lazily: `rank_table` builds a bucket's rows on its
     first call and keeps them, at most one table per bucket, for as long
@@ -180,14 +153,11 @@ class IdentityDatabase:
     """
 
     meta: DatabaseMeta
+    layers: dict[str, LayerEntry] = field(repr=False, compare=False)
     by_circuit: dict[str, Fingerprint] = field(default_factory=dict)
     by_fingerprint: dict[Fingerprint, list[str]] = field(default_factory=dict)
     # fingerprint -> (the bucket's members when ranked, their rows)
     _rank_tables: dict[Fingerprint, tuple[list[str], list[RankRow]]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    # layer text -> its decoded entry
-    _layer_table: dict[str, _LayerEntry] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -234,32 +204,19 @@ class IdentityDatabase:
     def decode(self, enc: str) -> CircuitGrid:
         """The circuit over `meta.gate_set`. After a load, a gate the file
         stores without an exact source is evaluated with its rounded matrix.
-        A member that does not decode (an unknown gate, a malformed or
-        unpaired cell, a layer not `meta.n` cells wide or not in the
-        spelling of `encode_circuit`) raises DatabaseFormatError naming it."""
+        A member with a piece outside the layer table raises
+        DatabaseFormatError naming it."""
         return CircuitGrid(self.meta.n, tuple(e.layer for e in self._entries(enc)))
 
-    def _entries(self, enc: str) -> list[_LayerEntry]:
-        """The layer-table entries of a member's layers."""
-        table = self._layer_table
-        return [table.get(text) or self._read_layer(text, enc) for text in enc.split("|")]
-
-    def _read_layer(self, text: str, enc: str) -> _LayerEntry:
-        """The entry of a layer text on its first read, added to the table."""
+    def _entries(self, enc: str) -> list[LayerEntry]:
+        """The layer-table entries of a member's '|'-separated pieces."""
+        table = self.layers
         try:
-            (layer,) = decode_circuit(text, self.meta.gate_set).layers
-            if len(layer) != self.meta.n:
-                raise ValueError(f"layer {text!r} is not {self.meta.n} cells wide")
-            canonical = ",".join(map(encode_cell, layer))
-            if canonical != text:
-                raise ValueError(f"layer {text!r} is not in canonical form {canonical!r}")
-        except ValueError as e:
-            raise DatabaseFormatError(f"cannot decode member {enc!r}: {e}") from None
-        indexed = list(enumerate(layer))
-        mask = sum(1 << q for q, cell in indexed if not cell_is_identity(cell))
-        neighbors_ok = all(cell.is_single or abs(cell.partner - q) <= 1 for q, cell in indexed)
-        entry = self._layer_table[text] = _LayerEntry(layer, mask, neighbors_ok)
-        return entry
+            return [table[text] for text in enc.split("|")]
+        except KeyError as e:
+            raise DatabaseFormatError(
+                f"member {enc!r}: {e.args[0]!r} is not a layer of this database"
+            ) from None
 
 
 def _exact_gate(gate: GateDef, dp: int) -> GateDef | None:
@@ -384,9 +341,24 @@ def _int(text: str, what: str, lo: int = 0, hi: int | None = None) -> int:
     return value
 
 
+def _layer_count(n: int, gate_set: GateSet, neighbors_only: bool, most: int) -> int:
+    """How many layers `enumerate_layers` makes, or a count above `most`.
+    Over k qubits, the first takes one of g single gates, or one of t pair
+    gates with a later qubit (the next, with neighbors_only), either way."""
+    g, t = gate_set.g, gate_set.t
+    fewer, count = 1, g  # the counts over 0 and 1 qubits
+    # the count rises with each qubit, unless it is 1 for every n
+    for k in range(2, min(n, most + 1) + 1):
+        if count > most:
+            break
+        fewer, count = count, g * count + 2 * t * (1 if neighbors_only else k - 1) * fewer
+    return count
+
+
 def loads(text: str) -> IdentityDatabase:
     """Parse a QIDB/1 file; raises DatabaseFormatError (or a subclass) for
-    any header, gate line, bucket or footer it cannot interpret."""
+    any header, gate line, bucket or footer it cannot interpret, and for a
+    member or bucket listed twice. Members are read on first use."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -404,7 +376,7 @@ def loads(text: str) -> IdentityDatabase:
     convention = _header_value(lines, 2, "convention")
     if convention != CONVENTION:
         raise DatabaseFormatError(f"convention {convention!r}, expected {CONVENTION}")
-    n = _int(_header_value(lines, 3, "n"), "n", 1)
+    n = _int(_header_value(lines, 3, "n"), "n", 1, len(text))  # a member spells n cells
     d = _int(_header_value(lines, 4, "d"), "d", 1)
     dp = _int(_header_value(lines, 5, "dp"), "dp", 1, 15)
     neighbors = _header_value(lines, 6, "neighbors_only")
@@ -418,7 +390,9 @@ def loads(text: str) -> IdentityDatabase:
     gate_set = _gate_table(lines[pos : pos + gate_count], dp)
     pos += gate_count
     meta = DatabaseMeta(n, d, dp, neighbors == "true", gate_set)
-    db = IdentityDatabase(meta)
+    by_circuit: dict[str, Fingerprint] = {}
+    by_fingerprint: dict[Fingerprint, list[str]] = {}
+    listed = 0  # member lines
 
     body_start = pos
     while pos < len(lines) and lines[pos].startswith("FP "):
@@ -435,8 +409,10 @@ def loads(text: str) -> IdentityDatabase:
             raise TruncatedFileError("bucket cut short")
         encs = lines[pos : pos + count]
         pos += count
-        db.by_fingerprint[fp] = encs
-        db.by_circuit.update(dict.fromkeys(encs, fp))
+        if by_fingerprint.setdefault(fp, encs) is not encs:
+            raise DatabaseFormatError(f"bucket {fields[1]} is listed twice")
+        by_circuit.update(dict.fromkeys(encs, fp))
+        listed += count
 
     if pos >= len(lines) or not lines[pos].startswith("END "):
         raise TruncatedFileError("missing END footer")
@@ -453,11 +429,23 @@ def loads(text: str) -> IdentityDatabase:
     actual = hashlib.md5(text[start:end].encode("utf-8")).hexdigest()
     if actual != checksum:
         raise ChecksumMismatchError("body checksum mismatch")
-    if total != db.total_circuits:
+    if len(by_circuit) != listed:
+        seen = Counter(enc for encs in by_fingerprint.values() for enc in encs)
+        member = next(enc for enc, times in seen.items() if times > 1)
+        raise DatabaseFormatError(f"member {member!r} is listed twice")
+    if total != listed:
+        raise DatabaseFormatError(f"footer says {total} circuits, file holds {listed}")
+    # a database holds every circuit of its enumeration, so at least its
+    # layers: this also bounds the enumeration by the file's size
+    if _layer_count(n, gate_set, meta.neighbors_only, total) > total:
         raise DatabaseFormatError(
-            f"footer says {total} circuits, file holds {db.total_circuits}"
+            f"n {n} and the gate table give more layers than the file's {total} circuits"
         )
-    return db
+    try:
+        layers = enumerate_layers(n, gate_set, meta.neighbors_only)
+    except RecursionError:  # it recurses once per qubit
+        raise DatabaseFormatError(f"n {n} is too large to enumerate") from None
+    return IdentityDatabase(meta, layer_table(layers), by_circuit, by_fingerprint)
 
 
 def load(path) -> IdentityDatabase:

@@ -1,12 +1,12 @@
 """Exhaustive enumeration of circuits over a gate set and construction of
 the identity database.
 
-Enumeration order is fixed: layers come out in lexicographic order (qubit
-index major, gate declaration order; two-qubit placements after singles
-for each anchor qubit, partner ascending, first-operand orientation before
-second), and circuits are the depth-fold Cartesian product of layers with
-the first layer's index slowest. Database files are therefore reproducible
-byte for byte.
+Enumeration order is fixed: layers come from `circuit.enumerate_layers`
+(also reachable as `generator.enumerate_layers`), and circuits are the
+depth-fold Cartesian product of layers with the first layer's index
+slowest, so database files are reproducible byte for byte. Each layer's
+text and idle flag come from the database's layer table
+(`database.layer_table`), the entries its members are later read through.
 
 `build_database` works a chunk at a time. A chunk holds the products of a
 run of consecutive (d−1)-layer prefixes with all L layers: at most
@@ -45,8 +45,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .circuit import CircuitGrid, Layer, half, layer_is_identity, layer_unitary, single
-from .database import DatabaseMeta, IdentityDatabase, check_gate_table, encode_cell
+from .circuit import CircuitGrid, enumerate_layers, layer_unitary
+from .database import DatabaseMeta, IdentityDatabase, check_gate_table, layer_table
 from .fingerprint import Fingerprint, _rounded_components, fingerprint
 from .gates import GateSet
 from .matrices import identity
@@ -104,51 +104,6 @@ def scaling_count(n: int, d: int, g: int, t: int) -> int:
     return per_layer**d
 
 
-def enumerate_layers(
-    n: int, gate_set: GateSet, neighbors_only: bool = False
-) -> list[Layer]:
-    """All distinct single layers over the gate set.
-
-    Every assignment of arity-1 gates, plus every placement of each
-    arity-2 gate on an ordered qubit pair (both orientations), including
-    multiple disjoint two-qubit gates per layer. With neighbors_only,
-    pairs are restricted to |a-b| = 1.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    singles = gate_set.singles
-    twos = gate_set.twos
-    layers: list[Layer] = []
-    cells: list = [None] * n
-
-    def fill(q: int) -> None:
-        if q == n:
-            layers.append(tuple(cells))
-            return
-        if cells[q] is not None:  # already claimed by a pair
-            fill(q + 1)
-            return
-        for gate in singles:
-            cells[q] = single(gate)
-            fill(q + 1)
-        cells[q] = None
-        for p in range(q + 1, n):
-            if cells[p] is not None:
-                continue
-            if neighbors_only and p - q != 1:
-                continue
-            for gate in twos:
-                for a, b in ((q, p), (p, q)):  # orientation: a is first operand
-                    cells[a] = half(gate, "C", b)
-                    cells[b] = half(gate, "T", a)
-                    fill(q + 1)
-            cells[q] = None
-            cells[p] = None
-
-    fill(0)
-    return layers
-
-
 def enumerate_circuits(cfg: GeneratorConfig) -> Iterator[CircuitGrid]:
     """All d-layer circuits, lexicographic in layer indices."""
     layers = enumerate_layers(cfg.n, cfg.gate_set, cfg.neighbors_only)
@@ -190,10 +145,11 @@ def build_database(cfg: GeneratorConfig) -> IdentityDatabase:
     _check_budget(cfg, len(layers))
     check_gate_table(cfg.gate_set, cfg.dp)
 
+    table = layer_table(layers)
     count, d, dp = len(layers), cfg.d, cfg.dp
     mats = np.stack([layer_unitary(layer, cfg.n) for layer in layers])
     dim = mats.shape[-1]
-    encs = [",".join(encode_cell(c) for c in layer) for layer in layers]
+    encs = list(table)
 
     forms: dict[bytes, int] = {}  # MD5 of a rounded row -> its form id
     fps: list[Fingerprint] = []  # form id -> fingerprint
@@ -225,7 +181,7 @@ def build_database(cfg: GeneratorConfig) -> IdentityDatabase:
     texts = [""]
     depth = np.zeros(1, dtype=np.intp)
     rank = np.zeros(1, dtype=np.int64)
-    busy = np.array([not layer_is_identity(layer) for layer in layers], dtype=np.intp)
+    busy = np.array([bool(e.mask) for e in table.values()], dtype=np.intp)
     for j in range(d):
         pieces = [e + "|" for e in encs] if j < d - 1 else encs
         place = np.empty(count, dtype=np.int64)
@@ -234,7 +190,8 @@ def build_database(cfg: GeneratorConfig) -> IdentityDatabase:
         depth = (depth[:, None] + busy).ravel()
         rank = (rank[:, None] * count + place).ravel()
 
-    db = IdentityDatabase(DatabaseMeta(cfg.n, cfg.d, cfg.dp, cfg.neighbors_only, cfg.gate_set))
+    meta = DatabaseMeta(cfg.n, cfg.d, cfg.dp, cfg.neighbors_only, cfg.gate_set)
+    db = IdentityDatabase(meta, table)
     members = np.array(texts, dtype=object)[np.lexsort((rank, depth, form))].tolist()
     ends = np.cumsum(np.bincount(form, minlength=len(fps))).tolist()
     for fp, start, end in zip(fps, [0] + ends, ends):

@@ -103,6 +103,20 @@ class TestGenDb:
                    "--out", str(tmp_path / "x.qidb")])
         assert rc == EXIT_RESOURCE
 
+    @pytest.mark.parametrize("limit", ["-1", "0", "ten"])
+    def test_bad_limit_is_config_error(self, tmp_path, monkeypatch, capsys, limit):
+        monkeypatch.setenv("QUANTO_MAX_CIRCUITS", limit)
+        rc = main(["gen-db", "--gates", "I,H", "--qubits", "1", "--depth", "1",
+                   "--out", str(tmp_path / "x.qidb")])
+        assert rc == EXIT_CONFIG
+        assert "error: QUANTO_MAX_CIRCUITS must be a positive integer" in capsys.readouterr().err
+
+    def test_unwritable_out_exit(self, tmp_path, capsys):
+        rc = main(["gen-db", "--gates", "I,H", "--qubits", "1", "--depth", "1",
+                   "--out", str(tmp_path / "missing" / "x.qidb")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_preset_standard(self, tmp_path, capsys):
         out = tmp_path / "std.qidb"
         assert main(["gen-db", "--gates", "standard", "--qubits", "1", "--depth", "1",
@@ -191,6 +205,21 @@ class TestOptimize:
         src.write_text(f"OPENQASM 2.0;\nqreg q[1];\nu1({'9' * 400}) q[0];\n")
         assert main(["optimize", str(src), "--db", str(db_path)]) == EXIT_CONFIG
         assert "too large" in capsys.readouterr().err
+
+    def test_unwritable_out_exit(self, db_path, tmp_path, capsys):
+        src = tmp_path / "in.qasm"
+        src.write_text(HEADLINE)
+        rc = main(["optimize", str(src), "--db", str(db_path),
+                   "--out", str(tmp_path / "missing" / "o.qasm")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bad_limit_on_the_fly_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QUANTO_MAX_CIRCUITS", "-1")
+        src = tmp_path / "in.qasm"
+        src.write_text(HEADLINE)
+        assert main(["optimize", str(src), "--depth", "2"]) == EXIT_CONFIG
+        assert "error: QUANTO_MAX_CIRCUITS" in capsys.readouterr().err
 
     def test_auto_detect_gate_set(self, tmp_path, capsys):
         src = tmp_path / "in.qasm"

@@ -20,8 +20,8 @@ from qidopt.database import (
     TruncatedFileError,
     VersionMismatchError,
     _gate_line,
+    _layer_count,
     _parse_gate_line,
-    decode_circuit,
     dumps,
     encode_circuit,
     load,
@@ -44,6 +44,15 @@ from qidopt.matrices import max_abs_diff
 from qidopt.optimizer import optimize
 
 
+_ALL_BUILTINS = GateSet(list(BUILTIN_GATES.values()))
+_LAYERS = {n: enumerate_layers(n, _ALL_BUILTINS) for n in (1, 2, 3)}
+# one-layer databases of every builtin gate: their layer tables read every
+# layer of _LAYERS, and a member of any depth is read a layer at a time
+_BUILTIN_DBS = {
+    n: build_database(GeneratorConfig(n=n, d=1, gate_set=_ALL_BUILTINS)) for n in _LAYERS
+}
+
+
 class TestEncoding:
     def test_single_qubit_tokens(self):
         assert encode_circuit(grid("H,I", "X,X")) == "H,I|X,X"
@@ -52,22 +61,18 @@ class TestEncoding:
         assert encode_circuit(grid("CX:C:1,CX:T:0")) == "CX:C:1,CX:T:0"
 
     def test_round_trip(self):
-        gs = gate_set("I", "H", "X", "CX")
+        db = _BUILTIN_DBS[2]
         for enc in ("H,I|X,X|CX:C:1,CX:T:0", "CX:T:1,CX:C:0", "I,I"):
-            assert encode_circuit(decode_circuit(enc, gs)) == enc
+            assert encode_circuit(db.decode(enc)) == enc
 
-    def test_decode_validates(self):
-        gs = gate_set("I", "CX")
-        with pytest.raises(ValueError, match="unpaired"):
-            decode_circuit("CX:C:1,I", gs)
-        with pytest.raises(ValueError, match="unknown gate"):
-            decode_circuit("Q", gs)
-        with pytest.raises(ValueError, match="ragged"):
-            decode_circuit("I,I|I", gs)
-
-
-_ALL_BUILTINS = GateSet(list(BUILTIN_GATES.values()))
-_LAYERS = {n: enumerate_layers(n, _ALL_BUILTINS) for n in (1, 2, 3)}
+    @pytest.mark.parametrize(
+        "enc", ["CX:C:1,I", "Q,I", "I,I|I", "", "I,I|"], ids=["unpaired", "unknown", "ragged",
+                                                          "empty", "empty-layer"]
+    )
+    def test_decode_validates(self, enc):
+        # only the texts of enumerated layers are read
+        with pytest.raises(DatabaseFormatError, match=re.escape(f"member {enc!r}")):
+            _BUILTIN_DBS[2].decode(enc)
 
 
 def _cells(c: CircuitGrid):
@@ -84,7 +89,7 @@ def _cells(c: CircuitGrid):
     )
 )
 def test_encoding_round_trips_every_builtin(c):
-    back = decode_circuit(encode_circuit(c), _ALL_BUILTINS)
+    back = _BUILTIN_DBS[c.n].decode(encode_circuit(c))
     assert (back.n, _cells(back)) == (c.n, _cells(c))
 
 
@@ -428,6 +433,72 @@ class TestLoadErrors:
         text = f"{head}END {end.split(' ')[0]} {hashlib.md5(body.encode()).hexdigest()}\n"
         with pytest.raises(DatabaseFormatError, match=re.escape(repr(edited))):
             optimize(grid(*circuit), loads(text))
+
+    def test_member_outside_the_enumeration_raises_format_error(self):
+        # a valid, canonically spelled grid, but a pair on qubits 0 and 2 is
+        # not a layer of a neighbors_only enumeration
+        cfg = GeneratorConfig(n=3, d=1, gate_set=gate_set("I", "H", "CX"), neighbors_only=True)
+        text = dumps(build_database(cfg))
+        edited = "CX:C:2,I,CX:T:0"
+        db = loads(_signed(text.replace("\nCX:C:1,CX:T:0,I\n", f"\n{edited}\n", 1)))
+        with pytest.raises(DatabaseFormatError, match=re.escape(f"member {edited!r}")):
+            db.decode(edited)
+
+    @pytest.mark.parametrize("bucket_of", ["I,I", "CX:C:1,CX:T:0"], ids=["same-bucket",
+                                                                        "other-bucket"])
+    def test_member_listed_twice_rejected(self, bucket_of):
+        # 'I,I' is added to the bucket that holds `bucket_of`, whose count is
+        # bumped; the footer still matches the distinct members
+        text = dumps(build_database(GeneratorConfig(n=2, d=1, gate_set=gate_set("I", "H", "CX"))))
+        lines = text.split("\n")
+        at = lines.index(bucket_of)
+        header = max(i for i in range(at) if lines[i].startswith("FP "))
+        fp, count = lines[header].rsplit(" ", 1)
+        lines[header] = f"{fp} {int(count) + 1}"
+        lines.insert(at + 1, "I,I")
+        with pytest.raises(DatabaseFormatError, match=re.escape("member 'I,I' is listed twice")):
+            loads(_signed("\n".join(lines)))
+
+    def test_bucket_listed_twice_rejected(self, small_db):
+        text = dumps(small_db)
+        first = text[text.index("FP "):text.index("\nFP ", text.index("FP ") + 1) + 1]
+        with pytest.raises(DatabaseFormatError, match="bucket .* is listed twice"):
+            loads(_signed(text.replace(first, first + first, 1)))
+
+    def test_header_with_more_layers_than_members_rejected(self, small_db):
+        # n = 99 would have the loader enumerate 2^99 layers of {I, H}
+        text = dumps(small_db).replace("\nn 1\n", "\nn 99\n", 1)
+        with pytest.raises(DatabaseFormatError, match="more layers than the file's 4 circuits"):
+            loads(text)
+
+    def test_header_with_too_many_qubits_rejected(self):
+        # over {I} alone there is one layer for any n: n may not exceed the
+        # file's length, and 2000 cells are past the enumeration's recursion
+        db = build_database(GeneratorConfig(n=1, d=1, gate_set=gate_set("I")))
+        text = dumps(db).replace("\nn 1\n", "\nn 2000\n", 1)
+        with pytest.raises(DatabaseFormatError, match=re.escape("n: 2000 is not in [1, ")):
+            loads(text)
+        wide = _signed(text.replace("\nI\n", "\n" + ",".join(["I"] * 2000) + "\n", 1))
+        with pytest.raises(DatabaseFormatError, match="n 2000 is too large to enumerate"):
+            loads(wide)
+
+
+def _signed(text: str) -> str:
+    """The file with its body checksum recomputed; the footer count is kept."""
+    head, end = text.rsplit("END ", 1)
+    body = head[head.index("FP "):]
+    return f"{head}END {end.split(' ')[0]} {hashlib.md5(body.encode()).hexdigest()}\n"
+
+
+@pytest.mark.parametrize("names", [("I",), ("I", "H"), ("I", "CX"), ("I", "H", "X", "CX", "CZ")])
+@pytest.mark.parametrize("neighbors_only", [False, True])
+def test_layer_count_matches_enumeration(names, neighbors_only):
+    gs = gate_set(*names)
+    for n in range(1, 6):
+        count = len(enumerate_layers(n, gs, neighbors_only))
+        assert _layer_count(n, gs, neighbors_only, count) == count
+        # past `most`, only the fact that it is passed is reported
+        assert _layer_count(n, gs, neighbors_only, count - 1) > count - 1
 
 
 _EDITABLE = dumps(
