@@ -25,11 +25,12 @@ Members are read through a layer table (`layer_table`) of the L layers
 of `circuit.enumerate_layers(n, gate_set, neighbors_only)`: a build passes
 the layers it enumerated, and `loads` enumerates them from the header and
 gate table. A member is split on '|' and each piece looked up; `decode`
-and the rank rows are assembled from the entries. A piece that is not an
-enumerated layer's text (an unknown gate, an unpaired cell, a wrong width,
-a spelling `encode_circuit` never writes, a non-neighbour pair in a
-`neighbors_only` file) raises DatabaseFormatError naming its member when
-the member is first read. `loads` rejects a member or bucket listed twice.
+and the rank rows are assembled from the entries. A member of other than d
+pieces, or with a piece that is not an enumerated layer's text (an unknown
+gate, an unpaired cell, a wrong width, a spelling `encode_circuit` never
+writes, a non-neighbour pair in a `neighbors_only` file), raises
+DatabaseFormatError naming it when the member is first read. `loads`
+rejects a member or bucket listed twice.
 """
 
 from __future__ import annotations
@@ -133,8 +134,8 @@ class DatabaseMeta:
 
     @cached_property
     def identity_cell(self) -> Cell:
-        """The gate table's Identity as a cell, made once: every window the
-        optimizer looks up is padded with it."""
+        """The gate table's Identity as a cell, made once: every window
+        smaller than n×d that the optimizer looks up is padded with it."""
         return single(self.gate_set.identity)
 
 
@@ -143,8 +144,9 @@ class IdentityDatabase:
     """Two hash tables over one enumeration: encoding -> fingerprint, and
     fingerprint -> cost-sorted equivalent encodings. `layers` is the layer
     table of that enumeration (`layer_table`), and members are read only
-    through it: each '|'-separated piece must be the text of an enumerated
-    layer over `meta.gate_set`, or the member raises DatabaseFormatError.
+    through it: a member must have d '|'-separated pieces, each the text of
+    an enumerated layer over `meta.gate_set`, or it raises
+    DatabaseFormatError.
 
     Buckets are ranked lazily: `rank_table` builds a bucket's rows on its
     first call and keeps them, at most one table per bucket, for as long
@@ -209,10 +211,15 @@ class IdentityDatabase:
         return CircuitGrid(self.meta.n, tuple(e.layer for e in self._entries(enc)))
 
     def _entries(self, enc: str) -> list[LayerEntry]:
-        """The layer-table entries of a member's '|'-separated pieces."""
-        table = self.layers
+        """The layer-table entries of a member's '|'-separated pieces, of
+        which there must be d."""
+        table, pieces = self.layers, enc.split("|")
+        if len(pieces) != self.meta.d:
+            raise DatabaseFormatError(
+                f"member {enc!r}: {len(pieces)} layers, not the database's d = {self.meta.d}"
+            )
         try:
-            return [table[text] for text in enc.split("|")]
+            return [table[text] for text in pieces]
         except KeyError as e:
             raise DatabaseFormatError(
                 f"member {enc!r}: {e.args[0]!r} is not a layer of this database"
@@ -308,10 +315,9 @@ def dumps(db: IdentityDatabase) -> str:
         encs = db.by_fingerprint[fp]
         body_lines.append(f"FP {fp.hex} {len(encs)}")
         body_lines.extend(encs)
-    body = "".join(line + "\n" for line in body_lines)
+    body = "\n".join(body_lines) + "\n" if body_lines else ""
     checksum = hashlib.md5(body.encode("utf-8")).hexdigest()
-    footer = f"END {db.total_circuits} {checksum}\n"
-    return "".join(line + "\n" for line in header) + body + footer
+    return "\n".join(header) + "\n" + body + f"END {db.total_circuits} {checksum}\n"
 
 
 def save(db: IdentityDatabase, path) -> None:

@@ -8,23 +8,36 @@ slowest, so database files are reproducible byte for byte. Each layer's
 text and idle flag come from the database's layer table
 (`database.layer_table`), the entries its members are later read through.
 
-`build_database` works a chunk at a time. A chunk holds the products of a
-run of consecutive (d−1)-layer prefixes with all L layers: at most
-`_CHUNK` rows, or one prefix's L rows when L is larger, so its scratch
-memory is bounded by max(`_CHUNK`, L)·4ⁿ·16 bytes however many circuits
-there are. The prefix products come a bounded batch at a time as well
-(`_prefix_products`). Every product is left-multiplied by its next layer,
-starting from the identity, so the floats equal those of a product made
-one circuit at a time.
+`build_database` multiplies only distinct prefix products
+(`_distinct_prefixes`). Level k left-multiplies each bitwise-distinct
+product of the (k−1)-layer prefixes by every layer, starting from the
+identity, and numbers the results by their exact float64 bytes, in order
+of first appearance; each k-layer prefix records the number of its
+product. The last level extends the distinct (d−1)-layer products by every
+layer, and circuit p·L + l takes the form of extension row rep[p]·L + l.
+On the n2d4 {I,H,X,Z,CX} config the 5,832 three-layer prefixes have 718
+distinct products, so 12,924 final products stand for 104,976 circuits.
 
-A chunk is rounded in one call, and one `np.unique` over its rounded rows
-(each row viewed as one void value) finds its distinct rows. Most circuits
-repeat a rounded unitary already seen, so only the distinct rows are keyed
-into the form table, by the 16-byte MD5 of the rounded int64 row rather
-than the row itself (4 KB per key at n=4); that key carries the same
-collision risk as the database's own MD5 fingerprint. The chunk's new
-forms are fingerprinted together in one `fingerprint` call and numbered in
-order of first appearance, and every circuit gets its form's integer id.
+This is exact. A circuit's product is its prefix's product left-multiplied
+by its last layer, so the floats equal those of a product made one circuit
+at a time, and bitwise-equal prefix products have bitwise-equal
+extensions. Every form first appears on an extension of a prefix whose
+product is numbered there for the first time, and those prefixes come in
+number order, so forms keep their order of first appearance over the
+circuits: file bytes, bucket order and member order are those of a build
+that multiplies every circuit.
+
+Products are extended in blocks (`_extensions`) of at most `_CHUNK` rows,
+or one product's L rows when L is larger, and each block is numbered with
+one `np.unique` over its rows (each row viewed as one void value) and a
+table lookup per distinct row (`_number`). At the last level a block is
+rounded in one call first. Most circuits repeat a rounded unitary already
+seen, so only the distinct rounded rows are keyed into the form table, by
+the 16-byte MD5 of the rounded int64 row rather than the row itself (4 KB
+per key at n=4); that key carries the same collision risk as the
+database's own MD5 fingerprint. A block's new forms are fingerprinted
+together in one `fingerprint` call, and every circuit gets its form's
+integer id.
 
 Members are then grouped with no per-circuit Python work but making each
 member's text. A member's effective depth and the rank of its text come
@@ -41,7 +54,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -119,18 +132,60 @@ def _check_budget(cfg: GeneratorConfig, layer_count: int) -> None:
         raise ResourceGuardError(total, cfg.max_circuits)
 
 
-def _prefix_products(mats: np.ndarray, k: int, size: int) -> Iterator[np.ndarray]:
-    """The products of every k-layer prefix, in enumeration order, at most
-    `size` (or L, if larger) at a time. A prefix is left-multiplied by each
-    next layer, starting from the identity, as a circuit's product is."""
+def _extensions(mats: np.ndarray, products: np.ndarray) -> Iterator[np.ndarray]:
+    """Each of `products` left-multiplied by every layer, as a circuit's
+    product is by its next layer: block row r·L + l is mats[l] @ products[r].
+    Blocks are runs of consecutive products, at most `_CHUNK` rows (or one
+    product's L rows, when L is larger)."""
+    per = max(1, _CHUNK // len(mats))
+    for s in range(0, len(products), per):
+        yield np.matmul(mats[None], products[s : s + per, None]).reshape(-1, *mats.shape[1:])
+
+
+def _number(
+    rows: np.ndarray, table: dict[bytes, int], key: Callable[[bytes], bytes]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The number of each of `rows` (one void value per row) in `table`,
+    which maps `key(row bytes)` to a number: rows not in it are added in
+    order of first appearance. Returns every row's number and the positions
+    of the rows added, in order. One `np.unique` finds the distinct rows,
+    so `key` runs once per distinct row."""
+    distinct, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    keys = [key(r) for r in distinct.tolist()]
+    ids = np.array([table.get(k, -1) for k in keys], dtype=np.intp)
+    new = np.flatnonzero(ids < 0)
+    new = new[np.argsort(first[new])]
+    ids[new] = np.arange(len(table), len(table) + len(new))
+    table.update(zip([keys[i] for i in new.tolist()], ids[new].tolist()))
+    return ids[inverse.ravel()], first[new]
+
+
+def _md5(row: bytes) -> bytes:
+    return hashlib.md5(row).digest()
+
+
+def _distinct_prefixes(mats: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bitwise-distinct products of the k-layer prefixes, numbered in
+    order of first appearance, and for each k-layer prefix, in enumeration
+    order, the number of its product.
+
+    Level j extends each distinct product of level j−1 by every layer
+    (`_extensions`) and numbers the results by their exact bytes: a key is
+    a whole float64 row, so −0.0 and 0.0 stay apart. Prefix p + (l,) has
+    the product mats[l] @ products[rep[p]], extension row rep[p]·L + l."""
     dim = mats.shape[-1]
-    if k == 0:
-        yield identity(dim)[None]
-        return
-    for parents in _prefix_products(mats, k - 1, size):
-        products = np.matmul(mats[None], parents[:, None]).reshape(-1, dim, dim)
-        for s in range(0, len(products), size):
-            yield products[s : s + size]
+    row = np.dtype((np.void, mats.itemsize * dim * dim))
+    products, rep = identity(dim)[None], np.zeros(1, dtype=np.intp)
+    for _ in range(k):
+        seen: dict[bytes, int] = {}  # a product's bytes -> its number
+        ids = [
+            _number(block.reshape(len(block), -1).view(row).ravel(), seen, bytes)[0]
+            for block in _extensions(mats, products)
+        ]
+        rep = np.concatenate(ids).reshape(-1, len(mats))[rep].ravel()
+        # `seen` holds the distinct products in number order
+        products = np.frombuffer(b"".join(seen), dtype=mats.dtype).reshape(-1, dim, dim)
+    return products, rep
 
 
 def build_database(cfg: GeneratorConfig) -> IdentityDatabase:
@@ -140,6 +195,13 @@ def build_database(cfg: GeneratorConfig) -> IdentityDatabase:
     cheapest identity is first, and buckets in the order their forms first
     appear. Raises ValueError when the gate table would not load back from
     the file (see `check_gate_table`).
+
+    Memory for products: the distinct (d−1)-layer prefix products number
+    at most L^(d−1), of 4ⁿ·16 bytes each, so they hold at most
+    L^(d−1)·4ⁿ·16 bytes, 4ⁿ·16/L bytes per circuit. A level's table keeps
+    a copy of the bytes of the products it numbers, so at the end of a
+    level that bound holds twice over; every other product array is a
+    block of at most max(`_CHUNK`, L) rows.
     """
     layers = enumerate_layers(cfg.n, cfg.gate_set, cfg.neighbors_only)
     _check_budget(cfg, len(layers))
@@ -151,28 +213,19 @@ def build_database(cfg: GeneratorConfig) -> IdentityDatabase:
     dim = mats.shape[-1]
     encs = list(table)
 
+    prefixes, rep = _distinct_prefixes(mats, d - 1)
     forms: dict[bytes, int] = {}  # MD5 of a rounded row -> its form id
     fps: list[Fingerprint] = []  # form id -> fingerprint
-    form = np.empty(count**d, dtype=np.intp)  # circuit -> form id
+    row_forms = []  # per block: the form id of each extension row
     row = np.dtype((np.void, 16 * dim * dim))  # a rounded row as one value
-    done = 0
-    for prefixes in _prefix_products(mats, d - 1, max(1, _CHUNK // count)):
-        # chunk[p·L + k] = mats[k] @ prefixes[p]: the circuit prefix p + (k,)
-        chunk = np.matmul(mats[None], prefixes[:, None]).reshape(-1, dim, dim)
-        rows = _rounded_components(chunk, dp)
-        distinct, first, inverse = np.unique(
-            rows.view(row).ravel(), return_index=True, return_inverse=True
-        )
-        keys = [hashlib.md5(r).digest() for r in distinct.tolist()]
-        ids = np.array([forms.get(key, -1) for key in keys], dtype=np.intp)
-        new = np.flatnonzero(ids < 0)
+    for chunk in _extensions(mats, prefixes):
+        rows = _rounded_components(chunk, dp).view(row).ravel()
+        ids, new = _number(rows, forms, _md5)
         if len(new):
-            new = new[np.argsort(first[new])]  # ids in order of first appearance
-            ids[new] = np.arange(len(fps), len(fps) + len(new))
-            forms.update(zip([keys[i] for i in new.tolist()], ids[new].tolist()))
-            fps.extend(fingerprint(chunk[first[new]], dp))
-        form[done : done + len(rows)] = ids[inverse.ravel()]
-        done += len(rows)
+            fps.extend(fingerprint(chunk[new], dp))
+        row_forms.append(ids)
+    # circuit p·L + l is the extension row rep[p]·L + l
+    form = np.concatenate(row_forms).reshape(-1, count)[rep].ravel()
 
     # per circuit, in enumeration order: its text, its effective depth and
     # the rank of its text. A text is the layer texts joined by '|', and no

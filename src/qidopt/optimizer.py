@@ -179,10 +179,13 @@ def _normalized(t: Tile, identity: GateDef) -> Tile | None:
 
 def _padded(t: Tile, db: IdentityDatabase) -> CircuitGrid:
     """The tile's window in the database's n×d shape: Identity on the rows
-    and layers past it. Raises ValueError for a tile larger than n×d."""
+    and layers past it; a window of that shape is its own grid. Raises
+    ValueError for a tile larger than n×d."""
     n, ident = db.meta.n, db.meta.identity_cell
     if t.sub.n > n or t.sub.m > db.meta.d:
         raise ValueError(f"tile {t.sub.n}x{t.sub.m} exceeds database bounds {n}x{db.meta.d}")
+    if (t.sub.n, t.sub.m) == (n, db.meta.d):
+        return t.sub
     pad = (ident,) * (n - t.sub.n)
     rows = tuple([layer + pad for layer in t.sub.layers])
     return CircuitGrid(n, rows + ((ident,) * n,) * (db.meta.d - t.sub.m))
@@ -254,7 +257,7 @@ def apply_substitution(
     """
     qs, ls = t.qubit_offset, t.layer_offset
     i, j = t.sub.n, t.sub.m
-    (row,) = db.rank([chosen], max_depth=chosen.count("|") + 1)
+    (row,) = db.rank([chosen], max_depth=db.meta.d)
     if i > db.meta.n or j > db.meta.d or row.occupied & _blocked(t, db.meta.n):
         raise ValueError(f"{chosen!r} does not fit the {i}x{j} window at layer {ls}, qubit {qs}")
 

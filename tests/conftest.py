@@ -17,7 +17,7 @@ def pytest_runtest_logreport(report):
 
 from qidopt import GateSet, GeneratorConfig, build_database
 from qidopt.circuit import FIRST, SECOND, CircuitGrid, half, single
-from qidopt.gates import BUILTIN_GATES
+from qidopt.gates import BUILTIN_GATES, gate_from_name
 
 
 def gate(name):
@@ -40,7 +40,8 @@ def grid(*layer_specs):
 
 
 def gate_set(*names):
-    return GateSet([gate(n) for n in names])
+    """Builtin names or instantiated template names ('U1[pi/8]')."""
+    return GateSet([gate_from_name(n) for n in names])
 
 
 @pytest.fixture(scope="session")

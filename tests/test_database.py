@@ -16,7 +16,9 @@ from qidopt.circuit import CircuitGrid, circuit_unitary, validate
 from qidopt.database import (
     ChecksumMismatchError,
     DatabaseFormatError,
+    DatabaseMeta,
     DigestMismatchError,
+    IdentityDatabase,
     TruncatedFileError,
     VersionMismatchError,
     _gate_line,
@@ -24,6 +26,7 @@ from qidopt.database import (
     _parse_gate_line,
     dumps,
     encode_circuit,
+    layer_table,
     load,
     loads,
     save,
@@ -46,11 +49,13 @@ from qidopt.optimizer import optimize
 
 _ALL_BUILTINS = GateSet(list(BUILTIN_GATES.values()))
 _LAYERS = {n: enumerate_layers(n, _ALL_BUILTINS) for n in (1, 2, 3)}
-# one-layer databases of every builtin gate: their layer tables read every
-# layer of _LAYERS, and a member of any depth is read a layer at a time
-_BUILTIN_DBS = {
-    n: build_database(GeneratorConfig(n=n, d=1, gate_set=_ALL_BUILTINS)) for n in _LAYERS
-}
+_TABLES = {n: layer_table(layers) for n, layers in _LAYERS.items()}
+
+
+def _builtin_db(n: int, d: int) -> IdentityDatabase:
+    """An empty database of every builtin gate at n qubits and depth d: it
+    reads members of d layers of _LAYERS[n]."""
+    return IdentityDatabase(DatabaseMeta(n, d, 8, False, _ALL_BUILTINS), _TABLES[n])
 
 
 class TestEncoding:
@@ -61,8 +66,8 @@ class TestEncoding:
         assert encode_circuit(grid("CX:C:1,CX:T:0")) == "CX:C:1,CX:T:0"
 
     def test_round_trip(self):
-        db = _BUILTIN_DBS[2]
         for enc in ("H,I|X,X|CX:C:1,CX:T:0", "CX:T:1,CX:C:0", "I,I"):
+            db = _builtin_db(2, enc.count("|") + 1)
             assert encode_circuit(db.decode(enc)) == enc
 
     @pytest.mark.parametrize(
@@ -70,9 +75,16 @@ class TestEncoding:
                                                           "empty", "empty-layer"]
     )
     def test_decode_validates(self, enc):
-        # only the texts of enumerated layers are read
-        with pytest.raises(DatabaseFormatError, match=re.escape(f"member {enc!r}")):
-            _BUILTIN_DBS[2].decode(enc)
+        # only the texts of enumerated layers are read, at the member's own depth
+        error = re.escape(f"member {enc!r}: ") + ".* is not a layer"
+        with pytest.raises(DatabaseFormatError, match=error):
+            _builtin_db(2, enc.count("|") + 1).decode(enc)
+
+    @pytest.mark.parametrize("enc", ["H,I", "H,I|X,X|I,I"], ids=["shorter", "longer"])
+    def test_decode_rejects_other_depths(self, enc):
+        error = re.escape(f"member {enc!r}: ") + r"[13] layers, not the database's d = 2"
+        with pytest.raises(DatabaseFormatError, match=error):
+            _builtin_db(2, 2).decode(enc)
 
 
 def _cells(c: CircuitGrid):
@@ -89,7 +101,7 @@ def _cells(c: CircuitGrid):
     )
 )
 def test_encoding_round_trips_every_builtin(c):
-    back = _BUILTIN_DBS[c.n].decode(encode_circuit(c))
+    back = _builtin_db(c.n, c.m).decode(encode_circuit(c))
     assert (back.n, _cells(back)) == (c.n, _cells(c))
 
 
@@ -443,6 +455,19 @@ class TestLoadErrors:
         db = loads(_signed(text.replace("\nCX:C:1,CX:T:0,I\n", f"\n{edited}\n", 1)))
         with pytest.raises(DatabaseFormatError, match=re.escape(f"member {edited!r}")):
             db.decode(edited)
+
+    @pytest.mark.parametrize("edited", ["H|H|I", "H"], ids=["longer", "shorter"])
+    def test_member_of_wrong_depth_raises_format_error(self, small_db, edited):
+        # 'H|H' of the n=1, d=2 {I,H} file holds another number of layers;
+        # the file loads, and reading the member reports it
+        db = loads(_signed(dumps(small_db).replace("\nH|H\n", f"\n{edited}\n", 1)))
+        error = re.escape(f"member {edited!r}: ") + r"\d layers, not the database's d = 2"
+        with pytest.raises(DatabaseFormatError, match=error):
+            db.decode(edited)
+        with pytest.raises(DatabaseFormatError, match=error):
+            db.rank_table(db.by_circuit[edited])
+        with pytest.raises(DatabaseFormatError, match=error):
+            optimize(grid("H", "H"), db)
 
     @pytest.mark.parametrize("bucket_of", ["I,I", "CX:C:1,CX:T:0"], ids=["same-bucket",
                                                                         "other-bucket"])

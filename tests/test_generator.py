@@ -1,26 +1,36 @@
 """Enumeration, the circuit-count formula, and database construction."""
 
 import hashlib
+import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from conftest import gate, gate_set, grid
 
-from qidopt.circuit import circuit_unitary, effective_depth
+from qidopt.circuit import circuit_unitary, effective_depth, layer_unitary
 from qidopt.database import dumps, encode_circuit
 from qidopt.fingerprint import fingerprint
 from qidopt.gates import GateSet, make_gate
 from qidopt.generator import (
     GeneratorConfig,
     ResourceGuardError,
+    _distinct_prefixes,
     build_database,
     enumerate_circuits,
     enumerate_layers,
     scaling_count,
 )
 from qidopt.matrices import identity, max_abs_diff
+
+
+# angles that are not multiples of pi/4, so that fewer prefix products
+# repeat bitwise (365 distinct of 1,024 five-layer prefixes at n1d6, 85 of
+# 121 two-layer ones at n2d3), and more than one level of prefixes
+_ODD_N1D6 = GeneratorConfig(n=1, d=6, gate_set=gate_set("I", "H", "T", "U3[pi/5;2*pi/3;-pi/7]"))
+_ODD_N2D3 = GeneratorConfig(n=2, d=3, gate_set=gate_set("I", "H", "U1[pi/8]", "CX"))
 
 
 def encode_layer(layer):
@@ -232,8 +242,12 @@ class TestBuildAgainstReference:
             # their text, in which "S|" follows "SDG|" but "S," precedes "SDG,"
             (2, 2, "I S SDG T TDG CX", "f6e0f983fbabffe2bcc22cf52acf94ce"),
             (1, 4, "I S SDG T TDG H", "9d765f9a2cd43de64f8d8e5fceb295a8"),
+            # few prefix products repeat bitwise (see _ODD_N1D6)
+            (1, 6, "I H T U3[pi/5;2*pi/3;-pi/7]", "72105fdd95ee7b8fc7ac2fb4b7ecce9f"),
+            (2, 3, "I H U1[pi/8] CX", "6d845344f50c274dda717487ac74f5c5"),
         ],
-        ids=["n2d3", "n2d4", "n3d2-t", "n2d2-prefix-names", "n1d4-prefix-names"],
+        ids=["n2d3", "n2d4", "n3d2-t", "n2d2-prefix-names", "n1d4-prefix-names",
+             "n1d6-odd-angles", "n2d3-odd-angles"],
     )
     def test_qidb_bytes_pinned(self, n, d, gates, md5):
         cfg = GeneratorConfig(n=n, d=d, gate_set=gate_set(*gates.split()))
@@ -248,8 +262,11 @@ class TestBuildAgainstReference:
                 n=3, d=2, gate_set=gate_set("I", "H", "CX"), dp=3, neighbors_only=True
             ),
             GeneratorConfig(n=2, d=2, gate_set=gate_set("I", "S", "SDG", "T", "TDG", "CX")),
+            _ODD_N1D6,
+            _ODD_N2D3,
         ],
-        ids=["n2d3", "d1", "neighbors-only-dp3", "n2d2-prefix-names"],
+        ids=["n2d3", "d1", "neighbors-only-dp3", "n2d2-prefix-names", "n1d6-odd-angles",
+             "n2d3-odd-angles"],
     )
     def test_every_circuit_keyed_by_its_own_fingerprint(self, cfg):
         db = build_database(cfg)
@@ -266,10 +283,18 @@ class TestBuildAgainstReference:
             keys = [(effective_depth(db.decode(e)), e) for e in encs]
             assert keys == sorted(keys)
 
-    def test_build_peak_memory_bounded(self):
-        # the gen-3q database (252 layers, 63,504 circuits): chunks of products
-        # stay bounded, rather than growing with the square of the layer count
-        cfg = GeneratorConfig(n=3, d=2, gate_set=gate_set("I", "H", "X", "Z", "S", "T", "CX"))
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # 252 layers, 63,504 circuits: blocks of products stay bounded,
+            # rather than growing with the square of the layer count
+            GeneratorConfig(n=3, d=2, gate_set=gate_set("I", "H", "X", "Z", "S", "T", "CX")),
+            # 18 layers, 104,976 circuits: three levels of prefix products
+            GeneratorConfig(n=2, d=4, gate_set=gate_set("I", "H", "X", "Z", "CX")),
+        ],
+        ids=["n3d2", "n2d4"],
+    )
+    def test_build_peak_memory_bounded(self, cfg):
         tracemalloc.start()
         try:
             build_database(cfg)
@@ -277,3 +302,35 @@ class TestBuildAgainstReference:
         finally:
             tracemalloc.stop()
         assert peak <= 25 * 10**6
+
+
+class TestDistinctPrefixes:
+    """The products that `build_database` extends by the last layer."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            _ODD_N1D6,
+            _ODD_N2D3,
+            # S·SDG and its kin give products that differ only in signed zeros
+            GeneratorConfig(n=1, d=4, gate_set=gate_set("I", "S", "SDG", "T", "TDG", "H")),
+        ],
+        ids=["n1d6-odd-angles", "n2d3-odd-angles", "n1d4-signed-zeros"],
+    )
+    def test_each_prefix_has_its_own_product(self, cfg):
+        layers = enumerate_layers(cfg.n, cfg.gate_set, cfg.neighbors_only)
+        mats = np.stack([layer_unitary(layer, cfg.n) for layer in layers])
+        k = cfg.d - 1
+        products, rep = _distinct_prefixes(mats, k)
+        assert len(rep) == len(layers) ** k
+        # bitwise distinct, and every one stands for a prefix
+        assert len({p.tobytes() for p in products}) == len(products)
+        _, first = np.unique(rep, return_index=True)
+        assert len(first) == len(products)
+        # numbered in order of first appearance over the prefixes
+        assert np.all(np.diff(first) > 0)
+        for p, prefix in enumerate(itertools.product(range(len(layers)), repeat=k)):
+            u = identity(mats.shape[-1])
+            for li in prefix:
+                u = np.matmul(mats[li], u)
+            assert products[rep[p]].tobytes() == u.tobytes(), prefix

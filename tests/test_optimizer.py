@@ -154,7 +154,7 @@ def encs(rows):
 
 def rows_of(db, *candidates):
     """The database's rank rows of the candidates, none dropped for depth."""
-    return db.rank(candidates, max_depth=len(candidates[0].split("|")))
+    return db.rank(candidates, max_depth=db.meta.d)
 
 
 class TestLookup:
