@@ -189,6 +189,20 @@ def enumerate_layers(n: int, gate_set: GateSet, neighbors_only: bool = False) ->
     return layers
 
 
+def layer_count(n: int, gate_set: GateSet, neighbors_only: bool, most: int) -> int:
+    """How many layers `enumerate_layers` makes, or a count above `most`.
+    Over k qubits, the first takes one of g single gates, or one of t pair
+    gates with a later qubit (the next, with neighbors_only), either way."""
+    g, t = gate_set.g, gate_set.t
+    fewer, count = 1, g  # the counts over 0 and 1 qubits
+    # the count rises with each qubit, unless it is 1 for every n
+    for k in range(2, min(n, most + 1) + 1):
+        if count > most:
+            break
+        fewer, count = count, g * count + 2 * t * (1 if neighbors_only else k - 1) * fewer
+    return count
+
+
 _SWAP_OPERANDS = [0, 2, 1, 3]  # |ab> <-> |ba> in the 4x4 basis
 
 

@@ -96,26 +96,16 @@ def _max_circuits() -> int:
 
 
 def cmd_gen_db(args) -> int:
-    try:
-        gs = parse_gate_set(args.gates)
-        cfg = generator.GeneratorConfig(
-            n=args.qubits,
-            d=args.depth,
-            gate_set=gs,
-            dp=args.dp,
-            neighbors_only=args.neighbors_only,
-            allow_large=args.allow_large,
-            max_circuits=_max_circuits(),
-        )
-    except ValueError as e:
-        _note(f"error: {e}")
-        return EXIT_CONFIG
+    cfg = generator.GeneratorConfig(
+        n=args.qubits,
+        d=args.depth,
+        gate_set=parse_gate_set(args.gates),
+        dp=args.dp,
+        neighbors_only=args.neighbors_only,
+        max_circuits=_max_circuits(),
+    )
     start = time.perf_counter()
-    try:
-        db = generator.build_database(cfg)
-    except generator.ResourceGuardError as e:
-        _note(f"error: {e}")
-        return EXIT_RESOURCE
+    db = generator.build_database(cfg)
     build_s = time.perf_counter() - start
     database.save(db, args.out)
     _out("circuits", db.total_circuits)
@@ -159,32 +149,16 @@ def _load_or_build_db(args, grid) -> database.IdentityDatabase:
 
 
 def cmd_optimize(args) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            grid = qasm.parse(fh.read())
-    except (OSError, ValueError) as e:
-        _note(f"error: {e}")
-        return EXIT_CONFIG
-    try:
-        db = _load_or_build_db(args, grid)
-    except generator.ResourceGuardError as e:
-        _note(f"error: {e}")
-        return EXIT_RESOURCE
-    except (OSError, ValueError) as e:
-        _note(f"error: {e}")
-        return EXIT_CONFIG
-
+    with open(args.input, "r", encoding="utf-8") as fh:
+        grid = qasm.parse(fh.read())
+    db = _load_or_build_db(args, grid)
     spec = optimizer.TileSpec(
         args.tile_qubits if args.tile_qubits is not None else db.meta.n,
         args.tile_depth if args.tile_depth is not None else db.meta.d,
     )
-    try:
-        result, report = optimizer.optimize(
-            grid, db, spec, iters=args.iterations, neighbors_only=args.neighbors_only
-        )
-    except ValueError as e:
-        _note(f"error: {e}")
-        return EXIT_CONFIG
+    result, report = optimizer.optimize(
+        grid, db, spec, iters=args.iterations, neighbors_only=args.neighbors_only
+    )
 
     text = qasm.emit(result)
     if args.out is not None:
@@ -229,23 +203,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_count(args) -> int:
-    try:
-        per_layer = generator.scaling_count(args.qubits, 1, args.g, args.t)
-        total = generator.scaling_count(args.qubits, args.depth, args.g, args.t)
-    except ValueError as e:
-        _note(f"error: {e}")
-        return EXIT_CONFIG
+    per_layer = generator.scaling_count(args.qubits, 1, args.g, args.t)
+    total = generator.scaling_count(args.qubits, args.depth, args.g, args.t)
     _out("layer_circuits", per_layer)
     _out("total_circuits", total)
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
-    try:
-        db = database.load(args.db)
-    except (OSError, database.DatabaseFormatError) as e:
-        _note(f"error: {e}")
-        return EXIT_CONFIG
+    db = database.load(args.db)
     meta = db.meta
     _out("format", meta.format_version)
     _out("digest", meta.digest_algorithm)
@@ -287,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--dp", type=int, default=8, help="decimal precision (default 8)")
     p.add_argument("--neighbors-only", action="store_true")
-    p.add_argument("--allow-large", action="store_true",
-                   help="lift the practical n/d bounds")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_db)
 
@@ -340,7 +304,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (OSError, ValueError) as e:  # an unwritable --out path, for one
+    except generator.ResourceGuardError as e:
+        _note(f"error: {e}")
+        return EXIT_RESOURCE
+    except (OSError, ValueError) as e:  # bad input, or an unwritable --out path
         _note(f"error: {e}")
         return EXIT_CONFIG
 

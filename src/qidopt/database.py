@@ -42,6 +42,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .circuit import Cell, CircuitGrid, Layer, cell_is_identity, enumerate_layers, single
+from .circuit import layer_count
 from .fingerprint import DIGEST_ALGORITHM, Fingerprint, canonicalize
 from .gates import AngleRangeError, GateDef, GateSet, gate_from_name, make_gate
 
@@ -347,20 +348,6 @@ def _int(text: str, what: str, lo: int = 0, hi: int | None = None) -> int:
     return value
 
 
-def _layer_count(n: int, gate_set: GateSet, neighbors_only: bool, most: int) -> int:
-    """How many layers `enumerate_layers` makes, or a count above `most`.
-    Over k qubits, the first takes one of g single gates, or one of t pair
-    gates with a later qubit (the next, with neighbors_only), either way."""
-    g, t = gate_set.g, gate_set.t
-    fewer, count = 1, g  # the counts over 0 and 1 qubits
-    # the count rises with each qubit, unless it is 1 for every n
-    for k in range(2, min(n, most + 1) + 1):
-        if count > most:
-            break
-        fewer, count = count, g * count + 2 * t * (1 if neighbors_only else k - 1) * fewer
-    return count
-
-
 def loads(text: str) -> IdentityDatabase:
     """Parse a QIDB/1 file; raises DatabaseFormatError (or a subclass) for
     any header, gate line, bucket or footer it cannot interpret, and for a
@@ -443,7 +430,7 @@ def loads(text: str) -> IdentityDatabase:
         raise DatabaseFormatError(f"footer says {total} circuits, file holds {listed}")
     # a database holds every circuit of its enumeration, so at least its
     # layers: this also bounds the enumeration by the file's size
-    if _layer_count(n, gate_set, meta.neighbors_only, total) > total:
+    if layer_count(n, gate_set, meta.neighbors_only, total) > total:
         raise DatabaseFormatError(
             f"n {n} and the gate table give more layers than the file's {total} circuits"
         )

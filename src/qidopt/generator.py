@@ -46,6 +46,18 @@ text rank) orders all members, and each bucket is a slice of the sorted
 texts. Buckets are inserted in form-id order, the order in which their
 forms first appear; within a bucket, members sort by (effective depth,
 encoding text).
+
+A build is refused before anything is enumerated (`_check_budget`) when
+its estimated peak bytes exceed `max_circuits` · B, with B = 320. The
+estimate is C·B + 16·4ⁿ·(2L + 2L^(d−1) + k·R), k = 6: C = L^d circuits
+at B bytes each (member texts, form ids and the tables over them), and
+complex unitaries of 16·4ⁿ bytes: 2L for the layer stack and the list it
+is stacked from, 2L^(d−1) for the distinct prefix products and their
+level's table (the distinct products number at most L^(d−1)), and k per
+row of a last-level block, R = max(`_CHUNK`, L) rows, for its rounding,
+keying and fingerprinting. B and k are fitted to
+tracemalloc peaks, which the estimate exceeds by 1.2–2.1× on the bench
+configs and on n4d1 builds, where the 4ⁿ term dominates.
 """
 
 from __future__ import annotations
@@ -58,40 +70,49 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .circuit import CircuitGrid, enumerate_layers, layer_unitary
+from .circuit import CircuitGrid, enumerate_layers, layer_count, layer_unitary
 from .database import DatabaseMeta, IdentityDatabase, check_gate_table, layer_table
 from .fingerprint import Fingerprint, _rounded_components, fingerprint
 from .gates import GateSet
 from .matrices import identity
 
 DEFAULT_MAX_CIRCUITS = 10**7
-MAX_QUBITS = 4
-MAX_DEPTH = 6
 
 # products rounded and deduplicated together (one prefix's L, if larger)
 _CHUNK = 512
 
+# the byte estimate's B and k (see the module docstring)
+_BYTES_PER_CIRCUIT = 320
+_BLOCK_COPIES = 6
+
 
 class ResourceGuardError(RuntimeError):
-    """Enumeration would exceed the configured circuit budget."""
+    """A build's estimated peak bytes exceed `limit` · B. `total` and
+    `limit` count circuits; `total` and `estimate` (bytes) are lower
+    bounds when the guard stopped short of the full count."""
 
-    def __init__(self, total: int, limit: int):
+    def __init__(self, total: int, limit: int, estimate: int):
         super().__init__(
-            f"enumeration would produce {total} circuits, over the limit of "
-            f"{limit}; raise the limit to override"
+            f"enumeration would produce at least {total} circuits and take an estimated "
+            f"{estimate} bytes at peak, over the limit of {limit} circuits "
+            f"({limit * _BYTES_PER_CIRCUIT} bytes); raise the limit to override"
         )
         self.total = total
         self.limit = limit
+        self.estimate = estimate
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
+    """An enumeration, refused before it is enumerated when its estimated
+    peak bytes C·B + 16·4ⁿ·(2L + 2L^(d−1) + k·R) exceed `max_circuits` · B
+    (B = 320, k = 6; the terms are in the module docstring)."""
+
     n: int
     d: int
     gate_set: GateSet
     dp: int = 8
     neighbors_only: bool = False
-    allow_large: bool = False
     max_circuits: int = DEFAULT_MAX_CIRCUITS
 
     def __post_init__(self):
@@ -99,10 +120,6 @@ class GeneratorConfig:
             raise ValueError("n and d must be at least 1")
         if not (1 <= self.dp <= 15):
             raise ValueError("dp must be in [1, 15]")
-        if not self.allow_large and (self.n > MAX_QUBITS or self.d > MAX_DEPTH):
-            raise ValueError(
-                f"n <= {MAX_QUBITS} and d <= {MAX_DEPTH} unless allow_large is set"
-            )
 
 
 def scaling_count(n: int, d: int, g: int, t: int) -> int:
@@ -119,17 +136,36 @@ def scaling_count(n: int, d: int, g: int, t: int) -> int:
 
 def enumerate_circuits(cfg: GeneratorConfig) -> Iterator[CircuitGrid]:
     """All d-layer circuits, lexicographic in layer indices."""
+    _check_budget(cfg)
     layers = enumerate_layers(cfg.n, cfg.gate_set, cfg.neighbors_only)
-    _check_budget(cfg, len(layers))
-
     for chosen in itertools.product(layers, repeat=cfg.d):
         yield CircuitGrid(cfg.n, chosen)
 
 
-def _check_budget(cfg: GeneratorConfig, layer_count: int) -> None:
-    total = layer_count**cfg.d
-    if total > cfg.max_circuits:
-        raise ResourceGuardError(total, cfg.max_circuits)
+def _estimate(n: int, d: int, layers: int) -> tuple[int, int]:
+    """The circuit count C = L^d of a build over L = `layers` layers, and
+    its estimated peak bytes C·B + 16·4ⁿ·(2L + 2L^(d−1) + k·R)."""
+    circuits = layers**d
+    rows = max(_CHUNK, layers)  # a last-level block has at most this many rows
+    unitaries = 2 * layers + 2 * layers ** (d - 1) + _BLOCK_COPIES * rows
+    return circuits, circuits * _BYTES_PER_CIRCUIT + 16 * 4**n * unitaries
+
+
+def _check_budget(cfg: GeneratorConfig) -> None:
+    """Raise ResourceGuardError when the estimated peak bytes exceed
+    max_circuits · B. The estimate rises with n, d and L, so it is taken
+    where it passes the limit if the full one does: n at most the limit's
+    bit length (16·4ⁿ passes it), so a huge n is never counted, and L and
+    L^d up to the first value past max_circuits (C·B passes it)."""
+    limit = cfg.max_circuits * _BYTES_PER_CIRCUIT
+    n = min(cfg.n, limit.bit_length())
+    layers = layer_count(n, cfg.gate_set, cfg.neighbors_only, cfg.max_circuits)
+    d = 1
+    while d < cfg.d and 1 < layers**d <= cfg.max_circuits:
+        d += 1
+    total, estimate = _estimate(n, d, layers)
+    if estimate > limit:
+        raise ResourceGuardError(total, cfg.max_circuits, estimate)
 
 
 def _extensions(mats: np.ndarray, products: np.ndarray) -> Iterator[np.ndarray]:
@@ -194,18 +230,12 @@ def build_database(cfg: GeneratorConfig) -> IdentityDatabase:
     Bucket lists come out sorted by (effective depth, encoding) so the
     cheapest identity is first, and buckets in the order their forms first
     appear. Raises ValueError when the gate table would not load back from
-    the file (see `check_gate_table`).
-
-    Memory for products: the distinct (d−1)-layer prefix products number
-    at most L^(d−1), of 4ⁿ·16 bytes each, so they hold at most
-    L^(d−1)·4ⁿ·16 bytes, 4ⁿ·16/L bytes per circuit. A level's table keeps
-    a copy of the bytes of the products it numbers, so at the end of a
-    level that bound holds twice over; every other product array is a
-    block of at most max(`_CHUNK`, L) rows.
+    the file (see `check_gate_table`), and ResourceGuardError, before
+    enumerating, over the byte budget (`_check_budget`).
     """
-    layers = enumerate_layers(cfg.n, cfg.gate_set, cfg.neighbors_only)
-    _check_budget(cfg, len(layers))
+    _check_budget(cfg)
     check_gate_table(cfg.gate_set, cfg.dp)
+    layers = enumerate_layers(cfg.n, cfg.gate_set, cfg.neighbors_only)
 
     table = layer_table(layers)
     count, d, dp = len(layers), cfg.d, cfg.dp

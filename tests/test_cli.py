@@ -103,6 +103,19 @@ class TestGenDb:
                    "--out", str(tmp_path / "x.qidb")])
         assert rc == EXIT_RESOURCE
 
+    def test_byte_guard_exit(self, tmp_path, capsys):
+        # 2^40 layers of 40 qubits: refused before any layer is enumerated
+        rc = main(["gen-db", "--gates", "I,H", "--qubits", "40", "--depth", "1",
+                   "--out", str(tmp_path / "x.qidb")])
+        assert rc == EXIT_RESOURCE
+        assert "bytes at peak" in capsys.readouterr().err
+        assert not (tmp_path / "x.qidb").exists()
+
+    def test_allow_large_is_gone(self, tmp_path):
+        rc = main(["gen-db", "--gates", "I,H", "--qubits", "1", "--depth", "1",
+                   "--allow-large", "--out", str(tmp_path / "x.qidb")])
+        assert rc == EXIT_CONFIG
+
     @pytest.mark.parametrize("limit", ["-1", "0", "ten"])
     def test_bad_limit_is_config_error(self, tmp_path, monkeypatch, capsys, limit):
         monkeypatch.setenv("QUANTO_MAX_CIRCUITS", limit)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import gate, gate_set, grid
 
-from qidopt.circuit import CircuitGrid, circuit_unitary, validate
+from qidopt.circuit import CircuitGrid, circuit_unitary, layer_count, validate
 from qidopt.database import (
     ChecksumMismatchError,
     DatabaseFormatError,
@@ -22,7 +22,6 @@ from qidopt.database import (
     TruncatedFileError,
     VersionMismatchError,
     _gate_line,
-    _layer_count,
     _parse_gate_line,
     dumps,
     encode_circuit,
@@ -42,7 +41,7 @@ from qidopt.gates import (
     instantiate_param_gate,
     make_gate,
 )
-from qidopt.generator import GeneratorConfig, build_database, enumerate_layers
+from qidopt.generator import GeneratorConfig, build_database, enumerate_layers, scaling_count
 from qidopt.matrices import max_abs_diff
 from qidopt.optimizer import optimize
 
@@ -521,9 +520,11 @@ def test_layer_count_matches_enumeration(names, neighbors_only):
     gs = gate_set(*names)
     for n in range(1, 6):
         count = len(enumerate_layers(n, gs, neighbors_only))
-        assert _layer_count(n, gs, neighbors_only, count) == count
+        assert layer_count(n, gs, neighbors_only, count) == count
+        if not neighbors_only:
+            assert layer_count(n, gs, False, count) == scaling_count(n, 1, gs.g, gs.t)
         # past `most`, only the fact that it is passed is reported
-        assert _layer_count(n, gs, neighbors_only, count - 1) > count - 1
+        assert layer_count(n, gs, neighbors_only, count - 1) > count - 1
 
 
 _EDITABLE = dumps(

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import gate, gate_set, grid
 
+from qidopt import generator
 from qidopt.circuit import circuit_unitary, effective_depth, layer_unitary
 from qidopt.database import dumps, encode_circuit
 from qidopt.fingerprint import fingerprint
@@ -18,6 +19,7 @@ from qidopt.generator import (
     GeneratorConfig,
     ResourceGuardError,
     _distinct_prefixes,
+    _estimate,
     build_database,
     enumerate_circuits,
     enumerate_layers,
@@ -141,9 +143,11 @@ class TestEnumerateCircuits:
     def test_config_guards(self):
         with pytest.raises(ValueError):
             GeneratorConfig(n=0, d=1, gate_set=gate_set("I"))
-        with pytest.raises(ValueError):
-            GeneratorConfig(n=5, d=1, gate_set=gate_set("I"))
-        GeneratorConfig(n=5, d=1, gate_set=gate_set("I"), allow_large=True)
+        # no fixed cap on n or d: the byte estimate decides
+        cfg = GeneratorConfig(n=5, d=1, gate_set=gate_set("I", "H"))
+        assert sum(1 for _ in enumerate_circuits(cfg)) == 32
+        with pytest.raises(ResourceGuardError):
+            list(enumerate_circuits(GeneratorConfig(n=10, d=1, gate_set=gate_set("I", "H"))))
 
     def test_resource_guard(self):
         cfg = GeneratorConfig(
@@ -152,6 +156,33 @@ class TestEnumerateCircuits:
         with pytest.raises(ResourceGuardError) as exc:
             list(enumerate_circuits(cfg))
         assert exc.value.total == 729
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # 2^40 layers: counting stops past the limit
+            GeneratorConfig(n=40, d=1, gate_set=gate_set("I", "H")),
+            # the one-layer term fits, so the layers are counted, and
+            # 16·4ⁿ·2L passes the limit
+            GeneratorConfig(n=40, d=1, gate_set=gate_set("I", "H"), max_circuits=10**30),
+            # one layer for any n: only the 4ⁿ term passes the limit
+            GeneratorConfig(n=2000, d=1, gate_set=gate_set("I")),
+            # a depth that L^d alone passes the limit at
+            GeneratorConfig(n=1, d=10**9, gate_set=gate_set("I", "H")),
+        ],
+        ids=["n40-count", "n40-counted", "n2000-one-layer", "d1e9"],
+    )
+    @pytest.mark.parametrize(
+        "run", [build_database, lambda cfg: list(enumerate_circuits(cfg))], ids=["build", "enum"]
+    )
+    def test_guard_fires_before_enumeration(self, monkeypatch, cfg, run):
+        def refuse(*args):
+            raise AssertionError("enumerated layers past the guard")
+
+        monkeypatch.setattr(generator, "enumerate_layers", refuse)
+        with pytest.raises(ResourceGuardError) as exc:
+            run(cfg)
+        assert exc.value.estimate > exc.value.limit * generator._BYTES_PER_CIRCUIT
 
 
 class TestBuildDatabase:
@@ -302,6 +333,38 @@ class TestBuildAgainstReference:
         finally:
             tracemalloc.stop()
         assert peak <= 25 * 10**6
+
+    _STANDARD = ("I", "X", "Y", "Z", "H", "S", "SDG", "T", "TDG", "CX")
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # the three bench builds
+            GeneratorConfig(n=3, d=2, gate_set=gate_set("I", "H", "X", "Z", "S", "T", "CX")),
+            GeneratorConfig(n=2, d=4, gate_set=gate_set("I", "H", "X", "Z", "CX")),
+            GeneratorConfig(n=2, d=3, gate_set=gate_set("I", "H", "X", "Z", "CX")),
+            # the 4ⁿ term dominates: 7,545 and 460 layers of 4 qubits
+            GeneratorConfig(n=4, d=1, gate_set=gate_set(*_STANDARD)),
+            GeneratorConfig(n=4, d=1, gate_set=gate_set("I", "H", "X", "Z", "CX")),
+            GeneratorConfig(n=3, d=1, gate_set=gate_set(*_STANDARD)),
+            # five levels of prefix products
+            GeneratorConfig(n=1, d=6, gate_set=gate_set("I", "H", "T", "X")),
+        ],
+        ids=["n3d2", "n2d4", "n2d3", "n4d1-standard", "n4d1", "n3d1-standard", "n1d6"],
+    )
+    def test_byte_estimate_bounds_peak(self, cfg):
+        """The guard's estimate is an upper bound on the build's traced peak,
+        and not a loose one: a change to what a build holds per circuit or
+        per unitary must recalibrate it."""
+        layers = len(enumerate_layers(cfg.n, cfg.gate_set, cfg.neighbors_only))
+        _, estimate = _estimate(cfg.n, cfg.d, layers)
+        tracemalloc.start()
+        try:
+            build_database(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate <= 2.5 * peak
 
 
 class TestDistinctPrefixes:
