@@ -70,14 +70,18 @@ def _rounded_components(m: ComplexMatrix, dp: int) -> np.ndarray:
     a = np.ascontiguousarray(m, dtype=np.complex128)
     # a contiguous complex array viewed as float64 interleaves (re, im)
     comps = a.view(np.float64).reshape(a.shape[:-2] + (-1,))
-    mags = np.floor(np.abs(comps) * 10.0**dp + 0.5)
+    # floor(|c|·10^dp + 0.5), in place
+    mags = np.abs(comps)
+    mags *= 10.0**dp
+    mags += 0.5
+    np.floor(mags, out=mags)
     # NaN and inf fail the comparison as well as oversized magnitudes
     if not mags.max() < 2.0**62:
         if not np.all(np.isfinite(comps)):
             raise ValueError("cannot canonicalize a matrix with non-finite entries")
         raise ValueError("matrix entries too large to canonicalize")
     # a negative component that rounds to zero gives -0.0, which is 0
-    return np.copysign(mags, comps).astype(np.int64)
+    return np.copysign(mags, comps, out=mags).astype(np.int64)
 
 
 def _render(rows: np.ndarray, dim: int, dp: int) -> list[bytes]:

@@ -11,12 +11,12 @@ text and idle flag come from the database's layer table
 `build_database` multiplies only distinct prefix products
 (`_distinct_prefixes`). Level k left-multiplies each bitwise-distinct
 product of the (k−1)-layer prefixes by every layer, starting from the
-identity, and numbers the results by their exact float64 bytes, in order
-of first appearance; each k-layer prefix records the number of its
-product. The last level extends the distinct (d−1)-layer products by every
-layer, and circuit p·L + l takes the form of extension row rep[p]·L + l.
-On the n2d4 {I,H,X,Z,CX} config the 5,832 three-layer prefixes have 718
-distinct products, so 12,924 final products stand for 104,976 circuits.
+identity, and numbers the results by their float64 words, in order of
+first appearance; each k-layer prefix records the number of its product.
+The last level extends the distinct (d−1)-layer products by every layer,
+and circuit p·L + l takes the form of extension row rep[p]·L + l. On the
+n2d4 {I,H,X,Z,CX} config the 5,832 three-layer prefixes have 718 distinct
+products, so 12,924 final products stand for 104,976 circuits.
 
 This is exact. A circuit's product is its prefix's product left-multiplied
 by its last layer, so the floats equal those of a product made one circuit
@@ -28,16 +28,21 @@ circuits: file bytes, bucket order and member order are those of a build
 that multiplies every circuit.
 
 Products are extended in blocks (`_extensions`) of at most `_CHUNK` rows,
-or one product's L rows when L is larger, and each block is numbered with
-one `np.unique` over its rows (each row viewed as one void value) and a
-table lookup per distinct row (`_number`). At the last level a block is
-rounded in one call first. Most circuits repeat a rounded unitary already
-seen, so only the distinct rounded rows are keyed into the form table, by
-the 16-byte MD5 of the rounded int64 row rather than the row itself (4 KB
-per key at n=4); that key carries the same collision risk as the
-database's own MD5 fingerprint. A block's new forms are fingerprinted
-together in one `fingerprint` call, and every circuit gets its form's
-integer id.
+or one product's L rows when L is larger, and every level numbers its
+blocks the same way (`_number`), by rows of 64-bit words: a product's
+float64 words (`_float_words`), or at the last level its rounded int64
+components. A
+block's rows are hashed in one integer matmul (`_row_hash`), deduplicated
+with one `np.unique` over the hashes and looked up in the sorted hashes
+of the forms seen so far, 24 bytes per form. Every match is then
+confirmed bitwise: each row against the block's first row with its hash,
+and that row, when an earlier form has its hash, against the form's
+representative, recomputed from the extension row it first appeared on.
+A block that fails a check is numbered row by row by its bytes
+(`_number_exactly`), so the hash decides only speed, never a number. A
+block's new forms are fingerprinted together in one `fingerprint` call,
+every circuit gets its form's integer id, and two forms with one
+fingerprint stop the build.
 
 Members are then grouped with no per-circuit Python work but making each
 member's text. A member's effective depth and the rank of its text come
@@ -52,17 +57,16 @@ its estimated peak bytes exceed `max_circuits` · B, with B = 320. The
 estimate is C·B + 16·4ⁿ·(2L + 2L^(d−1) + k·R), k = 6: C = L^d circuits
 at B bytes each (member texts, form ids and the tables over them), and
 complex unitaries of 16·4ⁿ bytes: 2L for the layer stack and the list it
-is stacked from, 2L^(d−1) for the distinct prefix products and their
-level's table (the distinct products number at most L^(d−1)), and k per
+is stacked from, 2L^(d−1) for the distinct prefix products and the
+blocks they are concatenated from (they number at most L^(d−1)), and k per
 row of a last-level block, R = max(`_CHUNK`, L) rows, for its rounding,
-keying and fingerprinting. B and k are fitted to
-tracemalloc peaks, which the estimate exceeds by 1.2–2.1× on the bench
-configs and on n4d1 builds, where the 4ⁿ term dominates.
+hashing and fingerprinting. B and k are fitted to tracemalloc peaks,
+which the estimate exceeds by 1.5–2.2× on the bench configs and on n4d1
+builds, where the 4ⁿ term dominates.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -78,7 +82,7 @@ from .matrices import identity
 
 DEFAULT_MAX_CIRCUITS = 10**7
 
-# products rounded and deduplicated together (one prefix's L, if larger)
+# products numbered together (one prefix's L, if larger)
 _CHUNK = 512
 
 # the byte estimate's B and k (see the module docstring)
@@ -178,26 +182,127 @@ def _extensions(mats: np.ndarray, products: np.ndarray) -> Iterator[np.ndarray]:
         yield np.matmul(mats[None], products[s : s + per, None]).reshape(-1, *mats.shape[1:])
 
 
+def _row_hash(words: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row of an (N, W) uint64 array, in one integer
+    matmul: the row's words times a fixed vector of odd constants (the
+    first W outputs of splitmix64 from seed 0), summed mod 2⁶⁴. Equal rows
+    hash equal; a collision costs only time, since `_number` confirms every
+    match bitwise."""
+    keys = np.arange(1, words.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    keys ^= keys >> np.uint64(30)
+    keys *= np.uint64(0xBF58476D1CE4E5B9)
+    keys ^= keys >> np.uint64(27)
+    keys *= np.uint64(0x94D049BB133111EB)
+    keys ^= keys >> np.uint64(31)
+    return words @ (keys | np.uint64(1))
+
+
+def _float_words(block: np.ndarray) -> np.ndarray:
+    """The float64 words of each product of a block, each xor-folded with
+    its high half. The fold is one-to-one, so rows compare as their bits
+    do (−0.0 and 0.0 apart), and it gives `_row_hash` low bits to mix: a
+    float that is a small power of two has 52 low zero bits."""
+    words = block.reshape(len(block), -1).view(np.uint64)
+    return words ^ (words >> np.uint64(32))
+
+
+class _Forms:
+    """The forms numbered so far, 24 bytes each: their hashes, sorted, with
+    the number of the form each belongs to, and by number, the extension row
+    each form first appeared on."""
+
+    def __init__(self):
+        self.hashes = np.empty(0, dtype=np.uint64)
+        self.numbers = np.empty(0, dtype=np.intp)
+        self.sources = np.empty(0, dtype=np.intp)
+
+    def add(self, hashes: np.ndarray, sources: np.ndarray) -> None:
+        """Number new forms, in order, by their hashes and first rows."""
+        order = np.argsort(hashes, kind="stable")
+        at = np.searchsorted(self.hashes, hashes[order])
+        self.hashes = np.insert(self.hashes, at, hashes[order])
+        self.numbers = np.insert(self.numbers, at, len(self.sources) + order)
+        self.sources = np.concatenate([self.sources, sources])
+
+
 def _number(
-    rows: np.ndarray, table: dict[bytes, int], key: Callable[[bytes], bytes]
+    words: np.ndarray, start: int, forms: _Forms, exact: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The number of each of `rows` (one void value per row) in `table`,
-    which maps `key(row bytes)` to a number: rows not in it are added in
-    order of first appearance. Returns every row's number and the positions
-    of the rows added, in order. One `np.unique` finds the distinct rows,
-    so `key` runs once per distinct row."""
-    distinct, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    keys = [key(r) for r in distinct.tolist()]
-    ids = np.array([table.get(k, -1) for k in keys], dtype=np.intp)
+    """The form number of each row of a block of (N, W) uint64 `words`,
+    whose first row is extension row `start`: rows not yet in `forms` are
+    added, in order of first appearance. Returns every row's number and
+    the positions of the rows added, in order.
+
+    Rows are hashed (`_row_hash`), deduplicated with one `np.unique` over
+    the hashes and looked up in the sorted hashes of `forms`. Every match
+    is confirmed bitwise: each row against its in-block lead, and each
+    hit's lead against the representative of the (first) form with its
+    hash, recomputed from the form's extension row by `exact`. A block
+    that fails a check is numbered by `_number_exactly`."""
+    hashes = _row_hash(words)
+    distinct, first, inverse = np.unique(hashes, return_index=True, return_inverse=True)
+    inverse = inverse.ravel()
+    lead = first[inverse]
+    dup = np.flatnonzero(lead != np.arange(len(words)))
+    at = np.searchsorted(forms.hashes, distinct)
+    hit = np.flatnonzero(at < len(forms.hashes))
+    hit = hit[forms.hashes[at[hit]] == distinct[hit]]
+    known = forms.numbers[at[hit]]
+    if not (
+        np.array_equal(words[dup], words[lead[dup]])
+        and (not len(hit) or np.array_equal(words[first[hit]], exact(forms.sources[known])))
+    ):
+        return _number_exactly(words, hashes, start, forms, exact)
+    ids = np.full(len(distinct), -1, dtype=np.intp)
+    ids[hit] = known
     new = np.flatnonzero(ids < 0)
     new = new[np.argsort(first[new])]
-    ids[new] = np.arange(len(table), len(table) + len(new))
-    table.update(zip([keys[i] for i in new.tolist()], ids[new].tolist()))
-    return ids[inverse.ravel()], first[new]
+    ids[new] = np.arange(len(forms.sources), len(forms.sources) + len(new))
+    forms.add(distinct[new], start + first[new])
+    return ids[inverse], first[new]
 
 
-def _md5(row: bytes) -> bytes:
-    return hashlib.md5(row).digest()
+def _number_exactly(
+    words: np.ndarray,
+    hashes: np.ndarray,
+    start: int,
+    forms: _Forms,
+    exact: Callable[[np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_number` row by row: each row is keyed by its bytes against the
+    recomputed representative of every form that shares a hash with some
+    row of the block, and the rows added so far."""
+    shared = forms.numbers[np.isin(forms.hashes, hashes)]
+    seen: dict[bytes, int] = {}  # a row's bytes -> its number
+    if len(shared):
+        seen.update(zip(map(bytes, exact(forms.sources[shared])), shared.tolist()))
+    ids = np.empty(len(words), dtype=np.intp)
+    new: list[int] = []
+    for i, key in enumerate(map(bytes, words)):
+        if key not in seen:
+            seen[key] = len(forms.sources) + len(new)
+            new.append(i)
+        ids[i] = seen[key]
+    added = np.array(new, dtype=np.intp)
+    forms.add(hashes[added], start + added)
+    return ids, added
+
+
+def _numbered(
+    mats: np.ndarray, products: np.ndarray, words: Callable[[np.ndarray], np.ndarray]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each block of `_extensions(mats, products)`, with the form number of
+    each of its rows and the positions of the rows that add a form
+    (`_number`), where a row's form is its `words`, compared bitwise."""
+    count, forms, start = len(mats), _Forms(), 0
+
+    def exact(rows: np.ndarray) -> np.ndarray:
+        # extension row r·L + l is mats[l] @ products[r], as `_extensions` makes it
+        return words(np.matmul(mats[rows % count], products[rows // count]))
+
+    for block in _extensions(mats, products):
+        yield (block, *_number(words(block), start, forms, exact))
+        start += len(block)
 
 
 def _distinct_prefixes(mats: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -206,21 +311,18 @@ def _distinct_prefixes(mats: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     order, the number of its product.
 
     Level j extends each distinct product of level j−1 by every layer
-    (`_extensions`) and numbers the results by their exact bytes: a key is
-    a whole float64 row, so −0.0 and 0.0 stay apart. Prefix p + (l,) has
-    the product mats[l] @ products[rep[p]], extension row rep[p]·L + l."""
-    dim = mats.shape[-1]
-    row = np.dtype((np.void, mats.itemsize * dim * dim))
-    products, rep = identity(dim)[None], np.zeros(1, dtype=np.intp)
+    (`_extensions`) and numbers the results by their float64 words
+    (`_numbered`, `_float_words`), so −0.0 and 0.0 stay apart. Prefix
+    p + (l,) has the product mats[l] @ products[rep[p]], extension row
+    rep[p]·L + l."""
+    products, rep = identity(mats.shape[-1])[None], np.zeros(1, dtype=np.intp)
     for _ in range(k):
-        seen: dict[bytes, int] = {}  # a product's bytes -> its number
-        ids = [
-            _number(block.reshape(len(block), -1).view(row).ravel(), seen, bytes)[0]
-            for block in _extensions(mats, products)
-        ]
+        ids, fresh = [], []
+        for block, num, new in _numbered(mats, products, _float_words):
+            ids.append(num)
+            fresh.append(block[new])
         rep = np.concatenate(ids).reshape(-1, len(mats))[rep].ravel()
-        # `seen` holds the distinct products in number order
-        products = np.frombuffer(b"".join(seen), dtype=mats.dtype).reshape(-1, dim, dim)
+        products = np.concatenate(fresh)
     return products, rep
 
 
@@ -230,8 +332,9 @@ def build_database(cfg: GeneratorConfig) -> IdentityDatabase:
     Bucket lists come out sorted by (effective depth, encoding) so the
     cheapest identity is first, and buckets in the order their forms first
     appear. Raises ValueError when the gate table would not load back from
-    the file (see `check_gate_table`), and ResourceGuardError, before
-    enumerating, over the byte budget (`_check_budget`).
+    the file (see `check_gate_table`), ResourceGuardError, before
+    enumerating, over the byte budget (`_check_budget`), and RuntimeError,
+    naming the fingerprint, when two distinct forms share one.
     """
     _check_budget(cfg)
     check_gate_table(cfg.gate_set, cfg.dp)
@@ -240,17 +343,14 @@ def build_database(cfg: GeneratorConfig) -> IdentityDatabase:
     table = layer_table(layers)
     count, d, dp = len(layers), cfg.d, cfg.dp
     mats = np.stack([layer_unitary(layer, cfg.n) for layer in layers])
-    dim = mats.shape[-1]
     encs = list(table)
 
     prefixes, rep = _distinct_prefixes(mats, d - 1)
-    forms: dict[bytes, int] = {}  # MD5 of a rounded row -> its form id
     fps: list[Fingerprint] = []  # form id -> fingerprint
     row_forms = []  # per block: the form id of each extension row
-    row = np.dtype((np.void, 16 * dim * dim))  # a rounded row as one value
-    for chunk in _extensions(mats, prefixes):
-        rows = _rounded_components(chunk, dp).view(row).ravel()
-        ids, new = _number(rows, forms, _md5)
+    for chunk, ids, new in _numbered(
+        mats, prefixes, lambda b: _rounded_components(b, dp).view(np.uint64)
+    ):
         if len(new):
             fps.extend(fingerprint(chunk[new], dp))
         row_forms.append(ids)
@@ -278,6 +378,8 @@ def build_database(cfg: GeneratorConfig) -> IdentityDatabase:
     members = np.array(texts, dtype=object)[np.lexsort((rank, depth, form))].tolist()
     ends = np.cumsum(np.bincount(form, minlength=len(fps))).tolist()
     for fp, start, end in zip(fps, [0] + ends, ends):
+        if fp in db.by_fingerprint:  # two forms would share one bucket
+            raise RuntimeError(f"two forms have the fingerprint {fp.hex}")
         db.by_fingerprint[fp] = members[start:end]
     db.by_circuit.update(zip(texts, np.array(fps, dtype=object)[form].tolist()))
     return db

@@ -13,7 +13,7 @@ from conftest import gate, gate_set, grid
 from qidopt import generator
 from qidopt.circuit import circuit_unitary, effective_depth, layer_unitary
 from qidopt.database import dumps, encode_circuit
-from qidopt.fingerprint import fingerprint
+from qidopt.fingerprint import Fingerprint, fingerprint
 from qidopt.gates import GateSet, make_gate
 from qidopt.generator import (
     GeneratorConfig,
@@ -261,28 +261,55 @@ class TestBuildAgainstReference:
     """The batched, deduplicated build against fixed bytes and against a
     one-circuit-at-a-time recomputation."""
 
-    # MD5 of the QIDB/1 bytes of the {I,H,X,Z,CX} databases at n=2, d=3 and d=4
+    # id -> (n, d, gates, MD5 of the QIDB/1 bytes)
+    _PINNED = {
+        # the {I,H,X,Z,CX} databases at n=2, d=3 and d=4
+        "n2d3": (2, 3, "I H X Z CX", "4fd219db11bac81d5d6e4d35694d7014"),
+        "n2d4": (2, 4, "I H X Z CX", "31ad0cbf15d0705b06f86b3f5270827f"),
+        # the most forms, and T phases that are not dyadic
+        "n3d2-t": (3, 2, "I H X Z S T CX", "9e581ec3992b5c26eb87184fdd1dffeb"),
+        # gate names that are prefixes of each other: members sort by
+        # their text, in which "S|" follows "SDG|" but "S," precedes "SDG,"
+        "n2d2-prefix-names": (2, 2, "I S SDG T TDG CX", "f6e0f983fbabffe2bcc22cf52acf94ce"),
+        "n1d4-prefix-names": (1, 4, "I S SDG T TDG H", "9d765f9a2cd43de64f8d8e5fceb295a8"),
+        # few prefix products repeat bitwise (see _ODD_N1D6)
+        "n1d6-odd-angles": (1, 6, "I H T U3[pi/5;2*pi/3;-pi/7]", "72105fdd95ee7b8fc7ac2fb4b7ecce9f"),
+        "n2d3-odd-angles": (2, 3, "I H U1[pi/8] CX", "6d845344f50c274dda717487ac74f5c5"),
+    }
+    # builds that take the same bytes another way: "one-hash" gives every row
+    # one hash, so every block is numbered by `_number_exactly`; "chunk-1"
+    # makes each product's L rows a block, so nearly every repeat is a hit
+    # on an earlier block, confirmed against a recomputed representative
+    _VARIANTS = {
+        "one-hash": ("_row_hash", lambda words: np.zeros(len(words), dtype=np.uint64)),
+        "chunk-1": ("_CHUNK", 1),
+    }
+
     @pytest.mark.parametrize(
-        "n, d, gates, md5",
-        [
-            (2, 3, "I H X Z CX", "4fd219db11bac81d5d6e4d35694d7014"),
-            (2, 4, "I H X Z CX", "31ad0cbf15d0705b06f86b3f5270827f"),
-            # the most forms, and T phases that are not dyadic
-            (3, 2, "I H X Z S T CX", "9e581ec3992b5c26eb87184fdd1dffeb"),
-            # gate names that are prefixes of each other: members sort by
-            # their text, in which "S|" follows "SDG|" but "S," precedes "SDG,"
-            (2, 2, "I S SDG T TDG CX", "f6e0f983fbabffe2bcc22cf52acf94ce"),
-            (1, 4, "I S SDG T TDG H", "9d765f9a2cd43de64f8d8e5fceb295a8"),
-            # few prefix products repeat bitwise (see _ODD_N1D6)
-            (1, 6, "I H T U3[pi/5;2*pi/3;-pi/7]", "72105fdd95ee7b8fc7ac2fb4b7ecce9f"),
-            (2, 3, "I H U1[pi/8] CX", "6d845344f50c274dda717487ac74f5c5"),
-        ],
-        ids=["n2d3", "n2d4", "n3d2-t", "n2d2-prefix-names", "n1d4-prefix-names",
-             "n1d6-odd-angles", "n2d3-odd-angles"],
+        "name, variant",
+        [pytest.param(name, None, id=name) for name in _PINNED]
+        + [
+            pytest.param(name, "one-hash", id=f"{name}-one-hash")
+            for name in ("n2d2-prefix-names", "n1d4-prefix-names", "n1d6-odd-angles",
+                         "n2d3-odd-angles")
+        ]
+        + [pytest.param(name, "chunk-1", id=f"{name}-chunk-1") for name in _PINNED],
     )
-    def test_qidb_bytes_pinned(self, n, d, gates, md5):
+    def test_qidb_bytes_pinned(self, monkeypatch, name, variant):
+        if variant:
+            monkeypatch.setattr(generator, *self._VARIANTS[variant])
+        n, d, gates, md5 = self._PINNED[name]
         cfg = GeneratorConfig(n=n, d=d, gate_set=gate_set(*gates.split()))
         assert hashlib.md5(dumps(build_database(cfg)).encode()).hexdigest() == md5
+
+    def test_one_form_per_fingerprint(self, monkeypatch):
+        """Two forms that share a fingerprint are refused, not merged into
+        one bucket: here I and H, with every fingerprint the same."""
+        fp = Fingerprint(bytes(16))
+        monkeypatch.setattr(generator, "fingerprint", lambda stack, dp: [fp] * len(stack))
+        cfg = GeneratorConfig(n=1, d=2, gate_set=gate_set("I", "H"))
+        with pytest.raises(RuntimeError, match=fp.hex):
+            build_database(cfg)
 
     @pytest.mark.parametrize(
         "cfg",
@@ -397,3 +424,23 @@ class TestDistinctPrefixes:
             for li in prefix:
                 u = np.matmul(mats[li], u)
             assert products[rep[p]].tobytes() == u.tobytes(), prefix
+
+
+class TestNumber:
+    """`_number`, the one numbering of every build level."""
+
+    def test_every_hash_match_is_confirmed(self, monkeypatch):
+        """With every row hashed alike, one-row blocks always hit an earlier
+        form, and only a bitwise-equal row may take its number: the words
+        of 0.0 and −0.0 are told apart like any others."""
+        monkeypatch.setattr(
+            generator, "_row_hash", lambda words: np.zeros(len(words), dtype=np.uint64)
+        )
+        rows = np.array([[1, 0], [2, 0], [1, 0], [0, 0], [2**63, 0], [0, 0]], dtype=np.uint64)
+        forms = generator._Forms()
+        numbers = [
+            generator._number(rows[i : i + 1], i, forms, lambda src: rows[src])[0].tolist()
+            for i in range(len(rows))
+        ]
+        assert numbers == [[0], [1], [0], [2], [3], [2]]
+        assert forms.sources.tolist() == [0, 1, 3, 4]
