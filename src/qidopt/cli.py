@@ -61,6 +61,13 @@ PRESETS: dict[str, callable] = {
 }
 
 
+def _with_identity(gates: list) -> GateSet:
+    """The gates as a gate set, led by the builtin I when none is the Identity."""
+    if not any(g.is_identity for g in gates):
+        gates = [I, *gates]
+    return GateSet(gates)
+
+
 def parse_gate_set(spec: str) -> GateSet:
     """Comma-separated gate names, or a preset id."""
     if spec in PRESETS:
@@ -68,10 +75,7 @@ def parse_gate_set(spec: str) -> GateSet:
     names = [tok.strip() for tok in spec.split(",") if tok.strip()]
     if not names:
         raise ValueError("empty gate list")
-    gates = [gate_from_name(name) for name in names]
-    if not any(g.is_identity for g in gates):
-        gates.insert(0, I)
-    return GateSet(gates)
+    return _with_identity([gate_from_name(name) for name in names])
 
 
 def _out(key: str, value) -> None:
@@ -132,10 +136,7 @@ def _load_or_build_db(args, grid) -> database.IdentityDatabase:
         for layer in grid.layers:
             for cell in layer:
                 seen.setdefault(cell.gate.name, cell.gate)
-        gates = list(seen.values())
-        if not any(g.is_identity for g in gates):
-            gates.insert(0, I)
-        gs = GateSet(gates)
+        gs = _with_identity(list(seen.values()))
         _note(f"auto-detected gate set: {', '.join(g.name for g in gs.gates)}")
     cfg = generator.GeneratorConfig(
         n=args.qubits if args.qubits is not None else min(grid.n, 3),
@@ -213,9 +214,9 @@ def cmd_count(args) -> int:
 def cmd_stats(args) -> int:
     db = database.load(args.db)
     meta = db.meta
-    _out("format", meta.format_version)
-    _out("digest", meta.digest_algorithm)
-    _out("convention", meta.convention)
+    _out("format", database.FORMAT_VERSION)
+    _out("digest", database.DIGEST_ALGORITHM)
+    _out("convention", database.CONVENTION)
     _out("n", meta.n)
     _out("d", meta.d)
     _out("dp", meta.dp)

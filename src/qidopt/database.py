@@ -9,17 +9,20 @@ qubit index. Example (3 layers, 2 qubits):
 
 QIDB/1 files are UTF-8 text: a header block (format tag, digest algorithm,
 product-convention tag, n/d/dp/neighbors_only, one line per gate with its
-dp-rounded matrix), a body of buckets in fingerprint-hex order, and an
-END footer carrying the circuit count and an MD5 checksum of the body;
-nothing follows the footer. Same database -> same bytes.
+matrix), a body of buckets in fingerprint-hex order, and an END footer
+carrying the circuit count and an MD5 checksum of the body; nothing
+follows the footer. Same database -> same bytes.
 
 `DatabaseMeta.gate_set` is the one gate table, and `decode` evaluates it.
-A build keeps the gates it was given. A load resolves each stored gate
-once: a gate line whose name, arity, Identity flag and dp-rounded matrix
-agree with a builtin or an instantiated template ('U1[pi/2]') becomes that
-exact gate; any other gate (a custom gate, or a name that clashes with a
-builtin but holds another unitary) keeps its stored rounded matrix, so its
-buckets may split when recomputed after a load.
+A build keeps the gates it was given, and a load gives them back bitwise.
+A gate whose name resolves to it exactly (a builtin, or an instantiated
+template such as 'U1[pi/2]' with that template's matrix) gets a line with
+its dp-rounded matrix, and a load resolves the name again. Any other gate
+(a custom gate, or a name that clashes with a builtin but holds another
+unitary) gets a line with every entry at full precision (`repr`), which a
+load parses back to the same floats. A rounded line of such a gate, as
+files written before full-precision lines hold, loads with its rounded
+matrix.
 
 Members are read through a layer table (`layer_table`) of the L layers
 of `circuit.enumerate_layers(n, gate_set, neighbors_only)`: a build passes
@@ -29,8 +32,9 @@ and the rank rows are assembled from the entries. A member of other than d
 pieces, or with a piece that is not an enumerated layer's text (an unknown
 gate, an unpaired cell, a wrong width, a spelling `encode_circuit` never
 writes, a non-neighbour pair in a `neighbors_only` file), raises
-DatabaseFormatError naming it when the member is first read. `loads`
-rejects a member or bucket listed twice.
+DatabaseFormatError naming it when the member is first read. A build and
+`loads` index members the same way (`member_index`), and `loads` rejects
+a member or bucket listed twice.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
+
+import numpy as np
 
 from .circuit import Cell, CircuitGrid, Layer, cell_is_identity, enumerate_layers, single
 from .circuit import layer_count
@@ -120,8 +126,11 @@ class DatabaseMeta:
     """The header of a database.
 
     `gate_set` is the gate table that `IdentityDatabase.decode` evaluates:
-    the gates a build was given, or the gates a load resolved from the
-    file's gate lines (exact where a line resolves, rounded otherwise).
+    the gates a build was given, or the gates a load read from the file's
+    gate lines, bitwise those the file was written from (a rounded line of
+    a gate its name does not resolve to, in an older file, gives its
+    rounded matrix). The format tag, digest algorithm and convention are
+    the module's constants, the only ones a file may hold.
     """
 
     n: int
@@ -129,9 +138,6 @@ class DatabaseMeta:
     dp: int
     neighbors_only: bool
     gate_set: GateSet
-    format_version: str = FORMAT_VERSION
-    digest_algorithm: str = DIGEST_ALGORITHM
-    convention: str = CONVENTION
 
     @cached_property
     def identity_cell(self) -> Cell:
@@ -205,9 +211,8 @@ class IdentityDatabase:
         return rows
 
     def decode(self, enc: str) -> CircuitGrid:
-        """The circuit over `meta.gate_set`. After a load, a gate the file
-        stores without an exact source is evaluated with its rounded matrix.
-        A member with a piece outside the layer table raises
+        """The circuit over `meta.gate_set`, the same gates after a load as
+        at the build. A member with a piece outside the layer table raises
         DatabaseFormatError naming it."""
         return CircuitGrid(self.meta.n, tuple(e.layer for e in self._entries(enc)))
 
@@ -227,48 +232,67 @@ class IdentityDatabase:
             ) from None
 
 
-def _exact_gate(gate: GateDef, dp: int) -> GateDef | None:
-    """The builtin or template gate named `gate.name`, if it agrees with
-    `gate`: same name, same arity, same Identity flag, same dp-rounded
-    matrix. None when the name does not resolve or the gates disagree;
-    DatabaseFormatError when it names a template gate whose angle does not
-    fit a float."""
+def member_index(by_fingerprint: dict[Fingerprint, list[str]]) -> dict[str, Fingerprint]:
+    """Each member of the buckets -> its bucket's fingerprint, in bucket
+    order. DatabaseFormatError naming a member listed twice."""
+    index = {enc: fp for fp, encs in by_fingerprint.items() for enc in encs}
+    if len(index) != sum(map(len, by_fingerprint.values())):
+        seen = Counter(enc for encs in by_fingerprint.values() for enc in encs)
+        member = next(enc for enc, times in seen.items() if times > 1)
+        raise DatabaseFormatError(f"member {member!r} is listed twice")
+    return index
+
+
+def _named_gate(name: str) -> GateDef | None:
+    """The builtin or instantiated template gate named exactly `name`, or
+    None ('U1[2*pi/4]' instantiates the gate named 'U1[pi/2]', so it names
+    none). DatabaseFormatError when `name` is a template gate whose angle
+    does not fit a float."""
     try:
-        exact = gate_from_name(gate.name)
+        gate = gate_from_name(name)
     except AngleRangeError as e:
-        raise DatabaseFormatError(f"gate {gate.name}: {e}") from None
+        raise DatabaseFormatError(f"gate {name}: {e}") from None
     except ValueError:
         return None
-    if (
-        exact.name != gate.name
-        or exact.arity != gate.arity
-        or exact.is_identity != gate.is_identity
-        or canonicalize(exact.matrix, dp) != canonicalize(gate.matrix, dp)
-    ):
-        return None
-    return exact
+    return gate if gate.name == name else None
 
 
 # ── persistence ─────────────────────────────────────────────────────
 
 def _gate_line(gate: GateDef, dp: int) -> str:
-    return f"gate {gate.name} {gate.arity} {canonicalize(gate.matrix, dp)}"
+    """The gate's line: its dp-rounded matrix when its name resolves to it
+    (`_named_gate`, with a bitwise-equal matrix), else every entry at full
+    precision, which `_parse_gate_line` reads back bitwise."""
+    named = _named_gate(gate.name)
+    if named is not None and np.array_equal(named.matrix, gate.matrix):
+        return f"gate {gate.name} {gate.arity} {canonicalize(gate.matrix, dp)}"
+    entries = [f"{z.real!r},{z.imag!r}" for z in gate.matrix.ravel().tolist()]
+    text = ";".join([str(len(gate.matrix))] + entries)
+    if named is not None and text == canonicalize(named.matrix, dp):
+        # every entry is a dp-digit decimal, so the line would read as the
+        # named gate's rounded line: one more digit tells them apart
+        text += "0"
+    return f"gate {gate.name} {gate.arity} {text}"
 
 
 def _parse_gate_line(line: str, dp: int) -> GateDef:
-    """The gate a gate line stores: the exact gate its name resolves to
-    when the two agree (see `_exact_gate`), else a gate with the stored
-    dp-rounded matrix and no QASM token or template."""
+    """The gate a gate line stores: the gate its name resolves to
+    (`_named_gate`) when the line holds that gate's dp-rounded matrix,
+    else a gate with the stored matrix and no QASM token or template."""
     fields = line.split(" ")
     if len(fields) != 4 or fields[0] != "gate":
         raise DatabaseFormatError(f"malformed gate line: {line!r}")
     name, canon = fields[1], fields[3]
     arity = _int(fields[2], f"gate {name} arity")
+    named = _named_gate(name)
+    if named is not None and named.arity == arity and canonicalize(named.matrix, dp) == canon:
+        return named
     toks = canon.split(";")
     dim = _int(toks[0], f"gate {name} matrix size")
     if len(toks) != dim * dim + 1:
         raise DatabaseFormatError(f"gate {name}: bad matrix payload")
-    # dp-rounded matrices cannot meet the registration tolerance; scale it.
+    # a rounded line (an older file's, for a gate no name resolves to)
+    # cannot meet the registration tolerance; scale it
     tol = max(1e-10, 4.0 * dim * 10.0**-dp)
     try:
         entries = []
@@ -276,10 +300,9 @@ def _parse_gate_line(line: str, dp: int) -> GateDef:
             re_s, im_s = tok.split(",")
             entries.append(complex(float(re_s), float(im_s)))
         rows = [entries[r * dim : (r + 1) * dim] for r in range(dim)]
-        gate = make_gate(name, rows, arity=arity, tol=tol)
+        return make_gate(name, rows, arity=arity, tol=tol)
     except ValueError as e:
         raise DatabaseFormatError(f"gate {name}: {e}") from None
-    return _exact_gate(gate, dp) or gate
 
 
 def _gate_table(lines: list[str], dp: int) -> GateSet:
@@ -290,19 +313,12 @@ def _gate_table(lines: list[str], dp: int) -> GateSet:
         raise DatabaseFormatError(f"gate table: {e}") from None
 
 
-def check_gate_table(gate_set: GateSet, dp: int) -> None:
-    """Raise DatabaseFormatError, a ValueError, unless the gate lines that
-    a file of this gate set writes at dp load back: every dp-rounded
-    matrix must stay unitary, and only the Identity may round to it."""
-    _gate_table([_gate_line(g, dp) for g in gate_set.gates], dp)
-
-
 def dumps(db: IdentityDatabase) -> str:
     meta = db.meta
     header = [
         FORMAT_VERSION,
-        f"digest {meta.digest_algorithm}",
-        f"convention {meta.convention}",
+        f"digest {DIGEST_ALGORITHM}",
+        f"convention {CONVENTION}",
         f"n {meta.n}",
         f"d {meta.d}",
         f"dp {meta.dp}",
@@ -383,9 +399,7 @@ def loads(text: str) -> IdentityDatabase:
     gate_set = _gate_table(lines[pos : pos + gate_count], dp)
     pos += gate_count
     meta = DatabaseMeta(n, d, dp, neighbors == "true", gate_set)
-    by_circuit: dict[str, Fingerprint] = {}
     by_fingerprint: dict[Fingerprint, list[str]] = {}
-    listed = 0  # member lines
 
     body_start = pos
     while pos < len(lines) and lines[pos].startswith("FP "):
@@ -404,8 +418,6 @@ def loads(text: str) -> IdentityDatabase:
         pos += count
         if by_fingerprint.setdefault(fp, encs) is not encs:
             raise DatabaseFormatError(f"bucket {fields[1]} is listed twice")
-        by_circuit.update(dict.fromkeys(encs, fp))
-        listed += count
 
     if pos >= len(lines) or not lines[pos].startswith("END "):
         raise TruncatedFileError("missing END footer")
@@ -422,12 +434,11 @@ def loads(text: str) -> IdentityDatabase:
     actual = hashlib.md5(text[start:end].encode("utf-8")).hexdigest()
     if actual != checksum:
         raise ChecksumMismatchError("body checksum mismatch")
-    if len(by_circuit) != listed:
-        seen = Counter(enc for encs in by_fingerprint.values() for enc in encs)
-        member = next(enc for enc, times in seen.items() if times > 1)
-        raise DatabaseFormatError(f"member {member!r} is listed twice")
-    if total != listed:
-        raise DatabaseFormatError(f"footer says {total} circuits, file holds {listed}")
+    by_circuit = member_index(by_fingerprint)
+    if total != len(by_circuit):
+        raise DatabaseFormatError(
+            f"footer says {total} circuits, file holds {len(by_circuit)}"
+        )
     # a database holds every circuit of its enumeration, so at least its
     # layers: this also bounds the enumeration by the file's size
     if layer_count(n, gate_set, meta.neighbors_only, total) > total:

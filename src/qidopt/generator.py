@@ -75,7 +75,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .circuit import CircuitGrid, enumerate_layers, layer_count, layer_unitary
-from .database import DatabaseMeta, IdentityDatabase, check_gate_table, layer_table
+from .database import DatabaseMeta, IdentityDatabase, layer_table, member_index
 from .fingerprint import Fingerprint, _rounded_components, fingerprint
 from .gates import GateSet
 from .matrices import identity
@@ -331,13 +331,12 @@ def build_database(cfg: GeneratorConfig) -> IdentityDatabase:
 
     Bucket lists come out sorted by (effective depth, encoding) so the
     cheapest identity is first, and buckets in the order their forms first
-    appear. Raises ValueError when the gate table would not load back from
-    the file (see `check_gate_table`), ResourceGuardError, before
-    enumerating, over the byte budget (`_check_budget`), and RuntimeError,
-    naming the fingerprint, when two distinct forms share one.
+    appear; `by_circuit` indexes the buckets as a load does
+    (`member_index`). Raises ResourceGuardError, before enumerating, over
+    the byte budget (`_check_budget`), and RuntimeError, naming the
+    fingerprint, when two distinct forms share one.
     """
     _check_budget(cfg)
-    check_gate_table(cfg.gate_set, cfg.dp)
     layers = enumerate_layers(cfg.n, cfg.gate_set, cfg.neighbors_only)
 
     table = layer_table(layers)
@@ -373,13 +372,12 @@ def build_database(cfg: GeneratorConfig) -> IdentityDatabase:
         depth = (depth[:, None] + busy).ravel()
         rank = (rank[:, None] * count + place).ravel()
 
-    meta = DatabaseMeta(cfg.n, cfg.d, cfg.dp, cfg.neighbors_only, cfg.gate_set)
-    db = IdentityDatabase(meta, table)
     members = np.array(texts, dtype=object)[np.lexsort((rank, depth, form))].tolist()
     ends = np.cumsum(np.bincount(form, minlength=len(fps))).tolist()
+    by_fingerprint: dict[Fingerprint, list[str]] = {}
     for fp, start, end in zip(fps, [0] + ends, ends):
-        if fp in db.by_fingerprint:  # two forms would share one bucket
+        if fp in by_fingerprint:  # two forms would share one bucket
             raise RuntimeError(f"two forms have the fingerprint {fp.hex}")
-        db.by_fingerprint[fp] = members[start:end]
-    db.by_circuit.update(zip(texts, np.array(fps, dtype=object)[form].tolist()))
-    return db
+        by_fingerprint[fp] = members[start:end]
+    meta = DatabaseMeta(cfg.n, cfg.d, cfg.dp, cfg.neighbors_only, cfg.gate_set)
+    return IdentityDatabase(meta, table, member_index(by_fingerprint), by_fingerprint)

@@ -38,6 +38,7 @@ from qidopt.gates import (
     U3,
     AngleExpr,
     GateSet,
+    gate_from_name,
     instantiate_param_gate,
     make_gate,
 )
@@ -230,6 +231,24 @@ class TestExactEvaluation:
             assert max_abs_diff(u, fake_h.matrix) <= 1e-8
             assert max_abs_diff(u, gate("H").matrix) > 0.1
             assert d.meta.gate_set.by_name("H").qasm_name is None
+            assert np.array_equal(d.meta.gate_set.by_name("H").matrix, fake_h.matrix)
+
+    def test_clashing_decimal_line_keeps_stored_matrix(self):
+        # entries that are one-digit decimals: written at full precision, the
+        # line of this gate would spell the dp=1 rounded line of the template
+        # gate its name resolves to
+        name = "U3[9273/5000;0;0]"
+        rot = make_gate(name, [[0.6, -0.8], [0.8, 0.6]])
+        named = gate_from_name(name)
+        assert not np.array_equal(named.matrix, rot.matrix)
+        assert canonicalize(named.matrix, 1) == "2;0.6,0.0;-0.8,0.0;0.8,0.0;0.6,0.0"
+        db = build_database(
+            GeneratorConfig(n=1, d=1, gate_set=GateSet([gate("I"), rot]), dp=1)
+        )
+        assert f"\ngate {name} 1 2;0.6,0.0;-0.8,0.0;0.8,0.0;0.6,0.00\n" in dumps(db)
+        loaded = loads(dumps(db)).meta.gate_set.by_name(name)
+        assert np.array_equal(loaded.matrix, rot.matrix)
+        assert loaded.template is None
 
     def test_template_gate_exact_after_load(self):
         u1 = instantiate_param_gate(U1, [AngleExpr(pi_coeff=Fraction(1, 4))])
@@ -242,19 +261,46 @@ class TestExactEvaluation:
         assert max_abs_diff(circuit_unitary(loaded.decode("U1[pi/4]")), u1.matrix) <= 1e-15
 
     def test_custom_gate_buckets_sound_as_built(self):
-        # R has no exact source in a file; as built, decode evaluates the
-        # gate R was given as, so every bucket recomputes to one form
+        # R has no name to resolve in a file; its line holds every entry at
+        # full precision, so as built and after a load, decode evaluates the
+        # gate R was given as, and every bucket recomputes to one form
         c, s = math.cos(math.pi / 8), math.sin(math.pi / 8)
         r = make_gate("R", [[c, -s], [s, c]])
         db = build_database(
             GeneratorConfig(n=1, d=6, gate_set=GateSet([gate("I"), r, gate("X")]))
         )
-        forms = [
-            {canonicalize(circuit_unitary(db.decode(e)), db.meta.dp) for e in encs}
-            for encs in db.by_fingerprint.values()
-        ]
-        assert len(forms) == 22
-        assert sum(len(f) > 1 for f in forms) == 0
+        loaded = loads(dumps(db))
+        for g in db.meta.gate_set:
+            assert np.array_equal(loaded.meta.gate_set.by_name(g.name).matrix, g.matrix)
+        for d in (db, loaded):
+            forms = [
+                {canonicalize(circuit_unitary(d.decode(e)), d.meta.dp) for e in encs}
+                for encs in d.by_fingerprint.values()
+            ]
+            assert len(forms) == 22
+            assert sum(len(f) > 1 for f in forms) == 0
+
+    def test_rounded_custom_gate_line_still_loads(self):
+        # a file with the dp-rounded line of a gate no name resolves to, as
+        # files written before full-precision lines hold: R, the rotation by
+        # pi/8, at dp=4
+        text = (
+            "QIDB/1\ndigest md5-128\nconvention temporal-right\n"
+            "n 1\nd 2\ndp 4\nneighbors_only false\ngates 2\n"
+            "gate I 1 2;1.0000,0.0000;0.0000,0.0000;0.0000,0.0000;1.0000,0.0000\n"
+            "gate R 1 2;0.9239,0.0000;-0.3827,0.0000;0.3827,0.0000;0.9239,0.0000\n"
+            "FP 7e5bec57329daae8ed93a780cdf96831 2\nI|R\nR|I\n"
+            "FP bfcafca5f8a4d1f470c04ff6cbf1e6f1 1\nR|R\n"
+            "FP f6c725bfe9856520d9749a9a09f1f951 1\nI|I\n"
+            "END 4 56eda7e81f33987f93af9d3fb19b5507\n"
+        )
+        db = loads(text)
+        r = db.meta.gate_set.by_name("R")
+        assert np.array_equal(r.matrix, np.array([[0.9239, -0.3827], [0.3827, 0.9239]]))
+        assert (r.qasm_name, r.template) == (None, None)
+        assert db.meta.gate_set.by_name("I") is gate("I")
+        assert db.bucket(db.by_circuit["R|I"]) == ["I|R", "R|I"]
+        assert db.total_circuits == 4
 
     def test_unresolved_template_spelling_keeps_its_name(self):
         # 'U1[2*pi/4]' parses to the angle of 'U1[pi/2]', but only a gate of
@@ -296,9 +342,11 @@ class TestGateLineRoundTrip:
     @settings(max_examples=300, deadline=None)
     @given(dim=st.sampled_from([2, 4]), seed=st.integers(0, 2**32 - 1), dp=st.integers(1, 15))
     def test_random_unitary_line_round_trips(self, dim, seed, dp):
-        line = _gate_line(make_gate("R", _haar_unitary(dim, seed)), dp)
+        r = make_gate("R", _haar_unitary(dim, seed))
+        line = _gate_line(r, dp)
         loaded = _parse_gate_line(line, dp)
         assert _gate_line(loaded, dp) == line
+        assert np.array_equal(loaded.matrix, r.matrix)
         assert (loaded.qasm_name, loaded.template) == (None, None)
 
     @settings(max_examples=300, deadline=None)
@@ -310,19 +358,14 @@ class TestGateLineRoundTrip:
     @example(g=instantiate_param_gate(U3, [AngleExpr(Fraction(1, 48))] + [AngleExpr()] * 2), dp=1)
     def test_resolved_gate_loads_exact(self, g, dp):
         line = _gate_line(g, dp)
+        assert line == f"gate {g.name} {g.arity} {canonicalize(g.matrix, dp)}"
         loaded = _parse_gate_line(line, dp)
         assert _gate_line(loaded, dp) == line
-        # the one disagreement a resolvable name can have with its line: a
-        # small rotation whose rounded matrix is the Identity
-        rounds_to_identity = line.split(" ")[3] == _gate_line(gate("I"), dp).split(" ")[3]
-        if g.is_identity or not rounds_to_identity:
-            assert loaded.name == g.name
-            assert (loaded.qasm_name, loaded.template, loaded.angles) == (
-                g.qasm_name, g.template, g.angles
-            )
-            assert np.array_equal(loaded.matrix, g.matrix)
-        else:
-            assert loaded.is_identity and loaded.template is None
+        assert loaded.name == g.name
+        assert (loaded.qasm_name, loaded.template, loaded.angles) == (
+            g.qasm_name, g.template, g.angles
+        )
+        assert np.array_equal(loaded.matrix, g.matrix)
 
 
 class TestLoadErrors:
@@ -417,6 +460,11 @@ class TestLoadErrors:
         text = dumps(db).replace("gate U1[pi/2] ", f"gate U1[{'9' * 400}] ", 1)
         with pytest.raises(DatabaseFormatError, match="too large"):
             loads(text)
+        # nor is a gate of that name written, whatever matrix it holds
+        named = make_gate(f"U1[{'9' * 400}]", u1.matrix)
+        db = build_database(GeneratorConfig(n=1, d=1, gate_set=GateSet([gate("I"), named])))
+        with pytest.raises(DatabaseFormatError, match="too large"):
+            dumps(db)
 
     @pytest.mark.parametrize(
         "gates, member, edited, circuit",

@@ -12,7 +12,7 @@ from conftest import gate, gate_set, grid
 
 from qidopt import generator
 from qidopt.circuit import circuit_unitary, effective_depth, layer_unitary
-from qidopt.database import dumps, encode_circuit
+from qidopt.database import dumps, encode_circuit, loads
 from qidopt.fingerprint import Fingerprint, fingerprint
 from qidopt.gates import GateSet, make_gate
 from qidopt.generator import (
@@ -248,13 +248,15 @@ class TestBuildDatabase:
             "0.70710678,0.00000000;-0.70710678,0.00000000" in lines
 
     def test_gate_table_must_load_back(self):
-        # a 3e-9 rad rotation rounds to the Identity at dp=8, so the file's
-        # gate table would hold two Identity gates
+        # a 3e-9 rad rotation rounds to the Identity at dp=8; its line holds
+        # full precision, so the file's gate table loads back bitwise
         eps = 3e-9
         tiny = make_gate("R", [[math.cos(eps), -math.sin(eps)], [math.sin(eps), math.cos(eps)]])
         cfg = GeneratorConfig(n=1, d=1, gate_set=GateSet([gate("I"), tiny]))
-        with pytest.raises(ValueError, match="exactly one Identity"):
-            build_database(cfg)
+        loaded = loads(dumps(build_database(cfg)))
+        assert [g.name for g in loaded.meta.gate_set] == ["I", "R"]
+        for g in cfg.gate_set:
+            assert np.array_equal(loaded.meta.gate_set.by_name(g.name).matrix, g.matrix)
 
 
 class TestBuildAgainstReference:
