@@ -127,7 +127,13 @@ def cmd_gen_db(args) -> int:
 
 def _load_or_build_db(args, grid) -> database.IdentityDatabase:
     if args.db is not None:
-        return database.load(args.db)
+        db = database.load(args.db)
+        # on at most 2 qubits every pair is adjacent, whatever the header says
+        if args.neighbors_only and not db.meta.neighbors_only and db.meta.n > 2:
+            raise ValueError(
+                f"{args.db} has non-adjacent pairs: build it with gen-db --neighbors-only"
+            )
+        return db
     # combined generate-and-optimize path; detect gates when not given
     if args.gates is not None:
         gs = parse_gate_set(args.gates)
@@ -157,9 +163,7 @@ def cmd_optimize(args) -> int:
         args.tile_qubits if args.tile_qubits is not None else db.meta.n,
         args.tile_depth if args.tile_depth is not None else db.meta.d,
     )
-    result, report = optimizer.optimize(
-        grid, db, spec, iters=args.iterations, neighbors_only=args.neighbors_only
-    )
+    result, report = optimizer.optimize(grid, db, spec, iters=args.iterations)
 
     text = qasm.emit(result)
     if args.out is not None:
@@ -271,7 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tile-depth", type=int, help="tile width, at most db d (default: db d); "
                    "a smaller tile is matched padded with Identity to the db's n x d shape")
     p.add_argument("--iterations", type=int, default=10)
-    p.add_argument("--neighbors-only", action="store_true")
+    p.add_argument("--neighbors-only", action="store_true",
+                   help="generate a neighbours-only database; with --db, the file must "
+                   "be built by gen-db --neighbors-only (or have at most 2 qubits)")
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--out", help="output QASM file (default: stdout)")
     p.set_defaults(func=cmd_optimize)

@@ -96,15 +96,14 @@ class RankRow(NamedTuple):
     cells: int
     enc: str
     occupied: int
-    neighbors_ok: bool  # every two-qubit half's partner is an adjacent qubit
 
 
 class LayerEntry(NamedTuple):
-    """One enumerated layer of a database, as its members are read."""
+    """One enumerated layer of a database, as its members are read: in a
+    `neighbors_only` database, only layers whose pairs are adjacent."""
 
     layer: Layer
     mask: int  # bit q set for each non-Identity cell
-    neighbors_ok: bool  # every two-qubit half's partner is an adjacent qubit
 
 
 def layer_table(layers: list[Layer]) -> dict[str, LayerEntry]:
@@ -112,10 +111,8 @@ def layer_table(layers: list[Layer]) -> dict[str, LayerEntry]:
     the order of `layers`: a database's enumeration, `enumerate_layers`."""
     table = {}
     for layer in layers:
-        indexed = list(enumerate(layer))
-        mask = sum(1 << q for q, cell in indexed if not cell_is_identity(cell))
-        neighbors_ok = all(cell.is_single or abs(cell.partner - q) <= 1 for q, cell in indexed)
-        table[",".join(map(encode_cell, layer))] = LayerEntry(layer, mask, neighbors_ok)
+        mask = sum(1 << q for q, cell in enumerate(layer) if not cell_is_identity(cell))
+        table[",".join(map(encode_cell, layer))] = LayerEntry(layer, mask)
     return table
 
 
@@ -205,8 +202,7 @@ class IdentityDatabase:
                 cells = sum(e.mask.bit_count() for e in entries)
                 # the shifted masks share no bit, so their sum is their OR
                 occupied = sum(e.mask << (li * n) for li, e in enumerate(entries))
-                neighbors_ok = all(e.neighbors_ok for e in entries)
-                rows.append(RankRow(depth, cells, enc, occupied, neighbors_ok))
+                rows.append(RankRow(depth, cells, enc, occupied))
         rows.sort()
         return rows
 

@@ -12,6 +12,9 @@ the lookup and restored after the substitution. Every window is matched
 in the database's n×d shape: padded with Identity for the lookup and the
 collision guard (`_padded`), it admits only candidates with Identity on
 every slot past it and every cut slot (`_blocked`): splices stay inside it.
+The database alone decides which qubit pairs a splice may place: with a
+neighbours-only database, each non-adjacent pair of the output is one of
+the input's, on the same qubits.
 
 A sweep costs what changed, not the circuit's length:
   * `optimize` drops the input's all-Identity layers once, up front, so no
@@ -29,14 +32,14 @@ A sweep costs what changed, not the circuit's length:
 
 Candidates are ranked from the database's rank table of the tile's
 bucket (`IdentityDatabase.rank_table`): each member's depth, non-Identity
-cells, encoding, occupied cells and neighbour flag, folded from the
-database's layer table and sorted by (depth, cells, encoding). A table
-holds only members shallower than the database depth d, since a tile is
-at most d layers deep and a candidate must be strictly shallower;
-`lookup` returns only the rows shallower than the tile. A table is built
-on a bucket's first hit and reused while the bucket equals its snapshot,
-so an edited bucket is re-ranked. Rank tables and layer entries live on
-the database, so they are reused across windows, sweeps and circuits.
+cells, encoding and occupied cells, folded from the database's layer
+table and sorted by (depth, cells, encoding). A table holds only members
+shallower than the database depth d, since a tile is at most d layers
+deep and a candidate must be strictly shallower; `lookup` returns only
+the rows shallower than the tile. A table is built on a bucket's first
+hit and reused while the bucket equals its snapshot, so an edited bucket
+is re-ranked. Rank tables and layer entries live on the database, so
+they are reused across windows, sweeps and circuits.
 
 The reported final depth is the depth of the emitted circuit, which
 packs each gate into the earliest free layer (`asap_depth`); the
@@ -210,35 +213,29 @@ def lookup(t: Tile, db: IdentityDatabase) -> list[RankRow]:
 
 
 def _candidate_order(
-    t: Tile, rows: Sequence[RankRow], db: IdentityDatabase, neighbors_only: bool
+    t: Tile, rows: Sequence[RankRow], db: IdentityDatabase
 ) -> list[tuple[int, str]]:
     """Admissible candidates as (cost, encoding), cheapest first.
 
     `rows` are rank rows (see `IdentityDatabase.rank`), already sorted. A
-    candidate must hold Identity on every slot `_blocked` marks, satisfy
-    the neighbouring constraint when asked, and beat the tile's own cost
-    (effective depth) strictly. Ties break on fewer non-Identity cells,
-    then lexicographic encoding.
+    candidate must hold Identity on every slot `_blocked` marks and beat
+    the tile's own cost (effective depth) strictly. Ties break on fewer
+    non-Identity cells, then lexicographic encoding. Which qubit pairs a
+    candidate may hold is the database's rule alone: its members are the
+    circuits its layers were enumerated from (`circuit.enumerate_layers`).
     """
     tile_cost = effective_depth(t.sub)
     blocked = _blocked(t, db.meta.n)
     return [
         (row.depth, row.enc)
         for row in rows
-        if row.depth < tile_cost
-        and not row.occupied & blocked
-        and (row.neighbors_ok or not neighbors_only)
+        if row.depth < tile_cost and not row.occupied & blocked
     ]
 
 
-def select_substitution(
-    t: Tile,
-    rows: Sequence[RankRow],
-    db: IdentityDatabase,
-    neighbors_only: bool = False,
-) -> str | None:
+def select_substitution(t: Tile, rows: Sequence[RankRow], db: IdentityDatabase) -> str | None:
     """Minimum-cost admissible candidate, or None when nothing qualifies."""
-    ordered = _candidate_order(t, rows, db, neighbors_only)
+    ordered = _candidate_order(t, rows, db)
     return ordered[0][1] if ordered else None
 
 
@@ -312,7 +309,6 @@ def optimize(
     db: IdentityDatabase,
     spec: TileSpec | None = None,
     iters: int = 10,
-    neighbors_only: bool = False,
 ) -> tuple[CircuitGrid, OptimizeReport]:
     """Sweep tiles and substitute until no sweep changes anything or the
     iteration budget runs out. The output always computes the same unitary
@@ -350,7 +346,7 @@ def optimize(
     failed: dict[_WindowKey, int] = {}
     for it in range(iters):
         report.iterations = it + 1
-        cur, changed = _sweep(cur, db, spec, neighbors_only, guard, report, failed)
+        cur, changed = _sweep(cur, db, spec, guard, report, failed)
         if not changed:
             break
 
@@ -376,7 +372,6 @@ def _sweep(
     c: CircuitGrid,
     db: IdentityDatabase,
     spec: TileSpec,
-    neighbors_only: bool,
     guard: float,
     report: OptimizeReport,
     failed: dict[_WindowKey, int],
@@ -413,7 +408,7 @@ def _sweep(
         if norm is not None:
             rows = lookup(norm, db)
             if rows:
-                trial = _substitute(c, norm, rows, db, neighbors_only, guard, report)
+                trial = _substitute(c, norm, rows, db, guard, report)
         if trial is None:
             failed[key] = report.collisions_skipped - before
             continue
@@ -427,7 +422,6 @@ def _substitute(
     norm: Tile,
     rows: Sequence[RankRow],
     db: IdentityDatabase,
-    neighbors_only: bool,
     guard: float,
     report: OptimizeReport,
 ) -> CircuitGrid | None:
@@ -436,7 +430,7 @@ def _substitute(
     tile_unitary = circuit_unitary(_padded(norm, db))
     ls, j = norm.layer_offset, norm.sub.m
     old = c.layers[ls : ls + j]
-    for cand_cost, enc in _candidate_order(norm, rows, db, neighbors_only):
+    for cand_cost, enc in _candidate_order(norm, rows, db):
         cand_grid = db.decode(enc)
         # fingerprint-collision guard: candidates must really be equal
         if max_abs_diff(tile_unitary, circuit_unitary(cand_grid)) > guard:

@@ -2,8 +2,10 @@
 
 import pytest
 
+from qidopt.circuit import gate_list
 from qidopt.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY_FAILED, main
 from qidopt.database import load
+from qidopt.qasm import parse
 
 HEADLINE = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -25,6 +27,16 @@ z q[0];
 cx q[0],q[1];
 h q[0];
 h q[1];
+"""
+
+# three adjacent CX that a database with non-adjacent pairs rewrites into
+# two layers, one of them a CX on qubits 3 and 1
+ADJACENT_CX = """OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[4];
+cx q[2],q[1];
+cx q[3],q[2];
+cx q[2],q[1];
 """
 
 
@@ -244,6 +256,58 @@ class TestOptimize:
         )
         rc = main(["optimize", str(src), "--depth", "3",
                    "--out", str(tmp_path / "o.qasm")])
+        assert rc == EXIT_OK
+        assert keyvals(capsys)["final_depth"] == "1"
+
+
+def far_pairs(path):
+    """The qubits of each two-qubit gate of a QASM file more than one qubit apart."""
+    gates = gate_list(parse(path.read_text()))
+    return [qs for qs, _ in gates if len(qs) == 2 and abs(qs[0] - qs[1]) > 1]
+
+
+class TestNeighborsOnly:
+    def gen_db(self, path, *flags):
+        args = ["gen-db", "--gates", "I,H,CX", "--qubits", "3", "--depth", "2", *flags]
+        assert main(args + ["--out", str(path)]) == EXIT_OK
+
+    def test_on_the_fly_places_adjacent_pairs_only(self, tmp_path, capsys):
+        src = tmp_path / "in.qasm"
+        src.write_text(ADJACENT_CX)
+        found = {}
+        for flags in ([], ["--neighbors-only"]):
+            out = tmp_path / f"out{len(flags)}.qasm"
+            assert main(["optimize", str(src), *flags, "--out", str(out)]) == EXIT_OK
+            found[tuple(flags)] = far_pairs(out)
+        assert found[()] == [(3, 1)]
+        assert found[("--neighbors-only",)] == []
+
+    def test_neighbors_only_db_accepted(self, tmp_path, capsys):
+        db, src, out = tmp_path / "near.qidb", tmp_path / "in.qasm", tmp_path / "out.qasm"
+        self.gen_db(db, "--neighbors-only")
+        src.write_text(ADJACENT_CX)
+        rc = main(["optimize", str(src), "--db", str(db), "--neighbors-only", "--out", str(out)])
+        assert rc == EXIT_OK
+        assert far_pairs(out) == []
+
+    def test_full_db_refused(self, tmp_path, capsys):
+        db, src, out = tmp_path / "full.qidb", tmp_path / "in.qasm", tmp_path / "out.qasm"
+        self.gen_db(db)
+        src.write_text(ADJACENT_CX)
+        capsys.readouterr()
+        rc = main(["optimize", str(src), "--db", str(db), "--neighbors-only", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "--neighbors-only" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_two_qubit_full_db_accepted(self, db_path, tmp_path, capsys):
+        # on two qubits every pair is adjacent: the full build is the
+        # neighbours-only one under another header
+        src, out = tmp_path / "in.qasm", tmp_path / "out.qasm"
+        src.write_text(HEADLINE)
+        rc = main(["optimize", str(src), "--db", str(db_path), "--neighbors-only", "--out", str(out)])
         assert rc == EXIT_OK
         assert keyvals(capsys)["final_depth"] == "1"
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from qidopt.circuit import (
     cell_is_identity,
     circuit_unitary,
     effective_depth,
+    gate_list,
     half,
     layer_is_identity,
+    pack,
     single,
     validate,
 )
@@ -203,7 +206,7 @@ class TestCandidateCost:
         tile = Tile(0, 0, grid("H,H", "H,H", "H,H", "H,H"))
         checked = 0
         for bucket in db_ihxzcx.by_fingerprint.values():
-            ordered = _candidate_order(tile, rows_of(db_ihxzcx, *bucket), db_ihxzcx, False)
+            ordered = _candidate_order(tile, rows_of(db_ihxzcx, *bucket), db_ihxzcx)
             assert len(ordered) == len(bucket)
             for c, enc in ordered:
                 assert c == effective_depth(db_ihxzcx.decode(enc))
@@ -215,13 +218,38 @@ IHXZCX = ("I", "H", "X", "Z", "CX")
 
 
 @pytest.fixture(scope="module")
-def rank_dbs(db_ihxzcx):
-    # n3d2 holds pairs on qubits 0 and 2, so the neighbour rule filters
+def db_near():
+    """n=3, d=2, {I,H,X,Z,CX}, built with adjacent pairs only."""
+    return build_database(
+        GeneratorConfig(n=3, d=2, gate_set=gate_set(*IHXZCX), neighbors_only=True)
+    )
+
+
+@pytest.fixture(scope="module")
+def db_near_ihcx():
+    """n=3, d=3, {I,H,CX}, adjacent pairs only. Its full build rewrites
+    CX(2,1)·CX(3,2)·CX(2,1) with a CX on qubits 3 and 1, a pair the input
+    lacks."""
+    return build_database(
+        GeneratorConfig(n=3, d=3, gate_set=gate_set("I", "H", "CX"), neighbors_only=True)
+    )
+
+
+@pytest.fixture(scope="module")
+def rank_dbs(db_ihxzcx, db_near):
+    # n3d2 holds pairs on qubits 0 and 2; its neighbours-only build, whose
+    # buckets are n3d2's without them, does not
     return {
         "n2d3": db_ihxzcx,
         "n2d4": build_database(GeneratorConfig(n=2, d=4, gate_set=gate_set(*IHXZCX))),
         "n3d2": build_database(GeneratorConfig(n=3, d=2, gate_set=gate_set(*IHXZCX))),
+        "n3d2-near": db_near,
     }
+
+
+def far_pair(layer):
+    """The layer holds a pair of qubits more than one apart."""
+    return any(not cell.is_single and abs(cell.partner - q) > 1 for q, cell in enumerate(layer))
 
 
 # layers of circuits one qubit wider than each database
@@ -245,9 +273,11 @@ def padded(t, db):
     return CircuitGrid(n, tuple(layers + [(ident,) * n] * (d - t.sub.m)))
 
 
-def reference_order(t, db, neighbors_only):
+def reference_order(t, db):
     """The ranking done on every lookup: split every member of the padded
-    tile's whole bucket, filter, then sort on (depth, cells, encoding)."""
+    tile's whole bucket, filter, then sort on (depth, cells, encoding). It
+    applies a neighbours-only database's rule itself, which the optimizer
+    leaves to the database's enumeration."""
     ident = db.meta.gate_set.identity.name
     tile_cost = effective_depth(t.sub)
     # every slot past the window and every cut slot must hold Identity
@@ -265,7 +295,7 @@ def reference_order(t, db, neighbors_only):
             for q, tok in enumerate(row)
         ):
             continue
-        if neighbors_only and any(
+        if db.meta.neighbors_only and any(
             abs(int(tok.rsplit(":", 1)[1]) - q) > 1
             for row in rows
             for q, tok in enumerate(row)
@@ -305,21 +335,18 @@ class TestRankTable:
             )
         tile = _window_tile(CircuitGrid(n + 1, tuple(layers)), qs, n, j)
         norm = normalize_cut_tile(tile)
-        neighbors_only = data.draw(st.booleans(), label="neighbors_only")
-        want = reference_order(norm, db, neighbors_only)
-        assert _candidate_order(norm, lookup(norm, db), db, neighbors_only) == want
+        assert _candidate_order(norm, lookup(norm, db), db) == reference_order(norm, db)
 
 
     def test_neighbour_rule_filters_table_rows(self, rank_dbs):
         # CX on qubits 0 and 2 has two one-layer equals in n3d2, and both
-        # break the neighbour rule
-        db = rank_dbs["n3d2"]
+        # break the neighbour rule, so the neighbours-only build has none
         norm = normalize_cut_tile(Tile(0, 0, grid("CX:C:2,X,CX:T:0", "I,X,I")))
-        for neighbors_only in (False, True):
-            got = _candidate_order(norm, lookup(norm, db), db, neighbors_only)
-            assert got == reference_order(norm, db, neighbors_only)
-        assert len(reference_order(norm, db, False)) == 2
-        assert reference_order(norm, db, True) == []
+        for name, count in (("n3d2", 2), ("n3d2-near", 0)):
+            db = rank_dbs[name]
+            got = _candidate_order(norm, lookup(norm, db), db)
+            assert got == reference_order(norm, db)
+            assert len(got) == count
 
 
 def _window_tile(c, qs, i, j):
@@ -354,18 +381,20 @@ class TestSelectSubstitution:
         blocked = select_substitution(t, rows_of(db_ixyh, "Y,Y|Y,I|I,I"), db_ixyh)
         assert blocked is None
 
-    def test_neighbors_only_filters(self):
-        gs = gate_set("I", "H", "CX")
-        db = build_database(GeneratorConfig(n=3, d=2, gate_set=gs))
-        c = grid("CX:C:2,I,CX:T:0", "CX:C:2,I,CX:T:0", "H,I,I")
-        t = window(c, TileSpec(3, 2), 0, 0)
-        norm = normalize_cut_tile(t)
-        cands = lookup(norm, db)
-        chosen = select_substitution(norm, cands, db, neighbors_only=True)
-        if chosen is not None:
-            for q, tok in enumerate(chosen.replace("|", ",").split(",")):
-                if ":" in tok:
-                    assert abs(int(tok.rsplit(":", 1)[1]) - (q % 3)) == 1
+    def test_neighbours_only_database_places_adjacent_pair(self, db_near_ihcx):
+        # CX(0,2)·CX(1,2)·CX(0,2) = CX(1,2): the window is no member of the
+        # neighbours-only database, so its bucket is found by fingerprint
+        db = db_near_ihcx
+        c = grid("CX:C:2,I,CX:T:0", "I,CX:C:2,CX:T:1", "CX:C:2,I,CX:T:0")
+        assert encode_circuit(c) not in db.by_circuit
+        norm = normalize_cut_tile(window(c, TileSpec(3, 3), 0, 0))
+        chosen = select_substitution(norm, lookup(norm, db), db)
+        assert chosen == "I,CX:C:2,CX:T:1|I,I,I|I,I,I"
+        halves = [
+            (q, cell) for layer in db.decode(chosen).layers
+            for q, cell in enumerate(layer) if not cell.is_single
+        ]
+        assert halves and all(abs(cell.partner - q) == 1 for q, cell in halves)
 
     def test_tie_break_prefers_fewer_cells(self, db_ihxzcx):
         c = grid("X,I", "I,X", "X,X")  # depth 3, equal to the identity
@@ -518,7 +547,7 @@ class TestOptimize:
             GeneratorConfig(n=3, d=2, gate_set=gs, neighbors_only=True)
         )
         c = grid("H,I,H", "CX:C:1,CX:T:0,I", "CX:C:1,CX:T:0,I", "H,I,H")
-        out, report = optimize(c, db, TileSpec(3, 2), neighbors_only=True)
+        out, report = optimize(c, db, TileSpec(3, 2))
         for layer in out.layers:
             for q, cell in enumerate(layer):
                 if not cell.is_single:
@@ -655,7 +684,7 @@ def full_potential(c):
     return effective_depth(c), cells, encode_circuit(c)
 
 
-def reference_sweep(c, db, spec, neighbors_only, guard, report, failed):
+def reference_sweep(c, db, spec, guard, report, failed):
     """The full-recompute sweep, kept as an oracle: every window is tried
     on every sweep (`failed` is ignored), and each trial is validated and
     judged on the whole circuit's potential."""
@@ -677,7 +706,7 @@ def reference_sweep(c, db, spec, neighbors_only, guard, report, failed):
         if not rows:
             continue
         tile_unitary = circuit_unitary(norm.sub)
-        for cand_cost, enc in _candidate_order(norm, rows, db, neighbors_only):
+        for cand_cost, enc in _candidate_order(norm, rows, db):
             if max_abs_diff(tile_unitary, circuit_unitary(db.decode(enc))) > guard:
                 report.collisions_skipped += 1
                 continue
@@ -751,9 +780,8 @@ class TestIncrementalSweep:
         if classify_tile(tile) is TileClass.INVALID:
             return
         norm = normalize_cut_tile(tile)
-        neighbors_only = data.draw(st.booleans(), label="neighbors_only")
         old = c.layers[ls : ls + j]
-        for _, enc in _candidate_order(norm, lookup(norm, db), db, neighbors_only):
+        for _, enc in _candidate_order(norm, lookup(norm, db), db):
             trial = apply_substitution(c, norm, enc, db)
             k = trial.m - c.m + j
             # the splice leaves every layer outside its span as it was
@@ -770,13 +798,12 @@ class TestIncrementalSweep:
             reused += assert_same_as_reference(monkeypatch, parse(text), db_ihxzcx).windows_reused
         assert reused > 0
 
-    def test_neighbors_only_matches_reference_sweep(self, monkeypatch):
-        db = build_database(GeneratorConfig(n=3, d=2, gate_set=gate_set(*IHXZCX)))
+    def test_neighbors_only_matches_reference_sweep(self, db_near, monkeypatch):
         rng = np.random.default_rng(12)
         for _ in range(6):
             picks = rng.integers(0, len(SPAN_LAYERS[4]), size=8)
             c = CircuitGrid(4, tuple(SPAN_LAYERS[4][i] for i in picks))
-            assert_same_as_reference(monkeypatch, c, db, neighbors_only=True)
+            assert_same_as_reference(monkeypatch, c, db_near)
 
     def test_memo_counts_collisions_again(self, db_ihxzcx, monkeypatch):
         import copy
@@ -836,6 +863,99 @@ class TestIncrementalSweep:
         assert many.iterations > 1 and many.windows_reused > 0
 
 
+# ── the neighbour rule: a database's enumeration decides the pairs ──
+
+# layers of 4 and 5 qubits holding a pair more than one qubit apart, with
+# `t`, which IHXZCX lacks
+FAR_LAYERS = {
+    n: [l for l in enumerate_layers(n, gate_set(*IHXZCX, "T")) if far_pair(l)] for n in (4, 5)
+}
+
+
+def echo(layer, keep):
+    """The single gates of `layer` whose `keep` flag is set, Identity
+    elsewhere: h, x and z cancel their copies in `layer`."""
+    ident = single(gate("I"))
+    return tuple(cell if cell.is_single and k else ident for cell, k in zip(layer, keep))
+
+
+def far_corpus(count=100):
+    """Seeded circuits of 4 and 5 qubits. Each layer holds a non-adjacent
+    pair, or, half the time, echoes the layer before it, each single gate
+    kept with probability 0.7."""
+    rng = random.Random("neighbour-rule")
+    circuits = []
+    for k in range(count):
+        n = 4 + k % 2
+        layers = []
+        for _ in range(rng.randrange(3, 7)):
+            if layers and rng.random() < 0.5:
+                layers.append(echo(layers[-1], [rng.random() < 0.7 for _ in range(n)]))
+            else:
+                layers.append(rng.choice(FAR_LAYERS[n]))
+        circuits.append(CircuitGrid(n, tuple(layers)))
+    return circuits
+
+
+def far_gates(c):
+    """The non-adjacent pairs of c, counted by (qubits, gate name)."""
+    return Counter(
+        (qs, g.name) for qs, g in gate_list(c) if len(qs) == 2 and abs(qs[0] - qs[1]) > 1
+    )
+
+
+class TestNeighbourRule:
+    def test_neighbours_only_database_pinned(self, rank_dbs):
+        # the digest that `optimize` gave for the full n3d2 database when it
+        # filtered candidates by adjacency itself: the neighbours-only
+        # database, whose buckets are the full ones without those members,
+        # yields the same outputs and reports
+        inputs = far_corpus()
+
+        def run(db):
+            digest, outs = hashlib.md5(), []
+            for c in inputs:
+                out, r = optimize(c, db)
+                subs = [
+                    (s.layer_offset, s.qubit_offset, s.encoding, s.cost_before, s.cost_after)
+                    for s in r.substitutions
+                ]
+                facts = (r.initial_depth, r.final_depth, subs, r.iterations,
+                         r.collisions_skipped, r.windows_reused, r.check_qubits)
+                digest.update(emit(out).encode())
+                digest.update(repr(facts).encode())
+                outs.append(out)
+            return digest.hexdigest(), outs
+
+        near, near_outs = run(rank_dbs["n3d2-near"])
+        assert near == "1583fce2c92bc2afa7ee9cee23419fdd"
+        # the full database's members with non-adjacent pairs rewrite some
+        # of these circuits otherwise, so the corpus tells the two apart
+        _, full_outs = run(rank_dbs["n3d2"])
+        assert any(emit(a) != emit(b) for a, b in zip(near_outs, full_outs))
+        for out, c in zip(near_outs, inputs):
+            assert not far_gates(out) - far_gates(c)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_output_adds_no_far_pair(self, db_near_ihcx, data):
+        n = data.draw(st.sampled_from([4, 5]), label="qubits")
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        near = st.sampled_from([p for p in pairs if abs(p[0] - p[1]) == 1])
+        far = st.sampled_from([p for p in pairs if abs(p[0] - p[1]) > 1])
+        # chains of adjacent CX are what a database with every pair
+        # rewrites into a non-adjacent CX, so they are drawn most
+        cx = st.one_of(near, near, far).map(lambda qs: (qs, gate("CX")))
+        one = st.builds(lambda name, q: ((q,), gate(name)), st.sampled_from("HT"),
+                        st.integers(0, n - 1))
+        gates = data.draw(st.lists(st.one_of(cx, cx, one), min_size=1, max_size=12))
+        c = pack(gates, n)
+        out, report = optimize(c, db_near_ihcx)
+        # every non-adjacent pair of the output is one of the input's
+        assert not far_gates(out) - far_gates(c)
+        assert report.residual <= 1e-12
+
+
 # ── windows matched in the database's n×d shape ──
 
 # every layer of 1 to 4 qubits, with `t`, which IHXZCX lacks
@@ -857,8 +977,8 @@ class TestDatabaseShape:
         c = grid("X,I,I", "X,CX:C:2,CX:T:1")
         norm = normalize_cut_tile(window(c, TileSpec(2, 2), 0, 0))
         assert [(li, q) for li, q, _ in norm.cut_positions] == [(1, 1)]
-        ordered = _candidate_order(norm, lookup(norm, db_ihxzcx), db_ihxzcx, False)
-        assert ordered and ordered == reference_order(norm, db_ihxzcx, False)
+        ordered = _candidate_order(norm, lookup(norm, db_ihxzcx), db_ihxzcx)
+        assert ordered and ordered == reference_order(norm, db_ihxzcx)
         out, report = optimize(c, db_ihxzcx)
         assert report.substitutions[0].layer_offset == report.substitutions[0].qubit_offset == 0
         assert encode_circuit(out) == "I,CX:C:2,CX:T:1"
@@ -884,8 +1004,7 @@ class TestDatabaseShape:
             data.draw(st.integers(1, db.meta.n), label="tile qubits"),
             data.draw(st.integers(1, db.meta.d), label="tile depth"),
         )
-        neighbors_only = data.draw(st.booleans(), label="neighbors_only")
-        out, report = optimize(c, db, spec, neighbors_only=neighbors_only)
+        out, report = optimize(c, db, spec)
         assert report.residual <= 1e-12
         assert validate(out) == []
         assert full_potential(out)[:2] <= full_potential(c)[:2]  # (depth, cells)
