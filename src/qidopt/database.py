@@ -35,6 +35,19 @@ writes, a non-neighbour pair in a `neighbors_only` file), raises
 DatabaseFormatError naming it when the member is first read. A build and
 `loads` index members the same way (`member_index`), and `loads` rejects
 a member or bucket listed twice.
+
+A database evaluates its members itself, from the unitaries of its L
+layers, made once: a member's unitary is a batched product of d of them.
+It checks a bucket once, the first time it is asked (`sound`): the bucket
+is sound when every member lies within a quarter of the optimizer's
+collision guard of its first member, so the optimizer need not compare a
+member window with each candidate. And it rules out, with no fingerprint,
+a unitary that no bucket holds: a form filter holds the row hash of each
+bucket's first member rounded at dp, and a unitary whose rounded row hash
+is none of them is in no bucket (`may_hold`). The filter is made on
+first use and trusted only when every bucket's first member reproduces
+its key; a member that does not decode still raises when its bucket is
+first ranked, never when the filter is made.
 """
 
 from __future__ import annotations
@@ -48,8 +61,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import Cell, CircuitGrid, Layer, cell_is_identity, enumerate_layers, single
-from .circuit import layer_count
-from .fingerprint import DIGEST_ALGORITHM, Fingerprint, canonicalize
+from .circuit import layer_count, layer_unitary
+from .fingerprint import DIGEST_ALGORITHM, Fingerprint, _rounded_components, _row_hash
+from .fingerprint import canonicalize, fingerprint
 from .gates import AngleRangeError, GateDef, GateSet, gate_from_name, make_gate
 
 FORMAT_VERSION = "QIDB/1"
@@ -104,15 +118,16 @@ class LayerEntry(NamedTuple):
 
     layer: Layer
     mask: int  # bit q set for each non-Identity cell
+    index: int  # its place in the enumeration, and in the layer unitaries
 
 
 def layer_table(layers: list[Layer]) -> dict[str, LayerEntry]:
     """Each layer's text (as `encode_circuit` spells it) -> its entry, in
     the order of `layers`: a database's enumeration, `enumerate_layers`."""
     table = {}
-    for layer in layers:
+    for index, layer in enumerate(layers):
         mask = sum(1 << q for q, cell in enumerate(layer) if not cell_is_identity(cell))
-        table[",".join(map(encode_cell, layer))] = LayerEntry(layer, mask)
+        table[",".join(map(encode_cell, layer))] = LayerEntry(layer, mask, index)
     return table
 
 
@@ -142,6 +157,16 @@ class DatabaseMeta:
         smaller than n×d that the optimizer looks up is padded with it."""
         return single(self.gate_set.identity)
 
+    @property
+    def guard(self) -> float:
+        """The collision guard, 2·10^-dp·2ⁿ: the largest max|U − V| the
+        optimizer accepts between a window's unitary and a candidate's."""
+        return 2.0 * 10.0**-self.dp * (1 << self.n)
+
+
+# buckets whose representatives the form filter evaluates together
+_FORM_SLICE = 256
+
 
 @dataclass
 class IdentityDatabase:
@@ -150,21 +175,32 @@ class IdentityDatabase:
     table of that enumeration (`layer_table`), and members are read only
     through it: a member must have d '|'-separated pieces, each the text of
     an enumerated layer over `meta.gate_set`, or it raises
-    DatabaseFormatError.
+    DatabaseFormatError. `by_circuit` maps each member to the bucket that
+    holds it, as `member_index` makes it.
 
-    Buckets are ranked lazily: `rank_table` builds a bucket's rows on its
-    first call and keeps them, at most one table per bucket, for as long
-    as the bucket equals the members they were built from. A bucket edited
-    in place is re-ranked on its next call.
+    Three things are made on first use and kept with the database:
+      * the unitaries of its L layers over `meta.gate_set`, one (L, 2ⁿ, 2ⁿ)
+        stack; a member's unitary is a batched product of d of them;
+      * one rank table per bucket (`rank_table`), made on the bucket's
+        first lookup, and with it one soundness flag (`sound`), made when
+        first asked; both are kept for as long as the bucket equals the
+        members they were made from, so a bucket edited in place is
+        ranked and checked again;
+      * a form filter (`may_hold`), made on the first lookup of a unitary
+        that is no member's, 8 bytes per bucket.
     """
 
     meta: DatabaseMeta
     layers: dict[str, LayerEntry] = field(repr=False, compare=False)
     by_circuit: dict[str, Fingerprint] = field(default_factory=dict)
     by_fingerprint: dict[Fingerprint, list[str]] = field(default_factory=dict)
-    # fingerprint -> (the bucket's members when ranked, their rows)
-    _rank_tables: dict[Fingerprint, tuple[list[str], list[RankRow]]] = field(
+    # fingerprint -> [the bucket's members when ranked, their rows, sound]
+    _rank_tables: dict[Fingerprint, list] = field(
         init=False, repr=False, compare=False, default_factory=dict
+    )
+    # (the bucket count it was made for, the form filter or None)
+    _forms: tuple[int, np.ndarray | None] | None = field(
+        init=False, repr=False, compare=False, default=None
     )
 
     @property
@@ -177,17 +213,43 @@ class IdentityDatabase:
     def rank_table(self, fp: Fingerprint) -> list[RankRow]:
         """Rows of the bucket's members shallower than d, sorted by (depth,
         cells, encoding). A tile is at most d layers deep, so a member of
-        depth d never ranks below it. The table is reused only while the
-        bucket still equals the snapshot it was built from; comparing the
-        two lists costs one identity check per member."""
+        depth d never ranks below it. The table is made on the bucket's
+        first call and reused only while the bucket still equals the
+        snapshot it was made from; comparing the two lists costs one
+        identity check per member."""
+        return self._table(fp)[1]
+
+    def sound(self, fp: Fingerprint) -> bool:
+        """Whether the unitary of every member of the bucket lies within
+        guard/4 of its first member's, less a bound on float error
+        (`_spread_limit`). Any two members of a sound bucket, each
+        evaluated gate by gate (`circuit.circuit_unitary`), then differ by
+        less than the guard, so the optimizer's check of a candidate
+        against a member would accept every pair.
+
+        Computed on the first call, from the layer unitaries, and kept
+        with the bucket's rank table: a bucket edited in place is checked
+        again. Every member is read, so one that does not decode raises
+        DatabaseFormatError."""
+        table = self._table(fp)
+        if table[2] is None:
+            # `rank` has read every member, so each has d pieces, all layers
+            layers, members = self.layers, table[0]
+            index = [layers[text].index for text in "|".join(members).split("|")]
+            table[2] = self._spread(index, len(members)) <= self._spread_limit
+        return table[2]
+
+    def _table(self, fp: Fingerprint) -> list:
+        """[the bucket's members when ranked, their rank rows, whether it
+        is sound or None until `sound` is asked], made again when the
+        bucket no longer equals the members."""
         members = self.bucket(fp)
         cached = self._rank_tables.get(fp)
-        if cached is not None and cached[0] == members:
-            return cached[1]
-        rows = self.rank(members, self.meta.d - 1)
-        if members:
-            self._rank_tables[fp] = (list(members), rows)
-        return rows
+        if cached is None or cached[0] != members:
+            cached = [list(members), self.rank(members, self.meta.d - 1), None]
+            if members:
+                self._rank_tables[fp] = cached
+        return cached
 
     def rank(self, encs, max_depth: int) -> list[RankRow]:
         """Rows of the encodings with effective depth at most max_depth,
@@ -205,6 +267,31 @@ class IdentityDatabase:
                 rows.append(RankRow(depth, cells, enc, occupied))
         rows.sort()
         return rows
+
+    def may_hold(self, u: np.ndarray) -> bool:
+        """Whether some bucket may hold the unitary u. False only when the
+        form filter is verified and u, rounded at dp, has a row hash
+        (`fingerprint._row_hash`) that is no bucket representative's.
+
+        The filter is the sorted row hashes of each bucket's first member,
+        its representative, rounded at dp. It is made on the first call
+        and again when the number of buckets changes, from the layer
+        unitaries, a slice of buckets at a time. It is verified when every
+        bucket's representative decodes and its fingerprint, made by one
+        batched `fingerprint` call per slice, is the bucket's key. A bucket
+        holds u exactly when u's fingerprint is its key, that is, when u
+        rounds to its representative's form (two canonical texts of one
+        MD5 digest aside), so a hash that no representative has is a miss.
+        """
+        count = len(self.by_fingerprint)
+        if self._forms is None or self._forms[0] != count:
+            self._forms = (count, self._form_hashes())
+        hashes = self._forms[1]
+        if hashes is None:
+            return True
+        h = _row_hash(_rounded_components(u, self.meta.dp).view(np.uint64)[None])[0]
+        at = hashes.searchsorted(h)
+        return bool(at < len(hashes) and hashes[at] == h)
 
     def decode(self, enc: str) -> CircuitGrid:
         """The circuit over `meta.gate_set`, the same gates after a load as
@@ -226,6 +313,60 @@ class IdentityDatabase:
             raise DatabaseFormatError(
                 f"member {enc!r}: {e.args[0]!r} is not a layer of this database"
             ) from None
+
+    @cached_property
+    def _layer_unitaries(self) -> np.ndarray:
+        """The unitaries of the enumerated layers, in enumeration order."""
+        return np.stack([layer_unitary(e.layer, self.meta.n) for e in self.layers.values()])
+
+    def _unitaries(self, index: list[int], count: int) -> np.ndarray:
+        """The unitaries L_d···L_1 of `count` members given by the layer
+        indices of their pieces, in order, as a (count, 2ⁿ, 2ⁿ) stack: each
+        is its first layer's unitary left-multiplied by the next one's, in
+        turn, as a build multiplies."""
+        rows = np.array(index, dtype=np.intp).reshape(count, self.meta.d)
+        mats = self._layer_unitaries
+        u = mats[rows[:, 0]]
+        for k in range(1, self.meta.d):
+            u = np.matmul(mats[rows[:, k]], u)
+        return u
+
+    def _spread(self, index: list[int], count: int) -> float:
+        """max|U − U₀| over the members' unitaries U, U₀ the first's."""
+        if not count:
+            return 0.0
+        u = self._unitaries(index, count)
+        return float(np.abs(u - u[0]).max())
+
+    @cached_property
+    def _spread_limit(self) -> float:
+        """The largest spread of a sound bucket: guard/4 less E, where E
+        bounds the float error of evaluating a member both ways, as d
+        layer products here or as at most n·d gates in `circuit_unitary`.
+        Each way is within d·(n + 2ⁿ)·2ⁿ·2⁻⁴⁹ of the exact unitary,
+        entrywise, to first order in the unit roundoff. E is far below
+        guard/4 except at large dp (from dp = 13 at n = 2, d = 4), where
+        no bucket is sound."""
+        n, d = self.meta.n, self.meta.d
+        dim = 1 << n
+        return self.meta.guard / 4 - d * (n + dim) * dim * 2.0**-48
+
+    def _form_hashes(self) -> np.ndarray | None:
+        """The sorted row hashes of the buckets' representatives rounded at
+        dp, or None when some bucket has no representative, or one that
+        does not decode or does not reproduce the bucket's key."""
+        dp, keys, parts = self.meta.dp, list(self.by_fingerprint), []
+        for s in range(0, len(keys), _FORM_SLICE):
+            part = keys[s : s + _FORM_SLICE]
+            try:
+                reps = [self._entries(self.by_fingerprint[fp][0]) for fp in part]
+            except (IndexError, DatabaseFormatError):  # an empty bucket, a malformed member
+                return None
+            u = self._unitaries([e.index for es in reps for e in es], len(part))
+            if fingerprint(u, dp) != part:
+                return None
+            parts.append(_row_hash(_rounded_components(u, dp).view(np.uint64)))
+        return np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.uint64)
 
 
 def member_index(by_fingerprint: dict[Fingerprint, list[str]]) -> dict[str, Fingerprint]:

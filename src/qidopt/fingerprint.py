@@ -21,7 +21,6 @@ multiple of one slice, whatever the length of the stack.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,21 +34,41 @@ _SLICE = 64
 _RE_IM = np.array([0, 1])
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    digest: bytes
+class Fingerprint(bytes):
+    """A 16-byte digest, the database key. It is a `bytes` so that a
+    `loads` of thousands of buckets hashes and compares keys in C; it
+    equals only another Fingerprint of the same bytes."""
 
-    def __post_init__(self):
-        if len(self.digest) != 16:
+    __slots__ = ()
+
+    def __new__(cls, digest: bytes) -> "Fingerprint":
+        if len(digest) != 16:
             raise ValueError("fingerprint must be 16 bytes")
-
-    @property
-    def hex(self) -> str:
-        return self.digest.hex()
+        return bytes.__new__(cls, digest)
 
     @classmethod
     def from_hex(cls, s: str) -> "Fingerprint":
-        return cls(bytes.fromhex(s))
+        # `__new__`'s check, inline: `loads` makes one per bucket
+        digest = bytes.fromhex(s)
+        if len(digest) != 16:
+            raise ValueError("fingerprint must be 16 bytes")
+        return bytes.__new__(cls, digest)
+
+    @property
+    def digest(self) -> bytes:
+        return bytes(self)
+
+    @property
+    def hex(self) -> str:
+        return bytes.hex(self)
+
+    def __eq__(self, other):
+        return isinstance(other, Fingerprint) and bytes.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = bytes.__hash__
 
     def __repr__(self):
         return f"Fingerprint({self.hex})"
@@ -82,6 +101,22 @@ def _rounded_components(m: ComplexMatrix, dp: int) -> np.ndarray:
         raise ValueError("matrix entries too large to canonicalize")
     # a negative component that rounds to zero gives -0.0, which is 0
     return np.copysign(mags, comps, out=mags).astype(np.int64)
+
+
+def _row_hash(words: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row of an (N, W) uint64 array, in one integer
+    matmul: the row's words times a fixed vector of odd constants (the
+    first W outputs of splitmix64 from seed 0), summed mod 2⁶⁴. Equal rows
+    hash equal. Its users confirm what a hash match decides: the build's
+    `_number` compares every match bitwise, and a database's form filter
+    (`IdentityDatabase.may_hold`) answers only misses."""
+    keys = np.arange(1, words.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    keys ^= keys >> np.uint64(30)
+    keys *= np.uint64(0xBF58476D1CE4E5B9)
+    keys ^= keys >> np.uint64(27)
+    keys *= np.uint64(0x94D049BB133111EB)
+    keys ^= keys >> np.uint64(31)
+    return words @ (keys | np.uint64(1))
 
 
 def _render(rows: np.ndarray, dim: int, dp: int) -> list[bytes]:

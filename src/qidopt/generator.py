@@ -76,7 +76,7 @@ import numpy as np
 
 from .circuit import CircuitGrid, enumerate_layers, layer_count, layer_unitary
 from .database import DatabaseMeta, IdentityDatabase, layer_table, member_index
-from .fingerprint import Fingerprint, _rounded_components, fingerprint
+from .fingerprint import Fingerprint, _rounded_components, _row_hash, fingerprint
 from .gates import GateSet
 from .matrices import identity
 
@@ -180,21 +180,6 @@ def _extensions(mats: np.ndarray, products: np.ndarray) -> Iterator[np.ndarray]:
     per = max(1, _CHUNK // len(mats))
     for s in range(0, len(products), per):
         yield np.matmul(mats[None], products[s : s + per, None]).reshape(-1, *mats.shape[1:])
-
-
-def _row_hash(words: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each row of an (N, W) uint64 array, in one integer
-    matmul: the row's words times a fixed vector of odd constants (the
-    first W outputs of splitmix64 from seed 0), summed mod 2⁶⁴. Equal rows
-    hash equal; a collision costs only time, since `_number` confirms every
-    match bitwise."""
-    keys = np.arange(1, words.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    keys ^= keys >> np.uint64(30)
-    keys *= np.uint64(0xBF58476D1CE4E5B9)
-    keys ^= keys >> np.uint64(27)
-    keys *= np.uint64(0x94D049BB133111EB)
-    keys ^= keys >> np.uint64(31)
-    return words @ (keys | np.uint64(1))
 
 
 def _float_words(block: np.ndarray) -> np.ndarray:

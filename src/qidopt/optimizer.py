@@ -36,10 +36,31 @@ cells, encoding and occupied cells, folded from the database's layer
 table and sorted by (depth, cells, encoding). A table holds only members
 shallower than the database depth d, since a tile is at most d layers
 deep and a candidate must be strictly shallower; `lookup` returns only
-the rows shallower than the tile. A table is built on a bucket's first
-hit and reused while the bucket equals its snapshot, so an edited bucket
-is re-ranked. Rank tables and layer entries live on the database, so
+the rows shallower than the tile. Rank tables live on the database, so
 they are reused across windows, sweeps and circuits.
+
+Candidates must really equal the window: a fingerprint is a digest of a
+rounded unitary, so the collision guard (`DatabaseMeta.guard`) bounds
+max|U − V| between a candidate's unitary and the window's. It is checked
+once per bucket where it can be:
+  * the database checks a bucket once (`IdentityDatabase.sound`), the
+    first time a window found by its encoding has candidates there: it
+    computes every member's unitary from its layer unitaries and flags
+    the bucket sound when all lie within guard/4 of the first member's.
+    Such a window, of the database's own gates (`OptimizeReport.own_gates`),
+    is a member of that bucket, so in a sound bucket it tries its
+    candidates with no unitary at all;
+  * every other window checks each candidate's unitary against its own,
+    per trial: one found by its encoding in an unsound bucket, one found
+    through its unitary (the one `lookup` computed), and every window of
+    an input that holds a gate named like one of the database's but with
+    another matrix. A candidate that fails counts in `collisions_skipped`.
+
+A window that is no member is looked up by its unitary. When the
+database's form filter is verified and the rounded unitary's row hash is
+no bucket representative's, the lookup is a miss and no fingerprint is
+computed (`IdentityDatabase.may_hold`); otherwise the fingerprint picks
+the bucket. Either way `lookup` returns the rows the fingerprint gives.
 
 The reported final depth is the depth of the emitted circuit, which
 packs each gate into the earliest free layer (`asap_depth`); the
@@ -58,6 +79,8 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .circuit import (
     Cell,
     CircuitGrid,
@@ -74,7 +97,7 @@ from .circuit import (
 from .database import IdentityDatabase, RankRow, encode_circuit
 from .fingerprint import fingerprint
 from .gates import I as IDENTITY_GATE
-from .gates import GateDef
+from .gates import GateDef, GateSet
 from .matrices import frobenius_diff, max_abs_diff
 
 
@@ -202,14 +225,38 @@ def _blocked(t: Tile, n: int) -> int:
     return ~window | sum(1 << (li * n + q) for li, q, _ in t.cut_positions)
 
 
-def lookup(t: Tile, db: IdentityDatabase) -> list[RankRow]:
+class Match(list):
+    """What `lookup` found: the rank rows it returns, as a list, and how it
+    found them. `bucket` is the key of the bucket the window is a member
+    of, when it was found by its encoding, else None. `unitary` is the
+    padded window's unitary when it was found through it, else None.
+    `filtered` is set when the database's form filter answered the miss
+    (`IdentityDatabase.may_hold`)."""
+
+    __slots__ = ("bucket", "unitary", "filtered")
+
+    def __init__(self, rows=(), bucket=None, unitary=None, filtered=False):
+        super().__init__(rows)
+        self.bucket, self.unitary, self.filtered = bucket, unitary, filtered
+
+
+def lookup(t: Tile, db: IdentityDatabase) -> Match:
     """The rows of the padded tile's rank table that are shallower than the
     tile: the only members that can rank below it, never the tile itself.
-    The bucket is read from the encoding table, else from the unitary."""
+    The bucket is read from the encoding table, else from the unitary,
+    which is fingerprinted only when the form filter does not rule every
+    bucket out."""
     padded = _padded(t, db)
     fp = db.by_circuit.get(encode_circuit(padded))
-    table = db.rank_table(fp or fingerprint(circuit_unitary(padded), db.meta.dp))
-    return table[: bisect_left(table, (effective_depth(t.sub),))]
+    unitary = None
+    if fp is not None:
+        table = db.rank_table(fp)
+    else:
+        unitary = circuit_unitary(padded)
+        if not db.may_hold(unitary):
+            return Match((), unitary=unitary, filtered=True)
+        table = db.rank_table(fingerprint(unitary, db.meta.dp))
+    return Match(table[: bisect_left(table, (effective_depth(t.sub),))], fp, unitary)
 
 
 def _candidate_order(
@@ -299,6 +346,13 @@ class OptimizeReport:
     # trimming the shared gates, then the span's two unitaries and their norm
     check_s: float = 0.0
     check_qubits: int = 0  # k, the qubits of the unshared span
+    # every gate of the input that the database's gate table names is that
+    # gate, bitwise (`_own_gates`): a window found by its encoding then has
+    # its member's unitary, and a sound bucket needs no trial check
+    own_gates: bool = False
+    unitary_lookups: int = 0  # windows looked up by their unitary
+    filtered_misses: int = 0  # of those, the ones the form filter answered
+    trials_checked: int = 0  # candidate unitaries computed for the guard
 
 
 _WindowKey = tuple[int, tuple[Layer, ...], bool]  # (qubit offset, span, ends)
@@ -338,7 +392,8 @@ def optimize(
         raise ValueError("iters must be at least 1")
 
     report = OptimizeReport(initial_depth=effective_depth(c), final_depth=0)
-    guard = 2.0 * 10.0 ** -db.meta.dp * (1 << db.meta.n)
+    report.own_gates = _own_gates(c, db.meta.gate_set)
+    guard = db.meta.guard
 
     # no sweep sees an all-Identity layer: the span rule of `_lowers` and
     # the splice, which compacts only its span, rely on that
@@ -407,6 +462,8 @@ def _sweep(
         trial = None
         if norm is not None:
             rows = lookup(norm, db)
+            report.unitary_lookups += rows.unitary is not None
+            report.filtered_misses += rows.filtered
             if rows:
                 trial = _substitute(c, norm, rows, db, guard, report)
         if trial is None:
@@ -420,22 +477,28 @@ def _sweep(
 def _substitute(
     c: CircuitGrid,
     norm: Tile,
-    rows: Sequence[RankRow],
+    rows: Match,
     db: IdentityDatabase,
     guard: float,
     report: OptimizeReport,
 ) -> CircuitGrid | None:
     """c with the cheapest candidate that passes the collision guard and
     lowers the potential spliced into the window, or None."""
-    tile_unitary = circuit_unitary(_padded(norm, db))
+    # fingerprint-collision guard: a candidate must really equal the
+    # window. A window found by its encoding, of the database's own gates,
+    # in a sound bucket has been checked with its whole bucket; any other
+    # checks each candidate's unitary against its own
+    tile_unitary = rows.unitary
+    if tile_unitary is None and not (report.own_gates and db.sound(rows.bucket)):
+        tile_unitary = circuit_unitary(_padded(norm, db))
     ls, j = norm.layer_offset, norm.sub.m
     old = c.layers[ls : ls + j]
     for cand_cost, enc in _candidate_order(norm, rows, db):
-        cand_grid = db.decode(enc)
-        # fingerprint-collision guard: candidates must really be equal
-        if max_abs_diff(tile_unitary, circuit_unitary(cand_grid)) > guard:
-            report.collisions_skipped += 1
-            continue
+        if tile_unitary is not None:
+            report.trials_checked += 1
+            if max_abs_diff(tile_unitary, circuit_unitary(db.decode(enc))) > guard:
+                report.collisions_skipped += 1
+                continue
         trial = apply_substitution(c, norm, enc, db)
         # a cheaper tile may still not help the whole circuit when other
         # rows keep its old layers alive; a strict drop in the potential
@@ -448,6 +511,16 @@ def _substitute(
         )
         return trial
     return None
+
+
+def _own_gates(c: CircuitGrid, gate_set: GateSet) -> bool:
+    """Whether every gate of c that the gate set names is that gate, with
+    a bitwise-equal matrix: a window of c whose encoding is a member's
+    then computes the member's unitary, float for float."""
+    return all(
+        g.name not in gate_set or np.array_equal(gate_set.by_name(g.name).matrix, g.matrix)
+        for g in {cell.gate for layer in c.layers for cell in layer}
+    )
 
 
 def _lowers(n: int, old: tuple[Layer, ...], new: tuple[Layer, ...], ends: bool) -> bool:

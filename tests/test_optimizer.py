@@ -1,7 +1,9 @@
 """Tile extraction, classification, lookup, selection, and optimization."""
 
 import hashlib
+import math
 import random
+from bisect import bisect_left
 from collections import Counter
 
 import numpy as np
@@ -24,8 +26,9 @@ from qidopt.circuit import (
     single,
     validate,
 )
-from qidopt.database import encode_circuit
+from qidopt.database import IdentityDatabase, encode_circuit
 from qidopt.fingerprint import Fingerprint, fingerprint
+from qidopt.gates import GateSet, make_gate
 from qidopt.generator import GeneratorConfig, build_database, enumerate_layers
 from qidopt.matrices import max_abs_diff
 from qidopt.optimizer import (
@@ -1008,3 +1011,181 @@ class TestDatabaseShape:
         assert report.residual <= 1e-12
         assert validate(out) == []
         assert full_potential(out)[:2] <= full_potential(c)[:2]  # (depth, cells)
+
+
+# ── checked once per bucket: soundness flags and the form filter ──
+
+
+def fresh_copy(db):
+    """The database's buckets in a new database, none of them ranked yet
+    and no form filter made."""
+    return IdentityDatabase(
+        db.meta,
+        db.layers,
+        dict(db.by_circuit),
+        {fp: list(encs) for fp, encs in db.by_fingerprint.items()},
+    )
+
+
+def poisoned_first(db):
+    """A fresh copy whose first bucket leads with another bucket's member:
+    its representative no longer gives its key, so the filter is
+    unverified."""
+    poisoned = fresh_copy(db)
+    first, *_, last = poisoned.by_fingerprint
+    poisoned.by_fingerprint[first].insert(0, poisoned.by_fingerprint[last][0])
+    return poisoned
+
+
+def reference_lookup(t, db):
+    """The rows of the padded window's bucket found through its unitary,
+    shallower than the window: `lookup` with neither the encoding table
+    nor the form filter."""
+    table = db.rank_table(fingerprint(circuit_unitary(padded(t, db)), db.meta.dp))
+    return table[: bisect_left(table, (effective_depth(t.sub),))]
+
+
+# layers one qubit wider than each database, of its own gates only or
+# with `t`, which IHXZCX lacks
+LOOKUP_LAYERS = {
+    n: {"own": WIDER_LAYERS[n], "t": enumerate_layers(n + 1, gate_set(*IHXZCX, "T"))}
+    for n in (2, 3)
+}
+
+
+@pytest.fixture(scope="module")
+def lookup_dbs(rank_dbs):
+    dbs = {name: fresh_copy(db) for name, db in rank_dbs.items()}
+    dbs.update({f"{name}-unverified": poisoned_first(db) for name, db in rank_dbs.items()})
+    return dbs
+
+
+class TestCheckedOnce:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_lookup_matches_unitary_reference(self, lookup_dbs, data):
+        # members, `t`-holding windows that are no member, cut tiles and
+        # windows padded to the database's shape, on verified databases and
+        # on copies whose filter is unverified
+        db = lookup_dbs[data.draw(st.sampled_from(sorted(lookup_dbs)), label="db")]
+        n, d = db.meta.n, db.meta.d
+        i = data.draw(st.integers(1, n), label="window rows")
+        j = data.draw(st.integers(1, d), label="window depth")
+        qs = data.draw(st.integers(0, n + 1 - i), label="qubit offset")
+        pool = LOOKUP_LAYERS[n][data.draw(st.sampled_from(["own", "t"]), label="layers")]
+        ends = {0: data.draw(st.booleans(), label="cut first"),
+                j - 1: data.draw(st.booleans(), label="cut last")}
+        layers = []
+        for li in range(j):
+            if layers and data.draw(st.booleans(), label="echo"):
+                # the previous layer's single gates, some undone: h, x and z
+                # cancel, so the window often has a shallower member
+                keep = data.draw(st.lists(st.booleans(), min_size=n + 1, max_size=n + 1))
+                layers.append(echo(layers[-1], keep))
+            else:
+                cut = ends.get(li, False)
+                layers.append(data.draw(st.sampled_from(
+                    [l for l in pool if crosses(l, qs, i) == cut]
+                )))
+        tile = _window(CircuitGrid(n + 1, tuple(layers)), qs, 0, i, j)
+        norm = normalize_cut_tile(tile, db.meta.gate_set.identity)
+        rows = lookup(norm, db)
+        assert list(rows) == reference_lookup(norm, db)
+        member = encode_circuit(padded(norm, db)) in db.by_circuit
+        assert (rows.unitary is None) == (rows.bucket is not None) == member
+        assert not rows.filtered or not (member or rows)
+
+    def test_unverified_filter_rules_nothing_out(self, lookup_dbs):
+        for name, db in lookup_dbs.items():
+            n = db.meta.n
+            # i·I is no real circuit's unitary, so no bucket of these gates
+            # holds it
+            assert db.may_hold(1j * np.eye(1 << n)) == name.endswith("-unverified"), name
+            # S then SDG is no member, but it is the identity: the form of
+            # the first bucket, whose representative the poison replaced
+            idle = ",I" * (n - 1)
+            t = Tile(0, 0, grid("S" + idle, "SDG" + idle))
+            rows = lookup(t, db)
+            assert rows.unitary is not None and not rows.filtered
+            assert list(rows) == reference_lookup(t, db) != []
+
+    def test_every_bucket_sound(self, db_ihxzcx):
+        db = fresh_copy(db_ihxzcx)
+        assert all(map(db.sound, db.by_fingerprint))
+
+    def test_no_bucket_sound_below_float_error(self, monkeypatch):
+        # at dp = 15 a quarter of the guard is below the float error of
+        # evaluating a member two ways, so every window checks every trial
+        db = build_database(GeneratorConfig(n=2, d=2, gate_set=gate_set("I", "H", "X"), dp=15))
+        assert not any(map(db.sound, db.by_fingerprint))
+        report = assert_same_as_reference(monkeypatch, grid("H,X", "H,X", "X,I"), db)
+        assert report.substitutions and report.trials_checked > 0
+
+    def test_bucket_poisoned_after_ranking_is_checked_again(self, monkeypatch):
+        db = build_database(GeneratorConfig(n=2, d=3, gate_set=gate_set(*IHXZCX)))
+        c = grid("H,H", "H,H", "X,X")
+        _, first = optimize(c, db)
+        xx = db.by_circuit["X,X|I,I|I,I"]
+        assert first.collisions_skipped == first.trials_checked == 0 and db.sound(xx)
+        # the poison of test_collision_guard_skips_poisoned_bucket
+        db.by_fingerprint[xx].insert(0, "I,I|I,I|I,Z")
+        assert not db.sound(xx)
+        report = assert_same_as_reference(monkeypatch, c, db)
+        assert report.collisions_skipped >= 1
+        assert report.trials_checked >= report.collisions_skipped
+
+    def test_report_counts_lookups_and_trials(self, db_ihxzcx, monkeypatch):
+        db = fresh_copy(db_ihxzcx)
+        real_lookup, real_unitary = optimizer_module.lookup, optimizer_module.circuit_unitary
+        calls = Counter()
+
+        def noted_lookup(t, db):
+            if encode_circuit(padded(t, db)) not in db.by_circuit:
+                calls["by unitary"] += 1
+                fp = fingerprint(real_unitary(padded(t, db)), db.meta.dp)
+                calls["misses"] += fp not in db.by_fingerprint
+            return real_lookup(t, db)
+
+        def noted_unitary(c):
+            calls["unitaries"] += 1
+            return real_unitary(c)
+
+        monkeypatch.setattr(optimizer_module, "lookup", noted_lookup)
+        monkeypatch.setattr(optimizer_module, "circuit_unitary", noted_unitary)
+        totals = Counter()
+        # s is no gate of the database, but s·s is its Z: a window found
+        # through its unitary that has candidates
+        for c in [parse(text) for text in pin_corpus()[:20]] + [grid("S,H", "S,H", "X,X")]:
+            calls.clear()
+            _, r = optimize(c, db)
+            assert r.own_gates
+            assert (r.unitary_lookups, r.filtered_misses) == (calls["by unitary"], calls["misses"])
+            # every bucket is sound, so only windows found through their
+            # unitary check their candidates; the final check takes two
+            assert calls["unitaries"] == r.unitary_lookups + r.trials_checked + 2 * (r.check_qubits > 0)
+            totals.update(lookups=r.unitary_lookups, misses=r.filtered_misses,
+                          trials=r.trials_checked)
+        assert totals["lookups"] > totals["misses"] > 0
+        assert totals["trials"] > 0
+
+    @pytest.mark.parametrize(
+        "gates, d, rows",
+        [
+            # the fake H of test_clashing_name_keeps_stored_matrix, on n=2, d=2
+            (("I", "X"), 2, ("H,X", "X,H", "H,H", "I,X", "X,I")),
+            # the fake H, a rotation about Y, commutes with Y, so the
+            # member Y·H·Y shares the bucket of H; with the real H, Y·H·Y
+            # is −H, and a splice of H trusted by its encoding is wrong
+            (("I", "Y"), 3, ("Y,I", "H,I", "Y,I")),
+        ],
+        ids=["h-x", "y-h-y"],
+    )
+    def test_clashing_name_checks_every_trial(self, monkeypatch, gates, d, rows):
+        c_, s_ = math.cos(math.pi / 8), math.sin(math.pi / 8)
+        fake_h = make_gate("H", [[c_, -s_], [s_, c_]])
+        gs = GateSet([gate(gates[0]), fake_h, *map(gate, gates[1:])])
+        db = build_database(GeneratorConfig(n=2, d=d, gate_set=gs))
+        c = grid(*rows)  # builtin h, x and y
+        report = assert_same_as_reference(monkeypatch, c, db)
+        assert not report.own_gates
+        assert report.residual <= 1e-12
