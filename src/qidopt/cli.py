@@ -228,7 +228,7 @@ def cmd_stats(args) -> int:
     _out("gates", ",".join(g.name for g in meta.gate_set.gates))
     _out("circuits", db.total_circuits)
     _out("buckets", len(db.by_fingerprint))
-    largest = max(db.by_fingerprint.values(), key=len, default=[])
+    largest = max(db.by_fingerprint.values(), key=len, default=())
     _out("largest_bucket", len(largest))
     example = next(
         (

@@ -48,14 +48,20 @@ is none of them is in no bucket (`may_hold`). The filter is made on
 first use and trusted only when every bucket's first member reproduces
 its key; a member that does not decode still raises when its bucket is
 first ranked, never when the filter is made.
+
+A database does not change once a build or `loads` has made it: its
+tables are read-only mappings and its buckets tuples, so everything it
+derives from them is made once and kept, with nothing to invalidate.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -168,7 +174,7 @@ class DatabaseMeta:
 _FORM_SLICE = 256
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdentityDatabase:
     """Two hash tables over one enumeration: encoding -> fingerprint, and
     fingerprint -> cost-sorted equivalent encodings. `layers` is the layer
@@ -178,46 +184,44 @@ class IdentityDatabase:
     DatabaseFormatError. `by_circuit` maps each member to the bucket that
     holds it, as `member_index` makes it.
 
-    Three things are made on first use and kept with the database:
+    A database is read-only: the three tables are kept behind read-only
+    views and each bucket is a tuple. Three things are made on first use
+    and kept with the database:
       * the unitaries of its L layers over `meta.gate_set`, one (L, 2ⁿ, 2ⁿ)
         stack; a member's unitary is a batched product of d of them;
       * one rank table per bucket (`rank_table`), made on the bucket's
         first lookup, and with it one soundness flag (`sound`), made when
-        first asked; both are kept for as long as the bucket equals the
-        members they were made from, so a bucket edited in place is
-        ranked and checked again;
+        first asked;
       * a form filter (`may_hold`), made on the first lookup of a unitary
         that is no member's, 8 bytes per bucket.
     """
 
     meta: DatabaseMeta
-    layers: dict[str, LayerEntry] = field(repr=False, compare=False)
-    by_circuit: dict[str, Fingerprint] = field(default_factory=dict)
-    by_fingerprint: dict[Fingerprint, list[str]] = field(default_factory=dict)
-    # fingerprint -> [the bucket's members when ranked, their rows, sound]
+    layers: Mapping[str, LayerEntry] = field(repr=False, compare=False)
+    by_circuit: Mapping[str, Fingerprint] = field(default_factory=dict)
+    by_fingerprint: Mapping[Fingerprint, tuple[str, ...]] = field(default_factory=dict)
+    # fingerprint -> [the bucket's rank rows, sound or None until asked]
     _rank_tables: dict[Fingerprint, list] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    # (the bucket count it was made for, the form filter or None)
-    _forms: tuple[int, np.ndarray | None] | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
+
+    def __post_init__(self):
+        for name in ("layers", "by_circuit", "by_fingerprint"):
+            object.__setattr__(self, name, MappingProxyType(getattr(self, name)))
 
     @property
     def total_circuits(self) -> int:
         return len(self.by_circuit)
 
-    def bucket(self, fp: Fingerprint) -> list[str]:
-        return self.by_fingerprint.get(fp, [])
+    def bucket(self, fp: Fingerprint) -> tuple[str, ...]:
+        return self.by_fingerprint.get(fp, ())
 
     def rank_table(self, fp: Fingerprint) -> list[RankRow]:
         """Rows of the bucket's members shallower than d, sorted by (depth,
         cells, encoding). A tile is at most d layers deep, so a member of
         depth d never ranks below it. The table is made on the bucket's
-        first call and reused only while the bucket still equals the
-        snapshot it was made from; comparing the two lists costs one
-        identity check per member."""
-        return self._table(fp)[1]
+        first call and kept."""
+        return self._table(fp)[0]
 
     def sound(self, fp: Fingerprint) -> bool:
         """Whether the unitary of every member of the bucket lies within
@@ -228,28 +232,26 @@ class IdentityDatabase:
         against a member would accept every pair.
 
         Computed on the first call, from the layer unitaries, and kept
-        with the bucket's rank table: a bucket edited in place is checked
-        again. Every member is read, so one that does not decode raises
-        DatabaseFormatError."""
+        with the bucket's rank table. Every member is read, so one that
+        does not decode raises DatabaseFormatError."""
         table = self._table(fp)
-        if table[2] is None:
+        if table[1] is None:
             # `rank` has read every member, so each has d pieces, all layers
-            layers, members = self.layers, table[0]
+            layers, members = self.layers, self.bucket(fp)
             index = [layers[text].index for text in "|".join(members).split("|")]
-            table[2] = self._spread(index, len(members)) <= self._spread_limit
-        return table[2]
+            table[1] = self._spread(index, len(members)) <= self._spread_limit
+        return table[1]
 
     def _table(self, fp: Fingerprint) -> list:
-        """[the bucket's members when ranked, their rank rows, whether it
-        is sound or None until `sound` is asked], made again when the
-        bucket no longer equals the members."""
-        members = self.bucket(fp)
-        cached = self._rank_tables.get(fp)
-        if cached is None or cached[0] != members:
-            cached = [list(members), self.rank(members, self.meta.d - 1), None]
+        """[the bucket's rank rows, whether it is sound or None until
+        `sound` is asked], made on the first call for a bucket."""
+        table = self._rank_tables.get(fp)
+        if table is None:
+            members = self.bucket(fp)
+            table = [self.rank(members, self.meta.d - 1), None]
             if members:
-                self._rank_tables[fp] = cached
-        return cached
+                self._rank_tables[fp] = table
+        return table
 
     def rank(self, encs, max_depth: int) -> list[RankRow]:
         """Rows of the encodings with effective depth at most max_depth,
@@ -274,19 +276,12 @@ class IdentityDatabase:
         (`fingerprint._row_hash`) that is no bucket representative's.
 
         The filter is the sorted row hashes of each bucket's first member,
-        its representative, rounded at dp. It is made on the first call
-        and again when the number of buckets changes, from the layer
-        unitaries, a slice of buckets at a time. It is verified when every
-        bucket's representative decodes and its fingerprint, made by one
-        batched `fingerprint` call per slice, is the bucket's key. A bucket
-        holds u exactly when u's fingerprint is its key, that is, when u
-        rounds to its representative's form (two canonical texts of one
-        MD5 digest aside), so a hash that no representative has is a miss.
+        its representative, rounded at dp (`_form_hashes`). A bucket holds
+        u exactly when u's fingerprint is its key, that is, when u rounds
+        to its representative's form (two canonical texts of one MD5 digest
+        aside), so a hash that no representative has is a miss.
         """
-        count = len(self.by_fingerprint)
-        if self._forms is None or self._forms[0] != count:
-            self._forms = (count, self._form_hashes())
-        hashes = self._forms[1]
+        hashes = self._form_hashes
         if hashes is None:
             return True
         h = _row_hash(_rounded_components(u, self.meta.dp).view(np.uint64)[None])[0]
@@ -351,10 +346,13 @@ class IdentityDatabase:
         dim = 1 << n
         return self.meta.guard / 4 - d * (n + dim) * dim * 2.0**-48
 
+    @cached_property
     def _form_hashes(self) -> np.ndarray | None:
         """The sorted row hashes of the buckets' representatives rounded at
-        dp, or None when some bucket has no representative, or one that
-        does not decode or does not reproduce the bucket's key."""
+        dp, made once from the layer unitaries, a slice of buckets at a
+        time: None when some bucket has no representative, or one that
+        does not decode or whose fingerprint, made by one batched
+        `fingerprint` call per slice, is not the bucket's key."""
         dp, keys, parts = self.meta.dp, list(self.by_fingerprint), []
         for s in range(0, len(keys), _FORM_SLICE):
             part = keys[s : s + _FORM_SLICE]
@@ -369,7 +367,7 @@ class IdentityDatabase:
         return np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.uint64)
 
 
-def member_index(by_fingerprint: dict[Fingerprint, list[str]]) -> dict[str, Fingerprint]:
+def member_index(by_fingerprint: dict[Fingerprint, tuple[str, ...]]) -> dict[str, Fingerprint]:
     """Each member of the buckets -> its bucket's fingerprint, in bucket
     order. DatabaseFormatError naming a member listed twice."""
     index = {enc: fp for fp, encs in by_fingerprint.items() for enc in encs}
@@ -442,7 +440,7 @@ def _parse_gate_line(line: str, dp: int) -> GateDef:
         raise DatabaseFormatError(f"gate {name}: {e}") from None
 
 
-def _gate_table(lines: list[str], dp: int) -> GateSet:
+def _gate_table(lines: tuple[str, ...], dp: int) -> GateSet:
     gates = [_parse_gate_line(line, dp) for line in lines]
     try:
         return GateSet(gates)
@@ -480,7 +478,7 @@ def save(db: IdentityDatabase, path) -> None:
         fh.write(data)
 
 
-def _header_value(lines: list[str], idx: int, key: str) -> str:
+def _header_value(lines: tuple[str, ...], idx: int, key: str) -> str:
     if idx >= len(lines):
         raise TruncatedFileError(f"missing {key} header line")
     parts = lines[idx].split(" ", 1)
@@ -505,9 +503,10 @@ def loads(text: str) -> IdentityDatabase:
     """Parse a QIDB/1 file; raises DatabaseFormatError (or a subclass) for
     any header, gate line, bucket or footer it cannot interpret, and for a
     member or bucket listed twice. Members are read on first use."""
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    # a tuple, so that each bucket is a slice of it
+    lines = tuple(text.split("\n"))
+    if lines[-1] == "":
+        lines = lines[:-1]
     if not lines:
         raise TruncatedFileError("empty database file")
     if lines[0] != FORMAT_VERSION:
@@ -523,7 +522,7 @@ def loads(text: str) -> IdentityDatabase:
     if convention != CONVENTION:
         raise DatabaseFormatError(f"convention {convention!r}, expected {CONVENTION}")
     n = _int(_header_value(lines, 3, "n"), "n", 1, len(text))  # a member spells n cells
-    d = _int(_header_value(lines, 4, "d"), "d", 1)
+    d = _int(_header_value(lines, 4, "d"), "d", 1, len(text))  # a member spells d layers
     dp = _int(_header_value(lines, 5, "dp"), "dp", 1, 15)
     neighbors = _header_value(lines, 6, "neighbors_only")
     if neighbors not in ("true", "false"):
@@ -536,7 +535,7 @@ def loads(text: str) -> IdentityDatabase:
     gate_set = _gate_table(lines[pos : pos + gate_count], dp)
     pos += gate_count
     meta = DatabaseMeta(n, d, dp, neighbors == "true", gate_set)
-    by_fingerprint: dict[Fingerprint, list[str]] = {}
+    by_fingerprint: dict[Fingerprint, tuple[str, ...]] = {}
 
     body_start = pos
     while pos < len(lines) and lines[pos].startswith("FP "):
@@ -551,10 +550,10 @@ def loads(text: str) -> IdentityDatabase:
         pos += 1
         if pos + count > len(lines):
             raise TruncatedFileError("bucket cut short")
-        encs = lines[pos : pos + count]
-        pos += count
-        if by_fingerprint.setdefault(fp, encs) is not encs:
+        if fp in by_fingerprint:
             raise DatabaseFormatError(f"bucket {fields[1]} is listed twice")
+        by_fingerprint[fp] = lines[pos : pos + count]
+        pos += count
 
     if pos >= len(lines) or not lines[pos].startswith("END "):
         raise TruncatedFileError("missing END footer")

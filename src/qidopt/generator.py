@@ -357,9 +357,10 @@ def build_database(cfg: GeneratorConfig) -> IdentityDatabase:
         depth = (depth[:, None] + busy).ravel()
         rank = (rank[:, None] * count + place).ravel()
 
-    members = np.array(texts, dtype=object)[np.lexsort((rank, depth, form))].tolist()
+    # a tuple, so that each bucket is a slice of it
+    members = tuple(np.array(texts, dtype=object)[np.lexsort((rank, depth, form))].tolist())
     ends = np.cumsum(np.bincount(form, minlength=len(fps))).tolist()
-    by_fingerprint: dict[Fingerprint, list[str]] = {}
+    by_fingerprint: dict[Fingerprint, tuple[str, ...]] = {}
     for fp, start, end in zip(fps, [0] + ends, ends):
         if fp in by_fingerprint:  # two forms would share one bucket
             raise RuntimeError(f"two forms have the fingerprint {fp.hex}")

@@ -36,8 +36,9 @@ cells, encoding and occupied cells, folded from the database's layer
 table and sorted by (depth, cells, encoding). A table holds only members
 shallower than the database depth d, since a tile is at most d layers
 deep and a candidate must be strictly shallower; `lookup` returns only
-the rows shallower than the tile. Rank tables live on the database, so
-they are reused across windows, sweeps and circuits.
+the rows shallower than the tile. Rank tables live on the database,
+which does not change once made, so they are reused across windows,
+sweeps and circuits.
 
 Candidates must really equal the window: a fingerprint is a digest of a
 rounded unitary, so the collision guard (`DatabaseMeta.guard`) bounds
@@ -393,7 +394,6 @@ def optimize(
 
     report = OptimizeReport(initial_depth=effective_depth(c), final_depth=0)
     report.own_gates = _own_gates(c, db.meta.gate_set)
-    guard = db.meta.guard
 
     # no sweep sees an all-Identity layer: the span rule of `_lowers` and
     # the splice, which compacts only its span, rely on that
@@ -401,7 +401,7 @@ def optimize(
     failed: dict[_WindowKey, int] = {}
     for it in range(iters):
         report.iterations = it + 1
-        cur, changed = _sweep(cur, db, spec, guard, report, failed)
+        cur, changed = _sweep(cur, db, spec, report, failed)
         if not changed:
             break
 
@@ -427,7 +427,6 @@ def _sweep(
     c: CircuitGrid,
     db: IdentityDatabase,
     spec: TileSpec,
-    guard: float,
     report: OptimizeReport,
     failed: dict[_WindowKey, int],
 ) -> tuple[CircuitGrid, bool]:
@@ -465,7 +464,7 @@ def _sweep(
             report.unitary_lookups += rows.unitary is not None
             report.filtered_misses += rows.filtered
             if rows:
-                trial = _substitute(c, norm, rows, db, guard, report)
+                trial = _substitute(c, norm, rows, db, report)
         if trial is None:
             failed[key] = report.collisions_skipped - before
             continue
@@ -479,7 +478,6 @@ def _substitute(
     norm: Tile,
     rows: Match,
     db: IdentityDatabase,
-    guard: float,
     report: OptimizeReport,
 ) -> CircuitGrid | None:
     """c with the cheapest candidate that passes the collision guard and
@@ -496,7 +494,7 @@ def _substitute(
     for cand_cost, enc in _candidate_order(norm, rows, db):
         if tile_unitary is not None:
             report.trials_checked += 1
-            if max_abs_diff(tile_unitary, circuit_unitary(db.decode(enc))) > guard:
+            if max_abs_diff(tile_unitary, circuit_unitary(db.decode(enc))) > db.meta.guard:
                 report.collisions_skipped += 1
                 continue
         trial = apply_substitution(c, norm, enc, db)

@@ -1,5 +1,6 @@
 """Encodings and the QIDB/1 file format: round trips, determinism, errors."""
 
+import dataclasses
 import hashlib
 import math
 import re
@@ -162,6 +163,30 @@ def small_db():
     return build_database(GeneratorConfig(n=1, d=2, gate_set=gate_set("I", "H")))
 
 
+@pytest.mark.parametrize("made", ["built", "loaded"])
+def test_made_database_rejects_edits(small_db, made):
+    # a database does not change once made, so what it derives from its
+    # buckets is made once and never invalidated
+    text = dumps(small_db)
+    db = small_db if made == "built" else loads(text)
+    fp, bucket = next(iter(db.by_fingerprint.items()))
+    with pytest.raises(TypeError):
+        db.by_fingerprint[fp] = ("H|I",)
+    with pytest.raises(TypeError):
+        db.by_circuit["H|I"] = fp
+    with pytest.raises(TypeError):
+        db.layers["H"] = db.layers["I"]
+    with pytest.raises(AttributeError):
+        bucket.insert(0, "H|I")
+    with pytest.raises(TypeError):
+        bucket[0] = "H|I"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        db.by_fingerprint = {}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        db.by_circuit = {}
+    assert dumps(db) == text
+
+
 class TestPersistence:
     def test_save_load_round_trip(self, small_db, tmp_path):
         path = tmp_path / "db.qidb"
@@ -299,7 +324,7 @@ class TestExactEvaluation:
         assert np.array_equal(r.matrix, np.array([[0.9239, -0.3827], [0.3827, 0.9239]]))
         assert (r.qasm_name, r.template) == (None, None)
         assert db.meta.gate_set.by_name("I") is gate("I")
-        assert db.bucket(db.by_circuit["R|I"]) == ["I|R", "R|I"]
+        assert db.bucket(db.by_circuit["R|I"]) == ("I|R", "R|I")
         assert db.total_circuits == 4
 
     def test_unresolved_template_spelling_keeps_its_name(self):
@@ -541,6 +566,16 @@ class TestLoadErrors:
         # n = 99 would have the loader enumerate 2^99 layers of {I, H}
         text = dumps(small_db).replace("\nn 1\n", "\nn 99\n", 1)
         with pytest.raises(DatabaseFormatError, match="more layers than the file's 4 circuits"):
+            loads(text)
+
+    def test_header_deeper_than_the_file_rejected(self):
+        # a member spells its d layers in at least 2d − 1 characters, so d
+        # may not exceed the file's length: a depth of 10^8 would pad every
+        # window optimize looks up to 10^8 layers
+        db = build_database(GeneratorConfig(n=1, d=1, gate_set=gate_set("I")))
+        text = dumps(db).replace("\nd 1\n", "\nd 100000000\n", 1)
+        assert len(text) == 276
+        with pytest.raises(DatabaseFormatError, match=re.escape("d: 100000000 is not in [1, 276]")):
             loads(text)
 
     def test_header_with_too_many_qubits_rejected(self):

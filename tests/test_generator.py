@@ -188,7 +188,7 @@ class TestEnumerateCircuits:
 class TestBuildDatabase:
     def test_identity_bucket_small(self, db_ih_1q):
         fp = fingerprint(identity(2), 8)
-        assert db_ih_1q.bucket(fp) == ["I|I", "H|H"]
+        assert db_ih_1q.bucket(fp) == ("I|I", "H|H")
 
     def test_reversed_cx_bucket(self):
         gs = gate_set("I", "H", "CX")

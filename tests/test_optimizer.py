@@ -26,7 +26,7 @@ from qidopt.circuit import (
     single,
     validate,
 )
-from qidopt.database import IdentityDatabase, encode_circuit
+from qidopt.database import IdentityDatabase, dumps, encode_circuit, loads
 from qidopt.fingerprint import Fingerprint, fingerprint
 from qidopt.gates import GateSet, make_gate
 from qidopt.generator import GeneratorConfig, build_database, enumerate_layers
@@ -248,6 +248,23 @@ def rank_dbs(db_ihxzcx, db_near):
         "n3d2": build_database(GeneratorConfig(n=3, d=2, gate_set=gate_set(*IHXZCX))),
         "n3d2-near": db_near,
     }
+
+
+def fresh_copy(db, buckets=()):
+    """The database's tables in a new database, none of its buckets ranked
+    yet and no form filter made; `buckets` maps keys to the members that
+    replace theirs, as a malformed file's buckets arrive."""
+    return IdentityDatabase(
+        db.meta, db.layers, db.by_circuit, {**db.by_fingerprint, **dict(buckets)}
+    )
+
+
+def poisoned_xx(db):
+    """A fresh copy whose X⊗X bucket claims I⊗Z is equivalent to it: the
+    poison's single gate cell makes it sort ahead of every honest cost-1
+    candidate."""
+    xx = db.by_circuit["X,X|I,I|I,I"]
+    return fresh_copy(db, {xx: ("I,I|I,I|I,Z", *db.bucket(xx))})
 
 
 def far_pair(layer):
@@ -591,31 +608,11 @@ class TestOptimize:
         assert report.iterations == 1
 
     def test_collision_guard_skips_poisoned_bucket(self, db_ihxzcx):
-        import copy
-
-        db = copy.deepcopy(db_ihxzcx)
-        # poison: claim I⊗Z is equivalent to X⊗X; its single gate cell makes
-        # it sort ahead of every honest cost-1 candidate
-        xx_fp = db.by_circuit["X,X|I,I|I,I"]
-        db.by_fingerprint[xx_fp].insert(0, "I,I|I,I|I,Z")
+        db = poisoned_xx(db_ihxzcx)
         c = grid("H,H", "H,H", "X,X")
         out, report = optimize(c, db)
         assert report.collisions_skipped >= 1
         assert max_abs_diff(circuit_unitary(c), circuit_unitary(out)) <= 1e-6
-        assert report.final_depth == 1
-
-    def test_edited_bucket_is_re_ranked(self):
-        # a database of its own: its rank tables exist only once this test
-        # has optimized against it, whatever ran before
-        db = build_database(GeneratorConfig(n=2, d=3, gate_set=gate_set(*IHXZCX)))
-        c = grid("H,H", "H,H", "X,X")
-        _, first = optimize(c, db)
-        assert first.collisions_skipped == 0
-        # the same poison as above, written into a bucket already ranked
-        db.by_fingerprint[db.by_circuit["X,X|I,I|I,I"]].insert(0, "I,I|I,I|I,Z")
-        _, report = optimize(c, db)
-        assert report.collisions_skipped >= 1
-        assert report.residual <= 1e-12
         assert report.final_depth == 1
 
     def test_final_depth_is_depth_of_emitted_circuit(self, db_ihxzcx):
@@ -687,7 +684,7 @@ def full_potential(c):
     return effective_depth(c), cells, encode_circuit(c)
 
 
-def reference_sweep(c, db, spec, guard, report, failed):
+def reference_sweep(c, db, spec, report, failed):
     """The full-recompute sweep, kept as an oracle: every window is tried
     on every sweep (`failed` is ignored), and each trial is validated and
     judged on the whole circuit's potential."""
@@ -710,7 +707,7 @@ def reference_sweep(c, db, spec, guard, report, failed):
             continue
         tile_unitary = circuit_unitary(norm.sub)
         for cand_cost, enc in _candidate_order(norm, rows, db):
-            if max_abs_diff(tile_unitary, circuit_unitary(db.decode(enc))) > guard:
+            if max_abs_diff(tile_unitary, circuit_unitary(db.decode(enc))) > db.meta.guard:
                 report.collisions_skipped += 1
                 continue
             trial = apply_substitution(c, norm, enc, db)
@@ -809,11 +806,7 @@ class TestIncrementalSweep:
             assert_same_as_reference(monkeypatch, c, db_near)
 
     def test_memo_counts_collisions_again(self, db_ihxzcx, monkeypatch):
-        import copy
-
-        db = copy.deepcopy(db_ihxzcx)
-        # the poison of test_collision_guard_skips_poisoned_bucket
-        db.by_fingerprint[db.by_circuit["X,X|I,I|I,I"]].insert(0, "I,I|I,I|I,Z")
+        db = poisoned_xx(db_ihxzcx)
         # the window on qubits 1-2 of the first three layers is X⊗X behind a
         # cut half: the poison is skipped as a collision, and both honest
         # candidates raise the encoding, so the window fails; the H·H on
@@ -1016,25 +1009,12 @@ class TestDatabaseShape:
 # ── checked once per bucket: soundness flags and the form filter ──
 
 
-def fresh_copy(db):
-    """The database's buckets in a new database, none of them ranked yet
-    and no form filter made."""
-    return IdentityDatabase(
-        db.meta,
-        db.layers,
-        dict(db.by_circuit),
-        {fp: list(encs) for fp, encs in db.by_fingerprint.items()},
-    )
-
-
 def poisoned_first(db):
     """A fresh copy whose first bucket leads with another bucket's member:
     its representative no longer gives its key, so the filter is
     unverified."""
-    poisoned = fresh_copy(db)
-    first, *_, last = poisoned.by_fingerprint
-    poisoned.by_fingerprint[first].insert(0, poisoned.by_fingerprint[last][0])
-    return poisoned
+    first, *_, last = db.by_fingerprint
+    return fresh_copy(db, {first: (db.bucket(last)[0], *db.bucket(first))})
 
 
 def reference_lookup(t, db):
@@ -1055,7 +1035,9 @@ LOOKUP_LAYERS = {
 
 @pytest.fixture(scope="module")
 def lookup_dbs(rank_dbs):
+    # built and loaded, as `optimize --db` reads them
     dbs = {name: fresh_copy(db) for name, db in rank_dbs.items()}
+    dbs.update({f"{name}-loaded": loads(dumps(db)) for name, db in rank_dbs.items()})
     dbs.update({f"{name}-unverified": poisoned_first(db) for name, db in rank_dbs.items()})
     return dbs
 
@@ -1127,8 +1109,9 @@ class TestCheckedOnce:
         _, first = optimize(c, db)
         xx = db.by_circuit["X,X|I,I|I,I"]
         assert first.collisions_skipped == first.trials_checked == 0 and db.sound(xx)
-        # the poison of test_collision_guard_skips_poisoned_bucket
-        db.by_fingerprint[xx].insert(0, "I,I|I,I|I,Z")
+        # the poison of test_collision_guard_skips_poisoned_bucket, in a
+        # database made from the tables of one already ranked
+        db = poisoned_xx(db)
         assert not db.sound(xx)
         report = assert_same_as_reference(monkeypatch, c, db)
         assert report.collisions_skipped >= 1
