@@ -546,7 +546,7 @@ def loads(text: str) -> IdentityDatabase:
             fp = Fingerprint.from_hex(fields[1])
         except ValueError:
             raise DatabaseFormatError(f"bad fingerprint {fields[1]!r}") from None
-        count = _int(fields[2], "bucket size")
+        count = _int(fields[2], "bucket size", 1)
         pos += 1
         if pos + count > len(lines):
             raise TruncatedFileError("bucket cut short")

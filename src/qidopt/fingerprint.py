@@ -20,6 +20,7 @@ multiple of one slice, whatever the length of the stack.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -103,20 +104,29 @@ def _rounded_components(m: ComplexMatrix, dp: int) -> np.ndarray:
     return np.copysign(mags, comps, out=mags).astype(np.int64)
 
 
-def _row_hash(words: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each row of an (N, W) uint64 array, in one integer
-    matmul: the row's words times a fixed vector of odd constants (the
-    first W outputs of splitmix64 from seed 0), summed mod 2⁶⁴. Equal rows
-    hash equal. Its users confirm what a hash match decides: the build's
-    `_number` compares every match bitwise, and a database's form filter
-    (`IdentityDatabase.may_hold`) answers only misses."""
-    keys = np.arange(1, words.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+@functools.lru_cache(maxsize=8)
+def _hash_keys(width: int) -> np.ndarray:
+    """`_row_hash`'s W odd constants, the first W outputs of splitmix64
+    from seed 0, each made once per width: a read-only array."""
+    keys = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     keys ^= keys >> np.uint64(30)
     keys *= np.uint64(0xBF58476D1CE4E5B9)
     keys ^= keys >> np.uint64(27)
     keys *= np.uint64(0x94D049BB133111EB)
     keys ^= keys >> np.uint64(31)
-    return words @ (keys | np.uint64(1))
+    keys |= np.uint64(1)
+    keys.flags.writeable = False
+    return keys
+
+
+def _row_hash(words: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row of an (N, W) uint64 array, in one integer
+    matmul: the row's words times a fixed vector of odd constants
+    (`_hash_keys`), summed mod 2⁶⁴. Equal rows hash equal. Its users
+    confirm what a hash match decides: the build's `_number` compares
+    every match bitwise, and a database's form filter
+    (`IdentityDatabase.may_hold`) answers only misses."""
+    return words @ _hash_keys(words.shape[1])
 
 
 def _render(rows: np.ndarray, dim: int, dp: int) -> list[bytes]:

@@ -28,7 +28,13 @@ A sweep costs what changed, not the circuit's length:
     call, by its qubit offset, its span of whole layers and whether it
     ends the circuit; a later window with the same key, in the same sweep
     or a later one, reaches the same verdict and is skipped
-    (`OptimizeReport.windows_reused`), its collisions counted again.
+    (`OptimizeReport.windows_reused`), its collisions counted again;
+  * a window is read from slice records (`_Slices`), made once per sweep
+    for each (layer, qubit offset): each slice's text as the padded,
+    normalized window spells it, whether it has a cut half and whether it
+    is busy. They give the window's validity, its encoding and its depth
+    with no cell rebuilt, so a member whose bucket has no row shallower
+    than it is answered without a `Tile` (`OptimizeReport.tiles_built`).
 
 Candidates are ranked from the database's rank table of the tile's
 bucket (`IdentityDatabase.rank_table`): each member's depth, non-Identity
@@ -246,7 +252,11 @@ def lookup(t: Tile, db: IdentityDatabase) -> Match:
     tile: the only members that can rank below it, never the tile itself.
     The bucket is read from the encoding table, else from the unitary,
     which is fingerprinted only when the form filter does not rule every
-    bucket out."""
+    bucket out.
+
+    A sweep calls it only for a window that is no member, for its unitary
+    path: it answers a member window from the slice records and the rank
+    table itself (`_sweep`)."""
     padded = _padded(t, db)
     fp = db.by_circuit.get(encode_circuit(padded))
     unitary = None
@@ -354,6 +364,9 @@ class OptimizeReport:
     unitary_lookups: int = 0  # windows looked up by their unitary
     filtered_misses: int = 0  # of those, the ones the form filter answered
     trials_checked: int = 0  # candidate unitaries computed for the guard
+    # windows cut into a `Tile`: each that is no member, and each member
+    # whose bucket has rows shallower than it
+    tiles_built: int = 0
 
 
 _WindowKey = tuple[int, tuple[Layer, ...], bool]  # (qubit offset, span, ends)
@@ -423,6 +436,54 @@ def check_residual(a: CircuitGrid, b: CircuitGrid) -> tuple[float, int]:
     return frobenius_diff(circuit_unitary(ra), circuit_unitary(rb)), ra.n
 
 
+class _Slices:
+    """The slice records of one sweep: (layer, qubit offset) -> (text,
+    cut, busy) for the layer's i cells from that offset, each made on
+    first use. `text` is the slice as `encode_circuit` spells it in the
+    normalized, padded window: partners rebased by the offset, a half
+    whose partner lies outside the slice written as the Identity's name,
+    and Identity on the rows past it up to the database's n. `cut` says
+    whether the slice has such a half, `busy` whether the normalized slice
+    has a non-Identity cell. Layers are keyed by themselves, cells
+    compared by identity, so a record stays right after a splice."""
+
+    def __init__(self, db: IdentityDatabase, i: int):
+        ident = db.meta.gate_set.identity.name
+        self.i, self.ident, self.pad = i, ident, f",{ident}" * (db.meta.n - i)
+        self.idle = "|" + ",".join([ident] * db.meta.n)  # a padding layer
+        self.d = db.meta.d
+        self.records: dict[tuple[Layer, int], tuple[str, bool, bool]] = {}
+
+    def window(self, span: tuple[Layer, ...], qs: int) -> tuple[str, int] | None:
+        """The encoding of the window over `span` at qubit offset qs, as
+        `lookup` pads it, and its effective depth (its busy slices); None
+        when a slice other than its first and last is cut (an Invalid
+        tile)."""
+        records = self.records
+        texts, cuts, busy = zip(
+            *[records.get((layer, qs)) or self._record(layer, qs) for layer in span]
+        )
+        if True in cuts[1:-1]:
+            return None
+        return "|".join(texts) + self.idle * (self.d - len(span)), sum(busy)
+
+    def _record(self, layer: Layer, qs: int) -> tuple[str, bool, bool]:
+        cut = busy = False
+        texts = []
+        for cell in layer[qs : qs + self.i]:
+            if cell.is_single:
+                texts.append(cell.gate.name)
+                busy = busy or not cell.gate.is_identity
+            elif 0 <= cell.partner - qs < self.i:
+                texts.append(f"{cell.gate.name}:{cell.role}:{cell.partner - qs}")
+                busy = True
+            else:
+                texts.append(self.ident)
+                cut = True
+        rec = self.records[layer, qs] = (",".join(texts) + self.pad, cut, busy)
+        return rec
+
+
 def _sweep(
     c: CircuitGrid,
     db: IdentityDatabase,
@@ -431,8 +492,15 @@ def _sweep(
     failed: dict[_WindowKey, int],
 ) -> tuple[CircuitGrid, bool]:
     """One pass over the window positions in (layer, qubit) order. Each
-    window is cut from the current circuit, so the pass continues forward
+    window is read from the current circuit, so the pass continues forward
     over the circuit as the last substitution left it.
+
+    A window is read from its slice records (`_Slices`), which give its
+    validity, its padded encoding and its depth with no cell rebuilt. A
+    member is answered from its bucket's rank table; a `Tile` is cut only
+    when that table has rows shallower than the window, or when the window
+    is no member and `lookup` takes it through its unitary
+    (`OptimizeReport.tiles_built`).
 
     `failed` maps each window that yielded no substitution, keyed by its
     qubit offset, its span of whole layers (cells compared by identity)
@@ -442,33 +510,49 @@ def _sweep(
     """
     i = min(spec.i, c.n)
     identity = db.meta.gate_set.identity
+    slices = _Slices(db, i)
+    offsets, m = c.n - i + 1, c.m
     changed = False
     idx = 0
     while True:
-        j = min(spec.j, c.m)
-        ls, qs = divmod(idx, c.n - i + 1)
-        if j == 0 or ls > c.m - j:
+        j = min(spec.j, m)
+        ls, qs = divmod(idx, offsets)
+        if j == 0 or ls > m - j:
             break
         idx += 1
-        key = (qs, c.layers[ls : ls + j], ls + j == c.m)
+        span = c.layers[ls : ls + j]
+        key = (qs, span, ls + j == m)
         skipped = failed.get(key)
         if skipped is not None:
             report.collisions_skipped += skipped
             report.windows_reused += 1
             continue
         before = report.collisions_skipped
-        norm = _normalized(_window(c, qs, ls, i, j), identity)
+        read = slices.window(span, qs)
         trial = None
-        if norm is not None:
-            rows = lookup(norm, db)
-            report.unitary_lookups += rows.unitary is not None
-            report.filtered_misses += rows.filtered
+        if read is not None:
+            text, depth = read
+            fp = db.by_circuit.get(text)
+            rows = None
+            if fp is None:
+                norm = _normalized(_window(c, qs, ls, i, j), identity)
+                rows = lookup(norm, db)
+                report.unitary_lookups += rows.unitary is not None
+                report.filtered_misses += rows.filtered
+            else:
+                table = db.rank_table(fp)
+                shallower = bisect_left(table, (depth,))
+                if shallower:
+                    norm = _normalized(_window(c, qs, ls, i, j), identity)
+                    rows = Match(table[:shallower], fp)
+            if rows is not None:
+                report.tiles_built += 1
             if rows:
                 trial = _substitute(c, norm, rows, db, report)
         if trial is None:
             failed[key] = report.collisions_skipped - before
             continue
-        c = trial
+        c, m = trial, trial.m
         changed = True
     return c, changed
 

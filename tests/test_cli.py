@@ -1,5 +1,7 @@
 """Command-line driver: flags, exit codes, machine-parsable output."""
 
+import hashlib
+
 import pytest
 
 from qidopt.circuit import gate_list
@@ -388,6 +390,20 @@ class TestStats:
 
     def test_missing_file(self, tmp_path):
         assert main(["stats", str(tmp_path / "nope.qidb")]) == EXIT_CONFIG
+
+    def test_empty_bucket_exit(self, tmp_path, capsys):
+        path = tmp_path / "tiny.qidb"
+        main(["gen-db", "--gates", "I,H", "--qubits", "1", "--depth", "2",
+              "--out", str(path)])
+        text = path.read_text()
+        # a bucket of no members, the body checksum recomputed to match
+        head, end = text.rsplit("END ", 1)
+        head += "FP " + "00" * 16 + " 0\n"
+        body = head[head.index("FP "):]
+        path.write_text(f"{head}END {end.split(' ')[0]} {hashlib.md5(body.encode()).hexdigest()}\n")
+        capsys.readouterr()
+        assert main(["stats", str(path)]) == EXIT_CONFIG
+        assert "bucket size: 0" in capsys.readouterr().err
 
     def test_stable_output(self, tmp_path, capsys):
         path = tmp_path / "tiny.qidb"

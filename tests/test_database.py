@@ -562,6 +562,15 @@ class TestLoadErrors:
         with pytest.raises(DatabaseFormatError, match="bucket .* is listed twice"):
             loads(_signed(text.replace(first, first + first, 1)))
 
+    def test_empty_bucket_rejected(self, small_db):
+        # `dumps` never writes a bucket of no members; one read would count
+        # in `stats` and leave the form filter without a representative
+        text = dumps(small_db)
+        end = text.rindex("END ")
+        empty = _signed(text[:end] + "FP " + "00" * 16 + " 0\n" + text[end:])
+        with pytest.raises(DatabaseFormatError, match=re.escape("bucket size: 0 is not >= 1")):
+            loads(empty)
+
     def test_header_with_more_layers_than_members_rejected(self, small_db):
         # n = 99 would have the loader enumerate 2^99 layers of {I, H}
         text = dumps(small_db).replace("\nn 1\n", "\nn 99\n", 1)

@@ -15,7 +15,9 @@ from qidopt.fingerprint import (
     _SLICE,
     Fingerprint,
     _canonical_texts,
+    _hash_keys,
     _rounded_components,
+    _row_hash,
     canonicalize,
     fingerprint,
 )
@@ -199,6 +201,23 @@ class TestFingerprint:
             w = m + rng.uniform(-1, 1, (2, 2)) * 1e-11
             same = canonicalize(m, 8) == canonicalize(w, 8)
             assert (fingerprint(m, 8) == fingerprint(w, 8)) == same
+
+
+class TestRowHash:
+    def test_hashes_are_pinned(self):
+        # the value every build before the keys were cached gave: build
+        # numbering and the form filter depend on it bit for bit
+        words = np.arange(128, dtype=np.uint64)[None]
+        assert _row_hash(words).tolist() == [7940206027235967480]
+        assert _row_hash(np.zeros((3, 5), dtype=np.uint64)).tolist() == [0, 0, 0]
+
+    def test_keys_are_made_once_and_read_only(self):
+        keys = _hash_keys(32)
+        assert keys is _hash_keys(32)
+        assert not keys.flags.writeable
+        assert np.all(keys & np.uint64(1))
+        with pytest.raises(ValueError):
+            keys[0] = 0
 
 
 class TestFingerprintType:

@@ -38,6 +38,8 @@ from qidopt.optimizer import (
     TileSpec,
     _candidate_order,
     _lowers,
+    _padded,
+    _Slices,
     _window,
     apply_substitution,
     classify_tile,
@@ -857,6 +859,77 @@ class TestIncrementalSweep:
         c = grid("H,I,I,H", "Z,X,I,Z", "X,T,X,X", "T,T,T,T", "H,Z,X,H", "I,I,I,H", "I,I,I,H")
         _, many = optimize(c, db_ihxzcx)
         assert many.iterations > 1 and many.windows_reused > 0
+
+
+# ── slice records: a sweep reads each window from per-layer texts ──
+
+
+@st.composite
+def wide_layer(draw, n):
+    """A layer of n qubits: CX on disjoint pairs, any distance apart, and
+    single gates with `t`, which IHXZCX lacks, everywhere else."""
+    order = draw(st.permutations(range(n)))
+    cells = [None] * n
+    for k in range(draw(st.integers(0, n // 2))):
+        a, b = order[2 * k], order[2 * k + 1]
+        cells[a], cells[b] = half(gate("CX"), "C", b), half(gate("CX"), "T", a)
+    return tuple(
+        cell or single(gate(draw(st.sampled_from(("I", "H", "X", "Z", "T")))))
+        for cell in cells
+    )
+
+
+def wide_corpus(count, n=9, gates=30):
+    """Seeded QASM circuits shaped like the opt-wide benchmark's: cx on
+    neighbours only, and one single gate in ten a `t`."""
+    rng = random.Random("slice-wide")
+    texts = []
+    for _ in range(count):
+        lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{n}];"]
+        for _ in range(gates):
+            if rng.random() < 0.3:
+                a = rng.randrange(n - 1)
+                a, b = (a, a + 1) if rng.random() < 0.5 else (a + 1, a)
+                lines.append(f"cx q[{a}],q[{b}];")
+            else:
+                token = "t" if rng.random() < 0.1 else rng.choice("hxz")
+                lines.append(f"{token} q[{rng.randrange(n)}];")
+        texts.append("\n".join(lines) + "\n")
+    return texts
+
+
+class TestSliceRecords:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_records_read_every_window_as_its_tile(self, rank_dbs, data):
+        db = rank_dbs[data.draw(st.sampled_from(sorted(rank_dbs)), label="db")]
+        n, d = db.meta.n, db.meta.d
+        qubits = data.draw(st.integers(2, 9), label="qubits")
+        layers = data.draw(st.lists(wide_layer(qubits), min_size=1, max_size=6), label="layers")
+        c = CircuitGrid(qubits, tuple(layers))
+        i = data.draw(st.integers(1, min(n, qubits)), label="window width")
+        j = data.draw(st.integers(1, min(d, c.m)), label="window depth")
+        identity = db.meta.gate_set.identity
+        # one table for every window, as in a sweep
+        slices = _Slices(db, i)
+        for ls in range(c.m - j + 1):
+            for qs in range(qubits - i + 1):
+                tile = _window(c, qs, ls, i, j)
+                read = slices.window(c.layers[ls : ls + j], qs)
+                assert (read is None) == (classify_tile(tile) is TileClass.INVALID)
+                if read is not None:
+                    norm = normalize_cut_tile(tile, identity)
+                    text, depth = read
+                    assert text == encode_circuit(_padded(norm, db))
+                    assert depth == effective_depth(norm.sub)
+
+    def test_wide_circuits_match_reference_sweep(self, db_ihxzcx, monkeypatch):
+        offsets = set()
+        for text in wide_corpus(4):
+            report = assert_same_as_reference(monkeypatch, parse(text), db_ihxzcx)
+            offsets.update(s.qubit_offset for s in report.substitutions)
+            assert report.tiles_built > 0
+        assert 7 in offsets  # the last offset of a two-row window
 
 
 # ── the neighbour rule: a database's enumeration decides the pairs ──
