@@ -21,11 +21,18 @@ owned here: `gate_list` is the one walk from a grid to its gates, and
 `pack` the one ASAP packer back to a grid (each gate in the earliest
 layer where its qubits are free). `qasm.parse` packs the gates it reads,
 `qasm.emit` writes the gate list, and `asap_depth` and `unshared` fold
-over it.
+over it. `asap_depth` keeps only a per-qubit frontier, the layers that
+qubit's gates fill once packed, and builds no grid.
 
 Two circuits are compared on their unshared span (`unshared`): the gates
 both begin or both end with are removed first, and the dense check runs
-on the k qubits the rest touches, at O(gates·4^k).
+on the k qubits the rest touches, at O(gates·4^k). The leading layers the
+two grids hold as the same objects are skipped before any gate is listed:
+their gates are the ones the front trim would remove first, each matched
+to itself, so the remainders are unchanged and the check costs from the
+first layer that differs. Shared trailing layers are still walked: the
+front trim may reach into them, and without them the back trim could
+match other gates and leave another remainder.
 
 The layers over a gate set are enumerated here (`enumerate_layers`), in
 lexicographic order: qubit index major, gate declaration order, and per
@@ -353,12 +360,24 @@ def unshared(a: CircuitGrid, b: CircuitGrid) -> tuple[CircuitGrid, CircuitGrid]:
     unitary S and P (qubits reordered): U(a) = U(b) iff A = B, and
     max|U(a) − U(b)| ≤ ‖A − B‖₂ ≤ ‖A − B‖_F. A gate is removed only with a
     gate of exactly equal matrix; one that is merely close to its partner
-    or to the identity stays. Raises ValueError when the qubit counts
-    differ and StructuralError on an unpaired half.
+    or to the identity stays.
+
+    The leading layers a and b hold as the same objects (`a.layers[p] is
+    b.layers[p]`) are not walked: the front trim would remove each of
+    their gates against itself. An unpaired half in such a layer therefore
+    goes unseen here. Raises ValueError when the qubit counts differ and
+    StructuralError on an unpaired half in a layer that is walked.
     """
     if a.n != b.n:
         raise ValueError(f"qubit counts differ ({a.n} vs {b.n})")
-    ga, gb = _trim_front(gate_list(a), gate_list(b), a.n)
+    s = 0
+    for la, lb in zip(a.layers, b.layers):
+        if la is not lb:
+            break
+        s += 1
+    ga = gate_list(CircuitGrid(a.n, a.layers[s:]))
+    gb = gate_list(CircuitGrid(b.n, b.layers[s:]))
+    ga, gb = _trim_front(ga, gb, a.n)
     ga, gb = _trim_front(ga[::-1], gb[::-1], a.n)
     touched = sorted({x for qs, _ in ga + gb for x in qs})
     index = {x: i for i, x in enumerate(touched)}
@@ -384,5 +403,16 @@ def effective_depth(c: CircuitGrid) -> int:
 def asap_depth(c: CircuitGrid) -> int:
     """Depth once every non-Identity gate is moved to the earliest layer
     where its qubits are free: the effective depth of `qasm.parse(qasm.emit(c))`.
-    Never more than effective_depth(c)."""
-    return pack([(qs, g) for qs, g in gate_list(c) if not g.is_identity], c.n).m
+    Never more than effective_depth(c). Folds a per-qubit frontier over
+    `gate_list`, so it walks every layer and raises StructuralError on an
+    unpaired half."""
+    frontier = [0] * c.n  # per qubit, the layers its gates fill
+    for qs, g in gate_list(c):
+        if g.is_identity:
+            continue
+        if len(qs) == 1:
+            frontier[qs[0]] += 1
+        else:
+            x, y = qs
+            frontier[x] = frontier[y] = max(frontier[x], frontier[y]) + 1
+    return max(frontier, default=0)

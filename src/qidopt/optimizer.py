@@ -70,12 +70,19 @@ computed (`IdentityDatabase.may_hold`); otherwise the fingerprint picks
 the bucket. Either way `lookup` returns the rows the fingerprint gives.
 
 The reported final depth is the depth of the emitted circuit, which
-packs each gate into the earliest free layer (`asap_depth`); the
-returned grid keeps the layers the splices left.
+packs each gate into the earliest free layer (`asap_depth`, a per-qubit
+frontier folded over the whole output, which also finds an unpaired half
+no splice touched); the returned grid keeps the layers the splices left.
 
 The result is checked against the input once, after the sweeps, by
 `check_residual`: the dense comparison runs only on the gates the two
-circuits do not share (`circuit.unshared`).
+circuits do not share (`circuit.unshared`). The output holds the input's
+own layer objects, at their own positions, up to the first splice or
+dropped all-Identity layer (`optimize` passes the layers through and
+`apply_substitution` reuses every layer outside its span), and those
+shared leading layers are skipped unwalked, so the check costs from the
+first changed layer on. The shared trailing layers are walked: skipping
+them too would change which gates the back trim matches.
 """
 
 from __future__ import annotations

@@ -14,6 +14,12 @@ the list with `circuit.pack`: each application lands in the earliest layer
 where all its operands are free. Applications of an Identity gate (`id`,
 `u1(0)`) are dropped once their operands are checked, so they take up no
 layer. `emit` writes `circuit.gate_list` with the Identity gates left out.
+
+Each distinct statement text is checked once per parse: the text of every
+gate statement that was accepted maps, for the rest of that parse, to its
+(qubits, gate), or to None for an Identity application. Only accepted
+statements are kept, so a bad statement raises at its first occurrence,
+and a `qreg` line is checked every time it appears.
 """
 
 from __future__ import annotations
@@ -105,6 +111,9 @@ def parse(text: str) -> CircuitGrid:
     gates: list[Gate] = []
     # equal angles give one gate object within a parse
     instances: dict[tuple[str, tuple[AngleExpr, ...]], GateDef] = {}
+    # the text of each gate statement accepted so far: its gate, or None
+    # for an Identity application, which takes no layer
+    accepted: dict[str, Gate | None] = {}
 
     for stmt, at in _statements(src):
         if not saw_header:
@@ -116,6 +125,11 @@ def parse(text: str) -> CircuitGrid:
             if version != "2.0":
                 raise error(f"unsupported OPENQASM version {version!r}", at)
             saw_header = True
+            continue
+        if stmt in accepted:
+            known = accepted[stmt]
+            if known is not None:
+                gates.append(known)
             continue
         if not stmt:
             raise error("empty statement", at)
@@ -185,8 +199,9 @@ def parse(text: str) -> CircuitGrid:
             if gate is None:
                 tmpl = TEMPLATES_BY_QASM[token]
                 gate = instances[token, angles] = instantiate_param_gate(tmpl, angles)
-        if not gate.is_identity:
-            gates.append((tuple(qubits), gate))
+        known = accepted[stmt] = None if gate.is_identity else (tuple(qubits), gate)
+        if known is not None:
+            gates.append(known)
 
     if not saw_header:
         raise QasmError("file must start with 'OPENQASM 2.0;'", 1, 1)

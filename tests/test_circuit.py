@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import gate, gate_set, grid
@@ -14,6 +14,7 @@ from qidopt.circuit import (
     SECOND,
     CircuitGrid,
     StructuralError,
+    _trim_front,
     asap_depth,
     circuit_unitary,
     effective_depth,
@@ -95,25 +96,29 @@ PAIRS = [gate("CX"), make_gate("R4", _random_unitary(4, 2))]
 
 
 @st.composite
+def layers_over(draw, n):
+    """One layer over n qubits; two-qubit gates on any pair, either
+    orientation."""
+    cells = [None] * n
+    for q in range(n):
+        if cells[q] is not None:
+            continue
+        free = [p for p in range(q + 1, n) if cells[p] is None]
+        if free and draw(st.booleans()):
+            p = draw(st.sampled_from(free))
+            g = draw(st.sampled_from(PAIRS))
+            a, b = (q, p) if draw(st.booleans()) else (p, q)
+            cells[a], cells[b] = half(g, FIRST, b), half(g, SECOND, a)
+        else:
+            cells[q] = single(draw(st.sampled_from(SINGLES)))
+    return tuple(cells)
+
+
+@st.composite
 def grids(draw, max_n=5, max_m=4):
-    """Grids of 1-max_n qubits and up to max_m layers; two-qubit gates on
-    any pair, either orientation."""
+    """Grids of 1-max_n qubits and up to max_m layers."""
     n = draw(st.integers(1, max_n))
-    layers = []
-    for _ in range(draw(st.integers(0, max_m))):
-        cells = [None] * n
-        for q in range(n):
-            if cells[q] is not None:
-                continue
-            free = [p for p in range(q + 1, n) if cells[p] is None]
-            if free and draw(st.booleans()):
-                p = draw(st.sampled_from(free))
-                g = draw(st.sampled_from(PAIRS))
-                a, b = (q, p) if draw(st.booleans()) else (p, q)
-                cells[a], cells[b] = half(g, FIRST, b), half(g, SECOND, a)
-            else:
-                cells[q] = single(draw(st.sampled_from(SINGLES)))
-        layers.append(tuple(cells))
+    layers = [draw(layers_over(n)) for _ in range(draw(st.integers(0, max_m)))]
     return CircuitGrid(n, tuple(layers))
 
 
@@ -232,6 +237,15 @@ class TestAsapDepth:
     def test_identity_only(self):
         assert asap_depth(grid("I,I", "I,I")) == 0
         assert asap_depth(CircuitGrid(2, ())) == 0
+
+    @given(grids(max_n=5, max_m=8))
+    @example(CircuitGrid(2, ()))
+    @example(CircuitGrid(1, ((single(NEAR_I),), (single(gate("H")),), (single(NEAR_I),))))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_depth_of_packed_gates(self, c):
+        # the fold against the grid the emitted gates pack into; a near
+        # Identity is left out like any other Identity gate
+        assert asap_depth(c) == pack([(qs, g) for qs, g in gate_list(c) if not g.is_identity], c.n).m
 
     @given(st.lists(st.integers(0, len(EMITTABLE_LAYERS) - 1), max_size=8))
     @settings(max_examples=150, deadline=None)
@@ -366,6 +380,42 @@ def assert_check_bounds(a, b):
     return residual, k
 
 
+def full_walk_unshared(a, b):
+    """`unshared` as it was before it skipped the shared leading layers:
+    both whole gate lists trimmed at the front, then at the back."""
+    ga, gb = _trim_front(gate_list(a), gate_list(b), a.n)
+    ga, gb = _trim_front(ga[::-1], gb[::-1], a.n)
+    touched = sorted({x for qs, _ in ga + gb for x in qs})
+    index = {x: i for i, x in enumerate(touched)}
+    return tuple(
+        pack([(tuple(index[x] for x in qs), g) for qs, g in reversed(gs)], len(touched))
+        for gs in (ga, gb)
+    )
+
+
+@st.composite
+def shared_layer_edits(draw):
+    """(a, b): b holds a's own layer objects but for one to three edits,
+    each replacing, inserting or deleting a layer, or replacing one by an
+    equal copy (equal cells, another tuple), so b shares leading and
+    trailing layers with a as an optimize output does."""
+    a = draw(grids(max_n=5, max_m=8))
+    layers = list(a.layers)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["replace", "insert", "delete", "copy"] if layers else ["insert"]))
+        if op == "insert":
+            layers.insert(draw(st.integers(0, len(layers))), draw(layers_over(a.n)))
+            continue
+        at = draw(st.integers(0, len(layers) - 1))
+        if op == "replace":
+            layers[at] = draw(layers_over(a.n))
+        elif op == "delete":
+            del layers[at]
+        else:
+            layers[at] = tuple(list(layers[at]))
+    return a, CircuitGrid(a.n, tuple(layers))
+
+
 OPT_LAYERS = {n: enumerate_layers(n, gate_set("I", "H", "X", "Z", "CX")) for n in (2, 3, 4)}
 
 
@@ -430,6 +480,26 @@ class TestUnshared:
         bad = CircuitGrid(2, ((grid("CX:C:1,CX:T:0").layers[0][0], single(gate("I"))),))
         with pytest.raises(StructuralError, match="unpaired"):
             unshared(bad, grid("I,I"))
+
+    @given(shared_layer_edits())
+    @settings(max_examples=300, deadline=None)
+    def test_shared_leading_layers_skipped_exactly(self, pair):
+        a, b = pair
+        got, want = unshared(a, b), full_walk_unshared(a, b)
+        assert [encode_circuit(r) for r in got] == [encode_circuit(r) for r in want]
+        # k and the residual, bit for bit
+        if want[0].n:
+            residual = frobenius_diff(circuit_unitary(want[0]), circuit_unitary(want[1]))
+        else:
+            residual = 0.0
+        assert check_residual(a, b) == (residual, want[0].n)
+
+    def test_shared_layer_is_not_walked(self):
+        # a layer both grids hold as one object is skipped before any gate
+        # is listed, so an unpaired half there goes unseen
+        bad = (grid("CX:C:1,CX:T:0").layers[0][0], single(gate("I")))
+        a, b = CircuitGrid(2, (bad,) + grid("H,I").layers), CircuitGrid(2, (bad,) + grid("X,I").layers)
+        assert [encode_circuit(r) for r in unshared(a, b)] == ["H", "X"]
 
     @given(one_gate_edits())
     @settings(max_examples=300, deadline=None)

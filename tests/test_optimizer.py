@@ -16,6 +16,7 @@ from conftest import gate, gate_set, grid
 from qidopt import optimizer as optimizer_module
 from qidopt.circuit import (
     CircuitGrid,
+    StructuralError,
     cell_is_identity,
     circuit_unitary,
     effective_depth,
@@ -632,6 +633,16 @@ class TestOptimize:
             packed += report.final_depth < effective_depth(out)
         assert packed > 0
 
+    def test_unpaired_half_outside_every_splice_raises(self, db_ihxzcx):
+        # the half on qubit 0 names qubit 3, which holds Identity; every
+        # window holding it is invalid or all Identity, so nothing is
+        # spliced, the check skips the layers it shares with the input, and
+        # the output's depth, read over all of it, finds the half
+        bad = (grid("CX:C:3,CX:T:0,I,I").layers[0][0],) + (single(gate("I")),) * 3
+        c = CircuitGrid(4, grid("X,I,I,I").layers + (bad,) + grid("X,I,I,I").layers)
+        with pytest.raises(StructuralError, match="unpaired"):
+            optimize(c, db_ihxzcx)
+
     def test_spec_larger_than_db_rejected(self, db_ihxzcx):
         c = grid("H,H")
         with pytest.raises(ValueError, match="exceeds database"):
@@ -675,6 +686,17 @@ def test_optimize_output_pinned(db_ihxzcx):
         digest.update(emit(out).encode())
         digest.update(repr(facts).encode())
     assert digest.hexdigest() == "8c1be4844aa49b8738971108d846a83f"
+
+
+def test_check_pinned(db_ihxzcx):
+    # the final check's residual (bit for bit), its k and the depth of
+    # the output, over the same corpus: a cheaper check must leave them
+    digest = hashlib.md5()
+    for text in pin_corpus():
+        _, report = optimize(parse(text), db_ihxzcx)
+        facts = (report.residual.hex(), report.check_qubits, report.final_depth)
+        digest.update(repr(facts).encode())
+    assert digest.hexdigest() == "eaefde463482c14de21d854822d1dc96"
 
 
 # ── incremental sweeps: the span accept rule and the failed-window memo ──

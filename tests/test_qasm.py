@@ -127,6 +127,15 @@ class TestParse:
         c = parse(qasm(2, "u1(pi/4) q[0];", "u1(pi/4) q[1];"))
         assert c.layers[0][0].gate is c.layers[0][1].gate
 
+    def test_repeated_identity_application_takes_no_layer(self):
+        c = parse(qasm(2, "id q[0];", "x q[1];", "id q[0];", "id q[0];"))
+        assert encode_circuit(c) == "I,X"
+
+    def test_repeated_statement_gives_one_gate(self):
+        c = parse(qasm(1, "u1(pi/4) q[0];", "h q[0];", "u1(pi/4) q[0];"))
+        assert encode_circuit(c) == "U1[pi/4]|H|U1[pi/4]"
+        assert c.layers[0][0].gate is c.layers[2][0].gate
+
     def test_iswap_definition_block_skipped(self):
         text = (
             HEADER
@@ -173,6 +182,16 @@ class TestParseDiagnostics:
     def test_two_qregs_rejected(self):
         with pytest.raises(QasmError, match="one quantum register"):
             parse(HEADER + "qreg q[1];\nqreg r[1];\n")
+
+    def test_repeated_qreg_rejected(self):
+        with pytest.raises(QasmError, match="exactly one quantum register") as info:
+            parse(HEADER + "qreg q[1];\nx q[0];\nqreg q[1];\n")
+        assert (info.value.line, info.value.column) == (5, 1)
+
+    def test_repeated_bad_statement_reports_its_first_position(self):
+        with pytest.raises(QasmError, match="out of range") as info:
+            parse(qasm(3, "x q[0];", "h q[7];", "x q[0];", "h q[7];"))
+        assert (info.value.line, info.value.column) == (5, 1)
 
     def test_angle_arity_checked(self):
         with pytest.raises(QasmError, match="angle"):
