@@ -52,7 +52,6 @@ from .optimizer import (
     lookup,
     normalize_cut_tile,
     optimize,
-    select_substitution,
 )
 from .qasm import QasmError, emit, parse
 
@@ -100,7 +99,6 @@ __all__ = [
     "parse",
     "save",
     "scaling_count",
-    "select_substitution",
     "single",
     "validate",
 ]

@@ -48,26 +48,27 @@ sweeps and circuits.
 
 Candidates must really equal the window: a fingerprint is a digest of a
 rounded unitary, so the collision guard (`DatabaseMeta.guard`) bounds
-max|U − V| between a candidate's unitary and the window's. It is checked
-once per bucket where it can be:
-  * the database checks a bucket once (`IdentityDatabase.sound`), the
-    first time a window found by its encoding has candidates there: it
-    computes every member's unitary from its layer unitaries and flags
-    the bucket sound when all lie within guard/4 of the first member's.
-    Such a window, of the database's own gates (`OptimizeReport.own_gates`),
-    is a member of that bucket, so in a sound bucket it tries its
-    candidates with no unitary at all;
-  * every other window checks each candidate's unitary against its own,
-    per trial: one found by its encoding in an unsound bucket, one found
-    through its unitary (the one `lookup` computed), and every window of
-    an input that holds a gate named like one of the database's but with
-    another matrix. A candidate that fails counts in `collisions_skipped`.
+max|U − V| between a candidate's unitary and the window's. A window that
+may have candidates takes one of two routes (`_sweep`):
+  * trusted: its slice text is a member's encoding, and that member's
+    bucket has rows shallower than it and is sound. A slice spells a gate
+    by its name only when the database's gate of that name has a
+    bitwise-equal matrix (`_Slices`), so the window computes its member's
+    unitary float for float. The database checks a bucket once
+    (`IdentityDatabase.sound`): it computes every member's unitary from
+    its layer unitaries and flags the bucket sound when all lie within
+    guard/4 of the first member's. So the window tries its candidates
+    with no unitary at all;
+  * `lookup`: every other window, one that is no member or a member of an
+    unsound bucket. It takes its rows from the bucket of its padded
+    unitary, and each candidate's unitary is checked against that one
+    per trial (`Match.equals`). A candidate that fails counts in
+    `collisions_skipped`.
 
-A window that is no member is looked up by its unitary. When the
-database's form filter is verified and the rounded unitary's row hash is
-no bucket representative's, the lookup is a miss and no fingerprint is
-computed (`IdentityDatabase.may_hold`); otherwise the fingerprint picks
-the bucket. Either way `lookup` returns the rows the fingerprint gives.
+`lookup` finds the bucket from the unitary alone. When the database's
+form filter is verified and the rounded unitary's row hash is no bucket
+representative's, the lookup is a miss and no fingerprint is computed
+(`IdentityDatabase.may_hold`); otherwise the fingerprint picks the bucket.
 
 The reported final depth is the depth of the emitted circuit, which
 packs each gate into the earliest free layer (`asap_depth`, a per-qubit
@@ -111,7 +112,7 @@ from .circuit import (
 from .database import IdentityDatabase, RankRow, encode_circuit
 from .fingerprint import fingerprint
 from .gates import I as IDENTITY_GATE
-from .gates import GateDef, GateSet
+from .gates import GateDef
 from .matrices import frobenius_diff, max_abs_diff
 
 
@@ -240,41 +241,37 @@ def _blocked(t: Tile, n: int) -> int:
 
 
 class Match(list):
-    """What `lookup` found: the rank rows it returns, as a list, and how it
-    found them. `bucket` is the key of the bucket the window is a member
-    of, when it was found by its encoding, else None. `unitary` is the
-    padded window's unitary when it was found through it, else None.
-    `filtered` is set when the database's form filter answered the miss
-    (`IdentityDatabase.may_hold`)."""
+    """Rank rows for a window, as a list, and what they were found by.
+    `unitary` is the padded window's unitary for the rows `lookup` found
+    through it, each candidate to be checked against it (`equals`); None
+    for the rows of a trusted window, whose candidates need no check
+    (`_sweep`). `filtered` is set when the database's form filter
+    answered the miss (`IdentityDatabase.may_hold`)."""
 
-    __slots__ = ("bucket", "unitary", "filtered")
+    __slots__ = ("unitary", "filtered")
 
-    def __init__(self, rows=(), bucket=None, unitary=None, filtered=False):
+    def __init__(self, rows=(), unitary=None, filtered=False):
         super().__init__(rows)
-        self.bucket, self.unitary, self.filtered = bucket, unitary, filtered
+        self.unitary, self.filtered = unitary, filtered
+
+    def equals(self, enc: str, db: IdentityDatabase) -> bool:
+        """Whether the member's unitary lies within the collision guard of
+        the window's."""
+        return max_abs_diff(self.unitary, circuit_unitary(db.decode(enc))) <= db.meta.guard
 
 
 def lookup(t: Tile, db: IdentityDatabase) -> Match:
     """The rows of the padded tile's rank table that are shallower than the
     tile: the only members that can rank below it, never the tile itself.
-    The bucket is read from the encoding table, else from the unitary,
-    which is fingerprinted only when the form filter does not rule every
-    bucket out.
-
-    A sweep calls it only for a window that is no member, for its unitary
-    path: it answers a member window from the slice records and the rank
-    table itself (`_sweep`)."""
-    padded = _padded(t, db)
-    fp = db.by_circuit.get(encode_circuit(padded))
-    unitary = None
-    if fp is not None:
-        table = db.rank_table(fp)
-    else:
-        unitary = circuit_unitary(padded)
-        if not db.may_hold(unitary):
-            return Match((), unitary=unitary, filtered=True)
-        table = db.rank_table(fingerprint(unitary, db.meta.dp))
-    return Match(table[: bisect_left(table, (effective_depth(t.sub),))], fp, unitary)
+    The bucket is found through the padded window's unitary: the form
+    filter first, then the fingerprint, computed only when the filter does
+    not rule every bucket out. A sweep calls it for every window it does
+    not trust (`_sweep`)."""
+    unitary = circuit_unitary(_padded(t, db))
+    if not db.may_hold(unitary):
+        return Match((), unitary, filtered=True)
+    table = db.rank_table(fingerprint(unitary, db.meta.dp))
+    return Match(table[: bisect_left(table, (effective_depth(t.sub),))], unitary)
 
 
 def _candidate_order(
@@ -296,12 +293,6 @@ def _candidate_order(
         for row in rows
         if row.depth < tile_cost and not row.occupied & blocked
     ]
-
-
-def select_substitution(t: Tile, rows: Sequence[RankRow], db: IdentityDatabase) -> str | None:
-    """Minimum-cost admissible candidate, or None when nothing qualifies."""
-    ordered = _candidate_order(t, rows, db)
-    return ordered[0][1] if ordered else None
 
 
 def apply_substitution(
@@ -364,11 +355,7 @@ class OptimizeReport:
     # trimming the shared gates, then the span's two unitaries and their norm
     check_s: float = 0.0
     check_qubits: int = 0  # k, the qubits of the unshared span
-    # every gate of the input that the database's gate table names is that
-    # gate, bitwise (`_own_gates`): a window found by its encoding then has
-    # its member's unitary, and a sound bucket needs no trial check
-    own_gates: bool = False
-    unitary_lookups: int = 0  # windows looked up by their unitary
+    unitary_lookups: int = 0  # windows looked up by their unitary (`lookup`)
     filtered_misses: int = 0  # of those, the ones the form filter answered
     trials_checked: int = 0  # candidate unitaries computed for the guard
     # windows cut into a `Tile`: each that is no member, and each member
@@ -413,7 +400,6 @@ def optimize(
         raise ValueError("iters must be at least 1")
 
     report = OptimizeReport(initial_depth=effective_depth(c), final_depth=0)
-    report.own_gates = _own_gates(c, db.meta.gate_set)
 
     # no sweep sees an all-Identity layer: the span rule of `_lowers` and
     # the splice, which compacts only its span, rely on that
@@ -446,19 +432,26 @@ def check_residual(a: CircuitGrid, b: CircuitGrid) -> tuple[float, int]:
 class _Slices:
     """The slice records of one sweep: (layer, qubit offset) -> (text,
     cut, busy) for the layer's i cells from that offset, each made on
-    first use. `text` is the slice as `encode_circuit` spells it in the
-    normalized, padded window: partners rebased by the offset, a half
-    whose partner lies outside the slice written as the Identity's name,
-    and Identity on the rows past it up to the database's n. `cut` says
-    whether the slice has such a half, `busy` whether the normalized slice
-    has a non-Identity cell. Layers are keyed by themselves, cells
-    compared by identity, so a record stays right after a splice."""
+    first use. `text` is the slice in the normalized, padded window as the
+    database spells it: `encode_circuit`'s text, with partners rebased by
+    the offset, a half whose partner lies outside the slice written as the
+    Identity's name, and Identity on the rows past it up to the
+    database's n. A gate is spelled by its name unless the database holds
+    another gate of that name, one whose matrix is not bitwise equal: it
+    is then "?" and its name, which no member holds (`_spell`). So a
+    window whose text is a member's computes that member's unitary, float
+    for float. `cut` says whether the slice has a cut half, `busy`
+    whether the normalized slice has a non-Identity cell. Layers are
+    keyed by themselves, cells compared by identity, so a record stays
+    right after a splice."""
 
     def __init__(self, db: IdentityDatabase, i: int):
-        ident = db.meta.gate_set.identity.name
+        gates = self.gates = db.meta.gate_set
+        ident = gates.identity.name
         self.i, self.ident, self.pad = i, ident, f",{ident}" * (db.meta.n - i)
         self.idle = "|" + ",".join([ident] * db.meta.n)  # a padding layer
         self.d = db.meta.d
+        self.names: dict[GateDef, str] = {g: g.name for g in gates}
         self.records: dict[tuple[Layer, int], tuple[str, bool, bool]] = {}
 
     def window(self, span: tuple[Layer, ...], qs: int) -> tuple[str, int] | None:
@@ -477,18 +470,29 @@ class _Slices:
     def _record(self, layer: Layer, qs: int) -> tuple[str, bool, bool]:
         cut = busy = False
         texts = []
+        names = self.names
         for cell in layer[qs : qs + self.i]:
+            name = names.get(cell.gate) or self._spell(cell.gate)
             if cell.is_single:
-                texts.append(cell.gate.name)
+                texts.append(name)
                 busy = busy or not cell.gate.is_identity
             elif 0 <= cell.partner - qs < self.i:
-                texts.append(f"{cell.gate.name}:{cell.role}:{cell.partner - qs}")
+                texts.append(f"{name}:{cell.role}:{cell.partner - qs}")
                 busy = True
             else:
                 texts.append(self.ident)
                 cut = True
         rec = self.records[layer, qs] = (",".join(texts) + self.pad, cut, busy)
         return rec
+
+    def _spell(self, g: GateDef) -> str:
+        """The gate's text, kept for the rest of the sweep: its name, or "?"
+        and its name (a character no gate name holds) when the database's
+        gate of that name has another matrix."""
+        gates = self.gates
+        other = g.name in gates and not np.array_equal(gates.by_name(g.name).matrix, g.matrix)
+        text = self.names[g] = "?" + g.name if other else g.name
+        return text
 
 
 def _sweep(
@@ -504,10 +508,12 @@ def _sweep(
 
     A window is read from its slice records (`_Slices`), which give its
     validity, its padded encoding and its depth with no cell rebuilt. A
-    member is answered from its bucket's rank table; a `Tile` is cut only
-    when that table has rows shallower than the window, or when the window
-    is no member and `lookup` takes it through its unitary
-    (`OptimizeReport.tiles_built`).
+    member whose bucket has no row shallower than it has no candidate. A
+    `Tile` is cut for every other window (`OptimizeReport.tiles_built`),
+    and this is the one place that decides whether its candidates are
+    trusted: a member of a sound bucket tries that bucket's shallower rows
+    unchecked, and every other window, no member or a member of an
+    unsound bucket, takes its rows from `lookup`, to be checked.
 
     `failed` maps each window that yielded no substitution, keyed by its
     qubit offset, its span of whole layers (cells compared by identity)
@@ -540,22 +546,20 @@ def _sweep(
         if read is not None:
             text, depth = read
             fp = db.by_circuit.get(text)
-            rows = None
-            if fp is None:
-                norm = _normalized(_window(c, qs, ls, i, j), identity)
-                rows = lookup(norm, db)
-                report.unitary_lookups += rows.unitary is not None
-                report.filtered_misses += rows.filtered
-            else:
+            if fp is not None:
                 table = db.rank_table(fp)
                 shallower = bisect_left(table, (depth,))
-                if shallower:
-                    norm = _normalized(_window(c, qs, ls, i, j), identity)
-                    rows = Match(table[:shallower], fp)
-            if rows is not None:
+            if fp is None or shallower:
+                norm = _normalized(_window(c, qs, ls, i, j), identity)
                 report.tiles_built += 1
-            if rows:
-                trial = _substitute(c, norm, rows, db, report)
+                if fp is not None and db.sound(fp):
+                    rows = Match(table[:shallower])
+                else:
+                    rows = lookup(norm, db)
+                    report.unitary_lookups += 1
+                    report.filtered_misses += rows.filtered
+                if rows:
+                    trial = _substitute(c, norm, rows, db, report)
         if trial is None:
             failed[key] = report.collisions_skipped - before
             continue
@@ -572,20 +576,15 @@ def _substitute(
     report: OptimizeReport,
 ) -> CircuitGrid | None:
     """c with the cheapest candidate that passes the collision guard and
-    lowers the potential spliced into the window, or None."""
-    # fingerprint-collision guard: a candidate must really equal the
-    # window. A window found by its encoding, of the database's own gates,
-    # in a sound bucket has been checked with its whole bucket; any other
-    # checks each candidate's unitary against its own
-    tile_unitary = rows.unitary
-    if tile_unitary is None and not (report.own_gates and db.sound(rows.bucket)):
-        tile_unitary = circuit_unitary(_padded(norm, db))
+    lowers the potential spliced into the window, or None. Rows with a
+    unitary have each candidate checked against it; trusted rows have
+    none (`_sweep`)."""
     ls, j = norm.layer_offset, norm.sub.m
     old = c.layers[ls : ls + j]
     for cand_cost, enc in _candidate_order(norm, rows, db):
-        if tile_unitary is not None:
+        if rows.unitary is not None:
             report.trials_checked += 1
-            if max_abs_diff(tile_unitary, circuit_unitary(db.decode(enc))) > db.meta.guard:
+            if not rows.equals(enc, db):
                 report.collisions_skipped += 1
                 continue
         trial = apply_substitution(c, norm, enc, db)
@@ -600,16 +599,6 @@ def _substitute(
         )
         return trial
     return None
-
-
-def _own_gates(c: CircuitGrid, gate_set: GateSet) -> bool:
-    """Whether every gate of c that the gate set names is that gate, with
-    a bitwise-equal matrix: a window of c whose encoding is a member's
-    then computes the member's unitary, float for float."""
-    return all(
-        g.name not in gate_set or np.array_equal(gate_set.by_name(g.name).matrix, g.matrix)
-        for g in {cell.gate for layer in c.layers for cell in layer}
-    )
 
 
 def _lowers(n: int, old: tuple[Layer, ...], new: tuple[Layer, ...], ends: bool) -> bool:

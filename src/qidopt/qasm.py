@@ -1,12 +1,12 @@
 """OpenQASM 2.0 subset: parsing into circuit grids and emission back out.
 
-Supported input: the "OPENQASM 2.0;" header, optional includes, exactly one
-quantum register, and applications of
-id/x/y/z/h/s/sdg/t/tdg/cx/cz/cy/swap/iswap plus u1/u2/u3 with literal
-angles (rational multiples of pi). A literal `gate iswap` definition block
-is tolerated so emitted files round-trip. Classical registers, measurement,
-reset, barriers, and OpenQASM 3 constructs are rejected with positioned
-diagnostics.
+Supported input: the "OPENQASM 2.0;" header, optional `include "<file>"`
+lines (the file is not read), exactly one quantum register, and
+applications of id/x/y/z/h/s/sdg/t/tdg/cx/cz/cy/swap/iswap plus u1/u2/u3
+with literal angles (rational multiples of pi). A literal `gate iswap`
+definition block is tolerated so emitted files round-trip. Classical
+registers, measurement, reset, barriers, and OpenQASM 3 constructs are
+rejected with positioned diagnostics.
 
 This module keeps only the syntax; the gate-list form lives in `circuit`.
 `parse` reads each gate statement as a (qubits, gate) pair and ASAP-packs
@@ -51,6 +51,7 @@ class QasmError(ValueError):
 _COMMENT = re.compile(r"//[^\n]*")
 _DELIMITER = re.compile(r"[;{}]")
 _NON_SPACE = re.compile(r"\S")
+_STMT_INCLUDE = re.compile(r'^include\s*"[^"]*"$')
 _STMT_QREG = re.compile(r"^qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
 _STMT_GATE = re.compile(
     r"^([A-Za-z_][A-Za-z0-9_]*)\s*(?:\(([^)]*)\))?\s+(.*)$", re.S
@@ -133,7 +134,7 @@ def parse(text: str) -> CircuitGrid:
             continue
         if not stmt:
             raise error("empty statement", at)
-        if stmt.startswith("include"):
+        if _STMT_INCLUDE.match(stmt):
             continue
         if stmt.startswith("gate "):
             name = stmt.split(None, 2)[1].split("(")[0]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import gate, gate_set, grid
 
 from qidopt import optimizer as optimizer_module
+from qidopt.cli import parse_gate_set
 from qidopt.circuit import (
     CircuitGrid,
     StructuralError,
@@ -48,7 +49,6 @@ from qidopt.optimizer import (
     lookup,
     normalize_cut_tile,
     optimize,
-    select_substitution,
 )
 from qidopt.qasm import emit, parse
 
@@ -384,25 +384,24 @@ def db_ixyh():
     )
 
 
-class TestSelectSubstitution:
+class TestCandidateOrder:
 
     def test_picks_cheapest_of_three(self, db_ixyh):
         t = normalize_cut_tile(window(FIG13, TileSpec(2, 3), 1, 1))
         candidates = ["I,Y|I,H|I,H", "I,Y|X,I|X,I", "I,Y|I,I|I,I"]
-        assert select_substitution(t, rows_of(db_ixyh, *candidates), db_ixyh) == "I,Y|I,I|I,I"
+        assert _candidate_order(t, rows_of(db_ixyh, *candidates), db_ixyh)[0][1] == "I,Y|I,I|I,I"
 
     def test_no_strict_improvement_means_none(self, db_ihxzcx):
         c = grid("I,X", "I,I", "I,I")
         (t,) = extract_tiles(c, TileSpec(2, 3))
         norm = normalize_cut_tile(t)
         # another cost-1 circuit with the same unitary is not an improvement
-        assert select_substitution(norm, rows_of(db_ihxzcx, "I,I|I,X|I,I"), db_ihxzcx) is None
+        assert _candidate_order(norm, rows_of(db_ihxzcx, "I,I|I,X|I,I"), db_ihxzcx) == []
 
     def test_cut_slot_must_hold_identity(self, db_ixyh):
         t = normalize_cut_tile(window(FIG13, TileSpec(2, 3), 1, 1))
         # Y,Y in the first layer is equal to the tile but occupies the cut slot
-        blocked = select_substitution(t, rows_of(db_ixyh, "Y,Y|Y,I|I,I"), db_ixyh)
-        assert blocked is None
+        assert _candidate_order(t, rows_of(db_ixyh, "Y,Y|Y,I|I,I"), db_ixyh) == []
 
     def test_neighbours_only_database_places_adjacent_pair(self, db_near_ihcx):
         # CX(0,2)·CX(1,2)·CX(0,2) = CX(1,2): the window is no member of the
@@ -411,7 +410,7 @@ class TestSelectSubstitution:
         c = grid("CX:C:2,I,CX:T:0", "I,CX:C:2,CX:T:1", "CX:C:2,I,CX:T:0")
         assert encode_circuit(c) not in db.by_circuit
         norm = normalize_cut_tile(window(c, TileSpec(3, 3), 0, 0))
-        chosen = select_substitution(norm, lookup(norm, db), db)
+        ((_, chosen), *_) = _candidate_order(norm, lookup(norm, db), db)
         assert chosen == "I,CX:C:2,CX:T:1|I,I,I|I,I,I"
         halves = [
             (q, cell) for layer in db.decode(chosen).layers
@@ -427,7 +426,7 @@ class TestSelectSubstitution:
         # first by encoding, but the two-cell one wins
         many, few = "H,H|H,H|I,I", "H,I|H,I|I,I"
         assert many < few
-        chosen = select_substitution(norm, rows_of(db_ihxzcx, many, few), db_ihxzcx)
+        ((_, chosen), *_) = _candidate_order(norm, rows_of(db_ihxzcx, many, few), db_ihxzcx)
         assert chosen == few
 
 
@@ -1114,8 +1113,7 @@ def poisoned_first(db):
 
 def reference_lookup(t, db):
     """The rows of the padded window's bucket found through its unitary,
-    shallower than the window: `lookup` with neither the encoding table
-    nor the form filter."""
+    shallower than the window: `lookup` without the form filter."""
     table = db.rank_table(fingerprint(circuit_unitary(padded(t, db)), db.meta.dp))
     return table[: bisect_left(table, (effective_depth(t.sub),))]
 
@@ -1169,7 +1167,7 @@ class TestCheckedOnce:
         rows = lookup(norm, db)
         assert list(rows) == reference_lookup(norm, db)
         member = encode_circuit(padded(norm, db)) in db.by_circuit
-        assert (rows.unitary is None) == (rows.bucket is not None) == member
+        assert rows.unitary is not None
         assert not rows.filtered or not (member or rows)
 
     def test_unverified_filter_rules_nothing_out(self, lookup_dbs):
@@ -1218,10 +1216,10 @@ class TestCheckedOnce:
         calls = Counter()
 
         def noted_lookup(t, db):
-            if encode_circuit(padded(t, db)) not in db.by_circuit:
-                calls["by unitary"] += 1
-                fp = fingerprint(real_unitary(padded(t, db)), db.meta.dp)
-                calls["misses"] += fp not in db.by_fingerprint
+            calls["members"] += encode_circuit(padded(t, db)) in db.by_circuit
+            calls["by unitary"] += 1
+            fp = fingerprint(real_unitary(padded(t, db)), db.meta.dp)
+            calls["misses"] += fp not in db.by_fingerprint
             return real_lookup(t, db)
 
         def noted_unitary(c):
@@ -1236,7 +1234,9 @@ class TestCheckedOnce:
         for c in [parse(text) for text in pin_corpus()[:20]] + [grid("S,H", "S,H", "X,X")]:
             calls.clear()
             _, r = optimize(c, db)
-            assert r.own_gates
+            # every bucket is sound and every gate is the database's own,
+            # so only windows that are no member are looked up
+            assert calls["members"] == 0
             assert (r.unitary_lookups, r.filtered_misses) == (calls["by unitary"], calls["misses"])
             # every bucket is sound, so only windows found through their
             # unitary check their candidates; the final check takes two
@@ -1265,5 +1265,23 @@ class TestCheckedOnce:
         db = build_database(GeneratorConfig(n=2, d=d, gate_set=gs))
         c = grid(*rows)  # builtin h, x and y
         report = assert_same_as_reference(monkeypatch, c, db)
-        assert not report.own_gates
+        # a window of the builtin H is encoded like a member, but its slice
+        # text is none: it is looked up by its unitary
+        text, _ = _Slices(db, 2).window(c.layers[:d], 0)
+        assert text not in db.by_circuit
+        padded_window = _padded(Tile(0, 0, CircuitGrid(2, c.layers[:d])), db)
+        assert encode_circuit(padded_window) in db.by_circuit
+        assert report.unitary_lookups > 0
         assert report.residual <= 1e-12
+
+    def test_template_gates_parsed_per_call_are_members(self):
+        # each parse makes new u1 gates, each with the matrix of the
+        # database's gate of its name, so every window is a member and
+        # every bucket is sound: none is looked up, no trial is checked
+        db = build_database(GeneratorConfig(n=2, d=2, gate_set=parse_gate_set("ibm-legacy")))
+        body = "u1(pi/2) q[0]; u1(pi/2) q[0]; cx q[0],q[1]; u1(pi/4) q[1]; u1(-pi/4) q[1];"
+        text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n' + body + "\n"
+        out, report = optimize(parse(text), db)
+        assert (report.unitary_lookups, report.trials_checked) == (0, 0)
+        assert report.final_depth == 2 and len(report.substitutions) == 2
+        assert emit(out).endswith("qreg q[2];\nu1(pi) q[0];\ncx q[0],q[1];\n")

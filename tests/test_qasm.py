@@ -242,6 +242,10 @@ DIAGNOSTICS = [
     ("operand_count", qasm(2, "cx q[0];"), "cx takes 2 operand(s), got 1", 4, 1),
     ("same_operands", qasm(2, "cx q[1],q[1];"), "two-qubit gate operands must differ", 4, 1),
     ("cannot_parse", qasm(1, "x;"), "cannot parse statement 'x'", 4, 1),
+    # only `include "<file>"` is an include; other statements that begin
+    # with the word are read as gate applications
+    ("include_prefix", qasm(1, "include_x q[0];"), "unsupported gate 'include_x'", 4, 1),
+    ("include_bare", qasm(1, "x q[0]; include;"), "cannot parse statement 'include'", 4, 9),
     ("mid_line", qasm(2, "h q[0]; bogus q[1];"), "unsupported gate 'bogus'", 4, 9),
     (
         "mid_line_third",
