@@ -11,22 +11,33 @@ Conventions fixed here and relied on everywhere else:
   * the circuit unitary is U = L_m ··· L_1 with the first layer applied
     first (rightmost in the product).
 
-Unitaries are evaluated gate by gate: each gate multiplies the axes of
-its qubits in a reshaped view of the 2^n × 2^n operator, cells whose
-matrix is exactly the 2×2 identity are skipped, and a circuit costs
-O(gates·4^n) rather than the O(layers·8^n) of dense layer products.
+Unitaries are evaluated by one gate kernel (`_apply`), folded over a gate
+list: `gates_unitary` for a list, and `layer_unitary` and
+`circuit_unitary` over `gate_list`, which leaves out cells whose matrix is
+exactly the 2×2 identity. Each gate multiplies the axes of its qubits in
+a reshaped view of the 2^n × 2^n operator, so a circuit costs
+O(gates·4^n) rather than the O(layers·8^n) of dense layer products:
+  * a single-qubit gate on qubit q multiplies axis q of 2^q × 2 × rest;
+  * a pair on neighbouring qubits multiplies their 4-axis, with the
+    gate's operand-swapped matrix (`GateDef.swapped`, made once with the
+    gate) when its first operand is the higher qubit;
+  * any other pair has its two axes brought together by one transpose,
+    for one batched matmul.
+Every layer of the builtin gates comes out bitwise as a cell-by-cell walk
+makes it (a test compares the two), so database bytes, which the layer
+unitaries feed, do not depend on the kernel.
 
 The gate-list form, [(qubits in operand order, gate)] in layer order, is
 owned here: `gate_list` is the one walk from a grid to its gates, and
 `pack` the one ASAP packer back to a grid (each gate in the earliest
 layer where its qubits are free). `qasm.parse` packs the gates it reads,
-`qasm.emit` writes the gate list, and `asap_depth` and `unshared` fold
-over it. `asap_depth` keeps only a per-qubit frontier, the layers that
-qubit's gates fill once packed, and builds no grid.
+`qasm.emit` writes the gate list, and `asap_depth` and `unshared_gates`
+fold over it. `asap_depth` keeps only a per-qubit frontier, the layers
+that qubit's gates fill once packed, and builds no grid.
 
-Two circuits are compared on their unshared span (`unshared`): the gates
-both begin or both end with are removed first, and the dense check runs
-on the k qubits the rest touches, at O(gates·4^k). The leading layers the
+Two circuits are compared on their unshared span (`unshared_gates`): the
+gates both begin or both end with are removed first, and the dense check
+runs on the k qubits the rest touches, at O(gates·4^k). The leading layers the
 two grids hold as the same objects are skipped before any gate is listed:
 their gates are the ones the front trim would remove first, each matched
 to itself, so the remainders are unchanged and the check costs from the
@@ -128,7 +139,7 @@ def validate(c: CircuitGrid) -> list[str]:
             problems.append(f"layer {li}: expected {c.n} cells, got {len(layer)}")
             continue
         for q, cell in enumerate(layer):
-            if cell.is_single:
+            if cell.role is None:
                 if cell.gate.arity != 1:
                     problems.append(
                         f"layer {li}, qubit {q}: two-qubit gate in a single cell"
@@ -210,107 +221,113 @@ def layer_count(n: int, gate_set: GateSet, neighbors_only: bool, most: int) -> i
     return count
 
 
-_SWAP_OPERANDS = [0, 2, 1, 3]  # |ab> <-> |ba> in the 4x4 basis
+Gate = tuple[tuple[int, ...], GateDef]  # (qubits in operand order, gate)
 
 
-def _partner(layer: Layer, q: int, n: int) -> int:
-    """The partner qubit of the two-qubit half on qubit q; StructuralError
-    when the half is unpaired."""
-    p = layer[q].partner
-    if p is None or not (0 <= p < n) or layer[p].is_single or layer[p].partner != q:
-        raise StructuralError(f"unpaired two-qubit half on qubit {q}")
-    return p
-
-
-def _apply_layer(u: ComplexMatrix, layer: Layer, n: int) -> ComplexMatrix:
-    """L·u for the layer's unitary L, gate by gate on a reshaped u.
+def _apply(u: ComplexMatrix, gates: list[Gate], n: int) -> ComplexMatrix:
+    """G_k ··· G_1 · u for the gates G_1 … G_k of a gate list, each applied
+    to a reshaped u in O(4^n) work.
 
     A gate on qubit q multiplies axis q of u viewed as 2^q × 2 × rest
-    (qubit 0 most significant); an adjacent pair multiplies one 4-axis,
-    any other pair is contracted over its two axes of a (2,)*n view.
-    Cells whose matrix is exactly the 2×2 identity are skipped. Raises
-    StructuralError on an unpaired half.
+    (qubit 0 most significant). A pair on qubits lo < hi multiplies the
+    4-axis of u viewed as 2^lo × 4 × rest when they are adjacent;
+    otherwise one transpose of u viewed as 2^lo × 2 × 2^(hi−lo−1) × 2 ×
+    rest brings the pair's two axes together, for one batched matmul. A
+    pair listed with its higher qubit first takes its gate's
+    operand-swapped matrix (`GateDef.swapped`), made once with the gate.
     """
-    dim = 1 << n
-    for q, cell in enumerate(layer):
-        g = cell.gate.matrix
-        if cell.is_single:
-            if not cell.gate.exact_identity:
-                u = np.matmul(g, u.reshape(1 << q, 2, -1))
+    dim, matmul = 1 << n, np.matmul
+    for qs, g in gates:
+        if len(qs) == 1:
+            u = matmul(g.matrix, u.reshape(1 << qs[0], 2, -1))
             continue
-        p = _partner(layer, q, n)
-        if cell.role != FIRST:
-            continue
-        if abs(p - q) == 1:
-            if p < q:
-                g = g[np.ix_(_SWAP_OPERANDS, _SWAP_OPERANDS)]
-            u = np.matmul(g, u.reshape(1 << min(p, q), 4, -1))
+        x, y = qs
+        lo, hi, m = (x, y, g.matrix) if x < y else (y, x, g.swapped)
+        if hi == lo + 1:
+            u = matmul(m, u.reshape(1 << lo, 4, -1))
         else:
-            t = u.reshape((2,) * n + (dim,))
-            t = np.tensordot(g.reshape(2, 2, 2, 2), t, axes=([2, 3], [q, p]))
-            u = np.moveaxis(t, (0, 1), (q, p))
+            t = u.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1).transpose(0, 2, 1, 3, 4)
+            shape = t.shape
+            t = matmul(m, t.reshape(-1, 4, shape[4]))
+            u = t.reshape(shape).transpose(0, 2, 1, 3, 4)
     return u.reshape(dim, dim)
 
 
-def layer_unitary(layer: Layer, n: int) -> ComplexMatrix:
-    """2^n × 2^n unitary of one layer: its gates applied to the identity.
+def gates_unitary(gates: list[Gate], n: int) -> ComplexMatrix:
+    """2^n × 2^n unitary of a gate list, its first gate applied first.
+    Each gate multiplies its qubits' axes of the reshaped operator once
+    (`_apply`), so a list costs O(gates·4^n), not the O(layers·8^n) of
+    dense layer products."""
+    return _apply(identity(1 << n), gates, n)
 
-    Each gate multiplies its qubits' axes of the reshaped operator once,
-    in O(4^n) work, and cells that are exactly the 2×2 identity are
-    skipped, so a layer costs O(gates·4^n), not the O(8^n) of a dense
-    product. Raises StructuralError on an unpaired half.
-    """
-    return _apply_layer(identity(1 << n), layer, n)
+
+def layer_unitary(layer: Layer, n: int) -> ComplexMatrix:
+    """2^n × 2^n unitary of one layer: its gates (`gate_list`), cells
+    that are exactly the 2×2 identity skipped. Raises StructuralError on
+    an unpaired half."""
+    return gates_unitary(gate_list(CircuitGrid(n, (layer,))), n)
 
 
 def circuit_unitary(c: CircuitGrid) -> ComplexMatrix:
-    """Temporal product of layer unitaries: U = L_m ··· L_1."""
-    u = identity(1 << c.n)
-    for layer in c.layers:
-        u = _apply_layer(u, layer, c.n)
-    return u
-
-
-Gate = tuple[tuple[int, ...], GateDef]  # (qubits in operand order, gate)
+    """Temporal product of layer unitaries, U = L_m ··· L_1, folded over
+    the circuit's gate list. Raises StructuralError on an unpaired half."""
+    return gates_unitary(gate_list(c), c.n)
 
 
 def gate_list(c: CircuitGrid) -> list[Gate]:
     """The gates of c in layer order, qubits ascending within a layer; a
     pair is listed once, at its lower-indexed half. Single cells whose
-    matrix is exactly the 2×2 identity are left out, as `_apply_layer`
-    leaves them out. Raises StructuralError on an unpaired half."""
+    matrix is exactly the 2×2 identity are left out: evaluating them
+    (`_apply`) would change nothing. Raises StructuralError on an unpaired
+    half."""
     gates: list[Gate] = []
+    append, n = gates.append, c.n
     for layer in c.layers:
         for q, cell in enumerate(layer):
-            if cell.is_single:
+            role = cell.role
+            if role is None:
                 if not cell.gate.exact_identity:
-                    gates.append(((q,), cell.gate))
+                    append(((q,), cell.gate))
                 continue
-            p = _partner(layer, q, c.n)
+            p = cell.partner
+            # a single cell's partner is None, so this also finds a half
+            # paired with a single cell
+            if p is None or not 0 <= p < n or layer[p].partner != q:
+                raise StructuralError(f"unpaired two-qubit half on qubit {q}")
             if q < p:
-                qs = (q, p) if cell.role == FIRST else (p, q)
-                gates.append((qs, layer[qs[0]].gate))
+                qs = (q, p) if role == FIRST else (p, q)
+                append((qs, layer[qs[0]].gate))
     return gates
 
 
 def pack(gates: list[Gate], n: int) -> CircuitGrid:
     """The gates as a grid over n qubits, each in the earliest layer where
-    its qubits are free; empty cells hold the exact Identity."""
+    its qubits are free; empty cells hold the exact Identity. The cells of
+    one single-qubit gate are one object, as the Identity's are."""
     ident = single(IDENTITY_GATE)
+    singles: dict[GateDef, Cell] = {}
     layers: list[list[Cell]] = []
     frontier = [0] * n
     for qs, g in gates:
-        level = max(frontier[x] for x in qs)
-        if level == len(layers):
-            layers.append([ident] * n)
         if len(qs) == 1:
-            layers[level][qs[0]] = Cell(g)
+            (x,) = qs
+            level = frontier[x]
+            if level == len(layers):
+                layers.append([ident] * n)
+            cell = singles.get(g)
+            if cell is None:
+                cell = singles[g] = Cell(g)
+            layers[level][x] = cell
+            frontier[x] = level + 1
         else:
             x, y = qs
-            layers[level][x] = Cell(g, FIRST, y)
-            layers[level][y] = Cell(g, SECOND, x)
-        for x in qs:
-            frontier[x] = level + 1
+            level = frontier[x] if frontier[x] > frontier[y] else frontier[y]
+            if level == len(layers):
+                layers.append([ident] * n)
+            layer = layers[level]
+            layer[x] = Cell(g, FIRST, y)
+            layer[y] = Cell(g, SECOND, x)
+            frontier[x] = frontier[y] = level + 1
     return CircuitGrid.from_lists(n, layers)
 
 
@@ -350,10 +367,12 @@ def _trim_front(a: list[Gate], b: list[Gate], n: int) -> tuple[list[Gate], list[
     )
 
 
-def unshared(a: CircuitGrid, b: CircuitGrid) -> tuple[CircuitGrid, CircuitGrid]:
-    """The parts of a and b that remain once the gates both begin with and
-    the gates both end with are removed, as grids over the k qubits the
-    remainders touch (renumbered in order; k = 0 when nothing remains).
+def unshared_gates(
+    a: CircuitGrid, b: CircuitGrid, gates_a: list[Gate] | None = None
+) -> tuple[list[Gate], list[Gate], int]:
+    """(ga, gb, k): the gates of a and b that remain once the gates both
+    begin with and the gates both end with are removed, in order, over the
+    k qubits they touch (renumbered in order; k = 0 when nothing remains).
 
     Gates on disjoint qubits commute exactly, so with A and B the
     remainders' k-qubit unitaries, U(a) − U(b) = S·((A − B) ⊗ I)·P for
@@ -365,8 +384,11 @@ def unshared(a: CircuitGrid, b: CircuitGrid) -> tuple[CircuitGrid, CircuitGrid]:
     The leading layers a and b hold as the same objects (`a.layers[p] is
     b.layers[p]`) are not walked: the front trim would remove each of
     their gates against itself. An unpaired half in such a layer therefore
-    goes unseen here. Raises ValueError when the qubit counts differ and
-    StructuralError on an unpaired half in a layer that is walked.
+    goes unseen here. `gates_a`, when given, is `gate_list(a)`, which a
+    caller that already made it passes so that it is not made again; it
+    stands for a's gates when a and b share no leading layer. Raises
+    ValueError when the qubit counts differ and StructuralError on an
+    unpaired half in a layer that is walked.
     """
     if a.n != b.n:
         raise ValueError(f"qubit counts differ ({a.n} vs {b.n})")
@@ -375,24 +397,26 @@ def unshared(a: CircuitGrid, b: CircuitGrid) -> tuple[CircuitGrid, CircuitGrid]:
         if la is not lb:
             break
         s += 1
-    ga = gate_list(CircuitGrid(a.n, a.layers[s:]))
+    ga = gates_a if not s and gates_a is not None else gate_list(CircuitGrid(a.n, a.layers[s:]))
     gb = gate_list(CircuitGrid(b.n, b.layers[s:]))
     ga, gb = _trim_front(ga, gb, a.n)
     ga, gb = _trim_front(ga[::-1], gb[::-1], a.n)
     touched = sorted({x for qs, _ in ga + gb for x in qs})
-    index = {x: i for i, x in enumerate(touched)}
-    return tuple(
-        pack([(tuple(index[x] for x in qs), g) for qs, g in reversed(gs)], len(touched))
-        for gs in (ga, gb)
-    )
+    if len(touched) < a.n:
+        at = {x: i for i, x in enumerate(touched)}.__getitem__
+        ga, gb = ([(tuple(map(at, qs)), g) for qs, g in gs] for gs in (ga, gb))
+    return ga[::-1], gb[::-1], len(touched)
 
 
 def cell_is_identity(cell: Cell) -> bool:
-    return cell.is_single and cell.gate.is_identity
+    return cell.role is None and cell.gate.is_identity
 
 
 def layer_is_identity(layer: Layer) -> bool:
-    return all(cell_is_identity(cell) for cell in layer)
+    for cell in layer:
+        if cell.role is not None or not cell.gate.is_identity:
+            return False
+    return True
 
 
 def effective_depth(c: CircuitGrid) -> int:

@@ -176,6 +176,8 @@ def cmd_optimize(args) -> int:
     _out("initial_depth", report.initial_depth)
     _out("final_depth", report.final_depth)
     _out("substitutions", len(report.substitutions))
+    _out("cancels", report.cancels)
+    _out("merges", report.merges)
     _out("iterations", report.iterations)
     _out("collisions_skipped", report.collisions_skipped)
     _out("residual", f"{report.residual:.3e}")

@@ -49,6 +49,11 @@ first use and trusted only when every bucket's first member reproduces
 its key; a member that does not decode still raises when its bucket is
 first ranked, never when the filter is made.
 
+A database also says what two of its gates do when one follows the other
+on a qubit they share (`pair_rule`): cancel, merge into one gate, commute
+or block, read from the bucket of their two-gate member and trusted only
+when that bucket is sound. Each rule is made on first use and kept.
+
 A database does not change once a build or `loads` has made it: its
 tables are read-only mappings and its buckets tuples, so everything it
 derives from them is made once and kept, with nothing to invalidate.
@@ -66,8 +71,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import Cell, CircuitGrid, Layer, cell_is_identity, enumerate_layers, single
-from .circuit import layer_count, layer_unitary
+from .circuit import Cell, CircuitGrid, Gate, Layer, cell_is_identity, enumerate_layers, single
+from .circuit import gate_list, layer_count, layer_unitary
 from .fingerprint import DIGEST_ALGORITHM, Fingerprint, _rounded_components, _row_hash
 from .fingerprint import canonicalize, fingerprint
 from .gates import AngleRangeError, GateDef, GateSet, gate_from_name, make_gate
@@ -116,6 +121,19 @@ class RankRow(NamedTuple):
     cells: int
     enc: str
     occupied: int
+
+
+CANCEL, MERGE, COMMUTE, BLOCK = "cancel", "merge", "commute", "block"
+
+
+class PairRule(NamedTuple):
+    """What a database's buckets say of two of its gates, the later placed
+    after the earlier on qubits they share (`IdentityDatabase.pair_rule`):
+    CANCEL, MERGE, COMMUTE or BLOCK. `merged` is, for MERGE only, the one
+    gate that replaces the two, on qubits within the earlier gate's."""
+
+    kind: str
+    merged: Gate | None = None
 
 
 class LayerEntry(NamedTuple):
@@ -185,7 +203,7 @@ class IdentityDatabase:
     holds it, as `member_index` makes it.
 
     A database is read-only: the three tables are kept behind read-only
-    views and each bucket is a tuple. Three things are made on first use
+    views and each bucket is a tuple. Four things are made on first use
     and kept with the database:
       * the unitaries of its L layers over `meta.gate_set`, one (L, 2ⁿ, 2ⁿ)
         stack; a member's unitary is a batched product of d of them;
@@ -193,7 +211,9 @@ class IdentityDatabase:
         first lookup, and with it one soundness flag (`sound`), made when
         first asked;
       * a form filter (`may_hold`), made on the first lookup of a unitary
-        that is no member's, 8 bytes per bucket.
+        that is no member's, 8 bytes per bucket;
+      * one pair rule per pair of placed gates (`pair_rule`), made on the
+        pair's first call: at most the placed gates squared.
     """
 
     meta: DatabaseMeta
@@ -202,6 +222,10 @@ class IdentityDatabase:
     by_fingerprint: Mapping[Fingerprint, tuple[str, ...]] = field(default_factory=dict)
     # fingerprint -> [the bucket's rank rows, sound or None until asked]
     _rank_tables: dict[Fingerprint, list] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    # (earlier gate name, its qubits, later gate name, its qubits) -> rule
+    _pair_rules: dict[tuple, PairRule] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -252,6 +276,54 @@ class IdentityDatabase:
             if members:
                 self._rank_tables[fp] = table
         return table
+
+    def pair_rule(self, a: str, qa: tuple[int, ...], b: str, qb: tuple[int, ...]) -> PairRule:
+        """The rule for the gate named b on qubits qb placed after the gate
+        named a on qa, both gates of `meta.gate_set` and every qubit below
+        n, read from the bucket of the two-gate member that holds a in its
+        first layer and b in its second (Identity elsewhere and after).
+        The rule counts only when that bucket is sound (`sound`):
+          * CANCEL: the bucket is the Identity's;
+          * MERGE: its cheapest row is one gate on qubits within qa;
+          * COMMUTE: the member with b first and a second is in it too.
+        Anything else is BLOCK, as is a pair that is no member (d < 2, a
+        pair no neighbours-only database holds) or shares no qubit. Made
+        on the first call for the pair and kept: the table holds at most
+        the database's placed gates squared."""
+        key = (a, qa, b, qb)
+        rule = self._pair_rules.get(key)
+        if rule is None:
+            rule = self._pair_rules[key] = self._pair_rule(a, qa, b, qb)
+        return rule
+
+    def _pair_rule(self, a: str, qa: tuple[int, ...], b: str, qb: tuple[int, ...]) -> PairRule:
+        n, ident = self.meta.n, self.meta.gate_set.identity.name
+
+        def layer(name: str, qs: tuple[int, ...]) -> str:
+            cells = [ident] * n
+            if len(qs) == 1:
+                cells[qs[0]] = name
+            else:
+                x, y = qs
+                cells[x], cells[y] = f"{name}:C:{y}", f"{name}:T:{x}"
+            return ",".join(cells)
+
+        idle = [",".join([ident] * n)] * (self.meta.d - 2)
+        fp = self.by_circuit.get("|".join([layer(a, qa), layer(b, qb)] + idle))
+        if fp is None or not set(qa) & set(qb) or not self.sound(fp):
+            return PairRule(BLOCK)
+        # the bucket's cheapest row, if any is shallower than d
+        cheaper = self.rank_table(fp)[:1]
+        if cheaper and cheaper[0].depth == 0:
+            return PairRule(CANCEL)
+        if cheaper and cheaper[0].depth == 1:
+            row = gate_list(self.decode(cheaper[0].enc))
+            gates = [(qs, g) for qs, g in row if not g.is_identity]
+            if len(gates) == 1 and set(gates[0][0]) <= set(qa):
+                return PairRule(MERGE, gates[0])
+        if self.by_circuit.get("|".join([layer(b, qb), layer(a, qa)] + idle)) == fp:
+            return PairRule(COMMUTE)
+        return PairRule(BLOCK)
 
     def rank(self, encs, max_depth: int) -> list[RankRow]:
         """Rows of the encodings with effective depth at most max_depth,

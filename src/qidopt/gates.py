@@ -25,6 +25,8 @@ UNITARY_TOL = 1e-10
 # Cell/layer encodings use ',' '|' ':' as separators, so names cannot.
 _NAME_RE = re.compile(r"^[A-Za-z0-9_+\-*/;.\[\]()]+$")
 
+_SWAP_OPERANDS = [0, 2, 1, 3]  # |ab> <-> |ba> in the 4x4 basis
+
 
 class AngleRangeError(ValueError):
     """An angle whose value does not fit a finite float."""
@@ -154,6 +156,10 @@ class GateDef:
     is_identity: bool = field(init=False, default=False)
     # exactly the 2×2 identity: what unitary evaluation may skip
     exact_identity: bool = field(init=False, default=False)
+    # a two-qubit gate's matrix with its operands swapped, |ab> <-> |ba>:
+    # what it is on a (second, first) pair of ascending qubits; None for
+    # a single-qubit gate
+    swapped: ComplexMatrix | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         dim = self.matrix.shape[0]
@@ -161,6 +167,10 @@ class GateDef:
         object.__setattr__(self, "is_identity", ident)
         exact = dim == 2 and np.array_equal(self.matrix, identity(2))
         object.__setattr__(self, "exact_identity", exact)
+        if dim == 4:
+            swapped = self.matrix[np.ix_(_SWAP_OPERANDS, _SWAP_OPERANDS)]
+            swapped.flags.writeable = False
+            object.__setattr__(self, "swapped", swapped)
 
     def __repr__(self):  # matrices are noisy; show the name
         return f"GateDef({self.name!r}, arity={self.arity})"

@@ -1,4 +1,28 @@
-"""Tile extraction, identity lookup, and cost-based substitution.
+"""The rules pass, tile extraction, identity lookup, and cost-based
+substitution.
+
+`optimize` first applies the rewrites two gates make on their own, read
+from the database (`apply_rules`), over the input's gate list, then packs
+the result and sweeps windows over it; after each sweep that changed the
+grid, the rules run again on what the splices left.
+
+The rules come from the database's pair table
+(`IdentityDatabase.pair_rule`). For two of its gates, placed on at most n
+qubits that they share, the bucket of the two-gate member (the earlier
+gate in the first layer, the later in the second) says whether they
+cancel (the Identity's bucket), merge (its cheapest row is one gate on
+the earlier gate's qubits), commute (the other order is in the bucket
+too), or block; a rule counts only when the bucket is sound. The table
+is made on first use and kept with the database, at most its placed
+gates squared. A walk takes each gate in turn and scans back over the
+kept gates on its qubits, passing those it commutes with, until one
+blocks it or it cancels or merges with one; a merged gate takes the
+earlier gate's slot, which keeps the ASAP depth and the gate count from
+rising. A gate that is not the database's own, matrix for matrix, blocks
+(`_own_name`, the test `_Slices` makes too), as does a pair over more
+than n qubits. The pass rewrites what the sweeps would find one window at
+a time (H·H, T·T → S, gates commuting past each other), so the sweeps are
+left the rewrites that need a window.
 
 The optimizer slides an i×j window (i ≤ n, j ≤ d) over the circuit grid
 and replaces each window's contents with the cheapest equivalent circuit
@@ -75,15 +99,19 @@ packs each gate into the earliest free layer (`asap_depth`, a per-qubit
 frontier folded over the whole output, which also finds an unpaired half
 no splice touched); the returned grid keeps the layers the splices left.
 
-The result is checked against the input once, after the sweeps, by
-`check_residual`: the dense comparison runs only on the gates the two
-circuits do not share (`circuit.unshared`). The output holds the input's
-own layer objects, at their own positions, up to the first splice or
-dropped all-Identity layer (`optimize` passes the layers through and
-`apply_substitution` reuses every layer outside its span), and those
-shared leading layers are skipped unwalked, so the check costs from the
-first changed layer on. The shared trailing layers are walked: skipping
-them too would change which gates the back trim matches.
+The result is checked against the parsed input once, after the sweeps,
+by `check_residual`, densely: the rules pass is not taken on trust, and
+the residual covers it as it covers the splices. The dense comparison
+runs only on the gates the two circuits do not share
+(`circuit.unshared_gates`), evaluated straight from their gate lists
+(`circuit.gates_unitary`); the input's gate list is made once, for the
+pass and the check. When the pass rewrote nothing, the output holds the
+input's own layer objects, at their own positions, up to the first
+splice or dropped all-Identity layer (`optimize` passes the layers
+through and `apply_substitution` reuses every layer outside its span),
+and those shared leading layers are skipped unwalked, so the check costs
+from the first changed layer on. The shared trailing layers are walked:
+skipping them too would change which gates the back trim matches.
 """
 
 from __future__ import annotations
@@ -91,6 +119,7 @@ from __future__ import annotations
 import enum
 import time
 from bisect import bisect_left
+from heapq import heappop, heappush
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -99,20 +128,32 @@ import numpy as np
 from .circuit import (
     Cell,
     CircuitGrid,
+    Gate,
     Layer,
     asap_depth,
     cell_is_identity,
     circuit_unitary,
     effective_depth,
+    gate_list,
+    gates_unitary,
     layer_is_identity,
+    pack,
     single,
-    unshared,
+    unshared_gates,
     validate,
 )
-from .database import IdentityDatabase, RankRow, encode_circuit
+from .database import (
+    CANCEL,
+    COMMUTE,
+    MERGE,
+    IdentityDatabase,
+    PairRule,
+    RankRow,
+    encode_circuit,
+)
 from .fingerprint import fingerprint
 from .gates import I as IDENTITY_GATE
-from .gates import GateDef
+from .gates import GateDef, GateSet
 from .matrices import frobenius_diff, max_abs_diff
 
 
@@ -361,6 +402,12 @@ class OptimizeReport:
     # windows cut into a `Tile`: each that is no member, and each member
     # whose bucket has rows shallower than it
     tiles_built: int = 0
+    # the rules pass (`apply_rules`): pairs cancelled, pairs merged into
+    # one gate, and the commuting gates those rewrites moved a gate past
+    cancels: int = 0
+    merges: int = 0
+    commutes: int = 0
+    pass_s: float = 0.0  # the rules pass and the pack of its output, each time it ran
 
 
 _WindowKey = tuple[int, tuple[Layer, ...], bool]  # (qubit offset, span, ends)
@@ -372,10 +419,12 @@ def optimize(
     spec: TileSpec | None = None,
     iters: int = 10,
 ) -> tuple[CircuitGrid, OptimizeReport]:
-    """Sweep tiles and substitute until no sweep changes anything or the
-    iteration budget runs out. The output always computes the same unitary
-    as the input and never has larger effective depth or more non-Identity
-    cells.
+    """Apply the database's pair rules (`apply_rules`), then sweep tiles
+    and substitute until no sweep changes anything or the iteration
+    budget runs out; after each sweep that changed the grid the rules run
+    again, so a sweep that changes nothing ends at a fixpoint of both.
+    The output always computes the same unitary as the input and never
+    has larger effective depth or more non-Identity cells.
 
     The input's all-Identity layers are dropped before the first sweep;
     they never count towards the effective depth, and `emit` leaves them
@@ -399,34 +448,241 @@ def optimize(
     if iters < 1:
         raise ValueError("iters must be at least 1")
 
-    report = OptimizeReport(initial_depth=effective_depth(c), final_depth=0)
-
     # no sweep sees an all-Identity layer: the span rule of `_lowers` and
     # the splice, which compacts only its span, rely on that
-    cur = CircuitGrid(c.n, tuple(l for l in c.layers if not layer_is_identity(l)))
+    busy = tuple(l for l in c.layers if not layer_is_identity(l))
+    report = OptimizeReport(initial_depth=len(busy), final_depth=0)
+    gates = gate_list(c)
+    cur = _rules(CircuitGrid(c.n, busy), gates, db, report)
     failed: dict[_WindowKey, int] = {}
     for it in range(iters):
         report.iterations = it + 1
         cur, changed = _sweep(cur, db, spec, report, failed)
         if not changed:
             break
+        # the splices may have set up pairs the rules rewrite
+        cur = _rules(cur, gate_list(cur), db, report)
 
     report.final_depth = asap_depth(cur)
     start = time.perf_counter()
-    report.residual, report.check_qubits = check_residual(c, cur)
+    report.residual, report.check_qubits = check_residual(c, cur, gates)
     report.check_s = time.perf_counter() - start
     return cur, report
 
 
-def check_residual(a: CircuitGrid, b: CircuitGrid) -> tuple[float, int]:
-    """(‖A − B‖_F, k) for A and B the unitaries of `unshared(a, b)` on its
-    k qubits: 0.0 exactly when a and b agree gate for gate, and at least
-    max|U(a) − U(b)| always. Raises ValueError when the qubit counts
-    differ."""
-    ra, rb = unshared(a, b)
-    if ra.n == 0:
+def _rules(
+    c: CircuitGrid, gates: list[Gate], db: IdentityDatabase, report: OptimizeReport
+) -> CircuitGrid:
+    """c with the pair rules applied, for `gates` the gate list of c, which
+    holds no all-Identity layer. A pass that rewrites nothing leaves c as
+    it is, so the check skips its leading layers where they are the
+    input's own; otherwise the gates are packed (`circuit.pack`) and
+    all-Identity layers dropped."""
+    start = time.perf_counter()
+    before = report.cancels + report.merges
+    ruled = apply_rules(gates, c.n, db, report)
+    if report.cancels + report.merges > before:
+        packed = pack(ruled, c.n).layers
+        c = CircuitGrid(c.n, tuple(l for l in packed if not layer_is_identity(l)))
+    report.pass_s += time.perf_counter() - start
+    return c
+
+
+def check_residual(
+    a: CircuitGrid, b: CircuitGrid, gates_a: list[Gate] | None = None
+) -> tuple[float, int]:
+    """(‖A − B‖_F, k) for A and B the unitaries of the remainders of
+    `unshared_gates(a, b)` on their k qubits: 0.0 exactly when a and b
+    agree gate for gate, and at least max|U(a) − U(b)| always. `gates_a`,
+    when given, is `gate_list(a)`, already made. Raises ValueError when
+    the qubit counts differ."""
+    ra, rb, k = unshared_gates(a, b, gates_a)
+    if k == 0:
         return 0.0, 0
-    return frobenius_diff(circuit_unitary(ra), circuit_unitary(rb)), ra.n
+    return frobenius_diff(gates_unitary(ra, k), gates_unitary(rb, k)), k
+
+
+def apply_rules(
+    gates: list[Gate], n: int, db: IdentityDatabase, report: OptimizeReport
+) -> list[Gate]:
+    """The gate list with the database's pair rules applied until none
+    applies (`IdentityDatabase.pair_rule`), counted in the report.
+
+    The gates are placed in order. Each scans back, latest first, over the
+    kept gates that share a qubit with it. A gate that commutes with it is
+    passed; the first that does not is the last it meets. If that one
+    cancels with it, both go; if the two merge, the merged gate takes the
+    earlier gate's slot and the later gate goes. A merged gate lies on
+    qubits of the earlier gate, and the later gate commutes with every gate
+    it passed, so the product is unchanged, up to the database's rounding.
+    The later gate is kept where it stands in every other case. A gate
+    that is not the database's own (`_own_name`), or a pair over more than
+    the database's n qubits, blocks.
+
+    Each kept gate remembers how far back its scan reached. A slot that
+    changes (a merged gate written, a gate removed) is scanned again from
+    itself if it holds a merged gate, and so is every kept gate after it
+    whose scan reached it; so the result is a fixpoint, which another call
+    leaves as it is. Gates are only removed or merged into an earlier
+    slot, so neither the gate count nor the ASAP depth can rise.
+    """
+    rules = _Rules(n, db, report)
+    rules.place(gates)
+    return [gate for gate in rules.out if gate is not None]
+
+
+class _Rules:
+    """The kept gates of one `apply_rules` call, by slot: each gate (None
+    once removed), its name in the database (None for a gate that is not
+    the database's own, which blocks), and the lowest slot its last scan
+    reached (−1 when it met no earlier gate); and per qubit, the slots of
+    the kept gates on it, ascending."""
+
+    def __init__(self, n: int, db: IdentityDatabase, report: OptimizeReport):
+        self.gate_set, self.width, self.pair_rule = db.meta.gate_set, db.meta.n, db.pair_rule
+        self.report = report
+        self.out: list[Gate | None] = []
+        self.own: list[str | None] = []
+        self.reach: list[int] = []
+        self.wires: list[list[int]] = [[] for _ in range(n)]
+        self.names: dict[GateDef, str | None] = {}
+        # the rules of two single-qubit gates on one qubit, by their names
+        self.on_one_qubit: dict[tuple[str, str], PairRule] = {}
+
+    def place(self, gates: list[Gate]) -> None:
+        """Place the gates in order; after each, scan again, earliest
+        first, every slot its rewrites make stale."""
+        out, own, reach, wires, names = self.out, self.own, self.reach, self.wires, self.names
+        scan, gate_set = self._scan, self.gate_set
+        for qs, g in gates:
+            name = names.get(g, "")
+            if name == "":
+                name = names[g] = _own_name(gate_set, g)
+            j = len(out)
+            out.append((qs, g))
+            own.append(name)
+            reach.append(j)
+            for x in qs:
+                wires[x].append(j)
+            changed = scan(j) if name is not None else ()
+            todo: list[int] = []
+            while changed:
+                for c, on in changed:
+                    # the merged gate in slot c, and each gate whose scan met c
+                    stale = {m for x in on for m in wires[x] if m > c and reach[m] <= c}
+                    if out[c] is not None:
+                        stale.add(c)
+                    for m in stale:
+                        heappush(todo, m)
+                changed = ()
+                while todo and not changed:
+                    k = heappop(todo)
+                    if out[k] is not None and not (todo and todo[0] == k):
+                        changed = scan(k)  # unless gone, or queued again
+
+    def _scan(self, j: int) -> Sequence[tuple[int, tuple[int, ...]]]:
+        """Scan the gate in slot j back over the kept gates before it. On a
+        cancel or a merge, remove it, remove or rewrite the slot it met,
+        and return both slots with the qubits their gates held; else record
+        how far back it reached and return nothing."""
+        out, own, wires = self.out, self.own, self.wires
+        on_one_qubit, pair_rule = self.on_one_qubit, self.pair_rule
+        qs, name = out[j][0], own[j]
+        passed = 0
+        one = len(qs) == 1
+        if one:
+            w = wires[qs[0]]
+            if w[-1] == j:
+                earlier = reversed(w)
+                next(earlier)  # slot j itself
+            else:
+                earlier = reversed(w[: bisect_left(w, j)])
+        else:
+            earlier = _latest_first(wires[qs[0]], wires[qs[1]], j)
+        reach = -1  # no earlier gate on its qubits
+        for k in earlier:
+            other = own[k]
+            reach = k
+            if other is None:
+                break
+            qk = out[k][0]
+            if one and len(qk) == 1:
+                rel = _SAME_QUBIT
+                rule = on_one_qubit.get((other, name))
+                if rule is None:
+                    rule = on_one_qubit[other, name] = pair_rule(other, (0,), name, (0,))
+            else:
+                rel = _relative(qk, qs, self.width)
+                if rel is None:
+                    break
+                rule = pair_rule(other, rel[0], name, rel[1])
+            if rule.kind == COMMUTE:
+                passed += 1
+                continue
+            if rule.kind == CANCEL:
+                self.report.cancels += 1
+                self._remove(k)
+            elif rule.kind == MERGE:
+                mq, mg = rule.merged
+                # the merged gate's qubits, numbered as the earlier gate's are
+                keep = qk if mq == rel[0] else tuple(qk[rel[0].index(r)] for r in mq)
+                self.report.merges += 1
+                out[k], own[k] = (keep, mg), mg.name
+                for x in qk:
+                    if x not in keep:
+                        wires[x].remove(k)
+            else:
+                break
+            self.report.commutes += passed
+            self._remove(j)
+            return [(k, qk), (j, qs)]
+        self.reach[j] = reach
+        return ()
+
+    def _remove(self, k: int) -> None:
+        for x in self.out[k][0]:
+            self.wires[x].remove(k)
+        self.out[k] = None
+
+
+def _latest_first(a: list[int], b: list[int], below: int):
+    """The indices below `below` in the ascending lists a and b, latest
+    first, each once: the kept gates before a slot on either qubit of a
+    pair."""
+    i, j = bisect_left(a, below) - 1, bisect_left(b, below) - 1
+    while i >= 0 or j >= 0:
+        x = a[i] if i >= 0 else -1
+        y = b[j] if j >= 0 else -1
+        if x >= y:
+            yield x
+            i -= 1
+            j -= x == y
+        else:
+            yield y
+            j -= 1
+
+
+_SAME_QUBIT = ((0,), (0,))
+
+
+def _relative(qa: tuple[int, ...], qb: tuple[int, ...], n: int):
+    """(qa, qb) renumbered over the ascending qubits they cover, or None
+    when they cover more than n."""
+    one_a, one_b = len(qa) == 1, len(qb) == 1
+    if one_a and one_b:
+        return _SAME_QUBIT
+    if one_a or one_b:
+        if n < 2:
+            return None
+        (q,), (x, y) = (qa, qb) if one_a else (qb, qa)
+        pair, lo = ((0, 1), x) if x < y else ((1, 0), y)
+        single = (0,) if q == lo else (1,)
+        return (single, pair) if one_a else (pair, single)
+    qubits = sorted({*qa, *qb})
+    if len(qubits) > n:
+        return None
+    at = qubits.index
+    return tuple(map(at, qa)), tuple(map(at, qb))
 
 
 class _Slices:
@@ -473,7 +729,7 @@ class _Slices:
         names = self.names
         for cell in layer[qs : qs + self.i]:
             name = names.get(cell.gate) or self._spell(cell.gate)
-            if cell.is_single:
+            if cell.role is None:
                 texts.append(name)
                 busy = busy or not cell.gate.is_identity
             elif 0 <= cell.partner - qs < self.i:
@@ -488,11 +744,21 @@ class _Slices:
     def _spell(self, g: GateDef) -> str:
         """The gate's text, kept for the rest of the sweep: its name, or "?"
         and its name (a character no gate name holds) when the database's
-        gate of that name has another matrix."""
-        gates = self.gates
-        other = g.name in gates and not np.array_equal(gates.by_name(g.name).matrix, g.matrix)
+        gate of that name has another matrix (`_own_name`)."""
+        other = g.name in self.gates and _own_name(self.gates, g) is None
         text = self.names[g] = "?" + g.name if other else g.name
         return text
+
+
+def _own_name(gates: GateSet, g: GateDef) -> str | None:
+    """g's name when the gate table holds a gate of that name with a
+    bitwise-equal matrix, else None: the one test of whether a gate is the
+    database's own. A parsed `u1(pi/2)` is a new `GateDef` on every parse,
+    so matrices are compared, not objects."""
+    own = gates.by_name(g.name) if g.name in gates else None
+    if own is None or not (own is g or np.array_equal(own.matrix, g.matrix)):
+        return None
+    return g.name
 
 
 def _sweep(

@@ -79,7 +79,19 @@ def _statements(src: str):
     stripped: the text up to a ';' outside braces, or through the '}' that
     closes its braces, so a `gate ... { ... }` block is one statement.
     Raises QasmError at a '}' that closes no '{', and at an unterminated
-    rest of the text."""
+    rest of the text. A text with no brace is cut at each ';'."""
+    if "{" not in src and "}" not in src:
+        *parts, rest = src.split(";")
+        pos = 0
+        for part in parts:
+            stmt = part.lstrip()
+            yield stmt.rstrip(), pos + len(part) - len(stmt)
+            pos += len(part) + 1
+        stmt = rest.lstrip()
+        if stmt:
+            at = pos + len(rest) - len(stmt)
+            raise _error(src, f"statement missing ';': {stmt.rstrip()[:40]!r}", at)
+        return
     depth = 0
     start = _NON_SPACE.search(src)
     for d in _DELIMITER.finditer(src):

@@ -4,13 +4,22 @@ Each test prints an `ACCEPTANCE CRITERION k: PASS/FAIL` line through the
 hook in conftest.py.
 """
 
+import random
 import time
 
 import pytest
 
 from conftest import gate, gate_set, grid
 
-from qidopt.circuit import CircuitGrid, circuit_unitary, effective_depth, validate
+from qidopt.circuit import (
+    CircuitGrid,
+    asap_depth,
+    circuit_unitary,
+    effective_depth,
+    gate_list,
+    pack,
+    validate,
+)
 from qidopt.cli import EXIT_OK, main
 from qidopt.database import encode_circuit, load, save
 from qidopt.fingerprint import canonicalize, fingerprint
@@ -243,3 +252,70 @@ def test_criterion_10_qasm_round_trip(rng):
         c = CircuitGrid(n, tuple(layers[i] for i in picks))
         back = parse(emit(c))
         assert max_abs_diff(circuit_unitary(c), circuit_unitary(back)) <= 1e-12
+
+
+SELF_INVERSE = {"H", "X", "Z", "CX"}
+
+
+def cancel_adjacent(gates, n):
+    """A test-local cancellation pass: a self-inverse gate (h, x, z, cx)
+    cancels the gate right before it on each of its qubits when that is
+    the same gate on the same operands; what a cancellation uncovers may
+    cancel in turn."""
+    out, tops = [], [[] for _ in range(n)]  # kept gates; per qubit, its kept gates
+    for qs, g in gates:
+        below = {tops[x][-1] if tops[x] else None for x in qs}
+        if g.name in SELF_INVERSE and len(below) == 1 and None not in below:
+            (k,) = below
+            if out[k] == (qs, g):
+                out[k] = None
+                for x in qs:
+                    tops[x].pop()
+                continue
+        for x in qs:
+            tops[x].append(len(out))
+        out.append((qs, g))
+    return [gate for gate in out if gate is not None]
+
+
+def criterion_11_corpus(seed, n, tokens, count=40, size=(20, 40)):
+    """Seeded (n, gate list) pairs on n qubits; `cx` on any pair."""
+    rng = random.Random(f"criterion-11:{seed}")
+    gates = {t: gate(t.upper()) for t in tokens}
+    corpus = []
+    for _ in range(count):
+        gl = []
+        for _ in range(rng.randint(*size)):
+            if rng.random() < 0.3:
+                gl.append((tuple(rng.sample(range(n), 2)), gate("CX")))
+            else:
+                gl.append(((rng.randrange(n),), gates[rng.choice(tokens)]))
+        corpus.append((n, gl))
+    return corpus
+
+
+def test_criterion_11_beats_a_cancellation_pass(db_ihxzcx):
+    # generated identities beat simple ones: over seeded corpora, the
+    # optimizer's output has less total depth and fewer gates than the
+    # same circuits after a pass that cancels adjacent equal gates
+    phases = gate_set("I", "H", "X", "Z", "S", "T", "CX")
+    phase_db = build_database(GeneratorConfig(n=2, d=2, gate_set=phases))
+    runs = [
+        (db_ihxzcx, criterion_11_corpus(1, 4, "hxz")),
+        (phase_db, criterion_11_corpus(2, 3, "hxzst")),
+    ]
+    for db, corpus in runs:
+        totals = {"optimize": [0, 0], "cancel": [0, 0]}
+        for n, gates in corpus:
+            c = pack(gates, n)
+            out, report = optimize(c, db)
+            assert report.residual <= 1e-12
+            kept = cancel_adjacent(gates, n)
+            for name, depth, count in (
+                ("optimize", report.final_depth, len(gate_list(out))),
+                ("cancel", asap_depth(pack(kept, n)), len(kept)),
+            ):
+                totals[name][0] += depth
+                totals[name][1] += count
+        assert totals["optimize"][0] < totals["cancel"][0], totals
+        assert totals["optimize"][1] < totals["cancel"][1], totals

@@ -19,15 +19,23 @@ from qidopt.circuit import (
     circuit_unitary,
     effective_depth,
     gate_list,
+    gates_unitary,
     half,
     layer_unitary,
     pack,
     single,
-    unshared,
+    unshared_gates,
     validate,
 )
 from qidopt.database import encode_circuit
-from qidopt.gates import U1, AngleExpr, instantiate_param_gate, make_gate
+from qidopt.gates import (
+    BUILTIN_GATES,
+    U1,
+    AngleExpr,
+    GateSet,
+    instantiate_param_gate,
+    make_gate,
+)
 from qidopt.generator import GeneratorConfig, enumerate_circuits, enumerate_layers
 from qidopt.matrices import frobenius_diff, identity, is_unitary, max_abs_diff
 from qidopt.optimizer import check_residual, optimize
@@ -180,6 +188,53 @@ class TestLayerUnitary:
         bad = (grid("CX:C:1,CX:T:0").layers[0][0], single(gate("I")))
         with pytest.raises(StructuralError, match="unpaired"):
             layer_unitary(bad, 2)
+
+    @pytest.mark.parametrize("n, count", [(2, 91), (3, 999), (4, 11721)])
+    def test_bitwise_equal_to_the_cell_walk(self, n, count):
+        # every layer of the 14 builtin gates, the layers every database
+        # build multiplies: its bytes depend on these unitaries bit for bit
+        layers = enumerate_layers(n, GateSet(list(BUILTIN_GATES.values())))
+        assert len(layers) == count
+        for layer in layers:
+            assert np.array_equal(layer_unitary(layer, n), cell_walk_layer_unitary(layer, n))
+
+    def test_swapped_operands_made_once(self):
+        for g in BUILTIN_GATES.values():
+            if g.arity == 1:
+                assert g.swapped is None
+                continue
+            assert np.array_equal(g.swapped, g.matrix[np.ix_(SWAP_OPERANDS, SWAP_OPERANDS)])
+            assert not g.swapped.flags.writeable
+
+
+SWAP_OPERANDS = [0, 2, 1, 3]  # |ab> <-> |ba> in the 4x4 basis
+
+
+def cell_walk_layer_unitary(layer, n):
+    """The layer unitary as it was made before the gate kernel folded the
+    gate list: each cell in qubit order, a pair at its first operand, a
+    reversed neighbour pair through an `np.ix_` gather and any other pair
+    through `tensordot` and `moveaxis`."""
+    dim = 1 << n
+    u = identity(dim)
+    for q, cell in enumerate(layer):
+        g = cell.gate.matrix
+        if cell.is_single:
+            if not cell.gate.exact_identity:
+                u = np.matmul(g, u.reshape(1 << q, 2, -1))
+            continue
+        p = cell.partner
+        if cell.role != FIRST:
+            continue
+        if abs(p - q) == 1:
+            if p < q:
+                g = g[np.ix_(SWAP_OPERANDS, SWAP_OPERANDS)]
+            u = np.matmul(g, u.reshape(1 << min(p, q), 4, -1))
+        else:
+            t = u.reshape((2,) * n + (dim,))
+            t = np.tensordot(g.reshape(2, 2, 2, 2), t, axes=([2, 3], [q, p]))
+            u = np.moveaxis(t, (0, 1), (q, p))
+    return u.reshape(dim, dim)
 
 
 class TestCircuitUnitary:
@@ -380,17 +435,21 @@ def assert_check_bounds(a, b):
     return residual, k
 
 
+def unshared(a, b):
+    """The remainders of `unshared_gates`, packed as grids."""
+    ga, gb, k = unshared_gates(a, b)
+    return pack(ga, k), pack(gb, k)
+
+
 def full_walk_unshared(a, b):
-    """`unshared` as it was before it skipped the shared leading layers:
-    both whole gate lists trimmed at the front, then at the back."""
+    """`unshared_gates` as it was before it skipped the shared leading
+    layers: both whole gate lists trimmed at the front, then at the back."""
     ga, gb = _trim_front(gate_list(a), gate_list(b), a.n)
     ga, gb = _trim_front(ga[::-1], gb[::-1], a.n)
     touched = sorted({x for qs, _ in ga + gb for x in qs})
     index = {x: i for i, x in enumerate(touched)}
-    return tuple(
-        pack([(tuple(index[x] for x in qs), g) for qs, g in reversed(gs)], len(touched))
-        for gs in (ga, gb)
-    )
+    ga, gb = ([(tuple(index[x] for x in qs), g) for qs, g in reversed(gs)] for gs in (ga, gb))
+    return ga, gb, len(touched)
 
 
 @st.composite
@@ -485,14 +544,11 @@ class TestUnshared:
     @settings(max_examples=300, deadline=None)
     def test_shared_leading_layers_skipped_exactly(self, pair):
         a, b = pair
-        got, want = unshared(a, b), full_walk_unshared(a, b)
-        assert [encode_circuit(r) for r in got] == [encode_circuit(r) for r in want]
+        ga, gb, k = full_walk_unshared(a, b)
+        assert unshared_gates(a, b) == (ga, gb, k)
         # k and the residual, bit for bit
-        if want[0].n:
-            residual = frobenius_diff(circuit_unitary(want[0]), circuit_unitary(want[1]))
-        else:
-            residual = 0.0
-        assert check_residual(a, b) == (residual, want[0].n)
+        residual = frobenius_diff(gates_unitary(ga, k), gates_unitary(gb, k)) if k else 0.0
+        assert check_residual(a, b) == (residual, k)
 
     def test_shared_layer_is_not_walked(self):
         # a layer both grids hold as one object is skipped before any gate

@@ -178,8 +178,8 @@ class TestOptimize:
         assert rc == EXIT_OK
         vals = keyvals(capsys)
         assert list(vals) == [
-            "out", "initial_depth", "final_depth", "substitutions",
-            "iterations", "collisions_skipped", "residual", "check_s",
+            "out", "initial_depth", "final_depth", "substitutions", "cancels",
+            "merges", "iterations", "collisions_skipped", "residual", "check_s",
         ]
         assert float(vals["check_s"]) > 0
 

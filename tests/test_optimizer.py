@@ -18,23 +18,35 @@ from qidopt.cli import parse_gate_set
 from qidopt.circuit import (
     CircuitGrid,
     StructuralError,
+    asap_depth,
     cell_is_identity,
     circuit_unitary,
     effective_depth,
     gate_list,
+    gates_unitary,
     half,
     layer_is_identity,
     pack,
     single,
     validate,
 )
-from qidopt.database import IdentityDatabase, dumps, encode_circuit, loads
+from qidopt.database import (
+    BLOCK,
+    CANCEL,
+    COMMUTE,
+    MERGE,
+    IdentityDatabase,
+    dumps,
+    encode_circuit,
+    loads,
+)
 from qidopt.fingerprint import Fingerprint, fingerprint
 from qidopt.gates import GateSet, make_gate
 from qidopt.generator import GeneratorConfig, build_database, enumerate_layers
-from qidopt.matrices import max_abs_diff
+from qidopt.matrices import identity, max_abs_diff
 from qidopt.optimizer import (
     AppliedSubstitution,
+    OptimizeReport,
     Tile,
     TileClass,
     TileSpec,
@@ -43,6 +55,7 @@ from qidopt.optimizer import (
     _padded,
     _Slices,
     _window,
+    apply_rules,
     apply_substitution,
     classify_tile,
     extract_tiles,
@@ -520,14 +533,15 @@ class TestOptimize:
         assert (report.check_qubits, report.residual) == (0, 0.0)
 
     def test_check_runs_on_unshared_qubits(self, db_ihxzcx):
-        # H·H on qubit 0 cancels; the gates on the other 8 qubits are shared
+        # H·X·H on qubit 0 is Z, which no pair rule finds and a sweep does;
+        # the gates on qubits 2 to 8 are shared
         c = CircuitGrid.from_lists(9, [
             grid("H,X,Z,H,X,Z,H,X,Z").layers[0],
-            grid("H,I,I,I,CX:C:5,CX:T:4,I,I,I").layers[0],
-            grid("I,Z,X,H,I,I,Z,H,X").layers[0],
+            grid("X,I,I,I,CX:C:5,CX:T:4,I,I,I").layers[0],
+            grid("H,Z,X,Z,I,I,Z,H,X").layers[0],
         ])
         out, report = optimize(c, db_ihxzcx)
-        assert report.substitutions
+        assert report.substitutions and (report.cancels, report.merges) == (0, 0)
         assert 0 < report.check_qubits < 9
         assert report.residual <= 1e-12
 
@@ -611,7 +625,9 @@ class TestOptimize:
 
     def test_collision_guard_skips_poisoned_bucket(self, db_ihxzcx):
         db = poisoned_xx(db_ihxzcx)
-        c = grid("H,H", "H,H", "X,X")
+        # H·Z·H is X on each qubit: no pair rule applies, so the sweep
+        # meets the X⊗X bucket
+        c = grid("H,H", "Z,Z", "H,H")
         out, report = optimize(c, db)
         assert report.collisions_skipped >= 1
         assert max_abs_diff(circuit_unitary(c), circuit_unitary(out)) <= 1e-6
@@ -684,7 +700,7 @@ def test_optimize_output_pinned(db_ihxzcx):
         facts = (report.iterations, subs, report.collisions_skipped, report.final_depth)
         digest.update(emit(out).encode())
         digest.update(repr(facts).encode())
-    assert digest.hexdigest() == "8c1be4844aa49b8738971108d846a83f"
+    assert digest.hexdigest() == "07e04666a05d5947350907090e837408"
 
 
 def test_check_pinned(db_ihxzcx):
@@ -695,7 +711,7 @@ def test_check_pinned(db_ihxzcx):
         _, report = optimize(parse(text), db_ihxzcx)
         facts = (report.residual.hex(), report.check_qubits, report.final_depth)
         digest.update(repr(facts).encode())
-    assert digest.hexdigest() == "eaefde463482c14de21d854822d1dc96"
+    assert digest.hexdigest() == "208bfe53500233886f1b96c6758312c3"
 
 
 # ── incremental sweeps: the span accept rule and the failed-window memo ──
@@ -832,15 +848,16 @@ class TestIncrementalSweep:
         db = poisoned_xx(db_ihxzcx)
         # the window on qubits 1-2 of the first three layers is X⊗X behind a
         # cut half: the poison is skipped as a collision, and both honest
-        # candidates raise the encoding, so the window fails; the H·H on
-        # qubit 3 is cancelled after it, so a second sweep meets it again
+        # candidates raise the encoding, so the window fails; the H·X·H on
+        # qubit 3, which no pair rule rewrites, is spliced after it, so a
+        # second sweep meets it again
         c = grid(
             "H,I,I,H",
             "Z,X,I,Z",
             "CX:C:1,CX:T:0,X,X",
             "T,T,T,T",
             "H,Z,X,H",
-            "I,I,I,H",
+            "I,I,I,X",
             "I,I,I,H",
         )
         report = assert_same_as_reference(monkeypatch, c, db)
@@ -877,7 +894,7 @@ class TestIncrementalSweep:
     def test_windows_reused_counts_memo_hits(self, db_ihxzcx):
         _, one = optimize(grid("H,X", "CX:C:1,CX:T:0"), db_ihxzcx)
         assert one.iterations == 1 and one.windows_reused == 0
-        c = grid("H,I,I,H", "Z,X,I,Z", "X,T,X,X", "T,T,T,T", "H,Z,X,H", "I,I,I,H", "I,I,I,H")
+        c = grid("H,I,I,H", "Z,X,I,Z", "X,T,X,X", "T,T,T,T", "H,Z,X,H", "I,I,I,X", "I,I,I,H")
         _, many = optimize(c, db_ihxzcx)
         assert many.iterations > 1 and many.windows_reused > 0
 
@@ -996,10 +1013,9 @@ def far_gates(c):
 
 class TestNeighbourRule:
     def test_neighbours_only_database_pinned(self, rank_dbs):
-        # the digest that `optimize` gave for the full n3d2 database when it
-        # filtered candidates by adjacency itself: the neighbours-only
-        # database, whose buckets are the full ones without those members,
-        # yields the same outputs and reports
+        # the outputs and reports of `optimize` over the neighbours-only
+        # database, whose buckets are the full n3d2 ones without the
+        # members that hold a non-adjacent pair, pinned
         inputs = far_corpus()
 
         def run(db):
@@ -1018,7 +1034,7 @@ class TestNeighbourRule:
             return digest.hexdigest(), outs
 
         near, near_outs = run(rank_dbs["n3d2-near"])
-        assert near == "1583fce2c92bc2afa7ee9cee23419fdd"
+        assert near == "6a4955c4055512afd0439ef90ce073d7"
         # the full database's members with non-adjacent pairs rewrite some
         # of these circuits otherwise, so the corpus tells the two apart
         _, full_outs = run(rank_dbs["n3d2"])
@@ -1063,8 +1079,11 @@ class TestDatabaseShape:
 
     def test_short_window_with_cut_in_last_layer(self, db_ihxzcx):
         # the 2×2 window on qubits 0-1 is X·X behind the half of a CX whose
-        # other half is on qubit 2, in the window's last layer
-        c = grid("X,I,I", "X,CX:C:2,CX:T:1")
+        # other half is on qubit 2, in the window's last layer; this X is no
+        # gate of the database, so no pair rule cancels the two
+        x = single(make_gate("Xs", gate("X").matrix))
+        first, second = grid("X,I,I", "X,CX:C:2,CX:T:1").layers
+        c = CircuitGrid(3, ((x, *first[1:]), (x, *second[1:])))
         norm = normalize_cut_tile(window(c, TileSpec(2, 2), 0, 0))
         assert [(li, q) for li, q, _ in norm.cut_positions] == [(1, 1)]
         ordered = _candidate_order(norm, lookup(norm, db_ihxzcx), db_ihxzcx)
@@ -1198,7 +1217,7 @@ class TestCheckedOnce:
 
     def test_bucket_poisoned_after_ranking_is_checked_again(self, monkeypatch):
         db = build_database(GeneratorConfig(n=2, d=3, gate_set=gate_set(*IHXZCX)))
-        c = grid("H,H", "H,H", "X,X")
+        c = grid("H,H", "Z,Z", "H,H")  # X⊗X, which no pair rule finds
         _, first = optimize(c, db)
         xx = db.by_circuit["X,X|I,I|I,I"]
         assert first.collisions_skipped == first.trials_checked == 0 and db.sound(xx)
@@ -1239,8 +1258,9 @@ class TestCheckedOnce:
             assert calls["members"] == 0
             assert (r.unitary_lookups, r.filtered_misses) == (calls["by unitary"], calls["misses"])
             # every bucket is sound, so only windows found through their
-            # unitary check their candidates; the final check takes two
-            assert calls["unitaries"] == r.unitary_lookups + r.trials_checked + 2 * (r.check_qubits > 0)
+            # unitary check their candidates; the final check evaluates gate
+            # lists (`gates_unitary`), not grids
+            assert calls["unitaries"] == r.unitary_lookups + r.trials_checked
             totals.update(lookups=r.unitary_lookups, misses=r.filtered_misses,
                           trials=r.trials_checked)
         assert totals["lookups"] > totals["misses"] > 0
@@ -1283,5 +1303,126 @@ class TestCheckedOnce:
         text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n' + body + "\n"
         out, report = optimize(parse(text), db)
         assert (report.unitary_lookups, report.trials_checked) == (0, 0)
-        assert report.final_depth == 2 and len(report.substitutions) == 2
+        # the pair rules merge u1(pi/2)·u1(pi/2) and cancel u1(pi/4)·u1(-pi/4)
+        assert report.final_depth == 2 and (report.cancels, report.merges) == (1, 1)
         assert emit(out).endswith("qreg q[2];\nu1(pi) q[0];\ncx q[0],q[1];\n")
+        # no rule rewrites these, so the sweeps read windows of parsed gates
+        body = "u1(pi/2) q[0]; cx q[0],q[1]; u1(pi/4) q[1];"
+        text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n' + body + "\n"
+        out, report = optimize(parse(text), db)
+        assert (report.cancels, report.merges, report.iterations) == (0, 0, 1)
+        assert (report.unitary_lookups, report.trials_checked) == (0, 0)
+
+
+# ── rules from the database: the pair table and the rules pass ──
+
+RULE_GATES = ("I", "H", "X", "Z", "S", "T", "CX")
+
+
+@pytest.fixture(scope="module")
+def rule_db():
+    """n=2, d=2 over {I,H,X,Z,S,T,CX}: T·T is S, S·S is Z, and T commutes
+    with the first operand of CX."""
+    return build_database(GeneratorConfig(n=2, d=2, gate_set=gate_set(*RULE_GATES)))
+
+
+def placed(g, qs):
+    """The 2-qubit unitary of g on qs."""
+    return gates_unitary([(qs, g)], 2)
+
+
+def same(u, v):
+    return max_abs_diff(u, v) <= 1e-9
+
+
+# Z on the first operand, then CZ: one two-qubit gate, on more qubits than Z
+ZCZ = make_gate("ZCZ", np.diag([1, 1, -1, 1]))
+
+
+@pytest.fixture(scope="module")
+def wide_merge_db():
+    gates = GateSet([gate("I"), gate("Z"), gate("H"), gate("CZ"), ZCZ])
+    return build_database(GeneratorConfig(n=2, d=2, gate_set=gates))
+
+
+class TestPairRules:
+    @pytest.mark.parametrize(
+        "db_name, want_kinds",
+        [
+            # H·H, X·X, Z·Z and CX·CX cancel; S·S and T·T merge
+            ("rule_db", {CANCEL: 8, MERGE: 4, COMMUTE: 28, BLOCK: 54}),
+            # Z·CZ is ZCZ, which holds a qubit Z does not: no merge
+            ("wide_merge_db", {CANCEL: 10, MERGE: 14, COMMUTE: 12, BLOCK: 20}),
+        ],
+    )
+    def test_every_entry_matches_dense_two_gate_unitaries(self, request, db_name, want_kinds):
+        # brute force: each pair of placed gates sharing a qubit, against
+        # the dense unitaries of both orders and of every one-gate circuit
+        db = request.getfixturevalue(db_name)
+        placements = {1: [(0,), (1,)], 2: [(0, 1), (1, 0)]}
+        gates = db.meta.gate_set.gates[1:]
+        one_gate = [(qs, g) for g in gates for qs in placements[g.arity]]
+        kinds = Counter()
+        for qa, a in one_gate:
+            for qb, b in one_gate:
+                if not set(qa) & set(qb):
+                    continue
+                ab, ba = placed(b, qb) @ placed(a, qa), placed(a, qa) @ placed(b, qb)
+                merged = [
+                    (qs, g) for qs, g in one_gate if set(qs) <= set(qa) and same(placed(g, qs), ab)
+                ]
+                if same(ab, identity(4)):
+                    want = CANCEL
+                elif merged:
+                    want = MERGE
+                elif same(ab, ba):
+                    want = COMMUTE
+                else:
+                    want = BLOCK
+                rule = db.pair_rule(a.name, qa, b.name, qb)
+                assert rule.kind == want, (a.name, qa, b.name, qb)
+                assert (rule.merged in merged) if want == MERGE else rule.merged is None
+                kinds[want] += 1
+        assert kinds == want_kinds
+
+    def test_pairs_over_more_than_n_qubits_block(self, rule_db):
+        # CX(0,1) then CX(0,2) commute, but not on the database's 2 qubits
+        gates = [((0, 1), gate("CX")), ((0, 2), gate("CX")), ((0, 1), gate("CX"))]
+        report = OptimizeReport(0, 0)
+        assert apply_rules(gates, 3, rule_db, report) == gates
+        # on 2 qubits, T passes the control of CX and merges with T
+        gates = [((0,), gate("T")), ((0, 1), gate("CX")), ((0,), gate("T"))]
+        assert apply_rules(gates, 2, rule_db, report) == [((0,), gate("S")), ((0, 1), gate("CX"))]
+        assert (report.cancels, report.merges, report.commutes) == (0, 1, 1)
+
+    @pytest.mark.parametrize(
+        "other",
+        [make_gate("Hs", gate("H").matrix), make_gate("H", gate("X").matrix)],
+        ids=["other-name", "other-matrix"],
+    )
+    def test_gate_not_the_databases_own_blocks(self, rule_db, other):
+        gates = [((0,), gate("H")), ((0,), other)]
+        assert apply_rules(gates, 1, rule_db, OptimizeReport(0, 0)) == gates
+        # a gate of the same name and a bitwise-equal matrix is the database's
+        same_h = make_gate("H", gate("H").matrix)
+        gates = [((0,), gate("H")), ((0,), same_h)]
+        assert apply_rules(gates, 1, rule_db, OptimizeReport(0, 0)) == []
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_pass_never_worsens_and_keeps_the_unitary(self, rule_db, data):
+        n = data.draw(st.integers(1, 4), label="qubits")
+        # Y is no gate of the database, so it blocks every rule
+        one = st.builds(
+            lambda name, q: ((q,), gate(name)), st.sampled_from("HXZSTY"), st.integers(0, n - 1)
+        )
+        cx = st.permutations(range(n)).map(lambda p: ((p[0], p[1]), gate("CX")))
+        gates = data.draw(st.lists(st.one_of(one, one, cx) if n > 1 else one, max_size=30))
+        report = OptimizeReport(0, 0)
+        out = apply_rules(gates, n, rule_db, report)
+        assert len(out) == len(gates) - 2 * report.cancels - report.merges
+        assert asap_depth(pack(out, n)) <= asap_depth(pack(gates, n))
+        assert max_abs_diff(gates_unitary(out, n), gates_unitary(gates, n)) <= 1e-12
+        # one walk reaches the rules' fixpoint, listed in order or by layer
+        for again in (out, gate_list(pack(out, n))):
+            assert apply_rules(again, n, rule_db, report) == again

@@ -22,7 +22,16 @@ from qidopt.database import encode_circuit
 from qidopt.gates import BUILTIN_GATES, U1, U2, U3, AngleExpr, GateSet, instantiate_param_gate
 from qidopt.generator import enumerate_layers
 from qidopt.matrices import max_abs_diff
-from qidopt.qasm import QasmError, emit, parse, parse_angle
+from qidopt.qasm import (
+    _DELIMITER,
+    _NON_SPACE,
+    QasmError,
+    _error,
+    _statements,
+    emit,
+    parse,
+    parse_angle,
+)
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -329,6 +338,45 @@ class TestDiagnosticTable:
             line,
             column,
         )
+
+
+def delimiter_statements(src):
+    """`_statements` as a walk over every delimiter, braces counted, kept as
+    the reference for texts with no brace, which are cut at each ';'."""
+    depth = 0
+    start = _NON_SPACE.search(src)
+    for d in _DELIMITER.finditer(src):
+        if d[0] == "{":
+            depth += 1
+            continue
+        if d[0] == "}":
+            if depth == 0:
+                raise _error(src, "unmatched '}'", d.start())
+            depth -= 1
+        if depth == 0:
+            end = d.end() if d[0] == "}" else d.start()
+            yield src[start.start() : end].rstrip(), start.start()
+            start = _NON_SPACE.search(src, d.end())
+    if start is not None:
+        at = start.start()
+        raise _error(src, f"statement missing ';': {src[at:].rstrip()[:40]!r}", at)
+
+
+def statements_or_error(split, src):
+    try:
+        return list(split(src))
+    except QasmError as e:
+        return str(e)
+
+
+class TestStatements:
+    PIECES = [";", " ", "\n", "\t", "\x1c", "h q[0]", "x", "{", "}"]
+
+    @given(st.lists(st.sampled_from(PIECES), max_size=14))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_delimiter_walk(self, pieces):
+        src = "".join(pieces)
+        assert statements_or_error(_statements, src) == statements_or_error(delimiter_statements, src)
 
 
 class TestEmit:
