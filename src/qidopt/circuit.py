@@ -32,18 +32,13 @@ owned here: `gate_list` is the one walk from a grid to its gates, and
 `pack` the one ASAP packer back to a grid (each gate in the earliest
 layer where its qubits are free). `qasm.parse` packs the gates it reads,
 `qasm.emit` writes the gate list, and `asap_depth` and `unshared_gates`
-fold over it. `asap_depth` keeps only a per-qubit frontier, the layers
+take one. `asap_depth` keeps only a per-qubit frontier, the layers
 that qubit's gates fill once packed, and builds no grid.
 
-Two circuits are compared on their unshared span (`unshared_gates`): the
-gates both begin or both end with are removed first, and the dense check
-runs on the k qubits the rest touches, at O(gates·4^k). The leading layers the
-two grids hold as the same objects are skipped before any gate is listed:
-their gates are the ones the front trim would remove first, each matched
-to itself, so the remainders are unchanged and the check costs from the
-first layer that differs. Shared trailing layers are still walked: the
-front trim may reach into them, and without them the back trim could
-match other gates and leave another remainder.
+Two circuits are compared on their unshared span (`unshared_gates`), from
+their gate lists: the gates both begin or both end with are removed
+first, and the dense check runs on the k qubits the rest touches, at
+O(gates·4^k).
 
 The layers over a gate set are enumerated here (`enumerate_layers`), in
 lexicographic order: qubit index major, gate declaration order, and per
@@ -368,11 +363,12 @@ def _trim_front(a: list[Gate], b: list[Gate], n: int) -> tuple[list[Gate], list[
 
 
 def unshared_gates(
-    a: CircuitGrid, b: CircuitGrid, gates_a: list[Gate] | None = None
+    ga: list[Gate], gb: list[Gate], n: int
 ) -> tuple[list[Gate], list[Gate], int]:
-    """(ga, gb, k): the gates of a and b that remain once the gates both
-    begin with and the gates both end with are removed, in order, over the
-    k qubits they touch (renumbered in order; k = 0 when nothing remains).
+    """(ra, rb, k): the gates of the lists ga and gb over n qubits that
+    remain once the gates both begin with and the gates both end with are
+    removed, in order, over the k qubits they touch (renumbered in order;
+    k = 0 when nothing remains).
 
     Gates on disjoint qubits commute exactly, so with A and B the
     remainders' k-qubit unitaries, U(a) − U(b) = S·((A − B) ⊗ I)·P for
@@ -380,29 +376,11 @@ def unshared_gates(
     max|U(a) − U(b)| ≤ ‖A − B‖₂ ≤ ‖A − B‖_F. A gate is removed only with a
     gate of exactly equal matrix; one that is merely close to its partner
     or to the identity stays.
-
-    The leading layers a and b hold as the same objects (`a.layers[p] is
-    b.layers[p]`) are not walked: the front trim would remove each of
-    their gates against itself. An unpaired half in such a layer therefore
-    goes unseen here. `gates_a`, when given, is `gate_list(a)`, which a
-    caller that already made it passes so that it is not made again; it
-    stands for a's gates when a and b share no leading layer. Raises
-    ValueError when the qubit counts differ and StructuralError on an
-    unpaired half in a layer that is walked.
     """
-    if a.n != b.n:
-        raise ValueError(f"qubit counts differ ({a.n} vs {b.n})")
-    s = 0
-    for la, lb in zip(a.layers, b.layers):
-        if la is not lb:
-            break
-        s += 1
-    ga = gates_a if not s and gates_a is not None else gate_list(CircuitGrid(a.n, a.layers[s:]))
-    gb = gate_list(CircuitGrid(b.n, b.layers[s:]))
-    ga, gb = _trim_front(ga, gb, a.n)
-    ga, gb = _trim_front(ga[::-1], gb[::-1], a.n)
+    ga, gb = _trim_front(ga, gb, n)
+    ga, gb = _trim_front(ga[::-1], gb[::-1], n)
     touched = sorted({x for qs, _ in ga + gb for x in qs})
-    if len(touched) < a.n:
+    if len(touched) < n:
         at = {x: i for i, x in enumerate(touched)}.__getitem__
         ga, gb = ([(tuple(map(at, qs)), g) for qs, g in gs] for gs in (ga, gb))
     return ga[::-1], gb[::-1], len(touched)
@@ -424,14 +402,13 @@ def effective_depth(c: CircuitGrid) -> int:
     return sum(1 for layer in c.layers if not layer_is_identity(layer))
 
 
-def asap_depth(c: CircuitGrid) -> int:
-    """Depth once every non-Identity gate is moved to the earliest layer
-    where its qubits are free: the effective depth of `qasm.parse(qasm.emit(c))`.
-    Never more than effective_depth(c). Folds a per-qubit frontier over
-    `gate_list`, so it walks every layer and raises StructuralError on an
-    unpaired half."""
-    frontier = [0] * c.n  # per qubit, the layers its gates fill
-    for qs, g in gate_list(c):
+def asap_depth(gates: list[Gate], n: int) -> int:
+    """Depth of a gate list over n qubits once every non-Identity gate is
+    in the earliest layer where its qubits are free: for the list of a
+    grid c, the effective depth of `qasm.parse(qasm.emit(c))`, never more
+    than effective_depth(c). Folds a per-qubit frontier over the list."""
+    frontier = [0] * n  # per qubit, the layers its gates fill
+    for qs, g in gates:
         if g.is_identity:
             continue
         if len(qs) == 1:

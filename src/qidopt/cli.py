@@ -4,20 +4,24 @@ counting, and database inspection.
 stdout carries machine-parsable `key: value` lines; human-oriented notes go
 to stderr. Exit codes: 0 success, 1 verify mismatch, 2 bad configuration or
 input, 3 resource guard, 4 post-optimization residual over tolerance.
-`optimize` and `verify` share one residual (`optimizer.check_residual`):
-the Frobenius norm of the difference of the two circuits' unitaries on
-the gates they do not share, an upper bound on their max-abs difference.
+`optimize` and `verify` share one residual (`optimizer.check_residual`),
+computed from the two circuits' gate lists: the Frobenius norm of the
+difference of their unitaries on the gates they do not share, an upper
+bound on their max-abs difference. `count` refuses a total with more
+digits than Python prints (`_count_digits`) before computing it.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import os
 import sys
 import time
 from fractions import Fraction
 
 from . import database, generator, optimizer, qasm
+from .circuit import gate_list
 from .gates import (
     BUILTIN_GATES,
     CX,
@@ -200,17 +204,33 @@ def cmd_verify(args) -> int:
         except (OSError, ValueError) as e:
             _note(f"error: {path}: {e}")
             return EXIT_CONFIG
-    if grids[0].n != grids[1].n:
-        _note(f"error: qubit counts differ ({grids[0].n} vs {grids[1].n})")
+    a, b = grids
+    if a.n != b.n:
+        _note(f"error: qubit counts differ ({a.n} vs {b.n})")
         return EXIT_CONFIG
-    residual, _ = optimizer.check_residual(grids[0], grids[1])
+    residual, _ = optimizer.check_residual(gate_list(a), gate_list(b), a.n)
     _out("residual", f"{residual:.3e}")
     _out("equal", "true" if residual <= args.tolerance else "false")
     return EXIT_OK if residual <= args.tolerance else EXIT_VERIFY_FAILED
 
 
+def _count_digits(base: int, exp: int) -> int:
+    """The decimal digits of base**exp, without computing it: exact, from
+    a logarithm carried to more places than exp has digits."""
+    if base < 2 or exp < 1:
+        return 1
+    with decimal.localcontext() as ctx:
+        ctx.prec = len(str(exp)) + 30
+        return int(decimal.Decimal(base).log10() * exp) + 1
+
+
 def cmd_count(args) -> int:
     per_layer = generator.scaling_count(args.qubits, 1, args.g, args.t)
+    # Python refuses to print an int past this many digits (0: no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    digits = _count_digits(per_layer, args.depth)
+    if digits > limit:
+        raise ValueError(f"total_circuits would have {digits} digits; at most {limit} can be printed")
     total = generator.scaling_count(args.qubits, args.depth, args.g, args.t)
     _out("layer_circuits", per_layer)
     _out("total_circuits", total)

@@ -94,24 +94,19 @@ form filter is verified and the rounded unitary's row hash is no bucket
 representative's, the lookup is a miss and no fingerprint is computed
 (`IdentityDatabase.may_hold`); otherwise the fingerprint picks the bucket.
 
-The reported final depth is the depth of the emitted circuit, which
-packs each gate into the earliest free layer (`asap_depth`, a per-qubit
-frontier folded over the whole output, which also finds an unpaired half
-no splice touched); the returned grid keeps the layers the splices left.
+The output's gate list is made once, after the sweeps; it raises
+StructuralError on an unpaired half no splice touched. The reported final
+depth is the depth of the emitted circuit, which packs each gate into the
+earliest free layer (`asap_depth` of that list); the returned grid keeps
+the layers the splices left.
 
 The result is checked against the parsed input once, after the sweeps,
 by `check_residual`, densely: the rules pass is not taken on trust, and
-the residual covers it as it covers the splices. The dense comparison
-runs only on the gates the two circuits do not share
-(`circuit.unshared_gates`), evaluated straight from their gate lists
-(`circuit.gates_unitary`); the input's gate list is made once, for the
-pass and the check. When the pass rewrote nothing, the output holds the
-input's own layer objects, at their own positions, up to the first
-splice or dropped all-Identity layer (`optimize` passes the layers
-through and `apply_substitution` reuses every layer outside its span),
-and those shared leading layers are skipped unwalked, so the check costs
-from the first changed layer on. The shared trailing layers are walked:
-skipping them too would change which gates the back trim matches.
+the residual covers it as it covers the splices. The check compares the
+input's gate list, made once for the pass and the check, with the
+output's: the gates both begin or both end with are removed
+(`circuit.unshared_gates`), and the rest is evaluated straight from the
+two remainders (`circuit.gates_unitary`).
 """
 
 from __future__ import annotations
@@ -147,7 +142,6 @@ from .database import (
     COMMUTE,
     MERGE,
     IdentityDatabase,
-    PairRule,
     RankRow,
     encode_circuit,
 )
@@ -320,20 +314,16 @@ def _candidate_order(
 ) -> list[tuple[int, str]]:
     """Admissible candidates as (cost, encoding), cheapest first.
 
-    `rows` are rank rows (see `IdentityDatabase.rank`), already sorted. A
-    candidate must hold Identity on every slot `_blocked` marks and beat
-    the tile's own cost (effective depth) strictly. Ties break on fewer
-    non-Identity cells, then lexicographic encoding. Which qubit pairs a
-    candidate may hold is the database's rule alone: its members are the
-    circuits its layers were enumerated from (`circuit.enumerate_layers`).
+    `rows` are rank rows (see `IdentityDatabase.rank`), already sorted, and
+    each caller has cut them to those shallower than the tile (`lookup`,
+    `_sweep`). A candidate must hold Identity on every slot `_blocked`
+    marks. Ties break on fewer non-Identity cells, then lexicographic
+    encoding. Which qubit pairs a candidate may hold is the database's rule
+    alone: its members are the circuits its layers were enumerated from
+    (`circuit.enumerate_layers`).
     """
-    tile_cost = effective_depth(t.sub)
     blocked = _blocked(t, db.meta.n)
-    return [
-        (row.depth, row.enc)
-        for row in rows
-        if row.depth < tile_cost and not row.occupied & blocked
-    ]
+    return [(row.depth, row.enc) for row in rows if not row.occupied & blocked]
 
 
 def apply_substitution(
@@ -463,9 +453,10 @@ def optimize(
         # the splices may have set up pairs the rules rewrite
         cur = _rules(cur, gate_list(cur), db, report)
 
-    report.final_depth = asap_depth(cur)
+    out = gate_list(cur)
+    report.final_depth = asap_depth(out, c.n)
     start = time.perf_counter()
-    report.residual, report.check_qubits = check_residual(c, cur, gates)
+    report.residual, report.check_qubits = check_residual(gates, out, c.n)
     report.check_s = time.perf_counter() - start
     return cur, report
 
@@ -475,9 +466,9 @@ def _rules(
 ) -> CircuitGrid:
     """c with the pair rules applied, for `gates` the gate list of c, which
     holds no all-Identity layer. A pass that rewrites nothing leaves c as
-    it is, so the check skips its leading layers where they are the
-    input's own; otherwise the gates are packed (`circuit.pack`) and
-    all-Identity layers dropped."""
+    it is, its layers still the ones the sweeps' memo has seen; otherwise
+    the gates are packed (`circuit.pack`) and all-Identity layers
+    dropped."""
     start = time.perf_counter()
     before = report.cancels + report.merges
     ruled = apply_rules(gates, c.n, db, report)
@@ -488,15 +479,12 @@ def _rules(
     return c
 
 
-def check_residual(
-    a: CircuitGrid, b: CircuitGrid, gates_a: list[Gate] | None = None
-) -> tuple[float, int]:
+def check_residual(ga: list[Gate], gb: list[Gate], n: int) -> tuple[float, int]:
     """(‖A − B‖_F, k) for A and B the unitaries of the remainders of
-    `unshared_gates(a, b)` on their k qubits: 0.0 exactly when a and b
-    agree gate for gate, and at least max|U(a) − U(b)| always. `gates_a`,
-    when given, is `gate_list(a)`, already made. Raises ValueError when
-    the qubit counts differ."""
-    ra, rb, k = unshared_gates(a, b, gates_a)
+    `unshared_gates(ga, gb, n)` on their k qubits, for ga and gb the gate
+    lists of two circuits a and b over n qubits: 0.0 exactly when a and b
+    agree gate for gate, and at least max|U(a) − U(b)| always."""
+    ra, rb, k = unshared_gates(ga, gb, n)
     if k == 0:
         return 0.0, 0
     return frobenius_diff(gates_unitary(ra, k), gates_unitary(rb, k)), k
@@ -546,8 +534,6 @@ class _Rules:
         self.reach: list[int] = []
         self.wires: list[list[int]] = [[] for _ in range(n)]
         self.names: dict[GateDef, str | None] = {}
-        # the rules of two single-qubit gates on one qubit, by their names
-        self.on_one_qubit: dict[tuple[str, str], PairRule] = {}
 
     def place(self, gates: list[Gate]) -> None:
         """Place the gates in order; after each, scan again, earliest
@@ -586,11 +572,10 @@ class _Rules:
         and return both slots with the qubits their gates held; else record
         how far back it reached and return nothing."""
         out, own, wires = self.out, self.own, self.wires
-        on_one_qubit, pair_rule = self.on_one_qubit, self.pair_rule
+        pair_rule = self.pair_rule
         qs, name = out[j][0], own[j]
         passed = 0
-        one = len(qs) == 1
-        if one:
+        if len(qs) == 1:
             w = wires[qs[0]]
             if w[-1] == j:
                 earlier = reversed(w)
@@ -606,16 +591,10 @@ class _Rules:
             if other is None:
                 break
             qk = out[k][0]
-            if one and len(qk) == 1:
-                rel = _SAME_QUBIT
-                rule = on_one_qubit.get((other, name))
-                if rule is None:
-                    rule = on_one_qubit[other, name] = pair_rule(other, (0,), name, (0,))
-            else:
-                rel = _relative(qk, qs, self.width)
-                if rel is None:
-                    break
-                rule = pair_rule(other, rel[0], name, rel[1])
+            rel = _relative(qk, qs, self.width)
+            if rel is None:
+                break
+            rule = pair_rule(other, rel[0], name, rel[1])
             if rule.kind == COMMUTE:
                 passed += 1
                 continue
@@ -662,15 +641,12 @@ def _latest_first(a: list[int], b: list[int], below: int):
             j -= 1
 
 
-_SAME_QUBIT = ((0,), (0,))
-
-
 def _relative(qa: tuple[int, ...], qb: tuple[int, ...], n: int):
     """(qa, qb) renumbered over the ascending qubits they cover, or None
     when they cover more than n."""
     one_a, one_b = len(qa) == 1, len(qb) == 1
     if one_a and one_b:
-        return _SAME_QUBIT
+        return (0,), (0,)
     if one_a or one_b:
         if n < 2:
             return None
@@ -825,7 +801,7 @@ def _sweep(
                     report.unitary_lookups += 1
                     report.filtered_misses += rows.filtered
                 if rows:
-                    trial = _substitute(c, norm, rows, db, report)
+                    trial = _substitute(c, norm, depth, rows, db, report)
         if trial is None:
             failed[key] = report.collisions_skipped - before
             continue
@@ -837,14 +813,16 @@ def _sweep(
 def _substitute(
     c: CircuitGrid,
     norm: Tile,
+    depth: int,
     rows: Match,
     db: IdentityDatabase,
     report: OptimizeReport,
 ) -> CircuitGrid | None:
     """c with the cheapest candidate that passes the collision guard and
-    lowers the potential spliced into the window, or None. Rows with a
-    unitary have each candidate checked against it; trusted rows have
-    none (`_sweep`)."""
+    lowers the potential spliced into the window, or None; `depth` is the
+    window's effective depth, which the rows are all shallower than. Rows
+    with a unitary have each candidate checked against it; trusted rows
+    have none (`_sweep`)."""
     ls, j = norm.layer_offset, norm.sub.m
     old = c.layers[ls : ls + j]
     for cand_cost, enc in _candidate_order(norm, rows, db):
@@ -861,7 +839,7 @@ def _substitute(
         if not _lowers(c.n, old, new, ls + j == c.m):
             continue
         report.substitutions.append(
-            AppliedSubstitution(ls, norm.qubit_offset, enc, effective_depth(norm.sub), cand_cost)
+            AppliedSubstitution(ls, norm.qubit_offset, enc, depth, cand_cost)
         )
         return trial
     return None

@@ -313,7 +313,7 @@ def test_criterion_11_beats_a_cancellation_pass(db_ihxzcx):
             kept = cancel_adjacent(gates, n)
             for name, depth, count in (
                 ("optimize", report.final_depth, len(gate_list(out))),
-                ("cancel", asap_depth(pack(kept, n)), len(kept)),
+                ("cancel", asap_depth(kept, n), len(kept)),
             ):
                 totals[name][0] += depth
                 totals[name][1] += count

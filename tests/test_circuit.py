@@ -14,12 +14,10 @@ from qidopt.circuit import (
     SECOND,
     CircuitGrid,
     StructuralError,
-    _trim_front,
     asap_depth,
     circuit_unitary,
     effective_depth,
     gate_list,
-    gates_unitary,
     half,
     layer_unitary,
     pack,
@@ -279,19 +277,24 @@ class TestEffectiveDepth:
 EMITTABLE_LAYERS = enumerate_layers(4, gate_set("I", "H", "X", "S", "CX"))
 
 
+def asap(c):
+    """`asap_depth` of a grid's gate list."""
+    return asap_depth(gate_list(c), c.n)
+
+
 class TestAsapDepth:
     def test_gates_move_to_earliest_free_layer(self):
-        assert asap_depth(grid("H,I", "I,H")) == 1
+        assert asap(grid("H,I", "I,H")) == 1
         assert effective_depth(grid("H,I", "I,H")) == 2
 
     def test_pair_waits_for_both_qubits(self):
         # h q[0]; h q[0]; cx q[1],q[0]; h q[2] -> cx sits in layer 3
         c = grid("H,I,I", "H,I,I", "CX:T:1,CX:C:0,H")
-        assert asap_depth(c) == 3
+        assert asap(c) == 3
 
     def test_identity_only(self):
-        assert asap_depth(grid("I,I", "I,I")) == 0
-        assert asap_depth(CircuitGrid(2, ())) == 0
+        assert asap(grid("I,I", "I,I")) == 0
+        assert asap(CircuitGrid(2, ())) == 0
 
     @given(grids(max_n=5, max_m=8))
     @example(CircuitGrid(2, ()))
@@ -300,14 +303,14 @@ class TestAsapDepth:
     def test_equals_depth_of_packed_gates(self, c):
         # the fold against the grid the emitted gates pack into; a near
         # Identity is left out like any other Identity gate
-        assert asap_depth(c) == pack([(qs, g) for qs, g in gate_list(c) if not g.is_identity], c.n).m
+        assert asap(c) == pack([(qs, g) for qs, g in gate_list(c) if not g.is_identity], c.n).m
 
     @given(st.lists(st.integers(0, len(EMITTABLE_LAYERS) - 1), max_size=8))
     @settings(max_examples=150, deadline=None)
     def test_equals_depth_of_emitted_circuit(self, picks):
         c = CircuitGrid(4, tuple(EMITTABLE_LAYERS[i] for i in picks))
-        assert asap_depth(c) == effective_depth(parse(emit(c)))
-        assert asap_depth(c) <= effective_depth(c)
+        assert asap(c) == effective_depth(parse(emit(c)))
+        assert asap(c) <= effective_depth(c)
 
 
 class TestGateList:
@@ -427,52 +430,23 @@ def assert_check_bounds(a, b):
         assert validate(ra) == [] and validate(rb) == []
     else:
         assert ra.m == rb.m == 0
-    residual, k = check_residual(a, b)
+    residual, k = check(a, b)
     assert k == ra.n
     ua, ub = circuit_unitary(a), circuit_unitary(b)
     assert max_abs_diff(ua, ub) - 1e-12 <= residual <= frobenius_diff(ua, ub) + 1e-12
-    assert check_residual(a, a) == (0.0, 0)
+    assert check(a, a) == (0.0, 0)
     return residual, k
 
 
+def check(a, b):
+    """`check_residual` of two grids' gate lists."""
+    return check_residual(gate_list(a), gate_list(b), a.n)
+
+
 def unshared(a, b):
-    """The remainders of `unshared_gates`, packed as grids."""
-    ga, gb, k = unshared_gates(a, b)
+    """The remainders of `unshared_gates` of two grids, packed as grids."""
+    ga, gb, k = unshared_gates(gate_list(a), gate_list(b), a.n)
     return pack(ga, k), pack(gb, k)
-
-
-def full_walk_unshared(a, b):
-    """`unshared_gates` as it was before it skipped the shared leading
-    layers: both whole gate lists trimmed at the front, then at the back."""
-    ga, gb = _trim_front(gate_list(a), gate_list(b), a.n)
-    ga, gb = _trim_front(ga[::-1], gb[::-1], a.n)
-    touched = sorted({x for qs, _ in ga + gb for x in qs})
-    index = {x: i for i, x in enumerate(touched)}
-    ga, gb = ([(tuple(index[x] for x in qs), g) for qs, g in reversed(gs)] for gs in (ga, gb))
-    return ga, gb, len(touched)
-
-
-@st.composite
-def shared_layer_edits(draw):
-    """(a, b): b holds a's own layer objects but for one to three edits,
-    each replacing, inserting or deleting a layer, or replacing one by an
-    equal copy (equal cells, another tuple), so b shares leading and
-    trailing layers with a as an optimize output does."""
-    a = draw(grids(max_n=5, max_m=8))
-    layers = list(a.layers)
-    for _ in range(draw(st.integers(1, 3))):
-        op = draw(st.sampled_from(["replace", "insert", "delete", "copy"] if layers else ["insert"]))
-        if op == "insert":
-            layers.insert(draw(st.integers(0, len(layers))), draw(layers_over(a.n)))
-            continue
-        at = draw(st.integers(0, len(layers) - 1))
-        if op == "replace":
-            layers[at] = draw(layers_over(a.n))
-        elif op == "delete":
-            del layers[at]
-        else:
-            layers[at] = tuple(list(layers[at]))
-    return a, CircuitGrid(a.n, tuple(layers))
 
 
 OPT_LAYERS = {n: enumerate_layers(n, gate_set("I", "H", "X", "Z", "CX")) for n in (2, 3, 4)}
@@ -502,7 +476,7 @@ class TestUnshared:
     def test_pair_in_other_operand_order_stays(self):
         a, b = grid("CX:C:1,CX:T:0"), grid("CX:T:1,CX:C:0")
         assert unshared(a, b)[0].n == 2
-        assert check_residual(a, b)[0] > 1
+        assert check(a, b)[0] > 1
 
     def test_remainder_qubits_renumbered_in_order(self):
         a = grid("CX:C:3,H,I,CX:T:0", "I,I,X,I")
@@ -515,7 +489,7 @@ class TestUnshared:
         u1_0 = instantiate_param_gate(U1, [AngleExpr()])
         a = CircuitGrid(2, ((single(u1_0), single(gate("X"))),))
         assert unshared(a, grid("I,X"))[0].n == 0
-        assert check_residual(a, grid("I,X")) == (0.0, 0)
+        assert check(a, grid("I,X")) == (0.0, 0)
 
     def test_near_identity_gate_is_never_skipped_or_trimmed(self):
         assert NEAR_I.is_identity and not np.array_equal(NEAR_I.matrix, identity(2))
@@ -524,38 +498,25 @@ class TestUnshared:
         b = grid("H,X", "H,X")
         ra, rb = unshared(a, b)
         assert ra.n == 1 and ra.layers[0][0].gate is NEAR_I and rb.m == 0
-        residual, k = check_residual(a, b)
+        residual, k = check(a, b)
         assert k == 1 and residual > 0
         # nor is it trimmed against a gate merely close to it
         other = single(instantiate_param_gate(U1, [AngleExpr(const=Fraction(2, 10**12))]))
         c = CircuitGrid(1, ((other,),))
-        assert check_residual(CircuitGrid(1, ((near,),)), c)[0] > 0
-
-    def test_qubit_counts_must_agree(self):
-        with pytest.raises(ValueError, match="qubit counts differ"):
-            unshared(grid("H"), grid("H,H"))
+        assert check(CircuitGrid(1, ((near,),)), c)[0] > 0
 
     def test_unpaired_half_raises(self):
         bad = CircuitGrid(2, ((grid("CX:C:1,CX:T:0").layers[0][0], single(gate("I"))),))
         with pytest.raises(StructuralError, match="unpaired"):
             unshared(bad, grid("I,I"))
 
-    @given(shared_layer_edits())
-    @settings(max_examples=300, deadline=None)
-    def test_shared_leading_layers_skipped_exactly(self, pair):
-        a, b = pair
-        ga, gb, k = full_walk_unshared(a, b)
-        assert unshared_gates(a, b) == (ga, gb, k)
-        # k and the residual, bit for bit
-        residual = frobenius_diff(gates_unitary(ga, k), gates_unitary(gb, k)) if k else 0.0
-        assert check_residual(a, b) == (residual, k)
-
-    def test_shared_layer_is_not_walked(self):
-        # a layer both grids hold as one object is skipped before any gate
-        # is listed, so an unpaired half there goes unseen
+    def test_unpaired_half_in_shared_leading_layer_raises(self):
+        # a leading layer both grids hold as one object is listed like any
+        # other, so an unpaired half there is found
         bad = (grid("CX:C:1,CX:T:0").layers[0][0], single(gate("I")))
         a, b = CircuitGrid(2, (bad,) + grid("H,I").layers), CircuitGrid(2, (bad,) + grid("X,I").layers)
-        assert [encode_circuit(r) for r in unshared(a, b)] == ["H", "X"]
+        with pytest.raises(StructuralError, match="unpaired"):
+            unshared(a, b)
 
     @given(one_gate_edits())
     @settings(max_examples=300, deadline=None)

@@ -83,6 +83,20 @@ class TestCount:
     def test_bad_args(self):
         assert main(["count", "--qubits", "0", "--depth", "1", "--g", "1", "--t", "0"]) == EXIT_CONFIG
 
+    def test_total_too_long_to_print_refused(self, capsys):
+        # 27^5000 has 7,157 digits; 27^1e9 would take about 0.6 GB to compute
+        for depth, digits in (("5000", 7157), ("1000000000", 1431363765)):
+            argv = ["count", "--qubits", "2", "--depth", depth, "--g", "5", "--t", "1"]
+            assert main(argv) == EXIT_CONFIG
+            out, err = capsys.readouterr()
+            assert out == "" and f"{digits} digits" in err
+
+    def test_longest_printable_total(self, capsys):
+        # 27^3004 has 4,300 digits, Python's default limit
+        argv = ["count", "--qubits", "2", "--depth", "3004", "--g", "5", "--t", "1"]
+        assert main(argv) == EXIT_OK
+        assert keyvals(capsys)["total_circuits"] == str(27**3004)
+
 
 class TestGenDb:
     def test_reports_counts(self, db_path, capsys):
@@ -359,12 +373,13 @@ class TestVerify:
         assert main(["verify", str(a), str(a)]) == EXIT_OK
         assert float(keyvals(capsys)["residual"]) == 0.0
 
-    def test_qubit_count_mismatch(self, tmp_path):
+    def test_qubit_count_mismatch(self, tmp_path, capsys):
         a = tmp_path / "a.qasm"
         b = tmp_path / "b.qasm"
         a.write_text("OPENQASM 2.0;\nqreg q[1];\nx q[0];\n")
         b.write_text("OPENQASM 2.0;\nqreg q[2];\nx q[0];\n")
         assert main(["verify", str(a), str(b)]) == EXIT_CONFIG
+        assert "qubit counts differ" in capsys.readouterr().err
 
     def test_parse_error(self, tmp_path):
         a = tmp_path / "a.qasm"

@@ -217,11 +217,18 @@ class TestLookup:
         cands = encs(lookup(normalize_cut_tile(t), db_ih_1q))
         assert "I|I" in cands
 
+    def test_no_strict_improvement_means_none(self, db_ihxzcx):
+        c = grid("I,X", "I,I", "I,I")
+        (t,) = extract_tiles(c, TileSpec(2, 3))
+        # another cost-1 circuit with the same unitary is not an improvement
+        assert "I,I|I,X|I,I" in db_ihxzcx.bucket(db_ihxzcx.by_circuit["I,X|I,I|I,I"])
+        assert lookup(normalize_cut_tile(t), db_ihxzcx) == []
+
 
 class TestCandidateCost:
     def test_cost_is_decoded_effective_depth(self, db_ihxzcx):
-        # a 2x4 tile of cost 4 outranks every 3-layer member, so no member
-        # is filtered and each cost read off the tokens is checked
+        # a 2x4 tile blocks no slot of a 2x3 member, so every member is
+        # ranked and each cost read off the tokens is checked
         tile = Tile(0, 0, grid("H,H", "H,H", "H,H", "H,H"))
         checked = 0
         for bucket in db_ihxzcx.by_fingerprint.values():
@@ -403,13 +410,6 @@ class TestCandidateOrder:
         t = normalize_cut_tile(window(FIG13, TileSpec(2, 3), 1, 1))
         candidates = ["I,Y|I,H|I,H", "I,Y|X,I|X,I", "I,Y|I,I|I,I"]
         assert _candidate_order(t, rows_of(db_ixyh, *candidates), db_ixyh)[0][1] == "I,Y|I,I|I,I"
-
-    def test_no_strict_improvement_means_none(self, db_ihxzcx):
-        c = grid("I,X", "I,I", "I,I")
-        (t,) = extract_tiles(c, TileSpec(2, 3))
-        norm = normalize_cut_tile(t)
-        # another cost-1 circuit with the same unitary is not an improvement
-        assert _candidate_order(norm, rows_of(db_ihxzcx, "I,I|I,X|I,I"), db_ihxzcx) == []
 
     def test_cut_slot_must_hold_identity(self, db_ixyh):
         t = normalize_cut_tile(window(FIG13, TileSpec(2, 3), 1, 1))
@@ -1421,7 +1421,7 @@ class TestPairRules:
         report = OptimizeReport(0, 0)
         out = apply_rules(gates, n, rule_db, report)
         assert len(out) == len(gates) - 2 * report.cancels - report.merges
-        assert asap_depth(pack(out, n)) <= asap_depth(pack(gates, n))
+        assert asap_depth(out, n) <= asap_depth(gates, n)
         assert max_abs_diff(gates_unitary(out, n), gates_unitary(gates, n)) <= 1e-12
         # one walk reaches the rules' fixpoint, listed in order or by layer
         for again in (out, gate_list(pack(out, n))):

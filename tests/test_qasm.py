@@ -126,7 +126,7 @@ class TestParse:
         for stmt in ("id q[0];", "u1(0) q[0];"):
             c = parse(qasm(2, "x q[1];", stmt, "h q[0];"))
             assert encode_circuit(c) == "H,X"
-            assert effective_depth(c) == asap_depth(c) == 1
+            assert effective_depth(c) == asap_depth(gate_list(c), c.n) == 1
 
     def test_identity_application_operands_still_checked(self):
         with pytest.raises(QasmError, match="out of range"):
@@ -470,7 +470,7 @@ class TestRoundTripProperties:
         text = emit(c)
         back = parse(text)
         assert max_abs_diff(circuit_unitary(back), circuit_unitary(c)) <= 1e-12
-        assert effective_depth(back) == asap_depth(c)
+        assert effective_depth(back) == asap_depth(gate_list(c), c.n)
         again = emit(back)
         assert emit(parse(again)) == again
 
