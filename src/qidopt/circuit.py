@@ -202,15 +202,18 @@ def enumerate_layers(n: int, gate_set: GateSet, neighbors_only: bool = False) ->
     return layers
 
 
-def layer_count(n: int, gate_set: GateSet, neighbors_only: bool, most: int) -> int:
-    """How many layers `enumerate_layers` makes, or a count above `most`.
-    Over k qubits, the first takes one of g single gates, or one of t pair
-    gates with a later qubit (the next, with neighbors_only), either way."""
-    g, t = gate_set.g, gate_set.t
+def layer_count(n: int, g: int, t: int, neighbors_only: bool, most: int | None = None) -> int:
+    """How many layers `enumerate_layers` makes from g single and t pair
+    gates, or, given `most`, a count above `most`. Over k qubits, the
+    first takes one of g single gates, or one of t pair gates with a later
+    qubit (the next, with neighbors_only), either way: c_k = g·c_(k−1) +
+    2t(k−1)·c_(k−2) (2t·c_(k−2))."""
+    if t == 0 or g == 0 and n % 2:  # gⁿ, or with g ≥ 2 a power past `most`
+        return g ** (n if most is None else min(n, most.bit_length() + 1))
     fewer, count = 1, g  # the counts over 0 and 1 qubits
-    # the count rises with each qubit, unless it is 1 for every n
-    for k in range(2, min(n, most + 1) + 1):
-        if count > most:
+    # the count rises with each qubit, or, with g = 0, each second one
+    for k in range(2, n + 1):
+        if most is not None and count > most:
             break
         fewer, count = count, g * count + 2 * t * (1 if neighbors_only else k - 1) * fewer
     return count

@@ -8,7 +8,8 @@ input, 3 resource guard, 4 post-optimization residual over tolerance.
 computed from the two circuits' gate lists: the Frobenius norm of the
 difference of their unitaries on the gates they do not share, an upper
 bound on their max-abs difference. `count` refuses a total with more
-digits than Python prints (`_count_digits`) before computing it.
+digits than Python prints (`_count_digits`), from a lower bound before
+counting its layers, and exactly before raising their count to the depth.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ import decimal
 import os
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 from . import database, generator, optimizer, qasm
-from .circuit import gate_list
+from .circuit import gate_list, layer_count
 from .gates import (
     BUILTIN_GATES,
     CX,
@@ -118,9 +120,7 @@ def cmd_gen_db(args) -> int:
     database.save(db, args.out)
     _out("circuits", db.total_circuits)
     _out("fingerprints", len(db.by_fingerprint))
-    hist: dict[int, int] = {}
-    for encs in db.by_fingerprint.values():
-        hist[len(encs)] = hist.get(len(encs), 0) + 1
+    hist = Counter(map(len, db.by_fingerprint.values()))
     for size in sorted(hist):
         _out(f"buckets_of_size_{size}", hist[size])
     _out("out", args.out)
@@ -225,15 +225,21 @@ def _count_digits(base: int, exp: int) -> int:
 
 
 def cmd_count(args) -> int:
-    per_layer = generator.scaling_count(args.qubits, 1, args.g, args.t)
+    n, d, g, t = args.qubits, args.depth, args.g, args.t
+    if n < 1 or d < 1 or g < 0 or t < 0:
+        raise ValueError("need n >= 1, d >= 1, g >= 0, t >= 0")
     # Python refuses to print an int past this many digits (0: no limit)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-    digits = _count_digits(per_layer, args.depth)
+    # a lower bound first, so no huge n is counted: (g² + 2t)^⌊n/2⌋ layers put a pair
+    # or two singles on each of (0, 1), (2, 3), …, unless g = 0 and n is odd
+    digits = _count_digits(g * g + 2 * t, n // 2 * d) if g or n % 2 == 0 else 1
+    if digits <= limit:
+        per_layer = layer_count(n, g, t, False)
+        digits = _count_digits(per_layer, d)
     if digits > limit:
-        raise ValueError(f"total_circuits would have {digits} digits; at most {limit} can be printed")
-    total = generator.scaling_count(args.qubits, args.depth, args.g, args.t)
+        raise ValueError(f"total_circuits would have at least {digits} digits; at most {limit} can be printed")
     _out("layer_circuits", per_layer)
-    _out("total_circuits", total)
+    _out("total_circuits", per_layer**d)
     return EXIT_OK
 
 
@@ -252,15 +258,10 @@ def cmd_stats(args) -> int:
     _out("buckets", len(db.by_fingerprint))
     largest = max(db.by_fingerprint.values(), key=len, default=())
     _out("largest_bucket", len(largest))
-    example = next(
-        (
-            encs
-            for fp, encs in sorted(db.by_fingerprint.items(), key=lambda kv: kv[0].hex)
-            if len(encs) > 1
-        ),
-        None,
-    )
-    if example is not None:
+    # the first bucket in file order (by fingerprint hex) with two members
+    shared = [(fp.hex, encs) for fp, encs in db.by_fingerprint.items() if len(encs) > 1]
+    if shared:
+        _, example = min(shared)
         _out("example_identity", f"{example[0]} == {example[1]}")
     return EXIT_OK
 

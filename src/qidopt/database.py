@@ -1,9 +1,9 @@
 """The identity database: circuit encodings, the two lookup tables, and
 the QIDB/1 file format.
 
-Encoding: layers joined by '|', cells by ','. A single-qubit cell is the
-gate name; a two-qubit half is NAME:C:p or NAME:T:p with p the partner
-qubit index. Example (3 layers, 2 qubits):
+Encoding: cells joined by ',' (`encode_layer`), layers by '|'. A
+single-qubit cell is the gate name; a two-qubit half is NAME:C:p or
+NAME:T:p with p the partner qubit index. Example (3 layers, 2 qubits):
 
     H,H|CX:C:1,CX:T:0|H,H
 
@@ -109,8 +109,12 @@ def encode_cell(cell: Cell) -> str:
     return f"{cell.gate.name}:{cell.role}:{cell.partner}"
 
 
+def encode_layer(layer: Layer) -> str:
+    return ",".join(map(encode_cell, layer))
+
+
 def encode_circuit(c: CircuitGrid) -> str:
-    return "|".join([",".join(map(encode_cell, layer)) for layer in c.layers])
+    return "|".join(map(encode_layer, c.layers))
 
 
 class RankRow(NamedTuple):
@@ -146,12 +150,12 @@ class LayerEntry(NamedTuple):
 
 
 def layer_table(layers: list[Layer]) -> dict[str, LayerEntry]:
-    """Each layer's text (as `encode_circuit` spells it) -> its entry, in
+    """Each layer's text (`encode_layer`) -> its entry, in
     the order of `layers`: a database's enumeration, `enumerate_layers`."""
     table = {}
     for index, layer in enumerate(layers):
         mask = sum(1 << q for q, cell in enumerate(layer) if not cell_is_identity(cell))
-        table[",".join(map(encode_cell, layer))] = LayerEntry(layer, mask, index)
+        table[encode_layer(layer)] = LayerEntry(layer, mask, index)
     return table
 
 
@@ -649,7 +653,7 @@ def loads(text: str) -> IdentityDatabase:
         )
     # a database holds every circuit of its enumeration, so at least its
     # layers: this also bounds the enumeration by the file's size
-    if layer_count(n, gate_set, meta.neighbors_only, total) > total:
+    if layer_count(n, gate_set.g, gate_set.t, meta.neighbors_only, total) > total:
         raise DatabaseFormatError(
             f"n {n} and the gate table give more layers than the file's {total} circuits"
         )

@@ -68,7 +68,6 @@ builds, where the 4ⁿ term dominates.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -127,15 +126,11 @@ class GeneratorConfig:
 
 
 def scaling_count(n: int, d: int, g: int, t: int) -> int:
-    """Total circuit count: S = S_l^d with
-    S_l = sum_r n!/(r!(n-2r)!) * g^(n-2r) * t^r, in exact integers."""
+    """Total circuit count: S = S_l^d with S_l = sum_r n!/(r!(n-2r)!) *
+    g^(n-2r) * t^r, in exact integers, by `circuit.layer_count`'s recurrence."""
     if n < 1 or d < 1 or g < 0 or t < 0:
         raise ValueError("need n >= 1, d >= 1, g >= 0, t >= 0")
-    per_layer = 0
-    for r in range(n // 2 + 1):
-        coeff = math.factorial(n) // (math.factorial(r) * math.factorial(n - 2 * r))
-        per_layer += coeff * g ** (n - 2 * r) * t**r
-    return per_layer**d
+    return layer_count(n, g, t, False) ** d
 
 
 def enumerate_circuits(cfg: GeneratorConfig) -> Iterator[CircuitGrid]:
@@ -163,7 +158,7 @@ def _check_budget(cfg: GeneratorConfig) -> None:
     L^d up to the first value past max_circuits (C·B passes it)."""
     limit = cfg.max_circuits * _BYTES_PER_CIRCUIT
     n = min(cfg.n, limit.bit_length())
-    layers = layer_count(n, cfg.gate_set, cfg.neighbors_only, cfg.max_circuits)
+    layers = layer_count(n, cfg.gate_set.g, cfg.gate_set.t, cfg.neighbors_only, cfg.max_circuits)
     d = 1
     while d < cfg.d and 1 < layers**d <= cfg.max_circuits:
         d += 1

@@ -28,7 +28,7 @@ The optimizer slides an i×j window (i ≤ n, j ≤ d) over the circuit grid
 and replaces each window's contents with the cheapest equivalent circuit
 in the database of n-qubit, depth-d circuits. A substitution is kept only
 when it strictly lowers the whole circuit's potential (effective depth,
-non-Identity cells, encoding), so repeated sweeps reach a fixpoint;
+non-Identity cells, layer texts in order), so sweeps reach a fixpoint;
 `iters` caps their number. A two-qubit gate reaching across the window's
 qubit boundary makes the window unusable unless the cut half sits in the
 window's first or last layer; the half is then replaced by Identity for
@@ -47,11 +47,11 @@ A sweep costs what changed, not the circuit's length:
     all-Identity layers and validates that span alone;
   * the change in potential is read off the span (`_lowers`): the layers
     before it are shared, so the span lengths, then its non-Identity
-    cells, then its text decide;
+    cells, then its layer texts decide;
   * a window that yields no substitution is remembered, for one `optimize`
-    call, by its qubit offset, its span of whole layers and whether it
-    ends the circuit; a later window with the same key, in the same sweep
-    or a later one, reaches the same verdict and is skipped
+    call, by its qubit offset and its span of whole layers; a later window
+    with the same key, in the same sweep or a later one, reaches the same
+    verdict and is skipped
     (`OptimizeReport.windows_reused`), its collisions counted again;
   * a window is read from slice records (`_Slices`), made once per sweep
     for each (layer, qubit offset): each slice's text as the padded,
@@ -143,7 +143,7 @@ from .database import (
     MERGE,
     IdentityDatabase,
     RankRow,
-    encode_circuit,
+    encode_layer,
 )
 from .fingerprint import fingerprint
 from .gates import I as IDENTITY_GATE
@@ -400,7 +400,7 @@ class OptimizeReport:
     pass_s: float = 0.0  # the rules pass and the pack of its output, each time it ran
 
 
-_WindowKey = tuple[int, tuple[Layer, ...], bool]  # (qubit offset, span, ends)
+_WindowKey = tuple[int, tuple[Layer, ...]]  # (qubit offset, span)
 
 
 def optimize(
@@ -418,9 +418,10 @@ def optimize(
 
     The input's all-Identity layers are dropped before the first sweep;
     they never count towards the effective depth, and `emit` leaves them
-    out. Each trial is judged on the window's span alone (`_lowers`), and
-    the windows that yielded nothing are remembered for this call only,
-    so a sweep retries only windows whose layers changed.
+    out. A trial must lower the potential (effective depth, non-Identity
+    cells, layer texts in order), read off its span (`_lowers`); windows
+    that yielded nothing are remembered for this call by (qubit offset,
+    span), so a sweep retries only windows whose layers changed.
 
     The check runs once, after the sweeps: `check_residual` removes the
     gates input and output both begin or end with and compares the dense
@@ -665,7 +666,7 @@ class _Slices:
     """The slice records of one sweep: (layer, qubit offset) -> (text,
     cut, busy) for the layer's i cells from that offset, each made on
     first use. `text` is the slice in the normalized, padded window as the
-    database spells it: `encode_circuit`'s text, with partners rebased by
+    database spells it: `encode_layer`'s text, with partners rebased by
     the offset, a half whose partner lies outside the slice written as the
     Identity's name, and Identity on the rows past it up to the
     database's n. A gate is spelled by its name unless the database holds
@@ -757,11 +758,12 @@ def _sweep(
     unchecked, and every other window, no member or a member of an
     unsound bucket, takes its rows from `lookup`, to be checked.
 
-    `failed` maps each window that yielded no substitution, keyed by its
-    qubit offset, its span of whole layers (cells compared by identity)
-    and whether the span ends the circuit, to the collisions it skipped. A
-    window with an equal key reaches the same verdict, so it is skipped
-    and its collisions are counted again.
+    `failed` maps each window that yielded no substitution, keyed by
+    (qubit offset, span), its whole layers compared cell by cell by
+    identity, to the collisions it skipped. The potential (effective depth,
+    non-Identity cells, layer texts in order; `_lowers`) reads nothing past
+    the span, so a window with an equal key is skipped, its collisions
+    counted again.
     """
     i = min(spec.i, c.n)
     identity = db.meta.gate_set.identity
@@ -776,7 +778,7 @@ def _sweep(
             break
         idx += 1
         span = c.layers[ls : ls + j]
-        key = (qs, span, ls + j == m)
+        key = (qs, span)
         skipped = failed.get(key)
         if skipped is not None:
             report.collisions_skipped += skipped
@@ -836,7 +838,7 @@ def _substitute(
         # rows keep its old layers alive; a strict drop in the potential
         # keeps depth monotone and rules out cycles between sweeps
         new = trial.layers[ls : ls + trial.m - c.m + j]
-        if not _lowers(c.n, old, new, ls + j == c.m):
+        if not _lowers(old, new):
             continue
         report.substitutions.append(
             AppliedSubstitution(ls, norm.qubit_offset, enc, depth, cand_cost)
@@ -845,25 +847,19 @@ def _substitute(
     return None
 
 
-def _lowers(n: int, old: tuple[Layer, ...], new: tuple[Layer, ...], ends: bool) -> bool:
+def _lowers(old: tuple[Layer, ...], new: tuple[Layer, ...]) -> bool:
     """Whether replacing the span `old` of a circuit by `new` strictly
-    lowers its potential (effective depth, non-Identity cells, encoding).
+    lowers its potential (effective depth, non-Identity cells, layer
+    texts in order).
 
     Neither the circuit nor `new` may hold an all-Identity layer, so the
     depths differ by the span lengths, and the cells by the spans' cells.
-    When both tie, the encodings share everything before the span and
-    everything from the '|' that ends it (none when the span ends the
-    circuit), and span texts with equal layer counts first differ before
-    that '|', so the span texts decide.
+    When both tie, the spans have as many layers, so the first layer text
+    that differs lies inside them, and what follows them never counts.
     """
-    if len(new) != len(old):
-        return len(new) < len(old)
-    cells_new, cells_old = _cells(new), _cells(old)
-    if cells_new != cells_old:
-        return cells_new < cells_old
-    tail = "" if ends else "|"
-    return encode_circuit(CircuitGrid(n, new)) + tail < encode_circuit(CircuitGrid(n, old)) + tail
+    return _potential(new) < _potential(old)
 
 
-def _cells(layers: tuple[Layer, ...]) -> int:
-    return sum(1 for layer in layers for cell in layer if not cell_is_identity(cell))
+def _potential(span: tuple[Layer, ...]) -> tuple[int, int, list[str]]:
+    cells = sum(1 for layer in span for cell in layer if not cell_is_identity(cell))
+    return len(span), cells, list(map(encode_layer, span))

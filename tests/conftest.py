@@ -1,5 +1,6 @@
 """Shared fixtures: gate shortcuts, grid builders, and session databases."""
 
+import math
 import re
 
 import numpy as np
@@ -42,6 +43,16 @@ def grid(*layer_specs):
 def gate_set(*names):
     """Builtin names or instantiated template names ('U1[pi/8]')."""
     return GateSet([gate_from_name(n) for n in names])
+
+
+def factorial_layer_count(n, g, t):
+    """The layers over n qubits from g single and t pair gates, summed by
+    the number r of pairs: sum_r n!/(r!(n−2r)!) · g^(n−2r) · t^r, a
+    reference for the recurrence `circuit.layer_count` takes."""
+    return sum(
+        math.factorial(n) // (math.factorial(r) * math.factorial(n - 2 * r)) * g ** (n - 2 * r) * t**r
+        for r in range(n // 2 + 1)
+    )
 
 
 @pytest.fixture(scope="session")

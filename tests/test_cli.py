@@ -4,6 +4,8 @@ import hashlib
 
 import pytest
 
+from conftest import factorial_layer_count
+
 from qidopt.circuit import gate_list
 from qidopt.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY_FAILED, main
 from qidopt.database import load
@@ -90,6 +92,29 @@ class TestCount:
             assert main(argv) == EXIT_CONFIG
             out, err = capsys.readouterr()
             assert out == "" and f"{digits} digits" in err
+
+    @pytest.mark.parametrize("g", [0, 1, 2, 5])
+    @pytest.mark.parametrize("t", [0, 1])
+    def test_many_qubits(self, g, t, capsys):
+        # a total within the limit prints in full; one past it is refused
+        # before its layers are counted, a step per qubit
+        for n in (1, 2, 7, 40, 10**9, 10**9 + 1):
+            argv = ["count", "--qubits", str(n), "--depth", "3", "--g", str(g), "--t", str(t)]
+            if n <= 40:
+                per_layer = factorial_layer_count(n, g, t)
+            elif t == 0 and g < 2 or g == 0 and n % 2:
+                per_layer = g**n  # no pair gate, or a qubit no pair covers
+            else:
+                per_layer = None
+            if per_layer is None or len(str(per_layer**3)) > 4300:
+                assert main(argv) == EXIT_CONFIG, n
+                out, err = capsys.readouterr()
+                assert out == "" and "digits" in err
+            else:
+                assert main(argv) == EXIT_OK, n
+                vals = keyvals(capsys)
+                assert vals["layer_circuits"] == str(per_layer)
+                assert vals["total_circuits"] == str(per_layer**3)
 
     def test_longest_printable_total(self, capsys):
         # 27^3004 has 4,300 digits, Python's default limit

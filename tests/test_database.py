@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gate, gate_set, grid
+from conftest import factorial_layer_count, gate, gate_set, grid
 
 from qidopt.circuit import CircuitGrid, circuit_unitary, layer_count, validate
 from qidopt.database import (
@@ -43,7 +43,7 @@ from qidopt.gates import (
     instantiate_param_gate,
     make_gate,
 )
-from qidopt.generator import GeneratorConfig, build_database, enumerate_layers, scaling_count
+from qidopt.generator import GeneratorConfig, build_database, enumerate_layers
 from qidopt.matrices import max_abs_diff
 from qidopt.optimizer import optimize
 
@@ -612,11 +612,12 @@ def test_layer_count_matches_enumeration(names, neighbors_only):
     gs = gate_set(*names)
     for n in range(1, 6):
         count = len(enumerate_layers(n, gs, neighbors_only))
-        assert layer_count(n, gs, neighbors_only, count) == count
+        assert layer_count(n, gs.g, gs.t, neighbors_only) == count
+        assert layer_count(n, gs.g, gs.t, neighbors_only, count) == count
         if not neighbors_only:
-            assert layer_count(n, gs, False, count) == scaling_count(n, 1, gs.g, gs.t)
+            assert count == factorial_layer_count(n, gs.g, gs.t)
         # past `most`, only the fact that it is passed is reported
-        assert layer_count(n, gs, neighbors_only, count - 1) > count - 1
+        assert layer_count(n, gs.g, gs.t, neighbors_only, count - 1) > count - 1
 
 
 _EDITABLE = dumps(

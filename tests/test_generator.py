@@ -8,11 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import gate, gate_set, grid
+from conftest import factorial_layer_count, gate, gate_set, grid
 
 from qidopt import generator
 from qidopt.circuit import circuit_unitary, effective_depth, layer_unitary
-from qidopt.database import dumps, encode_circuit, loads
+from qidopt.database import dumps, encode_circuit, encode_layer, loads
 from qidopt.fingerprint import Fingerprint, fingerprint
 from qidopt.gates import GateSet, make_gate
 from qidopt.generator import (
@@ -33,12 +33,6 @@ from qidopt.matrices import identity, max_abs_diff
 # 121 two-layer ones at n2d3), and more than one level of prefixes
 _ODD_N1D6 = GeneratorConfig(n=1, d=6, gate_set=gate_set("I", "H", "T", "U3[pi/5;2*pi/3;-pi/7]"))
 _ODD_N2D3 = GeneratorConfig(n=2, d=3, gate_set=gate_set("I", "H", "U1[pi/8]", "CX"))
-
-
-def encode_layer(layer):
-    from qidopt.database import encode_cell
-
-    return ",".join(encode_cell(c) for c in layer)
 
 
 class TestEnumerateLayers:
@@ -103,6 +97,14 @@ class TestScalingCount:
     def test_exact_big_integers(self):
         # 66^12 overflows 64-bit; result must be exact
         assert scaling_count(2, 12, 8, 1) == 66**12
+
+    def test_matches_factorial_sum(self):
+        for n in range(1, 41):
+            for g in range(4):
+                for t in range(3):
+                    per_layer = factorial_layer_count(n, g, t)
+                    assert scaling_count(n, 1, g, t) == per_layer, (n, g, t)
+                    assert scaling_count(n, 3, g, t) == per_layer**3, (n, g, t)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

@@ -38,6 +38,7 @@ from qidopt.database import (
     IdentityDatabase,
     dumps,
     encode_circuit,
+    encode_layer,
     loads,
 )
 from qidopt.fingerprint import Fingerprint, fingerprint
@@ -718,9 +719,10 @@ def test_check_pinned(db_ihxzcx):
 
 
 def full_potential(c):
-    """(effective depth, non-Identity cells, encoding) of the whole circuit."""
+    """(effective depth, non-Identity cells, layer texts in order) of the
+    whole circuit."""
     cells = sum(1 for layer in c.layers for cell in layer if not cell_is_identity(cell))
-    return effective_depth(c), cells, encode_circuit(c)
+    return effective_depth(c), cells, [encode_layer(layer) for layer in c.layers]
 
 
 def reference_sweep(c, db, spec, report, failed):
@@ -829,7 +831,7 @@ class TestIncrementalSweep:
             assert validate(trial) == []
             new = trial.layers[ls : ls + k]
             want = full_potential(trial) < full_potential(c)
-            assert _lowers(n, old, new, ls + j == c.m) == want
+            assert _lowers(old, new) == want
 
     def test_pinned_corpus_matches_reference_sweep(self, db_ihxzcx, monkeypatch):
         reused = 0
@@ -897,6 +899,26 @@ class TestIncrementalSweep:
         c = grid("H,I,I,H", "Z,X,I,Z", "X,T,X,X", "T,T,T,T", "H,Z,X,H", "I,I,I,X", "I,I,I,H")
         _, many = optimize(c, db_ihxzcx)
         assert many.iterations > 1 and many.windows_reused > 0
+
+    def test_lowers_compares_layer_texts(self):
+        # "H,T" is a proper prefix of "H,TDG": as a list of layer texts the
+        # `T` span is lower wherever it stands; as one '|'-joined string it
+        # was higher mid-circuit, since 'D' < '|'
+        t_span, tdg_span = grid("H,T").layers, grid("H,TDG").layers
+        assert _lowers(tdg_span, t_span) and not _lowers(t_span, tdg_span)
+        for rest in (grid("X,X").layers, ()):  # mid-circuit, then at the end
+            t_level = full_potential(CircuitGrid(2, t_span + rest))
+            assert t_level < full_potential(CircuitGrid(2, tdg_span + rest))
+
+    def test_memo_reuses_the_final_span(self, db_ihxzcx):
+        # t is no gate of IHXZCX, so no pair rule rewrites it and no window
+        # of these layers has a candidate; the last window's span is the
+        # first's, the same layer objects at the same offset, so its
+        # verdict is read from the memo though it ends the circuit
+        first = grid("T,T", "T,I", "I,T").layers
+        _, report = optimize(CircuitGrid(2, first + first), db_ihxzcx)
+        assert report.iterations == 1 and not report.substitutions
+        assert report.windows_reused == 1
 
 
 # ── slice records: a sweep reads each window from per-layer texts ──
@@ -1034,7 +1056,7 @@ class TestNeighbourRule:
             return digest.hexdigest(), outs
 
         near, near_outs = run(rank_dbs["n3d2-near"])
-        assert near == "6a4955c4055512afd0439ef90ce073d7"
+        assert near == "a3be1d947f1c29cb202abf808a7d7783"
         # the full database's members with non-adjacent pairs rewrite some
         # of these circuits otherwise, so the corpus tells the two apart
         _, full_outs = run(rank_dbs["n3d2"])
