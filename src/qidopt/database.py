@@ -71,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import Cell, CircuitGrid, Gate, Layer, cell_is_identity, enumerate_layers, single
+from .circuit import Cell, CircuitGrid, Gate, Layer, cell_is_identity, enumerate_layers
 from .circuit import gate_list, layer_count, layer_unitary
 from .fingerprint import DIGEST_ALGORITHM, Fingerprint, _rounded_components, _row_hash
 from .fingerprint import canonicalize, fingerprint
@@ -178,12 +178,6 @@ class DatabaseMeta:
     dp: int
     neighbors_only: bool
     gate_set: GateSet
-
-    @cached_property
-    def identity_cell(self) -> Cell:
-        """The gate table's Identity as a cell, made once: every window
-        smaller than n×d that the optimizer looks up is padded with it."""
-        return single(self.gate_set.identity)
 
     @property
     def guard(self) -> float:
@@ -539,9 +533,10 @@ def dumps(db: IdentityDatabase) -> str:
     header.extend(_gate_line(g, meta.dp) for g in meta.gate_set.gates)
 
     body_lines: list[str] = []
-    for fp in sorted(db.by_fingerprint, key=lambda f: f.hex):
+    # 16 digest bytes sort as their lowercase hex does
+    for fp in sorted(db.by_fingerprint, key=bytes):
         encs = db.by_fingerprint[fp]
-        body_lines.append(f"FP {fp.hex} {len(encs)}")
+        body_lines.append(f"FP {bytes.hex(fp)} {len(encs)}")
         body_lines.extend(encs)
     body = "\n".join(body_lines) + "\n" if body_lines else ""
     checksum = hashlib.md5(body.encode("utf-8")).hexdigest()

@@ -34,8 +34,8 @@ qubit boundary makes the window unusable unless the cut half sits in the
 window's first or last layer; the half is then replaced by Identity for
 the lookup and restored after the substitution. Every window is matched
 in the database's n×d shape: padded with Identity for the lookup and the
-collision guard (`_padded`), it admits only candidates with Identity on
-every slot past it and every cut slot (`_blocked`): splices stay inside it.
+collision guard, it admits only candidates with Identity on every slot
+past it and every cut slot (`_blocked`): splices stay inside it.
 The database alone decides which qubit pairs a splice may place: with a
 neighbours-only database, each non-adjacent pair of the output is one of
 the input's, on the same qubits.
@@ -53,12 +53,17 @@ A sweep costs what changed, not the circuit's length:
     with the same key, in the same sweep or a later one, reaches the same
     verdict and is skipped
     (`OptimizeReport.windows_reused`), its collisions counted again;
-  * a window is read from slice records (`_Slices`), made once per sweep
-    for each (layer, qubit offset): each slice's text as the padded,
-    normalized window spells it, whether it has a cut half and whether it
-    is busy. They give the window's validity, its encoding and its depth
-    with no cell rebuilt, so a member whose bucket has no row shallower
-    than it is answered without a `Tile` (`OptimizeReport.tiles_built`).
+  * a window is read from slice records (`_Slices`), made once per
+    `optimize` call for each (layer, qubit offset) and kept across its
+    sweeps: each slice's text as the padded, normalized window spells it,
+    whether it has a cut half and whether it is busy, and, from the first
+    lookup of a window holding it, its gates as `circuit.gate_list` lists
+    them in that window. They give the window's validity, its encoding,
+    its depth and its gate list with no cell rebuilt;
+  * a `Tile` is cut only for a window that has candidate rows, trusted or
+    looked up (`OptimizeReport.tiles_built`): a member whose bucket has no
+    row shallower than it, and a window the lookup answers as a miss, are
+    answered from the records alone.
 
 Candidates are ranked from the database's rank table of the tile's
 bucket (`IdentityDatabase.rank_table`): each member's depth, non-Identity
@@ -89,8 +94,10 @@ may have candidates takes one of two routes (`_sweep`):
     per trial (`Match.equals`). A candidate that fails counts in
     `collisions_skipped`.
 
-`lookup` finds the bucket from the unitary alone. When the database's
-form filter is verified and the rounded unitary's row hash is no bucket
+`lookup` takes the padded window's gate list, its slices' lists joined,
+and finds the bucket from its unitary alone (`gates_unitary`, bitwise the
+padded grid's `circuit_unitary`). When the database's form filter is
+verified and the rounded unitary's row hash is no bucket
 representative's, the lookup is a miss and no fingerprint is computed
 (`IdentityDatabase.may_hold`); otherwise the fingerprint picks the bucket.
 
@@ -121,6 +128,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import (
+    FIRST,
     Cell,
     CircuitGrid,
     Gate,
@@ -128,7 +136,7 @@ from .circuit import (
     asap_depth,
     cell_is_identity,
     circuit_unitary,
-    effective_depth,
+    effective_depth,  # unused here; the bench harness wraps it by this module's name
     gate_list,
     gates_unitary,
     layer_is_identity,
@@ -253,20 +261,6 @@ def _normalized(t: Tile, identity: GateDef) -> Tile | None:
     return Tile(t.qubit_offset, t.layer_offset, sub, cuts)
 
 
-def _padded(t: Tile, db: IdentityDatabase) -> CircuitGrid:
-    """The tile's window in the database's n×d shape: Identity on the rows
-    and layers past it; a window of that shape is its own grid. Raises
-    ValueError for a tile larger than n×d."""
-    n, ident = db.meta.n, db.meta.identity_cell
-    if t.sub.n > n or t.sub.m > db.meta.d:
-        raise ValueError(f"tile {t.sub.n}x{t.sub.m} exceeds database bounds {n}x{db.meta.d}")
-    if (t.sub.n, t.sub.m) == (n, db.meta.d):
-        return t.sub
-    pad = (ident,) * (n - t.sub.n)
-    rows = tuple([layer + pad for layer in t.sub.layers])
-    return CircuitGrid(n, rows + ((ident,) * n,) * (db.meta.d - t.sub.m))
-
-
 def _blocked(t: Tile, n: int) -> int:
     """The slots a candidate must leave Identity, as `RankRow.occupied`
     bits li·n + q: every slot past the window, which the splice does not
@@ -278,10 +272,12 @@ def _blocked(t: Tile, n: int) -> int:
 class Match(list):
     """Rank rows for a window, as a list, and what they were found by.
     `unitary` is the padded window's unitary for the rows `lookup` found
-    through it, each candidate to be checked against it (`equals`); None
-    for the rows of a trusted window, whose candidates need no check
-    (`_sweep`). `filtered` is set when the database's form filter
-    answered the miss (`IdentityDatabase.may_hold`)."""
+    through it, computed from the window's gate list and bitwise that of
+    the padded grid (`circuit_unitary`), each candidate to be checked
+    against it (`equals`); None for the rows of a trusted window, whose
+    candidates need no check (`_sweep`). `filtered` is set when the
+    database's form filter answered the miss
+    (`IdentityDatabase.may_hold`)."""
 
     __slots__ = ("unitary", "filtered")
 
@@ -295,18 +291,26 @@ class Match(list):
         return max_abs_diff(self.unitary, circuit_unitary(db.decode(enc))) <= db.meta.guard
 
 
-def lookup(t: Tile, db: IdentityDatabase) -> Match:
-    """The rows of the padded tile's rank table that are shallower than the
-    tile: the only members that can rank below it, never the tile itself.
-    The bucket is found through the padded window's unitary: the form
-    filter first, then the fingerprint, computed only when the filter does
-    not rule every bucket out. A sweep calls it for every window it does
-    not trust (`_sweep`)."""
-    unitary = circuit_unitary(_padded(t, db))
+def lookup(gates: list[Gate], depth: int, db: IdentityDatabase) -> Match:
+    """The rows of the window's bucket that are shallower than `depth`,
+    the window's effective depth: the only members that can rank below
+    it, never the window itself.
+
+    `gates` is the gate list of the window padded to the database's n×d
+    shape, as `circuit.gate_list` lists it (a sweep reads it off its slice
+    records, `_Slices`). The bucket is found through its unitary
+    (`gates_unitary`): the form filter first, then the fingerprint,
+    computed only when the filter does not rule every bucket out. Raises
+    ValueError for a window deeper than d or a gate on a qubit past n. A
+    sweep calls it for every window it does not trust (`_sweep`)."""
+    n = db.meta.n
+    if depth > db.meta.d or any(q >= n for qs, _ in gates for q in qs):
+        raise ValueError(f"window exceeds database bounds {n}x{db.meta.d}")
+    unitary = gates_unitary(gates, n)
     if not db.may_hold(unitary):
         return Match((), unitary, filtered=True)
     table = db.rank_table(fingerprint(unitary, db.meta.dp))
-    return Match(table[: bisect_left(table, (effective_depth(t.sub),))], unitary)
+    return Match(table[: bisect_left(table, (depth,))], unitary)
 
 
 def _candidate_order(
@@ -389,8 +393,8 @@ class OptimizeReport:
     unitary_lookups: int = 0  # windows looked up by their unitary (`lookup`)
     filtered_misses: int = 0  # of those, the ones the form filter answered
     trials_checked: int = 0  # candidate unitaries computed for the guard
-    # windows cut into a `Tile`: each that is no member, and each member
-    # whose bucket has rows shallower than it
+    # windows cut into a `Tile`: each with candidate rows, trusted or
+    # looked up; a window with none is answered from its slice records
     tiles_built: int = 0
     # the rules pass (`apply_rules`): pairs cancelled, pairs merged into
     # one gate, and the commuting gates those rewrites moved a gate past
@@ -445,10 +449,10 @@ def optimize(
     report = OptimizeReport(initial_depth=len(busy), final_depth=0)
     gates = gate_list(c)
     cur = _rules(CircuitGrid(c.n, busy), gates, db, report)
-    failed: dict[_WindowKey, int] = {}
+    memo = _Slices(db, min(spec.i, c.n))
     for it in range(iters):
         report.iterations = it + 1
-        cur, changed = _sweep(cur, db, spec, report, failed)
+        cur, changed = _sweep(cur, db, spec, report, memo)
         if not changed:
             break
         # the splices may have set up pairs the rules rewrite
@@ -663,35 +667,58 @@ def _relative(qa: tuple[int, ...], qb: tuple[int, ...], n: int):
 
 
 class _Slices:
-    """The slice records of one sweep: (layer, qubit offset) -> (text,
-    cut, busy) for the layer's i cells from that offset, each made on
-    first use. `text` is the slice in the normalized, padded window as the
-    database spells it: `encode_layer`'s text, with partners rebased by
-    the offset, a half whose partner lies outside the slice written as the
-    Identity's name, and Identity on the rows past it up to the
-    database's n. A gate is spelled by its name unless the database holds
-    another gate of that name, one whose matrix is not bitwise equal: it
-    is then "?" and its name, which no member holds (`_spell`). So a
-    window whose text is a member's computes that member's unitary, float
-    for float. `cut` says whether the slice has a cut half, `busy`
-    whether the normalized slice has a non-Identity cell. Layers are
-    keyed by themselves, cells compared by identity, so a record stays
-    right after a splice."""
+    """What one `optimize` call remembers of its windows, across all its
+    sweeps: a record of each slice it has read, and the windows that
+    yielded nothing.
+
+    `records` maps (layer, qubit offset) -> (text, cut, busy) for the
+    layer's i cells from that offset, each made on first use. `text` is
+    the slice in the normalized, padded window as the database spells it:
+    `encode_layer`'s text, with partners rebased by the offset, a half
+    whose partner lies outside the slice written as the Identity's name,
+    and Identity on the rows past it up to the database's n. A gate is
+    spelled by its name unless the database holds another gate of that
+    name, one whose matrix is not bitwise equal: it is then "?" and its
+    name, which no member holds (`_spell`). So a window whose text is a
+    member's computes that member's unitary, float for float. `cut` says
+    whether the slice has a cut half, `busy` whether the normalized slice
+    has a non-Identity cell.
+
+    `parts` maps the same keys to the slice's gates as `circuit.gate_list`
+    lists them in that window: singles other than the exact Identity, and
+    each pair once, at its lower half, in operand order, its qubits
+    rebased by the offset. Cut halves and padding are Identity, left out
+    when the database's Identity is exactly the 2×2 identity (`spare`). A
+    window's gate list is its slices' lists in order (`gate_list`). A part
+    is made the first time a window holding the slice is looked up, so a
+    call that looks nothing up lists no gate.
+
+    Layers are keyed by themselves, cells compared by identity, so a
+    record stays right after a splice and in every later sweep. `failed`
+    maps each window that yielded no substitution, keyed by (qubit
+    offset, span), its whole layers compared cell by cell by identity, to
+    the collisions it skipped (`_sweep`)."""
 
     def __init__(self, db: IdentityDatabase, i: int):
         gates = self.gates = db.meta.gate_set
-        ident = gates.identity.name
-        self.i, self.ident, self.pad = i, ident, f",{ident}" * (db.meta.n - i)
-        self.idle = "|" + ",".join([ident] * db.meta.n)  # a padding layer
+        ident = gates.identity
+        self.i, self.ident, self.pad = i, ident.name, f",{ident.name}" * (db.meta.n - i)
+        self.idle = "|" + ",".join([ident.name] * db.meta.n)  # a padding layer
         self.d = db.meta.d
+        # the Identity on each of the n qubits, as `gate_list` lists it
+        self.spare: list[Gate] = (
+            [] if ident.exact_identity else [((q,), ident) for q in range(db.meta.n)]
+        )
         self.names: dict[GateDef, str] = {g: g.name for g in gates}
         self.records: dict[tuple[Layer, int], tuple[str, bool, bool]] = {}
+        self.parts: dict[tuple[Layer, int], list[Gate]] = {}
+        self.failed: dict[_WindowKey, int] = {}
 
     def window(self, span: tuple[Layer, ...], qs: int) -> tuple[str, int] | None:
         """The encoding of the window over `span` at qubit offset qs, as
-        `lookup` pads it, and its effective depth (its busy slices); None
-        when a slice other than its first and last is cut (an Invalid
-        tile)."""
+        the database's n×d shape pads it, and its effective depth (its busy
+        slices); None when a slice other than its first and last is cut (an
+        Invalid tile)."""
         records = self.records
         texts, cuts, busy = zip(
             *[records.get((layer, qs)) or self._record(layer, qs) for layer in span]
@@ -699,6 +726,17 @@ class _Slices:
         if True in cuts[1:-1]:
             return None
         return "|".join(texts) + self.idle * (self.d - len(span)), sum(busy)
+
+    def gate_list(self, span: tuple[Layer, ...], qs: int) -> list[Gate]:
+        """The gate list of the valid window over `span` at qubit offset
+        qs: what `circuit.gate_list` makes of the padded, normalized
+        `Tile`."""
+        parts = self.parts
+        gates: list[Gate] = []
+        for layer in span:
+            part = parts.get((layer, qs))
+            gates += self._part(layer, qs) if part is None else part
+        return gates + self.spare * (self.d - len(span))
 
     def _record(self, layer: Layer, qs: int) -> tuple[str, bool, bool]:
         cut = busy = False
@@ -718,8 +756,27 @@ class _Slices:
         rec = self.records[layer, qs] = (",".join(texts) + self.pad, cut, busy)
         return rec
 
+    def _part(self, layer: Layer, qs: int) -> list[Gate]:
+        i, spare = self.i, self.spare
+        gates: list[Gate] = []
+        for q, cell in enumerate(layer[qs : qs + i]):
+            g = cell.gate
+            if cell.role is None:
+                if not g.exact_identity:
+                    gates.append(((q,), g))
+                continue
+            p = cell.partner - qs
+            if not 0 <= p < i:
+                gates += spare[q : q + 1]  # a cut half
+            elif q < p:
+                # the pair's gate is its first operand's, as `gate_list` reads it
+                gates.append(((q, p), g) if cell.role == FIRST else ((p, q), layer[qs + p].gate))
+        gates += spare[i:]
+        self.parts[layer, qs] = gates
+        return gates
+
     def _spell(self, g: GateDef) -> str:
-        """The gate's text, kept for the rest of the sweep: its name, or "?"
+        """The gate's text, kept for the rest of the call: its name, or "?"
         and its name (a character no gate name holds) when the database's
         gate of that name has another matrix (`_own_name`)."""
         other = g.name in self.gates and _own_name(self.gates, g) is None
@@ -743,31 +800,31 @@ def _sweep(
     db: IdentityDatabase,
     spec: TileSpec,
     report: OptimizeReport,
-    failed: dict[_WindowKey, int],
+    memo: _Slices,
 ) -> tuple[CircuitGrid, bool]:
     """One pass over the window positions in (layer, qubit) order. Each
     window is read from the current circuit, so the pass continues forward
     over the circuit as the last substitution left it.
 
-    A window is read from its slice records (`_Slices`), which give its
-    validity, its padded encoding and its depth with no cell rebuilt. A
-    member whose bucket has no row shallower than it has no candidate. A
-    `Tile` is cut for every other window (`OptimizeReport.tiles_built`),
-    and this is the one place that decides whether its candidates are
-    trusted: a member of a sound bucket tries that bucket's shallower rows
-    unchecked, and every other window, no member or a member of an
-    unsound bucket, takes its rows from `lookup`, to be checked.
+    A window is read from its slice records (`memo`, made once per
+    `optimize` call), which give its validity, its padded encoding, its
+    depth and its gate list with no cell rebuilt. This is the one place
+    that decides whether its candidates are trusted: a member of a sound
+    bucket tries that bucket's shallower rows unchecked, and every other
+    window, no member or a member of an unsound bucket, takes its rows
+    from `lookup` and its slices' gates, to be checked. A `Tile` is cut
+    only for a window that has candidate rows
+    (`OptimizeReport.tiles_built`).
 
-    `failed` maps each window that yielded no substitution, keyed by
-    (qubit offset, span), its whole layers compared cell by cell by
-    identity, to the collisions it skipped. The potential (effective depth,
-    non-Identity cells, layer texts in order; `_lowers`) reads nothing past
-    the span, so a window with an equal key is skipped, its collisions
-    counted again.
+    `memo.failed` maps each window that yielded no substitution to the
+    collisions it skipped. The potential (effective depth, non-Identity
+    cells, layer texts in order; `_lowers`) reads nothing past the span,
+    so a window with an equal key is skipped, its collisions counted
+    again.
     """
-    i = min(spec.i, c.n)
+    i = memo.i  # min(spec.i, c.n), fixed for the call
     identity = db.meta.gate_set.identity
-    slices = _Slices(db, i)
+    failed = memo.failed
     offsets, m = c.n - i + 1, c.m
     changed = False
     idx = 0
@@ -785,7 +842,7 @@ def _sweep(
             report.windows_reused += 1
             continue
         before = report.collisions_skipped
-        read = slices.window(span, qs)
+        read = memo.window(span, qs)
         trial = None
         if read is not None:
             text, depth = read
@@ -794,15 +851,15 @@ def _sweep(
                 table = db.rank_table(fp)
                 shallower = bisect_left(table, (depth,))
             if fp is None or shallower:
-                norm = _normalized(_window(c, qs, ls, i, j), identity)
-                report.tiles_built += 1
                 if fp is not None and db.sound(fp):
                     rows = Match(table[:shallower])
                 else:
-                    rows = lookup(norm, db)
+                    rows = lookup(memo.gate_list(span, qs), depth, db)
                     report.unitary_lookups += 1
                     report.filtered_misses += rows.filtered
                 if rows:
+                    norm = _normalized(_window(c, qs, ls, i, j), identity)
+                    report.tiles_built += 1
                     trial = _substitute(c, norm, depth, rows, db, report)
         if trial is None:
             failed[key] = report.collisions_skipped - before
@@ -856,10 +913,15 @@ def _lowers(old: tuple[Layer, ...], new: tuple[Layer, ...]) -> bool:
     depths differ by the span lengths, and the cells by the spans' cells.
     When both tie, the spans have as many layers, so the first layer text
     that differs lies inside them, and what follows them never counts.
+    Each is computed only when the one before it ties.
     """
-    return _potential(new) < _potential(old)
+    if len(new) != len(old):
+        return len(new) < len(old)
+    cells_new, cells_old = _cells(new), _cells(old)
+    if cells_new != cells_old:
+        return cells_new < cells_old
+    return list(map(encode_layer, new)) < list(map(encode_layer, old))
 
 
-def _potential(span: tuple[Layer, ...]) -> tuple[int, int, list[str]]:
-    cells = sum(1 for layer in span for cell in layer if not cell_is_identity(cell))
-    return len(span), cells, list(map(encode_layer, span))
+def _cells(span: tuple[Layer, ...]) -> int:
+    return sum(1 for layer in span for cell in layer if not cell_is_identity(cell))

@@ -53,7 +53,6 @@ from qidopt.optimizer import (
     TileSpec,
     _candidate_order,
     _lowers,
-    _padded,
     _Slices,
     _window,
     apply_rules,
@@ -180,11 +179,25 @@ def rows_of(db, *candidates):
     return db.rank(candidates, max_depth=db.meta.d)
 
 
+def padded(t, db):
+    """The tile's window with Identity rows and layers up to n×d."""
+    n, d = db.meta.n, db.meta.d
+    ident = single(db.meta.gate_set.identity)
+    layers = [layer + (ident,) * (n - t.sub.n) for layer in t.sub.layers]
+    return CircuitGrid(n, tuple(layers + [(ident,) * n] * (d - t.sub.m)))
+
+
+def tile_lookup(t, db):
+    """`lookup` of a normalized tile: the gate list of its window padded
+    to n×d, and its effective depth."""
+    return lookup(gate_list(padded(t, db)), effective_depth(t.sub), db)
+
+
 class TestLookup:
     def test_hh_tile_finds_identity(self, db_ih_1q):
         c = grid("H", "H")
         (t,) = extract_tiles(c, TileSpec(1, 2))
-        cands = encs(lookup(normalize_cut_tile(t), db_ih_1q))
+        cands = encs(tile_lookup(normalize_cut_tile(t), db_ih_1q))
         assert "I|I" in cands
         assert "H|H" not in cands  # the tile itself is excluded
 
@@ -192,13 +205,13 @@ class TestLookup:
         db = build_database(GeneratorConfig(n=1, d=1, gate_set=gate_set("I", "X")))
         c = grid("X")
         (t,) = extract_tiles(c, TileSpec(1, 1))
-        assert lookup(normalize_cut_tile(t), db) == []
+        assert tile_lookup(normalize_cut_tile(t), db) == []
 
     def test_cut_tile_candidates(self):
         gs = gate_set("I", "X", "Y", "H")
         db = build_database(GeneratorConfig(n=2, d=3, gate_set=gs))
         t = normalize_cut_tile(window(FIG13, TileSpec(2, 3), 1, 1))
-        cands = encs(lookup(t, db))
+        cands = encs(tile_lookup(t, db))
         assert "I,Y|I,I|I,I" in cands
         # members as deep as the tile cannot rank below it
         bucket = db.bucket(db.by_circuit["I,Y|I,H|I,H"])
@@ -209,13 +222,13 @@ class TestLookup:
     def test_tile_larger_than_database_rejected(self, db_ihxzcx, spec):
         t = normalize_cut_tile(window(grid(*["H,H,X"] * 4), spec, 0, 0))
         with pytest.raises(ValueError, match="exceeds database bounds"):
-            lookup(t, db_ihxzcx)
+            tile_lookup(t, db_ihxzcx)
 
     def test_fingerprint_fallback_for_foreign_gates(self, db_ih_1q):
         # S is not in the database gate set; lookup goes through the unitary
         c = grid("S", "SDG")
         (t,) = extract_tiles(c, TileSpec(1, 2))
-        cands = encs(lookup(normalize_cut_tile(t), db_ih_1q))
+        cands = encs(tile_lookup(normalize_cut_tile(t), db_ih_1q))
         assert "I|I" in cands
 
     def test_no_strict_improvement_means_none(self, db_ihxzcx):
@@ -223,7 +236,7 @@ class TestLookup:
         (t,) = extract_tiles(c, TileSpec(2, 3))
         # another cost-1 circuit with the same unitary is not an improvement
         assert "I,I|I,X|I,I" in db_ihxzcx.bucket(db_ihxzcx.by_circuit["I,X|I,I|I,I"])
-        assert lookup(normalize_cut_tile(t), db_ihxzcx) == []
+        assert tile_lookup(normalize_cut_tile(t), db_ihxzcx) == []
 
 
 class TestCandidateCost:
@@ -309,14 +322,6 @@ def crosses(layer, qs, n):
     )
 
 
-def padded(t, db):
-    """The tile's window with Identity rows and layers up to n×d."""
-    n, d = db.meta.n, db.meta.d
-    ident = single(db.meta.gate_set.identity)
-    layers = [layer + (ident,) * (n - t.sub.n) for layer in t.sub.layers]
-    return CircuitGrid(n, tuple(layers + [(ident,) * n] * (d - t.sub.m)))
-
-
 def reference_order(t, db):
     """The ranking done on every lookup: split every member of the padded
     tile's whole bucket, filter, then sort on (depth, cells, encoding). It
@@ -379,7 +384,7 @@ class TestRankTable:
             )
         tile = _window_tile(CircuitGrid(n + 1, tuple(layers)), qs, n, j)
         norm = normalize_cut_tile(tile)
-        assert _candidate_order(norm, lookup(norm, db), db) == reference_order(norm, db)
+        assert _candidate_order(norm, tile_lookup(norm, db), db) == reference_order(norm, db)
 
 
     def test_neighbour_rule_filters_table_rows(self, rank_dbs):
@@ -388,7 +393,7 @@ class TestRankTable:
         norm = normalize_cut_tile(Tile(0, 0, grid("CX:C:2,X,CX:T:0", "I,X,I")))
         for name, count in (("n3d2", 2), ("n3d2-near", 0)):
             db = rank_dbs[name]
-            got = _candidate_order(norm, lookup(norm, db), db)
+            got = _candidate_order(norm, tile_lookup(norm, db), db)
             assert got == reference_order(norm, db)
             assert len(got) == count
 
@@ -424,7 +429,7 @@ class TestCandidateOrder:
         c = grid("CX:C:2,I,CX:T:0", "I,CX:C:2,CX:T:1", "CX:C:2,I,CX:T:0")
         assert encode_circuit(c) not in db.by_circuit
         norm = normalize_cut_tile(window(c, TileSpec(3, 3), 0, 0))
-        ((_, chosen), *_) = _candidate_order(norm, lookup(norm, db), db)
+        ((_, chosen), *_) = _candidate_order(norm, tile_lookup(norm, db), db)
         assert chosen == "I,CX:C:2,CX:T:1|I,I,I|I,I,I"
         halves = [
             (q, cell) for layer in db.decode(chosen).layers
@@ -725,9 +730,9 @@ def full_potential(c):
     return effective_depth(c), cells, [encode_layer(layer) for layer in c.layers]
 
 
-def reference_sweep(c, db, spec, report, failed):
+def reference_sweep(c, db, spec, report, memo):
     """The full-recompute sweep, kept as an oracle: every window is tried
-    on every sweep (`failed` is ignored), and each trial is validated and
+    on every sweep (`memo` is ignored), and each trial is validated and
     judged on the whole circuit's potential."""
     i = min(spec.i, c.n)
     level = full_potential(c)
@@ -743,7 +748,7 @@ def reference_sweep(c, db, spec, report, failed):
         if classify_tile(tile) is TileClass.INVALID:
             continue
         norm = normalize_cut_tile(tile, db.meta.gate_set.identity)
-        rows = lookup(norm, db)
+        rows = tile_lookup(norm, db)
         if not rows:
             continue
         tile_unitary = circuit_unitary(norm.sub)
@@ -822,7 +827,7 @@ class TestIncrementalSweep:
             return
         norm = normalize_cut_tile(tile)
         old = c.layers[ls : ls + j]
-        for _, enc in _candidate_order(norm, lookup(norm, db), db):
+        for _, enc in _candidate_order(norm, tile_lookup(norm, db), db):
             trial = apply_substitution(c, norm, enc, db)
             k = trial.m - c.m + j
             # the splice leaves every layer outside its span as it was
@@ -980,16 +985,154 @@ class TestSliceRecords:
                 if read is not None:
                     norm = normalize_cut_tile(tile, identity)
                     text, depth = read
-                    assert text == encode_circuit(_padded(norm, db))
+                    assert text == encode_circuit(padded(norm, db))
                     assert depth == effective_depth(norm.sub)
 
     def test_wide_circuits_match_reference_sweep(self, db_ihxzcx, monkeypatch):
         offsets = set()
+        tiles = 0
         for text in wide_corpus(4):
             report = assert_same_as_reference(monkeypatch, parse(text), db_ihxzcx)
             offsets.update(s.qubit_offset for s in report.substitutions)
-            assert report.tiles_built > 0
+            # a Tile is cut only for a window with candidates, and every
+            # substitution is made from one
+            assert report.tiles_built >= len(report.substitutions)
+            tiles += report.tiles_built
+        assert tiles > 0
         assert 7 in offsets  # the last offset of a two-row window
+
+
+# a gate named H whose matrix is not the builtin H's: the records spell it
+# "?H", and its own matrix must be what a lookup evaluates
+CLASH_H = make_gate("H", [[math.cos(math.pi / 8), -math.sin(math.pi / 8)],
+                          [math.sin(math.pi / 8), math.cos(math.pi / 8)]])
+
+
+@st.composite
+def record_layer(draw, n):
+    """A layer of n qubits: CX on disjoint pairs, any distance apart and
+    in either orientation, and single gates with `t`, which IHXZCX lacks,
+    and CLASH_H everywhere else."""
+    order = draw(st.permutations(range(n)))
+    cells = [None] * n
+    for k in range(draw(st.integers(0, n // 2))):
+        a, b = order[2 * k], order[2 * k + 1]
+        cells[a], cells[b] = half(gate("CX"), "C", b), half(gate("CX"), "T", a)
+    singles = st.sampled_from([gate(name) for name in ("I", "H", "X", "Z", "T")] + [CLASH_H])
+    return tuple(cell or single(draw(singles)) for cell in cells)
+
+
+@pytest.fixture(scope="module")
+def record_dbs(rank_dbs):
+    # an Identity within 1e-9 of the 2×2 identity but not exactly it, as a
+    # hand-written file may hold: `gate_list` lists each padding cell
+    near_i = make_gate("I", np.diag([1, np.exp(1e-12j)]))
+    gs = GateSet([near_i, gate("H"), gate("X"), gate("CX")])
+    return {**rank_dbs, "n2d2-inexact-I": build_database(GeneratorConfig(n=2, d=2, gate_set=gs))}
+
+
+class TestRecordGates:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_record_gates_are_the_padded_tiles(self, record_dbs, data):
+        # every valid window: cut halves in its first or last layer, pairs
+        # of either orientation, gates the database lacks or spells "?H"
+        db = record_dbs[data.draw(st.sampled_from(sorted(record_dbs)), label="db")]
+        n, d = db.meta.n, db.meta.d
+        qubits = data.draw(st.integers(2, 6), label="qubits")
+        layers = data.draw(st.lists(record_layer(qubits), min_size=1, max_size=6), label="layers")
+        c = CircuitGrid(qubits, tuple(layers))
+        i = data.draw(st.integers(1, min(n, qubits)), label="window width")
+        j = data.draw(st.integers(1, min(d, c.m)), label="window depth")
+        identity = db.meta.gate_set.identity
+        slices = _Slices(db, i)
+        for ls in range(c.m - j + 1):
+            for qs in range(qubits - i + 1):
+                span = c.layers[ls : ls + j]
+                read = slices.window(span, qs)
+                if read is None:
+                    continue
+                norm = normalize_cut_tile(_window(c, qs, ls, i, j), identity)
+                _, depth = read
+                gates = slices.gate_list(span, qs)
+                assert gates == gate_list(padded(norm, db))
+                rows, want = lookup(gates, depth, db), tile_lookup(norm, db)
+                assert list(rows) == list(want)
+                assert rows.filtered == want.filtered
+                assert np.array_equal(rows.unitary, want.unitary)
+                assert np.array_equal(rows.unitary, circuit_unitary(padded(norm, db)))
+
+    def test_records_cover_cuts_swaps_and_clashes(self, db_ihxzcx):
+        # one window of each kind the property draws, spelled out
+        c = CircuitGrid(3, (
+            (half(gate("CX"), "T", 2), single(CLASH_H), half(gate("CX"), "C", 0)),
+            (half(gate("CX"), "T", 1), half(gate("CX"), "C", 0), single(gate("T"))),
+            (single(gate("X")), half(gate("CX"), "C", 2), half(gate("CX"), "T", 1)),
+        ))
+        slices = _Slices(db_ihxzcx, 2)
+        text, depth = slices.window(c.layers, 0)
+        # the cut halves on qubit 0 and 1 are Identity; the pair on qubits
+        # 0 and 1 is listed once, first operand first
+        assert text == "I,?H|CX:T:1,CX:C:0|X,I"
+        assert depth == 3
+        assert slices.gate_list(c.layers, 0) == [
+            ((1,), CLASH_H), ((1, 0), gate("CX")), ((0,), gate("X")),
+        ]
+
+
+class TestTilesOnlyWithCandidates:
+    def test_filtered_miss_cuts_no_tile(self):
+        db = build_database(GeneratorConfig(n=2, d=2, gate_set=gate_set(*IHXZCX)))
+        _, report = optimize(grid("T,I"), db)
+        assert report.tiles_built == 0
+        assert report.unitary_lookups == report.filtered_misses == 1
+
+    def test_window_with_candidates_cuts_one_tile(self):
+        db = build_database(GeneratorConfig(n=2, d=2, gate_set=gate_set(*IHXZCX)))
+        # S is no gate of the database, so no pair rule merges S·S; the
+        # window's unitary is Z's, a one-layer member
+        out, report = optimize(grid("S,I", "S,I"), db)
+        assert encode_circuit(out) == "Z,I"
+        assert report.unitary_lookups == 1 and len(report.substitutions) == 1
+        assert report.tiles_built == 1
+
+    def test_each_record_made_once_per_call(self, db_ihxzcx, monkeypatch):
+        # the text records and the gate lists, each kept for the call
+        slices, real_sweep = optimizer_module._Slices, optimizer_module._sweep
+        made = {"_record": Counter(), "_part": Counter()}
+        read = {"window": {}, "gate_list": {}}
+        sweeps = []
+
+        def noted(table, real):
+            def note(memo, *args):
+                table[id(args[0]), args[1]] += 1
+                return real(memo, *args)
+            return note
+
+        def noted_reads(table, real):
+            def note(memo, span, qs):
+                for layer in span:
+                    table.setdefault((id(layer), qs), set()).add(len(sweeps))
+                return real(memo, span, qs)
+            return note
+
+        def noted_sweep(*args):
+            sweeps.append(args)
+            return real_sweep(*args)
+
+        for name, table in made.items():
+            monkeypatch.setattr(slices, name, noted(table, getattr(slices, name)))
+        for name, table in read.items():
+            monkeypatch.setattr(slices, name, noted_reads(table, getattr(slices, name)))
+        monkeypatch.setattr(optimizer_module, "_sweep", noted_sweep)
+        c = grid("H,I,I,H", "Z,X,I,Z", "X,T,X,X", "T,T,T,T", "H,Z,X,H", "I,I,I,X", "I,I,I,H")
+        _, report = optimize(c, db_ihxzcx)
+        assert report.iterations == len(sweeps) > 1 and report.unitary_lookups > 0
+        for name, table in made.items():
+            assert table and set(table.values()) == {1}, name
+        # slices are read again in a later sweep, from what is kept
+        for name, table in read.items():
+            assert any(len(seen) > 1 for seen in table.values()), name
 
 
 # ── the neighbour rule: a database's enumeration decides the pairs ──
@@ -1108,7 +1251,7 @@ class TestDatabaseShape:
         c = CircuitGrid(3, ((x, *first[1:]), (x, *second[1:])))
         norm = normalize_cut_tile(window(c, TileSpec(2, 2), 0, 0))
         assert [(li, q) for li, q, _ in norm.cut_positions] == [(1, 1)]
-        ordered = _candidate_order(norm, lookup(norm, db_ihxzcx), db_ihxzcx)
+        ordered = _candidate_order(norm, tile_lookup(norm, db_ihxzcx), db_ihxzcx)
         assert ordered and ordered == reference_order(norm, db_ihxzcx)
         out, report = optimize(c, db_ihxzcx)
         assert report.substitutions[0].layer_offset == report.substitutions[0].qubit_offset == 0
@@ -1205,7 +1348,7 @@ class TestCheckedOnce:
                 )))
         tile = _window(CircuitGrid(n + 1, tuple(layers)), qs, 0, i, j)
         norm = normalize_cut_tile(tile, db.meta.gate_set.identity)
-        rows = lookup(norm, db)
+        rows = tile_lookup(norm, db)
         assert list(rows) == reference_lookup(norm, db)
         member = encode_circuit(padded(norm, db)) in db.by_circuit
         assert rows.unitary is not None
@@ -1221,7 +1364,7 @@ class TestCheckedOnce:
             # the first bucket, whose representative the poison replaced
             idle = ",I" * (n - 1)
             t = Tile(0, 0, grid("S" + idle, "SDG" + idle))
-            rows = lookup(t, db)
+            rows = tile_lookup(t, db)
             assert rows.unitary is not None and not rows.filtered
             assert list(rows) == reference_lookup(t, db) != []
 
@@ -1253,22 +1396,37 @@ class TestCheckedOnce:
 
     def test_report_counts_lookups_and_trials(self, db_ihxzcx, monkeypatch):
         db = fresh_copy(db_ihxzcx)
-        real_lookup, real_unitary = optimizer_module.lookup, optimizer_module.circuit_unitary
+        real_lookup, real_window = optimizer_module.lookup, optimizer_module._Slices.window
+        real_unitary, real_gates_unitary = (
+            optimizer_module.circuit_unitary, optimizer_module.gates_unitary
+        )
         calls = Counter()
 
-        def noted_lookup(t, db):
-            calls["members"] += encode_circuit(padded(t, db)) in db.by_circuit
+        def noted_window(slices, span, qs):
+            read = real_window(slices, span, qs)
+            calls["text"] = read and read[0]
+            return read
+
+        def noted_lookup(gates, depth, db):
+            # a sweep looks up the window it read last
+            calls["members"] += calls["text"] in db.by_circuit
             calls["by unitary"] += 1
-            fp = fingerprint(real_unitary(padded(t, db)), db.meta.dp)
+            fp = fingerprint(real_gates_unitary(gates, db.meta.n), db.meta.dp)
             calls["misses"] += fp not in db.by_fingerprint
-            return real_lookup(t, db)
+            return real_lookup(gates, depth, db)
 
         def noted_unitary(c):
             calls["unitaries"] += 1
             return real_unitary(c)
 
+        def noted_gates_unitary(gates, n):
+            calls["gate lists"] += 1
+            return real_gates_unitary(gates, n)
+
+        monkeypatch.setattr(optimizer_module._Slices, "window", noted_window)
         monkeypatch.setattr(optimizer_module, "lookup", noted_lookup)
         monkeypatch.setattr(optimizer_module, "circuit_unitary", noted_unitary)
+        monkeypatch.setattr(optimizer_module, "gates_unitary", noted_gates_unitary)
         totals = Counter()
         # s is no gate of the database, but s·s is its Z: a window found
         # through its unitary that has candidates
@@ -1280,9 +1438,12 @@ class TestCheckedOnce:
             assert calls["members"] == 0
             assert (r.unitary_lookups, r.filtered_misses) == (calls["by unitary"], calls["misses"])
             # every bucket is sound, so only windows found through their
-            # unitary check their candidates; the final check evaluates gate
-            # lists (`gates_unitary`), not grids
-            assert calls["unitaries"] == r.unitary_lookups + r.trials_checked
+            # unitary check their candidates, each trial on a grid
+            # (`circuit_unitary`); each lookup evaluates its gate list
+            # (`gates_unitary`), and so does the final check, twice when
+            # it covers a qubit
+            assert calls["unitaries"] == r.trials_checked
+            assert calls["gate lists"] == r.unitary_lookups + 2 * (r.check_qubits > 0)
             totals.update(lookups=r.unitary_lookups, misses=r.filtered_misses,
                           trials=r.trials_checked)
         assert totals["lookups"] > totals["misses"] > 0
@@ -1311,7 +1472,7 @@ class TestCheckedOnce:
         # text is none: it is looked up by its unitary
         text, _ = _Slices(db, 2).window(c.layers[:d], 0)
         assert text not in db.by_circuit
-        padded_window = _padded(Tile(0, 0, CircuitGrid(2, c.layers[:d])), db)
+        padded_window = padded(Tile(0, 0, CircuitGrid(2, c.layers[:d])), db)
         assert encode_circuit(padded_window) in db.by_circuit
         assert report.unitary_lookups > 0
         assert report.residual <= 1e-12
