@@ -32,9 +32,10 @@ and the rank rows are assembled from the entries. A member of other than d
 pieces, or with a piece that is not an enumerated layer's text (an unknown
 gate, an unpaired cell, a wrong width, a spelling `encode_circuit` never
 writes, a non-neighbour pair in a `neighbors_only` file), raises
-DatabaseFormatError naming it when the member is first read. A build and
-`loads` index members the same way (`member_index`), and `loads` rejects
-a member or bucket listed twice.
+DatabaseFormatError naming it when the member is first read. A database
+indexes its members (`member_index`) on first use: a build leaves the
+index to its first reader, and `loads` makes it at once, so a load
+rejects a member listed twice, as it rejects a bucket listed twice.
 
 A database evaluates its members itself, from the unitaries of its L
 layers, made once: a member's unitary is a batched product of d of them.
@@ -192,17 +193,18 @@ _FORM_SLICE = 256
 
 @dataclass(frozen=True)
 class IdentityDatabase:
-    """Two hash tables over one enumeration: encoding -> fingerprint, and
-    fingerprint -> cost-sorted equivalent encodings. `layers` is the layer
-    table of that enumeration (`layer_table`), and members are read only
-    through it: a member must have d '|'-separated pieces, each the text of
-    an enumerated layer over `meta.gate_set`, or it raises
-    DatabaseFormatError. `by_circuit` maps each member to the bucket that
-    holds it, as `member_index` makes it.
+    """Fingerprint -> cost-sorted equivalent encodings, over one
+    enumeration. `layers` is the layer table of that enumeration
+    (`layer_table`), and members are read only through it: a member must
+    have d '|'-separated pieces, each the text of an enumerated layer over
+    `meta.gate_set`, or it raises DatabaseFormatError.
 
-    A database is read-only: the three tables are kept behind read-only
-    views and each bucket is a tuple. Four things are made on first use
-    and kept with the database:
+    A database is read-only: its tables are kept behind read-only views
+    and each bucket is a tuple. Five things are made on first use and kept
+    with the database:
+      * the member index (`by_circuit`), each member -> the key of its
+        bucket, as `member_index` makes it: a build leaves it to its first
+        reader, `optimize` or a pair rule, and `loads` makes it at once;
       * the unitaries of its L layers over `meta.gate_set`, one (L, 2ⁿ, 2ⁿ)
         stack; a member's unitary is a batched product of d of them;
       * one rank table per bucket (`rank_table`), made on the bucket's
@@ -216,7 +218,6 @@ class IdentityDatabase:
 
     meta: DatabaseMeta
     layers: Mapping[str, LayerEntry] = field(repr=False, compare=False)
-    by_circuit: Mapping[str, Fingerprint] = field(default_factory=dict)
     by_fingerprint: Mapping[Fingerprint, tuple[str, ...]] = field(default_factory=dict)
     # fingerprint -> [the bucket's rank rows, sound or None until asked]
     _rank_tables: dict[Fingerprint, list] = field(
@@ -228,12 +229,18 @@ class IdentityDatabase:
     )
 
     def __post_init__(self):
-        for name in ("layers", "by_circuit", "by_fingerprint"):
+        for name in ("layers", "by_fingerprint"):
             object.__setattr__(self, name, MappingProxyType(getattr(self, name)))
+
+    @cached_property
+    def by_circuit(self) -> Mapping[str, Fingerprint]:
+        """Each member -> the key of the bucket that holds it (`member_index`),
+        made on first use. DatabaseFormatError naming a member listed twice."""
+        return MappingProxyType(member_index(self.by_fingerprint))
 
     @property
     def total_circuits(self) -> int:
-        return len(self.by_circuit)
+        return sum(map(len, self.by_fingerprint.values()))
 
     def bucket(self, fp: Fingerprint) -> tuple[str, ...]:
         return self.by_fingerprint.get(fp, ())
@@ -437,7 +444,7 @@ class IdentityDatabase:
         return np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.uint64)
 
 
-def member_index(by_fingerprint: dict[Fingerprint, tuple[str, ...]]) -> dict[str, Fingerprint]:
+def member_index(by_fingerprint: Mapping[Fingerprint, tuple[str, ...]]) -> dict[str, Fingerprint]:
     """Each member of the buckets -> its bucket's fingerprint, in bucket
     order. DatabaseFormatError naming a member listed twice."""
     index = {enc: fp for fp, encs in by_fingerprint.items() for enc in encs}
@@ -573,7 +580,8 @@ def _int(text: str, what: str, lo: int = 0, hi: int | None = None) -> int:
 def loads(text: str) -> IdentityDatabase:
     """Parse a QIDB/1 file; raises DatabaseFormatError (or a subclass) for
     any header, gate line, bucket or footer it cannot interpret, and for a
-    member or bucket listed twice. Members are read on first use."""
+    member or bucket listed twice: the member index is made here, once.
+    Members are read on first use."""
     # a tuple, so that each bucket is a slice of it
     lines = tuple(text.split("\n"))
     if lines[-1] == "":
@@ -613,10 +621,13 @@ def loads(text: str) -> IdentityDatabase:
         fields = lines[pos].split(" ")
         if len(fields) != 3:
             raise DatabaseFormatError(f"malformed bucket header {lines[pos]!r}")
+        # `Fingerprint.from_hex` in C calls: the loop makes one key per bucket
         try:
-            fp = Fingerprint.from_hex(fields[1])
+            fp = bytes.__new__(Fingerprint, bytes.fromhex(fields[1]))
         except ValueError:
-            raise DatabaseFormatError(f"bad fingerprint {fields[1]!r}") from None
+            fp = b""
+        if len(fp) != 16:
+            raise DatabaseFormatError(f"bad fingerprint {fields[1]!r}")
         count = _int(fields[2], "bucket size", 1)
         pos += 1
         if pos + count > len(lines):
@@ -641,22 +652,22 @@ def loads(text: str) -> IdentityDatabase:
     actual = hashlib.md5(text[start:end].encode("utf-8")).hexdigest()
     if actual != checksum:
         raise ChecksumMismatchError("body checksum mismatch")
-    by_circuit = member_index(by_fingerprint)
-    if total != len(by_circuit):
-        raise DatabaseFormatError(
-            f"footer says {total} circuits, file holds {len(by_circuit)}"
-        )
     # a database holds every circuit of its enumeration, so at least its
     # layers: this also bounds the enumeration by the file's size
-    if layer_count(n, gate_set.g, gate_set.t, meta.neighbors_only, total) > total:
+    held = sum(map(len, by_fingerprint.values()))
+    if layer_count(n, gate_set.g, gate_set.t, meta.neighbors_only, held) > held:
         raise DatabaseFormatError(
-            f"n {n} and the gate table give more layers than the file's {total} circuits"
+            f"n {n} and the gate table give more layers than the file's {held} circuits"
         )
     try:
         layers = enumerate_layers(n, gate_set, meta.neighbors_only)
     except RecursionError:  # it recurses once per qubit
         raise DatabaseFormatError(f"n {n} is too large to enumerate") from None
-    return IdentityDatabase(meta, layer_table(layers), by_circuit, by_fingerprint)
+    db = IdentityDatabase(meta, layer_table(layers), by_fingerprint)
+    # the member index, made here once: it rejects a member listed twice
+    if total != len(db.by_circuit):
+        raise DatabaseFormatError(f"footer says {total} circuits, file holds {held}")
+    return db
 
 
 def load(path) -> IdentityDatabase:

@@ -36,9 +36,10 @@ _RE_IM = np.array([0, 1])
 
 
 class Fingerprint(bytes):
-    """A 16-byte digest, the database key. It is a `bytes` so that a
-    `loads` of thousands of buckets hashes and compares keys in C; it
-    equals only another Fingerprint of the same bytes."""
+    """A 16-byte digest, the database key. It is a `bytes` with bytes'
+    own hash and comparisons, so that a dict of thousands of buckets
+    hashes and compares keys in C: a Fingerprint equals the bytes of its
+    digest, and hashes as they do."""
 
     __slots__ = ()
 
@@ -49,11 +50,7 @@ class Fingerprint(bytes):
 
     @classmethod
     def from_hex(cls, s: str) -> "Fingerprint":
-        # `__new__`'s check, inline: `loads` makes one per bucket
-        digest = bytes.fromhex(s)
-        if len(digest) != 16:
-            raise ValueError("fingerprint must be 16 bytes")
-        return bytes.__new__(cls, digest)
+        return cls(bytes.fromhex(s))
 
     @property
     def digest(self) -> bytes:
@@ -62,14 +59,6 @@ class Fingerprint(bytes):
     @property
     def hex(self) -> str:
         return bytes.hex(self)
-
-    def __eq__(self, other):
-        return isinstance(other, Fingerprint) and bytes.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = bytes.__hash__
 
     def __repr__(self):
         return f"Fingerprint({self.hex})"

@@ -50,19 +50,24 @@ from broadcasting per-layer tables, one `np.lexsort` on (form id, depth,
 text rank) orders all members, and each bucket is a slice of the sorted
 texts. Buckets are inserted in form-id order, the order in which their
 forms first appear; within a bucket, members sort by (effective depth,
-encoding text).
+encoding text). The build indexes no member: the database makes its
+member index (`by_circuit`) on first use, which `gen-db`, building and
+saving, never reaches.
 
 A build is refused before anything is enumerated (`_check_budget`) when
-its estimated peak bytes exceed `max_circuits` · B, with B = 320. The
-estimate is C·B + 16·4ⁿ·(2L + 2L^(d−1) + k·R), k = 6: C = L^d circuits
-at B bytes each (member texts, form ids and the tables over them), and
-complex unitaries of 16·4ⁿ bytes: 2L for the layer stack and the list it
-is stacked from, 2L^(d−1) for the distinct prefix products and the
-blocks they are concatenated from (they number at most L^(d−1)), and k per
-row of a last-level block, R = max(`_CHUNK`, L) rows, for its rounding,
+its estimated peak bytes exceed `max_circuits` · B, with B = 150. The
+estimate is C·(B + 2nd) + 16·4ⁿ·(2L + 2L^(d−1) + k·R), k = 6: C = L^d
+circuits at B bytes each (member objects, form ids and the tables over
+them) plus 2nd for the text of d layers of n cells, and complex
+unitaries of 16·4ⁿ bytes: 2L for the layer stack and the list it is
+stacked from, 2L^(d−1) for the distinct prefix products and the blocks
+they are concatenated from (they number at most L^(d−1)), and k per row
+of a last-level block, R = max(`_CHUNK`, L) rows, for its rounding,
 hashing and fingerprinting. B and k are fitted to tracemalloc peaks,
-which the estimate exceeds by 1.5–2.2× on the bench configs and on n4d1
-builds, where the 4ⁿ term dominates.
+which the estimate exceeds by 1.2–2.2× on the bench configs and on n4d1
+builds, where the 4ⁿ term dominates. The text term counts at any depth:
+a gate set of one layer has one circuit however deep, but its text is
+d layers long.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .circuit import CircuitGrid, enumerate_layers, layer_count, layer_unitary
-from .database import DatabaseMeta, IdentityDatabase, layer_table, member_index
+from .database import DatabaseMeta, IdentityDatabase, layer_table
 from .fingerprint import Fingerprint, _rounded_components, _row_hash, fingerprint
 from .gates import GateSet
 from .matrices import identity
@@ -85,7 +90,7 @@ DEFAULT_MAX_CIRCUITS = 10**7
 _CHUNK = 512
 
 # the byte estimate's B and k (see the module docstring)
-_BYTES_PER_CIRCUIT = 320
+_BYTES_PER_CIRCUIT = 150
 _BLOCK_COPIES = 6
 
 
@@ -108,8 +113,9 @@ class ResourceGuardError(RuntimeError):
 @dataclass(frozen=True)
 class GeneratorConfig:
     """An enumeration, refused before it is enumerated when its estimated
-    peak bytes C·B + 16·4ⁿ·(2L + 2L^(d−1) + k·R) exceed `max_circuits` · B
-    (B = 320, k = 6; the terms are in the module docstring)."""
+    peak bytes C·(B + 2nd) + 16·4ⁿ·(2L + 2L^(d−1) + k·R) exceed
+    `max_circuits` · B (B = 150, k = 6; the terms are in the module
+    docstring)."""
 
     n: int
     d: int
@@ -143,11 +149,11 @@ def enumerate_circuits(cfg: GeneratorConfig) -> Iterator[CircuitGrid]:
 
 def _estimate(n: int, d: int, layers: int) -> tuple[int, int]:
     """The circuit count C = L^d of a build over L = `layers` layers, and
-    its estimated peak bytes C·B + 16·4ⁿ·(2L + 2L^(d−1) + k·R)."""
+    its estimated peak bytes C·(B + 2nd) + 16·4ⁿ·(2L + 2L^(d−1) + k·R)."""
     circuits = layers**d
     rows = max(_CHUNK, layers)  # a last-level block has at most this many rows
     unitaries = 2 * layers + 2 * layers ** (d - 1) + _BLOCK_COPIES * rows
-    return circuits, circuits * _BYTES_PER_CIRCUIT + 16 * 4**n * unitaries
+    return circuits, circuits * (_BYTES_PER_CIRCUIT + 2 * n * d) + 16 * 4**n * unitaries
 
 
 def _check_budget(cfg: GeneratorConfig) -> None:
@@ -155,12 +161,13 @@ def _check_budget(cfg: GeneratorConfig) -> None:
     max_circuits · B. The estimate rises with n, d and L, so it is taken
     where it passes the limit if the full one does: n at most the limit's
     bit length (16·4ⁿ passes it), so a huge n is never counted, and L and
-    L^d up to the first value past max_circuits (C·B passes it)."""
+    L^d up to the first value past max_circuits (C·B passes it). One
+    layer gives one circuit at every depth, so its d is the config's."""
     limit = cfg.max_circuits * _BYTES_PER_CIRCUIT
     n = min(cfg.n, limit.bit_length())
     layers = layer_count(n, cfg.gate_set.g, cfg.gate_set.t, cfg.neighbors_only, cfg.max_circuits)
-    d = 1
-    while d < cfg.d and 1 < layers**d <= cfg.max_circuits:
+    d = 1 if layers > 1 else cfg.d
+    while d < cfg.d and layers**d <= cfg.max_circuits:
         d += 1
     total, estimate = _estimate(n, d, layers)
     if estimate > limit:
@@ -307,14 +314,15 @@ def _distinct_prefixes(mats: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
 
 
 def build_database(cfg: GeneratorConfig) -> IdentityDatabase:
-    """Enumerate, fingerprint, and index every circuit of the config.
+    """Enumerate and fingerprint every circuit of the config, and bucket it.
 
     Bucket lists come out sorted by (effective depth, encoding) so the
     cheapest identity is first, and buckets in the order their forms first
-    appear; `by_circuit` indexes the buckets as a load does
-    (`member_index`). Raises ResourceGuardError, before enumerating, over
-    the byte budget (`_check_budget`), and RuntimeError, naming the
-    fingerprint, when two distinct forms share one.
+    appear. The build makes no member index: the database makes
+    `by_circuit` (`member_index`) on its first use, so a build that is
+    only saved never makes it. Raises ResourceGuardError, before
+    enumerating, over the byte budget (`_check_budget`), and RuntimeError,
+    naming the fingerprint, when two distinct forms share one.
     """
     _check_budget(cfg)
     layers = enumerate_layers(cfg.n, cfg.gate_set, cfg.neighbors_only)
@@ -361,4 +369,4 @@ def build_database(cfg: GeneratorConfig) -> IdentityDatabase:
             raise RuntimeError(f"two forms have the fingerprint {fp.hex}")
         by_fingerprint[fp] = members[start:end]
     meta = DatabaseMeta(cfg.n, cfg.d, cfg.dp, cfg.neighbors_only, cfg.gate_set)
-    return IdentityDatabase(meta, table, member_index(by_fingerprint), by_fingerprint)
+    return IdentityDatabase(meta, table, by_fingerprint)

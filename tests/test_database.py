@@ -29,6 +29,7 @@ from qidopt.database import (
     layer_table,
     load,
     loads,
+    member_index,
     save,
 )
 from qidopt.fingerprint import canonicalize
@@ -185,6 +186,20 @@ def test_made_database_rejects_edits(small_db, made):
     with pytest.raises(dataclasses.FrozenInstanceError):
         db.by_circuit = {}
     assert dumps(db) == text
+
+
+def test_member_index_made_on_first_use():
+    # a build that is only saved never makes its member index; a load makes
+    # it at once, rejecting a member listed twice
+    db = build_database(GeneratorConfig(n=2, d=3, gate_set=gate_set("I", "H", "X", "Z", "CX")))
+    text = dumps(db)
+    assert db.total_circuits == 5832
+    assert "by_circuit" not in vars(db)
+    loaded = loads(text)
+    assert "by_circuit" in vars(loaded)
+    assert db.by_circuit == member_index(db.by_fingerprint) == loaded.by_circuit
+    assert "by_circuit" in vars(db) and db.by_circuit is db.by_circuit
+    assert len(db.by_circuit) == db.total_circuits
 
 
 class TestPersistence:

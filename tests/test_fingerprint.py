@@ -225,6 +225,12 @@ class TestFingerprintType:
         with pytest.raises(ValueError):
             Fingerprint(b"short")
 
+    def test_equals_and_hashes_as_its_digest(self):
+        # bytes' own comparisons and hash, so dict lookups stay in C
+        fp = fingerprint(I2, 8)
+        assert fp == fp.digest and hash(fp) == hash(fp.digest)
+        assert {fp.digest: "bucket"}[fp] == "bucket"
+
     def test_hex_round_trip(self):
         fp = fingerprint(I2, 8)
         assert Fingerprint.from_hex(fp.hex) == fp

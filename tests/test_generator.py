@@ -171,8 +171,10 @@ class TestEnumerateCircuits:
             GeneratorConfig(n=2000, d=1, gate_set=gate_set("I")),
             # a depth that L^d alone passes the limit at
             GeneratorConfig(n=1, d=10**9, gate_set=gate_set("I", "H")),
+            # one layer: one circuit at any depth, whose text passes the limit
+            GeneratorConfig(n=1, d=10**12, gate_set=gate_set("I")),
         ],
-        ids=["n40-count", "n40-counted", "n2000-one-layer", "d1e9"],
+        ids=["n40-count", "n40-counted", "n2000-one-layer", "d1e9", "one-layer-d1e12"],
     )
     @pytest.mark.parametrize(
         "run", [build_database, lambda cfg: list(enumerate_circuits(cfg))], ids=["build", "enum"]

@@ -287,21 +287,27 @@ def rank_dbs(db_ihxzcx, db_near):
     }
 
 
-def fresh_copy(db, buckets=()):
+def fresh_copy(db):
     """The database's tables in a new database, none of its buckets ranked
-    yet and no form filter made; `buckets` maps keys to the members that
-    replace theirs, as a malformed file's buckets arrive."""
-    return IdentityDatabase(
-        db.meta, db.layers, db.by_circuit, {**db.by_fingerprint, **dict(buckets)}
-    )
+    yet, and no form filter or member index made."""
+    return IdentityDatabase(db.meta, db.layers, db.by_fingerprint)
+
+
+def poisoned(db, member, fp):
+    """A fresh copy whose bucket fp leads with `member`, moved there from
+    its own bucket, which is dropped if that leaves it empty: as a
+    malformed file's buckets arrive, each member in one bucket."""
+    own = db.by_circuit[member]
+    buckets = {**db.by_fingerprint, fp: (member, *db.bucket(fp))}
+    buckets[own] = tuple(enc for enc in db.bucket(own) if enc != member)
+    return IdentityDatabase(db.meta, db.layers, {key: encs for key, encs in buckets.items() if encs})
 
 
 def poisoned_xx(db):
     """A fresh copy whose X⊗X bucket claims I⊗Z is equivalent to it: the
     poison's single gate cell makes it sort ahead of every honest cost-1
     candidate."""
-    xx = db.by_circuit["X,X|I,I|I,I"]
-    return fresh_copy(db, {xx: ("I,I|I,I|I,Z", *db.bucket(xx))})
+    return poisoned(db, "I,I|I,I|I,Z", db.by_circuit["X,X|I,I|I,I"])
 
 
 def far_pair(layer):
@@ -1288,11 +1294,11 @@ class TestDatabaseShape:
 
 
 def poisoned_first(db):
-    """A fresh copy whose first bucket leads with another bucket's member:
-    its representative no longer gives its key, so the filter is
-    unverified."""
+    """A fresh copy whose first bucket leads with the last bucket's first
+    member, moved from it: its representative no longer gives its key, so
+    the filter is unverified."""
     first, *_, last = db.by_fingerprint
-    return fresh_copy(db, {first: (db.bucket(last)[0], *db.bucket(first))})
+    return poisoned(db, db.bucket(last)[0], first)
 
 
 def reference_lookup(t, db):
