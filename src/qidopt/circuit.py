@@ -25,7 +25,8 @@ O(gates·4^n) rather than the O(layers·8^n) of dense layer products:
     for one batched matmul.
 Every layer of the builtin gates comes out bitwise as a cell-by-cell walk
 makes it (a test compares the two), so database bytes, which the layer
-unitaries feed, do not depend on the kernel.
+unitaries feed, do not depend on the kernel. A list's determinant needs
+no unitary at all: it is a product of its gates' own (`gates_det`).
 
 The gate-list form, [(qubits in operand order, gate)] in layer order, is
 owned here: `gate_list` is the one walk from a grid to its gates, and
@@ -257,6 +258,26 @@ def gates_unitary(gates: list[Gate], n: int) -> ComplexMatrix:
     (`_apply`), so a list costs O(gates·4^n), not the O(layers·8^n) of
     dense layer products."""
     return _apply(identity(1 << n), gates, n)
+
+
+def gates_det(gates: list[Gate], n: int) -> complex:
+    """The determinant of `gates_unitary(gates, n)` from the gates'
+    determinants alone (`GateDef.det`), with no unitary: a gate on k of
+    the n qubits acts as its matrix tensored with the identity on the
+    other n − k, of determinant det(g)^(2^(n−k)). NaN when a gate's
+    determinant is."""
+    one = two = 1
+    for qs, g in gates:
+        if len(qs) == 1:
+            one *= g.det
+        else:
+            two *= g.det
+    if n == 1:
+        return complex(one)
+    det = one * one * two  # to the power 2^(n−2), by squaring
+    for _ in range(n - 2):
+        det *= det
+    return complex(det)
 
 
 def layer_unitary(layer: Layer, n: int) -> ComplexMatrix:

@@ -43,12 +43,15 @@ It checks a bucket once, the first time it is asked (`sound`): the bucket
 is sound when every member lies within a quarter of the optimizer's
 collision guard of its first member, so the optimizer need not compare a
 member window with each candidate. And it rules out, with no fingerprint,
-a unitary that no bucket holds: a form filter holds the row hash of each
-bucket's first member rounded at dp, and a unitary whose rounded row hash
-is none of them is in no bucket (`may_hold`). The filter is made on
-first use and trusted only when every bucket's first member reproduces
-its key; a member that does not decode still raises when its bucket is
-first ranked, never when the filter is made.
+a window that no bucket holds. A form filter keeps, for each bucket's
+first member, the row hash of its unitary rounded at dp and the phase of
+its determinant. A window whose determinant, a product of its gates'
+(`circuit.gates_det`), lies farther from every phase than rounding at dp
+can move it is in no bucket, and needs no unitary (`may_hold_det`); nor
+is a unitary whose rounded row hash is none of them (`may_hold`). The
+filter is made on first use and trusted only when every bucket's first
+member reproduces its key; a member that does not decode still raises
+when its bucket is first ranked, never when the filter is made.
 
 A database also says what two of its gates do when one follows the other
 on a qubit they share (`pair_rule`): cancel, merge into one gate, commute
@@ -63,6 +66,7 @@ derives from them is made once and kept, with nothing to invalidate.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -73,10 +77,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import Cell, CircuitGrid, Gate, Layer, cell_is_identity, enumerate_layers
-from .circuit import gate_list, layer_count, layer_unitary
+from .circuit import gate_list, gates_det, layer_count, layer_unitary
 from .fingerprint import DIGEST_ALGORITHM, Fingerprint, _rounded_components, _row_hash
 from .fingerprint import canonicalize, fingerprint
-from .gates import AngleRangeError, GateDef, GateSet, gate_from_name, make_gate
+from .gates import UNITARY_TOL, AngleRangeError, GateDef, GateSet, gate_from_name, make_gate
 
 FORMAT_VERSION = "QIDB/1"
 CONVENTION = "temporal-right"  # first layer rightmost in the matrix product
@@ -191,6 +195,15 @@ class DatabaseMeta:
 _FORM_SLICE = 256
 
 
+class FormFilter(NamedTuple):
+    """What a database keeps of its buckets' representatives to rule out,
+    with no fingerprint, a window that no bucket holds
+    (`IdentityDatabase.may_hold`, `may_hold_det`)."""
+
+    hashes: np.ndarray  # sorted row hashes of their forms rounded at dp
+    phases: np.ndarray | None  # sorted determinant phases; None if one is NaN
+
+
 @dataclass(frozen=True)
 class IdentityDatabase:
     """Fingerprint -> cost-sorted equivalent encodings, over one
@@ -210,8 +223,9 @@ class IdentityDatabase:
       * one rank table per bucket (`rank_table`), made on the bucket's
         first lookup, and with it one soundness flag (`sound`), made when
         first asked;
-      * a form filter (`may_hold`), made on the first lookup of a unitary
-        that is no member's, 8 bytes per bucket;
+      * a form filter (`may_hold_det`, `may_hold`), made on the first
+        lookup of a window that is no member, 16 bytes per bucket: a row
+        hash and a determinant phase;
       * one pair rule per pair of placed gates (`pair_rule`), made on the
         pair's first call: at most the placed gates squared.
     """
@@ -352,18 +366,46 @@ class IdentityDatabase:
         form filter is verified and u, rounded at dp, has a row hash
         (`fingerprint._row_hash`) that is no bucket representative's.
 
-        The filter is the sorted row hashes of each bucket's first member,
-        its representative, rounded at dp (`_form_hashes`). A bucket holds
+        The filter holds the sorted row hashes of each bucket's first
+        member, its representative, rounded at dp (`_form`). A bucket holds
         u exactly when u's fingerprint is its key, that is, when u rounds
         to its representative's form (two canonical texts of one MD5 digest
         aside), so a hash that no representative has is a miss.
         """
-        hashes = self._form_hashes
-        if hashes is None:
+        form = self._form
+        if form is None:
             return True
+        hashes = form.hashes
         h = _row_hash(_rounded_components(u, self.meta.dp).view(np.uint64)[None])[0]
         at = hashes.searchsorted(h)
         return bool(at < len(hashes) and hashes[at] == h)
+
+    def may_hold_det(self, det: complex) -> bool:
+        """Whether some bucket may hold a unitary of determinant det, as
+        `circuit.gates_det` gives it from a window's gates, with no
+        unitary. False only when the form filter is verified and the phase
+        of det lies farther than `_det_limit`, as a chord of the unit
+        circle, from every representative's determinant phase; never for
+        a NaN det.
+
+        The filter also holds the sorted determinant phases of the
+        representatives (`_form`). The nearest of them on the circle is
+        one of the two that det's phase falls between, by bisection,
+        wrapping at ±π.
+        """
+        form = self._form
+        if form is None or form.phases is None:
+            return True
+        phases = form.phases
+        if not len(phases):
+            return False
+        theta, half = math.atan2(det.imag, det.real), self._det_limit / 2
+        at = int(phases.searchsorted(theta))
+        # |e^iα − e^iβ| = 2·|sin((α − β)/2)|; a NaN compares false
+        return not (
+            abs(math.sin((theta - phases[at - 1]) / 2)) > half
+            and abs(math.sin((theta - phases[at % len(phases)]) / 2)) > half
+        )
 
     def decode(self, enc: str) -> CircuitGrid:
         """The circuit over `meta.gate_set`, the same gates after a load as
@@ -424,24 +466,76 @@ class IdentityDatabase:
         return self.meta.guard / 4 - d * (n + dim) * dim * 2.0**-48
 
     @cached_property
-    def _form_hashes(self) -> np.ndarray | None:
-        """The sorted row hashes of the buckets' representatives rounded at
-        dp, made once from the layer unitaries, a slice of buckets at a
-        time: None when some bucket has no representative, or one that
-        does not decode or whose fingerprint, made by one batched
-        `fingerprint` call per slice, is not the bucket's key."""
-        dp, keys, parts = self.meta.dp, list(self.by_fingerprint), []
+    def _det_limit(self) -> float:
+        """The largest chord |e^iα − e^iβ| between the determinant phase α
+        of a window (`circuit.gates_det` of its gates) and β of a bucket's
+        representative (of its layers) when the bucket holds the window:
+        √2·4ⁿ·10^-dp, plus E for float error and for gates that are
+        unitary only within τ = UNITARY_TOL (`GateDef.det` is NaN past it).
+
+        Let D = 2ⁿ. A bucket holds a window's unitary U only when U rounds
+        at dp to the form of the representative's R, so each (re, im)
+        component of U − R is below 10^-dp, and each entry below
+        ε = √2·10^-dp. For D×D matrices A and B whose rows have 2-norm at
+        most ρ, changing one row at a time and bounding each step by
+        Hadamard's inequality gives |det A − det B| ≤ D·√D·max|A − B|·ρ^(D−1),
+        which is at most D²·max|A − B| while ρ^(D−1) ≤ √D. A product of at
+        most n·d gates, each unitary within τ, has ρ ≤ 1 + 2·n·d·τ, so
+        this holds for any database that can be built, and the exact
+        determinants differ by at most 4ⁿ·ε.
+
+        E covers the rest, to first order:
+          * U and R are float evaluations of the products whose exact
+            determinants `gates_det` multiplies, each within
+            d·(n + D)·D·2⁻⁴⁹ entrywise (`_spread_limit`); with the rounding
+            of the gate determinants and their products, at most
+            8ⁿ·d·(n + D)·2⁻⁴⁶ in all;
+          * a phase is a determinant moved onto the unit circle, which
+            lengthens the chord by each determinant's distance from it: a
+            k×k gate's |det| lies within k²τ/2 of 1, so at most 2·n·d·D·τ
+            for each product, 4·n·d·D·τ for both.
+        """
+        n, d, dim = self.meta.n, self.meta.d, 1 << self.meta.n
+        rounding = math.sqrt(2) * 4.0**n * 10.0**-self.meta.dp
+        return rounding + 4 * n * d * dim * UNITARY_TOL + 8.0**n * d * (n + dim) * 2.0**-46
+
+    @cached_property
+    def _layer_dets(self) -> np.ndarray:
+        """The determinants of the enumerated layers, in enumeration order,
+        from their gates' (`circuit.gates_det`)."""
+        n = self.meta.n
+        return np.array(
+            [gates_det(gate_list(CircuitGrid(n, (e.layer,))), n) for e in self.layers.values()]
+        )
+
+    @cached_property
+    def _form(self) -> FormFilter | None:
+        """The form filter, made once from the layer unitaries, a slice of
+        buckets at a time: None when some bucket has no representative, or
+        one that does not decode or whose fingerprint, made by one batched
+        `fingerprint` call per slice, is not the bucket's key. Its phases
+        are None when a representative's determinant is NaN."""
+        dp, d, keys = self.meta.dp, self.meta.d, list(self.by_fingerprint)
+        hashes, dets = [], []
         for s in range(0, len(keys), _FORM_SLICE):
             part = keys[s : s + _FORM_SLICE]
             try:
                 reps = [self._entries(self.by_fingerprint[fp][0]) for fp in part]
             except (IndexError, DatabaseFormatError):  # an empty bucket, a malformed member
                 return None
-            u = self._unitaries([e.index for es in reps for e in es], len(part))
+            index = [e.index for es in reps for e in es]
+            u = self._unitaries(index, len(part))
             if fingerprint(u, dp) != part:
                 return None
-            parts.append(_row_hash(_rounded_components(u, dp).view(np.uint64)))
-        return np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.uint64)
+            hashes.append(_row_hash(_rounded_components(u, dp).view(np.uint64)))
+            dets.append(self._layer_dets[np.reshape(index, (len(part), d))].prod(axis=1))
+        if not hashes:
+            return FormFilter(np.empty(0, dtype=np.uint64), np.empty(0))
+        phases = np.angle(np.concatenate(dets))
+        return FormFilter(
+            np.sort(np.concatenate(hashes)),
+            np.sort(phases) if np.isfinite(phases).all() else None,
+        )
 
 
 def member_index(by_fingerprint: Mapping[Fingerprint, tuple[str, ...]]) -> dict[str, Fingerprint]:

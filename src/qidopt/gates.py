@@ -137,13 +137,32 @@ def parse_angle(text: str) -> AngleExpr:
     return AngleExpr(pi_coeff, const)
 
 
+def _det(m: ComplexMatrix) -> complex:
+    """The determinant of a 2×2 or 4×4 matrix: a 4×4 one by the 2×2 minors
+    of its top two rows times their complements in the bottom two. No
+    LAPACK call, whose first use costs about 0.6 MB of resident memory."""
+    a = m.tolist()
+
+    def minor(r: int, j: int, k: int) -> complex:
+        return a[r][j] * a[r + 1][k] - a[r][k] * a[r + 1][j]
+
+    if len(a) == 2:
+        return complex(minor(0, 0, 1))
+    return complex(
+        minor(0, 0, 1) * minor(2, 2, 3) - minor(0, 0, 2) * minor(2, 1, 3)
+        + minor(0, 0, 3) * minor(2, 1, 2) + minor(0, 1, 2) * minor(2, 0, 3)
+        - minor(0, 1, 3) * minor(2, 0, 2) + minor(0, 2, 3) * minor(2, 0, 1)
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class GateDef:
     """A named gate with a fixed unitary matrix.
 
     `qasm_name` is the lowercase token used in QASM I/O (None when the
     gate has no direct token); instantiated parameterized gates carry
-    their template token and angles instead.
+    their template token and angles instead. What the evaluation paths
+    read of the matrix (`swapped`, `det`) is made once, here.
     """
 
     name: str
@@ -160,6 +179,10 @@ class GateDef:
     # what it is on a (second, first) pair of ascending qubits; None for
     # a single-qubit gate
     swapped: ComplexMatrix | None = field(init=False, default=None, repr=False)
+    # the matrix's determinant, NaN unless the matrix is unitary within
+    # UNITARY_TOL: what `circuit.gates_det` multiplies, so that a lookup
+    # can rule a window out with no unitary (`IdentityDatabase.may_hold_det`)
+    det: complex = field(init=False, default=complex("nan"), repr=False)
 
     def __post_init__(self):
         dim = self.matrix.shape[0]
@@ -171,6 +194,8 @@ class GateDef:
             swapped = self.matrix[np.ix_(_SWAP_OPERANDS, _SWAP_OPERANDS)]
             swapped.flags.writeable = False
             object.__setattr__(self, "swapped", swapped)
+        if is_unitary(self.matrix, UNITARY_TOL):
+            object.__setattr__(self, "det", _det(self.matrix))
 
     def __repr__(self):  # matrices are noisy; show the name
         return f"GateDef({self.name!r}, arity={self.arity})"

@@ -92,14 +92,21 @@ may have candidates takes one of two routes (`_sweep`):
     unsound bucket. It takes its rows from the bucket of its padded
     unitary, and each candidate's unitary is checked against that one
     per trial (`Match.equals`). A candidate that fails counts in
-    `collisions_skipped`.
+    `collisions_skipped`. A window no bucket holds may be answered before
+    its unitary is computed (below).
 
-`lookup` takes the padded window's gate list, its slices' lists joined,
-and finds the bucket from its unitary alone (`gates_unitary`, bitwise the
-padded grid's `circuit_unitary`). When the database's form filter is
-verified and the rounded unitary's row hash is no bucket
-representative's, the lookup is a miss and no fingerprint is computed
-(`IdentityDatabase.may_hold`); otherwise the fingerprint picks the bucket.
+`lookup` takes the padded window's gate list, its slices' lists joined.
+When the database's form filter is verified, two of its tests can answer
+a miss, and then no fingerprint is computed:
+  * the window's determinant, the product of its gates' determinants
+    (`gates_det`), lies farther from every bucket representative's than
+    rounding can move it (`IdentityDatabase.may_hold_det`): no unitary is
+    computed either. A database of Clifford gates rules out this way most
+    windows holding a `t`;
+  * otherwise the unitary is computed (`gates_unitary`, bitwise the padded
+    grid's `circuit_unitary`), and its rounded row hash is no
+    representative's (`IdentityDatabase.may_hold`).
+Otherwise the unitary's fingerprint picks the bucket.
 
 The output's gate list is made once, after the sweeps; it raises
 StructuralError on an unpaired half no splice touched. The reported final
@@ -138,6 +145,7 @@ from .circuit import (
     circuit_unitary,
     effective_depth,  # unused here; the bench harness wraps it by this module's name
     gate_list,
+    gates_det,
     gates_unitary,
     layer_is_identity,
     pack,
@@ -275,9 +283,10 @@ class Match(list):
     through it, computed from the window's gate list and bitwise that of
     the padded grid (`circuit_unitary`), each candidate to be checked
     against it (`equals`); None for the rows of a trusted window, whose
-    candidates need no check (`_sweep`). `filtered` is set when the
-    database's form filter answered the miss
-    (`IdentityDatabase.may_hold`)."""
+    candidates need no check (`_sweep`), and for a miss the window's
+    determinant answered. `filtered` is set when the database's form
+    filter answered the miss (`IdentityDatabase.may_hold_det`,
+    `may_hold`)."""
 
     __slots__ = ("unitary", "filtered")
 
@@ -298,14 +307,19 @@ def lookup(gates: list[Gate], depth: int, db: IdentityDatabase) -> Match:
 
     `gates` is the gate list of the window padded to the database's n×d
     shape, as `circuit.gate_list` lists it (a sweep reads it off its slice
-    records, `_Slices`). The bucket is found through its unitary
-    (`gates_unitary`): the form filter first, then the fingerprint,
-    computed only when the filter does not rule every bucket out. Raises
-    ValueError for a window deeper than d or a gate on a qubit past n. A
-    sweep calls it for every window it does not trust (`_sweep`)."""
+    records, `_Slices`). The form filter rules the window out first from
+    its determinant, the product of its gates' (`gates_det`,
+    `IdentityDatabase.may_hold_det`), with no unitary. A window it passes
+    is found through its unitary (`gates_unitary`): the filter's row
+    hashes next (`may_hold`), then the fingerprint, computed only when
+    the filter does not rule every bucket out. Raises ValueError for a
+    window deeper than d or a gate on a qubit past n. A sweep calls it for
+    every window it does not trust (`_sweep`)."""
     n = db.meta.n
     if depth > db.meta.d or any(q >= n for qs, _ in gates for q in qs):
         raise ValueError(f"window exceeds database bounds {n}x{db.meta.d}")
+    if not db.may_hold_det(gates_det(gates, n)):
+        return Match((), filtered=True)
     unitary = gates_unitary(gates, n)
     if not db.may_hold(unitary):
         return Match((), unitary, filtered=True)
@@ -390,8 +404,13 @@ class OptimizeReport:
     # trimming the shared gates, then the span's two unitaries and their norm
     check_s: float = 0.0
     check_qubits: int = 0  # k, the qubits of the unshared span
-    unitary_lookups: int = 0  # windows looked up by their unitary (`lookup`)
+    # windows looked up by their gates (`lookup`), each through its
+    # unitary unless its determinant answers
+    unitary_lookups: int = 0
     filtered_misses: int = 0  # of those, the ones the form filter answered
+    # of those, the ones answered from the window's determinant, with no
+    # unitary (`IdentityDatabase.may_hold_det`)
+    det_misses: int = 0
     trials_checked: int = 0  # candidate unitaries computed for the guard
     # windows cut into a `Tile`: each with candidate rows, trusted or
     # looked up; a window with none is answered from its slice records
@@ -857,6 +876,7 @@ def _sweep(
                     rows = lookup(memo.gate_list(span, qs), depth, db)
                     report.unitary_lookups += 1
                     report.filtered_misses += rows.filtered
+                    report.det_misses += rows.filtered and rows.unitary is None
                 if rows:
                     norm = _normalized(_window(c, qs, ls, i, j), identity)
                     report.tiles_built += 1

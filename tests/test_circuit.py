@@ -1,5 +1,6 @@
 """Grid model: validation, layer/circuit unitaries, effective depth."""
 
+import cmath
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,8 @@ from qidopt.circuit import (
     circuit_unitary,
     effective_depth,
     gate_list,
+    gates_det,
+    gates_unitary,
     half,
     layer_unitary,
     pack,
@@ -150,6 +153,21 @@ class TestAgainstScatterReference:
         bad = (grid("CX:C:1,CX:T:0").layers[0][0], single(gate("I")))
         with pytest.raises(StructuralError, match="unpaired"):
             circuit_unitary(CircuitGrid(2, (grid("H,H").layers[0], bad)))
+
+
+class TestGatesDet:
+    @given(grids())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_unitarys_determinant(self, c):
+        # up to 5 qubits, pairs of either orientation on any two qubits
+        gates = gate_list(c)
+        want = np.linalg.det(gates_unitary(gates, c.n))
+        assert abs(gates_det(gates, c.n) - want) <= 1e-10
+
+    def test_nan_for_a_gate_unitary_only_past_the_tolerance(self):
+        rough = make_gate("R", [[0.7071, 0.7071], [0.7071, -0.7071]], tol=1e-3)
+        assert cmath.isnan(rough.det)
+        assert cmath.isnan(gates_det([((0,), gate("H")), ((1,), rough)], 2))
 
 
 class TestLayerUnitary:

@@ -222,6 +222,24 @@ class TestOptimize:
         ]
         assert float(vals["check_s"]) > 0
 
+    def test_foreign_gates_reach_the_lookup(self, tmp_path, capsys):
+        # t is no gate of {I,H,X,Z,CX}, so a window holding it is looked up
+        # by its gates; T⁴ = Z has a determinant the database's circuits
+        # have, so it is not ruled out, and it becomes z
+        db = tmp_path / "n2d4.qidb"
+        args = ["gen-db", "--gates", "I,H,X,Z,CX", "--qubits", "2", "--depth", "4"]
+        assert main(args + ["--out", str(db)]) == EXIT_OK
+        src, out = tmp_path / "t4.qasm", tmp_path / "o.qasm"
+        src.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+                       + "t q[0];\n" * 4 + "cx q[0],q[1];\nt q[1];\nh q[1];\n")
+        capsys.readouterr()
+        assert main(["optimize", str(src), "--db", str(db), "--out", str(out)]) == EXIT_OK
+        vals = keyvals(capsys)
+        assert (vals["substitutions"], vals["final_depth"]) == ("1", "4")
+        assert "z q[0];" in out.read_text().splitlines()
+        assert main(["verify", str(src), str(out)]) == EXIT_OK
+        assert keyvals(capsys)["equal"] == "true"
+
     def test_input_left_untouched(self, db_path, tmp_path):
         src = tmp_path / "in.qasm"
         src.write_text(HEADLINE)

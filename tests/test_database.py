@@ -1,5 +1,6 @@
 """Encodings and the QIDB/1 file format: round trips, determinism, errors."""
 
+import cmath
 import dataclasses
 import hashlib
 import math
@@ -341,6 +342,13 @@ class TestExactEvaluation:
         assert db.meta.gate_set.by_name("I") is gate("I")
         assert db.bucket(db.by_circuit["R|I"]) == ("I|R", "R|I")
         assert db.total_circuits == 4
+        # R is unitary only to the rounding, so its determinant is NaN: a
+        # database built over it keeps a verified form filter, but rules
+        # nothing out by determinant
+        assert cmath.isnan(r.det)
+        built = build_database(GeneratorConfig(n=1, d=2, gate_set=db.meta.gate_set))
+        assert built._form.phases is None and not built.may_hold(1j * np.eye(2))
+        assert built.may_hold_det(1j)
 
     def test_unresolved_template_spelling_keeps_its_name(self):
         # 'U1[2*pi/4]' parses to the angle of 'U1[pi/2]', but only a gate of

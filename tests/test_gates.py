@@ -31,6 +31,17 @@ class TestBuiltins:
         for g in BUILTIN_GATES.values():
             assert is_unitary(g.matrix, 1e-10), g.name
 
+    def test_determinants(self):
+        for g in BUILTIN_GATES.values():
+            assert abs(g.det - np.linalg.det(g.matrix)) <= 1e-15, g.name
+        assert (S.det, X.det) == (1j, -1)
+        rng = np.random.default_rng(7)
+        for dim in (2, 4, 4, 4):
+            z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            q, _ = np.linalg.qr(z)
+            g = make_gate("Q", q)
+            assert abs(g.det - np.linalg.det(q)) <= 1e-14
+
     def test_arities(self):
         assert {g.name for g in BUILTIN_GATES.values() if g.arity == 2} == {
             "CX", "CZ", "CY", "SWAP", "ISWAP",

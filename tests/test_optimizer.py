@@ -5,6 +5,7 @@ import math
 import random
 from bisect import bisect_left
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from qidopt.circuit import (
     circuit_unitary,
     effective_depth,
     gate_list,
+    gates_det,
     gates_unitary,
     half,
     layer_is_identity,
@@ -42,7 +44,7 @@ from qidopt.database import (
     loads,
 )
 from qidopt.fingerprint import Fingerprint, fingerprint
-from qidopt.gates import GateSet, make_gate
+from qidopt.gates import U1, AngleExpr, GateSet, instantiate_param_gate, make_gate
 from qidopt.generator import GeneratorConfig, build_database, enumerate_layers
 from qidopt.matrices import identity, max_abs_diff
 from qidopt.optimizer import (
@@ -1065,8 +1067,14 @@ class TestRecordGates:
                 rows, want = lookup(gates, depth, db), tile_lookup(norm, db)
                 assert list(rows) == list(want)
                 assert rows.filtered == want.filtered
-                assert np.array_equal(rows.unitary, want.unitary)
-                assert np.array_equal(rows.unitary, circuit_unitary(padded(norm, db)))
+                # a miss the determinant answers computes no unitary; any
+                # other lookup computes the padded grid's, bitwise
+                by_det = not db.may_hold_det(gates_det(gates, n))
+                assert (rows.unitary is None) == (want.unitary is None) == by_det
+                assert not by_det or rows.filtered
+                if not by_det:
+                    assert np.array_equal(rows.unitary, want.unitary)
+                    assert np.array_equal(rows.unitary, circuit_unitary(padded(norm, db)))
 
     def test_records_cover_cuts_swaps_and_clashes(self, db_ihxzcx):
         # one window of each kind the property draws, spelled out
@@ -1357,8 +1365,14 @@ class TestCheckedOnce:
         rows = tile_lookup(norm, db)
         assert list(rows) == reference_lookup(norm, db)
         member = encode_circuit(padded(norm, db)) in db.by_circuit
-        assert rows.unitary is not None
         assert not rows.filtered or not (member or rows)
+        # the determinant answers a miss with no unitary; any other lookup
+        # computes the padded grid's, bitwise
+        by_det = not db.may_hold_det(gates_det(gate_list(padded(norm, db)), n))
+        assert (rows.unitary is None) == by_det
+        assert not by_det or rows.filtered
+        if not by_det:
+            assert np.array_equal(rows.unitary, circuit_unitary(padded(norm, db)))
 
     def test_unverified_filter_rules_nothing_out(self, lookup_dbs):
         for name, db in lookup_dbs.items():
@@ -1366,6 +1380,8 @@ class TestCheckedOnce:
             # i·I is no real circuit's unitary, so no bucket of these gates
             # holds it
             assert db.may_hold(1j * np.eye(1 << n)) == name.endswith("-unverified"), name
+            # every circuit of these gates has determinant ±1
+            assert db.may_hold_det(1j) == name.endswith("-unverified"), name
             # S then SDG is no member, but it is the identity: the form of
             # the first bucket, whose representative the poison replaced
             idle = ",I" * (n - 1)
@@ -1419,6 +1435,7 @@ class TestCheckedOnce:
             calls["by unitary"] += 1
             fp = fingerprint(real_gates_unitary(gates, db.meta.n), db.meta.dp)
             calls["misses"] += fp not in db.by_fingerprint
+            calls["by det"] += not db.may_hold_det(gates_det(gates, db.meta.n))
             return real_lookup(gates, depth, db)
 
         def noted_unitary(c):
@@ -1443,16 +1460,20 @@ class TestCheckedOnce:
             # so only windows that are no member are looked up
             assert calls["members"] == 0
             assert (r.unitary_lookups, r.filtered_misses) == (calls["by unitary"], calls["misses"])
+            # the misses the determinant answers are some of the filtered ones
+            assert r.det_misses == calls["by det"] <= r.filtered_misses
             # every bucket is sound, so only windows found through their
             # unitary check their candidates, each trial on a grid
-            # (`circuit_unitary`); each lookup evaluates its gate list
-            # (`gates_unitary`), and so does the final check, twice when
-            # it covers a qubit
+            # (`circuit_unitary`); each lookup the determinant does not
+            # answer evaluates its gate list (`gates_unitary`), and so does
+            # the final check, twice when it covers a qubit
             assert calls["unitaries"] == r.trials_checked
-            assert calls["gate lists"] == r.unitary_lookups + 2 * (r.check_qubits > 0)
+            assert calls["gate lists"] == (
+                r.unitary_lookups - r.det_misses + 2 * (r.check_qubits > 0)
+            )
             totals.update(lookups=r.unitary_lookups, misses=r.filtered_misses,
-                          trials=r.trials_checked)
-        assert totals["lookups"] > totals["misses"] > 0
+                          det=r.det_misses, trials=r.trials_checked)
+        assert totals["lookups"] > totals["misses"] > totals["det"] > 0
         assert totals["trials"] > 0
 
     @pytest.mark.parametrize(
@@ -1501,6 +1522,126 @@ class TestCheckedOnce:
         out, report = optimize(parse(text), db)
         assert (report.cancels, report.merges, report.iterations) == (0, 0, 1)
         assert (report.unitary_lookups, report.trials_checked) == (0, 0)
+
+
+# ── the determinant stage: a lookup rules a window out with no unitary ──
+
+CLIFFORD_T = ("I", "H", "S", "SDG", "T", "TDG", "CX")
+
+
+@pytest.fixture(scope="module")
+def det_dbs(rank_dbs):
+    # verified, loaded and unverified; and a Clifford+T set, whose
+    # circuits' determinants are powers of e^(iπ/4), so many coincide
+    dbs = {name: fresh_copy(rank_dbs[name]) for name in ("n2d3", "n2d4", "n3d2")}
+    clifford_t = GeneratorConfig(n=2, d=2, gate_set=gate_set(*CLIFFORD_T))
+    dbs["n2d2-clifford-t"] = build_database(clifford_t)
+    built = list(dbs.items())
+    dbs.update({f"{name}-loaded": loads(dumps(db)) for name, db in built})
+    dbs.update({f"{name}-unverified": poisoned_first(db) for name, db in built})
+    return dbs
+
+
+def u1(angle):
+    return instantiate_param_gate(U1, [angle])
+
+
+# single gates of a window: t, s, sdg, and u1 at multiples of π/4 (several
+# of them a database gate's matrix) and at an angle no circuit reaches
+DET_SINGLES = [gate(name) for name in ("I", "H", "X", "Z", "S", "SDG", "T", "TDG")] + [
+    u1(AngleExpr(Fraction(k, 4))) for k in range(-3, 5)
+] + [u1(0.3)]
+
+
+@st.composite
+def det_window(draw, n, d):
+    """Up to d layers over n qubits: a CX on any two qubits, either way
+    round, and single gates from DET_SINGLES; half the time a layer
+    repeats the single gates before it, so that T·T = S, S·S = Z and
+    their kin make windows some bucket holds."""
+    layers = []
+    for _ in range(draw(st.integers(1, d))):
+        if layers and draw(st.booleans()):
+            layers.append(tuple(c if c.is_single else single(gate("I")) for c in layers[-1]))
+            continue
+        cells = [None] * n
+        if n > 1 and draw(st.booleans()):
+            a, b = draw(st.permutations(range(n)))[:2]
+            cells[a], cells[b] = half(gate("CX"), "C", b), half(gate("CX"), "T", a)
+        layers.append(tuple(c or single(draw(st.sampled_from(DET_SINGLES))) for c in cells))
+    return Tile(0, 0, CircuitGrid(n, tuple(layers)))
+
+
+class TestDeterminantStage:
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_never_rules_out_a_held_window(self, det_dbs, data):
+        db = det_dbs[data.draw(st.sampled_from(sorted(det_dbs)), label="db")]
+        n = db.meta.n
+        t = data.draw(det_window(n, db.meta.d), label="window")
+        gates = gate_list(padded(t, db))
+        held = fingerprint(gates_unitary(gates, n), db.meta.dp) in db.by_fingerprint
+        assert db.may_hold_det(gates_det(gates, n)) or not held
+        assert list(tile_lookup(t, db)) == reference_lookup(t, db)
+
+    def test_held_windows_of_foreign_gates_reach_the_unitary(self, det_dbs):
+        # s·s and t⁴ are z, u1(π/2)·u1(-π/2) the identity: each has a
+        # database circuit's determinant, and is held
+        cases = [
+            [gate("S")] * 2,
+            [gate("T")] * 4,
+            [u1(AngleExpr(Fraction(1, 2))), u1(AngleExpr(Fraction(-1, 2)))],
+        ]
+        for name, db in det_dbs.items():
+            n, d = db.meta.n, db.meta.d
+            for column in cases:
+                if len(column) > d:
+                    continue
+                t = Tile(0, 0, pack([((0,), g) for g in column], n))
+                rows = tile_lookup(t, db)
+                assert rows.unitary is not None and not rows.filtered, (name, column)
+                assert fingerprint(rows.unitary, db.meta.dp) in db.by_fingerprint, (name, column)
+                assert list(rows) == reference_lookup(t, db), (name, column)
+
+    def test_foreign_determinant_is_a_miss_with_no_unitary(self, det_dbs):
+        # T's determinant on two qubits is i, and every {I,H,X,Z,CX}
+        # circuit's is ±1
+        db = det_dbs["n2d3"]
+        rows = lookup([((0,), gate("T"))], 1, db)
+        assert (list(rows), rows.unitary, rows.filtered) == ([], None, True)
+        _, report = optimize(grid("T,I"), db)
+        assert report.unitary_lookups == report.filtered_misses == report.det_misses == 1
+        # the unverified copy rules nothing out: the fingerprint finds no bucket
+        rows = lookup([((0,), gate("T"))], 1, det_dbs["n2d3-unverified"])
+        assert rows.unitary is not None and not rows.filtered and not rows
+
+    def test_unitary_moved_under_a_rounding_unit_is_not_ruled_out(self, det_dbs):
+        # a held unitary lies within one rounding unit of its bucket's
+        # representative in every component; move each component of the
+        # representative by just under a unit, the way that turns the
+        # determinant's phase most (its derivative in entry jk is
+        # det·conj(r_jk)), and the determinant still passes
+        worst = 0.0
+        for name, db in det_dbs.items():
+            if name.endswith("-unverified"):
+                continue
+            unit = (1 - 2.0**-20) * 10.0**-db.meta.dp
+            for members in db.by_fingerprint.values():
+                r = circuit_unitary(db.decode(members[0]))
+                step = unit * (-np.sign(r.imag) + 1j * np.sign(r.real))
+                for moved in (r + step, r - step):
+                    det = np.linalg.det(moved)
+                    assert db.may_hold_det(det), name
+                    chord = abs(det / abs(det) - np.linalg.det(r))
+                    worst = max(worst, chord / db._det_limit)
+        # the moves reach a good part of the bound
+        assert worst > 0.25
+
+    def test_limit_is_the_rounding_bound_and_a_little_more(self, det_dbs):
+        for db in det_dbs.values():
+            n, dp = db.meta.n, db.meta.dp
+            rounding = math.sqrt(2) * 4**n * 10.0**-dp
+            assert rounding < db._det_limit < 1.1 * rounding
 
 
 # ── rules from the database: the pair table and the rules pass ──
