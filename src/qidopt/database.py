@@ -42,16 +42,16 @@ layers, made once: a member's unitary is a batched product of d of them.
 It checks a bucket once, the first time it is asked (`sound`): the bucket
 is sound when every member lies within a quarter of the optimizer's
 collision guard of its first member, so the optimizer need not compare a
-member window with each candidate. And it rules out, with no fingerprint,
-a window that no bucket holds. A form filter keeps, for each bucket's
-first member, the row hash of its unitary rounded at dp and the phase of
-its determinant. A window whose determinant, a product of its gates'
-(`circuit.gates_det`), lies farther from every phase than rounding at dp
-can move it is in no bucket, and needs no unitary (`may_hold_det`); nor
-is a unitary whose rounded row hash is none of them (`may_hold`). The
-filter is made on first use and trusted only when every bucket's first
-member reproduces its key; a member that does not decode still raises
-when its bucket is first ranked, never when the filter is made.
+member window with each candidate. And it rules out, with no unitary, a
+window that no bucket holds. A form filter keeps the phase of the
+determinant of each bucket's first member. A window whose determinant, a
+product of its gates' (`circuit.gates_det`), lies farther from every
+phase than rounding at dp can move it is in no bucket (`may_hold_det`);
+any other window is found by its fingerprint. The filter is made on
+first use and trusted only when every bucket's first member reproduces
+its key and every phase is a number; a member that does not decode
+still raises when its bucket is first ranked, never when the filter is
+made.
 
 A database also says what two of its gates do when one follows the other
 on a qubit they share (`pair_rule`): cancel, merge into one gate, commute
@@ -78,8 +78,7 @@ import numpy as np
 
 from .circuit import Cell, CircuitGrid, Gate, Layer, cell_is_identity, enumerate_layers
 from .circuit import gate_list, gates_det, layer_count, layer_unitary
-from .fingerprint import DIGEST_ALGORITHM, Fingerprint, _rounded_components, _row_hash
-from .fingerprint import canonicalize, fingerprint
+from .fingerprint import DIGEST_ALGORITHM, Fingerprint, canonicalize, fingerprint
 from .gates import UNITARY_TOL, AngleRangeError, GateDef, GateSet, gate_from_name, make_gate
 
 FORMAT_VERSION = "QIDB/1"
@@ -195,15 +194,6 @@ class DatabaseMeta:
 _FORM_SLICE = 256
 
 
-class FormFilter(NamedTuple):
-    """What a database keeps of its buckets' representatives to rule out,
-    with no fingerprint, a window that no bucket holds
-    (`IdentityDatabase.may_hold`, `may_hold_det`)."""
-
-    hashes: np.ndarray  # sorted row hashes of their forms rounded at dp
-    phases: np.ndarray | None  # sorted determinant phases; None if one is NaN
-
-
 @dataclass(frozen=True)
 class IdentityDatabase:
     """Fingerprint -> cost-sorted equivalent encodings, over one
@@ -223,9 +213,9 @@ class IdentityDatabase:
       * one rank table per bucket (`rank_table`), made on the bucket's
         first lookup, and with it one soundness flag (`sound`), made when
         first asked;
-      * a form filter (`may_hold_det`, `may_hold`), made on the first
-        lookup of a window that is no member, 16 bytes per bucket: a row
-        hash and a determinant phase;
+      * a form filter (`may_hold_det`), made on the first lookup of a
+        window that is no member, 8 bytes per bucket: the phase of its
+        first member's determinant;
       * one pair rule per pair of placed gates (`pair_rule`), made on the
         pair's first call: at most the placed gates squared.
     """
@@ -282,7 +272,9 @@ class IdentityDatabase:
             # `rank` has read every member, so each has d pieces, all layers
             layers, members = self.layers, self.bucket(fp)
             index = [layers[text].index for text in "|".join(members).split("|")]
-            table[1] = self._spread(index, len(members)) <= self._spread_limit
+            u = self._unitaries(index, len(members))
+            # max|U − U₀| over the members' unitaries U, U₀ the first's
+            table[1] = float(np.abs(u - u[0]).max()) <= self._spread_limit
         return table[1]
 
     def _table(self, fp: Fingerprint) -> list:
@@ -361,42 +353,21 @@ class IdentityDatabase:
         rows.sort()
         return rows
 
-    def may_hold(self, u: np.ndarray) -> bool:
-        """Whether some bucket may hold the unitary u. False only when the
-        form filter is verified and u, rounded at dp, has a row hash
-        (`fingerprint._row_hash`) that is no bucket representative's.
-
-        The filter holds the sorted row hashes of each bucket's first
-        member, its representative, rounded at dp (`_form`). A bucket holds
-        u exactly when u's fingerprint is its key, that is, when u rounds
-        to its representative's form (two canonical texts of one MD5 digest
-        aside), so a hash that no representative has is a miss.
-        """
-        form = self._form
-        if form is None:
-            return True
-        hashes = form.hashes
-        h = _row_hash(_rounded_components(u, self.meta.dp).view(np.uint64)[None])[0]
-        at = hashes.searchsorted(h)
-        return bool(at < len(hashes) and hashes[at] == h)
-
     def may_hold_det(self, det: complex) -> bool:
         """Whether some bucket may hold a unitary of determinant det, as
         `circuit.gates_det` gives it from a window's gates, with no
         unitary. False only when the form filter is verified and the phase
         of det lies farther than `_det_limit`, as a chord of the unit
-        circle, from every representative's determinant phase; never for
-        a NaN det.
+        circle, from the determinant phase of every bucket's first member,
+        its representative; never for a NaN det.
 
-        The filter also holds the sorted determinant phases of the
-        representatives (`_form`). The nearest of them on the circle is
-        one of the two that det's phase falls between, by bisection,
-        wrapping at ±π.
+        The filter holds the representatives' sorted determinant phases
+        (`_form`). The nearest of them on the circle is one of the two
+        that det's phase falls between, by bisection, wrapping at ±π.
         """
-        form = self._form
-        if form is None or form.phases is None:
+        phases = self._form
+        if phases is None:
             return True
-        phases = form.phases
         if not len(phases):
             return False
         theta, half = math.atan2(det.imag, det.real), self._det_limit / 2
@@ -444,13 +415,6 @@ class IdentityDatabase:
         for k in range(1, self.meta.d):
             u = np.matmul(mats[rows[:, k]], u)
         return u
-
-    def _spread(self, index: list[int], count: int) -> float:
-        """max|U − U₀| over the members' unitaries U, U₀ the first's."""
-        if not count:
-            return 0.0
-        u = self._unitaries(index, count)
-        return float(np.abs(u - u[0]).max())
 
     @cached_property
     def _spread_limit(self) -> float:
@@ -500,23 +464,19 @@ class IdentityDatabase:
         return rounding + 4 * n * d * dim * UNITARY_TOL + 8.0**n * d * (n + dim) * 2.0**-46
 
     @cached_property
-    def _layer_dets(self) -> np.ndarray:
-        """The determinants of the enumerated layers, in enumeration order,
-        from their gates' (`circuit.gates_det`)."""
-        n = self.meta.n
-        return np.array(
+    def _form(self) -> np.ndarray | None:
+        """The form filter, made once from the layer unitaries, a slice of
+        buckets at a time: the sorted determinant phases of the buckets'
+        representatives, each the product of its layers' determinants
+        (`circuit.gates_det`). None when some bucket has no representative,
+        or one that does not decode or whose fingerprint, made by one
+        batched `fingerprint` call per slice, is not the bucket's key; and
+        None when a phase is NaN."""
+        n, dp, d, keys = self.meta.n, self.meta.dp, self.meta.d, list(self.by_fingerprint)
+        layer_dets = np.array(
             [gates_det(gate_list(CircuitGrid(n, (e.layer,))), n) for e in self.layers.values()]
         )
-
-    @cached_property
-    def _form(self) -> FormFilter | None:
-        """The form filter, made once from the layer unitaries, a slice of
-        buckets at a time: None when some bucket has no representative, or
-        one that does not decode or whose fingerprint, made by one batched
-        `fingerprint` call per slice, is not the bucket's key. Its phases
-        are None when a representative's determinant is NaN."""
-        dp, d, keys = self.meta.dp, self.meta.d, list(self.by_fingerprint)
-        hashes, dets = [], []
+        dets = []
         for s in range(0, len(keys), _FORM_SLICE):
             part = keys[s : s + _FORM_SLICE]
             try:
@@ -524,18 +484,11 @@ class IdentityDatabase:
             except (IndexError, DatabaseFormatError):  # an empty bucket, a malformed member
                 return None
             index = [e.index for es in reps for e in es]
-            u = self._unitaries(index, len(part))
-            if fingerprint(u, dp) != part:
+            if fingerprint(self._unitaries(index, len(part)), dp) != part:
                 return None
-            hashes.append(_row_hash(_rounded_components(u, dp).view(np.uint64)))
-            dets.append(self._layer_dets[np.reshape(index, (len(part), d))].prod(axis=1))
-        if not hashes:
-            return FormFilter(np.empty(0, dtype=np.uint64), np.empty(0))
-        phases = np.angle(np.concatenate(dets))
-        return FormFilter(
-            np.sort(np.concatenate(hashes)),
-            np.sort(phases) if np.isfinite(phases).all() else None,
-        )
+            dets.append(layer_dets[np.reshape(index, (len(part), d))].prod(axis=1))
+        phases = np.angle(np.concatenate(dets)) if dets else np.empty(0)
+        return np.sort(phases) if np.isfinite(phases).all() else None
 
 
 def member_index(by_fingerprint: Mapping[Fingerprint, tuple[str, ...]]) -> dict[str, Fingerprint]:

@@ -111,10 +111,9 @@ def _hash_keys(width: int) -> np.ndarray:
 def _row_hash(words: np.ndarray) -> np.ndarray:
     """A 64-bit hash of each row of an (N, W) uint64 array, in one integer
     matmul: the row's words times a fixed vector of odd constants
-    (`_hash_keys`), summed mod 2⁶⁴. Equal rows hash equal. Its users
-    confirm what a hash match decides: the build's `_number` compares
-    every match bitwise, and a database's form filter
-    (`IdentityDatabase.may_hold`) answers only misses."""
+    (`_hash_keys`), summed mod 2⁶⁴. Equal rows hash equal. Its one user,
+    the build's numbering (`generator._number`), compares every match
+    bitwise."""
     return words @ _hash_keys(words.shape[1])
 
 

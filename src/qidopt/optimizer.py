@@ -95,18 +95,14 @@ may have candidates takes one of two routes (`_sweep`):
     `collisions_skipped`. A window no bucket holds may be answered before
     its unitary is computed (below).
 
-`lookup` takes the padded window's gate list, its slices' lists joined.
-When the database's form filter is verified, two of its tests can answer
-a miss, and then no fingerprint is computed:
-  * the window's determinant, the product of its gates' determinants
-    (`gates_det`), lies farther from every bucket representative's than
-    rounding can move it (`IdentityDatabase.may_hold_det`): no unitary is
-    computed either. A database of Clifford gates rules out this way most
-    windows holding a `t`;
-  * otherwise the unitary is computed (`gates_unitary`, bitwise the padded
-    grid's `circuit_unitary`), and its rounded row hash is no
-    representative's (`IdentityDatabase.may_hold`).
-Otherwise the unitary's fingerprint picks the bucket.
+`lookup` takes the padded window's gate list. When the database's form
+filter is verified, the window's determinant, the product of its gates'
+determinants (`gates_det`), can answer a miss: it lies farther from every
+bucket representative's than rounding can move it
+(`IdentityDatabase.may_hold_det`), and no unitary is computed. A database
+of Clifford gates rules out this way most windows holding a `t`. Any
+other window's unitary is computed (`gates_unitary`, bitwise the padded
+grid's `circuit_unitary`), and its fingerprint picks the bucket.
 
 The output's gate list is made once, after the sweeps; it raises
 StructuralError on an unpaired half no splice touched. The reported final
@@ -284,15 +280,13 @@ class Match(list):
     the padded grid (`circuit_unitary`), each candidate to be checked
     against it (`equals`); None for the rows of a trusted window, whose
     candidates need no check (`_sweep`), and for a miss the window's
-    determinant answered. `filtered` is set when the database's form
-    filter answered the miss (`IdentityDatabase.may_hold_det`,
-    `may_hold`)."""
+    determinant answered (`IdentityDatabase.may_hold_det`)."""
 
-    __slots__ = ("unitary", "filtered")
+    __slots__ = ("unitary",)
 
-    def __init__(self, rows=(), unitary=None, filtered=False):
+    def __init__(self, rows=(), unitary=None):
         super().__init__(rows)
-        self.unitary, self.filtered = unitary, filtered
+        self.unitary = unitary
 
     def equals(self, enc: str, db: IdentityDatabase) -> bool:
         """Whether the member's unitary lies within the collision guard of
@@ -307,22 +301,19 @@ def lookup(gates: list[Gate], depth: int, db: IdentityDatabase) -> Match:
 
     `gates` is the gate list of the window padded to the database's n×d
     shape, as `circuit.gate_list` lists it (a sweep reads it off its slice
-    records, `_Slices`). The form filter rules the window out first from
-    its determinant, the product of its gates' (`gates_det`,
-    `IdentityDatabase.may_hold_det`), with no unitary. A window it passes
-    is found through its unitary (`gates_unitary`): the filter's row
-    hashes next (`may_hold`), then the fingerprint, computed only when
-    the filter does not rule every bucket out. Raises ValueError for a
-    window deeper than d or a gate on a qubit past n. A sweep calls it for
-    every window it does not trust (`_sweep`)."""
+    records, `_Slices`). One test answers a miss first: the form filter
+    rules the window out from its determinant, the product of its gates'
+    (`gates_det`, `IdentityDatabase.may_hold_det`), with no unitary. A
+    window it passes is found by the fingerprint of its unitary
+    (`gates_unitary`). Raises ValueError for a window deeper than d or a
+    gate on a qubit past n. A sweep calls it for every window it does not
+    trust (`_sweep`)."""
     n = db.meta.n
     if depth > db.meta.d or any(q >= n for qs, _ in gates for q in qs):
         raise ValueError(f"window exceeds database bounds {n}x{db.meta.d}")
     if not db.may_hold_det(gates_det(gates, n)):
-        return Match((), filtered=True)
+        return Match()
     unitary = gates_unitary(gates, n)
-    if not db.may_hold(unitary):
-        return Match((), unitary, filtered=True)
     table = db.rank_table(fingerprint(unitary, db.meta.dp))
     return Match(table[: bisect_left(table, (depth,))], unitary)
 
@@ -407,10 +398,9 @@ class OptimizeReport:
     # windows looked up by their gates (`lookup`), each through its
     # unitary unless its determinant answers
     unitary_lookups: int = 0
-    filtered_misses: int = 0  # of those, the ones the form filter answered
     # of those, the ones answered from the window's determinant, with no
     # unitary (`IdentityDatabase.may_hold_det`)
-    det_misses: int = 0
+    filtered_misses: int = 0
     trials_checked: int = 0  # candidate unitaries computed for the guard
     # windows cut into a `Tile`: each with candidate rows, trusted or
     # looked up; a window with none is answered from its slice records
@@ -875,8 +865,7 @@ def _sweep(
                 else:
                     rows = lookup(memo.gate_list(span, qs), depth, db)
                     report.unitary_lookups += 1
-                    report.filtered_misses += rows.filtered
-                    report.det_misses += rows.filtered and rows.unitary is None
+                    report.filtered_misses += rows.unitary is None
                 if rows:
                     norm = _normalized(_window(c, qs, ls, i, j), identity)
                     report.tiles_built += 1

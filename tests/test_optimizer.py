@@ -1066,12 +1066,10 @@ class TestRecordGates:
                 assert gates == gate_list(padded(norm, db))
                 rows, want = lookup(gates, depth, db), tile_lookup(norm, db)
                 assert list(rows) == list(want)
-                assert rows.filtered == want.filtered
                 # a miss the determinant answers computes no unitary; any
                 # other lookup computes the padded grid's, bitwise
                 by_det = not db.may_hold_det(gates_det(gates, n))
                 assert (rows.unitary is None) == (want.unitary is None) == by_det
-                assert not by_det or rows.filtered
                 if not by_det:
                     assert np.array_equal(rows.unitary, want.unitary)
                     assert np.array_equal(rows.unitary, circuit_unitary(padded(norm, db)))
@@ -1365,21 +1363,17 @@ class TestCheckedOnce:
         rows = tile_lookup(norm, db)
         assert list(rows) == reference_lookup(norm, db)
         member = encode_circuit(padded(norm, db)) in db.by_circuit
-        assert not rows.filtered or not (member or rows)
         # the determinant answers a miss with no unitary; any other lookup
         # computes the padded grid's, bitwise
         by_det = not db.may_hold_det(gates_det(gate_list(padded(norm, db)), n))
         assert (rows.unitary is None) == by_det
-        assert not by_det or rows.filtered
+        assert not by_det or not (member or rows)
         if not by_det:
             assert np.array_equal(rows.unitary, circuit_unitary(padded(norm, db)))
 
     def test_unverified_filter_rules_nothing_out(self, lookup_dbs):
         for name, db in lookup_dbs.items():
             n = db.meta.n
-            # i·I is no real circuit's unitary, so no bucket of these gates
-            # holds it
-            assert db.may_hold(1j * np.eye(1 << n)) == name.endswith("-unverified"), name
             # every circuit of these gates has determinant ±1
             assert db.may_hold_det(1j) == name.endswith("-unverified"), name
             # S then SDG is no member, but it is the identity: the form of
@@ -1387,7 +1381,7 @@ class TestCheckedOnce:
             idle = ",I" * (n - 1)
             t = Tile(0, 0, grid("S" + idle, "SDG" + idle))
             rows = tile_lookup(t, db)
-            assert rows.unitary is not None and not rows.filtered
+            assert rows.unitary is not None
             assert list(rows) == reference_lookup(t, db) != []
 
     def test_every_bucket_sound(self, db_ihxzcx):
@@ -1422,6 +1416,7 @@ class TestCheckedOnce:
         real_unitary, real_gates_unitary = (
             optimizer_module.circuit_unitary, optimizer_module.gates_unitary
         )
+        real_fingerprint = optimizer_module.fingerprint
         calls = Counter()
 
         def noted_window(slices, span, qs):
@@ -1446,10 +1441,15 @@ class TestCheckedOnce:
             calls["gate lists"] += 1
             return real_gates_unitary(gates, n)
 
+        def noted_fingerprint(u, dp):
+            calls["fingerprints"] += 1
+            return real_fingerprint(u, dp)
+
         monkeypatch.setattr(optimizer_module._Slices, "window", noted_window)
         monkeypatch.setattr(optimizer_module, "lookup", noted_lookup)
         monkeypatch.setattr(optimizer_module, "circuit_unitary", noted_unitary)
         monkeypatch.setattr(optimizer_module, "gates_unitary", noted_gates_unitary)
+        monkeypatch.setattr(optimizer_module, "fingerprint", noted_fingerprint)
         totals = Counter()
         # s is no gate of the database, but s·s is its Z: a window found
         # through its unitary that has candidates
@@ -1459,9 +1459,11 @@ class TestCheckedOnce:
             # every bucket is sound and every gate is the database's own,
             # so only windows that are no member are looked up
             assert calls["members"] == 0
-            assert (r.unitary_lookups, r.filtered_misses) == (calls["by unitary"], calls["misses"])
-            # the misses the determinant answers are some of the filtered ones
-            assert r.det_misses == calls["by det"] <= r.filtered_misses
+            assert r.unitary_lookups == calls["by unitary"]
+            # the misses the determinant answers are some of the misses
+            assert r.filtered_misses == calls["by det"] <= calls["misses"]
+            # every lookup it does not answer is found by its fingerprint
+            assert calls["fingerprints"] == r.unitary_lookups - r.filtered_misses
             # every bucket is sound, so only windows found through their
             # unitary check their candidates, each trial on a grid
             # (`circuit_unitary`); each lookup the determinant does not
@@ -1469,10 +1471,10 @@ class TestCheckedOnce:
             # the final check, twice when it covers a qubit
             assert calls["unitaries"] == r.trials_checked
             assert calls["gate lists"] == (
-                r.unitary_lookups - r.det_misses + 2 * (r.check_qubits > 0)
+                r.unitary_lookups - r.filtered_misses + 2 * (r.check_qubits > 0)
             )
-            totals.update(lookups=r.unitary_lookups, misses=r.filtered_misses,
-                          det=r.det_misses, trials=r.trials_checked)
+            totals.update(lookups=r.unitary_lookups, misses=calls["misses"],
+                          det=r.filtered_misses, trials=r.trials_checked)
         assert totals["lookups"] > totals["misses"] > totals["det"] > 0
         assert totals["trials"] > 0
 
@@ -1599,7 +1601,7 @@ class TestDeterminantStage:
                     continue
                 t = Tile(0, 0, pack([((0,), g) for g in column], n))
                 rows = tile_lookup(t, db)
-                assert rows.unitary is not None and not rows.filtered, (name, column)
+                assert rows.unitary is not None, (name, column)
                 assert fingerprint(rows.unitary, db.meta.dp) in db.by_fingerprint, (name, column)
                 assert list(rows) == reference_lookup(t, db), (name, column)
 
@@ -1608,12 +1610,37 @@ class TestDeterminantStage:
         # circuit's is ±1
         db = det_dbs["n2d3"]
         rows = lookup([((0,), gate("T"))], 1, db)
-        assert (list(rows), rows.unitary, rows.filtered) == ([], None, True)
+        assert (list(rows), rows.unitary) == ([], None)
         _, report = optimize(grid("T,I"), db)
-        assert report.unitary_lookups == report.filtered_misses == report.det_misses == 1
+        assert report.unitary_lookups == report.filtered_misses == 1
         # the unverified copy rules nothing out: the fingerprint finds no bucket
         rows = lookup([((0,), gate("T"))], 1, det_dbs["n2d3-unverified"])
-        assert rows.unitary is not None and not rows.filtered and not rows
+        assert rows.unitary is not None and not rows
+
+    def test_determinant_passed_window_no_bucket_holds_is_fingerprinted(
+        self, det_dbs, monkeypatch
+    ):
+        # T·T is S: S⊗I has determinant −1, as many {I,H,X,Z,CX} circuits
+        # do, but it is no real matrix, so no bucket holds it. The
+        # determinant passes it, and its fingerprint alone finds no bucket
+        db = fresh_copy(det_dbs["n2d4"])
+        real_fingerprint, calls = optimizer_module.fingerprint, Counter()
+
+        def noted_fingerprint(u, dp):
+            calls["fingerprints"] += 1
+            return real_fingerprint(u, dp)
+
+        monkeypatch.setattr(optimizer_module, "fingerprint", noted_fingerprint)
+        gates = [((0,), gate("T")), ((0,), gate("T"))]
+        rows = lookup(gates, 2, db)
+        assert list(rows) == [] and calls["fingerprints"] == 1
+        assert np.array_equal(rows.unitary, gates_unitary(gates, 2))
+        # h·h cancels, and the window of t, t and cx is found the same way
+        body = "t q[0]; t q[0]; cx q[0],q[1]; h q[1]; h q[1];"
+        text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n' + body + "\n"
+        _, report = optimize(parse(text), db)
+        assert (report.unitary_lookups, report.filtered_misses) == (1, 0)
+        assert (len(report.substitutions), report.cancels, report.final_depth) == (0, 1, 3)
 
     def test_unitary_moved_under_a_rounding_unit_is_not_ruled_out(self, det_dbs):
         # a held unitary lies within one rounding unit of its bucket's
