@@ -6,6 +6,13 @@ a two-qubit gate occupies two cells of the same layer, split into a
 first-operand half (role 'C') and a second-operand half (role 'T'), each
 pointing at its partner's qubit index.
 
+Cells are shared. A gate holds a table of its cells, keyed by (role,
+partner) and made on first use (`GateDef.cells`, `shared_cell`), and
+every builder here and in the optimizer takes its cells from it: at most
+1 + 2w per gate for grids w qubits wide. Cells still compare by identity,
+so two layers with the same gates in the same places are equal tuples
+with equal hashes, and a layer packed anew is the key the old one was.
+
 Conventions fixed here and relied on everywhere else:
   * qubit 0 is the most-significant tensor factor;
   * the circuit unitary is U = L_m ··· L_1 with the first layer applied
@@ -29,16 +36,18 @@ unitaries feed, do not depend on the kernel. A list's determinant needs
 no unitary at all: it is a product of its gates' own (`gates_det`).
 
 The gate-list form, [(qubits in operand order, gate)] in layer order, is
-owned here: `gate_list` is the one walk from a grid to its gates, and
-`pack` the one ASAP packer back to a grid (each gate in the earliest
-layer where its qubits are free). `qasm.parse` packs the gates it reads,
+owned here: `gate_list` is the one walk from a grid to its gates, made
+once per grid and kept (`CircuitGrid.gates`), and `pack` the one ASAP
+packer back to a grid (each gate in the earliest layer where its qubits
+are free). `qasm.parse` packs the gates it reads,
 `qasm.emit` writes the gate list, and `asap_depth` and `unshared_gates`
 take one. `asap_depth` keeps only a per-qubit frontier, the layers
 that qubit's gates fill once packed, and builds no grid.
 
 Two circuits are compared on their unshared span (`unshared_gates`), from
 their gate lists: the gates both begin or both end with are removed
-first, and the dense check runs on the k qubits the rest touches, at
+first, read off one per-qubit index of each list from both ends, and
+the dense check runs on the k qubits the rest touches, at
 O(gates·4^k).
 
 The layers over a gate set are enumerated here (`enumerate_layers`), in
@@ -50,8 +59,8 @@ layer table (`database.layer_table`) from this one list.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,7 +78,12 @@ class StructuralError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Cell:
-    """One grid slot: a single-qubit gate, or half of a two-qubit gate."""
+    """One grid slot: a single-qubit gate, or half of a two-qubit gate.
+
+    Cells compare by identity. The grid builders take theirs from the
+    gate's cell table (`shared_cell`), so two layers with the same gates
+    in the same places are equal tuples with equal hashes; a cell built
+    directly is equal to itself alone."""
 
     gate: GateDef
     role: str | None = None  # FIRST/SECOND for two-qubit halves
@@ -85,18 +99,31 @@ class Cell:
         return f"Cell({self.gate.name}:{self.role}:{self.partner})"
 
 
+def shared_cell(gate: GateDef, role: str | None = None, partner: int | None = None) -> Cell:
+    """The one cell of the gate in that role with that partner, held by
+    the gate (`GateDef.cells`) and made on its first use. Unchecked: the
+    callers pass a partner inside their grid."""
+    cells = gate.cells
+    cell = cells.get((role, partner))
+    if cell is None:
+        cell = cells[role, partner] = Cell(gate, role, partner)
+    return cell
+
+
 def single(gate: GateDef) -> Cell:
+    """The gate's shared single-qubit cell."""
     if gate.arity != 1:
         raise ValueError(f"gate {gate.name} is not single-qubit")
-    return Cell(gate)
+    return shared_cell(gate)
 
 
 def half(gate: GateDef, role: str, partner: int) -> Cell:
+    """The gate's shared half in `role` whose partner is on qubit `partner`."""
     if gate.arity != 2:
         raise ValueError(f"gate {gate.name} is not two-qubit")
     if role not in (FIRST, SECOND):
         raise ValueError(f"bad two-qubit role {role!r}")
-    return Cell(gate, role, partner)
+    return shared_cell(gate, role, partner)
 
 
 Layer = tuple[Cell, ...]
@@ -112,6 +139,13 @@ class CircuitGrid:
     @property
     def m(self) -> int:
         return len(self.layers)
+
+    @cached_property
+    def gates(self) -> list[Gate]:
+        """The gate list (`gate_list`), made on first use and kept, since
+        the layers never change. Read it through `gate_list`, which hands
+        out a copy."""
+        return _walk(self)
 
     @classmethod
     def from_lists(cls, n: int, layers) -> "CircuitGrid":
@@ -298,7 +332,12 @@ def gate_list(c: CircuitGrid) -> list[Gate]:
     pair is listed once, at its lower-indexed half. Single cells whose
     matrix is exactly the 2×2 identity are left out: evaluating them
     (`_apply`) would change nothing. Raises StructuralError on an unpaired
-    half."""
+    half. A copy of the list the grid keeps (`CircuitGrid.gates`), so a
+    grid is walked once however often its gates are asked for."""
+    return list(c.gates)
+
+
+def _walk(c: CircuitGrid) -> list[Gate]:
     gates: list[Gate] = []
     append, n = gates.append, c.n
     for layer in c.layers:
@@ -321,10 +360,10 @@ def gate_list(c: CircuitGrid) -> list[Gate]:
 
 def pack(gates: list[Gate], n: int) -> CircuitGrid:
     """The gates as a grid over n qubits, each in the earliest layer where
-    its qubits are free; empty cells hold the exact Identity. The cells of
-    one single-qubit gate are one object, as the Identity's are."""
+    its qubits are free; empty cells hold the exact Identity. Every cell
+    is its gate's shared one (`shared_cell`), so packing equal gate lists
+    gives equal layers."""
     ident = single(IDENTITY_GATE)
-    singles: dict[GateDef, Cell] = {}
     layers: list[list[Cell]] = []
     frontier = [0] * n
     for qs, g in gates:
@@ -333,10 +372,7 @@ def pack(gates: list[Gate], n: int) -> CircuitGrid:
             level = frontier[x]
             if level == len(layers):
                 layers.append([ident] * n)
-            cell = singles.get(g)
-            if cell is None:
-                cell = singles[g] = Cell(g)
-            layers[level][x] = cell
+            layers[level][x] = shared_cell(g)
             frontier[x] = level + 1
         else:
             x, y = qs
@@ -344,42 +380,57 @@ def pack(gates: list[Gate], n: int) -> CircuitGrid:
             if level == len(layers):
                 layers.append([ident] * n)
             layer = layers[level]
-            layer[x] = Cell(g, FIRST, y)
-            layer[y] = Cell(g, SECOND, x)
+            layer[x] = shared_cell(g, FIRST, y)
+            layer[y] = shared_cell(g, SECOND, x)
             frontier[x] = frontier[y] = level + 1
     return CircuitGrid.from_lists(n, layers)
 
 
-def _trim_front(a: list[Gate], b: list[Gate], n: int) -> tuple[list[Gate], list[Gate]]:
-    """Remove, while one exists, a gate that is first on each of its qubits
-    in both lists, on the same qubits in the same order, with an exactly
-    equal matrix. Each such gate commutes exactly with every gate listed
-    before it, so both lists lose the same right factor."""
-    heads = []
-    for gates in (a, b):
-        on = [deque() for _ in range(n)]
+def _trim(a: list[Gate], b: list[Gate], n: int) -> tuple[list[Gate], list[Gate]]:
+    """a and b without the gates both begin with, then without the gates
+    both end with. From the front: while one exists, remove a gate that is
+    first on each of its qubits in both lists, on the same qubits in the
+    same order, with an exactly equal matrix; each such gate commutes
+    exactly with every gate listed before it, so both lists lose the same
+    right factor. Then the same from the back, for the left factor.
+
+    Each list's gates are indexed per qubit once. One read position per
+    qubit at each end serves both lists: a gate leaves both at once, so
+    each qubit has lost as many gates from the one as from the other."""
+    on_a: list[list[int]] = [[] for _ in range(n)]
+    on_b: list[list[int]] = [[] for _ in range(n)]
+    for gates, on in ((a, on_a), (b, on_b)):
         for i, (qs, _) in enumerate(gates):
             for x in qs:
                 on[x].append(i)
-        heads.append(on)
-    on_a, on_b = heads
     keep_a, keep_b = [True] * len(a), [True] * len(b)
-    todo = list(range(n))
-    while todo:
-        q = todo.pop()
-        if not on_a[q] or not on_b[q]:
-            continue
-        i, j = on_a[q][0], on_b[q][0]
-        (qs, g), (qs_b, h) = a[i], b[j]
-        if qs != qs_b or not (g is h or np.array_equal(g.matrix, h.matrix)):
-            continue
-        if any(on_a[x][0] != i or on_b[x][0] != j for x in qs):
-            continue
-        for x in qs:
-            on_a[x].popleft()
-            on_b[x].popleft()
-        todo.extend(qs)
-        keep_a[i] = keep_b[j] = False
+    front, back = [0] * n, [0] * n
+    # the k-th gate of a qubit from the front is at index k, from the back
+    # at ~k (−1 − k): index k ^ flip
+    for taken, flip in ((front, 0), (back, -1)):
+        todo = list(range(n))
+        while todo:
+            q = todo.pop()
+            wa, wb = on_a[q], on_b[q]
+            left = front[q] + back[q]
+            if left == len(wa) or left == len(wb):
+                continue
+            k = taken[q] ^ flip
+            i, j = wa[k], wb[k]
+            (qs, g), (qs_b, h) = a[i], b[j]
+            if qs != qs_b or not (g is h or np.array_equal(g.matrix, h.matrix)):
+                continue
+            if len(qs) == 2:
+                # the pair is listed on its other qubit too, not yet
+                # passed from this end: it must be next there as well
+                x = qs[0] if qs[1] == q else qs[1]
+                k = taken[x] ^ flip
+                if on_a[x][k] != i or on_b[x][k] != j:
+                    continue
+            for x in qs:
+                taken[x] += 1
+            todo.extend(qs)
+            keep_a[i] = keep_b[j] = False
     return (
         [gate for gate, kept in zip(a, keep_a) if kept],
         [gate for gate, kept in zip(b, keep_b) if kept],
@@ -391,8 +442,8 @@ def unshared_gates(
 ) -> tuple[list[Gate], list[Gate], int]:
     """(ra, rb, k): the gates of the lists ga and gb over n qubits that
     remain once the gates both begin with and the gates both end with are
-    removed, in order, over the k qubits they touch (renumbered in order;
-    k = 0 when nothing remains).
+    removed (`_trim`), in order, over the k qubits they touch (renumbered
+    in order; k = 0 when nothing remains).
 
     Gates on disjoint qubits commute exactly, so with A and B the
     remainders' k-qubit unitaries, U(a) − U(b) = S·((A − B) ⊗ I)·P for
@@ -401,13 +452,12 @@ def unshared_gates(
     gate of exactly equal matrix; one that is merely close to its partner
     or to the identity stays.
     """
-    ga, gb = _trim_front(ga, gb, n)
-    ga, gb = _trim_front(ga[::-1], gb[::-1], n)
+    ga, gb = _trim(ga, gb, n)
     touched = sorted({x for qs, _ in ga + gb for x in qs})
     if len(touched) < n:
         at = {x: i for i, x in enumerate(touched)}.__getitem__
         ga, gb = ([(tuple(map(at, qs)), g) for qs, g in gs] for gs in (ga, gb))
-    return ga[::-1], gb[::-1], len(touched)
+    return ga, gb, len(touched)
 
 
 def cell_is_identity(cell: Cell) -> bool:

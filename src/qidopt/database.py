@@ -266,11 +266,15 @@ class IdentityDatabase:
 
         Computed on the first call, from the layer unitaries, and kept
         with the bucket's rank table. Every member is read, so one that
-        does not decode raises DatabaseFormatError."""
+        does not decode raises DatabaseFormatError. A key no bucket has is
+        sound: its empty bucket has no member to disagree, as its rank
+        table has no row."""
         table = self._table(fp)
         if table[1] is None:
             # `rank` has read every member, so each has d pieces, all layers
             layers, members = self.layers, self.bucket(fp)
+            if not members:
+                return True
             index = [layers[text].index for text in "|".join(members).split("|")]
             u = self._unitaries(index, len(members))
             # max|U − U₀| over the members' unitaries U, U₀ the first's

@@ -183,6 +183,10 @@ class GateDef:
     # UNITARY_TOL: what `circuit.gates_det` multiplies, so that a lookup
     # can rule a window out with no unitary (`IdentityDatabase.may_hold_det`)
     det: complex = field(init=False, default=complex("nan"), repr=False)
+    # (role, partner) -> the one grid cell of this gate in that role with
+    # that partner (`circuit.shared_cell`), made on first use: at most
+    # 1 + 2w cells for circuits w qubits wide
+    cells: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         dim = self.matrix.shape[0]

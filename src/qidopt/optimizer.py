@@ -48,18 +48,30 @@ A sweep costs what changed, not the circuit's length:
   * the change in potential is read off the span (`_lowers`): the layers
     before it are shared, so the span lengths, then its non-Identity
     cells, then its layer texts decide;
-  * a window that yields no substitution is remembered, for one `optimize`
-    call, by its qubit offset and its span of whole layers; a later window
-    with the same key, in the same sweep or a later one, reaches the same
-    verdict and is skipped
-    (`OptimizeReport.windows_reused`), its collisions counted again;
+  * a layer is keyed by its cells, which are shared per (gate, role,
+    partner) (`circuit.shared_cell`), so a layer with the same gates as
+    one seen before is the same key: after the rules pass packs the
+    circuit anew, and where a block repeats, what was learnt of the old
+    layer holds for the new;
   * a window is read from slice records (`_Slices`), made once per
     `optimize` call for each (layer, qubit offset) and kept across its
     sweeps: each slice's text as the padded, normalized window spells it,
     whether it has a cut half and whether it is busy, and, from the first
     lookup of a window holding it, its gates as `circuit.gate_list` lists
     them in that window. They give the window's validity, its encoding,
-    its depth and its gate list with no cell rebuilt;
+    its depth and its gate list with no cell rebuilt. A window with a cut
+    half in a slice other than its first and last is Invalid, and is
+    passed over from those slices' records alone;
+  * a valid window that yields no substitution is remembered, for one
+    `optimize` call, by its qubit offset and its span of whole layers; a
+    later window with the same key, in the same sweep or a later one,
+    reaches the same verdict, since the verdict reads nothing past the
+    span (`_lowers`), and is skipped (`OptimizeReport.windows_reused`),
+    its collisions counted again;
+  * a lookup is remembered, for one `optimize` call, by the padded
+    window's gate list and depth: a window at another qubit offset, or in
+    layers that differ outside it, with the same gates takes that
+    lookup's rows (`OptimizeReport.lookups_reused`);
   * a `Tile` is cut only for a window that has candidate rows, trusted or
     looked up (`OptimizeReport.tiles_built`): a member whose bucket has no
     row shallower than it, and a window the lookup answers as a miss, are
@@ -145,6 +157,7 @@ from .circuit import (
     gates_unitary,
     layer_is_identity,
     pack,
+    shared_cell,
     single,
     unshared_gates,
     validate,
@@ -198,14 +211,18 @@ class Tile:
 
 
 def _window(c: CircuitGrid, qs: int, ls: int, i: int, j: int) -> Tile:
-    """The i×j window at qubit offset qs and layer offset ls."""
-    layers = tuple(
-        tuple(
-            cell if cell.is_single else Cell(cell.gate, cell.role, cell.partner - qs)
-            for cell in layer[qs : qs + i]
-        )
-        for layer in c.layers[ls : ls + j]
-    )
+    """The i×j window at qubit offset qs and layer offset ls. A half keeps
+    its gate's shared cell for its rebased partner (`circuit.shared_cell`)
+    unless the partner lies outside the window: that cut half is a cell of
+    its own, which no gate's table holds and which `_normalized` replaces."""
+
+    def rebased(cell: Cell) -> Cell:
+        if cell.is_single:
+            return cell
+        p = cell.partner - qs
+        return shared_cell(cell.gate, cell.role, p) if 0 <= p < i else Cell(cell.gate, cell.role, p)
+
+    layers = tuple(tuple(map(rebased, layer[qs : qs + i])) for layer in c.layers[ls : ls + j])
     return Tile(qs, ls, CircuitGrid(i, layers))
 
 
@@ -355,7 +372,7 @@ def apply_substitution(
         raise ValueError(f"{chosen!r} does not fit the {i}x{j} window at layer {ls}, qubit {qs}")
 
     def rebased(cell: Cell) -> Cell:
-        return cell if cell.is_single else Cell(cell.gate, cell.role, cell.partner + qs)
+        return cell if cell.is_single else shared_cell(cell.gate, cell.role, cell.partner + qs)
 
     layers = [list(layer) for layer in c.layers[ls : ls + j]]
     for li, layer in enumerate(db.decode(chosen).layers[:j]):
@@ -390,7 +407,8 @@ class OptimizeReport:
     # bound on max|U(input) − U(output)|, and 0.0 when the span is empty
     residual: float = 0.0
     collisions_skipped: int = 0
-    # windows not tried again because an equal window had already failed
+    # valid windows not tried again because a window with the same layers
+    # at the same qubit offset had already failed
     windows_reused: int = 0
     # trimming the shared gates, then the span's two unitaries and their norm
     check_s: float = 0.0
@@ -401,6 +419,9 @@ class OptimizeReport:
     # of those, the ones answered from the window's determinant, with no
     # unitary (`IdentityDatabase.may_hold_det`)
     filtered_misses: int = 0
+    # windows whose padded gate list and depth an earlier lookup of this
+    # call had: answered by that lookup's rows, with no `lookup` call
+    lookups_reused: int = 0
     trials_checked: int = 0  # candidate unitaries computed for the guard
     # windows cut into a `Tile`: each with candidate rows, trusted or
     # looked up; a window with none is answered from its slice records
@@ -480,9 +501,9 @@ def _rules(
 ) -> CircuitGrid:
     """c with the pair rules applied, for `gates` the gate list of c, which
     holds no all-Identity layer. A pass that rewrites nothing leaves c as
-    it is, its layers still the ones the sweeps' memo has seen; otherwise
-    the gates are packed (`circuit.pack`) and all-Identity layers
-    dropped."""
+    it is; otherwise the gates are packed (`circuit.pack`) and all-Identity
+    layers dropped. Either way, a layer with the same gates as one the
+    sweeps' memo has seen is equal to it (`_Slices`)."""
     start = time.perf_counter()
     before = report.cancels + report.merges
     ruled = apply_rules(gates, c.n, db, report)
@@ -702,11 +723,15 @@ class _Slices:
     is made the first time a window holding the slice is looked up, so a
     call that looks nothing up lists no gate.
 
-    Layers are keyed by themselves, cells compared by identity, so a
-    record stays right after a splice and in every later sweep. `failed`
-    maps each window that yielded no substitution, keyed by (qubit
-    offset, span), its whole layers compared cell by cell by identity, to
-    the collisions it skipped (`_sweep`)."""
+    Layers are keyed by themselves, cells compared by identity. Cells are
+    shared per (gate, role, partner) (`circuit.shared_cell`), so a layer
+    with the same gates as a layer seen before, packed anew by the rules
+    pass or repeated in the circuit, finds its records; and a record stays
+    right after a splice and in every later sweep. `failed` maps each
+    valid window that yielded no substitution, keyed by (qubit offset,
+    span), to the collisions it skipped (`_sweep`). `looked` maps the
+    padded gate list and the depth of each window looked up, as a tuple,
+    to what `lookup` answered."""
 
     def __init__(self, db: IdentityDatabase, i: int):
         gates = self.gates = db.meta.gate_set
@@ -722,18 +747,25 @@ class _Slices:
         self.records: dict[tuple[Layer, int], tuple[str, bool, bool]] = {}
         self.parts: dict[tuple[Layer, int], list[Gate]] = {}
         self.failed: dict[_WindowKey, int] = {}
+        self.looked: dict[tuple[tuple[Gate, ...], int], Match] = {}
 
-    def window(self, span: tuple[Layer, ...], qs: int) -> tuple[str, int] | None:
-        """The encoding of the window over `span` at qubit offset qs, as
-        the database's n×d shape pads it, and its effective depth (its busy
-        slices); None when a slice other than its first and last is cut (an
-        Invalid tile)."""
+    def cut_inside(self, span: tuple[Layer, ...], qs: int) -> bool:
+        """Whether a slice of the window over `span` at qubit offset qs
+        other than its first and last has a cut half: an Invalid tile."""
         records = self.records
-        texts, cuts, busy = zip(
+        for layer in span[1:-1]:
+            if (records.get((layer, qs)) or self._record(layer, qs))[1]:
+                return True
+        return False
+
+    def window(self, span: tuple[Layer, ...], qs: int) -> tuple[str, int]:
+        """The encoding of the valid window over `span` at qubit offset qs,
+        as the database's n×d shape pads it, and its effective depth (its
+        busy slices)."""
+        records = self.records
+        texts, _, busy = zip(
             *[records.get((layer, qs)) or self._record(layer, qs) for layer in span]
         )
-        if True in cuts[1:-1]:
-            return None
         return "|".join(texts) + self.idle * (self.d - len(span)), sum(busy)
 
     def gate_list(self, span: tuple[Layer, ...], qs: int) -> list[Gate]:
@@ -817,23 +849,27 @@ def _sweep(
 
     A window is read from its slice records (`memo`, made once per
     `optimize` call), which give its validity, its padded encoding, its
-    depth and its gate list with no cell rebuilt. This is the one place
-    that decides whether its candidates are trusted: a member of a sound
-    bucket tries that bucket's shallower rows unchecked, and every other
-    window, no member or a member of an unsound bucket, takes its rows
-    from `lookup` and its slices' gates, to be checked. A `Tile` is cut
+    depth and its gate list with no cell rebuilt. An Invalid window is
+    passed over first, from the cut flags of its inner slices' records,
+    so none is remembered as failed. This is the one place that decides
+    whether its candidates are trusted: a member of a sound bucket tries
+    that bucket's shallower rows unchecked, and every other window, no
+    member or a member of an unsound bucket, takes its rows from `lookup`
+    and its slices' gates, to be checked. A lookup is made once per
+    padded gate list and depth (`memo.looked`); a window that repeats one
+    takes its rows (`OptimizeReport.lookups_reused`). A `Tile` is cut
     only for a window that has candidate rows
     (`OptimizeReport.tiles_built`).
 
-    `memo.failed` maps each window that yielded no substitution to the
-    collisions it skipped. The potential (effective depth, non-Identity
-    cells, layer texts in order; `_lowers`) reads nothing past the span,
-    so a window with an equal key is skipped, its collisions counted
-    again.
+    `memo.failed` maps each valid window that yielded no substitution to
+    the collisions it skipped. The potential (effective depth,
+    non-Identity cells, layer texts in order; `_lowers`) reads nothing
+    past the span, so a window with an equal key, the same layers at the
+    same qubit offset, is skipped, its collisions counted again.
     """
     i = memo.i  # min(spec.i, c.n), fixed for the call
     identity = db.meta.gate_set.identity
-    failed = memo.failed
+    failed, looked = memo.failed, memo.looked
     offsets, m = c.n - i + 1, c.m
     changed = False
     idx = 0
@@ -844,6 +880,8 @@ def _sweep(
             break
         idx += 1
         span = c.layers[ls : ls + j]
+        if memo.cut_inside(span, qs):
+            continue  # an Invalid tile
         key = (qs, span)
         skipped = failed.get(key)
         if skipped is not None:
@@ -851,25 +889,29 @@ def _sweep(
             report.windows_reused += 1
             continue
         before = report.collisions_skipped
-        read = memo.window(span, qs)
+        text, depth = memo.window(span, qs)
         trial = None
-        if read is not None:
-            text, depth = read
-            fp = db.by_circuit.get(text)
-            if fp is not None:
-                table = db.rank_table(fp)
-                shallower = bisect_left(table, (depth,))
-            if fp is None or shallower:
-                if fp is not None and db.sound(fp):
-                    rows = Match(table[:shallower])
-                else:
-                    rows = lookup(memo.gate_list(span, qs), depth, db)
+        fp = db.by_circuit.get(text)
+        if fp is not None:
+            table = db.rank_table(fp)
+            shallower = bisect_left(table, (depth,))
+        if fp is None or shallower:
+            if fp is not None and db.sound(fp):
+                rows = Match(table[:shallower])
+            else:
+                gates = memo.gate_list(span, qs)
+                asked = (tuple(gates), depth)
+                rows = looked.get(asked)
+                if rows is None:
+                    rows = looked[asked] = lookup(gates, depth, db)
                     report.unitary_lookups += 1
                     report.filtered_misses += rows.unitary is None
-                if rows:
-                    norm = _normalized(_window(c, qs, ls, i, j), identity)
-                    report.tiles_built += 1
-                    trial = _substitute(c, norm, depth, rows, db, report)
+                else:
+                    report.lookups_reused += 1
+            if rows:
+                norm = _normalized(_window(c, qs, ls, i, j), identity)
+                report.tiles_built += 1
+                trial = _substitute(c, norm, depth, rows, db, report)
         if trial is None:
             failed[key] = report.collisions_skipped - before
             continue

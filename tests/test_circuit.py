@@ -13,6 +13,7 @@ from conftest import gate, gate_set, grid
 from qidopt.circuit import (
     FIRST,
     SECOND,
+    Cell,
     CircuitGrid,
     StructuralError,
     asap_depth,
@@ -357,6 +358,52 @@ class TestGateList:
         assert encode_circuit(pack(gate_list(c), c.n)) == "CX:T:2,H,CX:C:0|T,I,I"
 
 
+    def test_grid_walked_once_and_each_caller_gets_a_copy(self):
+        c = grid("H,CX:C:2,CX:T:1", "T,X,I")
+        first = gate_list(c)
+        assert c.gates is c.gates and first == c.gates and first is not c.gates
+        first.clear()
+        assert gate_list(c) == c.gates and len(c.gates) == 4
+
+
+class TestSharedCells:
+    """The grid builders take each cell from its gate's table, so equal
+    gates in equal places make equal layers."""
+
+    def test_single_and_half_are_shared(self):
+        assert single(gate("H")) is single(gate("H"))
+        assert half(gate("CX"), FIRST, 2) is half(gate("CX"), FIRST, 2)
+        assert half(gate("CX"), FIRST, 2) is not half(gate("CX"), SECOND, 2)
+        assert half(gate("CX"), FIRST, 2) is not half(gate("CX"), FIRST, 1)
+        # a cell built directly is equal to itself alone
+        assert Cell(gate("H")) != single(gate("H"))
+
+    def test_equal_inputs_give_equal_layers(self):
+        gates = [((0,), gate("H")), ((1, 0), gate("CX")), ((2,), gate("T")), ((0, 2), gate("CX"))]
+        a, b = pack(gates, 3), pack(list(gates), 3)
+        assert a.layers == b.layers and hash(a.layers) == hash(b.layers)
+        assert [hash(layer) for layer in a.layers] == [hash(layer) for layer in b.layers]
+        text = emit(a)
+        c, d = parse(text), parse(text)
+        assert c.layers == d.layers == a.layers and hash(c.layers) == hash(d.layers)
+
+    @given(st.integers(1, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cell_table_bounded_by_width(self, w, data):
+        g = make_gate("CXB", BUILTIN_GATES["CX"].matrix)  # a table of its own
+        h = make_gate("HB", BUILTIN_GATES["H"].matrix)
+        for n in data.draw(st.lists(st.integers(1, w), min_size=1, max_size=4), label="widths"):
+            if n == 1:
+                pack([((0,), h)], n)
+                continue
+            pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+            drawn = data.draw(st.lists(pairs, max_size=8), label="pairs")
+            pack([(qs, g) for qs in drawn] + [((0,), h)], n)
+        assert len(h.cells) <= 1
+        assert len(g.cells) <= 2 * w
+        assert all(cell.partner < w for cell in g.cells.values())
+
+
 class TestValidate:
     def test_valid_pair(self):
         assert validate(grid("CX:C:1,CX:T:0")) == []
@@ -467,6 +514,38 @@ def unshared(a, b):
     return pack(ga, k), pack(gb, k)
 
 
+def reference_unshared(ga, gb, n):
+    """`unshared_gates` by rescanning: while some gate is first on each of
+    its qubits in both lists, on the same qubits with an equal matrix,
+    remove it from both; then the same from the back."""
+
+    def heads(gates):
+        seen, out = set(), {}
+        for i, (qs, _) in enumerate(gates):
+            if not seen.intersection(qs):
+                out[qs] = i
+            seen.update(qs)
+        return out
+
+    def trim(a, b):
+        a, b = list(a), list(b)
+        while True:
+            hb = heads(b)
+            for qs, i in heads(a).items():
+                j = hb.get(qs)
+                if j is not None and np.array_equal(a[i][1].matrix, b[j][1].matrix):
+                    del a[i], b[j]
+                    break
+            else:
+                return a, b
+
+    ga, gb = trim(ga, gb)
+    ga, gb = (x[::-1] for x in trim(ga[::-1], gb[::-1]))
+    touched = sorted({x for qs, _ in ga + gb for x in qs})
+    at = touched.index
+    return ([(tuple(map(at, qs)), g) for qs, g in x] for x in (ga, gb)), len(touched)
+
+
 OPT_LAYERS = {n: enumerate_layers(n, gate_set("I", "H", "X", "Z", "CX")) for n in (2, 3, 4)}
 
 
@@ -535,6 +614,16 @@ class TestUnshared:
         a, b = CircuitGrid(2, (bad,) + grid("H,I").layers), CircuitGrid(2, (bad,) + grid("X,I").layers)
         with pytest.raises(StructuralError, match="unpaired"):
             unshared(a, b)
+
+    @given(one_gate_edits(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_trims_as_a_rescan_does(self, pair, reverse):
+        a, b = pair
+        if reverse:  # lists that share far less
+            b = pack(gate_list(b)[::-1], b.n)
+        ga, gb = gate_list(a), gate_list(b)
+        (ra, rb), k = reference_unshared(ga, gb, a.n)
+        assert unshared_gates(ga, gb, a.n) == (ra, rb, k)
 
     @given(one_gate_edits())
     @settings(max_examples=300, deadline=None)

@@ -33,7 +33,7 @@ from qidopt.database import (
     member_index,
     save,
 )
-from qidopt.fingerprint import canonicalize
+from qidopt.fingerprint import Fingerprint, canonicalize
 from qidopt.gates import (
     BUILTIN_GATES,
     U1,
@@ -259,6 +259,17 @@ class TestExactEvaluation:
             assert len(forms) == 1, f"bucket not sound: {encs[:3]}..."
             total += len(encs)
         assert total == 5832
+
+    def test_key_no_bucket_has_is_sound(self):
+        # an empty bucket has no member to disagree, as it has no rank row
+        db = build_database(GeneratorConfig(n=1, d=2, gate_set=gate_set("I", "H")))
+        absent = Fingerprint(bytes(16))
+        assert absent not in db.by_fingerprint
+        assert db.sound(absent) is True
+        assert db.rank_table(absent) == []
+        # asking made no table for it, and a real bucket still checks
+        assert all(db.sound(fp) for fp in db.by_fingerprint)
+        assert absent not in db._rank_tables
 
     def test_clashing_name_keeps_stored_matrix(self):
         # a gate named like the builtin H that holds a rotation instead
