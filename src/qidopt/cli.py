@@ -3,7 +3,8 @@ counting, and database inspection.
 
 stdout carries machine-parsable `key: value` lines; human-oriented notes go
 to stderr. Exit codes: 0 success, 1 verify mismatch, 2 bad configuration or
-input, 3 resource guard, 4 post-optimization residual over tolerance.
+input, 3 resource guard (a build, or a dense check, over its byte budget),
+4 post-optimization residual over tolerance.
 `optimize` and `verify` share one residual (`optimizer.check_residual`),
 computed from the two circuits' gate lists: the Frobenius norm of the
 difference of their unitaries on the gates they do not share, an upper
@@ -334,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except generator.ResourceGuardError as e:
+    except (generator.ResourceGuardError, optimizer.CheckSpanError) as e:
         _note(f"error: {e}")
         return EXIT_RESOURCE
     except (OSError, ValueError) as e:  # bad input, or an unwritable --out path

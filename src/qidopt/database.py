@@ -56,7 +56,11 @@ made.
 A database also says what two of its gates do when one follows the other
 on a qubit they share (`pair_rule`): cancel, merge into one gate, commute
 or block, read from the bucket of their two-gate member and trusted only
-when that bucket is sound. Each rule is made on first use and kept.
+when that bucket is sound. Each rule is made on first use and kept, and so
+is the rule of each pair as a circuit places it (`placed_rule`), on its
+own qubits, for the optimizer's rules pass. The database also keeps the
+optimizer's record of each window slice it reads (`optimizer._Slices`),
+which depends on the slice and the database alone.
 
 A database does not change once a build or `loads` has made it: its
 tables are read-only mappings and its buckets tuples, so everything it
@@ -203,7 +207,7 @@ class IdentityDatabase:
     `meta.gate_set`, or it raises DatabaseFormatError.
 
     A database is read-only: its tables are kept behind read-only views
-    and each bucket is a tuple. Five things are made on first use and kept
+    and each bucket is a tuple. Seven things are made on first use and kept
     with the database:
       * the member index (`by_circuit`), each member -> the key of its
         bucket, as `member_index` makes it: a build leaves it to its first
@@ -217,7 +221,17 @@ class IdentityDatabase:
         window that is no member, 8 bytes per bucket: the phase of its
         first member's determinant;
       * one pair rule per pair of placed gates (`pair_rule`), made on the
-        pair's first call: at most the placed gates squared.
+        pair's first call: at most the placed gates squared;
+      * one rule per pair as a circuit places it (`placed_rule`), on the
+        circuit's qubits, made on the pair's first call: at most the
+        placements of its gates over the widest circuit's qubits, squared.
+        Keys are gate names, so no circuit's gate object is kept;
+      * the optimizer's slice records (`optimizer._Slices`), one per
+        (slice of a layer, qubit offset) and, for a window looked up, the
+        slice's gates: only slices whose cells hold its own gates or
+        builtin ones, so at most those gates' cells over the widest
+        circuit, per offset; a slice holding any other gate object, such
+        as a parsed `u1(pi/2)`, is remembered by its call alone.
     """
 
     meta: DatabaseMeta
@@ -227,8 +241,19 @@ class IdentityDatabase:
     _rank_tables: dict[Fingerprint, list] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    # (earlier gate name, its qubits, later gate name, its qubits) -> rule
+    # (earlier gate name, its qubits, later gate name, its qubits) -> rule,
+    # the qubits numbered below n (`pair_rule`) or as placed (`placed_rule`)
     _pair_rules: dict[tuple, PairRule] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    _placed_rules: dict[tuple, PairRule] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    # (slice, qubit offset) -> its record, and -> its gates (`optimizer._Slices`)
+    _slice_records: dict[tuple, tuple[str, bool, bool]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    _slice_parts: dict[tuple, list[Gate]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -309,6 +334,27 @@ class IdentityDatabase:
         rule = self._pair_rules.get(key)
         if rule is None:
             rule = self._pair_rules[key] = self._pair_rule(a, qa, b, qb)
+        return rule
+
+    def placed_rule(self, a: str, qa: tuple[int, ...], b: str, qb: tuple[int, ...]) -> PairRule:
+        """`pair_rule` for the gates named a and b as a circuit places
+        them, on qubits qa and qb of any number: the pair's qubits are
+        renumbered over the ascending qubits it covers (`_relative`), and a
+        merged gate is given back on the circuit's qubits, within qa. A
+        pair over more than n qubits, or that shares no qubit, is BLOCK.
+        Made on the first call for the placed pair and kept, for the rules
+        pass to read (`optimizer._Rules`)."""
+        key = (a, qa, b, qb)
+        rule = self._placed_rules.get(key)
+        if rule is None:
+            rel = _relative(qa, qb, self.meta.n) if set(qa) & set(qb) else None
+            rule = PairRule(BLOCK) if rel is None else self.pair_rule(a, rel[0], b, rel[1])
+            if rule.kind == MERGE:
+                mq, mg = rule.merged
+                # the merged gate's qubits, numbered as the earlier gate's are
+                keep = qa if mq == rel[0] else tuple(qa[rel[0].index(r)] for r in mq)
+                rule = PairRule(MERGE, (keep, mg))
+            self._placed_rules[key] = rule
         return rule
 
     def _pair_rule(self, a: str, qa: tuple[int, ...], b: str, qb: tuple[int, ...]) -> PairRule:
@@ -493,6 +539,26 @@ class IdentityDatabase:
             dets.append(layer_dets[np.reshape(index, (len(part), d))].prod(axis=1))
         phases = np.angle(np.concatenate(dets)) if dets else np.empty(0)
         return np.sort(phases) if np.isfinite(phases).all() else None
+
+
+def _relative(qa: tuple[int, ...], qb: tuple[int, ...], n: int):
+    """(qa, qb) renumbered over the ascending qubits they cover, or None
+    when they cover more than n."""
+    one_a, one_b = len(qa) == 1, len(qb) == 1
+    if one_a and one_b:
+        return (0,), (0,)
+    if one_a or one_b:
+        if n < 2:
+            return None
+        (q,), (x, y) = (qa, qb) if one_a else (qb, qa)
+        pair, lo = ((0, 1), x) if x < y else ((1, 0), y)
+        single = (0,) if q == lo else (1,)
+        return (single, pair) if one_a else (pair, single)
+    qubits = sorted({*qa, *qb})
+    if len(qubits) > n:
+        return None
+    at = qubits.index
+    return tuple(map(at, qa)), tuple(map(at, qb))
 
 
 def member_index(by_fingerprint: Mapping[Fingerprint, tuple[str, ...]]) -> dict[str, Fingerprint]:

@@ -93,6 +93,10 @@ _CHUNK = 512
 _BYTES_PER_CIRCUIT = 150
 _BLOCK_COPIES = 6
 
+# the byte budget at the default limit, which `optimizer.check_residual`
+# holds its dense check to as well
+DEFAULT_BUDGET_BYTES = DEFAULT_MAX_CIRCUITS * _BYTES_PER_CIRCUIT
+
 
 class ResourceGuardError(RuntimeError):
     """A build's estimated peak bytes exceed `limit` · B. `total` and

@@ -9,20 +9,23 @@ grid, the rules run again on what the splices left.
 The rules come from the database's pair table
 (`IdentityDatabase.pair_rule`). For two of its gates, placed on at most n
 qubits that they share, the bucket of the two-gate member (the earlier
-gate in the first layer, the later in the second) says whether they
-cancel (the Identity's bucket), merge (its cheapest row is one gate on
-the earlier gate's qubits), commute (the other order is in the bucket
-too), or block; a rule counts only when the bucket is sound. The table
-is made on first use and kept with the database, at most its placed
-gates squared. A walk takes each gate in turn and scans back over the
-kept gates on its qubits, passing those it commutes with, until one
-blocks it or it cancels or merges with one; a merged gate takes the
-earlier gate's slot, which keeps the ASAP depth and the gate count from
-rising. A gate that is not the database's own, matrix for matrix, blocks
-(`_own_name`, the test `_Slices` makes too), as does a pair over more
-than n qubits. The pass rewrites what the sweeps would find one window at
-a time (H·H, T·T → S, gates commuting past each other), so the sweeps are
-left the rewrites that need a window.
+gate in the first layer, the later in the second) says whether they cancel
+(the Identity's bucket), merge (its cheapest row is one gate on the
+earlier gate's qubits), commute (the other order is in the bucket too), or
+block; a rule counts only when the bucket is sound. The table is made on
+first use and kept with the database, at most its placed gates squared,
+and so is the rule of each pair as a circuit places it
+(`IdentityDatabase.placed_rule`), keyed by the two gates' names and
+qubits: the circuits optimized against one database repeat the same placed
+pairs, so the pass reads each pair it meets with one lookup. A walk takes
+each gate in turn and scans back over the kept gates on its qubits,
+passing those it commutes with, until one blocks it or it cancels or
+merges with one; a merged gate takes the earlier gate's slot, which keeps
+the ASAP depth and the gate count from rising. A gate that is not the
+database's own, matrix for matrix, blocks (`_own_name`, the test `_Slices`
+makes too), as does a pair over more than n qubits. The pass rewrites what
+the sweeps would find one window at a time (H·H, T·T → S, gates commuting
+past each other), so the sweeps are left the rewrites that need a window.
 
 The optimizer slides an i×j window (i ≤ n, j ≤ d) over the circuit grid
 and replaces each window's contents with the cheapest equivalent circuit
@@ -53,15 +56,18 @@ A sweep costs what changed, not the circuit's length:
     one seen before is the same key: after the rules pass packs the
     circuit anew, and where a block repeats, what was learnt of the old
     layer holds for the new;
-  * a window is read from slice records (`_Slices`), made once per
-    `optimize` call for each (layer, qubit offset) and kept across its
-    sweeps: each slice's text as the padded, normalized window spells it,
-    whether it has a cut half and whether it is busy, and, from the first
-    lookup of a window holding it, its gates as `circuit.gate_list` lists
-    them in that window. They give the window's validity, its encoding,
-    its depth and its gate list with no cell rebuilt. A window with a cut
-    half in a slice other than its first and last is Invalid, and is
-    passed over from those slices' records alone;
+  * a window is read from slice records (`_Slices`), one for each (slice,
+    qubit offset), a slice being the cells of a layer the window covers,
+    made once and kept with the database across sweeps, calls and circuits
+    (a slice holding a gate object the database does not keep, such as a
+    parsed `u1(pi/2)`, for one call): each slice's text as the padded,
+    normalized window spells it, whether it has a cut half and whether it
+    is busy, and, from the first lookup of a window holding it, its gates
+    as `circuit.gate_list` lists them in that window. They give the
+    window's validity, its encoding, its depth and its gate list with no
+    cell rebuilt. A window with a cut half in a slice other than its first
+    and last is Invalid, and is passed over from those slices' records
+    alone;
   * a valid window that yields no substitution is remembered, for one
     `optimize` call, by its qubit offset and its span of whole layers; a
     later window with the same key, in the same sweep or a later one,
@@ -171,8 +177,9 @@ from .database import (
     encode_layer,
 )
 from .fingerprint import fingerprint
+from .generator import DEFAULT_BUDGET_BYTES
+from .gates import BUILTIN_GATES, GateDef, GateSet
 from .gates import I as IDENTITY_GATE
-from .gates import GateDef, GateSet
 from .matrices import frobenius_diff, max_abs_diff
 
 
@@ -514,14 +521,32 @@ def _rules(
     return c
 
 
+class CheckSpanError(RuntimeError):
+    """The dense check's remainders span more qubits than it can hold."""
+
+    def __init__(self, k: int, estimate: int):
+        super().__init__(
+            f"the dense check spans k = {k} qubits: its 2^{k} x 2^{k} unitaries would take "
+            f"about {estimate} bytes, over the budget of {DEFAULT_BUDGET_BYTES} bytes"
+        )
+        self.k = k
+
+
 def check_residual(ga: list[Gate], gb: list[Gate], n: int) -> tuple[float, int]:
     """(‖A − B‖_F, k) for A and B the unitaries of the remainders of
     `unshared_gates(ga, gb, n)` on their k qubits, for ga and gb the gate
     lists of two circuits a and b over n qubits: 0.0 exactly when a and b
-    agree gate for gate, and at least max|U(a) − U(b)| always."""
+    agree gate for gate, and at least max|U(a) − U(b)| always.
+
+    Raises CheckSpanError, before any unitary is made, when A, B and
+    their difference, 3·16·4^k bytes, exceed the build guard's default
+    budget (`generator.DEFAULT_BUDGET_BYTES`): k ≤ 12 passes."""
     ra, rb, k = unshared_gates(ga, gb, n)
     if k == 0:
         return 0.0, 0
+    estimate = 3 * 16 * 4**k
+    if estimate > DEFAULT_BUDGET_BYTES:
+        raise CheckSpanError(k, estimate)
     return frobenius_diff(gates_unitary(ra, k), gates_unitary(rb, k)), k
 
 
@@ -529,7 +554,12 @@ def apply_rules(
     gates: list[Gate], n: int, db: IdentityDatabase, report: OptimizeReport
 ) -> list[Gate]:
     """The gate list with the database's pair rules applied until none
-    applies (`IdentityDatabase.pair_rule`), counted in the report.
+    applies (`IdentityDatabase.pair_rule`), counted in the report. Each
+    pair a scan meets is read as placed, on its own qubits, from the
+    database's table (`IdentityDatabase.placed_rule`), which every call
+    against the database shares: a pair placed in an earlier call or
+    circuit costs one lookup. A gate kept where it stands is its input
+    entry, the same tuple.
 
     The gates are placed in order. Each scans back, latest first, over the
     kept gates that share a qubit with it. A gate that commutes with it is
@@ -559,33 +589,40 @@ class _Rules:
     once removed), its name in the database (None for a gate that is not
     the database's own, which blocks), and the lowest slot its last scan
     reached (−1 when it met no earlier gate); and per qubit, the slots of
-    the kept gates on it, ascending."""
+    the kept gates on it, ascending. A scan reads each pair it meets from
+    the database's table of placed pairs (`IdentityDatabase.placed_rule`),
+    kept across calls and circuits; only a gate's database name is kept
+    per call, since a parse makes new gate objects."""
 
     def __init__(self, n: int, db: IdentityDatabase, report: OptimizeReport):
-        self.gate_set, self.width, self.pair_rule = db.meta.gate_set, db.meta.n, db.pair_rule
+        self.gate_set = db.meta.gate_set
+        self.rules, self.placed_rule = db._placed_rules, db.placed_rule
         self.report = report
         self.out: list[Gate | None] = []
         self.own: list[str | None] = []
         self.reach: list[int] = []
         self.wires: list[list[int]] = [[] for _ in range(n)]
-        self.names: dict[GateDef, str | None] = {}
+        self.names: dict[GateDef, str | None] = {g: g.name for g in self.gate_set}
 
     def place(self, gates: list[Gate]) -> None:
         """Place the gates in order; after each, scan again, earliest
         first, every slot its rewrites make stale."""
         out, own, reach, wires, names = self.out, self.own, self.reach, self.wires, self.names
         scan, gate_set = self._scan, self.gate_set
-        for qs, g in gates:
+        for gate in gates:
+            qs, g = gate
             name = names.get(g, "")
             if name == "":
                 name = names[g] = _own_name(gate_set, g)
             j = len(out)
-            out.append((qs, g))
+            out.append(gate)
             own.append(name)
             reach.append(j)
             for x in qs:
                 wires[x].append(j)
             changed = scan(j) if name is not None else ()
+            if not changed:
+                continue
             todo: list[int] = []
             while changed:
                 for c, on in changed:
@@ -606,8 +643,7 @@ class _Rules:
         cancel or a merge, remove it, remove or rewrite the slot it met,
         and return both slots with the qubits their gates held; else record
         how far back it reached and return nothing."""
-        out, own, wires = self.out, self.own, self.wires
-        pair_rule = self.pair_rule
+        out, own, wires, rules = self.out, self.own, self.wires, self.rules
         qs, name = out[j][0], own[j]
         passed = 0
         if len(qs) == 1:
@@ -626,22 +662,19 @@ class _Rules:
             if other is None:
                 break
             qk = out[k][0]
-            rel = _relative(qk, qs, self.width)
-            if rel is None:
-                break
-            rule = pair_rule(other, rel[0], name, rel[1])
-            if rule.kind == COMMUTE:
+            key = (other, qk, name, qs)
+            rule = rules.get(key) or self.placed_rule(*key)
+            kind = rule.kind
+            if kind == COMMUTE:
                 passed += 1
                 continue
-            if rule.kind == CANCEL:
+            if kind == CANCEL:
                 self.report.cancels += 1
                 self._remove(k)
-            elif rule.kind == MERGE:
-                mq, mg = rule.merged
-                # the merged gate's qubits, numbered as the earlier gate's are
-                keep = qk if mq == rel[0] else tuple(qk[rel[0].index(r)] for r in mq)
+            elif kind == MERGE:
+                keep = rule.merged[0]
                 self.report.merges += 1
-                out[k], own[k] = (keep, mg), mg.name
+                out[k], own[k] = rule.merged, rule.merged[1].name
                 for x in qk:
                     if x not in keep:
                         wires[x].remove(k)
@@ -676,38 +709,18 @@ def _latest_first(a: list[int], b: list[int], below: int):
             j -= 1
 
 
-def _relative(qa: tuple[int, ...], qb: tuple[int, ...], n: int):
-    """(qa, qb) renumbered over the ascending qubits they cover, or None
-    when they cover more than n."""
-    one_a, one_b = len(qa) == 1, len(qb) == 1
-    if one_a and one_b:
-        return (0,), (0,)
-    if one_a or one_b:
-        if n < 2:
-            return None
-        (q,), (x, y) = (qa, qb) if one_a else (qb, qa)
-        pair, lo = ((0, 1), x) if x < y else ((1, 0), y)
-        single = (0,) if q == lo else (1,)
-        return (single, pair) if one_a else (pair, single)
-    qubits = sorted({*qa, *qb})
-    if len(qubits) > n:
-        return None
-    at = qubits.index
-    return tuple(map(at, qa)), tuple(map(at, qb))
-
-
 class _Slices:
-    """What one `optimize` call remembers of its windows, across all its
-    sweeps: a record of each slice it has read, and the windows that
-    yielded nothing.
+    """What a sweep remembers of its windows: a record of each slice it
+    has read, kept across sweeps, calls and circuits, and, for one
+    `optimize` call, the windows that yielded nothing and the lookups made.
 
-    `records` maps (layer, qubit offset) -> (text, cut, busy) for the
-    layer's i cells from that offset, each made on first use. `text` is
-    the slice in the normalized, padded window as the database spells it:
-    `encode_layer`'s text, with partners rebased by the offset, a half
-    whose partner lies outside the slice written as the Identity's name,
-    and Identity on the rows past it up to the database's n. A gate is
-    spelled by its name unless the database holds another gate of that
+    `records` maps (slice, qubit offset) -> (text, cut, busy), for the
+    slice the i cells of a layer from that offset, each made on first use.
+    `text` is the slice in the normalized, padded window as the database
+    spells it: `encode_layer`'s text, with partners rebased by the offset,
+    a half whose partner lies outside the slice written as the Identity's
+    name, and Identity on the rows past it up to the database's n. A gate
+    is spelled by its name unless the database holds another gate of that
     name, one whose matrix is not bitwise equal: it is then "?" and its
     name, which no member holds (`_spell`). So a window whose text is a
     member's computes that member's unitary, float for float. `cut` says
@@ -721,17 +734,25 @@ class _Slices:
     when the database's Identity is exactly the 2×2 identity (`spare`). A
     window's gate list is its slices' lists in order (`gate_list`). A part
     is made the first time a window holding the slice is looked up, so a
-    call that looks nothing up lists no gate.
+    sweep that looks nothing up lists no gate.
 
-    Layers are keyed by themselves, cells compared by identity. Cells are
-    shared per (gate, role, partner) (`circuit.shared_cell`), so a layer
-    with the same gates as a layer seen before, packed anew by the rules
-    pass or repeated in the circuit, finds its records; and a record stays
-    right after a splice and in every later sweep. `failed` maps each
-    valid window that yielded no substitution, keyed by (qubit offset,
-    span), to the collisions it skipped (`_sweep`). `looked` maps the
-    padded gate list and the depth of each window looked up, as a tuple,
-    to what `lookup` answered."""
+    A record and a part read nothing but the slice, its offset and the
+    database, so both tables are the database's (`IdentityDatabase`): a
+    slice is recorded once for every call and circuit optimized against
+    it. Only slices whose cells hold the database's own gates or builtin
+    ones go there; a slice holding any other gate object, such as the
+    `u1(pi/2)` each parse makes anew, is kept in `call_records` and
+    `call_parts`, for this call alone, so no table keeps a circuit's gates.
+
+    Slices are keyed by themselves, cells compared by identity. Cells are
+    shared per (gate, role, partner) (`circuit.shared_cell`), so a slice
+    with the same gates as one seen before, in a layer the rules pass
+    packed anew, repeated in the circuit or in another circuit, finds its
+    records; and a record stays right after a splice and in every later
+    sweep. `failed` maps each valid window that yielded no substitution,
+    keyed by (qubit offset, span), to the collisions it skipped
+    (`_sweep`). `looked` maps the padded gate list and the depth of each
+    window looked up, as a tuple, to what `lookup` answered."""
 
     def __init__(self, db: IdentityDatabase, i: int):
         gates = self.gates = db.meta.gate_set
@@ -744,17 +765,22 @@ class _Slices:
             [] if ident.exact_identity else [((q,), ident) for q in range(db.meta.n)]
         )
         self.names: dict[GateDef, str] = {g: g.name for g in gates}
-        self.records: dict[tuple[Layer, int], tuple[str, bool, bool]] = {}
-        self.parts: dict[tuple[Layer, int], list[Gate]] = {}
+        # the gates whose slices the database keeps: none dies with a circuit
+        self.kept = {*gates, *BUILTIN_GATES.values()}
+        self.records: dict[tuple[Layer, int], tuple[str, bool, bool]] = db._slice_records
+        self.parts: dict[tuple[Layer, int], list[Gate]] = db._slice_parts
+        self.call_records: dict[tuple[Layer, int], tuple[str, bool, bool]] = {}
+        self.call_parts: dict[tuple[Layer, int], list[Gate]] = {}
         self.failed: dict[_WindowKey, int] = {}
         self.looked: dict[tuple[tuple[Gate, ...], int], Match] = {}
 
     def cut_inside(self, span: tuple[Layer, ...], qs: int) -> bool:
         """Whether a slice of the window over `span` at qubit offset qs
         other than its first and last has a cut half: an Invalid tile."""
-        records = self.records
+        records, calls, i = self.records, self.call_records, self.i
         for layer in span[1:-1]:
-            if (records.get((layer, qs)) or self._record(layer, qs))[1]:
+            key = (layer[qs : qs + i], qs)
+            if (records.get(key) or calls.get(key) or self._record(*key))[1]:
                 return True
         return False
 
@@ -762,28 +788,35 @@ class _Slices:
         """The encoding of the valid window over `span` at qubit offset qs,
         as the database's n×d shape pads it, and its effective depth (its
         busy slices)."""
-        records = self.records
-        texts, _, busy = zip(
-            *[records.get((layer, qs)) or self._record(layer, qs) for layer in span]
-        )
+        records, calls, i = self.records, self.call_records, self.i
+        read = []
+        for layer in span:
+            key = (layer[qs : qs + i], qs)
+            read.append(records.get(key) or calls.get(key) or self._record(*key))
+        texts, _, busy = zip(*read)
         return "|".join(texts) + self.idle * (self.d - len(span)), sum(busy)
 
     def gate_list(self, span: tuple[Layer, ...], qs: int) -> list[Gate]:
         """The gate list of the valid window over `span` at qubit offset
         qs: what `circuit.gate_list` makes of the padded, normalized
         `Tile`."""
-        parts = self.parts
+        parts, calls, i = self.parts, self.call_parts, self.i
         gates: list[Gate] = []
         for layer in span:
-            part = parts.get((layer, qs))
-            gates += self._part(layer, qs) if part is None else part
+            key = (layer[qs : qs + i], qs)
+            part = parts.get(key)
+            if part is None:
+                part = calls.get(key)
+                if part is None:
+                    part = self._part(*key)
+            gates += part
         return gates + self.spare * (self.d - len(span))
 
-    def _record(self, layer: Layer, qs: int) -> tuple[str, bool, bool]:
+    def _record(self, cells: Layer, qs: int) -> tuple[str, bool, bool]:
         cut = busy = False
         texts = []
         names = self.names
-        for cell in layer[qs : qs + self.i]:
+        for cell in cells:
             name = names.get(cell.gate) or self._spell(cell.gate)
             if cell.role is None:
                 texts.append(name)
@@ -794,13 +827,14 @@ class _Slices:
             else:
                 texts.append(self.ident)
                 cut = True
-        rec = self.records[layer, qs] = (",".join(texts) + self.pad, cut, busy)
+        rec = (",".join(texts) + self.pad, cut, busy)
+        (self.records if self._kept(cells) else self.call_records)[cells, qs] = rec
         return rec
 
-    def _part(self, layer: Layer, qs: int) -> list[Gate]:
+    def _part(self, cells: Layer, qs: int) -> list[Gate]:
         i, spare = self.i, self.spare
         gates: list[Gate] = []
-        for q, cell in enumerate(layer[qs : qs + i]):
+        for q, cell in enumerate(cells):
             g = cell.gate
             if cell.role is None:
                 if not g.exact_identity:
@@ -811,10 +845,16 @@ class _Slices:
                 gates += spare[q : q + 1]  # a cut half
             elif q < p:
                 # the pair's gate is its first operand's, as `gate_list` reads it
-                gates.append(((q, p), g) if cell.role == FIRST else ((p, q), layer[qs + p].gate))
+                gates.append(((q, p), g) if cell.role == FIRST else ((p, q), cells[p].gate))
         gates += spare[i:]
-        self.parts[layer, qs] = gates
+        (self.parts if self._kept(cells) else self.call_parts)[cells, qs] = gates
         return gates
+
+    def _kept(self, cells: Layer) -> bool:
+        """Whether the database keeps the slice's records: every cell's
+        gate is its own or a builtin one."""
+        kept = self.kept
+        return all(cell.gate in kept for cell in cells)
 
     def _spell(self, g: GateDef) -> str:
         """The gate's text, kept for the rest of the call: its name, or "?"
@@ -847,11 +887,11 @@ def _sweep(
     window is read from the current circuit, so the pass continues forward
     over the circuit as the last substitution left it.
 
-    A window is read from its slice records (`memo`, made once per
-    `optimize` call), which give its validity, its padded encoding, its
-    depth and its gate list with no cell rebuilt. An Invalid window is
-    passed over first, from the cut flags of its inner slices' records,
-    so none is remembered as failed. This is the one place that decides
+    A window is read from its slice records (`memo`, each made once and
+    kept with the database), which give its validity, its padded encoding,
+    its depth and its gate list with no cell rebuilt. An Invalid window is
+    passed over first, from the cut flags of its inner slices' records, so
+    none is remembered as failed. This is the one place that decides
     whether its candidates are trusted: a member of a sound bucket tries
     that bucket's shallower rows unchecked, and every other window, no
     member or a member of an unsound bucket, takes its rows from `lookup`

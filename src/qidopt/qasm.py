@@ -240,10 +240,11 @@ def emit(c: CircuitGrid) -> str:
     problems = validate(c)
     if problems:
         raise ValueError(f"cannot emit invalid circuit: {problems[0]}")
-    gates = [(_gate_token(g), qs) for qs, g in gate_list(c) if not g.is_identity]
+    gates = [(_gate_token(g), *qs) for qs, g in gate_list(c) if not g.is_identity]
     header = ["OPENQASM 2.0;", 'include "qelib1.inc";']
-    if any(token == "iswap" for token, _ in gates):
+    if any(gate[0] == "iswap" for gate in gates):
         header.append(ISWAP_DEFINITION)
     header.append(f"qreg q[{c.n}];")
-    body = [f"{token} {','.join(f'q[{x}]' for x in qs)};" for token, qs in gates]
+    one, two = "%s q[%d];", "%s q[%d],q[%d];"
+    body = [(one if len(gate) == 2 else two) % gate for gate in gates]
     return "\n".join(header + body) + "\n"

@@ -40,7 +40,7 @@ from qidopt.gates import (
 )
 from qidopt.generator import GeneratorConfig, enumerate_circuits, enumerate_layers
 from qidopt.matrices import frobenius_diff, identity, is_unitary, max_abs_diff
-from qidopt.optimizer import check_residual, optimize
+from qidopt.optimizer import CheckSpanError, check_residual, optimize
 from qidopt.qasm import emit, parse
 
 
@@ -614,6 +614,17 @@ class TestUnshared:
         a, b = CircuitGrid(2, (bad,) + grid("H,I").layers), CircuitGrid(2, (bad,) + grid("X,I").layers)
         with pytest.raises(StructuralError, match="unpaired"):
             unshared(a, b)
+
+    @pytest.mark.parametrize("k", [20, 24])
+    def test_span_too_wide_to_hold_refused(self, k):
+        # H on each qubit against nothing: the remainders span all k, whose
+        # unitaries (16·4^k bytes each) are refused before any is made
+        ga = [((q,), gate("H")) for q in range(k)]
+        with pytest.raises(CheckSpanError, match=f"k = {k} qubits") as exc:
+            check_residual(ga, [], k)
+        assert exc.value.k == k
+        # the gates both lists hold are trimmed before the span is sized
+        assert check_residual(ga + [((0,), gate("X"))], ga + [((0,), gate("Z"))], k)[1] == 1
 
     @given(one_gate_edits(), st.booleans())
     @settings(max_examples=300, deadline=None)

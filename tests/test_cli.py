@@ -43,6 +43,12 @@ cx q[3],q[2];
 cx q[2],q[1];
 """
 
+# H twice on each of 24 qubits: equal to nothing, over more qubits than a
+# dense check can hold (2^24 × 2^24 unitaries)
+WIDE_HH = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[24];\n' + "".join(
+    f"h q[{q}];\nh q[{q}];\n" for q in range(24)
+)
+
 
 def keyvals(capsys):
     out = capsys.readouterr().out
@@ -290,6 +296,17 @@ class TestOptimize:
         assert main(["optimize", str(src), "--db", str(db_path)]) == EXIT_CONFIG
         assert "too large" in capsys.readouterr().err
 
+    def test_wide_remainder_refused(self, db_path, tmp_path, capsys):
+        # the rules pass cancels every H·H, so input and output share no
+        # gate and the dense check would span all 24 qubits: refused (exit
+        # 3), naming k, and no output is written
+        src, out = tmp_path / "wide.qasm", tmp_path / "out.qasm"
+        src.write_text(WIDE_HH)
+        rc = main(["optimize", str(src), "--db", str(db_path), "--out", str(out)])
+        assert rc == EXIT_RESOURCE
+        assert "k = 24 qubits" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_out_exit(self, db_path, tmp_path, capsys):
         src = tmp_path / "in.qasm"
         src.write_text(HEADLINE)
@@ -402,6 +419,14 @@ class TestVerify:
         b.write_text(head + before + "sdg q[6];\n" + after)
         assert main(["verify", str(a), str(b)]) == EXIT_VERIFY_FAILED
         assert keyvals(capsys)["equal"] == "false"
+
+    def test_wide_remainder_refused(self, tmp_path, capsys):
+        a, b = tmp_path / "a.qasm", tmp_path / "b.qasm"
+        a.write_text(WIDE_HH)
+        b.write_text("OPENQASM 2.0;\nqreg q[24];\n")
+        assert main(["verify", str(a), str(b)]) == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert "k = 24 qubits" in captured.err and "equal" not in captured.out
 
     def test_different_files(self, tmp_path):
         a = tmp_path / "a.qasm"

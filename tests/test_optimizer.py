@@ -38,6 +38,7 @@ from qidopt.database import (
     COMMUTE,
     MERGE,
     IdentityDatabase,
+    _relative,
     dumps,
     encode_circuit,
     encode_layer,
@@ -1224,17 +1225,19 @@ class TestTilesOnlyWithCandidates:
         assert report.unitary_lookups == 1 and len(report.substitutions) == 1
         assert report.tiles_built == 1
 
-    def test_each_record_made_once_per_call(self, db_ihxzcx, monkeypatch):
-        # the text records and the gate lists, each kept for the call
+    def test_each_record_made_once_per_database(self, db_ihxzcx, monkeypatch):
+        # the text records and the gate lists are the database's: each is
+        # made once for every call against it, and none when a call repeats
+        db = fresh_copy(db_ihxzcx)
         slices, real_sweep = optimizer_module._Slices, optimizer_module._sweep
         made = {"_record": Counter(), "_part": Counter()}
         read = {"window": {}, "gate_list": {}}
         sweeps = []
 
         def noted(table, real):
-            def note(memo, *args):
-                table[id(args[0]), args[1]] += 1
-                return real(memo, *args)
+            def note(memo, cells, qs):
+                table[cells, qs] += 1
+                return real(memo, cells, qs)
             return note
 
         def noted_reads(table, real):
@@ -1254,13 +1257,21 @@ class TestTilesOnlyWithCandidates:
             monkeypatch.setattr(slices, name, noted_reads(table, getattr(slices, name)))
         monkeypatch.setattr(optimizer_module, "_sweep", noted_sweep)
         c = grid("H,I,I,H", "Z,X,I,Z", "X,T,X,X", "T,T,T,T", "H,Z,X,H", "I,I,I,X", "I,I,I,H")
-        _, report = optimize(c, db_ihxzcx)
+        other = CircuitGrid(4, c.layers[::-1])
+        _, report = optimize(c, db)
         assert report.iterations == len(sweeps) > 1 and report.unitary_lookups > 0
-        for name, table in made.items():
-            assert table and set(table.values()) == {1}, name
         # slices are read again in a later sweep, from what is kept
         for name, table in read.items():
             assert any(len(seen) > 1 for seen in table.values()), name
+        optimize(other, db)
+        for name, table in made.items():
+            assert table and set(table.values()) == {1}, name
+        assert len(db._slice_records) == len(made["_record"])
+        assert len(db._slice_parts) == len(made["_part"])
+        counts = {name: dict(table) for name, table in made.items()}
+        _, again = optimize(c, db)
+        assert {name: dict(table) for name, table in made.items()} == counts
+        assert again.substitutions == report.substitutions
 
 
 # ── the neighbour rule: a database's enumeration decides the pairs ──
@@ -1904,3 +1915,122 @@ class TestPairRules:
         # one walk reaches the rules' fixpoint, listed in order or by layer
         for again in (out, gate_list(pack(out, n))):
             assert apply_rules(again, n, rule_db, report) == again
+
+
+# ── what the database keeps of placed gates, across calls and circuits ──
+
+
+def table_sizes(db):
+    return len(db._placed_rules), len(db._slice_records), len(db._slice_parts)
+
+
+@st.composite
+def placed_gate(draw, gates, n):
+    """One of the gates on qubits below n, a pair's in either order."""
+    g = draw(st.sampled_from([g for g in gates if g.arity == 1 or n > 1]))
+    if g.arity == 1:
+        return (draw(st.integers(0, n - 1)),), g
+    return tuple(draw(st.permutations(range(n)))[:2]), g
+
+
+class TestKeptTables:
+    """The rules pass reads each placed pair, and a sweep each slice, from
+    tables the database keeps: made once for every call against it."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_placed_rule_is_the_pair_rule_placed(self, rule_db, wide_merge_db, data):
+        db = data.draw(st.sampled_from([rule_db, wide_merge_db]), label="db")
+        n = data.draw(st.integers(1, 6), label="qubits")
+        gates = db.meta.gate_set.gates[1:]
+        (qa, a), (qb, b) = data.draw(st.tuples(placed_gate(gates, n), placed_gate(gates, n)))
+        listed = data.draw(st.lists(placed_gate(gates, n), max_size=20), label="gates")
+        before = set(db._placed_rules)
+        db.placed_rule(a.name, qa, b.name, qb)
+        # the rules pass over more qubits than the database's fills the
+        # same table
+        out = apply_rules(listed, n, db, OptimizeReport(0, 0))
+        assert len(out) <= len(listed)
+        for key in set(db._placed_rules) - before | {(a.name, qa, b.name, qb)}:
+            ka, kqa, kb, kqb = key
+            rule = db._placed_rules[key]
+            assert db.placed_rule(*key) is rule
+            # a fresh reading: renumber, look the pair up, place the merge
+            qubits = sorted({*kqa, *kqb})
+            if len(qubits) > db.meta.n or not set(kqa) & set(kqb):
+                assert rule.kind == BLOCK
+                continue
+            rel = _relative(kqa, kqb, db.meta.n)
+            want = db.pair_rule(ka, rel[0], kb, rel[1])
+            assert rule.kind == want.kind
+            if want.kind == MERGE:
+                assert rule.merged == (tuple(qubits[r] for r in want.merged[0]), want.merged[1])
+                assert set(rule.merged[0]) <= set(kqa)
+            else:
+                assert rule.merged is None
+
+    def test_merges_placed_on_reordered_qubits(self, wide_merge_db):
+        # CZ on qubits 0 and 2, in either order, then Z on 2: one gate on
+        # the pair's qubits, with the pair's unitary
+        for qa in [(0, 2), (2, 0)]:
+            rule = wide_merge_db.placed_rule("CZ", qa, "Z", (2,))
+            assert rule.kind == MERGE and set(rule.merged[0]) == {0, 2}
+            u = gates_unitary([(qa, gate("CZ")), ((2,), gate("Z"))], 3)
+            assert max_abs_diff(gates_unitary([rule.merged], 3), u) <= 1e-12
+
+    def test_foreign_gate_enters_neither_table(self, db_ihxzcx):
+        db = fresh_copy(db_ihxzcx)
+        foreign = make_gate("H", gate("X").matrix)
+        gates = [((0,), gate("X")), ((0,), foreign), ((0,), foreign), ((0, 1), gate("CX")),
+                 ((1,), foreign), ((1,), gate("Z")), ((0,), gate("X")), ((1,), gate("Z"))]
+        report = OptimizeReport(0, 0)
+        apply_rules(gates, 2, db, report)
+        # X·X on qubit 0 is blocked by the foreign H between them, Z·Z on
+        # qubit 1 cancels; no rule is read for the foreign H
+        assert report.cancels == 1
+        assert all("H" not in (key[0], key[2]) for key in db._placed_rules)
+        assert db._placed_rules
+        _, report = optimize(pack(gates, 2), db)
+        assert report.unitary_lookups > 0
+        for table in (db._slice_records, db._slice_parts):
+            assert all(cell.gate is not foreign for cells, _ in table for cell in cells)
+        # its slices are kept for the call alone
+        slices = _Slices(db, 2)
+        c = pack(gates, 2)
+        slices.window(c.layers[:3], 0)
+        slices.gate_list(c.layers[:3], 0)
+        assert slices.call_records and slices.call_parts
+        assert all(
+            any(cell.gate is foreign for cell in cells)
+            for table in (slices.call_records, slices.call_parts) for cells, _ in table
+        )
+
+    def test_second_pass_grows_neither_table(self, db_ihxzcx):
+        db = fresh_copy(db_ihxzcx)
+        corpus = wide_corpus(6)
+        first = []
+        for text in corpus:
+            out, report = optimize(parse(text), db)
+            first.append((emit(out), report.substitutions))
+        sizes = table_sizes(db)
+        assert min(sizes) > 0
+        for text, (emitted, subs) in zip(corpus, first):
+            out, report = optimize(parse(text), db)
+            assert (emit(out), report.substitutions) == (emitted, subs)
+        assert table_sizes(db) == sizes
+
+    def test_parsed_template_gates_add_nothing_after_the_first(self):
+        # each parse makes new u1 gates: their rules are read by name, and
+        # their slices are kept for the call alone
+        db = build_database(GeneratorConfig(n=2, d=2, gate_set=parse_gate_set("ibm-legacy")))
+        body = "u1(pi/2) q[0]; u1(pi/2) q[0]; cx q[0],q[1]; u1(pi/4) q[1]; h q[1]; u1(pi/2) q[0];"
+        text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n' + body + "\n"
+        outputs = set()
+        for k in range(50):
+            out, report = optimize(parse(text), db)
+            outputs.add(emit(out))
+            if k == 0:
+                sizes = table_sizes(db), len(db._pair_rules), len(db._rank_tables)
+                assert report.merges == 2 and sizes[0][0] > 0
+        assert (table_sizes(db), len(db._pair_rules), len(db._rank_tables)) == sizes
+        assert len(outputs) == 1
