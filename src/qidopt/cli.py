@@ -183,6 +183,7 @@ def cmd_optimize(args) -> int:
     _out("substitutions", len(report.substitutions))
     _out("cancels", report.cancels)
     _out("merges", report.merges)
+    _out("commutes", report.commutes)
     _out("iterations", report.iterations)
     _out("collisions_skipped", report.collisions_skipped)
     _out("residual", f"{report.residual:.3e}")

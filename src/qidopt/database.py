@@ -56,11 +56,11 @@ made.
 A database also says what two of its gates do when one follows the other
 on a qubit they share (`pair_rule`): cancel, merge into one gate, commute
 or block, read from the bucket of their two-gate member and trusted only
-when that bucket is sound. Each rule is made on first use and kept, and so
-is the rule of each pair as a circuit places it (`placed_rule`), on its
-own qubits, for the optimizer's rules pass. The database also keeps the
-optimizer's record of each window slice it reads (`optimizer._Slices`),
-which depends on the slice and the database alone.
+when that bucket is sound. The rule of each pair as a circuit places it
+(`placed_rule`), on its own qubits, is made on first use and kept, for
+the optimizer's rules pass. The database also keeps the optimizer's
+record of each window slice it reads (`optimizer._Slices`), which depends
+on the slice and the database alone.
 
 A database does not change once a build or `loads` has made it: its
 tables are read-only mappings and its buckets tuples, so everything it
@@ -207,7 +207,7 @@ class IdentityDatabase:
     `meta.gate_set`, or it raises DatabaseFormatError.
 
     A database is read-only: its tables are kept behind read-only views
-    and each bucket is a tuple. Seven things are made on first use and kept
+    and each bucket is a tuple. Six things are made on first use and kept
     with the database:
       * the member index (`by_circuit`), each member -> the key of its
         bucket, as `member_index` makes it: a build leaves it to its first
@@ -220,18 +220,16 @@ class IdentityDatabase:
       * a form filter (`may_hold_det`), made on the first lookup of a
         window that is no member, 8 bytes per bucket: the phase of its
         first member's determinant;
-      * one pair rule per pair of placed gates (`pair_rule`), made on the
-        pair's first call: at most the placed gates squared;
       * one rule per pair as a circuit places it (`placed_rule`), on the
         circuit's qubits, made on the pair's first call: at most the
         placements of its gates over the widest circuit's qubits, squared.
         Keys are gate names, so no circuit's gate object is kept;
       * the optimizer's slice records (`optimizer._Slices`), one per
-        (slice of a layer, qubit offset) and, for a window looked up, the
-        slice's gates: only slices whose cells hold its own gates or
-        builtin ones, so at most those gates' cells over the widest
-        circuit, per offset; a slice holding any other gate object, such
-        as a parsed `u1(pi/2)`, is remembered by its call alone.
+        (slice of a layer, qubit offset), each with the slice's gates:
+        only slices whose cells hold its own gates or builtin ones, so at
+        most those gates' cells over the widest circuit, per offset; a
+        slice holding any other gate object, such as a parsed `u1(pi/8)`
+        the database lacks, is remembered by its call alone.
     """
 
     meta: DatabaseMeta
@@ -242,18 +240,12 @@ class IdentityDatabase:
         init=False, repr=False, compare=False, default_factory=dict
     )
     # (earlier gate name, its qubits, later gate name, its qubits) -> rule,
-    # the qubits numbered below n (`pair_rule`) or as placed (`placed_rule`)
-    _pair_rules: dict[tuple, PairRule] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    # the qubits as placed (`placed_rule`)
     _placed_rules: dict[tuple, PairRule] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    # (slice, qubit offset) -> its record, and -> its gates (`optimizer._Slices`)
-    _slice_records: dict[tuple, tuple[str, bool, bool]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    _slice_parts: dict[tuple, list[Gate]] = field(
+    # (slice, qubit offset) -> (text, cut, busy, gates) (`optimizer._Slices`)
+    _slice_records: dict[tuple, tuple[str, bool, bool, list[Gate]]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -327,37 +319,9 @@ class IdentityDatabase:
           * MERGE: its cheapest row is one gate on qubits within qa;
           * COMMUTE: the member with b first and a second is in it too.
         Anything else is BLOCK, as is a pair that is no member (d < 2, a
-        pair no neighbours-only database holds) or shares no qubit. Made
-        on the first call for the pair and kept: the table holds at most
-        the database's placed gates squared."""
-        key = (a, qa, b, qb)
-        rule = self._pair_rules.get(key)
-        if rule is None:
-            rule = self._pair_rules[key] = self._pair_rule(a, qa, b, qb)
-        return rule
-
-    def placed_rule(self, a: str, qa: tuple[int, ...], b: str, qb: tuple[int, ...]) -> PairRule:
-        """`pair_rule` for the gates named a and b as a circuit places
-        them, on qubits qa and qb of any number: the pair's qubits are
-        renumbered over the ascending qubits it covers (`_relative`), and a
-        merged gate is given back on the circuit's qubits, within qa. A
-        pair over more than n qubits, or that shares no qubit, is BLOCK.
-        Made on the first call for the placed pair and kept, for the rules
-        pass to read (`optimizer._Rules`)."""
-        key = (a, qa, b, qb)
-        rule = self._placed_rules.get(key)
-        if rule is None:
-            rel = _relative(qa, qb, self.meta.n) if set(qa) & set(qb) else None
-            rule = PairRule(BLOCK) if rel is None else self.pair_rule(a, rel[0], b, rel[1])
-            if rule.kind == MERGE:
-                mq, mg = rule.merged
-                # the merged gate's qubits, numbered as the earlier gate's are
-                keep = qa if mq == rel[0] else tuple(qa[rel[0].index(r)] for r in mq)
-                rule = PairRule(MERGE, (keep, mg))
-            self._placed_rules[key] = rule
-        return rule
-
-    def _pair_rule(self, a: str, qa: tuple[int, ...], b: str, qb: tuple[int, ...]) -> PairRule:
+        pair no neighbours-only database holds) or shares no qubit.
+        Computed on each call: the rules pass reads it through
+        `placed_rule`, which keeps what it finds."""
         n, ident = self.meta.n, self.meta.gate_set.identity.name
 
         def layer(name: str, qs: tuple[int, ...]) -> str:
@@ -385,6 +349,27 @@ class IdentityDatabase:
         if self.by_circuit.get("|".join([layer(b, qb), layer(a, qa)] + idle)) == fp:
             return PairRule(COMMUTE)
         return PairRule(BLOCK)
+
+    def placed_rule(self, a: str, qa: tuple[int, ...], b: str, qb: tuple[int, ...]) -> PairRule:
+        """`pair_rule` for the gates named a and b as a circuit places
+        them, on qubits qa and qb of any number: the pair's qubits are
+        renumbered over the ascending qubits it covers (`_relative`), and a
+        merged gate is given back on the circuit's qubits, within qa. A
+        pair over more than n qubits, or that shares no qubit, is BLOCK.
+        Made on the first call for the placed pair and kept, for the rules
+        pass to read (`optimizer._Rules`)."""
+        key = (a, qa, b, qb)
+        rule = self._placed_rules.get(key)
+        if rule is None:
+            rel = _relative(qa, qb, self.meta.n) if set(qa) & set(qb) else None
+            rule = PairRule(BLOCK) if rel is None else self.pair_rule(a, rel[0], b, rel[1])
+            if rule.kind == MERGE:
+                mq, mg = rule.merged
+                # the merged gate's qubits, numbered as the earlier gate's are
+                keep = qa if mq == rel[0] else tuple(qa[rel[0].index(r)] for r in mq)
+                rule = PairRule(MERGE, (keep, mg))
+            self._placed_rules[key] = rule
+        return rule
 
     def rank(self, encs, max_depth: int) -> list[RankRow]:
         """Rows of the encodings with effective depth at most max_depth,

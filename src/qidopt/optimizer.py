@@ -6,26 +6,31 @@ from the database (`apply_rules`), over the input's gate list, then packs
 the result and sweeps windows over it; after each sweep that changed the
 grid, the rules run again on what the splices left.
 
-The rules come from the database's pair table
-(`IdentityDatabase.pair_rule`). For two of its gates, placed on at most n
-qubits that they share, the bucket of the two-gate member (the earlier
-gate in the first layer, the later in the second) says whether they cancel
-(the Identity's bucket), merge (its cheapest row is one gate on the
-earlier gate's qubits), commute (the other order is in the bucket too), or
-block; a rule counts only when the bucket is sound. The table is made on
-first use and kept with the database, at most its placed gates squared,
-and so is the rule of each pair as a circuit places it
+The rules come from the database's buckets (`IdentityDatabase.pair_rule`).
+For two of its gates, placed on at most n qubits that they share, the
+bucket of the two-gate member (the earlier gate in the first layer, the
+later in the second) says whether they cancel (the Identity's bucket),
+merge (its cheapest row is one gate on the earlier gate's qubits), commute
+(the other order is in the bucket too), or block; a rule counts only when
+the bucket is sound. The rule of each pair as a circuit places it
 (`IdentityDatabase.placed_rule`), keyed by the two gates' names and
-qubits: the circuits optimized against one database repeat the same placed
-pairs, so the pass reads each pair it meets with one lookup. A walk takes
-each gate in turn and scans back over the kept gates on its qubits,
-passing those it commutes with, until one blocks it or it cancels or
-merges with one; a merged gate takes the earlier gate's slot, which keeps
-the ASAP depth and the gate count from rising. A gate that is not the
-database's own, matrix for matrix, blocks (`_own_name`, the test `_Slices`
-makes too), as does a pair over more than n qubits. The pass rewrites what
-the sweeps would find one window at a time (H·H, T·T → S, gates commuting
-past each other), so the sweeps are left the rewrites that need a window.
+qubits, is made on first use and kept with the database: the circuits
+optimized against one database repeat the same placed pairs, so the pass
+reads each pair it meets with one lookup. A walk takes each gate in turn
+and scans back over the kept gates on its qubits, passing those it
+commutes with, until one blocks it or it cancels or merges with one; a
+merged gate takes the earlier gate's slot, which keeps the ASAP depth and
+the gate count from rising. A gate that is not one of the database's gate
+objects blocks, as does a pair over more than n qubits. The pass rewrites
+what the sweeps would find one window at a time (H·H, T·T → S, gates
+commuting past each other), so the sweeps are left the rewrites that need
+a window.
+
+Which gates are the database's own is decided once per call, up front
+(`_owned`): an input gate with the name of a database gate and a
+bitwise-equal matrix, such as the new `u1(pi/2)` each parse makes, is
+made that database gate. From then on a gate is the database's own
+exactly when it is one of its gate objects.
 
 The optimizer slides an i×j window (i ≤ n, j ≤ d) over the circuit grid
 and replaces each window's contents with the cheapest equivalent circuit
@@ -60,14 +65,13 @@ A sweep costs what changed, not the circuit's length:
     qubit offset), a slice being the cells of a layer the window covers,
     made once and kept with the database across sweeps, calls and circuits
     (a slice holding a gate object the database does not keep, such as a
-    parsed `u1(pi/2)`, for one call): each slice's text as the padded,
-    normalized window spells it, whether it has a cut half and whether it
-    is busy, and, from the first lookup of a window holding it, its gates
-    as `circuit.gate_list` lists them in that window. They give the
-    window's validity, its encoding, its depth and its gate list with no
-    cell rebuilt. A window with a cut half in a slice other than its first
-    and last is Invalid, and is passed over from those slices' records
-    alone;
+    parsed `u1(pi/8)` it lacks, for one call): each slice's text as the
+    padded, normalized window spells it, whether it has a cut half, whether
+    it is busy, and its gates as `circuit.gate_list` lists them in that
+    window. They give the window's validity, its encoding, its depth and
+    its gate list with no cell rebuilt. A window with a cut half in a slice
+    other than its first and last is Invalid, and is passed over from
+    those slices' records alone;
   * a valid window that yields no substitution is remembered, for one
     `optimize` call, by its qubit offset and its span of whole layers; a
     later window with the same key, in the same sweep or a later one,
@@ -99,13 +103,12 @@ max|U − V| between a candidate's unitary and the window's. A window that
 may have candidates takes one of two routes (`_sweep`):
   * trusted: its slice text is a member's encoding, and that member's
     bucket has rows shallower than it and is sound. A slice spells a gate
-    by its name only when the database's gate of that name has a
-    bitwise-equal matrix (`_Slices`), so the window computes its member's
-    unitary float for float. The database checks a bucket once
-    (`IdentityDatabase.sound`): it computes every member's unitary from
-    its layer unitaries and flags the bucket sound when all lie within
-    guard/4 of the first member's. So the window tries its candidates
-    with no unitary at all;
+    by its name only when it is the database's gate object (`_Slices`), so
+    the window computes its member's unitary float for float. The
+    database checks a bucket once (`IdentityDatabase.sound`): it computes
+    every member's unitary from its layer unitaries and flags the bucket
+    sound when all lie within guard/4 of the first member's. So the window
+    tries its candidates with no unitary at all;
   * `lookup`: every other window, one that is no member or a member of an
     unsound bucket. It takes its rows from the bucket of its padded
     unitary, and each candidate's unitary is checked against that one
@@ -131,8 +134,9 @@ the layers the splices left.
 The result is checked against the parsed input once, after the sweeps,
 by `check_residual`, densely: the rules pass is not taken on trust, and
 the residual covers it as it covers the splices. The check compares the
-input's gate list, made once for the pass and the check, with the
-output's: the gates both begin or both end with are removed
+parsed input's own gate list, as it was before `_owned` made any gate the
+database's, with the output's, so it covers that swap too: the gates both
+begin or both end with are removed
 (`circuit.unshared_gates`), and the rest is evaluated straight from the
 two remainders (`circuit.gates_unitary`).
 """
@@ -442,6 +446,8 @@ class OptimizeReport:
 
 
 _WindowKey = tuple[int, tuple[Layer, ...]]  # (qubit offset, span)
+# a slice record: (text, cut, busy, gates) (`_Slices`)
+_Record = tuple[str, bool, bool, list[Gate]]
 
 
 def optimize(
@@ -480,11 +486,12 @@ def optimize(
     if iters < 1:
         raise ValueError("iters must be at least 1")
 
+    parsed = gate_list(c)
+    gates, layers = _owned(parsed, c.layers, db.meta.gate_set)
     # no sweep sees an all-Identity layer: the span rule of `_lowers` and
     # the splice, which compacts only its span, rely on that
-    busy = tuple(l for l in c.layers if not layer_is_identity(l))
+    busy = tuple(l for l in layers if not layer_is_identity(l))
     report = OptimizeReport(initial_depth=len(busy), final_depth=0)
-    gates = gate_list(c)
     cur = _rules(CircuitGrid(c.n, busy), gates, db, report)
     memo = _Slices(db, min(spec.i, c.n))
     for it in range(iters):
@@ -498,9 +505,38 @@ def optimize(
     out = gate_list(cur)
     report.final_depth = asap_depth(out, c.n)
     start = time.perf_counter()
-    report.residual, report.check_qubits = check_residual(gates, out, c.n)
+    report.residual, report.check_qubits = check_residual(parsed, out, c.n)
     report.check_s = time.perf_counter() - start
     return cur, report
+
+
+def _owned(
+    gates: list[Gate], layers: tuple[Layer, ...], gate_set: GateSet
+) -> tuple[list[Gate], tuple[Layer, ...]]:
+    """The gate list and the layers with each gate that has the name of a
+    gate of `gate_set` and a bitwise-equal matrix made that gate: the one
+    test of whether a gate is the database's own. A parse makes a new
+    `u1(pi/2)` each time; after this, the database's own gates are its
+    objects, whose rules and slice records it keeps. Both are returned as
+    they are when no gate is swapped; otherwise the swapped cells are the
+    new gates' shared ones (`circuit.shared_cell`)."""
+    own = {}
+    for g in {cell.gate for cell in set().union(*layers)}.difference(gate_set.gates):
+        if g.name in gate_set:
+            kept = gate_set.by_name(g.name)
+            if np.array_equal(kept.matrix, g.matrix):
+                own[g] = kept
+    if not own:
+        return gates, layers
+    gates = [(qs, own.get(g, g)) for qs, g in gates]
+    layers = tuple(
+        tuple(
+            shared_cell(own[cell.gate], cell.role, cell.partner) if cell.gate in own else cell
+            for cell in layer
+        )
+        for layer in layers
+    )
+    return gates, layers
 
 
 def _rules(
@@ -569,8 +605,10 @@ def apply_rules(
     qubits of the earlier gate, and the later gate commutes with every gate
     it passed, so the product is unchanged, up to the database's rounding.
     The later gate is kept where it stands in every other case. A gate
-    that is not the database's own (`_own_name`), or a pair over more than
-    the database's n qubits, blocks.
+    that is not one of the database's gate objects, or a pair over more
+    than the database's n qubits, blocks: `optimize` makes each input gate
+    the database holds, by name and bitwise matrix, its object first
+    (`_owned`).
 
     Each kept gate remembers how far back its scan reached. A slot that
     changes (a merged gate written, a gate removed) is scanned again from
@@ -587,33 +625,29 @@ def apply_rules(
 class _Rules:
     """The kept gates of one `apply_rules` call, by slot: each gate (None
     once removed), its name in the database (None for a gate that is not
-    the database's own, which blocks), and the lowest slot its last scan
-    reached (−1 when it met no earlier gate); and per qubit, the slots of
-    the kept gates on it, ascending. A scan reads each pair it meets from
-    the database's table of placed pairs (`IdentityDatabase.placed_rule`),
-    kept across calls and circuits; only a gate's database name is kept
-    per call, since a parse makes new gate objects."""
+    one of the database's gate objects, which blocks), and the lowest slot
+    its last scan reached (−1 when it met no earlier gate); and per qubit,
+    the slots of the kept gates on it, ascending. A scan reads each pair it
+    meets from the database's table of placed pairs, keyed by names
+    (`IdentityDatabase.placed_rule`), kept across calls and circuits."""
 
     def __init__(self, n: int, db: IdentityDatabase, report: OptimizeReport):
-        self.gate_set = db.meta.gate_set
         self.rules, self.placed_rule = db._placed_rules, db.placed_rule
         self.report = report
         self.out: list[Gate | None] = []
         self.own: list[str | None] = []
         self.reach: list[int] = []
         self.wires: list[list[int]] = [[] for _ in range(n)]
-        self.names: dict[GateDef, str | None] = {g: g.name for g in self.gate_set}
+        self.names: dict[GateDef, str] = {g: g.name for g in db.meta.gate_set}
 
     def place(self, gates: list[Gate]) -> None:
         """Place the gates in order; after each, scan again, earliest
         first, every slot its rewrites make stale."""
         out, own, reach, wires, names = self.out, self.own, self.reach, self.wires, self.names
-        scan, gate_set = self._scan, self.gate_set
+        scan = self._scan
         for gate in gates:
             qs, g = gate
-            name = names.get(g, "")
-            if name == "":
-                name = names[g] = _own_name(gate_set, g)
+            name = names.get(g)
             j = len(out)
             out.append(gate)
             own.append(name)
@@ -714,41 +748,40 @@ class _Slices:
     has read, kept across sweeps, calls and circuits, and, for one
     `optimize` call, the windows that yielded nothing and the lookups made.
 
-    `records` maps (slice, qubit offset) -> (text, cut, busy), for the
-    slice the i cells of a layer from that offset, each made on first use.
-    `text` is the slice in the normalized, padded window as the database
-    spells it: `encode_layer`'s text, with partners rebased by the offset,
-    a half whose partner lies outside the slice written as the Identity's
-    name, and Identity on the rows past it up to the database's n. A gate
-    is spelled by its name unless the database holds another gate of that
-    name, one whose matrix is not bitwise equal: it is then "?" and its
-    name, which no member holds (`_spell`). So a window whose text is a
-    member's computes that member's unitary, float for float. `cut` says
-    whether the slice has a cut half, `busy` whether the normalized slice
-    has a non-Identity cell.
+    `records` maps (slice, qubit offset) -> (text, cut, busy, gates), for
+    the slice the i cells of a layer from that offset, each made on first
+    use by one walk of the slice (`_record`):
+      * `text` is the slice in the normalized, padded window as the
+        database spells it: `encode_layer`'s text, with partners rebased
+        by the offset, a half whose partner lies outside the slice written
+        as the Identity's name, and Identity on the rows past it up to the
+        database's n. A gate is spelled by its name when it is the
+        database's gate object; another gate of a database gate's name is
+        "?" and its name, which no member holds. So a window whose text is
+        a member's computes that member's unitary, float for float;
+      * `cut` says whether the slice has a cut half, `busy` whether the
+        normalized slice has a non-Identity cell;
+      * `gates` are the slice's gates as `circuit.gate_list` lists them in
+        that window: singles other than the exact Identity, and each pair
+        once, at its lower half, in operand order, its qubits rebased by
+        the offset. Cut halves and padding are Identity, left out when the
+        database's Identity is exactly the 2×2 identity (`spare`). A
+        window's gate list is its slices' lists in order (`gate_list`).
 
-    `parts` maps the same keys to the slice's gates as `circuit.gate_list`
-    lists them in that window: singles other than the exact Identity, and
-    each pair once, at its lower half, in operand order, its qubits
-    rebased by the offset. Cut halves and padding are Identity, left out
-    when the database's Identity is exactly the 2×2 identity (`spare`). A
-    window's gate list is its slices' lists in order (`gate_list`). A part
-    is made the first time a window holding the slice is looked up, so a
-    sweep that looks nothing up lists no gate.
-
-    A record and a part read nothing but the slice, its offset and the
-    database, so both tables are the database's (`IdentityDatabase`): a
-    slice is recorded once for every call and circuit optimized against
-    it. Only slices whose cells hold the database's own gates or builtin
-    ones go there; a slice holding any other gate object, such as the
-    `u1(pi/2)` each parse makes anew, is kept in `call_records` and
-    `call_parts`, for this call alone, so no table keeps a circuit's gates.
+    A record reads nothing but the slice, its offset and the database, so
+    the table is the database's (`IdentityDatabase`): a slice is recorded
+    once for every call and circuit optimized against it. Only slices whose
+    cells hold the database's own gates or builtin ones go there; a slice
+    holding any other gate object, such as a parsed `u1(pi/8)` the
+    database lacks, is kept in `call_records`, for this call alone, so no
+    table keeps a circuit's gates. `optimize` has already made each gate
+    the database holds, by name and bitwise matrix, its object (`_owned`).
 
     Slices are keyed by themselves, cells compared by identity. Cells are
     shared per (gate, role, partner) (`circuit.shared_cell`), so a slice
     with the same gates as one seen before, in a layer the rules pass
     packed anew, repeated in the circuit or in another circuit, finds its
-    records; and a record stays right after a splice and in every later
+    record; and a record stays right after a splice and in every later
     sweep. `failed` maps each valid window that yielded no substitution,
     keyed by (qubit offset, span), to the collisions it skipped
     (`_sweep`). `looked` maps the padded gate list and the depth of each
@@ -767,10 +800,8 @@ class _Slices:
         self.names: dict[GateDef, str] = {g: g.name for g in gates}
         # the gates whose slices the database keeps: none dies with a circuit
         self.kept = {*gates, *BUILTIN_GATES.values()}
-        self.records: dict[tuple[Layer, int], tuple[str, bool, bool]] = db._slice_records
-        self.parts: dict[tuple[Layer, int], list[Gate]] = db._slice_parts
-        self.call_records: dict[tuple[Layer, int], tuple[str, bool, bool]] = {}
-        self.call_parts: dict[tuple[Layer, int], list[Gate]] = {}
+        self.records: dict[tuple[Layer, int], _Record] = db._slice_records
+        self.call_records: dict[tuple[Layer, int], _Record] = {}
         self.failed: dict[_WindowKey, int] = {}
         self.looked: dict[tuple[tuple[Gate, ...], int], Match] = {}
 
@@ -793,87 +824,49 @@ class _Slices:
         for layer in span:
             key = (layer[qs : qs + i], qs)
             read.append(records.get(key) or calls.get(key) or self._record(*key))
-        texts, _, busy = zip(*read)
+        texts, _, busy, _ = zip(*read)
         return "|".join(texts) + self.idle * (self.d - len(span)), sum(busy)
 
     def gate_list(self, span: tuple[Layer, ...], qs: int) -> list[Gate]:
         """The gate list of the valid window over `span` at qubit offset
         qs: what `circuit.gate_list` makes of the padded, normalized
         `Tile`."""
-        parts, calls, i = self.parts, self.call_parts, self.i
+        records, calls, i = self.records, self.call_records, self.i
         gates: list[Gate] = []
         for layer in span:
             key = (layer[qs : qs + i], qs)
-            part = parts.get(key)
-            if part is None:
-                part = calls.get(key)
-                if part is None:
-                    part = self._part(*key)
-            gates += part
+            gates += (records.get(key) or calls.get(key) or self._record(*key))[3]
         return gates + self.spare * (self.d - len(span))
 
-    def _record(self, cells: Layer, qs: int) -> tuple[str, bool, bool]:
+    def _record(self, cells: Layer, qs: int) -> _Record:
+        i, spare, names, kept = self.i, self.spare, self.names, self.kept
         cut = busy = False
-        texts = []
-        names = self.names
-        for cell in cells:
-            name = names.get(cell.gate) or self._spell(cell.gate)
-            if cell.role is None:
-                texts.append(name)
-                busy = busy or not cell.gate.is_identity
-            elif 0 <= cell.partner - qs < self.i:
-                texts.append(f"{name}:{cell.role}:{cell.partner - qs}")
-                busy = True
-            else:
-                texts.append(self.ident)
-                cut = True
-        rec = (",".join(texts) + self.pad, cut, busy)
-        (self.records if self._kept(cells) else self.call_records)[cells, qs] = rec
-        return rec
-
-    def _part(self, cells: Layer, qs: int) -> list[Gate]:
-        i, spare = self.i, self.spare
+        texts: list[str] = []
         gates: list[Gate] = []
         for q, cell in enumerate(cells):
             g = cell.gate
+            name = names.get(g) or ("?" + g.name if g.name in self.gates else g.name)
             if cell.role is None:
+                texts.append(name)
+                busy = busy or not g.is_identity
                 if not g.exact_identity:
                     gates.append(((q,), g))
                 continue
             p = cell.partner - qs
             if not 0 <= p < i:
+                texts.append(self.ident)
+                cut = True
                 gates += spare[q : q + 1]  # a cut half
-            elif q < p:
+                continue
+            texts.append(f"{name}:{cell.role}:{p}")
+            busy = True
+            if q < p:
                 # the pair's gate is its first operand's, as `gate_list` reads it
                 gates.append(((q, p), g) if cell.role == FIRST else ((p, q), cells[p].gate))
-        gates += spare[i:]
-        (self.parts if self._kept(cells) else self.call_parts)[cells, qs] = gates
-        return gates
-
-    def _kept(self, cells: Layer) -> bool:
-        """Whether the database keeps the slice's records: every cell's
-        gate is its own or a builtin one."""
-        kept = self.kept
-        return all(cell.gate in kept for cell in cells)
-
-    def _spell(self, g: GateDef) -> str:
-        """The gate's text, kept for the rest of the call: its name, or "?"
-        and its name (a character no gate name holds) when the database's
-        gate of that name has another matrix (`_own_name`)."""
-        other = g.name in self.gates and _own_name(self.gates, g) is None
-        text = self.names[g] = "?" + g.name if other else g.name
-        return text
-
-
-def _own_name(gates: GateSet, g: GateDef) -> str | None:
-    """g's name when the gate table holds a gate of that name with a
-    bitwise-equal matrix, else None: the one test of whether a gate is the
-    database's own. A parsed `u1(pi/2)` is a new `GateDef` on every parse,
-    so matrices are compared, not objects."""
-    own = gates.by_name(g.name) if g.name in gates else None
-    if own is None or not (own is g or np.array_equal(own.matrix, g.matrix)):
-        return None
-    return g.name
+        rec = (",".join(texts) + self.pad, cut, busy, gates + spare[i:])
+        table = self.records if all(cell.gate in kept for cell in cells) else self.call_records
+        table[cells, qs] = rec
+        return rec
 
 
 def _sweep(

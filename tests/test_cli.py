@@ -224,7 +224,7 @@ class TestOptimize:
         vals = keyvals(capsys)
         assert list(vals) == [
             "out", "initial_depth", "final_depth", "substitutions", "cancels",
-            "merges", "iterations", "collisions_skipped", "residual", "check_s",
+            "merges", "commutes", "iterations", "collisions_skipped", "residual", "check_s",
         ]
         assert float(vals["check_s"]) > 0
 

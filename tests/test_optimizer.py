@@ -1226,11 +1226,11 @@ class TestTilesOnlyWithCandidates:
         assert report.tiles_built == 1
 
     def test_each_record_made_once_per_database(self, db_ihxzcx, monkeypatch):
-        # the text records and the gate lists are the database's: each is
+        # the records, each with its gate list, are the database's: each is
         # made once for every call against it, and none when a call repeats
         db = fresh_copy(db_ihxzcx)
         slices, real_sweep = optimizer_module._Slices, optimizer_module._sweep
-        made = {"_record": Counter(), "_part": Counter()}
+        made = {"_record": Counter()}
         read = {"window": {}, "gate_list": {}}
         sweeps = []
 
@@ -1267,7 +1267,6 @@ class TestTilesOnlyWithCandidates:
         for name, table in made.items():
             assert table and set(table.values()) == {1}, name
         assert len(db._slice_records) == len(made["_record"])
-        assert len(db._slice_parts) == len(made["_part"])
         counts = {name: dict(table) for name, table in made.items()}
         _, again = optimize(c, db)
         assert {name: dict(table) for name, table in made.items()} == counts
@@ -1892,10 +1891,14 @@ class TestPairRules:
     def test_gate_not_the_databases_own_blocks(self, rule_db, other):
         gates = [((0,), gate("H")), ((0,), other)]
         assert apply_rules(gates, 1, rule_db, OptimizeReport(0, 0)) == gates
-        # a gate of the same name and a bitwise-equal matrix is the database's
+        # a gate of the same name and a bitwise-equal matrix is another
+        # object: `optimize` makes it the database's, and it cancels with H
         same_h = make_gate("H", gate("H").matrix)
         gates = [((0,), gate("H")), ((0,), same_h)]
-        assert apply_rules(gates, 1, rule_db, OptimizeReport(0, 0)) == []
+        out, report = optimize(pack(gates, 2), rule_db)
+        assert gate_list(out) == [] and report.cancels == 1
+        # the check compares the input as given, same_h and all
+        assert report.check_qubits == 1 and report.residual <= 1e-12
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -1921,7 +1924,7 @@ class TestPairRules:
 
 
 def table_sizes(db):
-    return len(db._placed_rules), len(db._slice_records), len(db._slice_parts)
+    return len(db._placed_rules), len(db._slice_records)
 
 
 @st.composite
@@ -1992,18 +1995,14 @@ class TestKeptTables:
         assert db._placed_rules
         _, report = optimize(pack(gates, 2), db)
         assert report.unitary_lookups > 0
-        for table in (db._slice_records, db._slice_parts):
-            assert all(cell.gate is not foreign for cells, _ in table for cell in cells)
+        assert all(cell.gate is not foreign for cells, _ in db._slice_records for cell in cells)
         # its slices are kept for the call alone
         slices = _Slices(db, 2)
         c = pack(gates, 2)
         slices.window(c.layers[:3], 0)
         slices.gate_list(c.layers[:3], 0)
-        assert slices.call_records and slices.call_parts
-        assert all(
-            any(cell.gate is foreign for cell in cells)
-            for table in (slices.call_records, slices.call_parts) for cells, _ in table
-        )
+        assert slices.call_records
+        assert all(any(cell.gate is foreign for cell in cells) for cells, _ in slices.call_records)
 
     def test_second_pass_grows_neither_table(self, db_ihxzcx):
         db = fresh_copy(db_ihxzcx)
@@ -2019,18 +2018,51 @@ class TestKeptTables:
             assert (emit(out), report.substitutions) == (emitted, subs)
         assert table_sizes(db) == sizes
 
-    def test_parsed_template_gates_add_nothing_after_the_first(self):
-        # each parse makes new u1 gates: their rules are read by name, and
-        # their slices are kept for the call alone
+    def test_parsed_template_gates_add_nothing_after_the_first(self, monkeypatch):
+        # each parse makes new u1 gates: `optimize` makes each the
+        # database's own, so their rules and their slices are kept with it
         db = build_database(GeneratorConfig(n=2, d=2, gate_set=parse_gate_set("ibm-legacy")))
+        header = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
         body = "u1(pi/2) q[0]; u1(pi/2) q[0]; cx q[0],q[1]; u1(pi/4) q[1]; h q[1]; u1(pi/2) q[0];"
-        text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n' + body + "\n"
+        text = header + body + "\n"
         outputs = set()
         for k in range(50):
             out, report = optimize(parse(text), db)
             outputs.add(emit(out))
             if k == 0:
-                sizes = table_sizes(db), len(db._pair_rules), len(db._rank_tables)
+                sizes = table_sizes(db), len(db._rank_tables)
                 assert report.merges == 2 and sizes[0][0] > 0
-        assert (table_sizes(db), len(db._pair_rules), len(db._rank_tables)) == sizes
+        assert (table_sizes(db), len(db._rank_tables)) == sizes
         assert len(outputs) == 1
+
+        made = []
+        real_record = _Slices._record
+
+        def noted(memo, cells, qs):
+            made.append(cells)
+            return real_record(memo, cells, qs)
+
+        monkeypatch.setattr(_Slices, "_record", noted)
+        # a second optimize of a u1/u2/u3/cx text makes no record
+        uuu = header + (
+            "u1(pi/2) q[0]; u2(0,pi) q[1]; cx q[0],q[1]; u3(pi,0,pi) q[0]; "
+            "u1(pi/2) q[1]; cx q[1],q[0]; u1(-pi/4) q[0]; u2(0,pi) q[0];\n"
+        )
+        optimize(parse(uuu), db)
+        assert made
+        made.clear()
+        optimize(parse(uuu), db)
+        assert made == []
+        # its u1(pi/2) slices are the database's
+        u1 = db.meta.gate_set.by_name("U1[pi/2]")
+        assert any(cell.gate is u1 for cells, _ in db._slice_records for cell in cells)
+        # u1(pi/8) is no ibm-legacy gate: it blocks every rule, and a slice
+        # holding it is recorded for the call alone, so each call makes it
+        eighth = header + "u1(pi/8) q[0]; u1(pi/8) q[0]; cx q[0],q[1];\n"
+        for _ in range(2):
+            made.clear()
+            _, report = optimize(parse(eighth), db)
+            assert report.merges == 0
+            foreign = [cells for cells in made if any(c.gate.name == "U1[pi/8]" for c in cells)]
+            assert foreign
+        assert all(c.gate.name != "U1[pi/8]" for cells, _ in db._slice_records for c in cells)
