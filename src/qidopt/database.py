@@ -14,7 +14,9 @@ carrying the circuit count and an MD5 checksum of the body; nothing
 follows the footer. Same database -> same bytes.
 
 `DatabaseMeta.gate_set` is the one gate table, and `decode` evaluates it.
-A build keeps the gates it was given, and a load gives them back bitwise.
+A build keeps the gates it was given, except that a gate with no QASM
+rendering whose name resolves to it exactly is made the named gate, as a
+load makes it (`resolved_gates`); a load gives the gates back bitwise.
 A gate whose name resolves to it exactly (a builtin, or an instantiated
 template such as 'U1[pi/2]' with that template's matrix) gets a line with
 its dp-rounded matrix, and a load resolves the name again. Any other gate
@@ -174,10 +176,11 @@ class DatabaseMeta:
     """The header of a database.
 
     `gate_set` is the gate table that `IdentityDatabase.decode` evaluates:
-    the gates a build was given, or the gates a load read from the file's
-    gate lines, bitwise those the file was written from (a rounded line of
-    a gate its name does not resolve to, in an older file, gives its
-    rounded matrix). The format tag, digest algorithm and convention are
+    the gates a build was given (a gate with no QASM rendering that its
+    name resolves to, bitwise, made the named gate: `resolved_gates`), or
+    the gates a load read from the file's gate lines, bitwise those the
+    file was written from (a rounded line of a gate its name does not
+    resolve to, in an older file, gives its rounded matrix). The format tag, digest algorithm and convention are
     the module's constants, the only ones a file may hold.
     """
 
@@ -569,6 +572,29 @@ def _named_gate(name: str) -> GateDef | None:
     except ValueError:
         return None
     return gate if gate.name == name else None
+
+
+def resolved_gates(gates: GateSet) -> GateSet:
+    """The gate set a build runs on: `gates` with each gate that has
+    neither a QASM token nor a template, but whose name resolves to a gate
+    with a bitwise-equal matrix (`_named_gate`), such as
+    `make_gate("H", H.matrix)`, made that named gate, as a load of its line
+    makes it; so a built database and its loaded copy hold gates that
+    render alike. The set itself when no gate is swapped. File bytes do
+    not change: a swapped gate's line is the named gate's (`_gate_line`)."""
+
+    def named(gate: GateDef) -> GateDef:
+        if gate.qasm_name is None and gate.template is None:
+            try:
+                found = _named_gate(gate.name)
+            except DatabaseFormatError:
+                return gate
+            if found is not None and np.array_equal(found.matrix, gate.matrix):
+                return found
+        return gate
+
+    swapped = [named(g) for g in gates]
+    return gates if swapped == list(gates) else GateSet(swapped)
 
 
 # ── persistence ─────────────────────────────────────────────────────

@@ -79,7 +79,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .circuit import CircuitGrid, enumerate_layers, layer_count, layer_unitary
-from .database import DatabaseMeta, IdentityDatabase, layer_table
+from .database import DatabaseMeta, IdentityDatabase, layer_table, resolved_gates
 from .fingerprint import Fingerprint, _rounded_components, _row_hash, fingerprint
 from .gates import GateSet
 from .matrices import identity
@@ -326,10 +326,14 @@ def build_database(cfg: GeneratorConfig) -> IdentityDatabase:
     `by_circuit` (`member_index`) on its first use, so a build that is
     only saved never makes it. Raises ResourceGuardError, before
     enumerating, over the byte budget (`_check_budget`), and RuntimeError,
-    naming the fingerprint, when two distinct forms share one.
+    naming the fingerprint, when two distinct forms share one. The
+    database holds the config's gates, each one with no QASM rendering
+    that a builtin or template name resolves to bitwise made that gate
+    (`database.resolved_gates`), as a load of its file would.
     """
     _check_budget(cfg)
-    layers = enumerate_layers(cfg.n, cfg.gate_set, cfg.neighbors_only)
+    gate_set = resolved_gates(cfg.gate_set)
+    layers = enumerate_layers(cfg.n, gate_set, cfg.neighbors_only)
 
     table = layer_table(layers)
     count, d, dp = len(layers), cfg.d, cfg.dp
@@ -372,5 +376,5 @@ def build_database(cfg: GeneratorConfig) -> IdentityDatabase:
         if fp in by_fingerprint:  # two forms would share one bucket
             raise RuntimeError(f"two forms have the fingerprint {fp.hex}")
         by_fingerprint[fp] = members[start:end]
-    meta = DatabaseMeta(cfg.n, cfg.d, cfg.dp, cfg.neighbors_only, cfg.gate_set)
+    meta = DatabaseMeta(cfg.n, cfg.d, cfg.dp, cfg.neighbors_only, gate_set)
     return IdentityDatabase(meta, table, by_fingerprint)

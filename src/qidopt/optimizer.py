@@ -51,11 +51,14 @@ the input's, on the same qubits.
 A sweep costs what changed, not the circuit's length:
   * `optimize` drops the input's all-Identity layers once, up front, so no
     circuit a sweep sees has one;
+  * every candidate is judged before any splice, from its rank row and
+    the window's cells (`_Window.lowers`): the layers before the span are
+    shared, so the layers the member would leave all-Identity, then the
+    change in non-Identity cells, then the text of the first layer it
+    changes decide; only that layer is rebuilt, so the one span built
+    (`_splice`) is the substitution's, and no member is ranked again;
   * a splice rewrites only the window's layer span: it drops that span's
     all-Identity layers and validates that span alone;
-  * the change in potential is read off the span (`_lowers`): the layers
-    before it are shared, so the span lengths, then its non-Identity
-    cells, then its layer texts decide;
   * a layer is keyed by its cells, which are shared per (gate, role,
     partner) (`circuit.shared_cell`), so a layer with the same gates as
     one seen before is the same key: after the rules pass packs the
@@ -76,16 +79,17 @@ A sweep costs what changed, not the circuit's length:
     `optimize` call, by its qubit offset and its span of whole layers; a
     later window with the same key, in the same sweep or a later one,
     reaches the same verdict, since the verdict reads nothing past the
-    span (`_lowers`), and is skipped (`OptimizeReport.windows_reused`),
-    its collisions counted again;
+    span (`_Window.lowers`), and is skipped
+    (`OptimizeReport.windows_reused`), its collisions counted again;
   * a lookup is remembered, for one `optimize` call, by the padded
     window's gate list and depth: a window at another qubit offset, or in
     layers that differ outside it, with the same gates takes that
     lookup's rows (`OptimizeReport.lookups_reused`);
-  * a `Tile` is cut only for a window that has candidate rows, trusted or
-    looked up (`OptimizeReport.tiles_built`): a member whose bucket has no
-    row shallower than it, and a window the lookup answers as a miss, are
-    answered from the records alone.
+  * no `Tile` is cut: a window that has candidate rows, trusted or looked
+    up (`OptimizeReport.tiles_built`), is read from its cells in the grid
+    (`_Window`), which give its cut halves and so its `_blocked` mask; a
+    member whose bucket has no row shallower than it, and a window the
+    lookup answers as a miss, are answered from the records alone.
 
 Candidates are ranked from the database's rank table of the tile's
 bucket (`IdentityDatabase.rank_table`): each member's depth, non-Identity
@@ -147,6 +151,7 @@ import enum
 import time
 from bisect import bisect_left
 from heapq import heappop, heappush
+from itertools import repeat
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -293,12 +298,22 @@ def _normalized(t: Tile, identity: GateDef) -> Tile | None:
     return Tile(t.qubit_offset, t.layer_offset, sub, cuts)
 
 
-def _blocked(t: Tile, n: int) -> int:
-    """The slots a candidate must leave Identity, as `RankRow.occupied`
-    bits li·n + q: every slot past the window, which the splice does not
-    write, and every cut slot, where the restored half must not collide."""
-    window = sum(((1 << t.sub.n) - 1) << (li * n) for li in range(t.sub.m))
-    return ~window | sum(1 << (li * n + q) for li, q, _ in t.cut_positions)
+def _tile_cuts(t: Tile) -> list[list[tuple[int, Cell]]]:
+    """The cut halves a splice writes back into the tile, per layer: (q,
+    cell) for q tile-local and the cell rebased to the circuit's rows."""
+    cuts: list[list[tuple[int, Cell]]] = [[] for _ in range(t.sub.m)]
+    for li, q, original in t.cut_positions:
+        cuts[li].append((q, _rebased(original, t.qubit_offset)))
+    return cuts
+
+
+def _blocked(i: int, cuts: Sequence[Sequence[tuple[int, Cell]]], n: int) -> int:
+    """The slots a candidate must leave Identity in a window of i rows with
+    these cut halves in each of its layers, as `RankRow.occupied` bits
+    li·n + q: every slot past the window, which the splice does not write,
+    and every cut slot, where the restored half must not collide."""
+    window = sum(((1 << i) - 1) << (li * n) for li in range(len(cuts)))
+    return ~window | sum(1 << (li * n + q) for li, cut in enumerate(cuts) for q, _ in cut)
 
 
 class Match(list):
@@ -349,17 +364,19 @@ def lookup(gates: list[Gate], depth: int, db: IdentityDatabase) -> Match:
 def _candidate_order(
     t: Tile, rows: Sequence[RankRow], db: IdentityDatabase
 ) -> list[tuple[int, str]]:
-    """Admissible candidates as (cost, encoding), cheapest first.
+    """Admissible candidates for the tile as (cost, encoding), cheapest
+    first.
 
-    `rows` are rank rows (see `IdentityDatabase.rank`), already sorted, and
-    each caller has cut them to those shallower than the tile (`lookup`,
-    `_sweep`). A candidate must hold Identity on every slot `_blocked`
-    marks. Ties break on fewer non-Identity cells, then lexicographic
-    encoding. Which qubit pairs a candidate may hold is the database's rule
-    alone: its members are the circuits its layers were enumerated from
-    (`circuit.enumerate_layers`).
+    `rows` are rank rows (see `IdentityDatabase.rank`), already sorted and
+    cut to those shallower than the tile (`lookup`). A candidate must hold
+    Identity on every slot `_blocked` marks. Ties break on fewer
+    non-Identity cells, then lexicographic encoding. Which qubit pairs a
+    candidate may hold is the database's rule alone: its members are the
+    circuits its layers were enumerated from (`circuit.enumerate_layers`).
+    A sweep filters its rows the same way, from the window's cells
+    (`_substitute`).
     """
-    blocked = _blocked(t, db.meta.n)
+    blocked = _blocked(t.sub.n, _tile_cuts(t), db.meta.n)
     return [(row.depth, row.enc) for row in rows if not row.occupied & blocked]
 
 
@@ -367,7 +384,8 @@ def apply_substitution(
     c: CircuitGrid, t: Tile, chosen: str, db: IdentityDatabase
 ) -> CircuitGrid:
     """Splice the chosen encoding's first i rows and j layers into the i×j
-    window and restore each cut half at its own (layer, qubit).
+    window and restore each cut half at its own (layer, qubit), by the
+    splice a sweep makes (`_splice`).
 
     Only the window's layer span changes: the spliced layers that are all
     Identity are dropped, and the rest are validated. Every layer before
@@ -378,25 +396,51 @@ def apply_substitution(
     """
     qs, ls = t.qubit_offset, t.layer_offset
     i, j = t.sub.n, t.sub.m
+    cuts = _tile_cuts(t)
     (row,) = db.rank([chosen], max_depth=db.meta.d)
-    if i > db.meta.n or j > db.meta.d or row.occupied & _blocked(t, db.meta.n):
+    if i > db.meta.n or j > db.meta.d or row.occupied & _blocked(i, cuts, db.meta.n):
         raise ValueError(f"{chosen!r} does not fit the {i}x{j} window at layer {ls}, qubit {qs}")
+    return _splice(c, ls, qs, i, cuts, db.decode(chosen).layers)
 
-    def rebased(cell: Cell) -> Cell:
-        return cell if cell.is_single else shared_cell(cell.gate, cell.role, cell.partner + qs)
 
-    layers = [list(layer) for layer in c.layers[ls : ls + j]]
-    for li, layer in enumerate(db.decode(chosen).layers[:j]):
-        layers[li][qs : qs + i] = map(rebased, layer[:i])
-    for li, q, original in t.cut_positions:
-        layers[li][qs + q] = rebased(original)
-    span = tuple(layer for layer in map(tuple, layers) if not layer_is_identity(layer))
+def _rebased(cell: Cell, qs: int) -> Cell:
+    """A window's cell at qubit offset qs: a half's shared cell for its
+    partner moved by qs (`circuit.shared_cell`)."""
+    return cell if cell.is_single else shared_cell(cell.gate, cell.role, cell.partner + qs)
+
+
+def _rebuilt(layer: Layer, piece: Layer, qs: int, i: int, cut: Sequence[tuple[int, Cell]]) -> Layer:
+    """`layer` with the window's rows qs..qs+i written from `piece`, a
+    member's layer, rebased, and each cut half (q, cell) written back."""
+    cells = list(layer)
+    cells[qs : qs + i] = [_rebased(cell, qs) for cell in piece[:i]]
+    for q, cell in cut:
+        cells[qs + q] = cell
+    return tuple(cells)
+
+
+def _splice(
+    c: CircuitGrid,
+    ls: int,
+    qs: int,
+    i: int,
+    cuts: Sequence[Sequence[tuple[int, Cell]]],
+    pieces: Sequence[Layer],
+) -> CircuitGrid:
+    """c with the window at layer ls and qubit qs, i rows by one layer per
+    entry of `cuts`, rewritten from a member's layers (`_rebuilt`): the
+    one splice, made by `apply_substitution` and by a sweep for each
+    substitution. The span's all-Identity layers are dropped and the rest
+    validated; a span that does not validate raises AssertionError."""
+    old = c.layers[ls : ls + len(cuts)]
+    rebuilt = map(_rebuilt, old, pieces, repeat(qs), repeat(i), cuts)
+    span = tuple(layer for layer in rebuilt if not layer_is_identity(layer))
     problems = validate(CircuitGrid(c.n, span))
     if problems:
         raise AssertionError(
             f"substitution at layer {ls} produced an invalid span: {problems}"
         )
-    return CircuitGrid(c.n, c.layers[:ls] + span + c.layers[ls + j :])
+    return CircuitGrid(c.n, c.layers[:ls] + span + c.layers[ls + len(cuts) :])
 
 
 @dataclass
@@ -434,8 +478,9 @@ class OptimizeReport:
     # call had: answered by that lookup's rows, with no `lookup` call
     lookups_reused: int = 0
     trials_checked: int = 0  # candidate unitaries computed for the guard
-    # windows cut into a `Tile`: each with candidate rows, trusted or
-    # looked up; a window with none is answered from its slice records
+    # windows with candidate rows, trusted or looked up, each read from its
+    # cells in the grid (`_Window`), no `Tile` cut; a window with none is
+    # answered from its slice records
     tiles_built: int = 0
     # the rules pass (`apply_rules`): pairs cancelled, pairs merged into
     # one gate, and the commuting gates those rewrites moved a gate past
@@ -466,9 +511,10 @@ def optimize(
     The input's all-Identity layers are dropped before the first sweep;
     they never count towards the effective depth, and `emit` leaves them
     out. A trial must lower the potential (effective depth, non-Identity
-    cells, layer texts in order), read off its span (`_lowers`); windows
-    that yielded nothing are remembered for this call by (qubit offset,
-    span), so a sweep retries only windows whose layers changed.
+    cells, layer texts in order), judged before its splice
+    (`_Window.lowers`); windows that yielded nothing are remembered for
+    this call by (qubit offset, span), so a sweep retries only windows
+    whose layers changed.
 
     The check runs once, after the sweeps: `check_residual` removes the
     gates input and output both begin or end with and compares the dense
@@ -488,8 +534,8 @@ def optimize(
 
     parsed = gate_list(c)
     gates, layers = _owned(parsed, c.layers, db.meta.gate_set)
-    # no sweep sees an all-Identity layer: the span rule of `_lowers` and
-    # the splice, which compacts only its span, rely on that
+    # no sweep sees an all-Identity layer: the verdict of `_Window.lowers`
+    # and the splice, which compacts only its span, rely on that
     busy = tuple(l for l in layers if not layer_is_identity(l))
     report = OptimizeReport(initial_depth=len(busy), final_depth=0)
     cur = _rules(CircuitGrid(c.n, busy), gates, db, report)
@@ -890,18 +936,19 @@ def _sweep(
     member or a member of an unsound bucket, takes its rows from `lookup`
     and its slices' gates, to be checked. A lookup is made once per
     padded gate list and depth (`memo.looked`); a window that repeats one
-    takes its rows (`OptimizeReport.lookups_reused`). A `Tile` is cut
-    only for a window that has candidate rows
-    (`OptimizeReport.tiles_built`).
+    takes its rows (`OptimizeReport.lookups_reused`). A window that has
+    candidate rows is read from its cells in the grid (`_Window`,
+    `OptimizeReport.tiles_built`), and no `Tile` is cut; each candidate is
+    judged from its rank row before any splice, so a span is built only
+    for the substitution made (`_substitute`).
 
     `memo.failed` maps each valid window that yielded no substitution to
     the collisions it skipped. The potential (effective depth,
-    non-Identity cells, layer texts in order; `_lowers`) reads nothing
-    past the span, so a window with an equal key, the same layers at the
-    same qubit offset, is skipped, its collisions counted again.
+    non-Identity cells, layer texts in order; `_Window.lowers`) reads
+    nothing past the span, so a window with an equal key, the same layers
+    at the same qubit offset, is skipped, its collisions counted again.
     """
     i = memo.i  # min(spec.i, c.n), fixed for the call
-    identity = db.meta.gate_set.identity
     failed, looked = memo.failed, memo.looked
     offsets, m = c.n - i + 1, c.m
     changed = False
@@ -942,9 +989,8 @@ def _sweep(
                 else:
                     report.lookups_reused += 1
             if rows:
-                norm = _normalized(_window(c, qs, ls, i, j), identity)
                 report.tiles_built += 1
-                trial = _substitute(c, norm, depth, rows, db, report)
+                trial = _substitute(c, _Window(c, ls, qs, i, j, db.meta.n), depth, rows, db, report)
         if trial is None:
             failed[key] = report.collisions_skipped - before
             continue
@@ -953,9 +999,66 @@ def _sweep(
     return c, changed
 
 
+class _Window:
+    """The valid i×j window of a sweep at layer ls and qubit qs of c, read
+    from its cells in the grid, none rebuilt: `span`, its layers; `cuts`,
+    per layer, the halves whose partner lies outside its rows, (q, cell)
+    with q window-local and the grid's shared cell, which a splice writes
+    back (`_splice`); `cells`, its non-Identity cells, cut halves left
+    out; and `free`, the `RankRow.occupied` mask of each layer that is
+    idle outside its rows (so it has no cut half, whose partner would lie
+    there)."""
+
+    __slots__ = ("ls", "qs", "i", "span", "cuts", "cells", "free")
+
+    def __init__(self, c: CircuitGrid, ls: int, qs: int, i: int, j: int, n: int):
+        self.ls, self.qs, self.i = ls, qs, i
+        self.span = c.layers[ls : ls + j]
+        self.cuts: list[list[tuple[int, Cell]]] = []
+        self.free: list[int] = []
+        self.cells = 0
+        for li, layer in enumerate(self.span):
+            cut = []
+            for q, cell in enumerate(layer[qs : qs + i]):
+                if cell.role is not None and not qs <= cell.partner < qs + i:
+                    cut.append((q, shared_cell(cell.gate, cell.role, cell.partner)))
+                elif not cell_is_identity(cell):
+                    self.cells += 1
+            self.cuts.append(cut)
+            if layer_is_identity(layer[:qs]) and layer_is_identity(layer[qs + i :]):
+                self.free.append(((1 << n) - 1) << (li * n))
+
+    def lowers(self, row: RankRow, db: IdentityDatabase) -> bool:
+        """Whether splicing the member of `row`, which leaves every
+        `_blocked` slot Identity, strictly lowers the circuit's potential
+        (effective depth, non-Identity cells, layer texts in order), read
+        with no span built. The layers before the span are shared, and
+        neither the circuit nor a spliced span holds an all-Identity
+        layer, so:
+          * the span loses a layer where the member leaves a `free` layer
+            empty, and then the depth falls;
+          * else the cells change by the member's cells less the window's;
+          * else the span keeps its length, so the first layer whose text
+            changes decides, and what follows the span never counts: each
+            layer is rebuilt (`_rebuilt`) only until one's text differs.
+        """
+        if any(not row.occupied & mask for mask in self.free):
+            return True
+        if row.cells != self.cells:
+            return row.cells < self.cells
+        qs, i = self.qs, self.i
+        for layer, piece, cut in zip(self.span, db.decode(row.enc).layers, self.cuts):
+            new = _rebuilt(layer, piece, qs, i, cut)
+            if new != layer:
+                a, b = encode_layer(new), encode_layer(layer)
+                if a != b:
+                    return a < b
+        return False
+
+
 def _substitute(
     c: CircuitGrid,
-    norm: Tile,
+    w: _Window,
     depth: int,
     rows: Match,
     db: IdentityDatabase,
@@ -965,47 +1068,22 @@ def _substitute(
     lowers the potential spliced into the window, or None; `depth` is the
     window's effective depth, which the rows are all shallower than. Rows
     with a unitary have each candidate checked against it; trusted rows
-    have none (`_sweep`)."""
-    ls, j = norm.layer_offset, norm.sub.m
-    old = c.layers[ls : ls + j]
-    for cand_cost, enc in _candidate_order(norm, rows, db):
+    have none (`_sweep`). Each candidate is judged from its rank row and
+    the window's cells (`_Window.lowers`), so the one span built, by
+    `_splice`, is the substitution's."""
+    blocked = _blocked(w.i, w.cuts, db.meta.n)
+    for row in rows:
+        if row.occupied & blocked:
+            continue
         if rows.unitary is not None:
             report.trials_checked += 1
-            if not rows.equals(enc, db):
+            if not rows.equals(row.enc, db):
                 report.collisions_skipped += 1
                 continue
-        trial = apply_substitution(c, norm, enc, db)
         # a cheaper tile may still not help the whole circuit when other
         # rows keep its old layers alive; a strict drop in the potential
         # keeps depth monotone and rules out cycles between sweeps
-        new = trial.layers[ls : ls + trial.m - c.m + j]
-        if not _lowers(old, new):
-            continue
-        report.substitutions.append(
-            AppliedSubstitution(ls, norm.qubit_offset, enc, depth, cand_cost)
-        )
-        return trial
+        if w.lowers(row, db):
+            report.substitutions.append(AppliedSubstitution(w.ls, w.qs, row.enc, depth, row.depth))
+            return _splice(c, w.ls, w.qs, w.i, w.cuts, db.decode(row.enc).layers)
     return None
-
-
-def _lowers(old: tuple[Layer, ...], new: tuple[Layer, ...]) -> bool:
-    """Whether replacing the span `old` of a circuit by `new` strictly
-    lowers its potential (effective depth, non-Identity cells, layer
-    texts in order).
-
-    Neither the circuit nor `new` may hold an all-Identity layer, so the
-    depths differ by the span lengths, and the cells by the spans' cells.
-    When both tie, the spans have as many layers, so the first layer text
-    that differs lies inside them, and what follows them never counts.
-    Each is computed only when the one before it ties.
-    """
-    if len(new) != len(old):
-        return len(new) < len(old)
-    cells_new, cells_old = _cells(new), _cells(old)
-    if cells_new != cells_old:
-        return cells_new < cells_old
-    return list(map(encode_layer, new)) < list(map(encode_layer, old))
-
-
-def _cells(span: tuple[Layer, ...]) -> int:
-    return sum(1 for layer in span for cell in layer if not cell_is_identity(cell))

@@ -26,6 +26,8 @@ from qidopt.generator import (
     scaling_count,
 )
 from qidopt.matrices import identity, max_abs_diff
+from qidopt.optimizer import optimize
+from qidopt.qasm import emit, parse
 
 
 # angles that are not multiples of pi/4, so that fewer prefix products
@@ -250,6 +252,25 @@ class TestBuildDatabase:
         lines = dumps(db).split("\n")
         assert "gate H 1 2;0.70710678,0.00000000;0.70710678,0.00000000;" \
             "0.70710678,0.00000000;-0.70710678,0.00000000" in lines
+
+    def test_unrendered_named_gate_builds_as_it_loads(self):
+        # an H made from H's matrix has no QASM token; the build makes it
+        # the builtin H, as a load of its line does, so a parsed h that no
+        # rewrite touches emits against the built database as against its
+        # loaded copy, and the file is the builtin set's
+        made_h = make_gate("H", gate("H").matrix)
+        built = build_database(GeneratorConfig(n=2, d=2, gate_set=GateSet(
+            [gate("I"), made_h, gate("X"), gate("CX")])))
+        plain = build_database(GeneratorConfig(n=2, d=2, gate_set=gate_set("I", "H", "X", "CX")))
+        assert built.meta.gate_set.by_name("H") is gate("H")
+        assert dumps(built) == dumps(plain)
+        text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n'
+        emitted = [emit(optimize(parse(text), db)[0]) for db in (built, loads(dumps(built)))]
+        assert emitted[0] == emitted[1] == text
+        # a gate of that name and another matrix is kept as it was given
+        other = make_gate("H", gate("X").matrix)
+        kept = build_database(GeneratorConfig(n=1, d=1, gate_set=GateSet([gate("I"), other])))
+        assert kept.meta.gate_set.by_name("H") is other
 
     def test_gate_table_must_load_back(self):
         # a 3e-9 rad rotation rounds to the Identity at dp=8; its line holds

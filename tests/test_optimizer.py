@@ -55,8 +55,8 @@ from qidopt.optimizer import (
     TileClass,
     TileSpec,
     _candidate_order,
-    _lowers,
     _Slices,
+    _Window,
     _window,
     apply_rules,
     apply_substitution,
@@ -739,6 +739,24 @@ def full_potential(c):
     return effective_depth(c), cells, [encode_layer(layer) for layer in c.layers]
 
 
+def _lowers(old, new):
+    """The span rule, kept as a reference for `_Window.lowers`: whether
+    replacing the span `old` of a circuit by the built span `new` strictly
+    lowers its potential. Neither the circuit nor `new` holds an
+    all-Identity layer, so the depths differ by the span lengths and the
+    cells by the spans' cells; when both tie, the spans are as long, so
+    the first layer text that differs lies inside them."""
+    if len(new) != len(old):
+        return len(new) < len(old)
+
+    def cells(span):
+        return sum(1 for layer in span for cell in layer if not cell_is_identity(cell))
+
+    if cells(new) != cells(old):
+        return cells(new) < cells(old)
+    return list(map(encode_layer, new)) < list(map(encode_layer, old))
+
+
 def reference_sweep(c, db, spec, report, memo):
     """The full-recompute sweep, kept as an oracle: every window is tried
     on every sweep (`memo` is ignored), and each trial is validated and
@@ -836,7 +854,14 @@ class TestIncrementalSweep:
             return
         norm = normalize_cut_tile(tile)
         old = c.layers[ls : ls + j]
-        for _, enc in _candidate_order(norm, tile_lookup(norm, db), db):
+        # the sweep's window, read from the grid's cells: its cut slots are
+        # the tile's, and its cells the normalized tile's
+        w = _Window(c, ls, qs, db.meta.n, j, db.meta.n)
+        cuts = [(li, q) for li, cut in enumerate(w.cuts) for q, _ in cut]
+        assert cuts == [(li, q) for li, q, _ in norm.cut_positions]
+        assert w.cells == sum(not cell_is_identity(x) for l in norm.sub.layers for x in l)
+        rows = {row.enc: row for row in tile_lookup(norm, db)}
+        for _, enc in _candidate_order(norm, list(rows.values()), db):
             trial = apply_substitution(c, norm, enc, db)
             k = trial.m - c.m + j
             # the splice leaves every layer outside its span as it was
@@ -845,7 +870,9 @@ class TestIncrementalSweep:
             assert validate(trial) == []
             new = trial.layers[ls : ls + k]
             want = full_potential(trial) < full_potential(c)
+            # the span rule on the built span, and the verdict with none
             assert _lowers(old, new) == want
+            assert w.lowers(rows[enc], db) == want
 
     def test_pinned_corpus_matches_reference_sweep(self, db_ihxzcx, monkeypatch):
         reused = 0
@@ -923,6 +950,45 @@ class TestIncrementalSweep:
         for rest in (grid("X,X").layers, ()):  # mid-circuit, then at the end
             t_level = full_potential(CircuitGrid(2, t_span + rest))
             assert t_level < full_potential(CircuitGrid(2, tdg_span + rest))
+
+    def test_verdict_compares_layer_texts(self):
+        # the same tie, judged with no span built: a one-qubit window on
+        # qubit 1 of "H,T" or "H,TDG", whose layer the H on qubit 0 keeps,
+        # and a one-cell member, so length and cells tie and the rebuilt
+        # layer's text decides
+        db = build_database(GeneratorConfig(n=1, d=1, gate_set=gate_set("I", "T", "TDG")))
+        (t_row,), (tdg_row,) = rows_of(db, "T"), rows_of(db, "TDG")
+        for rest in (grid("X,X").layers, ()):
+            with_t = CircuitGrid(2, grid("H,T").layers + rest)
+            with_tdg = CircuitGrid(2, grid("H,TDG").layers + rest)
+            assert _Window(with_tdg, 0, 1, 1, 1, 1).lowers(t_row, db)
+            assert not _Window(with_t, 0, 1, 1, 1, 1).lowers(tdg_row, db)
+            # a member equal to the window, cell for cell, lowers nothing
+            assert not _Window(with_t, 0, 1, 1, 1, 1).lowers(t_row, db)
+
+    def test_one_span_built_per_substitution(self, db_ihxzcx, monkeypatch):
+        # every candidate is judged before any splice, so the one splice
+        # path runs once for each substitution made, though many candidates
+        # that pass the guard are turned down
+        spans, verdicts = [], Counter()
+        real_splice, real_lowers = optimizer_module._splice, _Window.lowers
+
+        def splice(*args):
+            spans.append(args)
+            return real_splice(*args)
+
+        def lowers(w, row, db):
+            verdict = real_lowers(w, row, db)
+            verdicts[verdict] += 1
+            return verdict
+
+        monkeypatch.setattr(optimizer_module, "_splice", splice)
+        monkeypatch.setattr(_Window, "lowers", lowers)
+        made = 0
+        for text in pin_corpus()[::4]:
+            made += len(optimize(parse(text), db_ihxzcx)[1].substitutions)
+        assert verdicts[False] > 0
+        assert len(spans) == made == verdicts[True] > 0
 
     def test_memo_reuses_the_final_span(self, db_ihxzcx):
         # t is no gate of IHXZCX, so no pair rule rewrites it and no window
