@@ -13,6 +13,13 @@ matrix), a body of buckets in fingerprint-hex order, and an END footer
 carrying the circuit count and an MD5 checksum of the body; nothing
 follows the footer. Same database -> same bytes.
 
+A load (`loads`) splits the text into one tuple of lines once, then walks
+the bucket headers in one pass: per bucket, one split of its header, one
+key, one size and one dict store, the bucket being a slice of the lines.
+The checksum is one MD5 over the body, and the member index
+(`member_index`) the one pass over every member; members themselves are
+read on first use.
+
 `DatabaseMeta.gate_set` is the one gate table, and `decode` evaluates it.
 A build keeps the gates it was given, except that a gate with no QASM
 rendering whose name resolves to it exactly is made the named gate, as a
@@ -705,15 +712,39 @@ def _int(text: str, what: str, lo: int = 0, hi: int | None = None) -> int:
     return value
 
 
+def _bucket_error(line: str) -> DatabaseFormatError:
+    """The error of a bucket header `loads` could not read, for its first
+    fault: its field count, its fingerprint or its size (`_int`, which
+    raises it)."""
+    fields = line.split(" ")
+    if len(fields) != 3:
+        return DatabaseFormatError(f"malformed bucket header {line!r}")
+    try:
+        fp = bytes.fromhex(fields[1])
+    except ValueError:
+        fp = b""
+    if len(fp) != 16:
+        return DatabaseFormatError(f"bad fingerprint {fields[1]!r}")
+    _int(fields[2], "bucket size", 1)
+    return DatabaseFormatError(f"malformed bucket header {line!r}")
+
+
 def loads(text: str) -> IdentityDatabase:
     """Parse a QIDB/1 file; raises DatabaseFormatError (or a subclass) for
     any header, gate line, bucket or footer it cannot interpret, and for a
     member or bucket listed twice: the member index is made here, once.
-    Members are read on first use."""
-    # a tuple, so that each bucket is a slice of it
-    lines = tuple(text.split("\n"))
-    if lines[-1] == "":
-        lines = lines[:-1]
+
+    It costs one split of the text, one pass over the bucket headers (one
+    header split, key, size and store per bucket, each bucket a slice of
+    the lines), one MD5 of the body, and the member index, the one pass
+    over every member. Members are read on first use."""
+    # one tuple of the lines, so that each bucket is a slice of it; the
+    # list it is made from is dropped at once
+    split = text.split("\n")
+    if split[-1] == "":
+        split.pop()
+    lines = tuple(split)
+    del split
     if not lines:
         raise TruncatedFileError("empty database file")
     if lines[0] != FORMAT_VERSION:
@@ -744,30 +775,33 @@ def loads(text: str) -> IdentityDatabase:
     meta = DatabaseMeta(n, d, dp, neighbors == "true", gate_set)
     by_fingerprint: dict[Fingerprint, tuple[str, ...]] = {}
 
-    body_start = pos
-    while pos < len(lines) and lines[pos].startswith("FP "):
-        fields = lines[pos].split(" ")
-        if len(fields) != 3:
-            raise DatabaseFormatError(f"malformed bucket header {lines[pos]!r}")
-        # `Fingerprint.from_hex` in C calls: the loop makes one key per bucket
+    # the one loop over buckets: per bucket one split, one key made in C
+    # calls (`Fingerprint.from_hex`), one int() and one dict store, which
+    # is also the test for a bucket listed twice; a header any of them
+    # cannot read is re-read by `_bucket_error`, which names its fault
+    body_start, size, new, fromhex = pos, len(lines), bytes.__new__, bytes.fromhex
+    store = by_fingerprint.setdefault
+    while pos < size and lines[pos][:3] == "FP ":
         try:
-            fp = bytes.__new__(Fingerprint, bytes.fromhex(fields[1]))
+            _, hex_, count = lines[pos].split(" ")
+            fp = new(Fingerprint, fromhex(hex_))
+            count = int(count)
         except ValueError:
-            fp = b""
-        if len(fp) != 16:
-            raise DatabaseFormatError(f"bad fingerprint {fields[1]!r}")
-        count = _int(fields[2], "bucket size", 1)
+            count = 0
+        if count < 1 or len(fp) != 16:
+            raise _bucket_error(lines[pos])
         pos += 1
-        if pos + count > len(lines):
+        end = pos + count
+        if end > size:
             raise TruncatedFileError("bucket cut short")
-        if fp in by_fingerprint:
-            raise DatabaseFormatError(f"bucket {fields[1]} is listed twice")
-        by_fingerprint[fp] = lines[pos : pos + count]
-        pos += count
+        bucket = lines[pos:end]
+        if store(fp, bucket) is not bucket:
+            raise DatabaseFormatError(f"bucket {hex_} is listed twice")
+        pos = end
 
-    if pos >= len(lines) or not lines[pos].startswith("END "):
+    if pos >= size or not lines[pos].startswith("END "):
         raise TruncatedFileError("missing END footer")
-    if pos + 1 < len(lines):
+    if pos + 1 < size:
         raise DatabaseFormatError(f"content after the END line: {lines[pos + 1][:40]!r}")
     fields = lines[pos].split(" ")
     if len(fields) != 3:

@@ -27,6 +27,13 @@ number order, so forms keep their order of first appearance over the
 circuits: file bytes, bucket order and member order are those of a build
 that multiplies every circuit.
 
+A gate set of one layer (all Identity) has one circuit at every depth,
+and its build runs no level: its one member is the layer's text d times,
+in the bucket of the layer's unitary multiplied in d times as the levels
+would multiply it, stopping once a product repeats bitwise (`_power`);
+an exactly Identity layer repeats at once, so a build at depth 10^6
+costs its text alone.
+
 Products are extended in blocks (`_extensions`) of at most `_CHUNK` rows,
 or one product's L rows when L is larger, and every level numbers its
 blocks the same way (`_number`), by rows of 64-bit words: a product's
@@ -317,6 +324,20 @@ def _distinct_prefixes(mats: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     return products, rep
 
 
+def _power(mats: np.ndarray, d: int) -> np.ndarray:
+    """The product of d copies of the one layer of `mats`, made as the
+    levels of a build make it (`_extensions`), each left-multiplying the
+    last, until one equals the last bitwise: every later one does too, so
+    an exactly Identity layer costs one product at any d."""
+    product = identity(mats.shape[-1])
+    for _ in range(d):
+        (following,) = next(_extensions(mats, product[None]))
+        if following.tobytes() == product.tobytes():
+            break
+        product = following
+    return product
+
+
 def build_database(cfg: GeneratorConfig) -> IdentityDatabase:
     """Enumerate and fingerprint every circuit of the config, and bucket it.
 
@@ -339,6 +360,11 @@ def build_database(cfg: GeneratorConfig) -> IdentityDatabase:
     count, d, dp = len(layers), cfg.d, cfg.dp
     mats = np.stack([layer_unitary(layer, cfg.n) for layer in layers])
     encs = list(table)
+    meta = DatabaseMeta(cfg.n, cfg.d, cfg.dp, cfg.neighbors_only, gate_set)
+    if count == 1:
+        # one layer (all Identity) makes one circuit, the layer d times over
+        (fp,) = fingerprint(_power(mats, d)[None], dp)
+        return IdentityDatabase(meta, table, {fp: ("|".join(encs * d),)})
 
     prefixes, rep = _distinct_prefixes(mats, d - 1)
     fps: list[Fingerprint] = []  # form id -> fingerprint
@@ -376,5 +402,4 @@ def build_database(cfg: GeneratorConfig) -> IdentityDatabase:
         if fp in by_fingerprint:  # two forms would share one bucket
             raise RuntimeError(f"two forms have the fingerprint {fp.hex}")
         by_fingerprint[fp] = members[start:end]
-    meta = DatabaseMeta(cfg.n, cfg.d, cfg.dp, cfg.neighbors_only, gate_set)
     return IdentityDatabase(meta, table, by_fingerprint)

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -201,6 +202,29 @@ def test_member_index_made_on_first_use():
     assert db.by_circuit == member_index(db.by_fingerprint) == loaded.by_circuit
     assert "by_circuit" in vars(db) and db.by_circuit is db.by_circuit
     assert len(db.by_circuit) == db.total_circuits
+
+
+@pytest.mark.parametrize(
+    "n, d, gates",
+    [
+        # the most buckets of the bench files (17,499), 3.6 members each
+        (3, 2, ("I", "H", "X", "Z", "S", "T", "CX")),
+        # the most members (104,976), 91 to a bucket
+        (2, 4, ("I", "H", "X", "Z", "CX")),
+    ],
+    ids=["n3d2", "n2d4"],
+)
+def test_load_peak_memory_bounded(n, d, gates):
+    # a load holds the file's lines once, its buckets as slices of them,
+    # and the member index: under 8 times the file's bytes at peak
+    text = dumps(build_database(GeneratorConfig(n=n, d=d, gate_set=gate_set(*gates))))
+    tracemalloc.start()
+    try:
+        loads(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(text.encode())
 
 
 class TestPersistence:
@@ -499,6 +523,16 @@ class TestLoadErrors:
             pytest.param(r"(FP \S+) \d+", r"\1 -1", "bucket size: -1",
                          id="bucket-size-negative"),
             pytest.param(r"FP \S+", "FP " + "zz" * 16, "fingerprint", id="fingerprint-hex"),
+            pytest.param(r"FP (\S{31})\S", r"FP \1", "bad fingerprint", id="fingerprint-31-digits"),
+            pytest.param(r"FP (\S+)", r"FP \g<1>00", "bad fingerprint", id="fingerprint-34-digits"),
+            pytest.param(r"(FP \S+) \d+", r"\1", "malformed bucket header", id="header-two-fields"),
+            pytest.param(r"(FP \S+ \d+)", r"\1 1", "malformed bucket header",
+                         id="header-four-fields"),
+            # the first fault of a header is named, in field order
+            pytest.param(r"(FP \S+) \d+", r"\1 0 1", "malformed bucket header",
+                         id="header-four-fields-size-zero"),
+            pytest.param(r"FP \S+ \d+", "FP " + "zz" * 16 + " 0", "bad fingerprint",
+                         id="fingerprint-hex-size-zero"),
             pytest.param(r"END \d+", "END four", "END circuit count: 'four'",
                          id="footer-count-text"),
         ],
@@ -512,6 +546,28 @@ class TestLoadErrors:
         text = f"{head}END {count} {hashlib.md5(body.encode()).hexdigest()}\n"
         with pytest.raises(DatabaseFormatError, match=re.escape(error)):
             loads(text)
+
+    def test_bucket_past_the_file_rejected(self, small_db):
+        text = _signed(re.sub(r"(FP \S+) \d+", r"\1 99", dumps(small_db), count=1))
+        with pytest.raises(TruncatedFileError, match="bucket cut short"):
+            loads(text)
+
+    @pytest.mark.parametrize(
+        "pattern, replacement",
+        [
+            pytest.param(r"FP (\S+)", lambda m: "FP " + m[1].upper(), id="upper-case-hex"),
+            pytest.param(r"(FP \S+) (\d+)", r"\1 +\2", id="size-plus-sign"),
+            pytest.param(r"(FP \S+) (\d+)", r"\1 0\2", id="size-leading-zero"),
+        ],
+    )
+    def test_header_spellings_that_load(self, small_db, pattern, replacement):
+        # `dumps` never writes these, but the loader has always read them:
+        # the tables are the file's as written
+        text = _signed(re.sub(pattern, replacement, dumps(small_db), count=1))
+        db = loads(text)
+        assert list(db.by_fingerprint.items()) == list(small_db.by_fingerprint.items())
+        assert all(type(fp) is Fingerprint for fp in db.by_fingerprint)
+        assert db.by_circuit == small_db.by_circuit
 
     def test_template_angle_beyond_float_range_rejected(self):
         u1 = instantiate_param_gate(U1, [AngleExpr(pi_coeff=Fraction(1, 2))])

@@ -421,6 +421,60 @@ class TestBuildAgainstReference:
         assert peak <= estimate <= 2.5 * peak
 
 
+class TestOneLayerBuild:
+    """A gate set of one layer, all Identity, has one circuit at every
+    depth, built with no level of prefix products (`generator._power`)."""
+
+    # a one-gate set that is the Identity within 1e-9 but not exactly: its
+    # powers differ at every depth, and at dp 15 so do their fingerprints
+    _NEAR = GateSet([make_gate("J", [[1, 0], [0, np.exp(1e-10j)]])])
+
+    # id -> (n, gate set, dp, MD5 of the QIDB/1 bytes at d = 1..5), as the
+    # build that extended one level of products per layer wrote them
+    _PINNED = {
+        "I-n1": (1, gate_set("I"), 8, [
+            "fe5e7ca2ad3aeac980a27bb3e37a6166", "3adf7d3cc074873f79506db9114ba5fc",
+            "1ec959039dbba7cd961ca3f84b9ebdc2", "543675b8235836caf2891253d8617dbe",
+            "048aa9dcafe1b0c03a522b25483d4e23",
+        ]),
+        "I-n3": (3, gate_set("I"), 8, [
+            "4d685e26020591fb9c45f82a2eaa2cb1", "f138ed8bb4a0879310b6e24bccb598f8",
+            "e751abff48f15ed25169d31d7df7fc97", "f1ac65c90ae11283d3a8d72350af65e9",
+            "e436d58ec67edd60231a5d8bd24239e3",
+        ]),
+        # a two-qubit gate places no pair on one qubit
+        "I-CX-n1": (1, gate_set("I", "CX"), 8, [
+            "b20ac2467562c58f3dd9d0bd5339c6e4", "a9076506ad7af67ca01454ce5592cea4",
+            "24ba7c8201b0c58b3e87cb64cd729199", "25553b8bdaeac3972c71e116cae85d6c",
+            "5ae03e3cc3681ea6e65f5118b1134dea",
+        ]),
+        "near-n2-dp15": (2, _NEAR, 15, [
+            "2dccc3c3b77670ded7b3f19e9be3fe3b", "a2436f1e90b48813207ef85d4e15cdc6",
+            "236796d3bd2f71254f96c483ec48960c", "00557a4ae4fd350455a77e6a0ceb44de",
+            "bc4566078e140b2588045f2268404a69",
+        ]),
+    }
+
+    @pytest.mark.parametrize("name", list(_PINNED))
+    def test_qidb_bytes_pinned(self, name):
+        n, gates, dp, md5s = self._PINNED[name]
+        for d, md5 in enumerate(md5s, start=1):
+            db = build_database(GeneratorConfig(n=n, d=d, gate_set=gates, dp=dp))
+            assert hashlib.md5(dumps(db).encode()).hexdigest() == md5, d
+
+    def test_deep_build_runs_no_level(self, monkeypatch):
+        def level(*args):
+            raise AssertionError("a one-layer build extended a level of products")
+
+        monkeypatch.setattr(generator, "_distinct_prefixes", level)
+        monkeypatch.setattr(generator, "_numbered", level)
+        d = 10**5
+        db = build_database(GeneratorConfig(n=2, d=d, gate_set=gate_set("I")))
+        fp = fingerprint(identity(4), 8)
+        assert dict(db.by_fingerprint) == {fp: ("|".join(["I,I"] * d),)}
+        assert loads(dumps(db)).by_circuit == {"|".join(["I,I"] * d): fp}
+
+
 class TestDistinctPrefixes:
     """The products that `build_database` extends by the last layer."""
 
