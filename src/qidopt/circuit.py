@@ -35,6 +35,18 @@ makes it (a test compares the two), so database bytes, which the layer
 unitaries feed, do not depend on the kernel. A list's determinant needs
 no unitary at all: it is a product of its gates' own (`gates_det`).
 
+This walk is the one path whose bits anything reads: the build's layer
+unitaries, the lookups' fingerprints, the candidate checks and the
+database's bucket soundness all start from `gates_unitary` or its two
+wrappers, `layer_unitary` and `circuit_unitary`.
+One caller reads only how far apart two unitaries are: the optimizer's
+final check (`optimizer.check_residual`), which takes both from
+`pair_unitaries`. On k ≤ TREE_QUBITS qubits that stacks each gate's
+operator, made once per placement by the kernel and kept on the gate
+(`GateDef.operators`), and multiplies neighbours level by level in
+⌈log₂G⌉ batched matmuls, within float error of the walk but not bitwise;
+wider, it walks.
+
 The gate-list form, [(qubits in operand order, gate)] in layer order, is
 owned here: `gate_list` is the one walk from a grid to its gates, made
 once per grid and kept (`CircuitGrid.gates`), and `pack` the one ASAP
@@ -47,8 +59,9 @@ that qubit's gates fill once packed, and builds no grid.
 Two circuits are compared on their unshared span (`unshared_gates`), from
 their gate lists: the gates both begin or both end with are removed
 first, read off one per-qubit index of each list from both ends, and
-the dense check runs on the k qubits the rest touches, at
-O(gates·4^k).
+the dense check runs on the k qubits the rest touches (`pair_unitaries`):
+O(gates·8^k) in ⌈log₂ gates⌉ numpy calls up to TREE_QUBITS, O(gates·4^k)
+in one call per gate past it.
 
 The layers over a gate set are enumerated here (`enumerate_layers`), in
 lexicographic order: qubit index major, gate declaration order, and per
@@ -292,6 +305,60 @@ def gates_unitary(gates: list[Gate], n: int) -> ComplexMatrix:
     (`_apply`), so a list costs O(gates·4^n), not the O(layers·8^n) of
     dense layer products."""
     return _apply(identity(1 << n), gates, n)
+
+
+# The widest span `pair_unitaries` multiplies as dense products. Two lists
+# of G random builtin gates each, on a 2-core x86-64 VM with OpenBLAS on
+# one thread, walked (`gates_unitary` twice) against the tree:
+#   G =          10          20          40
+#   k = 3    60 / 44 µs  124 / 75    240 / 138
+#   k = 4    82 / 69     153 / 119   284 / 222
+#   k = 5   134 / 205    265 / 454   432 / 936
+# A gate costs O(4^k) walked and its share of a product O(8^k), so past
+# k = 4 the walk wins at every length. At k = 4 the tree wins alone but
+# not inside `optimize`: on the opt-deep bench (k = 4 for 69 of 70
+# remainders, about 20 gates a side, padded to 32) `opt_p50_s` rose 3–6 %
+# in all 6 parent/change pairs, so the bound is 3.
+TREE_QUBITS = 3
+
+
+def _operator(qs: tuple[int, ...], g: GateDef, k: int) -> ComplexMatrix:
+    """g on qubits qs as a 2^k × 2^k operator, made by the gate kernel
+    (`_apply`) on first use and kept on the gate (`GateDef.operators`)."""
+    ops = g.operators
+    op = ops.get((qs, k))
+    if op is None:
+        op = ops[qs, k] = _apply(identity(1 << k), [(qs, g)], k)
+    return op
+
+
+def pair_unitaries(
+    ra: list[Gate], rb: list[Gate], k: int
+) -> tuple[ComplexMatrix, ComplexMatrix]:
+    """(A, B), the 2^k × 2^k unitaries of the gate lists ra and rb over k
+    qubits, for a check that reads only how far apart they are: within
+    float error of `gates_unitary` of each, not bitwise.
+
+    Over at most TREE_QUBITS qubits, each gate's operator (`_operator`) is
+    stacked, both lists in one (2, 2^⌈log₂G⌉, 2^k, 2^k) array with the
+    shorter list and the rest padded by the identity, and neighbours are
+    multiplied in one batched matmul per level, the later on the left:
+    ⌈log₂G⌉ numpy calls in place of one per gate. Wider lists take
+    `gates_unitary`, whose O(4^k) per gate beats a dense product's O(8^k).
+    """
+    if k > TREE_QUBITS:
+        return gates_unitary(ra, k), gates_unitary(rb, k)
+    dim = 1 << k
+    span = 1 << (max(len(ra), len(rb), 1) - 1).bit_length()
+    eye = identity(dim)
+    ops = [_operator(qs, g, k) for qs, g in ra]
+    ops += [eye] * (span - len(ra))
+    ops += [_operator(qs, g, k) for qs, g in rb]
+    ops += [eye] * (span - len(rb))
+    u = np.array(ops).reshape(2, span, dim, dim)
+    while u.shape[1] > 1:
+        u = np.matmul(u[:, 1::2], u[:, 0::2])
+    return u[0, 0], u[1, 0]
 
 
 def gates_det(gates: list[Gate], n: int) -> complex:

@@ -187,6 +187,11 @@ class GateDef:
     # that partner (`circuit.shared_cell`), made on first use: at most
     # 1 + 2w cells for circuits w qubits wide
     cells: dict = field(init=False, default_factory=dict, repr=False)
+    # (qubits, k) -> this gate's 2^k × 2^k operator on those of k qubits
+    # (`circuit.pair_unitaries`), made on first use and only for k ≤
+    # `circuit.TREE_QUBITS`: per k at most k placements of a single-qubit
+    # gate, k(k−1) of a pair
+    operators: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         dim = self.matrix.shape[0]

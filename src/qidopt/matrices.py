@@ -8,6 +8,8 @@ matrix in place.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 ComplexMatrix = np.ndarray
@@ -44,7 +46,11 @@ def max_abs_diff(a: ComplexMatrix, b: ComplexMatrix) -> float:
 
 
 def frobenius_diff(a: ComplexMatrix, b: ComplexMatrix) -> float:
-    """‖a − b‖_F: the root of the summed squared moduli of the entries."""
+    """‖a − b‖_F: the root of the summed squared moduli of the entries.
+    Summed by numpy's own reduction, not a BLAS dot (as `np.linalg.norm`
+    does), whose split of the sum, and so its last bits, follow the
+    thread count."""
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch in frobenius_diff: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+    d = (a - b).reshape(-1).view(np.float64)  # real and imaginary parts in turn
+    return math.sqrt(np.add.reduce(d * d))

@@ -140,9 +140,14 @@ by `check_residual`, densely: the rules pass is not taken on trust, and
 the residual covers it as it covers the splices. The check compares the
 parsed input's own gate list, as it was before `_owned` made any gate the
 database's, with the output's, so it covers that swap too: the gates both
-begin or both end with are removed
-(`circuit.unshared_gates`), and the rest is evaluated straight from the
-two remainders (`circuit.gates_unitary`).
+begin or both end with are removed (`circuit.unshared_gates`), and the two
+remainders are evaluated together (`circuit.pair_unitaries`). On k ≤ 3
+qubits, as every remainder of a 3-qubit circuit is, that is one
+stack of the gates' kept operators and ⌈log₂G⌉ batched products, not one
+numpy call per gate; wider remainders are walked gate by gate
+(`circuit.gates_unitary`). The residual is a bound that nothing else
+reads, so its last bits may differ from a gate-by-gate walk's; it does
+not depend on the BLAS thread count (`matrices.frobenius_diff`).
 """
 
 from __future__ import annotations
@@ -172,6 +177,7 @@ from .circuit import (
     gates_unitary,
     layer_is_identity,
     pack,
+    pair_unitaries,
     shared_cell,
     single,
     unshared_gates,
@@ -459,13 +465,15 @@ class OptimizeReport:
     substitutions: list[AppliedSubstitution] = field(default_factory=list)
     iterations: int = 0
     # ‖A − B‖_F over the unshared span (see `check_residual`): an upper
-    # bound on max|U(input) − U(output)|, and 0.0 when the span is empty
+    # bound on max|U(input) − U(output)|, and 0.0 when the span is empty;
+    # within float error of the gate-by-gate value, not bitwise
     residual: float = 0.0
     collisions_skipped: int = 0
     # valid windows not tried again because a window with the same layers
     # at the same qubit offset had already failed
     windows_reused: int = 0
-    # trimming the shared gates, then the span's two unitaries and their norm
+    # trimming the shared gates, then the span's two unitaries, evaluated
+    # together (`circuit.pair_unitaries`), and their norm
     check_s: float = 0.0
     check_qubits: int = 0  # k, the qubits of the unshared span
     # windows looked up by their gates (`lookup`), each through its
@@ -518,9 +526,10 @@ def optimize(
 
     The check runs once, after the sweeps: `check_residual` removes the
     gates input and output both begin or end with and compares the dense
-    unitaries of what is left, on its k qubits. The reported residual is
-    ‖A − B‖_F of those two, at least max|U(input) − U(output)|; it is 0.0,
-    with no unitary computed, when k = 0 (`check_qubits`).
+    unitaries of what is left, on its k qubits, both evaluated in one call
+    (`circuit.pair_unitaries`). The reported residual is ‖A − B‖_F of
+    those two, at least max|U(input) − U(output)| up to float error; it is
+    0.0, with no unitary computed, when k = 0 (`check_qubits`).
     """
     if spec is None:
         spec = TileSpec(db.meta.n, db.meta.d)
@@ -617,8 +626,14 @@ class CheckSpanError(RuntimeError):
 def check_residual(ga: list[Gate], gb: list[Gate], n: int) -> tuple[float, int]:
     """(‖A − B‖_F, k) for A and B the unitaries of the remainders of
     `unshared_gates(ga, gb, n)` on their k qubits, for ga and gb the gate
-    lists of two circuits a and b over n qubits: 0.0 exactly when a and b
-    agree gate for gate, and at least max|U(a) − U(b)| always.
+    lists of two circuits a and b over n qubits: 0.0 when a and b agree
+    gate for gate, and at least max|U(a) − U(b)| up to float error.
+
+    A and B come from one call (`circuit.pair_unitaries`): on k ≤
+    `circuit.TREE_QUBITS` a balanced product of the gates' kept operators,
+    wider a gate-by-gate walk (`gates_unitary`). The product lies within
+    float error of the walk, not bitwise, which is all a bound needs:
+    nothing reads their bits but this norm.
 
     Raises CheckSpanError, before any unitary is made, when A, B and
     their difference, 3·16·4^k bytes, exceed the build guard's default
@@ -629,7 +644,7 @@ def check_residual(ga: list[Gate], gb: list[Gate], n: int) -> tuple[float, int]:
     estimate = 3 * 16 * 4**k
     if estimate > DEFAULT_BUDGET_BYTES:
         raise CheckSpanError(k, estimate)
-    return frobenius_diff(gates_unitary(ra, k), gates_unitary(rb, k)), k
+    return frobenius_diff(*pair_unitaries(ra, rb, k)), k
 
 
 def apply_rules(

@@ -1,6 +1,7 @@
 """Grid model: validation, layer/circuit unitaries, effective depth."""
 
 import cmath
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,10 @@ from hypothesis import strategies as st
 
 from conftest import gate, gate_set, grid
 
+import qidopt.circuit as circuit_module
+import qidopt.optimizer as optimizer_module
 from qidopt.circuit import (
+    TREE_QUBITS,
     FIRST,
     SECOND,
     Cell,
@@ -25,6 +29,7 @@ from qidopt.circuit import (
     half,
     layer_unitary,
     pack,
+    pair_unitaries,
     single,
     unshared_gates,
     validate,
@@ -626,6 +631,20 @@ class TestUnshared:
         # the gates both lists hold are trimmed before the span is sized
         assert check_residual(ga + [((0,), gate("X"))], ga + [((0,), gate("Z"))], k)[1] == 1
 
+    def test_first_span_too_wide_refused_before_any_unitary(self, monkeypatch):
+        # 3·16·4^13 bytes is the first span over the budget; a CX chain
+        # over 13 qubits against nothing is one remainder on all of them
+        def refuse(*args):
+            raise AssertionError("a unitary was made")
+
+        monkeypatch.setattr(optimizer_module, "pair_unitaries", refuse)
+        monkeypatch.setattr(optimizer_module, "gates_unitary", refuse)
+        monkeypatch.setattr(circuit_module, "_apply", refuse)
+        ga = [((q, q + 1), gate("CX")) for q in range(12)]
+        with pytest.raises(CheckSpanError, match="k = 13 qubits") as exc:
+            check_residual(ga, [], 13)
+        assert exc.value.k == 13
+
     @given(one_gate_edits(), st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_trims_as_a_rescan_does(self, pair, reverse):
@@ -650,3 +669,85 @@ class TestUnshared:
         residual, k = assert_check_bounds(c, out)
         assert (report.residual, report.check_qubits) == (residual, k)
         assert residual <= 1e-12
+
+
+# every builtin gate, Identity, SWAP, ISWAP and CY among them, and a gate a
+# parse makes per call, which no gate table holds
+U1_PI_8 = gate_list(parse('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nu1(pi/8) q[0];\n'))[0][1]
+OPERATOR_GATES = list(BUILTIN_GATES.values()) + [U1_PI_8]
+
+
+@st.composite
+def gate_lists(draw, k):
+    """Up to 16 gates over k qubits, pairs on any two of them (neighbours
+    or not) in either operand order."""
+    pool = [g for g in OPERATOR_GATES if g.arity == 1 or k > 1]
+    gates = []
+    for _ in range(draw(st.integers(0, 16))):
+        g = draw(st.sampled_from(pool))
+        qs = draw(st.permutations(range(k)))[: g.arity]
+        gates.append((tuple(qs), g))
+    return gates
+
+
+@st.composite
+def list_pairs(draw):
+    """(k, ra, rb): two gate lists of any lengths over 1 to 4 qubits, on
+    both sides of TREE_QUBITS, rb often ra with one gate replaced, so the
+    two share gates."""
+    k = draw(st.integers(1, 4))
+    ra = draw(gate_lists(k))
+    if ra and draw(st.booleans()):
+        rb = list(ra)
+        rb[draw(st.integers(0, len(ra) - 1))] = draw(gate_lists(k).filter(len))[0]
+    else:
+        rb = draw(gate_lists(k))
+    return k, ra, rb
+
+
+def operator_keys():
+    return {g.name: set(g.operators) for g in OPERATOR_GATES}
+
+
+class TestPairUnitaries:
+    @given(list_pairs())
+    @example((1, [], []))
+    @example((2, [], [((1, 0), gate("ISWAP"))]))
+    @example((4, [((3, 0), gate("CY")), ((0,), U1_PI_8)], [((2, 0), gate("SWAP"))]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_gate_by_gate(self, case):
+        k, ra, rb = case
+        a, b = pair_unitaries(ra, rb, k)
+        assert max_abs_diff(a, gates_unitary(ra, k)) <= 1e-13
+        assert max_abs_diff(b, gates_unitary(rb, k)) <= 1e-13
+        # the check's residual against the remainders' per-gate one
+        ta, tb, span = unshared_gates(ra, rb, k)
+        want = frobenius_diff(gates_unitary(ta, span), gates_unitary(tb, span)) if span else 0.0
+        residual, got_span = check_residual(ra, rb, k)
+        assert got_span == span and abs(residual - want) <= 1e-13
+        # each gate keeps its operators only up to the bound, at most one
+        # per placement on each k
+        for g in OPERATOR_GATES:
+            sizes = [qk for _, qk in g.operators]
+            assert all(1 <= qk <= TREE_QUBITS for qk in sizes)
+            for qk in set(sizes):
+                places = qk if g.arity == 1 else qk * (qk - 1)
+                assert sizes.count(qk) <= places
+
+    def test_operators_are_the_kernels(self):
+        for g in OPERATOR_GATES:
+            for k in range(g.arity, TREE_QUBITS + 1):
+                for qs in itertools.permutations(range(k), g.arity):
+                    a, _ = pair_unitaries([(qs, g)], [], k)
+                    assert np.array_equal(a, gates_unitary([(qs, g)], k))
+
+    def test_wider_check_adds_no_operator(self):
+        k = TREE_QUBITS + 1
+        ra = [((q % k, (q + 1) % k), g) for q, g in enumerate(OPERATOR_GATES) if g.arity == 2]
+        ra += [((q % k,), g) for q, g in enumerate(OPERATOR_GATES) if g.arity == 1]
+        rb = ra[::-1]
+        before = operator_keys()
+        a, b = pair_unitaries(ra, rb, k)
+        assert np.array_equal(a, gates_unitary(ra, k)) and np.array_equal(b, gates_unitary(rb, k))
+        assert check_residual(ra, rb, k)[1] == k
+        assert operator_keys() == before

@@ -726,7 +726,7 @@ def test_check_pinned(db_ihxzcx):
         _, report = optimize(parse(text), db_ihxzcx)
         facts = (report.residual.hex(), report.check_qubits, report.final_depth)
         digest.update(repr(facts).encode())
-    assert digest.hexdigest() == "208bfe53500233886f1b96c6758312c3"
+    assert digest.hexdigest() == "a6fc6f2e54bacea30c89af2a92b3754d"
 
 
 # ── incremental sweeps: the span accept rule and the failed-window memo ──
@@ -1614,6 +1614,7 @@ class TestCheckedOnce:
             optimizer_module.circuit_unitary, optimizer_module.gates_unitary
         )
         real_fingerprint = optimizer_module.fingerprint
+        real_pair_unitaries = optimizer_module.pair_unitaries
         calls = Counter()
 
         def noted_window(slices, span, qs):
@@ -1642,11 +1643,16 @@ class TestCheckedOnce:
             calls["fingerprints"] += 1
             return real_fingerprint(u, dp)
 
+        def noted_pair_unitaries(ra, rb, k):
+            calls["pairs"] += 1
+            return real_pair_unitaries(ra, rb, k)
+
         monkeypatch.setattr(optimizer_module._Slices, "window", noted_window)
         monkeypatch.setattr(optimizer_module, "lookup", noted_lookup)
         monkeypatch.setattr(optimizer_module, "circuit_unitary", noted_unitary)
         monkeypatch.setattr(optimizer_module, "gates_unitary", noted_gates_unitary)
         monkeypatch.setattr(optimizer_module, "fingerprint", noted_fingerprint)
+        monkeypatch.setattr(optimizer_module, "pair_unitaries", noted_pair_unitaries)
         totals = Counter()
         # s is no gate of the database, but s·s is its Z: a window found
         # through its unitary that has candidates
@@ -1664,12 +1670,12 @@ class TestCheckedOnce:
             # every bucket is sound, so only windows found through their
             # unitary check their candidates, each trial on a grid
             # (`circuit_unitary`); each lookup the determinant does not
-            # answer evaluates its gate list (`gates_unitary`), and so does
-            # the final check, twice when it covers a qubit
+            # answer evaluates its gate list (`gates_unitary`), and the
+            # final check evaluates both remainders in one call
+            # (`pair_unitaries`) when it covers a qubit
             assert calls["unitaries"] == r.trials_checked
-            assert calls["gate lists"] == (
-                r.unitary_lookups - r.filtered_misses + 2 * (r.check_qubits > 0)
-            )
+            assert calls["gate lists"] == r.unitary_lookups - r.filtered_misses
+            assert calls["pairs"] == (r.check_qubits > 0)
             totals.update(lookups=r.unitary_lookups, misses=calls["misses"],
                           det=r.filtered_misses, trials=r.trials_checked)
         assert totals["lookups"] > totals["misses"] > totals["det"] > 0
