@@ -254,8 +254,9 @@ class IdentityDatabase:
     _placed_rules: dict[tuple, PairRule] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    # (slice, qubit offset) -> (text, cut, busy, gates) (`optimizer._Slices`)
-    _slice_records: dict[tuple, tuple[str, bool, bool, list[Gate]]] = field(
+    # (slice, qubit offset) -> (text, cut halves as (q, cell), non-Identity
+    # cells, gates) (`optimizer._Slices`)
+    _slice_records: dict[tuple, tuple[str, tuple, int, list[Gate]]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -539,16 +540,6 @@ class IdentityDatabase:
 def _relative(qa: tuple[int, ...], qb: tuple[int, ...], n: int):
     """(qa, qb) renumbered over the ascending qubits they cover, or None
     when they cover more than n."""
-    one_a, one_b = len(qa) == 1, len(qb) == 1
-    if one_a and one_b:
-        return (0,), (0,)
-    if one_a or one_b:
-        if n < 2:
-            return None
-        (q,), (x, y) = (qa, qb) if one_a else (qb, qa)
-        pair, lo = ((0, 1), x) if x < y else ((1, 0), y)
-        single = (0,) if q == lo else (1,)
-        return (single, pair) if one_a else (pair, single)
     qubits = sorted({*qa, *qb})
     if len(qubits) > n:
         return None

@@ -74,7 +74,8 @@ hashing and fingerprinting. B and k are fitted to tracemalloc peaks,
 which the estimate exceeds by 1.2–2.2× on the bench configs and on n4d1
 builds, where the 4ⁿ term dominates. The text term counts at any depth:
 a gate set of one layer has one circuit however deep, but its text is
-d layers long.
+d layers long; and unless that layer is exactly the identity, the build
+makes d products, so a d past `max_circuits` is refused too.
 """
 
 from __future__ import annotations
@@ -106,9 +107,11 @@ DEFAULT_BUDGET_BYTES = DEFAULT_MAX_CIRCUITS * _BYTES_PER_CIRCUIT
 
 
 class ResourceGuardError(RuntimeError):
-    """A build's estimated peak bytes exceed `limit` · B. `total` and
-    `limit` count circuits; `total` and `estimate` (bytes) are lower
-    bounds when the guard stopped short of the full count."""
+    """A build's estimated peak bytes exceed `limit` · B, or a one-layer
+    build would make more than `limit` products. `total` and `limit`
+    count circuits, each product counted as one; `total` and `estimate`
+    (bytes) are lower bounds when the guard stopped short of the full
+    count."""
 
     def __init__(self, total: int, limit: int, estimate: int):
         super().__init__(
@@ -173,7 +176,10 @@ def _check_budget(cfg: GeneratorConfig) -> None:
     where it passes the limit if the full one does: n at most the limit's
     bit length (16·4ⁿ passes it), so a huge n is never counted, and L and
     L^d up to the first value past max_circuits (C·B passes it). One
-    layer gives one circuit at every depth, so its d is the config's."""
+    layer gives one circuit at every depth, so its d is the config's; and
+    unless that layer is exactly the identity, its build makes d products
+    (`_power`), so d past max_circuits is refused too, each product
+    counted as a circuit."""
     limit = cfg.max_circuits * _BYTES_PER_CIRCUIT
     n = min(cfg.n, limit.bit_length())
     layers = layer_count(n, cfg.gate_set.g, cfg.gate_set.t, cfg.neighbors_only, cfg.max_circuits)
@@ -181,6 +187,8 @@ def _check_budget(cfg: GeneratorConfig) -> None:
     while d < cfg.d and layers**d <= cfg.max_circuits:
         d += 1
     total, estimate = _estimate(n, d, layers)
+    if layers == 1 and not cfg.gate_set.identity.exact_identity and d > cfg.max_circuits:
+        raise ResourceGuardError(d, cfg.max_circuits, estimate)
     if estimate > limit:
         raise ResourceGuardError(total, cfg.max_circuits, estimate)
 

@@ -69,12 +69,13 @@ A sweep costs what changed, not the circuit's length:
     made once and kept with the database across sweeps, calls and circuits
     (a slice holding a gate object the database does not keep, such as a
     parsed `u1(pi/8)` it lacks, for one call): each slice's text as the
-    padded, normalized window spells it, whether it has a cut half, whether
-    it is busy, and its gates as `circuit.gate_list` lists them in that
-    window. They give the window's validity, its encoding, its depth and
-    its gate list with no cell rebuilt. A window with a cut half in a slice
-    other than its first and last is Invalid, and is passed over from
-    those slices' records alone;
+    padded, normalized window spells it, its cut halves as a splice writes
+    them back, its non-Identity cells, and its gates as `circuit.gate_list`
+    lists them in that window. A window with a cut half in a slice other
+    than its first and last is Invalid, and is passed over from those
+    slices' records alone; a valid window's records are fetched once and
+    give its encoding, its depth, its gate list, its cut halves and its
+    cells with no cell rebuilt;
   * a valid window that yields no substitution is remembered, for one
     `optimize` call, by its qubit offset and its span of whole layers; a
     later window with the same key, in the same sweep or a later one,
@@ -86,10 +87,11 @@ A sweep costs what changed, not the circuit's length:
     layers that differ outside it, with the same gates takes that
     lookup's rows (`OptimizeReport.lookups_reused`);
   * no `Tile` is cut: a window that has candidate rows, trusted or looked
-    up (`OptimizeReport.tiles_built`), is read from its cells in the grid
-    (`_Window`), which give its cut halves and so its `_blocked` mask; a
-    member whose bucket has no row shallower than it, and a window the
-    lookup answers as a miss, are answered from the records alone.
+    up (`OptimizeReport.tiles_built`), is made from its records
+    (`_Window`), whose cut halves give its `_blocked` mask; only which of
+    its layers are idle outside its rows is read from the grid. A member
+    whose bucket has no row shallower than it, and a window the lookup
+    answers as a miss, are answered from the records alone.
 
 Candidates are ranked from the database's rank table of the tile's
 bucket (`IdentityDatabase.rank_table`): each member's depth, non-Identity
@@ -169,7 +171,6 @@ from .circuit import (
     Gate,
     Layer,
     asap_depth,
-    cell_is_identity,
     circuit_unitary,
     effective_depth,  # unused here; the bench harness wraps it by this module's name
     gate_list,
@@ -222,14 +223,17 @@ class Tile:
 
     `sub` holds the window cells with partner indices rebased to tile-local
     rows; a half whose partner lies outside the window keeps an out-of-range
-    partner until normalize_cut_tile replaces it with Identity and records
-    the original in cut_positions (tile-local coordinates).
+    partner until normalize_cut_tile replaces it with Identity. `cuts` holds
+    one list per layer of the halves so replaced, as a splice writes them
+    back (`_splice`) and a slice record holds them (`_Slices`): (q, cell),
+    q tile-local and the cell the circuit's shared half
+    (`circuit.shared_cell`). Every list is empty until then.
     """
 
     qubit_offset: int
     layer_offset: int
     sub: CircuitGrid
-    cut_positions: list[tuple[int, int, Cell]] = field(default_factory=list)
+    cuts: list[list[tuple[int, Cell]]]
 
 
 def _window(c: CircuitGrid, qs: int, ls: int, i: int, j: int) -> Tile:
@@ -245,7 +249,7 @@ def _window(c: CircuitGrid, qs: int, ls: int, i: int, j: int) -> Tile:
         return shared_cell(cell.gate, cell.role, p) if 0 <= p < i else Cell(cell.gate, cell.role, p)
 
     layers = tuple(tuple(map(rebased, layer[qs : qs + i])) for layer in c.layers[ls : ls + j])
-    return Tile(qs, ls, CircuitGrid(i, layers))
+    return Tile(qs, ls, CircuitGrid(i, layers), [[] for _ in layers])
 
 
 def extract_tiles(c: CircuitGrid, spec: TileSpec) -> list[Tile]:
@@ -269,11 +273,12 @@ def classify_tile(t: Tile) -> TileClass:
     norm = _normalized(t, IDENTITY_GATE)
     if norm is None:
         return TileClass.INVALID
-    return TileClass.VALID_WITH_CUT if norm.cut_positions else TileClass.VALID
+    return TileClass.VALID_WITH_CUT if any(norm.cuts) else TileClass.VALID
 
 
 def normalize_cut_tile(t: Tile, identity: GateDef = IDENTITY_GATE) -> Tile:
-    """Replace boundary-cut halves with Identity, recording the originals.
+    """Replace boundary-cut halves with Identity, recording the originals
+    in `cuts`.
 
     Raises ValueError for an Invalid tile.
     """
@@ -285,32 +290,22 @@ def normalize_cut_tile(t: Tile, identity: GateDef = IDENTITY_GATE) -> Tile:
 
 def _normalized(t: Tile, identity: GateDef) -> Tile | None:
     """t with each half whose partner is outside the window replaced by
-    Identity and recorded in `cut_positions`, in one scan; None when such
-    a half sits in an interior layer (an Invalid tile)."""
-    n, last = t.sub.n, t.sub.m - 1
-    cuts: list[tuple[int, int, Cell]] = []
+    Identity and recorded in its layer's `cuts`, rebased to the circuit
+    (`_rebased`), in one scan; None when such a half sits in an interior
+    layer (an Invalid tile)."""
+    n, last, qs = t.sub.n, t.sub.m - 1, t.qubit_offset
+    cuts: list[list[tuple[int, Cell]]] = []
     layers = []
     for li, layer in enumerate(t.sub.layers):
         cut = [
             q for q, cell in enumerate(layer) if not cell.is_single and not 0 <= cell.partner < n
         ]
-        if cut:
-            if 0 < li < last:
-                return None
-            cuts += [(li, q, layer[q]) for q in cut]
-            layer = tuple(single(identity) if q in cut else cell for q, cell in enumerate(layer))
-        layers.append(layer)
-    sub = CircuitGrid(n, tuple(layers)) if cuts else t.sub
+        if cut and 0 < li < last:
+            return None
+        cuts.append([(q, _rebased(layer[q], qs)) for q in cut])
+        layers.append(tuple(single(identity) if q in cut else cell for q, cell in enumerate(layer)))
+    sub = CircuitGrid(n, tuple(layers)) if any(cuts) else t.sub
     return Tile(t.qubit_offset, t.layer_offset, sub, cuts)
-
-
-def _tile_cuts(t: Tile) -> list[list[tuple[int, Cell]]]:
-    """The cut halves a splice writes back into the tile, per layer: (q,
-    cell) for q tile-local and the cell rebased to the circuit's rows."""
-    cuts: list[list[tuple[int, Cell]]] = [[] for _ in range(t.sub.m)]
-    for li, q, original in t.cut_positions:
-        cuts[li].append((q, _rebased(original, t.qubit_offset)))
-    return cuts
 
 
 def _blocked(i: int, cuts: Sequence[Sequence[tuple[int, Cell]]], n: int) -> int:
@@ -382,7 +377,7 @@ def _candidate_order(
     A sweep filters its rows the same way, from the window's cells
     (`_substitute`).
     """
-    blocked = _blocked(t.sub.n, _tile_cuts(t), db.meta.n)
+    blocked = _blocked(t.sub.n, t.cuts, db.meta.n)
     return [(row.depth, row.enc) for row in rows if not row.occupied & blocked]
 
 
@@ -402,11 +397,10 @@ def apply_substitution(
     """
     qs, ls = t.qubit_offset, t.layer_offset
     i, j = t.sub.n, t.sub.m
-    cuts = _tile_cuts(t)
     (row,) = db.rank([chosen], max_depth=db.meta.d)
-    if i > db.meta.n or j > db.meta.d or row.occupied & _blocked(i, cuts, db.meta.n):
+    if i > db.meta.n or j > db.meta.d or row.occupied & _blocked(i, t.cuts, db.meta.n):
         raise ValueError(f"{chosen!r} does not fit the {i}x{j} window at layer {ls}, qubit {qs}")
-    return _splice(c, ls, qs, i, cuts, db.decode(chosen).layers)
+    return _splice(c, ls, qs, i, t.cuts, db.decode(chosen).layers)
 
 
 def _rebased(cell: Cell, qs: int) -> Cell:
@@ -486,9 +480,9 @@ class OptimizeReport:
     # call had: answered by that lookup's rows, with no `lookup` call
     lookups_reused: int = 0
     trials_checked: int = 0  # candidate unitaries computed for the guard
-    # windows with candidate rows, trusted or looked up, each read from its
-    # cells in the grid (`_Window`), no `Tile` cut; a window with none is
-    # answered from its slice records
+    # windows with candidate rows, trusted or looked up, each made from its
+    # slice records (`_Window`), no `Tile` cut; a window with none is
+    # answered from those records alone
     tiles_built: int = 0
     # the rules pass (`apply_rules`): pairs cancelled, pairs merged into
     # one gate, and the commuting gates those rewrites moved a gate past
@@ -499,8 +493,8 @@ class OptimizeReport:
 
 
 _WindowKey = tuple[int, tuple[Layer, ...]]  # (qubit offset, span)
-# a slice record: (text, cut, busy, gates) (`_Slices`)
-_Record = tuple[str, bool, bool, list[Gate]]
+# a slice record: (text, cuts, cells, gates) (`_Slices`)
+_Record = tuple[str, tuple[tuple[int, Cell], ...], int, list[Gate]]
 
 
 def optimize(
@@ -809,7 +803,7 @@ class _Slices:
     has read, kept across sweeps, calls and circuits, and, for one
     `optimize` call, the windows that yielded nothing and the lookups made.
 
-    `records` maps (slice, qubit offset) -> (text, cut, busy, gates), for
+    `records` maps (slice, qubit offset) -> (text, cuts, cells, gates), for
     the slice the i cells of a layer from that offset, each made on first
     use by one walk of the slice (`_record`):
       * `text` is the slice in the normalized, padded window as the
@@ -820,14 +814,23 @@ class _Slices:
         database's gate object; another gate of a database gate's name is
         "?" and its name, which no member holds. So a window whose text is
         a member's computes that member's unitary, float for float;
-      * `cut` says whether the slice has a cut half, `busy` whether the
-        normalized slice has a non-Identity cell;
+      * `cuts` are the slice's cut halves as a splice writes them back
+        (`_splice`), (q, cell) with q window-local and the grid's shared
+        cell (`circuit.shared_cell`), and `cells` counts its non-Identity
+        cells, cut halves left out: a slice with cuts makes a window
+        Invalid unless it is the window's first or last, and the busy
+        slices (cells > 0) are the window's effective depth;
       * `gates` are the slice's gates as `circuit.gate_list` lists them in
         that window: singles other than the exact Identity, and each pair
         once, at its lower half, in operand order, its qubits rebased by
         the offset. Cut halves and padding are Identity, left out when the
         database's Identity is exactly the 2×2 identity (`spare`). A
-        window's gate list is its slices' lists in order (`gate_list`).
+        window's gate list is its slices' lists in order, then `spare`
+        for each padding layer.
+
+    A sweep fetches a valid window's records once (`read`) and takes its
+    encoding, depth, gate list, cut halves and cells from them; only what
+    lies outside the window's rows is read from the grid (`_Window`).
 
     A record reads nothing but the slice, its offset and the database, so
     the table is the database's (`IdentityDatabase`): a slice is recorded
@@ -876,55 +879,43 @@ class _Slices:
                 return True
         return False
 
-    def window(self, span: tuple[Layer, ...], qs: int) -> tuple[str, int]:
-        """The encoding of the valid window over `span` at qubit offset qs,
-        as the database's n×d shape pads it, and its effective depth (its
-        busy slices)."""
+    def read(self, span: tuple[Layer, ...], qs: int) -> list[_Record]:
+        """The records of the slices of the window over `span` at qubit
+        offset qs, in layer order."""
         records, calls, i = self.records, self.call_records, self.i
         read = []
         for layer in span:
             key = (layer[qs : qs + i], qs)
             read.append(records.get(key) or calls.get(key) or self._record(*key))
-        texts, _, busy, _ = zip(*read)
-        return "|".join(texts) + self.idle * (self.d - len(span)), sum(busy)
-
-    def gate_list(self, span: tuple[Layer, ...], qs: int) -> list[Gate]:
-        """The gate list of the valid window over `span` at qubit offset
-        qs: what `circuit.gate_list` makes of the padded, normalized
-        `Tile`."""
-        records, calls, i = self.records, self.call_records, self.i
-        gates: list[Gate] = []
-        for layer in span:
-            key = (layer[qs : qs + i], qs)
-            gates += (records.get(key) or calls.get(key) or self._record(*key))[3]
-        return gates + self.spare * (self.d - len(span))
+        return read
 
     def _record(self, cells: Layer, qs: int) -> _Record:
         i, spare, names, kept = self.i, self.spare, self.names, self.kept
-        cut = busy = False
+        count = 0
         texts: list[str] = []
+        cuts: list[tuple[int, Cell]] = []
         gates: list[Gate] = []
         for q, cell in enumerate(cells):
             g = cell.gate
             name = names.get(g) or ("?" + g.name if g.name in self.gates else g.name)
             if cell.role is None:
                 texts.append(name)
-                busy = busy or not g.is_identity
+                count += not g.is_identity
                 if not g.exact_identity:
                     gates.append(((q,), g))
                 continue
             p = cell.partner - qs
             if not 0 <= p < i:
                 texts.append(self.ident)
-                cut = True
+                cuts.append((q, shared_cell(g, cell.role, cell.partner)))
                 gates += spare[q : q + 1]  # a cut half
                 continue
             texts.append(f"{name}:{cell.role}:{p}")
-            busy = True
+            count += 1
             if q < p:
                 # the pair's gate is its first operand's, as `gate_list` reads it
                 gates.append(((q, p), g) if cell.role == FIRST else ((p, q), cells[p].gate))
-        rec = (",".join(texts) + self.pad, cut, busy, gates + spare[i:])
+        rec = (",".join(texts) + self.pad, tuple(cuts), count, gates + spare[i:])
         table = self.records if all(cell.gate in kept for cell in cells) else self.call_records
         table[cells, qs] = rec
         return rec
@@ -943,16 +934,17 @@ def _sweep(
 
     A window is read from its slice records (`memo`, each made once and
     kept with the database), which give its validity, its padded encoding,
-    its depth and its gate list with no cell rebuilt. An Invalid window is
-    passed over first, from the cut flags of its inner slices' records, so
-    none is remembered as failed. This is the one place that decides
-    whether its candidates are trusted: a member of a sound bucket tries
-    that bucket's shallower rows unchecked, and every other window, no
-    member or a member of an unsound bucket, takes its rows from `lookup`
-    and its slices' gates, to be checked. A lookup is made once per
-    padded gate list and depth (`memo.looked`); a window that repeats one
-    takes its rows (`OptimizeReport.lookups_reused`). A window that has
-    candidate rows is read from its cells in the grid (`_Window`,
+    its depth, its gate list, its cut halves and its cells with no cell
+    rebuilt. An Invalid window is passed over first, from the cut halves
+    of its inner slices' records, so none is remembered as failed; a valid
+    window's records are then fetched once (`_Slices.read`). This is the
+    one place that decides whether its candidates are trusted: a member of
+    a sound bucket tries that bucket's shallower rows unchecked, and every
+    other window, no member or a member of an unsound bucket, takes its
+    rows from `lookup` and its slices' gates, to be checked. A lookup is
+    made once per padded gate list and depth (`memo.looked`); a window
+    that repeats one takes its rows (`OptimizeReport.lookups_reused`).
+    A window that has candidate rows is made from its records (`_Window`,
     `OptimizeReport.tiles_built`), and no `Tile` is cut; each candidate is
     judged from its rank row before any splice, so a span is built only
     for the substitution made (`_substitute`).
@@ -965,6 +957,7 @@ def _sweep(
     """
     i = memo.i  # min(spec.i, c.n), fixed for the call
     failed, looked = memo.failed, memo.looked
+    idle, spare, d = memo.idle, memo.spare, memo.d
     offsets, m = c.n - i + 1, c.m
     changed = False
     idx = 0
@@ -984,7 +977,9 @@ def _sweep(
             report.windows_reused += 1
             continue
         before = report.collisions_skipped
-        text, depth = memo.window(span, qs)
+        texts, cuts, cells, slice_gates = zip(*memo.read(span, qs))
+        text = "|".join(texts) + idle * (d - j)
+        depth = j - cells.count(0)
         trial = None
         fp = db.by_circuit.get(text)
         if fp is not None:
@@ -994,7 +989,7 @@ def _sweep(
             if fp is not None and db.sound(fp):
                 rows = Match(table[:shallower])
             else:
-                gates = memo.gate_list(span, qs)
+                gates = [g for part in slice_gates for g in part] + spare * (d - j)
                 asked = (tuple(gates), depth)
                 rows = looked.get(asked)
                 if rows is None:
@@ -1005,7 +1000,8 @@ def _sweep(
                     report.lookups_reused += 1
             if rows:
                 report.tiles_built += 1
-                trial = _substitute(c, _Window(c, ls, qs, i, j, db.meta.n), depth, rows, db, report)
+                w = _Window(c, ls, qs, i, cuts, sum(cells), db.meta.n)
+                trial = _substitute(c, w, depth, rows, db, report)
         if trial is None:
             failed[key] = report.collisions_skipped - before
             continue
@@ -1015,33 +1011,28 @@ def _sweep(
 
 
 class _Window:
-    """The valid i×j window of a sweep at layer ls and qubit qs of c, read
-    from its cells in the grid, none rebuilt: `span`, its layers; `cuts`,
-    per layer, the halves whose partner lies outside its rows, (q, cell)
-    with q window-local and the grid's shared cell, which a splice writes
-    back (`_splice`); `cells`, its non-Identity cells, cut halves left
-    out; and `free`, the `RankRow.occupied` mask of each layer that is
-    idle outside its rows (so it has no cut half, whose partner would lie
-    there)."""
+    """The valid window of a sweep at layer ls and qubit qs of c, i rows by
+    one layer per entry of `cuts`, as its slice records give it
+    (`_Slices`): `span`, its layers; `cuts`, per layer, the halves whose
+    partner lies outside its rows, (q, cell) with q window-local and the
+    grid's shared cell, which a splice writes back (`_splice`); `cells`,
+    its non-Identity cells, cut halves left out. Only `free` is read from
+    the grid, since it needs the cells outside the window's rows: the
+    `RankRow.occupied` mask of each layer that is idle outside its rows
+    (so it has no cut half, whose partner would lie there)."""
 
     __slots__ = ("ls", "qs", "i", "span", "cuts", "cells", "free")
 
-    def __init__(self, c: CircuitGrid, ls: int, qs: int, i: int, j: int, n: int):
-        self.ls, self.qs, self.i = ls, qs, i
-        self.span = c.layers[ls : ls + j]
-        self.cuts: list[list[tuple[int, Cell]]] = []
-        self.free: list[int] = []
-        self.cells = 0
-        for li, layer in enumerate(self.span):
-            cut = []
-            for q, cell in enumerate(layer[qs : qs + i]):
-                if cell.role is not None and not qs <= cell.partner < qs + i:
-                    cut.append((q, shared_cell(cell.gate, cell.role, cell.partner)))
-                elif not cell_is_identity(cell):
-                    self.cells += 1
-            self.cuts.append(cut)
-            if layer_is_identity(layer[:qs]) and layer_is_identity(layer[qs + i :]):
-                self.free.append(((1 << n) - 1) << (li * n))
+    def __init__(
+        self, c: CircuitGrid, ls: int, qs: int, i: int, cuts: Sequence, cells: int, n: int
+    ):
+        self.ls, self.qs, self.i, self.cuts, self.cells = ls, qs, i, cuts, cells
+        self.span = c.layers[ls : ls + len(cuts)]
+        self.free = [
+            ((1 << n) - 1) << (li * n)
+            for li, layer in enumerate(self.span)
+            if layer_is_identity(layer[:qs]) and layer_is_identity(layer[qs + i :])
+        ]
 
     def lowers(self, row: RankRow, db: IdentityDatabase) -> bool:
         """Whether splicing the member of `row`, which leaves every

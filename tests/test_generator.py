@@ -474,6 +474,23 @@ class TestOneLayerBuild:
         assert dict(db.by_fingerprint) == {fp: ("|".join(["I,I"] * d),)}
         assert loads(dumps(db)).by_circuit == {"|".join(["I,I"] * d): fp}
 
+    def test_inexact_layer_bounded_by_its_products(self, monkeypatch):
+        # the near-Identity layer never repeats a product bitwise, so its
+        # build makes d products: d past max_circuits is refused before
+        # the first, while an exact Identity repeats at once at any d
+        limit = 10**4
+        db = build_database(GeneratorConfig(n=1, d=limit, gate_set=self._NEAR, max_circuits=limit))
+        assert db.total_circuits == 1
+        with monkeypatch.context() as m:
+            m.setattr(generator, "_power", lambda *args: pytest.fail("a product was made"))
+            with pytest.raises(ResourceGuardError) as exc:
+                build_database(
+                    GeneratorConfig(n=1, d=limit + 1, gate_set=self._NEAR, max_circuits=limit)
+                )
+        assert exc.value.total == limit + 1 and exc.value.limit == limit
+        exact = GeneratorConfig(n=1, d=limit + 1, gate_set=gate_set("I"), max_circuits=limit)
+        assert build_database(exact).total_circuits == 1
+
 
 class TestDistinctPrefixes:
     """The products that `build_database` extends by the last layer."""

@@ -51,7 +51,6 @@ from qidopt.matrices import identity, max_abs_diff
 from qidopt.optimizer import (
     AppliedSubstitution,
     OptimizeReport,
-    Tile,
     TileClass,
     TileSpec,
     _candidate_order,
@@ -89,6 +88,16 @@ def window(c, spec, qubit_offset, layer_offset):
         for t in extract_tiles(c, spec)
         if t.qubit_offset == qubit_offset and t.layer_offset == layer_offset
     )
+
+
+def whole(c):
+    """The tile of all of c, as `extract_tiles` cuts it."""
+    return _window(c, 0, 0, c.n, c.m)
+
+
+def cut_slots(cuts):
+    """The (layer, qubit) of each cut half of per-layer cuts."""
+    return [(li, q) for li, cut in enumerate(cuts) for q, _ in cut]
 
 
 class TestExtractTiles:
@@ -144,16 +153,16 @@ class TestNormalizeCutTile:
         t = window(FIG13, TileSpec(2, 3), 1, 1)
         norm = normalize_cut_tile(t)
         assert encode_circuit(norm.sub) == "I,Y|X,H|X,H"
-        assert len(norm.cut_positions) == 1
-        (li, q, cell) = norm.cut_positions[0]
-        assert (li, q) == (0, 0)
-        assert cell.gate.name == "CX" and cell.role == "T"
+        assert cut_slots(norm.cuts) == [(0, 0)]
+        ((_, cell),) = norm.cuts[0]
+        # the circuit's own half, its partner on the circuit's qubit 0
+        assert cell is FIG13.layers[1][1] is half(gate("CX"), "T", 0)
         assert validate(norm.sub) == []
 
     def test_valid_tile_unchanged(self):
         t = window(FIG13, TileSpec(2, 3), 0, 0)
         norm = normalize_cut_tile(t)
-        assert norm.cut_positions == []
+        assert norm.cuts == [[], [], []]
         assert encode_circuit(norm.sub) == encode_circuit(t.sub)
 
     def test_cuts_at_both_ends_recorded(self):
@@ -164,7 +173,7 @@ class TestNormalizeCutTile:
         )
         t = window(c, TileSpec(2, 3), 1, 0)
         norm = normalize_cut_tile(t)
-        assert {(li, q) for li, q, _ in norm.cut_positions} == {(0, 0), (2, 0)}
+        assert cut_slots(norm.cuts) == [(0, 0), (2, 0)]
         assert encode_circuit(norm.sub) == "I,I|X,X|I,H"
 
     def test_invalid_tile_rejected(self):
@@ -246,7 +255,7 @@ class TestCandidateCost:
     def test_cost_is_decoded_effective_depth(self, db_ihxzcx):
         # a 2x4 tile blocks no slot of a 2x3 member, so every member is
         # ranked and each cost read off the tokens is checked
-        tile = Tile(0, 0, grid("H,H", "H,H", "H,H", "H,H"))
+        tile = whole(grid("H,H", "H,H", "H,H", "H,H"))
         checked = 0
         for bucket in db_ihxzcx.by_fingerprint.values():
             ordered = _candidate_order(tile, rows_of(db_ihxzcx, *bucket), db_ihxzcx)
@@ -340,7 +349,7 @@ def reference_order(t, db):
     tile_cost = effective_depth(t.sub)
     # every slot past the window and every cut slot must hold Identity
     window = {(li, q) for li in range(t.sub.m) for q in range(t.sub.n)}
-    free = window.difference((li, q) for li, q, _ in t.cut_positions)
+    free = window.difference(cut_slots(t.cuts))
     ranked = []
     for enc in db.bucket(fingerprint(circuit_unitary(padded(t, db)), db.meta.dp)):
         rows = [layer.split(",") for layer in enc.split("|")]
@@ -399,7 +408,7 @@ class TestRankTable:
     def test_neighbour_rule_filters_table_rows(self, rank_dbs):
         # CX on qubits 0 and 2 has two one-layer equals in n3d2, and both
         # break the neighbour rule, so the neighbours-only build has none
-        norm = normalize_cut_tile(Tile(0, 0, grid("CX:C:2,X,CX:T:0", "I,X,I")))
+        norm = normalize_cut_tile(whole(grid("CX:C:2,X,CX:T:0", "I,X,I")))
         for name, count in (("n3d2", 2), ("n3d2-near", 0)):
             db = rank_dbs[name]
             got = _candidate_order(norm, tile_lookup(norm, db), db)
@@ -480,7 +489,7 @@ class TestApplySubstitution:
         # a recorded cut half whose partner slot the splice fills with Identity
         c = grid("H,H", "H,H")
         t = normalize_cut_tile(window(c, TileSpec(2, 2), 0, 0))
-        t.cut_positions = [(0, 0, half(gate("CX"), "C", 1))]
+        t.cuts = [[(0, half(gate("CX"), "C", 1))], []]
         with pytest.raises(AssertionError, match="invalid span"):
             apply_substitution(c, t, "I,I|I,I|I,I", db_ihxzcx)
 
@@ -797,6 +806,41 @@ def reference_sweep(c, db, spec, report, memo):
     return c, changed
 
 
+def window_text(slices, records):
+    """The padded encoding a sweep reads off a window's slice records."""
+    return "|".join(rec[0] for rec in records) + slices.idle * (slices.d - len(records))
+
+
+def read_window(slices, span, qs):
+    """What a sweep reads off the records of the valid window over `span`
+    at qubit offset qs (`_Slices.read`): its padded encoding, its
+    effective depth (its slices with a non-Identity cell), and its padded
+    gate list."""
+    records = slices.read(span, qs)
+    gates = [g for rec in records for g in rec[3]]
+    return (
+        window_text(slices, records),
+        sum(rec[2] > 0 for rec in records),
+        gates + slices.spare * (slices.d - len(span)),
+    )
+
+
+def sweep_window(c, ls, qs, i, j, db):
+    """The `_Window` a sweep makes of the valid i×j window at layer ls and
+    qubit qs of c, from its slice records."""
+    _, cuts, cells, _ = zip(*_Slices(db, i).read(c.layers[ls : ls + j], qs))
+    return _Window(c, ls, qs, i, cuts, sum(cells), db.meta.n)
+
+
+def assert_records_are_the_tile(records, norm):
+    """Each slice record's cut halves are the normalized tile's in that
+    layer, cell for cell, and its cells the layer's non-Identity cells."""
+    assert [list(rec[1]) for rec in records] == norm.cuts
+    assert [rec[2] for rec in records] == [
+        sum(not cell_is_identity(cell) for cell in layer) for layer in norm.sub.layers
+    ]
+
+
 def assert_same_as_reference(monkeypatch, c, db, **kwargs):
     out, report = optimize(c, db, **kwargs)
     with monkeypatch.context() as m:
@@ -854,11 +898,10 @@ class TestIncrementalSweep:
             return
         norm = normalize_cut_tile(tile)
         old = c.layers[ls : ls + j]
-        # the sweep's window, read from the grid's cells: its cut slots are
-        # the tile's, and its cells the normalized tile's
-        w = _Window(c, ls, qs, db.meta.n, j, db.meta.n)
-        cuts = [(li, q) for li, cut in enumerate(w.cuts) for q, _ in cut]
-        assert cuts == [(li, q) for li, q, _ in norm.cut_positions]
+        # the sweep's window, made from its slice records: its cut halves
+        # are the tile's, cell for cell, and its cells the normalized tile's
+        w = sweep_window(c, ls, qs, db.meta.n, j, db)
+        assert [list(cut) for cut in w.cuts] == norm.cuts
         assert w.cells == sum(not cell_is_identity(x) for l in norm.sub.layers for x in l)
         rows = {row.enc: row for row in tile_lookup(norm, db)}
         for _, enc in _candidate_order(norm, list(rows.values()), db):
@@ -961,10 +1004,10 @@ class TestIncrementalSweep:
         for rest in (grid("X,X").layers, ()):
             with_t = CircuitGrid(2, grid("H,T").layers + rest)
             with_tdg = CircuitGrid(2, grid("H,TDG").layers + rest)
-            assert _Window(with_tdg, 0, 1, 1, 1, 1).lowers(t_row, db)
-            assert not _Window(with_t, 0, 1, 1, 1, 1).lowers(tdg_row, db)
+            assert sweep_window(with_tdg, 0, 1, 1, 1, db).lowers(t_row, db)
+            assert not sweep_window(with_t, 0, 1, 1, 1, db).lowers(tdg_row, db)
             # a member equal to the window, cell for cell, lowers nothing
-            assert not _Window(with_t, 0, 1, 1, 1, 1).lowers(t_row, db)
+            assert not sweep_window(with_t, 0, 1, 1, 1, db).lowers(t_row, db)
 
     def test_one_span_built_per_substitution(self, db_ihxzcx, monkeypatch):
         # every candidate is judged before any splice, so the one splice
@@ -1060,9 +1103,10 @@ class TestSliceRecords:
                 assert invalid == (classify_tile(tile) is TileClass.INVALID)
                 if not invalid:
                     norm = normalize_cut_tile(tile, identity)
-                    text, depth = slices.window(span, qs)
+                    text, depth, _ = read_window(slices, span, qs)
                     assert text == encode_circuit(padded(norm, db))
                     assert depth == effective_depth(norm.sub)
+                    assert_records_are_the_tile(slices.read(span, qs), norm)
 
     def test_wide_circuits_match_reference_sweep(self, db_ihxzcx, monkeypatch):
         offsets = set()
@@ -1244,9 +1288,9 @@ class TestRecordGates:
                 if slices.cut_inside(span, qs):
                     continue
                 norm = normalize_cut_tile(_window(c, qs, ls, i, j), identity)
-                _, depth = slices.window(span, qs)
-                gates = slices.gate_list(span, qs)
+                _, depth, gates = read_window(slices, span, qs)
                 assert gates == gate_list(padded(norm, db))
+                assert_records_are_the_tile(slices.read(span, qs), norm)
                 rows, want = lookup(gates, depth, db), tile_lookup(norm, db)
                 assert list(rows) == list(want)
                 # a miss the determinant answers computes no unitary; any
@@ -1265,14 +1309,16 @@ class TestRecordGates:
             (single(gate("X")), half(gate("CX"), "C", 2), half(gate("CX"), "T", 1)),
         ))
         slices = _Slices(db_ihxzcx, 2)
-        text, depth = slices.window(c.layers, 0)
+        text, depth, gates = read_window(slices, c.layers, 0)
         # the cut halves on qubit 0 and 1 are Identity; the pair on qubits
         # 0 and 1 is listed once, first operand first
         assert text == "I,?H|CX:T:1,CX:C:0|X,I"
         assert depth == 3
-        assert slices.gate_list(c.layers, 0) == [
-            ((1,), CLASH_H), ((1, 0), gate("CX")), ((0,), gate("X")),
-        ]
+        assert gates == [((1,), CLASH_H), ((1, 0), gate("CX")), ((0,), gate("X"))]
+        # each cut half is the grid's own, at its window-local qubit
+        records = slices.read(c.layers, 0)
+        assert [rec[1] for rec in records] == [((0, c.layers[0][0]),), (), ((1, c.layers[2][1]),)]
+        assert [rec[2] for rec in records] == [1, 2, 1]
 
 
 class TestTilesOnlyWithCandidates:
@@ -1297,7 +1343,7 @@ class TestTilesOnlyWithCandidates:
         db = fresh_copy(db_ihxzcx)
         slices, real_sweep = optimizer_module._Slices, optimizer_module._sweep
         made = {"_record": Counter()}
-        read = {"window": {}, "gate_list": {}}
+        read = {"read": {}}
         sweeps = []
 
         def noted(table, real):
@@ -1459,7 +1505,7 @@ class TestDatabaseShape:
         first, second = grid("X,I,I", "X,CX:C:2,CX:T:1").layers
         c = CircuitGrid(3, ((x, *first[1:]), (x, *second[1:])))
         norm = normalize_cut_tile(window(c, TileSpec(2, 2), 0, 0))
-        assert [(li, q) for li, q, _ in norm.cut_positions] == [(1, 1)]
+        assert cut_slots(norm.cuts) == [(1, 1)]
         ordered = _candidate_order(norm, tile_lookup(norm, db_ihxzcx), db_ihxzcx)
         assert ordered and ordered == reference_order(norm, db_ihxzcx)
         out, report = optimize(c, db_ihxzcx)
@@ -1576,7 +1622,7 @@ class TestCheckedOnce:
             # S then SDG is no member, but it is the identity: the form of
             # the first bucket, whose representative the poison replaced
             idle = ",I" * (n - 1)
-            t = Tile(0, 0, grid("S" + idle, "SDG" + idle))
+            t = whole(grid("S" + idle, "SDG" + idle))
             rows = tile_lookup(t, db)
             assert rows.unitary is not None
             assert list(rows) == reference_lookup(t, db) != []
@@ -1609,7 +1655,7 @@ class TestCheckedOnce:
 
     def test_report_counts_lookups_and_trials(self, db_ihxzcx, monkeypatch):
         db = fresh_copy(db_ihxzcx)
-        real_lookup, real_window = optimizer_module.lookup, optimizer_module._Slices.window
+        real_lookup, real_read = optimizer_module.lookup, optimizer_module._Slices.read
         real_unitary, real_gates_unitary = (
             optimizer_module.circuit_unitary, optimizer_module.gates_unitary
         )
@@ -1617,10 +1663,10 @@ class TestCheckedOnce:
         real_pair_unitaries = optimizer_module.pair_unitaries
         calls = Counter()
 
-        def noted_window(slices, span, qs):
-            read = real_window(slices, span, qs)
-            calls["text"] = read and read[0]
-            return read
+        def noted_read(slices, span, qs):
+            records = real_read(slices, span, qs)
+            calls["text"] = window_text(slices, records)
+            return records
 
         def noted_lookup(gates, depth, db):
             # a sweep looks up the window it read last
@@ -1647,7 +1693,7 @@ class TestCheckedOnce:
             calls["pairs"] += 1
             return real_pair_unitaries(ra, rb, k)
 
-        monkeypatch.setattr(optimizer_module._Slices, "window", noted_window)
+        monkeypatch.setattr(optimizer_module._Slices, "read", noted_read)
         monkeypatch.setattr(optimizer_module, "lookup", noted_lookup)
         monkeypatch.setattr(optimizer_module, "circuit_unitary", noted_unitary)
         monkeypatch.setattr(optimizer_module, "gates_unitary", noted_gates_unitary)
@@ -1702,9 +1748,9 @@ class TestCheckedOnce:
         report = assert_same_as_reference(monkeypatch, c, db)
         # a window of the builtin H is encoded like a member, but its slice
         # text is none: it is looked up by its unitary
-        text, _ = _Slices(db, 2).window(c.layers[:d], 0)
+        text, _, _ = read_window(_Slices(db, 2), c.layers[:d], 0)
         assert text not in db.by_circuit
-        padded_window = padded(Tile(0, 0, CircuitGrid(2, c.layers[:d])), db)
+        padded_window = padded(whole(CircuitGrid(2, c.layers[:d])), db)
         assert encode_circuit(padded_window) in db.by_circuit
         assert report.unitary_lookups > 0
         assert report.residual <= 1e-12
@@ -1774,7 +1820,7 @@ def det_window(draw, n, d):
             a, b = draw(st.permutations(range(n)))[:2]
             cells[a], cells[b] = half(gate("CX"), "C", b), half(gate("CX"), "T", a)
         layers.append(tuple(c or single(draw(st.sampled_from(DET_SINGLES))) for c in cells))
-    return Tile(0, 0, CircuitGrid(n, tuple(layers)))
+    return whole(CircuitGrid(n, tuple(layers)))
 
 
 class TestDeterminantStage:
@@ -1802,7 +1848,7 @@ class TestDeterminantStage:
             for column in cases:
                 if len(column) > d:
                     continue
-                t = Tile(0, 0, pack([((0,), g) for g in column], n))
+                t = whole(pack([((0,), g) for g in column], n))
                 rows = tile_lookup(t, db)
                 assert rows.unitary is not None, (name, column)
                 assert fingerprint(rows.unitary, db.meta.dp) in db.by_fingerprint, (name, column)
@@ -2036,6 +2082,7 @@ class TestKeptTables:
                 assert rule.kind == BLOCK
                 continue
             rel = _relative(kqa, kqb, db.meta.n)
+            assert rel == (tuple(map(qubits.index, kqa)), tuple(map(qubits.index, kqb)))
             want = db.pair_rule(ka, rel[0], kb, rel[1])
             assert rule.kind == want.kind
             if want.kind == MERGE:
@@ -2071,8 +2118,7 @@ class TestKeptTables:
         # its slices are kept for the call alone
         slices = _Slices(db, 2)
         c = pack(gates, 2)
-        slices.window(c.layers[:3], 0)
-        slices.gate_list(c.layers[:3], 0)
+        slices.read(c.layers[:3], 0)
         assert slices.call_records
         assert all(any(cell.gate is foreign for cell in cells) for cells, _ in slices.call_records)
 
