@@ -48,10 +48,11 @@ operator, made once per placement by the kernel and kept on the gate
 wider, it walks.
 
 The gate-list form, [(qubits in operand order, gate)] in layer order, is
-owned here: `gate_list` is the one walk from a grid to its gates, made
-once per grid and kept (`CircuitGrid.gates`), and `pack` the one ASAP
-packer back to a grid (each gate in the earliest layer where its qubits
-are free). `qasm.parse` packs the gates it reads,
+owned here: `gate_list` reads a grid's gates, walked once per grid and
+kept (`CircuitGrid.gates`), and `pack` is the one ASAP packer back to a
+grid (each gate in the earliest layer where its qubits are free), which
+records the list as it places the gates, so a packed grid is never
+walked. `qasm.parse` packs the gates it reads,
 `qasm.emit` writes the gate list, and `asap_depth` and `unshared_gates`
 take one. `asap_depth` keeps only a per-qubit frontier, the layers
 that qubit's gates fill once packed, and builds no grid.
@@ -155,9 +156,10 @@ class CircuitGrid:
 
     @cached_property
     def gates(self) -> list[Gate]:
-        """The gate list (`gate_list`), made on first use and kept, since
-        the layers never change. Read it through `gate_list`, which hands
-        out a copy."""
+        """The gate list (`gate_list`): for a grid `pack` made, the list it
+        recorded; for any other, walked on first use and kept, since the
+        layers never change. Read it through `gate_list`, which hands out
+        a copy."""
         return _walk(self)
 
     @classmethod
@@ -400,7 +402,8 @@ def gate_list(c: CircuitGrid) -> list[Gate]:
     matrix is exactly the 2×2 identity are left out: evaluating them
     (`_apply`) would change nothing. Raises StructuralError on an unpaired
     half. A copy of the list the grid keeps (`CircuitGrid.gates`), so a
-    grid is walked once however often its gates are asked for."""
+    grid is walked at most once however often its gates are asked for,
+    and a grid `pack` made, never."""
     return list(c.gates)
 
 
@@ -429,28 +432,46 @@ def pack(gates: list[Gate], n: int) -> CircuitGrid:
     """The gates as a grid over n qubits, each in the earliest layer where
     its qubits are free; empty cells hold the exact Identity. Every cell
     is its gate's shared one (`shared_cell`), so packing equal gate lists
-    gives equal layers."""
+    gives equal layers.
+
+    The grid keeps its gate list (`CircuitGrid.gates`), recorded as the
+    gates are placed: each entry as given, in the slot of its layer and
+    its lower qubit, a single unless it is the exact Identity, a pair once.
+    Read in order, the slots are the walk `gate_list` would make, so no
+    grid packed here is walked. Each entry's qubits must be a tuple of
+    distinct qubits below n."""
     ident = single(IDENTITY_GATE)
     layers: list[list[Cell]] = []
+    slots: list[Gate | None] = []  # per layer, per qubit: the gate listed there
+    idle = [None] * n
     frontier = [0] * n
-    for qs, g in gates:
+    for gate in gates:
+        qs, g = gate
         if len(qs) == 1:
             (x,) = qs
             level = frontier[x]
             if level == len(layers):
                 layers.append([ident] * n)
+                slots += idle
             layers[level][x] = shared_cell(g)
             frontier[x] = level + 1
+            if not g.exact_identity:
+                slots[level * n + x] = gate
         else:
             x, y = qs
             level = frontier[x] if frontier[x] > frontier[y] else frontier[y]
             if level == len(layers):
                 layers.append([ident] * n)
+                slots += idle
             layer = layers[level]
             layer[x] = shared_cell(g, FIRST, y)
             layer[y] = shared_cell(g, SECOND, x)
             frontier[x] = frontier[y] = level + 1
-    return CircuitGrid.from_lists(n, layers)
+            slots[level * n + (x if x < y else y)] = gate
+    grid = CircuitGrid.from_lists(n, layers)
+    # the grid is frozen: its cached `gates` is filled here
+    object.__setattr__(grid, "gates", [gate for gate in slots if gate is not None])
+    return grid
 
 
 def _trim(a: list[Gate], b: list[Gate], n: int) -> tuple[list[Gate], list[Gate]]:

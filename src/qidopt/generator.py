@@ -111,14 +111,22 @@ class ResourceGuardError(RuntimeError):
     build would make more than `limit` products. `total` and `limit`
     count circuits, each product counted as one; `total` and `estimate`
     (bytes) are lower bounds when the guard stopped short of the full
-    count."""
+    count. The message names products when the product bound refused
+    (`products`), circuits and bytes otherwise."""
 
-    def __init__(self, total: int, limit: int, estimate: int):
-        super().__init__(
-            f"enumeration would produce at least {total} circuits and take an estimated "
-            f"{estimate} bytes at peak, over the limit of {limit} circuits "
-            f"({limit * _BYTES_PER_CIRCUIT} bytes); raise the limit to override"
-        )
+    def __init__(self, total: int, limit: int, estimate: int, products: bool = False):
+        if products:
+            message = (
+                f"enumeration would make {total} products of its one layer, over the "
+                f"limit of {limit} circuits, each product counted as one"
+            )
+        else:
+            message = (
+                f"enumeration would produce at least {total} circuits and take an "
+                f"estimated {estimate} bytes at peak, over the limit of {limit} circuits "
+                f"({limit * _BYTES_PER_CIRCUIT} bytes)"
+            )
+        super().__init__(f"{message}; raise the limit to override")
         self.total = total
         self.limit = limit
         self.estimate = estimate
@@ -188,7 +196,7 @@ def _check_budget(cfg: GeneratorConfig) -> None:
         d += 1
     total, estimate = _estimate(n, d, layers)
     if layers == 1 and not cfg.gate_set.identity.exact_identity and d > cfg.max_circuits:
-        raise ResourceGuardError(d, cfg.max_circuits, estimate)
+        raise ResourceGuardError(d, cfg.max_circuits, estimate, products=True)
     if estimate > limit:
         raise ResourceGuardError(total, cfg.max_circuits, estimate)
 

@@ -594,14 +594,18 @@ def _rules(
     """c with the pair rules applied, for `gates` the gate list of c, which
     holds no all-Identity layer. A pass that rewrites nothing leaves c as
     it is; otherwise the gates are packed (`circuit.pack`) and all-Identity
-    layers dropped. Either way, a layer with the same gates as one the
-    sweeps' memo has seen is equal to it (`_Slices`)."""
+    layers dropped. The packed grid itself is returned when it has none,
+    so its gate list is the one `pack` kept and no walk reads it again.
+    Either way, a layer with the same gates as one the sweeps' memo has
+    seen is equal to it (`_Slices`)."""
     start = time.perf_counter()
     before = report.cancels + report.merges
     ruled = apply_rules(gates, c.n, db, report)
     if report.cancels + report.merges > before:
-        packed = pack(ruled, c.n).layers
-        c = CircuitGrid(c.n, tuple(l for l in packed if not layer_is_identity(l)))
+        c = pack(ruled, c.n)
+        busy = tuple(l for l in c.layers if not layer_is_identity(l))
+        if len(busy) < c.m:
+            c = CircuitGrid(c.n, busy)
     report.pass_s += time.perf_counter() - start
     return c
 

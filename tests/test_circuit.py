@@ -370,6 +370,29 @@ class TestGateList:
         first.clear()
         assert gate_list(c) == c.gates and len(c.gates) == 4
 
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_packed_list_is_the_walk(self, n, data):
+        # singles, the exact Identity (never listed) and one exact only
+        # within 1e-9 (listed), a parsed u1, and pairs in both operand
+        # orders, neighbours or not
+        one = st.builds(lambda g, q: ((q,), g), st.sampled_from(PACK_SINGLES), st.integers(0, n - 1))
+        pair = st.builds(
+            lambda p, g: ((p[0], p[1]), g), st.permutations(range(n)), st.sampled_from(PACK_PAIRS)
+        )
+        gates = data.draw(st.lists(one | pair if n > 1 else one, max_size=24))
+        c = pack(gates, n)
+        assert c.gates == circuit_module._walk(c)
+        listed = gate_list(c)
+        assert listed == c.gates and listed is not c.gates
+
+
+PACK_SINGLES = [gate(name) for name in ("I", "H", "X", "T")] + [
+    instantiate_param_gate(U1, [AngleExpr(const=Fraction(1, 10**12))]),
+    gate_list(parse('OPENQASM 2.0;\nqreg q[1];\nu1(pi/8) q[0];\n'))[0][1],
+]
+PACK_PAIRS = [gate("CX"), gate("CZ"), gate("SWAP")]
+
 
 class TestSharedCells:
     """The grid builders take each cell from its gate's table, so equal

@@ -488,6 +488,8 @@ class TestOneLayerBuild:
                     GeneratorConfig(n=1, d=limit + 1, gate_set=self._NEAR, max_circuits=limit)
                 )
         assert exc.value.total == limit + 1 and exc.value.limit == limit
+        # the message names what the bound counted: products, not circuits
+        assert str(exc.value).startswith(f"enumeration would make {limit + 1} products")
         exact = GeneratorConfig(n=1, d=limit + 1, gate_set=gate_set("I"), max_circuits=limit)
         assert build_database(exact).total_circuits == 1
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import gate, gate_set, grid
 
+from qidopt import circuit as circuit_module
 from qidopt import optimizer as optimizer_module
 from qidopt.cli import parse_gate_set
 from qidopt.circuit import (
@@ -2017,6 +2018,17 @@ class TestPairRules:
         assert gate_list(out) == [] and report.cancels == 1
         # the check compares the input as given, same_h and all
         assert report.check_qubits == 1 and report.residual <= 1e-12
+
+    def test_grid_the_pass_packs_is_never_walked(self, rule_db, monkeypatch):
+        # T·T merges into S, and S, CX, H has no cheaper form: the pass
+        # rewrites, the sweep changes nothing, and every grid read, the
+        # input and the pass's, was made by `pack`, which kept its list
+        gates = [((0,), gate("T")), ((0,), gate("T")), ((0, 1), gate("CX")), ((1,), gate("H"))]
+        optimize(pack(gates, 2), rule_db)  # a warm pass reads the database's tables
+        monkeypatch.setattr(circuit_module, "_walk", lambda c: pytest.fail("a grid was walked"))
+        out, report = optimize(pack(gates, 2), rule_db)
+        assert (report.merges, report.substitutions) == (1, [])
+        assert gate_list(out) == [((0,), gate("S")), ((0, 1), gate("CX")), ((1,), gate("H"))]
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)

@@ -1,6 +1,7 @@
 """QASM subset: parsing, ASAP layering, emission, round trips, diagnostics."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,17 @@ from qidopt.circuit import (
     single,
 )
 from qidopt.database import encode_circuit
-from qidopt.gates import BUILTIN_GATES, U1, U2, U3, AngleExpr, GateSet, instantiate_param_gate
+from qidopt.gates import (
+    BUILTIN_BY_QASM,
+    BUILTIN_GATES,
+    TEMPLATES_BY_QASM,
+    U1,
+    U2,
+    U3,
+    AngleExpr,
+    GateSet,
+    instantiate_param_gate,
+)
 from qidopt.generator import enumerate_layers
 from qidopt.matrices import max_abs_diff
 from qidopt.qasm import (
@@ -145,6 +156,11 @@ class TestParse:
         assert encode_circuit(c) == "U1[pi/4]|H|U1[pi/4]"
         assert c.layers[0][0].gate is c.layers[2][0].gate
 
+    def test_no_space_after_angle_list(self):
+        # OpenQASM 2.0 needs no space between an angle list and its operands
+        c = parse(qasm(2, "u1(pi/2)q[0];", "u2(0,pi)\tq[1];", "u1(pi/2) q[1];"))
+        assert emit(c) == emit(parse(qasm(2, "u1(pi/2) q[0];", "u2(0,pi) q[1];", "u1(pi/2) q[1];")))
+
     def test_iswap_definition_block_skipped(self):
         text = (
             HEADER
@@ -219,6 +235,13 @@ class TestParseDiagnostics:
             4,
             8,
         )
+
+    @pytest.mark.parametrize("stmt", ["hq[0]", "u1(pi)+q[0]", "x(pi),q[0]"])
+    def test_token_joined_to_operand_refused(self, stmt):
+        # only an operand may follow an angle list with no space between
+        with pytest.raises(QasmError) as info:
+            parse(qasm(1, stmt + ";"))
+        assert str(info.value) == f"line 4, column 1: cannot parse statement {stmt!r}"
 
     def test_statement_missing_semicolon(self):
         with pytest.raises(QasmError, match="missing ';'"):
@@ -362,6 +385,15 @@ def delimiter_statements(src):
         raise _error(src, f"statement missing ';': {src[at:].rstrip()[:40]!r}", at)
 
 
+def listed_statements(src):
+    """`_statements` as the delimiter walk reads them: (statement, offset)
+    pairs, each statement stripped, then the error past them."""
+    stmts, where, fault = _statements(src)
+    yield from ((stmt.strip(), where(k)) for k, stmt in enumerate(stmts))
+    if fault is not None:
+        raise fault
+
+
 def statements_or_error(split, src):
     try:
         return list(split(src))
@@ -376,7 +408,199 @@ class TestStatements:
     @settings(max_examples=400, deadline=None)
     def test_matches_the_delimiter_walk(self, pieces):
         src = "".join(pieces)
-        assert statements_or_error(_statements, src) == statements_or_error(delimiter_statements, src)
+        assert statements_or_error(listed_statements, src) == statements_or_error(delimiter_statements, src)
+
+
+# The statement-by-statement parse that `parse` replaced, kept as its
+# reference: every new statement goes through the checks in order, and
+# an application is accepted where they end. Unlike `parse`, it cannot
+# read an angle list with no space before its operands (`u1(pi/2)q[0]`).
+REF_INCLUDE = re.compile(r'^include\s*"[^"]*"$')
+REF_QREG = re.compile(r"^qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
+REF_GATE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(?:\(([^)]*)\))?\s+(.*)$", re.S)
+REF_OPERAND = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
+REF_REJECTED = {
+    "creg": "classical registers are not supported",
+    "measure": "measurement is not supported",
+    "reset": "reset is not supported",
+    "barrier": "barriers are not supported",
+    "if": "classical control is not supported",
+    "opaque": "opaque gates are not supported",
+}
+
+
+def reference_parse(text):
+    src = re.sub(r"//[^\n]*", "", text)
+
+    def error(message, at):
+        return _error(src, message, at)
+
+    register, size, saw_header = None, 0, False
+    gates, instances, accepted = [], {}, {}
+    for stmt, at in delimiter_statements(src):
+        if not saw_header:
+            if not stmt.startswith("OPENQASM"):
+                raise error("file must start with 'OPENQASM 2.0;'", at)
+            version = stmt[len("OPENQASM") :].strip()
+            if version.startswith("3"):
+                raise error("OpenQASM 3 is not supported; use 2.0", at)
+            if version != "2.0":
+                raise error(f"unsupported OPENQASM version {version!r}", at)
+            saw_header = True
+            continue
+        if stmt in accepted:
+            if accepted[stmt] is not None:
+                gates.append(accepted[stmt])
+            continue
+        if not stmt:
+            raise error("empty statement", at)
+        if REF_INCLUDE.match(stmt):
+            continue
+        if stmt.startswith("gate "):
+            name = stmt.split(None, 2)[1].split("(")[0]
+            if name == "iswap":
+                continue
+            raise error(f"gate definitions are not supported ({name})", at)
+        word = stmt.split(None, 1)[0].split("(")[0]
+        if word in REF_REJECTED:
+            raise error(REF_REJECTED[word], at)
+        qreg = REF_QREG.match(stmt)
+        if qreg:
+            if register is not None:
+                raise error("exactly one quantum register is supported", at)
+            register, size = qreg.group(1), int(qreg.group(2))
+            if size < 1:
+                raise error("quantum register must have at least one qubit", at)
+            continue
+        app = REF_GATE.match(stmt)
+        if not app:
+            raise error(f"cannot parse statement {stmt!r}", at)
+        token, arg_text, operand_text = app.groups()
+        if register is None:
+            raise error("gate before qreg declaration", at)
+        angles = ()
+        if arg_text is not None:
+            try:
+                angles = tuple(parse_angle(a) for a in arg_text.split(","))
+                for a in angles:
+                    a.value()
+            except ValueError as e:
+                raise error(str(e), at) from None
+        gate = BUILTIN_BY_QASM.get(token)
+        if token in TEMPLATES_BY_QASM:
+            expected = TEMPLATES_BY_QASM[token].angle_count
+            if len(angles) != expected:
+                raise error(f"{token} takes {expected} angle(s), got {len(angles)}", at)
+        elif gate is None:
+            raise error(f"unsupported gate {token!r}", at)
+        elif angles:
+            raise error(f"{token} takes no angles", at)
+        qubits = []
+        for op in operand_text.split(","):
+            om = REF_OPERAND.match(op.strip())
+            if not om:
+                raise error(f"cannot parse operand {op.strip()!r}", at)
+            if om.group(1) != register:
+                raise error(f"unknown register {om.group(1)!r}", at)
+            idx = int(om.group(2))
+            if idx >= size:
+                raise error(f"operand {register}[{idx}] out of range (size {size})", at)
+            qubits.append(idx)
+        arity = 1 if gate is None else gate.arity
+        if len(qubits) != arity:
+            raise error(f"{token} takes {arity} operand(s), got {len(qubits)}", at)
+        if arity == 2 and qubits[0] == qubits[1]:
+            raise error("two-qubit gate operands must differ", at)
+        if gate is None:
+            gate = instances.get((token, angles))
+            if gate is None:
+                gate = instances[token, angles] = instantiate_param_gate(TEMPLATES_BY_QASM[token], angles)
+        known = accepted[stmt] = None if gate.is_identity else (tuple(qubits), gate)
+        if known is not None:
+            gates.append(known)
+    if not saw_header:
+        raise QasmError("file must start with 'OPENQASM 2.0;'", 1, 1)
+    if register is None:
+        raise QasmError("missing qreg declaration", 1, 1)
+    return pack(gates, size)
+
+
+def parsed_or_error(read, text):
+    """The emitted text of what `read` parses, or its QasmError's message,
+    line and column."""
+    try:
+        return emit(read(text))
+    except QasmError as e:
+        return str(e), e.line, e.column
+
+
+SPACES = st.sampled_from(["", " ", "\t", "  "])
+# (token, operands, angles) of the gates drawn
+GATES = [("h", 1, 0), ("x", 1, 0), ("id", 1, 0), ("t", 1, 0), ("cx", 2, 0), ("cz", 2, 0),
+         ("swap", 2, 0), ("u1", 1, 1), ("u2", 1, 2), ("u3", 1, 3)]
+WORDS = ["ccx", "bogus", "h_1", "measure", "barrier", "reset", "creg", "qreg", "include", "gate"]
+ANGLES = ["pi/2", "0", "-pi/4", " 1/2 ", "pie", ""]
+
+
+@st.composite
+def operand(draw, register=st.sampled_from(["q", "q", "q", "r"]), index=st.integers(0, 3)):
+    """`reg[i]` with spaces inside the brackets and a leading zero or two."""
+    zeros = draw(st.sampled_from(["", "0", "00"]))
+    return f"{draw(register)}{draw(SPACES)}[{draw(SPACES)}{zeros}{draw(index)}{draw(SPACES)}]"
+
+
+@st.composite
+def statement(draw):
+    """(as spelled, as the reference reads it): mostly a gate with its
+    operands and angles, else any token (unknown, rejected, not a gate)
+    with any angles and zero to three operands, a register other than q
+    or one operand twice. After an angle list comes a space, a tab,
+    nothing, or junk ('+', ','). The two texts differ only where the angle
+    list meets its operands with no space, which the reference spells with
+    one."""
+    if draw(st.integers(0, 2)):
+        token, arity, count = draw(st.sampled_from(GATES))
+        qubits = draw(st.permutations(range(3)))[:arity]
+        ops = [draw(operand(st.just("q"), st.just(q))) for q in qubits]
+        angles = draw(st.lists(st.sampled_from(ANGLES[:4]), min_size=count, max_size=count))
+    else:
+        token = draw(st.sampled_from([g[0] for g in GATES] + WORDS))
+        ops = draw(st.lists(operand(), max_size=3) | operand().map(lambda op: [op, op]))
+        angles = draw(st.lists(st.sampled_from(ANGLES), max_size=3))
+    operands = (draw(SPACES) + "," + draw(SPACES)).join(ops)
+    if not angles:
+        return (token + draw(st.sampled_from([" ", "  ", "\t"])) + operands,) * 2
+    head = f"{token}{draw(st.sampled_from(['', ' ']))}({','.join(angles)})"
+    after = draw(st.sampled_from(["", "", " ", "\t", "+", ","]))
+    return head + after + operands, head + (after or " ") + operands
+
+
+@st.composite
+def program(draw):
+    """(as spelled, as the reference reads it): a header, a qreg line of
+    one to three qubits and statements drawn from a pool of up to four, so
+    some repeat. A statement whose angle list meets its operands ends its
+    line, so both texts place every statement alike."""
+    pool = draw(st.lists(statement(), min_size=1, max_size=4))
+    body = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))]
+    n = draw(st.sampled_from([1, 2, 3, 3]))
+    at = draw(st.integers(0, len(body))) if draw(st.integers(0, 3)) == 0 else 0
+    body.insert(at, (f"qreg q[{n}]",) * 2)
+    spelled = spaced = HEADER
+    for a, b in body:
+        lead = draw(SPACES)
+        end = ";\n" if a != b else ";" + draw(st.sampled_from(["\n", " ", "\n\t"]))
+        spelled += lead + a + end
+        spaced += lead + b + end
+    return spelled, spaced
+
+
+class TestReferenceParse:
+    @given(program())
+    @settings(max_examples=600, deadline=None)
+    def test_matches_the_reference(self, texts):
+        spelled, spaced = texts
+        assert parsed_or_error(parse, spelled) == parsed_or_error(reference_parse, spaced)
 
 
 class TestEmit:
